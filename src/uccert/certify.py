@@ -1,21 +1,23 @@
 """Pointwise pseudo-convexity certification for the bent surface family.
 
-At a base point x0 on the surface intersection, the certifier
+At a base point x0 on the surface intersection, the tangent null set
+N = {|xi| = 1 : p(x0, xi) = 0, b1 . xi = 0}, b1 = 2 Q dpsi1, is cut out by a
+quadratic form and a hyperplane, and every certified quantity is a quadratic
+form in xi maximized over N.  ``null_cone_max`` computes such maxima exactly
+(S-lemma; Finsler 1937, Polik & Terlaky, SIAM Review 49(3), 2007).  The
+certifier
 
-  1. samples the tangent null set  {xi on the unit sphere : p(x0, xi) = 0,
-     hp(psi1)(x0, xi) = 0}  by projected Newton refinement of quasi-uniform
-     sphere seeds,
-  2. takes the floor m0 of |hp(psi0)| over that set (strictly positive for
+  1. takes the floor m0 of |hp(psi0)| over N (strictly positive for
      consistent inputs),
-  3. computes the bending threshold lambda0 = max_sphere hp2(psi1) / (2 m0^2),
-  4. certifies that hp2(psi1 - lam * psi0^2) < 0 on every sampled constraint
-     direction, evaluating the margin through two independent routes that are
-     required to agree: the algebraic reduction
+  2. computes the bending threshold lambda0 = max_sphere hp2(psi1) / (2 m0^2),
+  3. certifies that the maximum of hp2(psi1 - lam * psi0^2) over N is negative,
+  4. evaluates that margin on explicit directions of N through two
+     independent routes that are required to agree: the algebraic reduction
          hp2(psi1) - 2 lam hp(psi0)^2     (valid since psi0(x0) = 0)
      and a direct hp2 of the composed field.
 
 Standalone second-order (tangential curvature) and first-order (transversal
-drift) condition checkers are provided for arbitrary scalar fields.
+drift) condition checkers use the same exact maximum.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation)
 from .fields import MetricField, PhasePoint, ScalarField, as_point, linear_combination, squared_field
 from .hypotheses import GeometrySpec, build_psi
-from .symbols import hp, hp2, hp2_matrix, quadratic_form_values
+from .symbols import (hp, hp2, hp2_matrix, lorentz_normal_form,
+                      quadratic_form_values, signature)
 
-DEFAULT_EPS_C = 1e-10
 DEFAULT_TOL_POS = 1e-6
-MERGE_ANGLE = 1e-3          # rad; constraint samples closer than this are duplicates
 KEY_IDENTITY_RTOL = 1e-6    # required agreement between the two margin routes
+EPS = np.finfo(float).eps
 
 
 def unit_sphere_seeds(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -57,76 +59,64 @@ def unit_sphere_seeds(n: int, dim: int, seed: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _restricted_definite(a: np.ndarray, b1: np.ndarray) -> bool:
-    """True when the quadratic form a is definite on the hyperplane b1 . xi = 0."""
-    nb = np.linalg.norm(b1)
-    if nb < 1e-300:
-        ev = np.linalg.eigvalsh(a)
-        return bool(np.all(ev > 0) or np.all(ev < 0))
-    basis = np.linalg.svd(b1.reshape(1, -1) / nb)[2][1:]
-    ev = np.linalg.eigvalsh(basis @ a @ basis.T)
-    return bool(np.all(ev > 1e-12) or np.all(ev < -1e-12))
+def _hyperplane_basis(b: Optional[np.ndarray], dim: int) -> np.ndarray:
+    """Rows: an orthonormal basis of {xi : b . xi = 0}, or of R^dim when b is None."""
+    if b is None:
+        return np.eye(dim)
+    return np.linalg.svd(b.reshape(1, -1))[2][1:]
 
 
-def _newton_on_sphere(a: np.ndarray, b1: Optional[np.ndarray], seeds: np.ndarray,
-                      eps_c: float, max_iter: int = 30) -> np.ndarray:
-    """Projected Newton for {xi^T a xi = 0} (and optionally {b1 . xi = 0}) on the sphere.
+def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
+    """Maximum of xi^T m xi over unit xi with xi^T a xi = 0 (and b . xi = 0).
 
-    Batched least-norm Newton steps followed by renormalization, with one
-    level of step halving when a step fails to reduce the residual.  Returns
-    the converged unit vectors.
+    With m_r, a_r the forms on the hyperplane, the maximum is min_t f(t),
+    f(t) = lambda_max(m_r + t a_r) (S-lemma); every t gives an upper bound, as
+    xi^T m xi = xi^T (m + t a) xi on null xi.  f is convex with slope v^T a_r v
+    at its top eigenvector v, so t is bisected on the sign of that slope.
+    Returns (value plus the eigensolver's rounding allowance, a unit null
+    witness attaining it to rounding), or None when a_r is definite (empty
+    set).  When a_r is semidefinite and singular, the set is its kernel.
     """
-    xi = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
+    basis = _hyperplane_basis(b, a.shape[0])
+    mr = basis @ m @ basis.T
+    ar = basis @ a @ basis.T
+    ev, vec = np.linalg.eigh(ar)
+    band = 1e-10 * max(1.0, float(np.max(np.abs(ev))))     # the zero band of signature()
+    if ev[0] >= -band or ev[-1] <= band:
+        kernel = vec[:, np.abs(ev) <= band]
+        if kernel.shape[1] == 0:
+            return None
+        w, u = np.linalg.eigh(kernel.T @ mr @ kernel)
+        return float(w[-1]), basis.T @ kernel @ u[:, -1]
 
-    def residuals(v):
-        g1 = np.einsum("ki,ij,kj->k", v, a, v)
-        if b1 is None:
-            return g1[:, None]
-        return np.stack([g1, v @ b1], axis=1)
+    def top(t):
+        w, v = np.linalg.eigh(mr + t * ar)
+        v = v[:, -1]
+        return w[-1] + len(w) * EPS * max(-w[0], w[-1]), v, float(v @ ar @ v)
 
-    for _ in range(max_iter):
-        g = residuals(xi)
-        rnorm = np.max(np.abs(g), axis=1)
-        active = rnorm > eps_c
-        if not np.any(active):
-            break
-        j1 = 2.0 * xi @ a
-        if b1 is None:
-            jj = np.einsum("ki,ki->k", j1, j1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = -(g[:, 0] / jj)[:, None] * j1
+    # beyond these ends f exceeds 2 max|eig(m_r)| >= f(0), so the slope there
+    # has the sign of the side
+    scale = max(float(np.max(np.abs(np.linalg.eigvalsh(mr)))), EPS * float(np.max(np.abs(ev))))
+    lo, hi = 3.0 * scale / ev[0], 3.0 * scale / ev[-1]
+    ends = [top(lo), top(hi)]
+    t_unit = scale / float(np.max(np.abs(ev)))
+    while hi - lo > 4.0 * EPS * (abs(lo) + abs(hi) + t_unit):
+        t = 0.5 * (lo + hi)
+        e = top(t)
+        if e[2] > 0:
+            hi, ends[1] = t, e
         else:
-            aa = np.einsum("ki,ki->k", j1, j1)
-            bb = j1 @ b1
-            cc = float(b1 @ b1)
-            det = aa * cc - bb * bb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mu1 = (-g[:, 0] * cc + g[:, 1] * bb) / det
-                mu2 = (-g[:, 1] * aa + g[:, 0] * bb) / det
-            step = mu1[:, None] * j1 + mu2[:, None] * b1[None, :]
-        step = np.where(np.isfinite(step), step, 0.0)
-        cand = xi + np.where(active[:, None], step, 0.0)
-        norms = np.linalg.norm(cand, axis=1, keepdims=True)
-        cand = np.where(norms > 1e-12, cand / norms, xi)
-        worse = np.max(np.abs(residuals(cand)), axis=1) > rnorm
-        half = xi + np.where((active & worse)[:, None], 0.5 * step, 0.0)
-        hn = np.linalg.norm(half, axis=1, keepdims=True)
-        half = np.where(hn > 1e-12, half / hn, xi)
-        xi = np.where((active & worse)[:, None], half, np.where(active[:, None], cand, xi))
-
-    g = residuals(xi)
-    ok = np.max(np.abs(g), axis=1) <= eps_c
-    return xi[ok]
-
-
-def _merge_directions(xis: np.ndarray, angle: float = MERGE_ANGLE) -> np.ndarray:
-    """Greedy angular deduplication (signs are kept distinct)."""
-    cos_tol = math.cos(angle)
-    kept = np.empty((0, xis.shape[1]))
-    for v in xis:
-        if kept.shape[0] == 0 or float(np.max(kept @ v)) < cos_tol:
-            kept = np.vstack([kept, v])
-    return kept
+            lo, ends[0] = t, e
+    (f_lo, v_lo, s_lo), (f_hi, v_hi, s_hi) = ends
+    # both end vectors lie in the top eigenspace at the minimum, with slopes
+    # of opposite sign: the null vector of their span is the witness
+    if v_lo @ v_hi < 0:
+        v_hi = -v_hi
+    cross = float(v_lo @ ar @ v_hi)
+    root = math.sqrt(cross * cross - s_lo * s_hi)
+    tau = -s_lo / (cross + root) if cross > 0 else (root - cross) / s_hi
+    y = v_lo + tau * v_hi
+    return float(min(f_lo, f_hi)), basis.T @ y / np.linalg.norm(y)
 
 
 @dataclass(frozen=True)
@@ -136,17 +126,16 @@ class ConstraintSample:
     res_hp: float
 
 
-def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int,
-                       eps_c: float = DEFAULT_EPS_C, seed: int = 0,
+def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int = 0,
                        tol_pos: float = DEFAULT_TOL_POS) -> list:
-    """Unit covectors satisfying p = 0 and hp(psi1) = 0 at x0, to eps_c.
+    """Unit covectors satisfying p = 0 and hp(psi1) = 0 at x0, listed exactly.
 
-    Quasi-uniform sphere seeds are refined by projected Newton onto the two
-    constraint surfaces; converged directions are deduplicated by angular
-    distance, then locally densified around the survivors so that minima of
-    smooth objectives over the set are well resolved.  The number of distinct
-    directions returned is whatever the geometry admits (the set can be a
-    finite point set), with n controlling the seeding density.
+    On the hyperplane b1 . xi = 0 (orthonormal basis B, dimension d) the
+    restricted symbol A_r = B A B^T has signature (d-1, 1), so with
+    R = lorentz_normal_form(A_r) every null direction is xi ~ B^T R (u, 1) with
+    u on the sphere S^{d-2}.  For d = 2 that sphere is u = +-1, and with both
+    signs of xi the set is its four points; for d >= 3, n seeded points u are
+    listed.
     """
     x0 = as_point(x0)
     if n == 0:
@@ -158,50 +147,41 @@ def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int,
             "surface field is not space-like at x0 (<Q dpsi1, dpsi1> <= 0); "
             "the base surface must be non-characteristic")
     b1 = 2.0 * a @ g1
-    seeds = unit_sphere_seeds(n, Q.dim, seed=seed)
-    conv = _newton_on_sphere(a, b1, seeds, eps_c)
-    if len(conv) == 0:
-        if _restricted_definite(a, b1):
-            raise DegenerateConstraintSet(
-                "the null cone does not meet the tangent hyperplane: empty constraint set")
-        raise DegenerateConstraintSet("constraint sampling failed to converge")
-    reps = _merge_directions(conv)
-    # local densification: perturb survivors tangentially and re-refine
-    rng = np.random.default_rng(seed + 1)
-    extra_seeds = []
-    for v in reps:
-        for scale in (3e-2, 3e-3):
-            t = rng.standard_normal((4, Q.dim))
-            t -= np.outer(t @ v, v)
-            extra_seeds.append(v[None, :] + scale * t)
-    if extra_seeds:
-        conv2 = _newton_on_sphere(a, b1, np.concatenate(extra_seeds), eps_c)
-        if len(conv2):
-            reps = _merge_directions(np.concatenate([reps, conv2]))
-    out = []
-    for v in reps:
-        out.append(ConstraintSample(
-            xi=v,
-            res_p=abs(float(v @ a @ v)),
-            res_hp=abs(float(b1 @ v))))
-    return out
+    basis = _hyperplane_basis(b1, Q.dim)
+    ar = basis @ a @ basis.T
+    sig = signature(ar)
+    if sig.n_zero == 0 and 0 in (sig.n_plus, sig.n_minus):
+        raise DegenerateConstraintSet(
+            "the null cone does not meet the tangent hyperplane: empty constraint set")
+    d = ar.shape[0]
+    u = np.array([[-1.0], [1.0]]) if d == 2 else unit_sphere_seeds(n, d - 1, seed=seed)
+    xis = np.hstack([u, np.ones((len(u), 1))]) @ lorentz_normal_form(ar).T @ basis
+    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+    if d == 2:
+        xis = np.concatenate([xis, -xis])
+    res_p = np.abs(quadratic_form_values(a, xis))
+    res_hp = np.abs(xis @ b1)
+    return [ConstraintSample(xi=v, res_p=float(rp), res_hp=float(rh))
+            for v, rp, rh in zip(xis, res_p, res_hp)]
 
 
-def compute_m0(Q: MetricField, psi0: ScalarField, x0, samples,
+def compute_m0(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
                tol_pos: float = DEFAULT_TOL_POS) -> float:
-    """Floor of |hp(psi0)| over the sampled constraint directions.
+    """Floor of |hp(psi0)| over the tangent null set of psi1 at x0.
 
-    hp(psi0) is linear in xi at fixed x0, so the batch evaluation through the
-    drift covector 2 Q dpsi0 is exact.  The value is strictly positive for
-    consistent inputs; at or below tolerance it flags an inconsistency in the
-    geometry feeding the samples.
+    hp(psi0) = c . xi with the drift covector c = 2 Q dpsi0, so its square is
+    the form c c^T and m0^2 = -max(-c c^T) over the set, computed exactly.
+    The value is strictly positive for consistent inputs; at or below
+    tolerance it flags an inconsistency in the geometry.
     """
-    if not samples:
-        raise ContractViolation("compute_m0 requires a nonempty sample set")
     x0 = as_point(x0)
-    drift = 2.0 * Q(x0) @ psi0.grad(x0)
-    xis = np.array([s.xi for s in samples])
-    m0 = float(np.min(np.abs(xis @ drift)))
+    a = Q(x0)
+    c = 2.0 * a @ psi0.grad(x0)
+    found = null_cone_max(-np.outer(c, c), a, 2.0 * a @ psi1.grad(x0))
+    if found is None:
+        raise DegenerateConstraintSet(
+            "the null cone does not meet the tangent hyperplane: empty constraint set")
+    m0 = math.sqrt(max(0.0, -found[0]))
     if m0 <= tol_pos:
         raise NondegeneracyViolation(
             f"constrained drift floor m0 = {m0:.3e} <= {tol_pos:g}: "
@@ -209,24 +189,16 @@ def compute_m0(Q: MetricField, psi0: ScalarField, x0, samples,
     return m0
 
 
-def compute_lambda0(Q: MetricField, psi1: ScalarField, x0, m0: float,
-                    n_dense: int = 4096, seed: int = 0) -> float:
+def compute_lambda0(Q: MetricField, psi1: ScalarField, x0, m0: float) -> float:
     """Bending threshold: (max over the whole unit sphere of hp2(psi1)) / (2 m0^2).
 
-    hp2 is a quadratic form in xi, so the dense sphere sample is refined by
-    the exact quadratic maximum (largest eigenvalue of the polarized form);
-    the sampled and refined maxima are required to be consistent.
+    hp2 is a quadratic form in xi, so the sphere maximum is the largest
+    eigenvalue of its matrix.
     """
     if m0 <= 0:
         raise ContractViolation("m0 must be positive")
-    x0 = as_point(x0)
-    m = hp2_matrix(Q, psi1, x0)
-    refined = float(np.linalg.eigvalsh(m)[-1])
-    if n_dense > 0:
-        sampled = float(np.max(quadratic_form_values(m, unit_sphere_seeds(n_dense, Q.dim, seed))))
-        if sampled > refined + 1e-9 * max(1.0, abs(refined)):
-            raise InternalInconsistency("sampled sphere maximum exceeds the eigenvalue bound")
-    return refined / (2.0 * m0 * m0)
+    top = float(np.linalg.eigvalsh(hp2_matrix(Q, psi1, as_point(x0)))[-1])
+    return top / (2.0 * m0 * m0)
 
 
 @dataclass
@@ -269,25 +241,50 @@ class Certificate:
         return rows
 
 
+def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
+    nan = float("nan")
+    return Certificate(x0=x0, m0=nan, lambda0=nan, lambda_used=nan, worst_margin=nan,
+                       n_samples=0, status="degenerate", notes={"gate": [gate], gate: numbers})
+
+
+def _singular_jet(Q: MetricField, fields: dict, x0) -> Optional[dict]:
+    """The first jet at x0 (metric, then value, gradient and Hessian of each
+    field) that raises an arithmetic error or is not finite, or None."""
+    jets = [("Q", Q), ("dQ", Q.deriv_all)]
+    for name, f in fields.items():
+        jets += [(name, f), ("d" + name, f.grad), ("d2" + name, f.hess)]
+    for name, jet in jets:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = jet(x0)
+        except ArithmeticError as e:
+            return {"jet": name, "error": str(e)}
+        if not np.all(np.isfinite(value)):
+            return {"jet": name, "error": "not finite"}
+    return None
+
+
 def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
                    lam: Optional[float] = None, n: int = 2000,
-                   eps_c: float = DEFAULT_EPS_C, tol_pos: float = DEFAULT_TOL_POS,
-                   seed: int = 0) -> Certificate:
+                   tol_pos: float = DEFAULT_TOL_POS, seed: int = 0) -> Certificate:
     """Certify the bent surface psi1 - lam * psi0^2 at x0 from explicit fields."""
     x0 = as_point(x0)
-    a = Q(x0)
-    g1 = psi1.grad(x0)
-    if float(g1 @ a @ g1) <= tol_pos:
-        return Certificate(x0=x0, m0=float("nan"), lambda0=float("nan"),
-                           lambda_used=float("nan"), worst_margin=float("nan"),
-                           n_samples=0, status="degenerate",
-                           notes={"reason": "base surface characteristic or time-like at x0"})
-    samples = constraint_samples(Q, psi1, x0, n, eps_c=eps_c, seed=seed, tol_pos=tol_pos)
-    m0 = compute_m0(Q, psi0, x0, samples, tol_pos=tol_pos)
-    lambda0 = compute_lambda0(Q, psi1, x0, m0, seed=seed)
-    lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
     if lam is not None and lam <= 0:
         raise ContractViolation("lam must be positive")
+    if n < 1:
+        raise ContractViolation("n must be at least 1")
+    singular = _singular_jet(Q, {"psi0": psi0, "psi1": psi1}, x0)
+    if singular:
+        return _degenerate(x0, "jet", singular)
+    a = Q(x0)
+    g1 = psi1.grad(x0)
+    space_like = float(g1 @ a @ g1)
+    if space_like <= tol_pos:
+        return _degenerate(x0, "space_like_base", {"q_dpsi1_dpsi1": space_like, "tol_pos": tol_pos})
+    samples = constraint_samples(Q, psi1, x0, n, seed=seed, tol_pos=tol_pos)
+    m0 = compute_m0(Q, psi0, psi1, x0, tol_pos=tol_pos)
+    lambda0 = compute_lambda0(Q, psi1, x0, m0)
+    lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
 
     bent = linear_combination([(1.0, psi1), (-lam_used, squared_field(psi0))],
                               name="bent_surface")
@@ -316,94 +313,90 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "
             f"(> {KEY_IDENTITY_RTOL:g}); derivative suppliers are inconsistent")
-    worst = float(np.max(margins))
-    status = "certified" if (worst < -tol_pos and lam_used > lambda0) else "failed"
+    worst = null_cone_max(m_bent, a, 2.0 * a @ g1)[0]
+    tripped = {}
+    if not worst < -tol_pos:
+        tripped["margin"] = {"worst_margin": worst, "required_below": -tol_pos}
+    if not lam_used > lambda0:
+        tripped["lambda_threshold"] = {"lambda_used": lam_used, "lambda0": lambda0}
+    notes = {"seed": seed, "n_seeds": n}
+    if tripped:
+        notes.update(gate=list(tripped), **tripped)
     return Certificate(
         x0=x0, m0=m0, lambda0=lambda0, lambda_used=lam_used,
-        worst_margin=worst, n_samples=len(samples), status=status,
+        worst_margin=worst, n_samples=len(samples),
+        status="failed" if tripped else "certified",
         margins=margins, margins_direct=margins_direct, samples=samples,
         route_disagreement=worst_rel,
         fd_fallback=not (Q.analytic and psi0.analytic and psi1.analytic),
-        notes={"seed": seed, "eps_c": eps_c, "n_seeds": n})
+        notes=notes)
 
 
 def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
-            eps_c: float = DEFAULT_EPS_C, tol_pos: float = DEFAULT_TOL_POS,
-            seed: int = 0) -> Certificate:
-    """Certify pseudo-convexity of the bent surface built from a surface pair."""
+            tol_pos: float = DEFAULT_TOL_POS, seed: int = 0) -> Certificate:
+    """Certify pseudo-convexity of the bent surface built from a surface pair.
+
+    The base point must lie on both surfaces to spec.tol_zero, and every jet
+    the certificate uses must be finite there; otherwise the certificate is
+    degenerate and its notes name the gate.
+    """
+    x0 = as_point(x0)
+    singular = _singular_jet(spec.Q, {"phi_plus": spec.phi_plus,
+                                      "phi_minus": spec.phi_minus}, x0)
+    if singular:
+        return _degenerate(x0, "jet", singular)
+    off = max(abs(spec.phi_plus(x0)), abs(spec.phi_minus(x0)))
+    if off > spec.tol_zero:
+        return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
     psi0, psi1 = build_psi(spec)
-    return certify_fields(spec.Q, psi0, psi1, x0, lam=lam, n=n,
-                          eps_c=eps_c, tol_pos=tol_pos, seed=seed)
+    return certify_fields(spec.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
 
 
-def check_hormander(Q: MetricField, psi: ScalarField, x0, n: int = 2000,
-                    eps_c: float = DEFAULT_EPS_C, tol_pos: float = DEFAULT_TOL_POS,
-                    seed: int = 0) -> dict:
+def _symbol_and_flow_covector(Q: MetricField, psi: ScalarField, x0, tol_pos: float):
+    """(Q(x0), b) with hp(psi)(x0, xi) = b . xi, for psi with a nonzero differential."""
+    g = psi.grad(x0)
+    if np.linalg.norm(g) <= tol_pos:
+        raise ContractViolation("psi must have a nonzero differential at x0")
+    a = Q(x0)
+    return a, 2.0 * a @ g
+
+
+def check_hormander(Q: MetricField, psi: ScalarField, x0,
+                    tol_pos: float = DEFAULT_TOL_POS) -> dict:
     """Second-order condition: hp2(psi) < 0 on {p = 0, hp(psi) = 0} at x0.
 
     An empty constraint set (possible for definite or transversally-drifting
     geometries) is a vacuous pass and is reported distinctly.
     """
     x0 = as_point(x0)
-    if np.linalg.norm(psi.grad(x0)) <= tol_pos:
-        raise ContractViolation("psi must have a nonzero differential at x0")
-    a = Q(x0)
-    b1 = 2.0 * a @ psi.grad(x0)
-    conv = _newton_on_sphere(a, b1, unit_sphere_seeds(n, Q.dim, seed=seed), eps_c)
-    if len(conv) == 0:
-        vac = _restricted_definite(a, b1)
-        return {"status": "vacuous" if vac else "no_samples",
-                "passed": bool(vac), "max_hp2": None, "witness": None, "n_samples": 0}
-    reps = _merge_directions(conv)
-    vals = np.array([hp2(Q, psi, PhasePoint(x0, v)) for v in reps])
-    k = int(np.argmax(vals))
-    return {
-        "status": "pass" if vals.max() < -tol_pos else "fail",
-        "passed": bool(vals.max() < -tol_pos),
-        "max_hp2": float(vals.max()),
-        "witness": [float(v) for v in reps[k]],
-        "n_samples": int(len(reps)),
-    }
+    a, b = _symbol_and_flow_covector(Q, psi, x0, tol_pos)
+    found = null_cone_max(hp2_matrix(Q, psi, x0), a, b)
+    if found is None:
+        return {"status": "vacuous", "passed": True, "max_hp2": None, "witness": None}
+    passed = bool(found[0] < -tol_pos)
+    return {"status": "pass" if passed else "fail", "passed": passed,
+            "max_hp2": float(found[0]), "witness": [float(v) for v in found[1]]}
 
 
-def check_calderon(Q: MetricField, psi: ScalarField, x0, n: int = 2000,
-                   tol_pos: float = DEFAULT_TOL_POS, seed: int = 0,
-                   eps_c: float = DEFAULT_EPS_C) -> dict:
+def check_calderon(Q: MetricField, psi: ScalarField, x0,
+                   tol_pos: float = DEFAULT_TOL_POS) -> dict:
     """First-order condition: hp(psi) != 0 on the unit null directions at x0.
 
-    hp(psi) is linear in xi, so its zeros on the null cone are found exactly
-    by solving the two-constraint system; plain cone sampling would never
-    see the measure-zero vanishing set.  When that system has no solution,
-    the minimum of |hp(psi)| over sampled cone directions is reported.
+    hp(psi) = b . xi with b = 2 Q dpsi, so its zeros on the null cone are the
+    null directions in the hyperplane b . xi = 0, which exist exactly when the
+    symbol restricted to it is not definite; a witness is returned.  Otherwise
+    the minimum of |hp(psi)| over the unit null cone is sqrt(-max(-b b^T)).
     """
     x0 = as_point(x0)
-    if np.linalg.norm(psi.grad(x0)) <= tol_pos:
-        raise ContractViolation("psi must have a nonzero differential at x0")
-    a = Q(x0)
-    b1 = 2.0 * a @ psi.grad(x0)
-    seeds = unit_sphere_seeds(n, Q.dim, seed=seed)
-    zeros = _newton_on_sphere(a, b1, seeds, eps_c)
-    if len(zeros):
-        reps = _merge_directions(zeros)
-        vals = np.array([abs(hp(Q, psi, PhasePoint(x0, v))) for v in reps])
-        k = int(np.argmin(vals))
+    a, b = _symbol_and_flow_covector(Q, psi, x0, tol_pos)
+    zero = null_cone_max(np.zeros_like(a), a, b)
+    if zero is not None:
         return {"status": "fail", "passed": False,
-                "min_abs_hp": float(vals.min()),
-                "witness": [float(v) for v in reps[k]],
-                "n_samples": int(len(reps))}
-    conv = _newton_on_sphere(a, None, seeds, eps_c)
-    if len(conv) == 0:
-        ev = np.linalg.eigvalsh(a)
-        vac = bool(np.all(ev > 0) or np.all(ev < 0))
-        return {"status": "vacuous" if vac else "no_samples",
-                "passed": vac, "min_abs_hp": None, "witness": None, "n_samples": 0}
-    reps = _merge_directions(conv)
-    vals = np.array([abs(hp(Q, psi, PhasePoint(x0, v))) for v in reps])
-    k = int(np.argmin(vals))
-    return {
-        "status": "pass" if vals.min() > tol_pos else "fail",
-        "passed": bool(vals.min() > tol_pos),
-        "min_abs_hp": float(vals.min()),
-        "witness": [float(v) for v in reps[k]],
-        "n_samples": int(len(reps)),
-    }
+                "min_abs_hp": abs(float(b @ zero[1])),
+                "witness": [float(v) for v in zero[1]]}
+    found = null_cone_max(-np.outer(b, b), a)
+    if found is None:
+        return {"status": "vacuous", "passed": True, "min_abs_hp": None, "witness": None}
+    min_abs = math.sqrt(max(0.0, -found[0]))
+    return {"status": "pass" if min_abs > tol_pos else "fail", "passed": min_abs > tol_pos,
+            "min_abs_hp": min_abs, "witness": [float(v) for v in found[1]]}

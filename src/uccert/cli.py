@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -85,6 +86,19 @@ def write_csv(out_dir: str, name: str, header: list, rows: list):
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _malformed_is_usage_error(fn):
+    """Re-raise a ValueError from parsing config text as ContractViolation (exit 2)."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ContractViolation:
+            raise
+        except ValueError as e:
+            raise ContractViolation(f"malformed config value: {e}") from e
+    return wrapper
+
+
 def parse_config_file(path: str) -> dict:
     """Line-oriented key=value format with [section] headers."""
     sections: dict = {}
@@ -106,6 +120,7 @@ def parse_config_file(path: str) -> dict:
     return sections
 
 
+@_malformed_is_usage_error
 def parse_metric(text: str, dim: int):
     text = text.strip()
     m = re.fullmatch(r"diag\(([^)]*)\)", text)
@@ -134,6 +149,7 @@ def parse_metric(text: str, dim: int):
     raise ContractViolation(f"cannot parse metric {text!r}")
 
 
+@_malformed_is_usage_error
 def geometry_from_config(geo: dict) -> ModelSpec:
     try:
         dim = int(geo["dim"])
@@ -157,7 +173,8 @@ def geometry_from_config(geo: dict) -> ModelSpec:
 
 def resolve_model(args) -> ModelSpec:
     if args.model:
-        model = get_model(args.model, n_surface_samples=args.samples or 200)
+        n_surface = 200 if args.samples is None else args.samples
+        model = get_model(args.model, n_surface_samples=n_surface)
     elif args.config:
         sections = parse_config_file(args.config)
         if "geometry" not in sections:
@@ -188,7 +205,8 @@ def cmd_check(args) -> int:
     if ok:
         payload["split_signs"] = verify_split_signs(model.geometry, tol_pos=args.tol_pos)
         payload["sublevel_inclusion"] = verify_sublevel_inclusion(
-            model.geometry, lam=args.lam or 2.0, radius=0.1, n_samples=200, seed=args.seed)
+            model.geometry, lam=2.0 if args.lam is None else args.lam, radius=0.1,
+            n_samples=200, seed=args.seed)
         ok = (payload["split_signs"]["status"] == "pass"
               and payload["sublevel_inclusion"]["included"])
     payload["passed"] = bool(ok)
@@ -199,7 +217,7 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     model = resolve_model(args)
     cert = certify(model.geometry, model.x0, lam=args.lam,
-                   n=args.samples or 2000, eps_c=args.eps_c,
+                   n=2000 if args.samples is None else args.samples,
                    tol_pos=args.tol_pos, seed=args.seed)
     payload = {
         "command": "certify",
@@ -217,9 +235,9 @@ def cmd_certify(args) -> int:
 
 def cmd_rays(args) -> int:
     model = resolve_model(args)
-    lam = args.lam if args.lam is not None else 2.0
+    lam = 2.0 if args.lam is None else args.lam
     cert = certify(model.geometry, model.x0, lam=lam,
-                   n=min(args.samples or 1000, 1000), eps_c=args.eps_c,
+                   n=min(1000 if args.samples is None else args.samples, 1000),
                    tol_pos=args.tol_pos, seed=args.seed)
     if cert.status != "certified":
         write_report(args.out, {"command": "rays", "model": model.name,
@@ -268,7 +286,7 @@ def cmd_rays(args) -> int:
 
 def cmd_corner(args) -> int:
     dim = args.dim
-    cells = args.grid or (512 if dim == 2 else 64)
+    cells = (512 if dim == 2 else 64) if args.grid is None else args.grid
     grid = make_grid(unit_box(dim), cells)
     h2 = float(np.max(grid.h)) ** 2
     tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
@@ -338,8 +356,8 @@ def cmd_corner(args) -> int:
 
 
 def cmd_carleman(args) -> int:
-    q, bent, box = carleman_section(lam=args.lam if args.lam is not None else 2.0)
-    cells = args.grid or 256
+    q, bent, box = carleman_section(lam=2.0 if args.lam is None else args.lam)
+    cells = 256 if args.grid is None else args.grid
     grid = make_grid(box, cells)
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
     weight = build_weight(bent, mu=args.mu)
@@ -395,7 +413,6 @@ _RUN_KEYS = {
     "samples": ("samples", int, None),
     "seed": ("seed", int, 0),
     "out": ("out", str, "uccert-out"),
-    "eps_c": ("eps_c", float, 1e-10),
     "lambda_max": ("lambda_max", float, 64.0),
     "model": ("model", str, None),
 }
@@ -418,7 +435,8 @@ def cmd_run(args) -> int:
         raise ContractViolation(f"unknown command {command!r} in [run] section")
     for key, (attr, cast, default) in _RUN_KEYS.items():
         if key in run and getattr(args, attr) == default:
-            setattr(args, attr, cast(run[key]))
+            setattr(args, attr, _malformed_is_usage_error(cast)(run[key]))
+    _validate_args(args)
     return _COMMANDS[command](args)
 
 
@@ -438,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
         sp.add_argument("--mu", type=float, default=1.0)
         sp.add_argument("--grid", type=int, default=None, help="cells per axis")
-        sp.add_argument("--eps-c", type=float, default=1e-10)
         sp.add_argument("--tol-zero", type=float, default=1e-10)
         sp.add_argument("--tol-char", type=float, default=1e-8)
         sp.add_argument("--tol-pos", type=float, default=1e-6)
@@ -462,9 +479,12 @@ _COMMANDS = {"check": cmd_check, "certify": cmd_certify, "rays": cmd_rays,
 
 
 def _validate_args(args):
-    for name in ("tol_zero", "tol_char", "tol_pos", "eps_c", "ds", "s_fit", "mu"):
+    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu"):
         if getattr(args, name) <= 0:
             raise ContractViolation(f"--{name.replace('_', '-')} must be positive")
+    for name in ("samples", "grid"):
+        if getattr(args, name) is not None and getattr(args, name) < 1:
+            raise ContractViolation(f"--{name} must be at least 1")
 
 
 def main(argv: Optional[list] = None) -> int:

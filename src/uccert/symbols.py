@@ -144,21 +144,20 @@ def hp2_bracket(Q: MetricField, psi: ScalarField, pp: PhasePoint, step: float = 
 def hp2_matrix(Q: MetricField, psi: ScalarField, x0) -> np.ndarray:
     """Symmetric matrix M with hp2(Q, psi, (x0, xi)) = xi^T M xi.
 
-    hp2 is a quadratic form in xi, so polarization over the coordinate basis
-    recovers it exactly; the matrix makes sphere maxima an eigenvalue problem
-    and lets large sample batches be evaluated with one einsum.
+    Term by term, the ``hp2`` closed form is 4 xi^T Q P xi + 4 xi^T Q H Q xi
+    - 2 xi^T (sum_j (Q dpsi)_j d_j Q) xi with P[j, k] = (d_j Q dpsi)_k and H the
+    Hessian of psi, so the matrix takes one gradient, one Hessian and one stack
+    of metric partials (``hp2`` and ``hp2_bracket`` stay independent routes).
+    It makes sphere maxima an eigenvalue problem and lets large sample
+    batches be evaluated with one einsum.
     """
     x0 = as_point(x0)
-    n = x0.size
-    m = np.empty((n, n))
-    basis = np.eye(n)
-    diag = np.array([hp2(Q, psi, PhasePoint(x0, basis[i])) for i in range(n)])
-    for i in range(n):
-        m[i, i] = diag[i]
-        for j in range(i + 1, n):
-            mixed = hp2(Q, psi, PhasePoint(x0, basis[i] + basis[j]))
-            m[i, j] = m[j, i] = 0.5 * (mixed - diag[i] - diag[j])
-    return m
+    q = Q(x0)
+    dq = Q.deriv_all(x0)
+    g = psi.grad(x0)
+    qp = q @ np.einsum("jik,i->jk", dq, g)
+    m = 2.0 * (qp + qp.T) + 4.0 * q @ psi.hess(x0) @ q - 2.0 * np.einsum("j,jab->ab", q @ g, dq)
+    return 0.5 * (m + m.T)
 
 
 def quadratic_form_values(M, xis: np.ndarray) -> np.ndarray:

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uccert import (PhasePoint, build_psi, certify, certify_fields,
                     check_calderon, check_hormander, compute_lambda0,
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
-from uccert.certify import DEFAULT_EPS_C
+from uccert.certify import null_cone_max
 from uccert.errors import (ContractViolation, DegenerateConstraintSet,
                            NondegeneracyViolation)
+from uccert.expressions import expression_field
+from uccert.fields import MetricField
+from uccert.hypotheses import GeometrySpec
 from uccert.models import bumpy_wave_metric, ik_model
-from uccert.symbols import quadratic_form_values
+from uccert.symbols import hp2_bracket, quadratic_form_values
 
 SQ2 = np.sqrt(2.0)
 
@@ -45,7 +50,7 @@ class TestConstraintSamples:
 
     def test_residuals_below_eps(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
-        for s in constraint_samples(q, psi1, ik2.x0, 500, eps_c=1e-10):
+        for s in constraint_samples(q, psi1, ik2.x0, 500):
             assert s.res_p <= 1e-10
             assert s.res_hp <= 1e-10
             assert abs(np.linalg.norm(s.xi) - 1.0) <= 1e-12
@@ -71,35 +76,29 @@ class TestConstraintSamples:
 class TestM0Lambda0:
     def test_m0_closed_form_d2(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
-        samples = constraint_samples(q, psi1, ik2.x0, 2000)
-        assert compute_m0(q, psi0, ik2.x0, samples) == pytest.approx(SQ2, abs=1e-6)
+        assert compute_m0(q, psi0, psi1, ik2.x0) == pytest.approx(SQ2, abs=1e-6)
 
     def test_m0_closed_form_d3(self, ik3):
         q = ik3.geometry.Q
         psi0, psi1 = build_psi(ik3.geometry)
-        samples = constraint_samples(q, psi1, ik3.x0, 2000)
-        assert compute_m0(q, psi0, ik3.x0, samples) == pytest.approx(SQ2, abs=1e-6)
+        assert compute_m0(q, psi0, psi1, ik3.x0) == pytest.approx(SQ2, abs=1e-6)
 
     def test_m0_scales_linearly_in_metric(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
         q2 = constant_metric(2.0 * q(ik2.x0))
-        s1 = constraint_samples(q, psi1, ik2.x0, 500)
-        s2 = constraint_samples(q2, psi1, ik2.x0, 500)
-        m1 = compute_m0(q, psi0, ik2.x0, s1)
-        m2 = compute_m0(q2, psi0, ik2.x0, s2)
+        m1 = compute_m0(q, psi0, psi1, ik2.x0)
+        m2 = compute_m0(q2, psi0, psi1, ik2.x0)
         assert m2 == pytest.approx(2.0 * m1, rel=1e-9)
 
     def test_m0_degenerate_inputs_flagged(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
-        samples = constraint_samples(q, psi1, ik2.x0, 500)
         # psi1 in place of psi0: the drift vanishes on the constraint set
         with pytest.raises(NondegeneracyViolation):
-            compute_m0(q, psi1, ik2.x0, samples)
+            compute_m0(q, psi1, psi1, ik2.x0)
 
     def test_lambda0_closed_form(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
-        samples = constraint_samples(q, psi1, ik2.x0, 2000)
-        m0 = compute_m0(q, psi0, ik2.x0, samples)
+        m0 = compute_m0(q, psi0, psi1, ik2.x0)
         assert compute_lambda0(q, psi1, ik2.x0, m0) == pytest.approx(1.0, abs=1e-3)
 
     def test_lambda0_linear_surface_nonpositive(self, ik2, ik2_fields):
@@ -217,7 +216,7 @@ class TestConditionCheckers:
         assert rep["status"] == "fail"
         wit = np.array(rep["witness"])
         a = q(ik2.x0)
-        assert abs(wit @ a @ wit) <= DEFAULT_EPS_C
+        assert abs(wit @ a @ wit) <= 1e-10
         assert abs(hp(q, psi1, PhasePoint(ik2.x0, wit))) <= 1e-9
 
     def test_zero_differential_rejected(self, ik2, ik2_fields):
@@ -225,3 +224,183 @@ class TestConditionCheckers:
         from uccert.fields import constant_field
         with pytest.raises(ContractViolation):
             check_calderon(q, constant_field(1.0, 3), ik2.x0)
+
+
+class TestSoundnessGates:
+    def test_base_point_off_the_surfaces_is_degenerate(self, ik2):
+        cert = certify(ik2.geometry, [0.2, 1.3, 0.0], lam=2.0)
+        assert cert.status == "degenerate"
+        assert cert.notes["gate"] == ["on_surfaces"]
+        assert cert.notes["on_surfaces"]["max_abs_phi"] == pytest.approx(0.5)
+        assert cert.notes["on_surfaces"]["tol_zero"] == ik2.geometry.tol_zero
+
+    def test_singular_jet_is_degenerate(self):
+        # both cones of the vertex pair pass through x0 = 0, where |y| has no gradient
+        geo = GeometrySpec(constant_metric(np.diag([-1.0, 1.0, 1.0])),
+                           expression_field("norm(x2, x3) - x1", 3),
+                           expression_field("norm(x2, x3) + x1", 3),
+                           box=np.array([[-0.4, 0.4]] * 3))
+        cert = certify(geo, [0.0, 0.0, 0.0], lam=2.0)
+        assert cert.status == "degenerate"
+        assert cert.notes["gate"] == ["jet"]
+        assert cert.notes["jet"]["jet"] == "dphi_plus"
+
+    def test_failed_certificate_names_the_lambda_threshold(self, ik2):
+        cert = certify(ik2.geometry, ik2.x0, lam=1.0)
+        assert cert.status == "failed"
+        assert cert.worst_margin == pytest.approx(-2.0, abs=1e-9)
+        assert cert.notes["gate"] == ["lambda_threshold"]
+        assert cert.notes["lambda_threshold"] == {"lambda_used": 1.0, "lambda0": cert.lambda0}
+
+    def test_failed_certificate_names_every_tripped_gate(self, ik2):
+        cert = certify(ik2.geometry, ik2.x0, lam=0.5)
+        assert cert.notes["gate"] == ["margin", "lambda_threshold"]
+        assert cert.notes["margin"]["worst_margin"] == cert.worst_margin
+        assert cert.notes["margin"]["required_below"] == -1e-6
+
+    def test_certified_has_no_gate(self, ik2):
+        assert "gate" not in certify(ik2.geometry, ik2.x0, lam=2.0).notes
+
+
+class TestExactNullCone:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("lam, margin", [(2.0, -6.0), (1.0, -2.0), (0.5, 0.0)])
+    def test_model_constants_to_1e_9(self, d, lam, margin):
+        m = ik_model(d)
+        cert = certify(m.geometry, m.x0, lam=lam)
+        assert abs(cert.m0 - SQ2) <= 1e-9
+        assert abs(cert.lambda0 - 1.0) <= 1e-9
+        assert abs(cert.worst_margin - margin) <= 1e-9
+
+    def test_listed_directions_are_exact(self, ik3):
+        q = ik3.geometry.Q
+        _, psi1 = build_psi(ik3.geometry)
+        samples = constraint_samples(q, psi1, ik3.x0, 300)
+        assert len(samples) == 300
+        assert max(max(s.res_p, s.res_hp) for s in samples) <= 1e-14
+
+    def test_empty_set_and_kernel(self):
+        a = np.diag([-1.0, 1.0, 1.0])
+        m = np.diag([3.0, 2.0, 1.0])
+        # time-like normal: the hyperplane is space-like, no null direction
+        assert null_cone_max(m, a, np.array([1.0, 0.0, 0.0])) is None
+        # null normal: the restricted symbol is semidefinite, the set its kernel
+        value, witness = null_cone_max(m, a, np.array([1.0, 1.0, 0.0]))
+        assert value == pytest.approx(2.5)
+        assert abs(witness @ a @ witness) <= 1e-12
+
+    def test_calderon_fails_on_a_characteristic_surface(self, ik2):
+        # dphi_plus is null, so the restricted symbol is singular semidefinite
+        q = ik2.geometry.Q
+        rep = check_calderon(q, ik2.geometry.phi_plus, ik2.x0)
+        assert rep["status"] == "fail"
+        wit = np.array(rep["witness"])
+        assert abs(wit @ q(ik2.x0) @ wit) <= 1e-10
+        assert abs(hp(q, ik2.geometry.phi_plus, PhasePoint(ik2.x0, wit))) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_three_dimensional_maximum_matches_closed_form(self, seed):
+        # in R^3 the set is two antipodal pairs, found by solving a quadratic
+        rng = np.random.default_rng(seed)
+        ell = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        a = ell.T @ np.diag([-1.0, 1.0, 1.0]) @ ell
+        m = rng.standard_normal((3, 3))
+        m = m + m.T
+        b = rng.standard_normal(3)
+        basis = np.linalg.qr(np.column_stack([b, np.eye(3)]))[0][:, 1:3].T
+        (p, q), (_, r) = basis @ a @ basis.T
+        found = null_cone_max(m, a, b)
+        if q * q - p * r <= 1e-9 * max(1.0, p * p + r * r):
+            assert found is None or abs(q * q - p * r) <= 1e-6
+            return
+        ys = [np.array([1.0, s]) for s in np.roots([r, 2.0 * q, p]).real] if abs(r) > 1e-9 else \
+            [np.array([0.0, 1.0]), np.array([2.0 * q, -p])]
+        best = max(y @ basis @ m @ basis.T @ y / (y @ y) for y in ys)
+        value, witness = found
+        scale = 1.0 + np.max(np.abs(np.linalg.eigvalsh(m)))
+        assert value == pytest.approx(best, abs=1e-9 * scale)
+        assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
+        assert abs(witness @ a @ witness) <= 1e-9 * np.max(np.abs(a))
+        assert abs(witness @ b) <= 1e-12 * np.linalg.norm(b)
+        assert witness @ m @ witness == pytest.approx(value, abs=1e-9 * scale)
+
+
+def _scaled(q, c):
+    return MetricField(q.dim, lambda x: c * q(x), lambda x, j: c * q.deriv(x, j))
+
+
+def hyperplane_scan(Q, psi0, psi1, x0, lam, n, band, seed=99):
+    """Independent oracle: band maximum of the margin over a dense scan of the
+    unit sphere of the tangent hyperplane, with |p| below ``band``."""
+    a = Q(x0)
+    b1 = a @ psi1.grad(x0)
+    basis = np.linalg.qr(np.column_stack([b1, np.eye(Q.dim)]))[0][:, 1:Q.dim].T
+    xis = unit_sphere_seeds(n, Q.dim - 1, seed=seed) @ basis
+    in_band = np.abs(quadratic_form_values(a, xis)) <= band
+    assert np.any(in_band), "oracle band is unpopulated"
+    xis = xis[in_band]
+    drift = 2.0 * a @ psi0.grad(x0)
+    return float(np.max(quadratic_form_values(hp2_matrix(Q, psi1, x0), xis)
+                        - 2.0 * lam * (xis @ drift) ** 2))
+
+
+class TestCertificateProperties:
+    amps = st.floats(0.0, 0.2)
+    seeds = st.integers(0, 10 ** 6)
+
+    @settings(max_examples=15, deadline=None)
+    @given(amps, seeds)
+    def test_exact_margin_bounds_listed_directions_and_matches_scan(self, amp, seed):
+        m = ik_model(2)
+        psi0, psi1 = build_psi(m.geometry)
+        q = bumpy_wave_metric(2, amp=amp, seed=seed)
+        cert = certify_fields(q, psi0, psi1, m.x0, lam=2.0)
+        assert cert.worst_margin >= float(np.max(cert.margins)) - 1e-12
+        band = 1e-3
+        scan = hyperplane_scan(q, psi0, psi1, m.x0, 2.0, n=200000, band=band)
+        assert abs(scan - cert.worst_margin) <= 30.0 * band
+
+    @settings(max_examples=15, deadline=None)
+    @given(amps, seeds, st.floats(0.25, 4.0), st.sampled_from([2, 3]))
+    def test_positive_rescaling_of_the_symbol(self, amp, seed, c, d):
+        m = ik_model(d)
+        psi0, psi1 = build_psi(m.geometry)
+        q = bumpy_wave_metric(d, amp=amp, seed=seed)
+        cert = certify_fields(q, psi0, psi1, m.x0, lam=2.0, n=50)
+        certc = certify_fields(_scaled(q, c), psi0, psi1, m.x0, lam=2.0, n=50)
+        assert certc.m0 == pytest.approx(c * cert.m0, rel=1e-9)
+        assert certc.lambda0 == pytest.approx(cert.lambda0, rel=1e-9)
+        assert certc.worst_margin == pytest.approx(c * c * cert.worst_margin,
+                                                   rel=1e-9, abs=1e-12 * c * c)
+        assert certc.status == cert.status
+
+    @settings(max_examples=15, deadline=None)
+    @given(amps, seeds, seeds, st.sampled_from([2, 3, 4]))
+    def test_certificate_does_not_depend_on_seed(self, amp, metric_seed, seed, d):
+        m = ik_model(d)
+        psi0, psi1 = build_psi(m.geometry)
+        q = bumpy_wave_metric(d, amp=amp, seed=metric_seed)
+
+        def key(s):
+            cert = certify_fields(q, psi0, psi1, m.x0, lam=2.0, n=50, seed=s)
+            return cert.m0, cert.lambda0, cert.worst_margin, cert.status
+        assert key(seed) == key(0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(amps, seeds, st.sampled_from([2, 3]), st.integers(0, 10 ** 6))
+    def test_closed_form_hp2_matrix_matches_loop_and_bracket(self, amp, seed, d, xseed):
+        m = ik_model(d)
+        psi0, psi1 = build_psi(m.geometry)
+        q = bumpy_wave_metric(d, amp=amp, seed=seed)
+        rng = np.random.default_rng(xseed)
+        x = m.x0 + 0.1 * rng.uniform(-1.0, 1.0, d + 1)
+        bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
+        for psi in (psi0, psi1, bent):
+            mat = hp2_matrix(q, psi, x)
+            assert np.array_equal(mat, mat.T)
+            for xi in rng.standard_normal((3, d + 1)):
+                pp = PhasePoint(x, xi)
+                loop = hp2(q, psi, pp)
+                assert xi @ mat @ xi == pytest.approx(loop, rel=1e-10, abs=1e-10)
+                assert xi @ mat @ xi == pytest.approx(hp2_bracket(q, psi, pp), rel=1e-6, abs=1e-6)

@@ -199,3 +199,55 @@ class TestRaysCommand:
             header = f.readline().strip().split(",")
         assert header == ["ray", "field", "s", "x1", "x2", "x3",
                           "xi1", "xi2", "xi3", "p", "psi"]
+
+
+class TestMalformedInput:
+    def _conf(self, tmp_path, metric="diag(-1, 1, 1)", x0="0, 1, 0"):
+        conf = tmp_path / "geo.conf"
+        conf.write_text(
+            "[geometry]\n"
+            "dim = 3\n"
+            f"metric = {metric}\n"
+            "phi_plus = norm(x2, x3) - 1 - x1\n"
+            "phi_minus = norm(x2, x3) - 1 + x1\n"
+            "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\n"
+            f"x0 = {x0}\n")
+        return str(conf)
+
+    def test_malformed_metric_entry_is_usage_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path, metric="diag(-1, a, 1)")
+        assert main(["certify", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        assert "malformed config value" in capsys.readouterr().err
+        with pytest.raises(ContractViolation):
+            parse_metric("diag(-1, a, 1)", 3)
+
+    def test_malformed_run_value_is_usage_error(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nlambda = two\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv", [["--samples", "0"], ["--samples", "-3"], ["--grid", "0"]])
+    def test_counts_below_one_rejected(self, tmp_path, argv):
+        assert main(["certify", "--model", "ik2", "--out", str(tmp_path / "o")] + argv) == 2
+
+    def test_zero_samples_in_run_section_rejected(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nsamples = 0\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("x0, gate", [("0.2, 1.3, 0", "on_surfaces"), ("0, 0, 0", "jet")])
+    def test_bad_base_point_is_degenerate(self, tmp_path, x0, gate):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--config", self._conf(tmp_path, x0=x0),
+                     "--lambda", "2", "--out", out]) == 1
+        cert = read_report(out)["certificate"]
+        assert cert["status"] == "degenerate"
+        assert cert["notes"]["gate"] == [gate]
+
+    def test_failed_certificate_names_its_gate(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik2", "--lambda", "1", "--out", out]) == 1
+        notes = read_report(out)["certificate"]["notes"]
+        assert notes["gate"] == ["lambda_threshold"]
+        assert notes["lambda_threshold"]["lambda_used"] == 1.0
+        assert notes["lambda_threshold"]["lambda0"] >= 1.0
