@@ -14,7 +14,7 @@ Submodules:
     cli          batch driver
 """
 
-from .fields import (Chart, MetricField, PhasePoint, ScalarField,
+from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField,
                      constant_metric, coordinate_field, identity_chart,
                      linear_chart, linear_combination, product_field,
                      pullback_scalar, squared_field)

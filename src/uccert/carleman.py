@@ -35,10 +35,8 @@ class WeightSpec:
     phi: ScalarField
 
     def phi_on_grid(self, grid: Grid) -> np.ndarray:
-        mesh = grid.meshgrid()
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.array([self.phi(p) for p in pts])
-        return vals.reshape(grid.shape)
+        pts = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+        return self.phi.jet(pts, 0).reshape(grid.shape)
 
 
 def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
@@ -50,31 +48,22 @@ def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
     if mu <= 0:
         raise ContractViolation("mu must be positive")
 
-    def ev(x):
-        return float(np.expm1(mu * psi(x)))
+    def jet(x, order):
+        u = mu * psi.jet(x, order)
+        if not order:
+            return np.expm1(u)
+        e = np.exp(u.value)
+        return u.chain(np.expm1(u.value), e, e)
 
-    def gr(x):
-        return mu * np.exp(mu * psi(x)) * psi.grad(x)
-
-    def he(x):
-        g = psi.grad(x)
-        return mu * np.exp(mu * psi(x)) * (mu * np.outer(g, g) + psi.hess(x))
-
-    phi = ScalarField(ev, gr, he, name=f"expm1({mu:g}*psi)")
-    phi.analytic = psi.analytic
+    phi = ScalarField.from_jet(jet, name=f"expm1({mu:g}*psi)", analytic=psi.analytic)
     return WeightSpec(psi=psi, mu=float(mu), phi=phi)
 
 
 def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
     """Entries of Q at every node, shape (dim, dim) + grid.shape."""
     if getattr(Q, "is_constant", False):
-        center = grid.box.mean(axis=1)
-        q = Q(center)
-        out = np.empty((grid.dim, grid.dim) + grid.shape)
-        for j in range(grid.dim):
-            for k in range(grid.dim):
-                out[j, k].fill(q[j, k])
-        return out
+        q = Q(grid.box.mean(axis=1))
+        return np.broadcast_to(q.reshape(q.shape + (1,) * grid.dim), q.shape + grid.shape)
     mesh = grid.meshgrid()
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     out = np.empty((grid.dim, grid.dim, pts.shape[0]))

@@ -203,10 +203,12 @@ def cmd_check(args) -> int:
     }
     ok = rep.passed()
     if ok:
-        payload["split_signs"] = verify_split_signs(model.geometry, tol_pos=args.tol_pos)
+        both = rep.samples["intersection"]
+        payload["split_signs"] = verify_split_signs(model.geometry, samples=both,
+                                                    tol_pos=args.tol_pos)
         payload["sublevel_inclusion"] = verify_sublevel_inclusion(
             model.geometry, lam=2.0 if args.lam is None else args.lam, radius=0.1,
-            n_samples=200, seed=args.seed)
+            n_samples=200, seed=args.seed, samples=both)
         ok = (payload["split_signs"]["status"] == "pass"
               and payload["sublevel_inclusion"]["included"])
     payload["passed"] = bool(ok)
@@ -405,24 +407,28 @@ def cmd_all(args) -> int:
     return worst
 
 
-# defaults used to decide whether a [run] key was overridden on the CLI
+# [run] keys: config key -> (attribute, type); a flag left unset on the CLI is None
 _RUN_KEYS = {
-    "lambda": ("lam", float, None),
-    "mu": ("mu", float, 1.0),
-    "grid": ("grid", int, None),
-    "samples": ("samples", int, None),
-    "seed": ("seed", int, 0),
-    "out": ("out", str, "uccert-out"),
-    "lambda_max": ("lambda_max", float, 64.0),
-    "model": ("model", str, None),
+    "lambda": ("lam", float),
+    "mu": ("mu", float),
+    "grid": ("grid", int),
+    "samples": ("samples", int),
+    "seed": ("seed", int),
+    "out": ("out", str),
+    "lambda_max": ("lambda_max", float),
+    "model": ("model", str),
 }
 
+# built-in values of the flags a [run] section may set, applied after the
+# config merge, so that an explicit flag equal to its default still wins
+_FLAG_DEFAULTS = {"mu": 1.0, "seed": 0, "out": "uccert-out", "lambda_max": 64.0}
 
-def cmd_run(args) -> int:
-    """Dispatch on the command named in the config file's [run] section.
 
-    CLI flags still win over config values; config values win over built-in
-    defaults.
+def _run_section_command(args) -> str:
+    """The command named in the config file's [run] section.
+
+    Its keys fill the flags left unset on the command line: CLI flags win
+    over config values, which win over built-in defaults.
     """
     if not args.config:
         raise ContractViolation("run needs --config with a [run] section")
@@ -431,13 +437,12 @@ def cmd_run(args) -> int:
     if not run or "command" not in run:
         raise ContractViolation("config file has no [run] section with a command")
     command = run["command"].strip()
-    if command not in _COMMANDS or command == "run":
+    if command not in _COMMANDS:
         raise ContractViolation(f"unknown command {command!r} in [run] section")
-    for key, (attr, cast, default) in _RUN_KEYS.items():
-        if key in run and getattr(args, attr) == default:
+    for key, (attr, cast) in _RUN_KEYS.items():
+        if key in run and getattr(args, attr) is None:
             setattr(args, attr, _malformed_is_usage_error(cast)(run[key]))
-    _validate_args(args)
-    return _COMMANDS[command](args)
+    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--model", help="built-in model name (ik2, ik3, ctrl-a/b/c)")
         sp.add_argument("--config", help="config file path")
-        sp.add_argument("--out", default="uccert-out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", help="output directory (default uccert-out)")
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--samples", type=int, default=None,
                         help="surface/constraint sample count")
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--mu", type=float, default=1.0)
+        sp.add_argument("--mu", type=float, help="weight exponent (default 1)")
         sp.add_argument("--grid", type=int, default=None, help="cells per axis")
         sp.add_argument("--tol-zero", type=float, default=1e-10)
         sp.add_argument("--tol-char", type=float, default=1e-8)
@@ -466,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tests", type=int, default=20)
         sp.add_argument("--n-pts", type=int, default=10000)
         sp.add_argument("--corpus", type=int, default=50)
-        sp.add_argument("--lambda-max", type=float, default=64.0)
+        sp.add_argument("--lambda-max", type=float, help="largest lambda (default 64)")
 
     for name in ("check", "certify", "rays", "corner", "carleman", "all", "run"):
         common(sub.add_parser(name))
@@ -474,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {"check": cmd_check, "certify": cmd_certify, "rays": cmd_rays,
-             "corner": cmd_corner, "carleman": cmd_carleman, "all": cmd_all,
-             "run": cmd_run}
+             "corner": cmd_corner, "carleman": cmd_carleman, "all": cmd_all}
 
 
 def _validate_args(args):
@@ -494,8 +498,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        command = _run_section_command(args) if args.command == "run" else args.command
+        for attr, value in _FLAG_DEFAULTS.items():
+            if getattr(args, attr) is None:
+                setattr(args, attr, value)
         _validate_args(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](args)
     except (UccertError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"uccert: error: {e}", file=sys.stderr)
         return 2

@@ -2,46 +2,36 @@
 
 The driver accepts surface definitions like ``norm(x2, x3) - 1 - x1`` in its
 config files.  Expressions are parsed into a small AST supporting +, -, *, /,
-^ (numeric exponent), sqrt and norm over the coordinate variables x1..xn, and
-evaluate with exact analytic gradients and Hessians, which keeps every
-downstream derivative supplier twice differentiable.
+^ (numeric exponent), sqrt and norm over the coordinate variables x1..xn.
+Each node has one method, ``ev(xs)``, over the coordinates ``xs``: floats for
+one point, coordinate rows for a batch of points, or ``Jet`` variables, which
+give exact gradients and Hessians by forward mode and keep every downstream
+derivative supplier twice differentiable.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import ContractViolation
-from .fields import ScalarField
+from .fields import Jet, ScalarField
 
 
 class Expr:
-    def ev(self, x) -> float:
-        raise NotImplementedError
-
-    def gr(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def he(self, x) -> np.ndarray:
+    def ev(self, xs):
         raise NotImplementedError
 
 
 class Const(Expr):
-    def __init__(self, v: float, dim: int):
+    def __init__(self, v: float):
         self.v = float(v)
-        self.dim = dim
 
-    def ev(self, x):
+    def ev(self, xs):
         return self.v
-
-    def gr(self, x):
-        return np.zeros(self.dim)
-
-    def he(self, x):
-        return np.zeros((self.dim, self.dim))
 
 
 class Var(Expr):
@@ -49,82 +39,21 @@ class Var(Expr):
         if not 0 <= idx < dim:
             raise ContractViolation(f"variable x{idx + 1} out of range for dim {dim}")
         self.idx = idx
-        self.dim = dim
 
-    def ev(self, x):
-        return float(x[self.idx])
-
-    def gr(self, x):
-        g = np.zeros(self.dim)
-        g[self.idx] = 1.0
-        return g
-
-    def he(self, x):
-        return np.zeros((self.dim, self.dim))
+    def ev(self, xs):
+        return xs[self.idx]
 
 
-class Add(Expr):
-    def __init__(self, a: Expr, b: Expr):
-        self.a, self.b = a, b
+class BinOp(Expr):
+    """a op b for one of + - * /."""
 
-    def ev(self, x):
-        return self.a.ev(x) + self.b.ev(x)
+    OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-    def gr(self, x):
-        return self.a.gr(x) + self.b.gr(x)
+    def __init__(self, op: str, a: Expr, b: Expr):
+        self.op, self.a, self.b = self.OPS[op], a, b
 
-    def he(self, x):
-        return self.a.he(x) + self.b.he(x)
-
-
-class Sub(Expr):
-    def __init__(self, a: Expr, b: Expr):
-        self.a, self.b = a, b
-
-    def ev(self, x):
-        return self.a.ev(x) - self.b.ev(x)
-
-    def gr(self, x):
-        return self.a.gr(x) - self.b.gr(x)
-
-    def he(self, x):
-        return self.a.he(x) - self.b.he(x)
-
-
-class Mul(Expr):
-    def __init__(self, a: Expr, b: Expr):
-        self.a, self.b = a, b
-
-    def ev(self, x):
-        return self.a.ev(x) * self.b.ev(x)
-
-    def gr(self, x):
-        return self.a.ev(x) * self.b.gr(x) + self.b.ev(x) * self.a.gr(x)
-
-    def he(self, x):
-        ga, gb = self.a.gr(x), self.b.gr(x)
-        return (self.a.ev(x) * self.b.he(x) + self.b.ev(x) * self.a.he(x)
-                + np.outer(ga, gb) + np.outer(gb, ga))
-
-
-class Div(Expr):
-    def __init__(self, a: Expr, b: Expr):
-        self.a, self.b = a, b
-
-    def ev(self, x):
-        return self.a.ev(x) / self.b.ev(x)
-
-    def gr(self, x):
-        av, bv = self.a.ev(x), self.b.ev(x)
-        return (self.a.gr(x) * bv - av * self.b.gr(x)) / (bv * bv)
-
-    def he(self, x):
-        av, bv = self.a.ev(x), self.b.ev(x)
-        ga, gb = self.a.gr(x), self.b.gr(x)
-        return (self.a.he(x) / bv
-                - (np.outer(ga, gb) + np.outer(gb, ga)) / (bv * bv)
-                - av * self.b.he(x) / (bv * bv)
-                + 2.0 * av * np.outer(gb, gb) / (bv ** 3))
+    def ev(self, xs):
+        return self.op(self.a.ev(xs), self.b.ev(xs))
 
 
 class Pow(Expr):
@@ -132,27 +61,22 @@ class Pow(Expr):
         self.a = a
         self.p = float(p)
 
-    def ev(self, x):
-        return self.a.ev(x) ** self.p
-
-    def gr(self, x):
-        av = self.a.ev(x)
-        return self.p * av ** (self.p - 1.0) * self.a.gr(x)
-
-    def he(self, x):
-        av = self.a.ev(x)
-        ga = self.a.gr(x)
-        return (self.p * (self.p - 1.0) * av ** (self.p - 2.0) * np.outer(ga, ga)
-                + self.p * av ** (self.p - 1.0) * self.a.he(x))
+    def ev(self, xs):
+        base = self.a.ev(xs)
+        if isinstance(base, np.ndarray):
+            # libm pow per element, as ** on one float; ** on an array takes
+            # sqrt or SIMD routes that can differ from it in the last bit
+            return np.float_power(base, self.p)
+        return base ** self.p
 
 
-def norm_expr(args: List[Expr], dim: int) -> Expr:
+def norm_expr(args: List[Expr]) -> Expr:
     """sqrt of the sum of squares, built from the core nodes."""
     if not args:
         raise ContractViolation("norm() needs at least one argument")
-    total: Expr = Mul(args[0], args[0])
+    total: Expr = BinOp("*", args[0], args[0])
     for a in args[1:]:
-        total = Add(total, Mul(a, a))
+        total = BinOp("+", total, BinOp("*", a, a))
     return Pow(total, 0.5)
 
 
@@ -210,27 +134,28 @@ class _Parser:
         node = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.next()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.next()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = BinOp(op, node, self.unary())
         return node
 
-    def unary(self) -> Expr:
+    def _sign(self) -> float:
+        """Product of the leading unary + and - signs."""
         sign = 1.0
         while self.peek() in (("op", "-"), ("op", "+")):
             if self.next()[1] == "-":
                 sign = -sign
+        return sign
+
+    def unary(self) -> Expr:
+        sign = self._sign()
         node = self.power()
-        if sign < 0:
-            node = Sub(Const(0.0, self.dim), node)
-        return node
+        return BinOp("-", Const(0.0), node) if sign < 0 else node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -241,10 +166,7 @@ class _Parser:
         return base
 
     def _numeric_exponent(self) -> float:
-        sign = 1.0
-        while self.peek() in (("op", "-"), ("op", "+")):
-            if self.next()[1] == "-":
-                sign = -sign
+        sign = self._sign()
         kind, val = self.next()
         if kind != "num":
             raise ContractViolation("exponent must be a numeric literal")
@@ -253,7 +175,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val = self.next()
         if kind == "num":
-            return Const(float(val), self.dim)
+            return Const(float(val))
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
@@ -271,7 +193,7 @@ class _Parser:
                         raise ContractViolation("sqrt() takes one argument")
                     return Pow(args[0], 0.5)
                 if val == "norm":
-                    return norm_expr(args, self.dim)
+                    return norm_expr(args)
                 raise ContractViolation(f"unknown function {val!r}")
             m = re.fullmatch(r"x(\d+)", val)
             if not m:
@@ -287,6 +209,10 @@ def parse_expression(text: str, dim: int) -> Expr:
 def expression_field(text: str, dim: int, name: str = "") -> ScalarField:
     """Parse a closed-form expression into an analytic scalar field."""
     node = parse_expression(text, dim)
-    sf = ScalarField(node.ev, node.gr, node.he, name=name or text)
-    sf.analytic = True
-    return sf
+
+    def jet(x, order):
+        if order:
+            return node.ev(Jet.variables(x, order))
+        return node.ev(x.tolist() if x.ndim == 1 else x.T)
+
+    return ScalarField.from_jet(jet, name=name or text)

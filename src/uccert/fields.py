@@ -1,8 +1,11 @@
 """Core geometric data types: metric fields, scalar fields, phase points, charts.
 
 All types are immutable after construction and hold pure callables; they are
-safe to evaluate concurrently.  Analytic derivative suppliers are optional:
-when absent, central finite differences with a step proportional to the local
+safe to evaluate concurrently.  A scalar field evaluates through one jet
+function that gives its value (also on a batch of points), or its value with
+gradient and Hessian as a forward-mode ``Jet``; derived fields are jet
+arithmetic on their parts.  Analytic derivative suppliers are optional: when
+absent, central finite differences with a step proportional to the local
 coordinate scale are used and the field is flagged as non-analytic so callers
 can record the fallback in their reports.
 """
@@ -23,6 +26,18 @@ FD_REL_STEP = 1e-4
 
 def _fd_step(x: np.ndarray, rel: float = FD_REL_STEP) -> float:
     return rel * max(1.0, float(np.max(np.abs(x))))
+
+
+def _partial(fn: Callable, x: np.ndarray, j: int):
+    """d fn / dx_j at x by central differences."""
+    e = np.zeros_like(x)
+    e[j] = h = _fd_step(x)
+    return (fn(x + e) - fn(x - e)) / (2.0 * h)
+
+
+def _central_difference(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """All partials of fn at x by central differences, stacked along the last axis."""
+    return np.stack([_partial(fn, x, j) for j in range(x.size)], axis=-1)
 
 
 def as_point(x) -> np.ndarray:
@@ -87,10 +102,7 @@ class MetricField:
         x = as_point(x)
         if self._deriv is not None:
             return np.asarray(self._deriv(x, j), dtype=float)
-        h = _fd_step(x)
-        e = np.zeros_like(x)
-        e[j] = h
-        return (self(x + e) - self(x - e)) / (2.0 * h)
+        return _partial(self, x, j)
 
     def deriv_all(self, x) -> np.ndarray:
         """Stack of matrix partials, shape (n, n, n); entry [j] is d/dx_j."""
@@ -118,11 +130,98 @@ def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
     return out
 
 
-class ScalarField:
-    """x -> psi(x) with gradient and Hessian suppliers.
+class Jet:
+    """Value, gradient and Hessian of a scalar at one point (forward mode).
 
-    Missing suppliers fall back to central finite differences on ``eval``
-    (gradient) or on ``grad`` (Hessian, symmetrized).
+    ``hess`` is None in first-order jets.  The arithmetic operators and
+    ``chain`` are the only place where the sum, product, quotient, power and
+    chain rules are written (Griewank & Walther, Evaluating Derivatives,
+    2008); derived fields get their derivatives by running ordinary
+    arithmetic on jets.  Plain numbers act as constants.
+    """
+
+    __slots__ = ("value", "grad", "hess")
+    __array_ufunc__ = None          # numpy scalars defer to the reflected operators
+
+    def __init__(self, value, grad: np.ndarray, hess: Optional[np.ndarray] = None):
+        self.value, self.grad, self.hess = value, grad, hess
+
+    @classmethod
+    def variables(cls, x: np.ndarray, order: int) -> list:
+        """The coordinates of the point x as jets of the given order."""
+        eye = np.eye(x.size)
+        zero = np.zeros((x.size, x.size)) if order > 1 else None
+        return [cls(v, eye[i], zero) for i, v in enumerate(x.tolist())]
+
+    @classmethod
+    def constant(cls, value, dim: int, order: int) -> "Jet":
+        return cls(float(value), np.zeros(dim), np.zeros((dim, dim)) if order > 1 else None)
+
+    def chain(self, f0, f1, f2=None) -> "Jet":
+        """Jet of f(u), given f, f' and f'' at u = self.value."""
+        grad = f1 * self.grad
+        if self.hess is None:
+            return Jet(f0, grad)
+        return Jet(f0, grad, f2 * np.outer(self.grad, self.grad) + f1 * self.hess)
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value + other, self.grad, self.hess)
+        hess = None if self.hess is None else self.hess + other.hess
+        return Jet(self.value + other.value, self.grad + other.grad, hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value - other, self.grad, self.hess)
+        hess = None if self.hess is None else self.hess - other.hess
+        return Jet(self.value - other.value, self.grad - other.grad, hess)
+
+    def __rsub__(self, c):
+        return -1.0 * self + c            # bit for bit c - self
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value * other, self.grad * other,
+                       None if self.hess is None else self.hess * other)
+        a, b = self, other
+        grad = a.value * b.grad + b.value * a.grad
+        if a.hess is None:
+            return Jet(a.value * b.value, grad)
+        cross = np.outer(a.grad, b.grad)
+        return Jet(a.value * b.value, grad, a.value * b.hess + b.value * a.hess + cross + cross.T)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value / other, self.grad / other,
+                       None if self.hess is None else self.hess / other)
+        # a * (1/b) by the product and chain rules; the value stays a / b
+        v = other.value
+        q = self * other.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+        return Jet(self.value / v, q.grad, q.hess)
+
+    def __rtruediv__(self, c):
+        return Jet.constant(c, self.grad.size, 1 if self.hess is None else 2) / self
+
+    def __pow__(self, p: float):
+        v = self.value
+        f2 = None if self.hess is None else p * (p - 1.0) * v ** (p - 2.0)
+        return self.chain(v ** p, p * v ** (p - 1.0), f2)
+
+
+class ScalarField:
+    """x -> psi(x), with gradient and Hessian, through one jet function.
+
+    ``jet(x, order)`` is the only evaluation path: order 0 gives the value
+    (a float for one point, an array for a (k, n) batch of points), orders 1
+    and 2 give a ``Jet``; ``__call__``, ``grad`` and ``hess`` read it.  Build
+    a field from a jet function with ``from_jet``, or from value, gradient
+    and Hessian suppliers; missing suppliers fall back to central finite
+    differences on the value (gradient) or on the gradient (Hessian,
+    symmetrized).
     """
 
     def __init__(
@@ -132,90 +231,88 @@ class ScalarField:
         hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         name: str = "",
     ):
+        def value(x):
+            return float(eval_fn(x))
+
+        def supplied_grad(x):
+            if grad_fn is None:
+                return _central_difference(value, x)
+            return np.asarray(grad_fn(x), dtype=float)
+
+        def supplied_hess(x):
+            if hess_fn is None:
+                m = _central_difference(supplied_grad, x)
+                return 0.5 * (m + m.T)
+            return np.asarray(hess_fn(x), dtype=float)
+
+        def jet(x, order):
+            if order == 0:
+                return value(x) if x.ndim == 1 else np.array([value(p) for p in x])
+            return Jet(value(x), supplied_grad(x), supplied_hess(x) if order == 2 else None)
+
         self._eval = eval_fn
-        self._grad = grad_fn
-        self._hess = hess_fn
+        self._jet = jet
         self.analytic = grad_fn is not None and hess_fn is not None
         self.name = name
 
+    @classmethod
+    def from_jet(cls, jet_fn: Callable, name: str = "", analytic: bool = True) -> "ScalarField":
+        """Field from ``jet_fn(x, order)``, which must accept a (k, n) batch at
+        order 0 and may return a plain number for a constant."""
+        field = cls.__new__(cls)
+        field._eval = lambda x: jet_fn(x, 0)
+        field._jet = jet_fn
+        field.analytic = analytic
+        field.name = name
+        return field
+
+    def jet(self, x, order: int = 2):
+        """Order 0: the value at a point, or the values at the rows of a (k, n)
+        batch; order 1 or 2: a ``Jet`` with the gradient (and the Hessian)."""
+        x = np.asarray(x, dtype=float)
+        if order == 0 and x.ndim == 2:
+            out = self._jet(x, 0)
+            return np.full(len(x), float(out)) if np.ndim(out) == 0 else out
+        x = as_point(x)
+        if order not in (0, 1, 2):
+            raise ContractViolation(f"jet order must be 0, 1 or 2, got {order}")
+        out = self._jet(x, order)
+        if order == 0:
+            return float(out)
+        return out if isinstance(out, Jet) else Jet.constant(out, x.size, order)
+
     def __call__(self, x) -> float:
-        return float(self._eval(as_point(x)))
+        return float(self._jet(as_point(x), 0))
 
     def grad(self, x) -> np.ndarray:
-        x = as_point(x)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        h = _fd_step(x)
-        g = np.empty_like(x)
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            g[j] = (self(x + e) - self(x - e)) / (2.0 * h)
-        return g
+        return self.jet(x, 1).grad
 
     def hess(self, x) -> np.ndarray:
-        x = as_point(x)
-        if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
-        h = _fd_step(x)
-        n = x.size
-        m = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros_like(x)
-            e[j] = h
-            m[:, j] = (self.grad(x + e) - self.grad(x - e)) / (2.0 * h)
-        return 0.5 * (m + m.T)
+        return self.jet(x, 2).hess
 
 
 def constant_field(value: float, dim: int, name: str = "") -> ScalarField:
-    g = np.zeros(dim)
-    h = np.zeros((dim, dim))
-    return ScalarField(lambda x: value, lambda x: g, lambda x: h, name=name)
+    return ScalarField.from_jet(
+        lambda x, order: Jet.constant(value, dim, order) if order else value, name=name)
 
 
 def coordinate_field(dim: int, axis: int, name: str = "") -> ScalarField:
-    g = np.zeros(dim)
-    g[axis] = 1.0
-    h = np.zeros((dim, dim))
-    return ScalarField(lambda x: float(x[axis]), lambda x: g, lambda x: h,
-                       name=name or f"x{axis + 1}")
+    return ScalarField.from_jet(
+        lambda x, order: Jet.variables(x, order)[axis] if order else x[..., axis],
+        name=name or f"x{axis + 1}")
 
 
 def linear_combination(terms: Sequence[tuple], name: str = "") -> ScalarField:
-    """Weighted sum of scalar fields; gradients and Hessians add linearly."""
+    """Weighted sum of scalar fields."""
     terms = [(float(c), f) for c, f in terms]
-
-    def ev(x):
-        return sum(c * f(x) for c, f in terms)
-
-    def gr(x):
-        return sum(c * f.grad(x) for c, f in terms)
-
-    def he(x):
-        return sum(c * f.hess(x) for c, f in terms)
-
-    sf = ScalarField(ev, gr, he, name=name)
-    sf.analytic = all(f.analytic for _, f in terms)
-    return sf
+    return ScalarField.from_jet(lambda x, order: sum(c * f.jet(x, order) for c, f in terms),
+                                name=name, analytic=all(f.analytic for _, f in terms))
 
 
 def product_field(f: ScalarField, g: ScalarField, name: str = "") -> ScalarField:
-    """Pointwise product with exact Leibniz gradient/Hessian assembly."""
-
-    def ev(x):
-        return f(x) * g(x)
-
-    def gr(x):
-        return f(x) * g.grad(x) + g(x) * f.grad(x)
-
-    def he(x):
-        df, dg = f.grad(x), g.grad(x)
-        return (f(x) * g.hess(x) + g(x) * f.hess(x)
-                + np.outer(df, dg) + np.outer(dg, df))
-
-    sf = ScalarField(ev, gr, he, name=name)
-    sf.analytic = f.analytic and g.analytic
-    return sf
+    """Pointwise product of two scalar fields."""
+    return ScalarField.from_jet(lambda x, order: f.jet(x, order) * g.jet(x, order),
+                                name=name, analytic=f.analytic and g.analytic)
 
 
 def squared_field(f: ScalarField, name: str = "") -> ScalarField:
@@ -253,22 +350,11 @@ class Chart:
         y = as_point(y)
         if self._jacobian is not None:
             return np.asarray(self._jacobian(y), dtype=float)
-        h = _fd_step(y)
-        n = y.size
-        cols = []
-        for j in range(n):
-            e = np.zeros_like(y)
-            e[j] = h
-            cols.append((self.forward(y + e) - self.forward(y - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return _central_difference(self.forward, y)
 
     def jacobian_partial(self, y, j: int) -> np.ndarray:
         """d/dy_j of the Jacobian matrix, by central differences."""
-        y = as_point(y)
-        h = _fd_step(y)
-        e = np.zeros_like(y)
-        e[j] = h
-        return (self.jacobian(y + e) - self.jacobian(y - e)) / (2.0 * h)
+        return _partial(self.jacobian, as_point(y), j)
 
     def condition_number(self, y) -> float:
         return float(np.linalg.cond(self.jacobian(y)))
@@ -298,24 +384,21 @@ def pullback_scalar(f: ScalarField, chart: Chart, name: str = "") -> ScalarField
     curvature term sum_k (d_k f) Hess(k_k) from the chart's second derivatives.
     """
 
-    def ev(y):
-        return f(chart.forward(y))
-
-    def gr(y):
-        return chart.jacobian(y).T @ f.grad(chart.forward(y))
-
-    def he(y):
-        x = chart.forward(y)
+    def jet(y, order):
+        if y.ndim == 2:
+            return f.jet(np.array([chart.forward(p) for p in y]), 0)
+        fx = f.jet(chart.forward(y), order)
+        if order == 0:
+            return fx
         jac = chart.jacobian(y)
-        hout = jac.T @ f.hess(x) @ jac
-        df = f.grad(x)
-        n = y.size if hasattr(y, "size") else len(y)
-        for j in range(n):
+        grad = jac.T @ fx.grad
+        if order == 1:
+            return Jet(fx.value, grad)
+        hout = jac.T @ fx.hess @ jac
+        for j in range(y.size):
             # jacobian_partial[:, i][k] = d^2 k_k / dy_j dy_i
-            dj = chart.jacobian_partial(y, j)
-            hout[j, :] += dj.T @ df
-        return 0.5 * (hout + hout.T)
+            hout[j, :] += chart.jacobian_partial(y, j).T @ fx.grad
+        return Jet(fx.value, grad, 0.5 * (hout + hout.T))
 
-    sf = ScalarField(ev, gr, he, name=name or (f.name + "_chart" if f.name else ""))
-    sf.analytic = f.analytic
-    return sf
+    return ScalarField.from_jet(jet, name=name or (f.name + "_chart" if f.name else ""),
+                                analytic=f.analytic)

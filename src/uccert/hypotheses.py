@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
-from .fields import MetricField, ScalarField, linear_combination, squared_field
+from .fields import MetricField, ScalarField, linear_combination
 from .symbols import signature_report
 
 DEFAULT_TOL_ZERO = 1e-10   # surface membership residual
@@ -77,6 +77,7 @@ class HypothesisReport:
     checks: Dict[str, CheckResult]
     n_samples: Dict[str, int]
     shortfall: Dict[str, int]
+    samples: Dict[str, np.ndarray] = dc_field(default_factory=dict)   # not reported
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks.values())
@@ -162,12 +163,15 @@ def _dedupe(points: list, dim: int) -> np.ndarray:
     return arr[np.sort(keep)]
 
 
+def _level_fields(spec: GeometrySpec, which: str) -> list:
+    """The level-set functions whose common zero set ``which`` names."""
+    return {"plus": [spec.phi_plus], "minus": [spec.phi_minus],
+            "intersection": [spec.phi_plus, spec.phi_minus]}[which]
+
+
 def _tangent_basis(spec: GeometrySpec, which: str, x: np.ndarray) -> np.ndarray:
-    grads = [spec.phi_plus.grad(x)] if which != "minus" else []
-    if which != "plus":
-        grads.append(spec.phi_minus.grad(x))
-    g = np.stack(grads)
-    return np.linalg.svd(g)[2][len(grads):]
+    g = np.stack([phi.grad(x) for phi in _level_fields(spec, which)])
+    return np.linalg.svd(g)[2][len(g):]
 
 
 def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
@@ -186,12 +190,7 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     n_target = spec.n_surface_samples
     per_axis = _scan_resolution(n_target, spec.dim)
     pts = _scan_points(spec.box, per_axis)
-    if which == "intersection":
-        res = np.array([max(abs(spec.phi_plus(p)), abs(spec.phi_minus(p))) for p in pts])
-    elif which == "plus":
-        res = np.array([abs(spec.phi_plus(p)) for p in pts])
-    else:
-        res = np.array([abs(spec.phi_minus(p)) for p in pts])
+    res = np.max([np.abs(phi.jet(pts, 0)) for phi in _level_fields(spec, which)], axis=0)
     order = np.argsort(res, kind="stable")
     seeds = pts[order[:min(len(order), max(4 * n_target, 64))]]
     found: list = []
@@ -325,9 +324,11 @@ def check_assumptions(spec: GeometrySpec,
             witness=[float(v) for v in s_both[trans_idx[k]]],
             values={"min_value": float(vals.min()), "max_value": float(vals.max())})
 
-    counts = {"plus": len(s_plus), "minus": len(s_minus), "intersection": len(s_both)}
+    samples = {"plus": s_plus, "minus": s_minus, "intersection": s_both}
+    counts = {k: len(v) for k, v in samples.items()}
     shortfall = {k: max(0, spec.n_surface_samples - v) for k, v in counts.items()}
-    return HypothesisReport(checks=checks, n_samples=counts, shortfall=shortfall)
+    return HypothesisReport(checks=checks, n_samples=counts, shortfall=shortfall,
+                            samples=samples)
 
 
 def build_psi(spec: GeometrySpec):
@@ -358,50 +359,41 @@ def verify_split_signs(spec: GeometrySpec,
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples for split-sign check")
     psi0, psi1 = build_psi(spec)
-    e1_min, e0_max, sum_max, cross_max = np.inf, -np.inf, 0.0, 0.0
-    witness = None
-    ok = True
+    forms = []
     for p in samples:
         q = spec.Q(p)
         d1, d0 = psi1.grad(p), psi0.grad(p)
-        e1 = float(d1 @ q @ d1)
-        e0 = float(d0 @ q @ d0)
-        cr = float(d1 @ q @ d0)
-        e1_min = min(e1_min, e1)
-        e0_max = max(e0_max, e0)
-        sum_max = max(sum_max, abs(e1 + e0))
-        cross_max = max(cross_max, abs(cr))
-        point_ok = (e1 > tol_pos and e0 < -tol_pos
-                    and abs(e1 + e0) <= tol_id and abs(cr) <= tol_id)
-        if not point_ok and ok:
-            ok = False
-            witness = [float(v) for v in p]
+        forms.append((float(d1 @ q @ d1), float(d0 @ q @ d0), float(d1 @ q @ d0)))
+    e1, e0, cross = np.array(forms).T
+    bad = ~((e1 > tol_pos) & (e0 < -tol_pos)
+            & (np.abs(e1 + e0) <= tol_id) & (np.abs(cross) <= tol_id))
     return {
-        "status": "pass" if ok else "fail",
-        "surface_form_min": float(e1_min),
-        "difference_form_max": float(e0_max),
-        "sum_identity_max": float(sum_max),
-        "cross_identity_max": float(cross_max),
-        "witness": witness,
+        "status": "fail" if bad.any() else "pass",
+        "surface_form_min": float(e1.min()),
+        "difference_form_max": float(e0.max()),
+        "sum_identity_max": float(np.abs(e1 + e0).max()),
+        "cross_identity_max": float(np.abs(cross).max()),
+        "witness": [float(v) for v in samples[int(np.argmax(bad))]] if bad.any() else None,
         "n_samples": int(len(samples)),
     }
 
 
 def verify_sublevel_inclusion(spec: GeometrySpec, lam: float, radius: float,
-                              n_samples: int, seed: int = 0) -> dict:
+                              n_samples: int, seed: int = 0,
+                              samples: Optional[np.ndarray] = None) -> dict:
     """Check psi1 > lam * psi0^2 on wedge points near the intersection.
 
     Samples points with phi_plus > 0 and phi_minus > 0 within ``radius`` of
-    sampled intersection points.  The inclusion is only guaranteed where
-    |psi0| < 1/lam; sampled points beyond that band are flagged.
+    intersection points (``samples``, or sampled when None).  The inclusion
+    is only guaranteed where |psi0| < 1/lam; sampled points beyond that band
+    are flagged.
     """
     if lam <= 0:
         raise ContractViolation("lam must be positive")
-    base = sample_surface(spec, "intersection")
+    base = sample_surface(spec, "intersection") if samples is None else samples
     if len(base) == 0:
         raise InsufficientSamples("no intersection samples")
     psi0, psi1 = build_psi(spec)
-    sq0 = squared_field(psi0)
     rng = np.random.default_rng(seed)
     pts = []
     tries = 0
@@ -415,8 +407,10 @@ def verify_sublevel_inclusion(spec: GeometrySpec, lam: float, radius: float,
             pts.append(x)
     if not pts:
         raise InsufficientSamples("no wedge points found within the given radius")
-    margins = np.array([psi1(x) - lam * sq0(x) for x in pts])
-    beyond_band = int(np.sum(np.abs([psi0(x) for x in pts]) >= 1.0 / lam))
+    pts = np.array(pts)
+    p0 = psi0.jet(pts, 0)
+    margins = psi1.jet(pts, 0) - lam * (p0 * p0)
+    beyond_band = int(np.sum(np.abs(p0) >= 1.0 / lam))
     k = int(np.argmin(margins))
     return {
         "included": bool(np.all(margins > 0)),

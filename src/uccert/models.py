@@ -15,34 +15,33 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .fields import Chart, MetricField, ScalarField, constant_metric
-from .hypotheses import GeometrySpec
+from .fields import (Chart, Jet, MetricField, ScalarField, constant_metric,
+                     linear_combination, squared_field)
+from .hypotheses import GeometrySpec, build_psi
 
 
 def cone_surface_field(d: int, radial_sign: float, t_coeff: float) -> ScalarField:
-    """Scalar field  s*(|y| - 1) + a*t  on R x R^d with exact derivatives."""
+    """Scalar field  s*(|y| - 1) + a*t  on R x R^d, as a closed-form jet."""
     s, a = float(radial_sign), float(t_coeff)
+    eye = np.eye(d)
 
-    def ev(x):
-        return s * (np.linalg.norm(x[1:]) - 1.0) + a * x[0]
-
-    def gr(x):
-        y = x[1:]
-        r = np.linalg.norm(y)
+    def jet(x, order):
+        y = x[..., 1:]
+        r = np.sqrt(np.vecdot(y, y))    # on one point, bit for bit np.linalg.norm(y)
+        value = s * (r - 1.0) + a * x[..., 0]
+        if order == 0:
+            return value
         g = np.empty(d + 1)
         g[0] = a
         g[1:] = s * y / r
-        return g
-
-    def he(x):
-        y = x[1:]
-        r = np.linalg.norm(y)
+        if order == 1:
+            return Jet(value, g)
         yhat = y / r
         h = np.zeros((d + 1, d + 1))
-        h[1:, 1:] = s * (np.eye(d) - np.outer(yhat, yhat)) / r
-        return h
+        h[1:, 1:] = s * (eye - np.outer(yhat, yhat)) / r
+        return Jet(value, g, h)
 
-    return ScalarField(ev, gr, he, name=f"{s:+g}*(|y|-1){a:+g}*t")
+    return ScalarField.from_jet(jet, name=f"{s:+g}*(|y|-1){a:+g}*t")
 
 
 def _default_box(d: int) -> np.ndarray:
@@ -213,16 +212,12 @@ def carleman_section(lam: float = 2.0):
     the box, which stays away from y = 0), and the working box around the
     point (0, 1) where the surfaces cross.
     """
-    from .fields import linear_combination, squared_field
-
     q = constant_metric(np.diag([-1.0, 1.0]), name="wave1")
-    phi_plus = cone_surface_field(1, +1.0, -1.0)
-    phi_minus = cone_surface_field(1, +1.0, +1.0)
-    psi1 = linear_combination([(0.5, phi_plus), (0.5, phi_minus)], name="psi1_2d")
-    psi0 = linear_combination([(0.5, phi_minus), (-0.5, phi_plus)], name="psi0_2d")
+    box = np.array([[-0.4, 0.4], [0.6, 1.4]])
+    psi0, psi1 = build_psi(GeometrySpec(q, cone_surface_field(1, +1.0, -1.0),
+                                        cone_surface_field(1, +1.0, +1.0), box))
     bent = linear_combination([(1.0, psi1), (-float(lam), squared_field(psi0))],
                               name=f"bent_2d(lam={lam:g})")
-    box = np.array([[-0.4, 0.4], [0.6, 1.4]])
     return q, bent, box
 
 

@@ -42,7 +42,7 @@ class RayTrajectory:
 
     def annotate(self, psi: "ScalarField") -> "RayTrajectory":
         """New trajectory carrying psi values along the ray; self is untouched."""
-        vals = np.array([psi(x) for x in self.xs])
+        vals = psi.jet(self.xs, 0)
         return RayTrajectory(s=self.s, xs=self.xs, xis=self.xis,
                              p_vals=self.p_vals, step=self.step,
                              truncated=self.truncated, psi_vals=vals)
@@ -162,7 +162,7 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     if int(np.sum(mask)) < 5:
         raise FitError(f"only {int(np.sum(mask))} samples inside the fit window")
     s = traj.s[mask]
-    vals = np.array([psi(x) for x in traj.xs[mask]])
+    vals = psi.jet(traj.xs[mask], 0)
     coef = np.polynomial.polynomial.polyfit(s, vals, 2)
     intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
 

@@ -107,10 +107,10 @@ def hp2(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:
     x, xi = pp.x, pp.xi
     q = Q(x)
     dq = Q.deriv_all(x)          # dq[j] = dQ/dx_j
-    g = psi.grad(x)
-    hess = psi.hess(x)
+    jet = psi.jet(x, 2)
+    g = jet.grad
     v = q @ xi                   # dp/dxi = 2 v
-    hv = hess @ v                # component j: <Q xi, d(d_j psi)>
+    hv = jet.hess @ v            # component j: <Q xi, d(d_j psi)>
     term1 = 0.0
     term2 = 0.0
     for j in range(Q.dim):
@@ -146,17 +146,18 @@ def hp2_matrix(Q: MetricField, psi: ScalarField, x0) -> np.ndarray:
 
     Term by term, the ``hp2`` closed form is 4 xi^T Q P xi + 4 xi^T Q H Q xi
     - 2 xi^T (sum_j (Q dpsi)_j d_j Q) xi with P[j, k] = (d_j Q dpsi)_k and H the
-    Hessian of psi, so the matrix takes one gradient, one Hessian and one stack
-    of metric partials (``hp2`` and ``hp2_bracket`` stay independent routes).
+    Hessian of psi, so the matrix takes one second-order jet of psi and one
+    stack of metric partials (``hp2`` and ``hp2_bracket`` stay independent routes).
     It makes sphere maxima an eigenvalue problem and lets large sample
     batches be evaluated with one einsum.
     """
     x0 = as_point(x0)
     q = Q(x0)
     dq = Q.deriv_all(x0)
-    g = psi.grad(x0)
+    jet = psi.jet(x0, 2)
+    g = jet.grad
     qp = q @ np.einsum("jik,i->jk", dq, g)
-    m = 2.0 * (qp + qp.T) + 4.0 * q @ psi.hess(x0) @ q - 2.0 * np.einsum("j,jab->ab", q @ g, dq)
+    m = 2.0 * (qp + qp.T) + 4.0 * q @ jet.hess @ q - 2.0 * np.einsum("j,jab->ab", q @ g, dq)
     return 0.5 * (m + m.T)
 
 

@@ -251,3 +251,36 @@ class TestMalformedInput:
         assert notes["gate"] == ["lambda_threshold"]
         assert notes["lambda_threshold"]["lambda_used"] == 1.0
         assert notes["lambda_threshold"]["lambda0"] >= 1.0
+
+
+class TestRunFlagPrecedence:
+    def test_explicit_flag_equal_to_its_default_beats_config(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nlambda = 2\nseed = 9\n")
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(conf), "--seed", "0", "--out", out]) == 0
+        assert read_report(out)["seed"] == 0
+        assert main(["run", "--config", str(conf), "--out", out]) == 0
+        assert read_report(out)["seed"] == 9
+
+    def test_builtin_defaults_fill_what_neither_sets(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nlambda = 2\n")
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(conf), "--out", out]) == 0
+        assert read_report(out)["seed"] == 0
+
+
+class TestCheckSampling:
+    def test_check_samples_each_surface_once(self, tmp_path, monkeypatch):
+        from uccert import hypotheses
+        calls = []
+        sample = hypotheses.sample_surface
+
+        def counting(spec, which):
+            calls.append(which)
+            return sample(spec, which)
+
+        monkeypatch.setattr(hypotheses, "sample_surface", counting)
+        assert main(["check", "--model", "ik2", "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == ["intersection", "minus", "plus"]
