@@ -286,37 +286,38 @@ def cmd_rays(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_corner(args) -> int:
-    dim = args.dim
-    cells = (512 if dim == 2 else 64) if args.grid is None else args.grid
-    grid = make_grid(unit_box(dim), cells)
-    h2 = float(np.max(grid.h)) ** 2
-    tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
-    corpus = corner_corpus(grid)
-    tols = {k: v * h2 for k, v in WEAK_K.items()}
-
-    identity_reports = []
+def _corner_identities(corpus: list, tests: list, tols: dict) -> tuple:
+    """Pass-through identities on every corpus field: (reports, CSV rows, passed)."""
+    reports = []
+    rows = []
     ok = True
-    residual_rows = []
     for cf in corpus:
         rep = verify_extension_identities(cf, tests, tol_weak=tols)
         ok = ok and rep["passed"]
-        identity_reports.append({"field": cf.name, "passed": rep["passed"],
-                                 "family_max_residual": rep["family_max_residual"]})
+        reports.append({"field": cf.name, "passed": rep["passed"],
+                        "family_max_residual": rep["family_max_residual"]})
         for row in rep["rows"]:
-            residual_rows.append([cf.name, row["family"], "".join(map(str, row["alpha"])),
-                                  row["testfn"], row["lhs"], row["rhs"], row["residual"]])
+            rows.append([cf.name, row["family"], "".join(map(str, row["alpha"])),
+                         row["testfn"], row["lhs"], row["rhs"], row["residual"]])
+    return reports, rows, ok
 
-    layer = detect_layer(corpus[0], tests)
+
+def _corner_layer(cf, tests: list, h2: float) -> dict:
+    layer = detect_layer(cf, tests)
     layer_ok = layer["max_mismatch"] <= max(0.01 * layer["max_layer_magnitude"], 10 * h2)
-    ok = ok and layer_ok
+    return {"max_mismatch": layer["max_mismatch"],
+            "max_layer_magnitude": layer["max_layer_magnitude"],
+            "passed": bool(layer_ok)}
 
-    bmat = np.zeros((dim, dim))
+
+def _corner_transfer(cf, args) -> dict:
+    bmat = np.zeros((args.dim, args.dim))
     bmat[0, 1] = bmat[1, 0] = 1.0
-    transfer = verify_inequality_transfer(corpus[1], BMatrixField.from_matrix(bmat),
-                                          n_pts=args.n_pts, seed=args.seed)
-    ok = ok and transfer["passed"]
+    return verify_inequality_transfer(cf, BMatrixField.from_matrix(bmat),
+                                      n_pts=args.n_pts, seed=args.seed)
 
+
+def _corner_mollifier(grid, seed: int) -> dict:
     # smoothing ladder: halve from min(0.35, 64h) while staying resolved
     # (>= 4h), at most five rungs; expected decay scales with rung count
     hmax = float(np.max(grid.h))
@@ -326,15 +327,33 @@ def cmd_corner(args) -> int:
         eps_list.append(eps_v)
         eps_v /= 2.0
     decay_bound = 0.5 ** ((len(eps_list) - 1) / 2.0)
-    mesh = grid.meshgrid()
-    afield = SampledField(0.5 + 0.4 * mesh[0],
-                          [0.4 * np.ones(grid.shape)] + [np.zeros(grid.shape)] * (dim - 1))
+    afield = SampledField(0.5 + 0.4 * grid.meshgrid()[0],
+                          [0.4 * np.ones(grid.shape)] + [np.zeros(grid.shape)] * (grid.dim - 1))
     moll_norms = [mollifier_commutator(afield, v, grid, eps_list)
-                  for v in kink_profile_corpus(grid, count=2, seed=args.seed + 5)]
+                  for v in kink_profile_corpus(grid, count=2, seed=seed + 5)]
     moll_ok = all(all(n1 > n2 for n1, n2 in zip(ns, ns[1:]))
                   and ns[-1] <= decay_bound * ns[0]
                   for ns in moll_norms)
-    ok = ok and moll_ok
+    return {"eps": eps_list, "norms": moll_norms, "passed": bool(moll_ok)}
+
+
+def cmd_corner(args) -> int:
+    dim = args.dim
+    cells = (512 if dim == 2 else 64) if args.grid is None else args.grid
+    grid = make_grid(unit_box(dim), cells)
+    h2 = float(np.max(grid.h)) ** 2
+    tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
+    tols = {k: v * h2 for k, v in WEAK_K.items()}
+
+    # one helper per stage, so each stage's grid arrays are freed on return;
+    # the corpus goes before the mollifier, whose transforms set the peak memory
+    corpus = corner_corpus(grid)
+    identity_reports, residual_rows, ok = _corner_identities(corpus, tests, tols)
+    layer = _corner_layer(corpus[0], tests, h2)
+    transfer = _corner_transfer(corpus[1], args)
+    del corpus
+    mollifier = _corner_mollifier(grid, args.seed)
+    ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
 
     payload = {
         "command": "corner",
@@ -343,11 +362,9 @@ def cmd_corner(args) -> int:
         "cells": cells,
         "identity_checks": identity_reports,
         "tolerances": {k: float(v) for k, v in tols.items()},
-        "layer_probe": {"max_mismatch": layer["max_mismatch"],
-                        "max_layer_magnitude": layer["max_layer_magnitude"],
-                        "passed": bool(layer_ok)},
+        "layer_probe": layer,
         "inequality_transfer": transfer,
-        "mollifier": {"eps": eps_list, "norms": moll_norms, "passed": bool(moll_ok)},
+        "mollifier": mollifier,
         "passed": bool(ok),
     }
     write_report(args.out, payload)

@@ -150,8 +150,7 @@ def _project_any(spec: GeometrySpec, which: str, x: np.ndarray):
     return _project_once(phi, x, spec.tol_zero)
 
 
-def _inside_box(x: np.ndarray, box: np.ndarray) -> bool:
-    slack = 1e-9 * float(np.max(np.abs(box)))
+def _inside_box(x: np.ndarray, box: np.ndarray, slack: float) -> bool:
     return bool(np.all(x >= box[:, 0] - slack) and np.all(x <= box[:, 1] + slack))
 
 
@@ -193,10 +192,11 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     res = np.max([np.abs(phi.jet(pts, 0)) for phi in _level_fields(spec, which)], axis=0)
     order = np.argsort(res, kind="stable")
     seeds = pts[order[:min(len(order), max(4 * n_target, 64))]]
+    slack = 1e-9 * float(np.max(np.abs(spec.box)))
     found: list = []
     for s in seeds:
         x = _project_any(spec, which, s)
-        if x is not None and _inside_box(x, spec.box):
+        if x is not None and _inside_box(x, spec.box, slack):
             found.append(x)
         if len(found) >= 4 * n_target:
             break
@@ -219,7 +219,7 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
                 if nrm < 1e-14:
                     continue
                 cand = _project_any(spec, which, x + delta * direction / nrm)
-                if cand is not None and _inside_box(cand, spec.box):
+                if cand is not None and _inside_box(cand, spec.box, slack):
                     fresh.append(cand)
             if len(fresh) >= 4 * n_target:
                 break

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,3 +286,16 @@ class TestCheckSampling:
         monkeypatch.setattr(hypotheses, "sample_surface", counting)
         assert main(["check", "--model", "ik2", "--out", str(tmp_path / "o")]) == 0
         assert sorted(calls) == ["intersection", "minus", "plus"]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_uccert_runs_without_install(self, tmp_path):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "corner"
+        proc = subprocess.run(
+            [sys.executable, "-m", "uccert", "corner", "--grid", "64", "--tests", "3",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert read_report(out)["command"] == "corner"

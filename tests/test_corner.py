@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.signal
 from numpy.testing import assert_allclose
+from scipy.signal import fftconvolve
+
+import uccert.corner
 
 from uccert.corner import (BMatrixField, CornerField, SampledField,
-                           SeparableFunction, corner_corpus,
+                           SeparableFunction, _mollifier_kernels, corner_corpus,
                            corner_field_from_separable, detect_layer,
                            extend_by_zero, kink_profile_corpus,
                            mollifier_commutator, quadrant_mask,
@@ -11,7 +15,7 @@ from uccert.corner import (BMatrixField, CornerField, SampledField,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import HypothesisError, ResolutionError, SupportError
 from uccert.grids import (ProductBump, bump_corpus, make_grid,
-                          restricted_trapezoid, unit_box)
+                          restricted_trapezoid, trapezoid, unit_box)
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
 WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
@@ -259,3 +263,48 @@ class TestMollifier:
         a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
         with pytest.raises(ResolutionError):
             mollifier_commutator(a, v, g, [2.0 / 64])
+
+
+def _commutator_by_fftconvolve(a, v, grid, eps_list):
+    """Three independent fftconvolve calls per (j, k): the oracle for the
+    spectrum-reusing commutator."""
+    cell = float(np.prod(grid.h))
+
+    def conv(field, kernel):
+        return fftconvolve(field, kernel, mode="same") * cell
+
+    out = []
+    for eps in eps_list:
+        k0, kg = _mollifier_kernels(grid, eps)
+        total = 0.0
+        for j in range(grid.dim):
+            for k in range(grid.dim):
+                djk = (a.values * conv(v.grads[k], kg[j]) - conv(a.values * v.grads[k], kg[j])
+                       + conv(a.grads[j] * v.grads[k], k0))
+                total += trapezoid(djk * djk, grid)
+        out.append(float(np.sqrt(total)))
+    return out
+
+
+class TestMollifierSpectra:
+    EPS = [0.32, 0.16, 0.08, 0.04]
+
+    @pytest.mark.parametrize("slope", [(0.4, 0.0), (0.4, -0.25)])
+    def test_matches_three_convolution_formula(self, slope):
+        g = make_grid(unit_box(2), 256)
+        mesh = g.meshgrid()
+        a = SampledField(0.5 + slope[0] * mesh[0] + slope[1] * mesh[1],
+                         [np.full(g.shape, slope[0]), np.full(g.shape, slope[1])])
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        got = mollifier_commutator(a, v, g, self.EPS)
+        assert_allclose(got, _commutator_by_fftconvolve(a, v, g, self.EPS), rtol=1e-12)
+
+    def test_makes_no_fftconvolve_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fftconvolve called")
+        monkeypatch.setattr(uccert.corner, "fftconvolve", refuse)
+        monkeypatch.setattr(scipy.signal, "fftconvolve", refuse)
+        g = make_grid(unit_box(2), 64)
+        a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        assert len(mollifier_commutator(a, v, g, [0.25, 0.125])) == 2
