@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractViolation, RangeError
 from .fields import MetricField, ScalarField
@@ -99,6 +98,21 @@ def apply_operator(Q: MetricField, w_values: np.ndarray, grid: Grid,
     return out
 
 
+def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
+    """Grow a boolean mask by `steps` cells along the axes (cross-shaped
+    neighbourhood, cells outside the array count as empty)."""
+    out = np.asarray(mask, dtype=bool)
+    for _ in range(steps):
+        grown = out.copy()
+        for a in range(out.ndim):
+            head = (slice(None),) * a + (slice(None, -1),)
+            tail = (slice(None),) * a + (slice(1, None),)
+            grown[tail] |= out[head]
+            grown[head] |= out[tail]
+        out = grown
+    return out
+
+
 def _weighted_norm(values: np.ndarray, weight_sq: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(trapezoid(values * values * weight_sq, grid)))
 
@@ -124,7 +138,7 @@ def carleman_ratio(Q: MetricField, weight: WeightSpec, w_values: np.ndarray,
     if not np.any(support):
         return {"lhs": 0.0, "rhs1": 0.0, "rhs2": 0.0, "ratio": float("nan"),
                 "wnorm_grad": 0.0, "wnorm_w": 0.0, "empty": True}
-    region = ndimage.binary_dilation(support, iterations=2)
+    region = _dilate(support, 2)
     shift = float(np.min(phi_values[region]))
     exponent = -lam * (phi_values - shift)
     if float(np.max(np.abs(exponent[region]))) > EXP_LIMIT:

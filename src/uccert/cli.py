@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -499,13 +500,21 @@ _COMMANDS = {"check": cmd_check, "certify": cmd_certify, "rays": cmd_rays,
              "corner": cmd_corner, "carleman": cmd_carleman, "all": cmd_all}
 
 
+def _flag(attr: str) -> str:
+    return "--lambda" if attr == "lam" else f"--{attr.replace('_', '-')}"
+
+
 def _validate_args(args):
+    for name in ("lam", "mu", "lambda_max", "tol_zero", "tol_char", "tol_pos", "ds", "s_fit"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ContractViolation(f"{_flag(name)} must be finite, got {value}")
     for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu"):
         if getattr(args, name) <= 0:
-            raise ContractViolation(f"--{name.replace('_', '-')} must be positive")
-    for name in ("samples", "grid"):
+            raise ContractViolation(f"{_flag(name)} must be positive")
+    for name in ("samples", "grid", "tests", "n_pts", "max_rays"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
-            raise ContractViolation(f"--{name} must be at least 1")
+            raise ContractViolation(f"{_flag(name)} must be at least 1")
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -18,15 +18,23 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-# not called here since the commutator reuses spectra; the benchmark tracer
-# (perfbench/tracer.py) looks this name up in the module to wrap it
-from scipy.signal import fftconvolve  # noqa: F401
 
 from .errors import ContractViolation, HypothesisError, ResolutionError
 from .grids import Grid, ProductBump, d1, d2, restricted_trapezoid, trapezoid
 
 FACE_TOL = 1e-12
+
+
+def fftconvolve(in1, in2, mode="full", axes=None):
+    """scipy.signal.fftconvolve, imported on call.
+
+    Nothing here calls it, since the commutator reuses spectra; the name stays
+    because the benchmark tracer (perfbench/tracer.py) wraps it in this
+    module. Importing scipy.signal at module level would cost most of the
+    start-up of every command.
+    """
+    from scipy.signal import fftconvolve as convolve
+    return convolve(in1, in2, mode=mode, axes=axes)
 
 
 class SeparableFunction:
@@ -412,6 +420,9 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
     D_jk are added in frequency space, so each D_jk costs two inverse
     transforms.
     """
+    # imported on first use: no other command needs scipy, and it is slow to load
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     hmax = float(np.max(grid.h))
     cell = float(np.prod(grid.h))
     for eps in eps_list:

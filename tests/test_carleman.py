@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uccert.carleman import (apply_operator, build_weight, carleman_ratio,
+from uccert.carleman import (_dilate, apply_operator, build_weight, carleman_ratio,
                              exponent_slopes, lambda_sweep, metric_on_grid)
 from uccert.errors import ContractViolation, RangeError
 from uccert.fields import ScalarField, constant_metric
@@ -195,3 +195,36 @@ class TestSweep:
             weight = build_weight(bent, mu=mu)
             rep = lambda_sweep(q, weight, corpus, [4, 8, 16], g)
             assert rep.r_floor(4.0) > 0
+
+
+class TestDilation:
+    """The numpy dilation against scipy.ndimage.binary_dilation as the oracle."""
+
+    @staticmethod
+    def oracle(mask):
+        from scipy import ndimage
+        return ndimage.binary_dilation(mask, iterations=2)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            dim = int(rng.integers(1, 4))
+            shape = tuple(int(n) for n in rng.integers(1, 10, size=dim))
+            mask = rng.random(shape) < rng.uniform(0.0, 0.3)
+            got = _dilate(mask, 2)
+            assert got.dtype == bool
+            assert np.array_equal(got, self.oracle(mask)), shape
+
+    @pytest.mark.parametrize("shape", [(7,), (6, 9), (4, 5, 6)])
+    def test_special_masks(self, shape):
+        empty = np.zeros(shape, dtype=bool)
+        full = np.ones(shape, dtype=bool)
+        centre = empty.copy()
+        centre[tuple(n // 2 for n in shape)] = True
+        corner = empty.copy()
+        corner[(0,) * len(shape)] = True
+        edge = empty.copy()
+        edge[(slice(None),) + (-1,) * (len(shape) - 1)] = True
+        for mask in (empty, full, centre, corner, edge):
+            assert np.array_equal(_dilate(mask, 2), self.oracle(mask))
+        assert not _dilate(empty, 2).any() and _dilate(full, 2).all()

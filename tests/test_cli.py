@@ -246,6 +246,31 @@ class TestMalformedInput:
         assert cert["status"] == "degenerate"
         assert cert["notes"]["gate"] == [gate]
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"),
+                                             ("--mu", "nan"), ("--lambda-max", "inf")])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik2", flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("key, value", [("lambda", "nan"), ("lambda", "inf"),
+                                            ("mu", "nan"), ("lambda_max", "inf")])
+    def test_non_finite_float_in_run_section_rejected(self, tmp_path, capsys, key, value):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"[run]\ncommand = certify\nmodel = ik2\n{key} = {value}\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["corner", "--tests", "0"], ["corner", "--n-pts", "0"],
+                                      ["rays", "--model", "ik2", "--max-rays", "0"]])
+    def test_vacuous_counts_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err and "Traceback" not in err
+
     def test_failed_certificate_names_its_gate(self, tmp_path):
         out = str(tmp_path / "o")
         assert main(["certify", "--model", "ik2", "--lambda", "1", "--out", out]) == 1
@@ -299,3 +324,37 @@ class TestModuleEntryPoint:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert read_report(out)["command"] == "corner"
+
+
+_IMPORT_PROBE = """
+import json, sys
+import uccert, uccert.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+seen = {"import": loaded()}
+for argv in (["check", "--model", "ik2"], ["certify", "--model", "ik2"],
+             ["rays", "--model", "ik2"], ["carleman", "--grid", "32"]):
+    assert uccert.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+seen["pointwise"] = loaded()
+assert uccert.cli.main(["corner", "--grid", "64", "--tests", "3", "--out", out + "/corner"]) == 0
+seen["corner"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+class TestImportBudget:
+    def test_only_corner_loads_scipy_fft(self, tmp_path):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["pointwise"] == []
+        assert "scipy.fft" in seen["corner"]
+        for heavy in ("scipy.signal", "scipy.ndimage", "scipy.stats"):
+            assert heavy not in seen["corner"]

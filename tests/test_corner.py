@@ -308,3 +308,13 @@ class TestMollifierSpectra:
         a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         assert len(mollifier_commutator(a, v, g, [0.25, 0.125])) == 2
+
+
+def test_fftconvolve_forwards_to_scipy():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((37, 29))
+    k = rng.standard_normal((9, 7))
+    got = uccert.corner.fftconvolve(x, k, mode="same")
+    assert np.array_equal(got, fftconvolve(x, k, mode="same"))
+    assert np.array_equal(uccert.corner.fftconvolve(x, k[:1], axes=1),
+                          fftconvolve(x, k[:1], axes=1))
