@@ -20,8 +20,7 @@ from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField,
                      pullback_scalar, squared_field)
 from .symbols import (eval_symbol, hp, hp2, hp2_bracket, hp2_matrix,
                       lorentz_normal_form, pullback_metric,
-                      pullback_metric_field, signature, signature_report,
-                      transport_covector)
+                      pullback_metric_field, signature, transport_covector)
 from .hypotheses import (GeometrySpec, HypothesisReport, build_psi,
                          check_assumptions, sample_surface,
                          verify_split_signs, verify_sublevel_inclusion)

@@ -376,8 +376,16 @@ def cmd_corner(args) -> int:
 
 
 def cmd_carleman(args) -> int:
-    q, bent, box = carleman_section(lam=2.0 if args.lam is None else args.lam)
+    lam = 2.0 if args.lam is None else args.lam
     cells = 256 if args.grid is None else args.grid
+    ik2 = get_model("ik2")      # the section is its y_2 = 0 slice through x0
+    threshold = certify(ik2.geometry, ik2.x0, lam=lam).notes.get("lambda_threshold")
+    if threshold:
+        notes = {"gate": ["lambda_threshold"], "lambda_threshold": threshold}
+        write_report(args.out, {"command": "carleman", "seed": args.seed, "mu": args.mu,
+                                "cells": cells, "passed": False, "notes": notes})
+        return 1
+    q, bent, box = carleman_section(lam=lam)
     grid = make_grid(box, cells)
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
     weight = build_weight(bent, mu=args.mu)
@@ -509,8 +517,8 @@ def _validate_args(args):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ContractViolation(f"{_flag(name)} must be finite, got {value}")
-    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu"):
-        if getattr(args, name) <= 0:
+    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam"):
+        if getattr(args, name) is not None and getattr(args, name) <= 0:
             raise ContractViolation(f"{_flag(name)} must be positive")
     for name in ("samples", "grid", "tests", "n_pts", "max_rays"):
         if getattr(args, name) is not None and getattr(args, name) < 1:

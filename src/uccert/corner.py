@@ -219,7 +219,10 @@ def detect_layer(cf: CornerField, tests: List[ProductBump]) -> dict:
     max_layer = 0.0
     for t_id, phi in enumerate(tests):
         delta = weak_pairing(v, grid, alpha, phi) - phi.pair(du2, grid, half_axes=(0, 1))
-        face_density = du1[i0] * phi.values_on_grid(grid)[i0]
+        # phi on the face: its other axis profiles, scaled by the axis-0 profile at y_1 = 0
+        face_amp = phi.amplitude * phi.axis_profile(grid.axis(0)[i0:i0 + 1], 0, 0)[0]
+        face_phi = ProductBump(phi.center[1:], phi.radius[1:], amplitude=face_amp)
+        face_density = du1[i0] * face_phi.values_on_grid(face_grid)
         s_phi = restricted_trapezoid(face_density, face_grid, half_axes=(0,))
         rows.append({"testfn": t_id, "delta": delta, "surface_integral": s_phi,
                      "mismatch": abs(delta - s_phi)})

@@ -4,9 +4,9 @@ The driver accepts surface definitions like ``norm(x2, x3) - 1 - x1`` in its
 config files.  Expressions are parsed into a small AST supporting +, -, *, /,
 ^ (numeric exponent), sqrt and norm over the coordinate variables x1..xn.
 Each node has one method, ``ev(xs)``, over the coordinates ``xs``: floats for
-one point, coordinate rows for a batch of points, or ``Jet`` variables, which
-give exact gradients and Hessians by forward mode and keep every downstream
-derivative supplier twice differentiable.
+one point, coordinate rows for a batch of points, or ``Jet`` variables of
+either, which give exact gradients and Hessians by forward mode and keep
+every downstream derivative supplier twice differentiable.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import operator
 import re
 from typing import List, Tuple
 
-import numpy as np
-
 from .errors import ContractViolation
-from .fields import Jet, ScalarField
+from .fields import Jet, ScalarField, power
 
 
 class Expr:
@@ -62,12 +60,7 @@ class Pow(Expr):
         self.p = float(p)
 
     def ev(self, xs):
-        base = self.a.ev(xs)
-        if isinstance(base, np.ndarray):
-            # libm pow per element, as ** on one float; ** on an array takes
-            # sqrt or SIMD routes that can differ from it in the last bit
-            return np.float_power(base, self.p)
-        return base ** self.p
+        return power(self.a.ev(xs), self.p)
 
 
 def norm_expr(args: List[Expr]) -> Expr:

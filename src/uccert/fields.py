@@ -2,12 +2,12 @@
 
 All types are immutable after construction and hold pure callables; they are
 safe to evaluate concurrently.  A scalar field evaluates through one jet
-function that gives its value (also on a batch of points), or its value with
-gradient and Hessian as a forward-mode ``Jet``; derived fields are jet
-arithmetic on their parts.  Analytic derivative suppliers are optional: when
-absent, central finite differences with a step proportional to the local
-coordinate scale are used and the field is flagged as non-analytic so callers
-can record the fallback in their reports.
+function that gives its value, or its value with gradient and Hessian as a
+forward-mode ``Jet``, at one point or on a (k, n) batch of points; derived
+fields are jet arithmetic on their parts.  Analytic derivative suppliers are
+optional: when absent, central finite differences with a step proportional to
+the local coordinate scale are used and the field is flagged as non-analytic
+so callers can record the fallback in their reports.
 """
 
 from __future__ import annotations
@@ -130,14 +130,30 @@ def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
     return out
 
 
+def power(base, p: float):
+    """base ** p; on arrays libm ``pow`` per element, as ``**`` on one float
+    (``**`` on an array takes sqrt or SIMD routes that differ in the last bit)."""
+    if isinstance(base, np.ndarray):
+        return np.float_power(base, p)
+    return base ** p
+
+
+def _lift(v, axes: int):
+    """A per-point scalar (a number, or a (k,) array on a batch) with ``axes``
+    trailing axes, so that it scales per-point vectors (1) or matrices (2)."""
+    return v[(...,) + (None,) * axes] if isinstance(v, np.ndarray) else v
+
+
 class Jet:
-    """Value, gradient and Hessian of a scalar at one point (forward mode).
+    """Value, gradient and Hessian of a scalar (forward mode) at one point, or
+    with a leading axis of length k at each point of a (k, n) batch.
 
     ``hess`` is None in first-order jets.  The arithmetic operators and
     ``chain`` are the only place where the sum, product, quotient, power and
     chain rules are written (Griewank & Walther, Evaluating Derivatives,
     2008); derived fields get their derivatives by running ordinary
-    arithmetic on jets.  Plain numbers act as constants.
+    arithmetic on jets, the same on every row of a batch.  Plain numbers act
+    as constants.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -148,21 +164,29 @@ class Jet:
 
     @classmethod
     def variables(cls, x: np.ndarray, order: int) -> list:
-        """The coordinates of the point x as jets of the given order."""
-        eye = np.eye(x.size)
-        zero = np.zeros((x.size, x.size)) if order > 1 else None
-        return [cls(v, eye[i], zero) for i, v in enumerate(x.tolist())]
+        """The coordinates of the point x, or of each row of a (k, n) batch,
+        as jets of the given order."""
+        n = x.shape[-1]
+        if x.ndim == 1:
+            values, eye, zero = x.tolist(), np.eye(n), np.zeros((n, n))
+        else:
+            values, zero = x.T, np.broadcast_to(0.0, x.shape + (n,))
+            eye = np.broadcast_to(np.eye(n)[:, None, :], (n,) + x.shape)
+        return [cls(v, eye[i], zero if order > 1 else None) for i, v in enumerate(values)]
 
     @classmethod
-    def constant(cls, value, dim: int, order: int) -> "Jet":
-        return cls(float(value), np.zeros(dim), np.zeros((dim, dim)) if order > 1 else None)
+    def constant(cls, value, x: np.ndarray, order: int) -> "Jet":
+        """A constant as a jet at the point x, or at each row of a batch."""
+        return cls(float(value) if x.ndim == 1 else np.full(len(x), float(value)), np.zeros(x.shape),
+                   np.zeros(x.shape + x.shape[-1:]) if order > 1 else None)
 
     def chain(self, f0, f1, f2=None) -> "Jet":
         """Jet of f(u), given f, f' and f'' at u = self.value."""
-        grad = f1 * self.grad
+        g = self.grad
         if self.hess is None:
-            return Jet(f0, grad)
-        return Jet(f0, grad, f2 * np.outer(self.grad, self.grad) + f1 * self.hess)
+            return Jet(f0, _lift(f1, 1) * g)
+        return Jet(f0, _lift(f1, 1) * g,
+                   _lift(f2, 2) * (g[..., :, None] * g[..., None, :]) + _lift(f1, 2) * self.hess)
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -186,11 +210,12 @@ class Jet:
             return Jet(self.value * other, self.grad * other,
                        None if self.hess is None else self.hess * other)
         a, b = self, other
-        grad = a.value * b.grad + b.value * a.grad
+        grad = _lift(a.value, 1) * b.grad + _lift(b.value, 1) * a.grad
         if a.hess is None:
             return Jet(a.value * b.value, grad)
-        cross = np.outer(a.grad, b.grad)
-        return Jet(a.value * b.value, grad, a.value * b.hess + b.value * a.hess + cross + cross.T)
+        cross = a.grad[..., :, None] * b.grad[..., None, :]       # np.outer per point
+        return Jet(a.value * b.value, grad, _lift(a.value, 2) * b.hess + _lift(b.value, 2) * a.hess
+                   + cross + np.swapaxes(cross, -1, -2))
 
     __rmul__ = __mul__
 
@@ -204,24 +229,40 @@ class Jet:
         return Jet(self.value / v, q.grad, q.hess)
 
     def __rtruediv__(self, c):
-        return Jet.constant(c, self.grad.size, 1 if self.hess is None else 2) / self
+        return Jet.constant(c, self.grad, 1 if self.hess is None else 2) / self
 
     def __pow__(self, p: float):
         v = self.value
-        f2 = None if self.hess is None else p * (p - 1.0) * v ** (p - 2.0)
-        return self.chain(v ** p, p * v ** (p - 1.0), f2)
+        f2 = None if self.hess is None else p * (p - 1.0) * power(v, p - 2.0)
+        return self.chain(power(v, p), p * power(v, p - 1.0), f2)
+
+
+def _rowwise(point_jet: Callable) -> Callable:
+    """A jet function of one point, extended to a (k, n) batch row by row."""
+
+    def jet(x, order):
+        if x.ndim == 1:
+            return point_jet(x, order)
+        rows = [point_jet(p, order) for p in x]
+        if order == 0:
+            return np.array(rows, dtype=float)
+        return Jet(np.array([r.value for r in rows], dtype=float),
+                   np.reshape([r.grad for r in rows], x.shape),
+                   None if order == 1 else np.reshape([r.hess for r in rows], x.shape + x.shape[1:]))
+
+    return jet
 
 
 class ScalarField:
     """x -> psi(x), with gradient and Hessian, through one jet function.
 
-    ``jet(x, order)`` is the only evaluation path: order 0 gives the value
-    (a float for one point, an array for a (k, n) batch of points), orders 1
-    and 2 give a ``Jet``; ``__call__``, ``grad`` and ``hess`` read it.  Build
-    a field from a jet function with ``from_jet``, or from value, gradient
-    and Hessian suppliers; missing suppliers fall back to central finite
-    differences on the value (gradient) or on the gradient (Hessian,
-    symmetrized).
+    ``jet(x, order)`` is the only evaluation path, for one point or a (k, n)
+    batch of points: order 0 gives the value (a float, or a (k,) array),
+    orders 1 and 2 give a ``Jet``; ``__call__``, ``grad`` and ``hess`` read
+    it.  Build a field from a jet function with ``from_jet``, or from value,
+    gradient and Hessian suppliers of one point (a batch then runs them row
+    by row); missing suppliers fall back to central finite differences on
+    the value (gradient) or on the gradient (Hessian, symmetrized).
     """
 
     def __init__(
@@ -245,20 +286,20 @@ class ScalarField:
                 return 0.5 * (m + m.T)
             return np.asarray(hess_fn(x), dtype=float)
 
-        def jet(x, order):
+        def point_jet(x, order):
             if order == 0:
-                return value(x) if x.ndim == 1 else np.array([value(p) for p in x])
+                return value(x)
             return Jet(value(x), supplied_grad(x), supplied_hess(x) if order == 2 else None)
 
         self._eval = eval_fn
-        self._jet = jet
+        self._jet = _rowwise(point_jet)
         self.analytic = grad_fn is not None and hess_fn is not None
         self.name = name
 
     @classmethod
     def from_jet(cls, jet_fn: Callable, name: str = "", analytic: bool = True) -> "ScalarField":
-        """Field from ``jet_fn(x, order)``, which must accept a (k, n) batch at
-        order 0 and may return a plain number for a constant."""
+        """Field from ``jet_fn(x, order)``, which takes one point or a (k, n)
+        batch at every order and may return a plain number for a constant."""
         field = cls.__new__(cls)
         field._eval = lambda x: jet_fn(x, 0)
         field._jet = jet_fn
@@ -270,16 +311,16 @@ class ScalarField:
         """Order 0: the value at a point, or the values at the rows of a (k, n)
         batch; order 1 or 2: a ``Jet`` with the gradient (and the Hessian)."""
         x = np.asarray(x, dtype=float)
-        if order == 0 and x.ndim == 2:
-            out = self._jet(x, 0)
-            return np.full(len(x), float(out)) if np.ndim(out) == 0 else out
-        x = as_point(x)
+        if x.ndim not in (1, 2):
+            raise ContractViolation(f"x must be a point or a (k, n) batch, got shape {x.shape}")
         if order not in (0, 1, 2):
             raise ContractViolation(f"jet order must be 0, 1 or 2, got {order}")
         out = self._jet(x, order)
-        if order == 0:
+        if order:
+            return out if isinstance(out, Jet) else Jet.constant(out, x, order)
+        if x.ndim == 1:
             return float(out)
-        return out if isinstance(out, Jet) else Jet.constant(out, x.size, order)
+        return np.full(len(x), float(out)) if np.ndim(out) == 0 else out
 
     def __call__(self, x) -> float:
         return float(self._jet(as_point(x), 0))
@@ -293,7 +334,7 @@ class ScalarField:
 
 def constant_field(value: float, dim: int, name: str = "") -> ScalarField:
     return ScalarField.from_jet(
-        lambda x, order: Jet.constant(value, dim, order) if order else value, name=name)
+        lambda x, order: Jet.constant(value, x, order) if order else value, name=name)
 
 
 def coordinate_field(dim: int, axis: int, name: str = "") -> ScalarField:
@@ -385,8 +426,6 @@ def pullback_scalar(f: ScalarField, chart: Chart, name: str = "") -> ScalarField
     """
 
     def jet(y, order):
-        if y.ndim == 2:
-            return f.jet(np.array([chart.forward(p) for p in y]), 0)
         fx = f.jet(chart.forward(y), order)
         if order == 0:
             return fx
@@ -400,5 +439,5 @@ def pullback_scalar(f: ScalarField, chart: Chart, name: str = "") -> ScalarField
             hout[j, :] += chart.jacobian_partial(y, j).T @ fx.grad
         return Jet(fx.value, grad, 0.5 * (hout + hout.T))
 
-    return ScalarField.from_jet(jet, name=name or (f.name + "_chart" if f.name else ""),
+    return ScalarField.from_jet(_rowwise(jet), name=name or (f.name + "_chart" if f.name else ""),
                                 analytic=f.analytic)

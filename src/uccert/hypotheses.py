@@ -2,7 +2,7 @@
 
 Given a wave-type coefficient matrix Q and two level-set functions phi_plus,
 phi_minus, this module samples the surfaces and their intersection inside an
-axis-aligned box and verifies, point by point:
+axis-aligned box and verifies, on arrays of sample points:
 
   * nondegenerate differentials on each surface,
   * transversality of the two surfaces along the intersection,
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
 from .fields import MetricField, ScalarField, linear_combination
-from .symbols import signature_report
+from .symbols import signature
 
 DEFAULT_TOL_ZERO = 1e-10   # surface membership residual
 DEFAULT_TOL_CHAR = 1e-8    # characteristic residual, unit-normalized gradients
@@ -106,58 +106,43 @@ def _scan_resolution(n_target: int, dim: int) -> int:
     return int(np.clip(per_axis, 8, 41))
 
 
-def _project_once(phi: ScalarField, x: np.ndarray, tol: float, max_iter: int = NEWTON_MAX_ITER):
-    """Newton projection along grad(phi); returns point or None."""
-    x = x.copy()
-    for _ in range(max_iter):
-        v = phi(x)
-        if abs(v) <= tol:
-            return x
-        g = phi.grad(x)
-        gg = float(g @ g)
-        if gg < 1e-30:
-            return None
-        x -= (v / gg) * g
-    return x if abs(phi(x)) <= tol else None
+def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
+    """Joint Newton projection of every seed (row) onto the common zero set of
+    the level-set functions; returns the points and a mask of those that
+    converged inside the box (widened by ``slack``).
 
-
-def _project_intersection(spec: GeometrySpec, x: np.ndarray, max_iter: int = NEWTON_MAX_ITER):
-    """Joint Newton projection onto both level sets at once.
-
-    The simultaneous least-norm step converges quadratically for transversal
-    pairs at any crossing angle (strictly alternating projections slow to a
-    crawl when the normals are far from orthogonal); the pseudo-inverse keeps
-    it usable on degenerate pairs with parallel gradients, where it reduces
-    to a single-surface projection.
+    The simultaneous least-norm step J^T (J J^T)^+ f converges quadratically
+    for transversal pairs at any crossing angle (strictly alternating
+    projections slow to a crawl when the normals are far from orthogonal);
+    the pseudo-inverse keeps it usable on degenerate pairs with parallel
+    gradients, where it reduces to a single-surface projection.  A row stops
+    moving once it converges; a row whose single gradient vanishes does not
+    move and fails.
     """
-    x = x.copy()
-    for _ in range(max_iter):
-        f = np.array([spec.phi_plus(x), spec.phi_minus(x)])
-        if np.max(np.abs(f)) <= spec.tol_zero:
-            return x
-        jac = np.stack([spec.phi_plus.grad(x), spec.phi_minus.grad(x)])
-        gram = jac @ jac.T
-        mu = np.linalg.pinv(gram, rcond=1e-12) @ f
-        x -= jac.T @ mu
-    f = np.array([spec.phi_plus(x), spec.phi_minus(x)])
-    return x if np.max(np.abs(f)) <= spec.tol_zero else None
+    x = np.array(seeds, dtype=float)
+    live = np.arange(len(x))
+    for it in range(NEWTON_MAX_ITER + 1):
+        jets = [phi.jet(x[live], 1) for phi in fields]
+        f = np.stack([j.value for j in jets], axis=1)
+        moving = ~(np.max(np.abs(f), axis=1) <= spec.tol_zero)
+        live, f = live[moving], f[moving]
+        if it == NEWTON_MAX_ITER or live.size == 0:
+            break
+        jac = np.stack([j.grad[moving] for j in jets], axis=1)
+        gram = jac @ np.swapaxes(jac, 1, 2)
+        if len(fields) == 1:    # the 1x1 pseudo-inverse as a division, f / |g|^2
+            mu = np.divide(f[..., None], gram, out=np.zeros_like(gram), where=gram >= 1e-30)
+        else:
+            mu = np.linalg.pinv(gram, rcond=1e-12) @ f[..., None]
+        x[live] -= (np.swapaxes(jac, 1, 2) @ mu)[..., 0]
+    ok = np.all((x >= spec.box[:, 0] - slack) & (x <= spec.box[:, 1] + slack), axis=1)
+    ok[live] = False
+    return x, ok
 
 
-def _project_any(spec: GeometrySpec, which: str, x: np.ndarray):
-    if which == "intersection":
-        return _project_intersection(spec, x)
-    phi = spec.phi_plus if which == "plus" else spec.phi_minus
-    return _project_once(phi, x, spec.tol_zero)
-
-
-def _inside_box(x: np.ndarray, box: np.ndarray, slack: float) -> bool:
-    return bool(np.all(x >= box[:, 0] - slack) and np.all(x <= box[:, 1] + slack))
-
-
-def _dedupe(points: list, dim: int) -> np.ndarray:
-    if not points:
-        return np.empty((0, dim))
-    arr = np.array(points)
+def _dedupe(arr: np.ndarray) -> np.ndarray:
+    if len(arr) == 0:
+        return arr
     _, keep = np.unique(np.round(arr / 1e-9), axis=0, return_index=True)
     return arr[np.sort(keep)]
 
@@ -166,11 +151,6 @@ def _level_fields(spec: GeometrySpec, which: str) -> list:
     """The level-set functions whose common zero set ``which`` names."""
     return {"plus": [spec.phi_plus], "minus": [spec.phi_minus],
             "intersection": [spec.phi_plus, spec.phi_minus]}[which]
-
-
-def _tangent_basis(spec: GeometrySpec, which: str, x: np.ndarray) -> np.ndarray:
-    g = np.stack([phi.grad(x) for phi in _level_fields(spec, which)])
-    return np.linalg.svd(g)[2][len(g):]
 
 
 def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
@@ -186,51 +166,44 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     """
     if which not in ("plus", "minus", "intersection"):
         raise ContractViolation(f"unknown surface selector {which!r}")
+    fields = _level_fields(spec, which)
     n_target = spec.n_surface_samples
+    cap = 4 * n_target
     per_axis = _scan_resolution(n_target, spec.dim)
     pts = _scan_points(spec.box, per_axis)
-    res = np.max([np.abs(phi.jet(pts, 0)) for phi in _level_fields(spec, which)], axis=0)
+    res = np.max([np.abs(phi.jet(pts, 0)) for phi in fields], axis=0)
     order = np.argsort(res, kind="stable")
-    seeds = pts[order[:min(len(order), max(4 * n_target, 64))]]
+    seeds = pts[order[:min(len(order), max(cap, 64))]]
     slack = 1e-9 * float(np.max(np.abs(spec.box)))
-    found: list = []
-    for s in seeds:
-        x = _project_any(spec, which, s)
-        if x is not None and _inside_box(x, spec.box, slack):
-            found.append(x)
-        if len(found) >= 4 * n_target:
-            break
-    arr = _dedupe(found, spec.dim)
+    x, ok = _project(spec, fields, seeds, slack)
+    arr = _dedupe(x[ok][:cap])
 
-    # densify by perturbing known points tangentially and re-projecting
+    # densify by perturbing known points tangentially and re-projecting, two
+    # directions per point; a round adds at most 2 len(arr) points, so the
+    # pool stays below 3 n_target and never reaches the cap
     rng = np.random.default_rng(0)
     width = float(np.max(spec.box[:, 1] - spec.box[:, 0]))
+    n_tangent = spec.dim - len(fields)
     round_no = 0
-    while 0 < len(arr) < n_target and round_no < 6:
+    while 0 < len(arr) < n_target and round_no < 6 and n_tangent > 0:
         delta = width / 2.0 ** (round_no + 1)
-        fresh = list(arr)
-        for x in arr:
-            basis = _tangent_basis(spec, which, x)
-            if basis.size == 0:
-                continue
-            for _ in range(2):
-                direction = basis.T @ rng.standard_normal(basis.shape[0])
-                nrm = np.linalg.norm(direction)
-                if nrm < 1e-14:
-                    continue
-                cand = _project_any(spec, which, x + delta * direction / nrm)
-                if cand is not None and _inside_box(cand, spec.box, slack):
-                    fresh.append(cand)
-            if len(fresh) >= 4 * n_target:
-                break
-        arr = _dedupe(fresh, spec.dim)
+        grads = np.stack([phi.jet(arr, 1).grad for phi in fields], axis=1)
+        basis = np.linalg.svd(grads)[2][:, len(fields):]
+        normals = rng.standard_normal((len(arr), 2, n_tangent))
+        direction = (np.swapaxes(basis, 1, 2)[:, None] @ normals[..., None])[..., 0]
+        direction = direction.reshape(-1, spec.dim)        # row 2 i + j: draw j at point i
+        nrm = np.sqrt(np.vecdot(direction, direction))
+        idx = np.flatnonzero(~(nrm < 1e-14))
+        cand = arr[idx // 2] + delta * direction[idx] / nrm[idx, None]
+        x, ok = _project(spec, fields, cand, slack)
+        arr = _dedupe(np.concatenate([arr, x[ok]]))
         round_no += 1
     return arr
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
-    return v / nv if nv > 0 else v
+def _quadratic_forms(u: np.ndarray, qs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i . Q_i v_i for each row, as (u @ Q) @ v on one point."""
+    return np.vecdot((u[:, None] @ qs)[:, 0], v)
 
 
 def check_assumptions(spec: GeometrySpec,
@@ -254,55 +227,47 @@ def check_assumptions(spec: GeometrySpec,
 
     checks: Dict[str, CheckResult] = {}
 
-    # metric symmetry + signature spot check on a sample subset
+    # metric symmetry + signature spot check on a sample subset, up to the
+    # first point with a wrong signature
     sig_pts = np.concatenate([s_plus[:5], s_minus[:5], s_both[:5]])
-    worst_sym = 0.0
-    sig_ok = True
-    sig_witness = None
-    for p in sig_pts:
-        worst_sym = max(worst_sym, spec.Q.symmetry_defect(p))
-        rep = signature_report(spec.Q(p))
-        if (rep["n_plus"], rep["n_minus"], rep["n_zero"]) != (spec.dim - 1, 1, 0):
-            sig_ok = False
-            sig_witness = [float(v) for v in p]
-            break
+    qs = np.stack([spec.Q(p) for p in sig_pts])
+    scale = np.maximum(1.0, np.max(np.abs(qs), axis=(1, 2)))
+    defect = np.max(np.abs(qs - np.swapaxes(qs, 1, 2)), axis=(1, 2)) / scale
+    sig = signature(qs)
+    bad = np.flatnonzero((sig.n_minus != 1) | (sig.n_zero != 0))
+    upto = bad[0] + 1 if bad.size else len(sig_pts)
+    worst_sym = float(np.max(defect[:upto]))
     checks["signature"] = CheckResult(
-        "pass" if (sig_ok and worst_sym <= 1e-12) else "fail",
-        margin=worst_sym, witness=sig_witness)
+        "pass" if (not bad.size and worst_sym <= 1e-12) else "fail",
+        margin=worst_sym, witness=[float(v) for v in sig_pts[bad[0]]] if bad.size else None)
+
+    surfaces = [(s_plus, spec.phi_plus.jet(s_plus, 1).grad),
+                (s_minus, spec.phi_minus.jet(s_minus, 1).grad)]
+    norms = [np.sqrt(np.vecdot(g, g)) for _, g in surfaces]
 
     # nondegenerate differentials on both surfaces
-    gn_plus = np.array([np.linalg.norm(spec.phi_plus.grad(p)) for p in s_plus])
-    gn_minus = np.array([np.linalg.norm(spec.phi_minus.grad(p)) for p in s_minus])
-    worst = min(gn_plus.min(), gn_minus.min())
-    wit = s_plus[np.argmin(gn_plus)] if gn_plus.min() <= gn_minus.min() else s_minus[np.argmin(gn_minus)]
+    both = np.concatenate(norms)
+    k = int(np.argmin(both))
     checks["nondegenerate_gradients"] = CheckResult(
-        "pass" if worst > tol_pos else "fail",
-        margin=float(worst), witness=[float(v) for v in wit])
+        "pass" if both[k] > tol_pos else "fail",
+        margin=float(both[k]), witness=[float(v) for v in np.concatenate([s_plus, s_minus])[k]])
 
     # characteristic residuals, one check per surface
-    for tag, samples, phi in (("characteristic_plus", s_plus, spec.phi_plus),
-                              ("characteristic_minus", s_minus, spec.phi_minus)):
-        residuals = []
-        raw = []
-        for p in samples:
-            g = phi.grad(p)
-            gu = _unit(g)
-            residuals.append(abs(float(gu @ spec.Q(p) @ gu)))
-            raw.append(float(g @ spec.Q(p) @ g))
-        residuals = np.array(residuals)
+    for tag, (samples, g), gn in zip(("characteristic_plus", "characteristic_minus"),
+                                     surfaces, norms):
+        qs = np.stack([spec.Q(p) for p in samples])
+        gu = g / np.where(gn > 0, gn, 1.0)[:, None]
+        residuals = np.abs(_quadratic_forms(gu, qs, gu))
         k = int(np.argmax(residuals))
         checks[tag] = CheckResult(
-            "pass" if residuals.max() <= tol_char else "fail",
-            margin=float(residuals.max()),
+            "pass" if residuals[k] <= tol_char else "fail",
+            margin=float(residuals[k]),
             witness=[float(v) for v in samples[k]],
-            values={"raw_at_witness": raw[k]})
+            values={"raw_at_witness": float(_quadratic_forms(g, qs, g)[k])})
 
     # transversality along the intersection
-    sv = []
-    for p in s_both:
-        m = np.stack([spec.phi_plus.grad(p), spec.phi_minus.grad(p)])
-        sv.append(float(np.linalg.svd(m, compute_uv=False)[-1]))
-    sv = np.array(sv)
+    pair = np.stack([phi.jet(s_both, 1).grad for phi in (spec.phi_plus, spec.phi_minus)], axis=1)
+    sv = np.linalg.svd(pair, compute_uv=False)[:, -1]
     k = int(np.argmin(sv))
     checks["transversality"] = CheckResult(
         "pass" if sv.min() > tol_pos else "fail",
@@ -314,9 +279,9 @@ def check_assumptions(spec: GeometrySpec,
         checks["sign_condition"] = CheckResult("skipped", values={
             "reason": "no transversal intersection samples"})
     else:
-        vals = np.array([
-            float(spec.phi_plus.grad(p) @ spec.Q(p) @ spec.phi_minus.grad(p))
-            for p in s_both[trans_idx]])
+        pair = pair[trans_idx]
+        qs = np.stack([spec.Q(p) for p in s_both[trans_idx]])
+        vals = _quadratic_forms(pair[:, 0], qs, pair[:, 1])
         k = int(np.argmin(vals))
         checks["sign_condition"] = CheckResult(
             "pass" if vals.min() > tol_pos else "fail",
@@ -359,12 +324,10 @@ def verify_split_signs(spec: GeometrySpec,
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples for split-sign check")
     psi0, psi1 = build_psi(spec)
-    forms = []
-    for p in samples:
-        q = spec.Q(p)
-        d1, d0 = psi1.grad(p), psi0.grad(p)
-        forms.append((float(d1 @ q @ d1), float(d0 @ q @ d0), float(d1 @ q @ d0)))
-    e1, e0, cross = np.array(forms).T
+    qs = np.stack([spec.Q(p) for p in samples])
+    d1, d0 = psi1.jet(samples, 1).grad, psi0.jet(samples, 1).grad
+    e1, e0, cross = (_quadratic_forms(d1, qs, d1), _quadratic_forms(d0, qs, d0),
+                     _quadratic_forms(d1, qs, d0))
     bad = ~((e1 > tol_pos) & (e0 < -tol_pos)
             & (np.abs(e1 + e0) <= tol_id) & (np.abs(cross) <= tol_id))
     return {

@@ -31,14 +31,14 @@ def cone_surface_field(d: int, radial_sign: float, t_coeff: float) -> ScalarFiel
         value = s * (r - 1.0) + a * x[..., 0]
         if order == 0:
             return value
-        g = np.empty(d + 1)
-        g[0] = a
-        g[1:] = s * y / r
+        g = np.empty(x.shape)
+        g[..., 0] = a
+        g[..., 1:] = s * y / r[..., None]
         if order == 1:
             return Jet(value, g)
-        yhat = y / r
-        h = np.zeros((d + 1, d + 1))
-        h[1:, 1:] = s * (eye - np.outer(yhat, yhat)) / r
+        yhat = y / r[..., None]
+        h = np.zeros(x.shape + (d + 1,))
+        h[..., 1:, 1:] = s * (eye - yhat[..., :, None] * yhat[..., None, :]) / r[..., None, None]
         return Jet(value, g, h)
 
     return ScalarField.from_jet(jet, name=f"{s:+g}*(|y|-1){a:+g}*t")

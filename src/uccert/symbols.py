@@ -35,31 +35,23 @@ def signature(M, tol_eig: float | None = None) -> Signature:
     """Counts of eigenvalues above, below, and inside the zero band.
 
     The band half-width defaults to 1e-10 times the largest absolute
-    eigenvalue, which makes the zero test scale-invariant.
+    eigenvalue, which makes the zero test scale-invariant.  For a stack of
+    matrices, shape (k, n, n), the counts are arrays of length k.
     """
     m = np.asarray(M, dtype=float)
-    if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+    if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):
         raise ContractViolation("signature() requires a symmetric matrix")
-    ev = np.linalg.eigvalsh(0.5 * (m + m.T))
+    ev = np.linalg.eigvalsh(0.5 * (m + mt))
     if tol_eig is None:
-        tol_eig = 1e-10 * max(1.0, float(np.max(np.abs(ev))))
-    n_plus = int(np.sum(ev > tol_eig))
-    n_minus = int(np.sum(ev < -tol_eig))
-    return Signature(n_plus, n_minus, m.shape[0] - n_plus - n_minus)
-
-
-def signature_report(M, tol_eig: float | None = None) -> dict:
-    """Signature plus eigenvalues and a near-zero flag, for report output."""
-    ev = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    sig = signature(M, tol_eig=tol_eig)
-    band = tol_eig if tol_eig is not None else 1e-10 * max(1.0, float(np.max(np.abs(ev))))
-    return {
-        "n_plus": sig.n_plus,
-        "n_minus": sig.n_minus,
-        "n_zero": sig.n_zero,
-        "eigenvalues": [float(v) for v in ev],
-        "near_zero_flagged": bool(np.any(np.abs(ev) <= band)),
-    }
+        tol_eig = 1e-10 * np.maximum(1.0, np.max(np.abs(ev), axis=-1))
+    band = np.expand_dims(tol_eig, -1)
+    n_plus = np.sum(ev > band, axis=-1)
+    n_minus = np.sum(ev < -band, axis=-1)
+    if m.ndim == 2:
+        n_plus, n_minus = int(n_plus), int(n_minus)
+    return Signature(n_plus, n_minus, m.shape[-1] - n_plus - n_minus)
 
 
 def has_wave_signature(M, tol_eig: float | None = None) -> bool:

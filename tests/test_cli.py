@@ -280,6 +280,36 @@ class TestMalformedInput:
         assert notes["lambda_threshold"]["lambda0"] >= 1.0
 
 
+class TestCarlemanLambdaGate:
+    """The section's bent surface needs lambda above ik2's bending threshold."""
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_lambda_is_usage_error(self, tmp_path, capsys, value):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "32", "--lambda", value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--lambda must be positive" in err and len(err.strip().splitlines()) == 1
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("value", ["0.5", "1"])
+    def test_lambda_at_or_below_threshold_fails_its_gate(self, tmp_path, value):
+        out, cert_out = str(tmp_path / "o"), str(tmp_path / "cert")
+        assert main(["carleman", "--grid", "32", "--lambda", value, "--out", out]) == 1
+        rep = read_report(out)
+        assert rep["passed"] is False and "sweep" not in rep
+        assert rep["notes"]["gate"] == ["lambda_threshold"]
+        gate = rep["notes"]["lambda_threshold"]
+        assert gate["lambda_used"] == float(value)
+        main(["certify", "--model", "ik2", "--lambda", "2", "--out", cert_out])
+        assert gate["lambda0"] == read_report(cert_out)["certificate"]["lambda0"]
+
+    def test_default_lambda_passes_without_gate(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "32", "--out", out]) == 0
+        rep = read_report(out)
+        assert rep["passed"] is True and "notes" not in rep
+
+
 class TestRunFlagPrecedence:
     def test_explicit_flag_equal_to_its_default_beats_config(self, tmp_path):
         conf = tmp_path / "run.conf"

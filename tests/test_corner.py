@@ -14,7 +14,7 @@ from uccert.corner import (BMatrixField, CornerField, SampledField,
                            verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import HypothesisError, ResolutionError, SupportError
-from uccert.grids import (ProductBump, bump_corpus, make_grid,
+from uccert.grids import (Grid, ProductBump, bump_corpus, make_grid,
                           restricted_trapezoid, trapezoid, unit_box)
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
@@ -184,6 +184,19 @@ class TestLayerProbe:
         rep = detect_layer(cf, tests)
         assert rep["max_layer_magnitude"] <= 1e-10
         assert rep["max_mismatch"] <= _tols(g)["first"]
+
+    @pytest.mark.parametrize("dim, cells", [(2, 128), (3, 24)])
+    def test_face_values_from_profiles_equal_full_grid_row(self, dim, cells):
+        g = make_grid(unit_box(dim), cells)
+        tests = bump_corpus(unit_box(dim), 4, seed=5)
+        cf = corner_corpus(g)[0]
+        i0 = g.zero_index(0)
+        du1 = cf.partial((1,) + (0,) * (dim - 1))
+        face = Grid(g.box[1:], g.n_cells[1:])
+        for row, phi in zip(detect_layer(cf, tests)["rows"], tests):
+            full_row = phi.values_on_grid(g)[i0]
+            assert row["surface_integral"] == restricted_trapezoid(du1[i0] * full_row, face,
+                                                                   half_axes=(0,))
 
     def test_zero_field_trivial(self):
         g = make_grid(unit_box(2), 64)

@@ -6,6 +6,7 @@ from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
                     verify_sublevel_inclusion)
 from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
+from uccert.hypotheses import _dedupe, _scan_points, _scan_resolution
 from uccert.models import cone_surface_field, negative_controls
 
 
@@ -170,3 +171,156 @@ class TestSublevelInclusion:
     def test_nonpositive_lam_rejected(self, ik2):
         with pytest.raises(ContractViolation):
             verify_sublevel_inclusion(ik2.geometry, lam=0.0, radius=0.1, n_samples=10)
+
+
+# ---------------------------------------------------------------------------
+# the batched sampler and checks against the per-point loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_project(fields, x, tol, max_iter=20):
+    x = x.copy()
+    if len(fields) == 1:
+        phi = fields[0]
+        for _ in range(max_iter):
+            v = phi(x)
+            if abs(v) <= tol:
+                return x
+            g = phi.grad(x)
+            gg = float(g @ g)
+            if gg < 1e-30:
+                return None
+            x -= (v / gg) * g
+        return x if abs(phi(x)) <= tol else None
+    for _ in range(max_iter):
+        f = np.array([phi(x) for phi in fields])
+        if np.max(np.abs(f)) <= tol:
+            return x
+        jac = np.stack([phi.grad(x) for phi in fields])
+        x -= jac.T @ (np.linalg.pinv(jac @ jac.T, rcond=1e-12) @ f)
+    f = np.array([phi(x) for phi in fields])
+    return x if np.max(np.abs(f)) <= tol else None
+
+
+def _loop_sample(spec, which):
+    fields = {"plus": [spec.phi_plus], "minus": [spec.phi_minus],
+              "intersection": [spec.phi_plus, spec.phi_minus]}[which]
+    n = spec.n_surface_samples
+    pts = _scan_points(spec.box, _scan_resolution(n, spec.dim))
+    res = np.max([[abs(phi(p)) for p in pts] for phi in fields], axis=0)
+    slack = 1e-9 * float(np.max(np.abs(spec.box)))
+
+    def land(x):
+        x = _loop_project(fields, x, spec.tol_zero)
+        inside = x is not None and np.all(x >= spec.box[:, 0] - slack) \
+            and np.all(x <= spec.box[:, 1] + slack)
+        return [x] if inside else []
+
+    found = []
+    for s in pts[np.argsort(res, kind="stable")[:max(4 * n, 64)]]:
+        found += land(s)
+    arr = _dedupe(np.array(found[:4 * n]).reshape(-1, spec.dim))
+    rng = np.random.default_rng(0)
+    width = float(np.max(spec.box[:, 1] - spec.box[:, 0]))
+    for round_no in range(6):
+        if not 0 < len(arr) < n:
+            break
+        delta = width / 2.0 ** (round_no + 1)
+        fresh = list(arr)
+        for x in arr:
+            basis = np.linalg.svd(np.stack([phi.grad(x) for phi in fields]))[2][len(fields):]
+            for _ in range(2 if basis.size else 0):
+                direction = basis.T @ rng.standard_normal(basis.shape[0])
+                nrm = np.linalg.norm(direction)
+                if not nrm < 1e-14:
+                    fresh += land(x + delta * direction / nrm)
+        arr = _dedupe(np.array(fresh))
+    return arr
+
+
+def _unit(v):
+    nv = float(np.linalg.norm(v))
+    return v / nv if nv > 0 else v
+
+
+def _oracle_geometries():
+    from uccert.expressions import expression_field
+    from uccert.models import bumpy_wave_metric
+    box3 = np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]])
+    wave2 = constant_metric(np.diag([-1.0, 1.0]))
+    wave3 = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+    cone_p = expression_field("norm(x2, x3) - 1 - x1", 3)
+    cone_m = expression_field("norm(x2, x3) - 1 + x1", 3)
+    return {
+        "ik2": ik_model(2, n_surface_samples=60).geometry,
+        "ctrl-b": negative_controls(n_surface_samples=40)[1].geometry,
+        "bumpy": GeometrySpec(bumpy_wave_metric(2, 0.05), cone_p, cone_m, box3,
+                              n_surface_samples=50),
+        # a cap in the box corner: six densification rounds, still short
+        "cap": GeometrySpec(wave3, expression_field(
+            "(x1 - 0.5)^2 + (x2 - 1.5)^2 + (x3 - 0.5)^2 - 0.04", 3), cone_m, box3,
+            n_surface_samples=30),
+        # dimension 2: the intersection is a point, with no tangent directions
+        "dim2": GeometrySpec(wave2, expression_field("x2 - 1 - x1", 2),
+                             expression_field("norm(x2) - 1 + x1", 2),
+                             box3[:2], n_surface_samples=40),
+    }
+
+
+ORACLE = _oracle_geometries()
+
+
+class TestBatchedAgainstPointLoops:
+    @pytest.mark.parametrize("name", sorted(ORACLE))
+    @pytest.mark.parametrize("which", ["plus", "minus", "intersection"])
+    def test_samples_bit_for_bit(self, name, which):
+        spec = ORACLE[name]
+        got, ref = sample_surface(spec, which), _loop_sample(spec, which)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["ik2", "bumpy", "ctrl-b"])
+    def test_checks_equal_point_loops(self, name):
+        spec = ORACLE[name]
+        rep = check_assumptions(spec)
+        s_plus, s_minus, s_both = (rep.samples[k] for k in ("plus", "minus", "intersection"))
+        checks = rep.checks
+        norms = [np.linalg.norm(spec.phi_plus.grad(p)) for p in s_plus] \
+            + [np.linalg.norm(spec.phi_minus.grad(p)) for p in s_minus]
+        assert checks["nondegenerate_gradients"].margin == min(norms)
+        for tag, phi, pts in (("characteristic_plus", spec.phi_plus, s_plus),
+                              ("characteristic_minus", spec.phi_minus, s_minus)):
+            res = [abs(float(_unit(phi.grad(p)) @ spec.Q(p) @ _unit(phi.grad(p)))) for p in pts]
+            k = int(np.argmax(res))
+            assert checks[tag].margin == res[k]
+            g = phi.grad(pts[k])
+            assert checks[tag].values["raw_at_witness"] == float(g @ spec.Q(pts[k]) @ g)
+        sv = np.array([np.linalg.svd(np.stack([spec.phi_plus.grad(p), spec.phi_minus.grad(p)]),
+                                     compute_uv=False)[-1] for p in s_both])
+        assert checks["transversality"].margin == sv.min()
+        trans = s_both[sv > 1e-6]
+        if len(trans):
+            vals = [float(spec.phi_plus.grad(p) @ spec.Q(p) @ spec.phi_minus.grad(p)) for p in trans]
+            assert checks["sign_condition"].values["min_value"] == min(vals)
+            assert checks["sign_condition"].values["max_value"] == max(vals)
+        else:
+            assert checks["sign_condition"].status == "skipped"
+        psi0, psi1 = build_psi(spec)
+        split = verify_split_signs(spec, samples=s_both)
+        e1 = [float(psi1.grad(p) @ spec.Q(p) @ psi1.grad(p)) for p in s_both]
+        cross = [abs(float(psi1.grad(p) @ spec.Q(p) @ psi0.grad(p))) for p in s_both]
+        assert split["surface_form_min"] == min(e1)
+        assert split["cross_identity_max"] == max(cross)
+
+    def test_signature_check_stops_at_first_wrong_point(self):
+        # Q is Riemannian for t < -1e-3 and Lorentzian above; the check fails
+        # at the first sample with the wrong signature
+        from uccert.fields import MetricField
+        q = MetricField(3, lambda x: np.diag([np.sign(x[0] + 1e-3) * -1.0, 1.0, 1.0]))
+        m = ik_model(2, n_surface_samples=30)
+        spec = GeometrySpec(q, m.geometry.phi_plus, m.geometry.phi_minus, m.geometry.box,
+                            n_surface_samples=30)
+        rep = check_assumptions(spec)
+        sig = rep.checks["signature"]
+        pts = np.concatenate([rep.samples[k][:5] for k in ("plus", "minus", "intersection")])
+        first = next(p for p in pts if p[0] + 1e-3 < 0)
+        assert sig.status == "fail" and sig.witness == [float(v) for v in first]
+        assert sig.margin == 0.0

@@ -1,5 +1,5 @@
 """Forward-mode jets: the derivative rules against finite differences, and
-batched order-0 values against single points, bit for bit."""
+batched jets of every order against single points, bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from uccert.carleman import build_weight
 from uccert.errors import ContractViolation
 from uccert.expressions import expression_field
 from uccert.fields import (Jet, ScalarField, constant_field, coordinate_field,
-                           linear_combination, squared_field)
+                           linear_chart, linear_combination, pullback_scalar,
+                           squared_field)
 from uccert.hypotheses import build_psi
 from uccert.models import cone_surface_field, ik_model
 
@@ -40,9 +41,24 @@ POINT = st.tuples(COORD, COORD, COORD).map(np.array)
 BATCH = st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=12).map(np.array)
 
 
-def _same_bits(batch, points, field):
-    single = np.array([field(p) for p in points])
-    return batch.shape == single.shape and batch.tobytes() == single.tobytes()
+def _same_bits(field, points):
+    """Batched value, gradient and Hessian equal the stacked single-point
+    jets of orders 0, 1 and 2, bit for bit."""
+    for order in (0, 1, 2):
+        batch = field.jet(points, order)
+        single = [field.jet(p, order) for p in points]
+        if order == 0:
+            parts = [(batch, single)]
+        else:
+            if (batch.hess is None) != (order == 1):
+                return False
+            parts = [(getattr(batch, a), [getattr(j, a) for j in single])
+                     for a in ("value", "grad", "hess")[:order + 1]]
+        for got, ref in parts:
+            ref = np.array(ref, dtype=float)
+            if got.shape != ref.shape or got.tobytes() != ref.tobytes():
+                return False
+    return True
 
 
 class TestExpressionJets:
@@ -64,7 +80,7 @@ class TestExpressionJets:
     @given(EXPRESSIONS, BATCH)
     def test_batched_values_equal_single_points_bit_for_bit(self, text, pts):
         f = expression_field(text, 3)
-        assert _same_bits(f.jet(pts, 0), pts, f)
+        assert _same_bits(f, pts)
 
     def test_constant_expression(self):
         f = expression_field("2 - 3 / 4", 2)
@@ -87,7 +103,7 @@ class TestFieldJets:
     def test_cone_field_batch_bit_for_bit(self, d, s, a, k, seed):
         f = cone_surface_field(d, s, a)
         pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (k, d + 1))
-        assert _same_bits(f.jet(pts, 0), pts, f)
+        assert _same_bits(f, pts)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([2, 3]), st.floats(0.25, 4.0), st.floats(0.25, 3.0),
@@ -97,8 +113,8 @@ class TestFieldJets:
         bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))])
         phi = build_weight(bent, mu).phi
         pts = np.random.default_rng(seed).uniform(-0.5, 1.5, (25, d + 1))
-        assert _same_bits(bent.jet(pts, 0), pts, bent)
-        assert _same_bits(phi.jet(pts, 0), pts, phi)
+        assert _same_bits(bent, pts)
+        assert _same_bits(phi, pts)
 
     def test_supplied_field_batch_and_orders(self):
         f = ScalarField(lambda x: x[0] * x[1])
@@ -108,8 +124,12 @@ class TestFieldJets:
         assert_allclose(f.jet(pts[0], 2).hess, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
         with pytest.raises(ContractViolation):
             f.jet(pts[0], 3)
+        assert _same_bits(f, pts)
+        chart = linear_chart([[2.0, 1.0], [0.0, 1.0]])
+        assert _same_bits(pullback_scalar(f, chart), pts)
+        assert _same_bits(pullback_scalar(expression_field("x1 / (1 + x2^2)", 2), chart), pts)
         with pytest.raises(ContractViolation):
-            f.jet(pts, 1)
+            f.jet(pts[None], 1)
 
     def test_constant_and_coordinate_fields(self):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -118,6 +138,9 @@ class TestFieldJets:
         assert np.array_equal(x2.jet(pts, 0), [2.0, 5.0])
         assert np.array_equal(x2.grad(pts[0]), [0.0, 1.0, 0.0])
         assert np.array_equal(constant_field(2.5, 3).hess(pts[0]), np.zeros((3, 3)))
+        for f in (constant_field(2.5, 3), x2, expression_field("x2 + 1", 3)):
+            assert _same_bits(f, pts)
+        assert np.array_equal(x2.jet(pts, 2).grad, [[0.0, 1.0, 0.0]] * 2)
 
 
 class TestJetRules:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from uccert import (PhasePoint, constant_metric, eval_symbol, hp, hp2,
                     hp2_bracket, hp2_matrix, identity_chart, ik_model,
                     linear_chart, lorentz_normal_form, pullback_metric,
                     pullback_metric_field, pullback_scalar, signature,
-                    signature_report, transport_covector)
+                    transport_covector)
 from uccert.errors import ContractViolation, SignatureError
 from uccert.fields import ScalarField, constant_field
 from uccert.models import bumpy_wave_metric, flattening_chart
-from uccert.symbols import quadratic_form_values
+from uccert.symbols import has_wave_signature, quadratic_form_values
 
 SQ2 = np.sqrt(2.0)
 
@@ -56,14 +58,44 @@ class TestSignature:
     def test_zero_eigenvalue(self):
         assert tuple(signature(np.diag([1.0, 0.0, -1.0]))) == (1, 1, 1)
 
-    def test_near_zero_flagged(self):
-        rep = signature_report(np.diag([1.0, 1e-14, -1.0]))
-        assert rep["near_zero_flagged"]
-        assert rep["n_zero"] == 1
-
     def test_requires_symmetric(self):
         with pytest.raises(ContractViolation):
             signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+# eigenvalue signs (0 allowed) and magnitudes in [0.5, 2]
+SPECTRA = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n),
+    st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+
+
+class TestSignatureProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(SPECTRA, st.integers(0, 2 ** 32 - 1))
+    def test_invariant_under_congruence(self, spectrum, seed):
+        signs, mags = spectrum
+        n = len(signs)
+        rng = np.random.default_rng(seed)
+        u = _orthogonal(rng, n)
+        m = u @ np.diag(np.multiply(signs, mags)) @ u.T
+        m = 0.5 * (m + m.T)
+        # R = U1 diag(s) U2^T with singular values in [0.5, 2]: condition <= 4
+        r = _orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ _orthogonal(rng, n).T
+        c = r.T @ m @ r
+        c = 0.5 * (c + c.T)
+        expected = (signs.count(1.0), signs.count(-1.0), signs.count(0.0))
+        assert tuple(signature(m)) == tuple(signature(c)) == expected
+        assert has_wave_signature(m) == has_wave_signature(c) == (expected == (n - 1, 1, 0))
+        stacked = signature(np.stack([m, c]))
+        assert [list(v) for v in stacked] == [[v, v] for v in expected]
+        if expected == (n - 1, 1, 0):
+            nf = lorentz_normal_form(c)
+            assert_allclose(nf.T @ c @ nf, np.diag([1.0] * (n - 1) + [-1.0]), atol=1e-9)
 
 
 class TestNormalForm:
