@@ -34,8 +34,7 @@ class WeightSpec:
     phi: ScalarField
 
     def phi_on_grid(self, grid: Grid) -> np.ndarray:
-        pts = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
-        return self.phi.jet(pts, 0).reshape(grid.shape)
+        return self.phi.jet(grid.points(), 0).reshape(grid.shape)
 
 
 def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
@@ -60,15 +59,7 @@ def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
 
 def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
     """Entries of Q at every node, shape (dim, dim) + grid.shape."""
-    if getattr(Q, "is_constant", False):
-        q = Q(grid.box.mean(axis=1))
-        return np.broadcast_to(q.reshape(q.shape + (1,) * grid.dim), q.shape + grid.shape)
-    mesh = grid.meshgrid()
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    out = np.empty((grid.dim, grid.dim, pts.shape[0]))
-    for i, p in enumerate(pts):
-        out[:, :, i] = Q(p)
-    return out.reshape((grid.dim, grid.dim) + grid.shape)
+    return np.moveaxis(Q.jet(grid.points(), 0), 0, -1).reshape((grid.dim, grid.dim) + grid.shape)
 
 
 def apply_operator(Q: MetricField, w_values: np.ndarray, grid: Grid,

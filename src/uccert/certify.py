@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation)
-from .fields import MetricField, PhasePoint, ScalarField, as_point, linear_combination, squared_field
+from .fields import MetricField, ScalarField, as_point, linear_combination, squared_field
 from .hypotheses import GeometrySpec, build_psi
-from .symbols import (hp, hp2, hp2_matrix, lorentz_normal_form,
+from .symbols import (_hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
                       quadratic_form_values, signature)
 
 DEFAULT_TOL_POS = 1e-6
@@ -233,12 +233,8 @@ class Certificate:
 
     def sample_rows(self) -> list:
         """Rows (xi..., res_p, res_hp, margin, margin_direct) for CSV export."""
-        rows = []
-        for k, s in enumerate(self.samples):
-            rows.append(list(map(float, s.xi))
-                        + [float(s.res_p), float(s.res_hp),
-                           float(self.margins[k]), float(self.margins_direct[k])])
-        return rows
+        return [list(map(float, s.xi)) + [float(s.res_p), float(s.res_hp), float(m), float(md)]
+                for s, m, md in zip(self.samples, self.margins, self.margins_direct)]
 
 
 def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
@@ -250,7 +246,7 @@ def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
 def _singular_jet(Q: MetricField, fields: dict, x0) -> Optional[dict]:
     """The first jet at x0 (metric, then value, gradient and Hessian of each
     field) that raises an arithmetic error or is not finite, or None."""
-    jets = [("Q", Q), ("dQ", Q.deriv_all)]
+    jets = [("Q", Q), ("dQ", lambda x: Q.jet(x, 1)[1])]
     for name, f in fields.items():
         jets += [(name, f), ("d" + name, f.grad), ("d2" + name, f.hess)]
     for name, jet in jets:
@@ -276,7 +272,7 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     singular = _singular_jet(Q, {"psi0": psi0, "psi1": psi1}, x0)
     if singular:
         return _degenerate(x0, "jet", singular)
-    a = Q(x0)
+    a, dq = Q.jet(x0, 1)
     g1 = psi1.grad(x0)
     space_like = float(g1 @ a @ g1)
     if space_like <= tol_pos:
@@ -291,24 +287,22 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     xis = np.array([s.xi for s in samples])
     drift = 2.0 * a @ psi0.grad(x0)
     # both routes are quadratic forms in xi; evaluate them in batch through
-    # their polarized matrices, then spot-check the full nonlinear evaluators
+    # their polarized matrices, then spot-check the closed forms of hp and hp2
+    # on 25 directions, from one metric jet and one jet of each field
     m_surface = hp2_matrix(Q, psi1, x0)
     m_bent = hp2_matrix(Q, bent, x0)
     margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
     margins_direct = quadratic_form_values(m_bent, xis)
     worst_rel = float(np.max(np.abs(margins - margins_direct) / (1.0 + np.abs(margins))))
     spot = np.linspace(0, len(samples) - 1, min(len(samples), 25)).astype(int)
-    for k in spot:
-        pp = PhasePoint(x0, samples[k].xi)
-        h2 = hp2(Q, psi1, pp)
-        d0 = hp(Q, psi0, pp)
-        via_identity = h2 - 2.0 * lam_used * d0 * d0
-        via_direct = hp2(Q, bent, pp)
-        worst_rel = max(
-            worst_rel,
-            abs(via_identity - margins[k]) / (1.0 + abs(margins[k])),
-            abs(via_direct - margins_direct[k]) / (1.0 + abs(margins[k])),
-            abs(via_identity - via_direct) / (1.0 + abs(via_identity)))
+    d0 = _hp_closed_form(a, psi0.grad(x0), xis[spot])
+    via_identity = _hp2_closed_form(a, dq, psi1.jet(x0, 2), xis[spot]) - 2.0 * lam_used * d0 * d0
+    via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
+    m, m_direct = margins[spot], margins_direct[spot]
+    worst_rel = max(worst_rel,
+                    float(np.max(np.abs(via_identity - m) / (1.0 + np.abs(m)))),
+                    float(np.max(np.abs(via_direct - m_direct) / (1.0 + np.abs(m)))),
+                    float(np.max(np.abs(via_identity - via_direct) / (1.0 + np.abs(via_identity)))))
     if worst_rel > KEY_IDENTITY_RTOL:
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "

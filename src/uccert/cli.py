@@ -121,12 +121,20 @@ def parse_config_file(path: str) -> dict:
     return sections
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """Config numbers as a float array; a usage error when one is not finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolation(f"{what} must be finite, got {arr.tolist()}")
+    return arr
+
+
 @_malformed_is_usage_error
 def parse_metric(text: str, dim: int):
     text = text.strip()
     m = re.fullmatch(r"diag\(([^)]*)\)", text)
     if m:
-        vals = [float(v) for v in m.group(1).split(",")]
+        vals = _finite([float(v) for v in m.group(1).split(",")], "diag() entries")
         if len(vals) != dim:
             raise ContractViolation(f"diag() entry count {len(vals)} != dim {dim}")
         return constant_metric(np.diag(vals), name=text)
@@ -141,9 +149,9 @@ def parse_metric(text: str, dim: int):
         d = int(m.group(1))
         if d + 1 != dim:
             raise ContractViolation(f"bumpy_wave({d},..) has dimension {d + 1}, config says {dim}")
-        return bumpy_wave_metric(d, amp=float(m.group(2)))
+        return bumpy_wave_metric(d, amp=float(_finite(float(m.group(2)), "bumpy_wave amplitude")))
     if text.startswith("["):
-        mat = np.asarray(json.loads(text), dtype=float)
+        mat = _finite(json.loads(text), "matrix entries")
         if mat.shape != (dim, dim):
             raise ContractViolation(f"matrix shape {mat.shape} != ({dim},{dim})")
         return constant_metric(mat, name="matrix")
@@ -161,7 +169,7 @@ def geometry_from_config(geo: dict) -> ModelSpec:
         if len(box_parts) != dim:
             raise ContractViolation(f"box needs {dim} lo:hi ranges")
         box = np.array([[float(a) for a in p.split(":")] for p in box_parts])
-        x0 = np.array([float(v) for v in geo["x0"].split(",")]) if "x0" in geo else None
+        x0 = _finite([float(v) for v in geo["x0"].split(",")], "x0") if "x0" in geo else None
     except KeyError as e:
         raise ContractViolation(f"geometry section missing key {e}")
     n_samples = int(geo.get("n_surface_samples", 200))
@@ -169,6 +177,8 @@ def geometry_from_config(geo: dict) -> ModelSpec:
                         n_surface_samples=n_samples, name=geo.get("name", "config"))
     if x0 is None:
         raise ContractViolation("geometry section needs x0 for certification commands")
+    if x0.shape != (dim,):
+        raise ContractViolation(f"x0 needs {dim} coordinates, got {x0.size}")
     return ModelSpec(spec.name, dim - 1, spec, x0)
 
 
@@ -318,15 +328,20 @@ def _corner_transfer(cf, args) -> dict:
                                       n_pts=args.n_pts, seed=args.seed)
 
 
-def _corner_mollifier(grid, seed: int) -> dict:
-    # smoothing ladder: halve from min(0.35, 64h) while staying resolved
-    # (>= 4h), at most five rungs; expected decay scales with rung count
+def _smoothing_ladder(grid) -> list:
+    """Mollifier widths: halve from min(0.35, 64h) while staying resolved
+    (>= 4h), at most five rungs; empty when the grid resolves none."""
     hmax = float(np.max(grid.h))
     eps_list = []
     eps_v = min(0.35, 64.0 * hmax)
     while eps_v >= 4.0 * hmax - 1e-12 and len(eps_list) < 5:
         eps_list.append(eps_v)
         eps_v /= 2.0
+    return eps_list
+
+
+def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
+    # expected decay scales with rung count
     decay_bound = 0.5 ** ((len(eps_list) - 1) / 2.0)
     afield = SampledField(0.5 + 0.4 * grid.meshgrid()[0],
                           [0.4 * np.ones(grid.shape)] + [np.zeros(grid.shape)] * (grid.dim - 1))
@@ -342,6 +357,10 @@ def cmd_corner(args) -> int:
     dim = args.dim
     cells = (512 if dim == 2 else 64) if args.grid is None else args.grid
     grid = make_grid(unit_box(dim), cells)
+    eps_list = _smoothing_ladder(grid)
+    if not eps_list:
+        raise ContractViolation(f"--grid {cells} is too coarse for the mollifier check: "
+                                f"its smoothing ladder resolves no width at h = {float(np.max(grid.h)):g}")
     h2 = float(np.max(grid.h)) ** 2
     tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
     tols = {k: v * h2 for k, v in WEAK_K.items()}
@@ -353,7 +372,7 @@ def cmd_corner(args) -> int:
     layer = _corner_layer(corpus[0], tests, h2)
     transfer = _corner_transfer(corpus[1], args)
     del corpus
-    mollifier = _corner_mollifier(grid, args.seed)
+    mollifier = _corner_mollifier(grid, eps_list, args.seed)
     ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
 
     payload = {

@@ -15,7 +15,7 @@ low-regularity functions are verified on the same grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -363,18 +363,6 @@ class SampledField:
 
     values: np.ndarray
     grads: List[np.ndarray]
-
-    @classmethod
-    def from_callables(cls, grid: Grid, value_fn: Callable, grad_fns: Sequence[Callable]):
-        mesh = grid.meshgrid()
-        return cls(np.asarray(value_fn(*mesh), dtype=float),
-                   [np.asarray(g(*mesh), dtype=float) for g in grad_fns])
-
-    @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray):
-        h = grid.h
-        return cls(np.asarray(values, dtype=float),
-                   [d1(values, a, h[a]) for a in range(grid.dim)])
 
 
 def _mollifier_kernels(grid: Grid, eps: float) -> tuple:

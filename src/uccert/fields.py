@@ -1,10 +1,11 @@
 """Core geometric data types: metric fields, scalar fields, phase points, charts.
 
 All types are immutable after construction and hold pure callables; they are
-safe to evaluate concurrently.  A scalar field evaluates through one jet
-function that gives its value, or its value with gradient and Hessian as a
-forward-mode ``Jet``, at one point or on a (k, n) batch of points; derived
-fields are jet arithmetic on their parts.  Analytic derivative suppliers are
+safe to evaluate concurrently.  Each field evaluates through one jet function,
+at one point or on a (k, n) batch of points: a scalar field gives its value,
+or its value with gradient and Hessian as a forward-mode ``Jet``, and derived
+fields are jet arithmetic on their parts; a metric field gives its matrix,
+or the matrix with its partial derivatives.  Analytic derivative suppliers are
 optional: when absent, central finite differences with a step proportional to
 the local coordinate scale are used and the field is flagged as non-analytic
 so callers can record the fallback in their reports.
@@ -68,10 +69,15 @@ class PhasePoint:
 
 
 class MetricField:
-    """x  ->  symmetric n x n coefficient matrix of a second-order symbol.
+    """x -> symmetric n x n coefficient matrix Q(x) of a second-order symbol.
 
-    ``deriv(x, j)`` returns the partial derivative of the matrix along axis j,
-    either from an analytic supplier or by central differences on ``eval``.
+    ``jet(x, order)`` is the only evaluation path, at one point or on a (k, n)
+    batch: order 0 gives Q, of shape (n, n) or (k, n, n), order 1 the pair
+    (Q, dQ) with dQ[..., j, :, :] = dQ/dx_j; ``__call__`` and ``deriv`` read
+    it.  Build a field from a jet function with ``from_jet``, or from a
+    matrix supplier of one point and an optional partial supplier
+    ``deriv_fn(x, j)``, run row by row on a batch (without ``deriv_fn`` the
+    partials are central finite differences on the matrix).
     """
 
     def __init__(
@@ -84,30 +90,48 @@ class MetricField:
     ):
         if dim < 1:
             raise ContractViolation("dim must be >= 1")
+
+        def value(x):
+            return np.asarray(eval_fn(x), dtype=float)
+
+        partial = deriv_fn or (lambda x, j: _partial(value, x, j))
+
+        def point_jet(x, order):
+            q = value(x)
+            return q if order == 0 else (q, np.array([partial(x, j) for j in range(x.size)], dtype=float))
+
         self.dim = int(dim)
-        self._eval = eval_fn
-        self._deriv = deriv_fn
+        self._jet = _rowwise(point_jet, rank=2)
         self.analytic = deriv_fn is not None
         self.domain_box = None if domain_box is None else np.asarray(domain_box, dtype=float)
         self.name = name
-        self.is_constant = False
+
+    @classmethod
+    def from_jet(cls, dim: int, jet_fn: Callable, domain_box=None, name: str = "") -> "MetricField":
+        """Field from an exact ``jet_fn(x, order)``, which takes one point or a
+        (k, n) batch at orders 0 and 1 and returns what ``jet`` returns."""
+        field = cls(dim, None, domain_box=domain_box, name=name)
+        field._jet, field.analytic = jet_fn, True
+        return field
+
+    def jet(self, x, order: int = 1):
+        """Q (order 0) or the pair (Q, dQ) (order 1), at a point or at each row of a batch."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ContractViolation(f"x must be a point or a (k, {self.dim}) batch, got shape {x.shape}")
+        if order not in (0, 1):
+            raise ContractViolation(f"metric jet order must be 0 or 1, got {order}")
+        out = self._jet(x, order)
+        for i, part in enumerate((out,) if order == 0 else out):
+            if np.shape(part) != x.shape[:-1] + (self.dim,) * (2 + i):
+                raise ContractViolation(f"metric jet part {i} has shape {np.shape(part)} at x of shape {x.shape}")
+        return out
 
     def __call__(self, x) -> np.ndarray:
-        q = np.asarray(self._eval(as_point(x)), dtype=float)
-        if q.shape != (self.dim, self.dim):
-            raise ContractViolation(f"metric eval returned shape {q.shape}, expected ({self.dim},{self.dim})")
-        return q
+        return self.jet(as_point(x), 0)
 
     def deriv(self, x, j: int) -> np.ndarray:
-        x = as_point(x)
-        if self._deriv is not None:
-            return np.asarray(self._deriv(x, j), dtype=float)
-        return _partial(self, x, j)
-
-    def deriv_all(self, x) -> np.ndarray:
-        """Stack of matrix partials, shape (n, n, n); entry [j] is d/dx_j."""
-        x = as_point(x)
-        return np.stack([self.deriv(x, j) for j in range(self.dim)])
+        return self.jet(as_point(x), 1)[1][j]
 
     def symmetry_defect(self, x) -> float:
         q = self(x)
@@ -122,12 +146,15 @@ class MetricField:
 
 
 def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
+    """A constant matrix; its jets are read-only broadcast views."""
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    zero = np.zeros((n, n))
-    out = MetricField(n, lambda x: m, lambda x, j: zero, domain_box=domain_box, name=name)
-    out.is_constant = True
-    return out
+    zero = np.zeros(m.shape[:1] + m.shape)
+
+    def jet(x, order):
+        q = np.broadcast_to(m, x.shape[:-1] + m.shape)
+        return q if order == 0 else (q, np.broadcast_to(zero, x.shape[:-1] + zero.shape))
+
+    return MetricField.from_jet(m.shape[0], jet, domain_box=domain_box, name=name)
 
 
 def power(base, p: float):
@@ -237,18 +264,25 @@ class Jet:
         return self.chain(power(v, p), p * power(v, p - 1.0), f2)
 
 
-def _rowwise(point_jet: Callable) -> Callable:
-    """A jet function of one point, extended to a (k, n) batch row by row."""
+def _rowwise(point_jet: Callable, rank: int = 0) -> Callable:
+    """A jet function of one point, extended to a (k, n) batch row by row: the
+    value of a field of tensor rank ``rank`` (0 for a scalar, 2 for a matrix)
+    and its derivative of order i are stacked to shape (k,) + (n,) * (rank + i),
+    and come back as a ``Jet`` for a scalar, as a tuple for a matrix."""
 
     def jet(x, order):
         if x.ndim == 1:
             return point_jet(x, order)
         rows = [point_jet(p, order) for p in x]
         if order == 0:
-            return np.array(rows, dtype=float)
-        return Jet(np.array([r.value for r in rows], dtype=float),
-                   np.reshape([r.grad for r in rows], x.shape),
-                   None if order == 1 else np.reshape([r.hess for r in rows], x.shape + x.shape[1:]))
+            rows = [(r,) for r in rows]
+        elif rank == 0:
+            rows = [(r.value, r.grad, r.hess) for r in rows]
+        parts = [np.array([r[i] for r in rows], dtype=float).reshape(x.shape[:1] + x.shape[1:] * (rank + i))
+                 for i in range(order + 1)]
+        if order == 0:
+            return parts[0]
+        return Jet(*parts) if rank == 0 else tuple(parts)
 
     return jet
 

@@ -49,6 +49,10 @@ class Grid:
     def meshgrid(self) -> list:
         return np.meshgrid(*self.axes(), indexing="ij")
 
+    def points(self) -> np.ndarray:
+        """Every node as a row, in C order of the grid shape."""
+        return np.stack([m.ravel() for m in self.meshgrid()], axis=1)
+
     def zero_index(self, a: int) -> int:
         ax = self.axis(a)
         i = int(np.argmin(np.abs(ax)))

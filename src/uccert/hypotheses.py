@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
 from .fields import MetricField, ScalarField, linear_combination
-from .symbols import signature
+from .grids import Grid
+from .symbols import _quadratic_forms, signature
 
 DEFAULT_TOL_ZERO = 1e-10   # surface membership residual
 DEFAULT_TOL_CHAR = 1e-8    # characteristic residual, unit-normalized gradients
@@ -49,8 +50,8 @@ class GeometrySpec:
         object.__setattr__(self, "box", box)
         if box.ndim != 2 or box.shape != (self.Q.dim, 2):
             raise ContractViolation(f"box must have shape ({self.Q.dim}, 2)")
-        if np.any(box[:, 1] <= box[:, 0]):
-            raise ContractViolation("box is empty on some axis")
+        if not (np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0])):
+            raise ContractViolation(f"box must be finite with lo < hi on every axis, got {box.tolist()}")
         if self.n_surface_samples < 1:
             raise ContractViolation("n_surface_samples must be >= 1")
 
@@ -96,9 +97,7 @@ class HypothesisReport:
 
 
 def _scan_points(box: np.ndarray, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return Grid(box, (per_axis - 1,) * len(box)).points()
 
 
 def _scan_resolution(n_target: int, dim: int) -> int:
@@ -201,11 +200,6 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     return arr
 
 
-def _quadratic_forms(u: np.ndarray, qs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_i . Q_i v_i for each row, as (u @ Q) @ v on one point."""
-    return np.vecdot((u[:, None] @ qs)[:, 0], v)
-
-
 def check_assumptions(spec: GeometrySpec,
                       tol_char: float = DEFAULT_TOL_CHAR,
                       tol_pos: float = DEFAULT_TOL_POS) -> HypothesisReport:
@@ -230,7 +224,7 @@ def check_assumptions(spec: GeometrySpec,
     # metric symmetry + signature spot check on a sample subset, up to the
     # first point with a wrong signature
     sig_pts = np.concatenate([s_plus[:5], s_minus[:5], s_both[:5]])
-    qs = np.stack([spec.Q(p) for p in sig_pts])
+    qs = spec.Q.jet(sig_pts, 0)
     scale = np.maximum(1.0, np.max(np.abs(qs), axis=(1, 2)))
     defect = np.max(np.abs(qs - np.swapaxes(qs, 1, 2)), axis=(1, 2)) / scale
     sig = signature(qs)
@@ -255,7 +249,7 @@ def check_assumptions(spec: GeometrySpec,
     # characteristic residuals, one check per surface
     for tag, (samples, g), gn in zip(("characteristic_plus", "characteristic_minus"),
                                      surfaces, norms):
-        qs = np.stack([spec.Q(p) for p in samples])
+        qs = spec.Q.jet(samples, 0)
         gu = g / np.where(gn > 0, gn, 1.0)[:, None]
         residuals = np.abs(_quadratic_forms(gu, qs, gu))
         k = int(np.argmax(residuals))
@@ -280,7 +274,7 @@ def check_assumptions(spec: GeometrySpec,
             "reason": "no transversal intersection samples"})
     else:
         pair = pair[trans_idx]
-        qs = np.stack([spec.Q(p) for p in s_both[trans_idx]])
+        qs = spec.Q.jet(s_both[trans_idx], 0)
         vals = _quadratic_forms(pair[:, 0], qs, pair[:, 1])
         k = int(np.argmin(vals))
         checks["sign_condition"] = CheckResult(
@@ -324,7 +318,7 @@ def verify_split_signs(spec: GeometrySpec,
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples for split-sign check")
     psi0, psi1 = build_psi(spec)
-    qs = np.stack([spec.Q(p) for p in samples])
+    qs = spec.Q.jet(samples, 0)
     d1, d0 = psi1.jet(samples, 1).grad, psi0.jet(samples, 1).grad
     e1, e0, cross = (_quadratic_forms(d1, qs, d1), _quadratic_forms(d0, qs, d0),
                      _quadratic_forms(d1, qs, d0))
@@ -358,19 +352,23 @@ def verify_sublevel_inclusion(spec: GeometrySpec, lam: float, radius: float,
         raise InsufficientSamples("no intersection samples")
     psi0, psi1 = build_psi(spec)
     rng = np.random.default_rng(seed)
-    pts = []
-    tries = 0
-    while len(pts) < n_samples and tries < 50 * n_samples:
-        tries += 1
+
+    def draw():                      # one try: its centre, direction and radius
         c = base[rng.integers(0, len(base))]
         u = rng.normal(size=spec.dim)
         u *= radius * rng.random() ** (1.0 / spec.dim) / np.linalg.norm(u)
-        x = c + u
-        if spec.phi_plus(x) > 0 and spec.phi_minus(x) > 0:
-            pts.append(x)
-    if not pts:
+        return c + u
+
+    # the first n_samples wedge points among the first 50 n_samples tries,
+    # tested a block of tries at a time (about a quarter of them fall in the wedge)
+    pts, tries = np.empty((0, spec.dim)), 0
+    while len(pts) < n_samples and tries < 50 * n_samples:
+        block = np.array([draw() for _ in range(min(4 * (n_samples - len(pts)), 50 * n_samples - tries))])
+        tries += len(block)
+        wedge = (spec.phi_plus.jet(block, 0) > 0) & (spec.phi_minus.jet(block, 0) > 0)
+        pts = np.concatenate([pts, block[wedge]])[:n_samples]
+    if not len(pts):
         raise InsufficientSamples("no wedge points found within the given radius")
-    pts = np.array(pts)
     p0 = psi0.jet(pts, 0)
     margins = psi1.jet(pts, 0) - lam * (p0 * p0)
     beyond_band = int(np.sum(np.abs(p0) >= 1.0 / lam))

@@ -45,12 +45,14 @@ def cone_surface_field(d: int, radial_sign: float, t_coeff: float) -> ScalarFiel
 
 
 def _default_box(d: int) -> np.ndarray:
-    box = np.empty((d + 1, 2))
-    box[0] = (-0.4, 0.4)
+    box = np.tile((-0.4, 0.4), (d + 1, 1))
     box[1] = (0.6, 1.4)
-    for j in range(2, d + 1):
-        box[j] = (-0.4, 0.4)
     return box
+
+
+def _wave_metric(d: int) -> MetricField:
+    """The flat wave-type matrix diag(-1, I_d)."""
+    return constant_metric(np.diag([-1.0] + [1.0] * d), name=f"wave{d}")
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,9 @@ def ik_model(d: int, n_surface_samples: int = 200) -> ModelSpec:
     """
     if d < 2:
         raise ContractViolation("need d >= 2: the surface intersection degenerates below")
-    n = d + 1
-    diag = -np.ones(n)
-    diag[1:] = 1.0
-    q = constant_metric(np.diag(diag), name=f"wave{d}")
-    phi_plus = cone_surface_field(d, +1.0, -1.0)
-    phi_minus = cone_surface_field(d, +1.0, +1.0)
-    geo = GeometrySpec(q, phi_plus, phi_minus, _default_box(d),
+    geo = GeometrySpec(_wave_metric(d), cone_surface_field(d, +1.0, -1.0),
+                       cone_surface_field(d, +1.0, +1.0), _default_box(d),
                        n_surface_samples=n_surface_samples, name=f"ik{d}")
-    x0 = np.zeros(n)
-    x0[1] = 1.0
     constants = {
         "sign_condition_value": 2.0,
         "m0": float(np.sqrt(2.0)),
@@ -91,7 +86,7 @@ def ik_model(d: int, n_surface_samples: int = 200) -> ModelSpec:
         "tangent_curvature_at_lambda_2": -3.0,
         "tangent_curvature_surface_only": 1.0,
     }
-    return ModelSpec(f"ik{d}", d, geo, x0, constants)
+    return ModelSpec(f"ik{d}", d, geo, np.eye(d + 1)[1], constants)
 
 
 def negative_controls(d: int = 2, n_surface_samples: int = 200) -> list:
@@ -105,14 +100,9 @@ def negative_controls(d: int = 2, n_surface_samples: int = 200) -> list:
     ctrl-c: second surface negated in the radial part flips the sign pairing
             to -2 while staying characteristic and transversal.
     """
-    n = d + 1
-    diag = -np.ones(n)
-    diag[1:] = 1.0
-    q = constant_metric(np.diag(diag), name=f"wave{d}")
+    q = _wave_metric(d)
     phi_plus = cone_surface_field(d, +1.0, -1.0)
     box = _default_box(d)
-    x0 = np.zeros(n)
-    x0[1] = 1.0
 
     variants = [
         ("ctrl-a", cone_surface_field(d, +1.0, +2.0), "characteristic_minus"),
@@ -123,7 +113,7 @@ def negative_controls(d: int = 2, n_surface_samples: int = 200) -> list:
     for name, phi_minus, failure in variants:
         geo = GeometrySpec(q, phi_plus, phi_minus, box,
                            n_surface_samples=n_surface_samples, name=name)
-        out.append(ModelSpec(name, d, geo, x0.copy(),
+        out.append(ModelSpec(name, d, geo, np.eye(d + 1)[1],
                              known_constants={}, designated_failure=failure))
     return out
 
@@ -212,7 +202,7 @@ def carleman_section(lam: float = 2.0):
     the box, which stays away from y = 0), and the working box around the
     point (0, 1) where the surfaces cross.
     """
-    q = constant_metric(np.diag([-1.0, 1.0]), name="wave1")
+    q = _wave_metric(1)
     box = np.array([[-0.4, 0.4], [0.6, 1.4]])
     psi0, psi1 = build_psi(GeometrySpec(q, cone_surface_field(1, +1.0, -1.0),
                                         cone_surface_field(1, +1.0, +1.0), box))
@@ -232,18 +222,18 @@ def bumpy_wave_metric(d: int, amp: float = 0.05, seed: int = 11) -> MetricField:
     rng = np.random.default_rng(seed)
     slabs = rng.uniform(-0.5, 0.5, size=(n, n, n))   # slabs[j] = dW/dx_j
     dmat = np.diag(np.concatenate([[-1.0], np.ones(d)]))
+    dl = amp * slabs                                  # dl[j] = dL/dx_j
 
-    def lmat(x):
-        w = np.tensordot(x, slabs, axes=(0, 0))
-        return np.eye(n) + amp * w
+    def jet(x, order):
+        # W(x) as one vector-matrix product per row, so that a batch row is
+        # bit for bit its point
+        w = (x[..., None, :] @ slabs.reshape(n, n * n))[..., 0, :].reshape(x.shape[:-1] + (n, n))
+        l = np.eye(n) + amp * w
+        ltd = np.swapaxes(l, -1, -2) @ dmat
+        q = ltd @ l
+        if order == 0:
+            return q
+        # dQ/dx_j = dL_j^T D L + L^T D dL_j, axis j ahead of the matrix axes
+        return q, np.swapaxes(dl, -1, -2) @ dmat @ l[..., None, :, :] + ltd[..., None, :, :] @ dl
 
-    def ev(x):
-        l = lmat(x)
-        return l.T @ dmat @ l
-
-    def deriv(x, j):
-        l = lmat(x)
-        dl = amp * slabs[j]
-        return dl.T @ dmat @ l + l.T @ dmat @ dl
-
-    return MetricField(n, ev, deriv, name=f"bumpy_wave{d}(amp={amp:g})")
+    return MetricField.from_jet(n, jet, name=f"bumpy_wave{d}(amp={amp:g})")

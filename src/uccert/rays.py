@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation, FitError
 from .fields import MetricField, PhasePoint, ScalarField
-from .symbols import eval_symbol, hp, hp2
+from .symbols import _quadratic_forms, hp, hp2
 
 DEFAULT_TOL_TAN_REL = 1e-6
 DEFAULT_TOL_ZERO = 1e-10
@@ -48,20 +48,13 @@ class RayTrajectory:
                              truncated=self.truncated, psi_vals=vals)
 
     def rows(self) -> list:
-        out = []
-        for k in range(len(self.s)):
-            row = [float(self.s[k])] + list(map(float, self.xs[k])) + list(map(float, self.xis[k]))
-            row.append(float(self.p_vals[k]))
-            row.append(float(self.psi_vals[k]) if self.psi_vals is not None else float("nan"))
-            out.append(row)
-        return out
+        psi = np.full(len(self.s), np.nan) if self.psi_vals is None else self.psi_vals
+        return np.column_stack([self.s, self.xs, self.xis, self.p_vals, psi]).tolist()
 
 
 def _flow(Q: MetricField, x: np.ndarray, xi: np.ndarray):
-    q = Q(x)
-    dx = 2.0 * q @ xi
-    dxi = np.array([-(xi @ Q.deriv(x, j) @ xi) for j in range(Q.dim)])
-    return dx, dxi
+    q, dq = Q.jet(x, 1)
+    return 2.0 * q @ xi, -np.vecdot(xi @ dq, xi)
 
 
 def _rk4_step(Q: MetricField, x, xi, ds):
@@ -117,7 +110,7 @@ def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int,
     s = s0 + ds * np.arange(len(xs))
     xs = np.array(xs)
     xis = np.array(xis)
-    p_vals = np.array([eval_symbol(Q, PhasePoint(x, xi)) for x, xi in zip(xs, xis)])
+    p_vals = _quadratic_forms(xis, Q.jet(xs, 0), xis)
     return RayTrajectory(s=s, xs=xs, xis=xis, p_vals=p_vals, step=ds, truncated=truncated)
 
 

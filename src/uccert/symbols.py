@@ -77,38 +77,51 @@ def lorentz_normal_form(M) -> np.ndarray:
     return r[:, order]
 
 
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for one vector v or for each row of a stack, one product per row."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _quadratic_forms(u: np.ndarray, qs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . Q v for one point, or for each row of stacks, as (u @ Q) @ v on one point."""
+    return np.vecdot((u[..., None, :] @ qs)[..., 0, :], v)
+
+
+def _hp_closed_form(q: np.ndarray, grad: np.ndarray, xi: np.ndarray):
+    """2 <Q xi, dpsi>, for one point and covector or row by row on stacks of them."""
+    return 2.0 * np.vecdot(_matvec(q, xi), grad)
+
+
+def _hp2_closed_form(q: np.ndarray, dq: np.ndarray, jet, xi: np.ndarray):
+    """hp2 at one point from Q, its partials dq[j] = dQ/dx_j and a second-order
+    jet of psi, for one covector xi or each row of a (k, n) stack:
+        2 [ sum_j (dp/dxi_j) ( < d_j Q xi, dpsi > + < Q xi, d(d_j psi) > )
+            - < d_x Q xi, xi > . Q dpsi ],
+    where dp/dxi = 2 Q xi and the last dot pairs the covector with components
+    <d_j Q xi, xi> against the vector Q dpsi.
+    """
+    v = _matvec(q, xi)                               # dp/dxi = 2 v
+    hv = _matvec(jet.hess, v)                        # component j: <Q xi, d(d_j psi)>
+    dq_xi = _matvec(dq, xi[..., None, :])            # row j: d_j Q xi
+    xi_dq_xi = _quadratic_forms(xi[..., None, :], dq, xi[..., None, :])     # <d_j Q xi, xi>
+    term1 = np.sum(2.0 * v * (np.vecdot(dq_xi, jet.grad) + hv), axis=-1)
+    term2 = np.sum(xi_dq_xi * (q @ jet.grad), axis=-1)
+    return 2.0 * (term1 - term2)
+
+
 def hp(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:
     """Derivative of psi along the Hamiltonian flow of p: 2 <Q(x) xi, dpsi(x)>."""
     if pp.dim != Q.dim:
         raise ContractViolation(f"phase point dim {pp.dim} != metric dim {Q.dim}")
-    return 2.0 * float((Q(pp.x) @ pp.xi) @ psi.grad(pp.x))
+    return float(_hp_closed_form(Q(pp.x), psi.grad(pp.x), pp.xi))
 
 
 def hp2(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:
-    """Second derivative of psi along the Hamiltonian flow of p.
-
-    Assembled from the closed form
-        2 [ sum_j (dp/dxi_j) ( < d_j Q xi, dpsi > + < Q xi, d(d_j psi) > )
-            - < d_x Q xi, xi > . Q dpsi ],
-    where dp/dxi = 2 Q xi and the last dot pairs the covector with components
-    <d_j Q xi, xi> against the vector Q dpsi.  The result is a quadratic form
-    in xi.
-    """
+    """Second derivative of psi along the Hamiltonian flow of p, a quadratic form in xi."""
     if pp.dim != Q.dim:
         raise ContractViolation(f"phase point dim {pp.dim} != metric dim {Q.dim}")
-    x, xi = pp.x, pp.xi
-    q = Q(x)
-    dq = Q.deriv_all(x)          # dq[j] = dQ/dx_j
-    jet = psi.jet(x, 2)
-    g = jet.grad
-    v = q @ xi                   # dp/dxi = 2 v
-    hv = jet.hess @ v            # component j: <Q xi, d(d_j psi)>
-    term1 = 0.0
-    term2 = 0.0
-    for j in range(Q.dim):
-        term1 += 2.0 * v[j] * ((dq[j] @ xi) @ g + hv[j])
-        term2 += (xi @ dq[j] @ xi) * (q @ g)[j]
-    return 2.0 * (term1 - term2)
+    q, dq = Q.jet(pp.x, 1)
+    return float(_hp2_closed_form(q, dq, psi.jet(pp.x, 2), pp.xi))
 
 
 def hp2_bracket(Q: MetricField, psi: ScalarField, pp: PhasePoint, step: float = 1e-5) -> float:
@@ -118,19 +131,14 @@ def hp2_bracket(Q: MetricField, psi: ScalarField, pp: PhasePoint, step: float = 
     differences (the xi-derivatives of both are exact polynomials).  Used as a
     cross-check oracle against the closed-form assembly.
     """
-    x, xi = pp.x, pp.xi
-    n = x.size
+    x, xi, n = pp.x, pp.xi, pp.dim
     q = Q(x)
-    dp_dxi = 2.0 * (q @ xi)
-    dg_dxi = 2.0 * (q @ psi.grad(x))
-    out = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        dg_dx = (hp(Q, psi, PhasePoint(x + e, xi)) - hp(Q, psi, PhasePoint(x - e, xi))) / (2 * step)
-        dp_dx = (eval_symbol(Q, PhasePoint(x + e, xi)) - eval_symbol(Q, PhasePoint(x - e, xi))) / (2 * step)
-        out += dp_dxi[j] * dg_dx - dg_dxi[j] * dp_dx
-    return float(out)
+    dp_dxi, dg_dxi = 2.0 * (q @ xi), 2.0 * (q @ psi.grad(x))
+    shifted = np.concatenate([x + step * np.eye(n), x - step * np.eye(n)])     # x +- step e_j
+    qs = Q.jet(shifted, 0)
+    p, g = _quadratic_forms(xi, qs, xi), _hp_closed_form(qs, psi.jet(shifted, 1).grad, xi)
+    dp_dx, dg_dx = (p[:n] - p[n:]) / (2 * step), (g[:n] - g[n:]) / (2 * step)
+    return float(dp_dxi @ dg_dx - dg_dxi @ dp_dx)
 
 
 def hp2_matrix(Q: MetricField, psi: ScalarField, x0) -> np.ndarray:
@@ -144,8 +152,7 @@ def hp2_matrix(Q: MetricField, psi: ScalarField, x0) -> np.ndarray:
     batches be evaluated with one einsum.
     """
     x0 = as_point(x0)
-    q = Q(x0)
-    dq = Q.deriv_all(x0)
+    q, dq = Q.jet(x0, 1)
     jet = psi.jet(x0, 2)
     g = jet.grad
     qp = q @ np.einsum("jik,i->jk", dq, g)

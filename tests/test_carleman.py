@@ -103,6 +103,17 @@ class TestApplyOperator:
         p = np.array([g.axis(0)[7], g.axis(1)[20]])
         assert_allclose(arrays[:, :, 7, 20], q(p), atol=1e-14)
 
+    @pytest.mark.parametrize("q", [bumpy_wave_metric(1), constant_metric(np.diag([-1.0, 1.0]))])
+    def test_metric_on_grid_equals_point_loop(self, q):
+        # the per-node loop that the batched metric jet replaced, on the whole
+        # grid; the bumpy metric matches it bit for bit
+        g = make_grid(np.array([[-0.4, 0.4], [0.6, 1.4]]), 96)
+        pts = np.stack([m.ravel() for m in g.meshgrid()], axis=1)
+        loop = np.empty((2, 2, len(pts)))
+        for i, p in enumerate(pts):
+            loop[:, :, i] = q(p)
+        assert np.array_equal(metric_on_grid(q, g), loop.reshape((2, 2) + g.shape))
+
 
 class TestRatio:
     def test_empty_field_reported(self, section, section_grid):

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from uccert.cli import main, parse_config_file, parse_metric
+from uccert.cli import _smoothing_ladder, main, parse_config_file, parse_metric
 from uccert.errors import ContractViolation
+from uccert.grids import make_grid, unit_box
 
 
 def read_report(out_dir):
@@ -204,7 +205,8 @@ class TestRaysCommand:
 
 
 class TestMalformedInput:
-    def _conf(self, tmp_path, metric="diag(-1, 1, 1)", x0="0, 1, 0"):
+    def _conf(self, tmp_path, metric="diag(-1, 1, 1)", x0="0, 1, 0",
+              box="-0.4:0.4, 0.6:1.4, -0.4:0.4"):
         conf = tmp_path / "geo.conf"
         conf.write_text(
             "[geometry]\n"
@@ -212,9 +214,25 @@ class TestMalformedInput:
             f"metric = {metric}\n"
             "phi_plus = norm(x2, x3) - 1 - x1\n"
             "phi_minus = norm(x2, x3) - 1 + x1\n"
-            "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\n"
+            f"box = {box}\n"
             f"x0 = {x0}\n")
         return str(conf)
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("x0", "0, 1", "x0 needs 3 coordinates"),
+        ("x0", "0, nan, 0", "x0 must be finite"),
+        ("box", "-0.4:0.4, nan:1.4, -0.4:0.4", "box must be finite"),
+        ("box", "-0.4:0.4, 0.6:inf, -0.4:0.4", "box must be finite"),
+        ("metric", "diag(-1, 1, nan)", "diag() entries must be finite"),
+        ("metric", "[[-1, 0, 0], [0, 1, 0], [0, 0, NaN]]", "matrix entries must be finite"),
+        ("metric", "bumpy_wave(2, 1e999)", "bumpy_wave amplitude must be finite")])
+    def test_malformed_geometry_is_usage_error(self, tmp_path, capsys, command, key, value, message):
+        out = str(tmp_path / "o")
+        assert main([command, "--config", self._conf(tmp_path, **{key: value}), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
 
     def test_malformed_metric_entry_is_usage_error(self, tmp_path, capsys):
         conf = self._conf(tmp_path, metric="diag(-1, a, 1)")
@@ -278,6 +296,28 @@ class TestMalformedInput:
         assert notes["gate"] == ["lambda_threshold"]
         assert notes["lambda_threshold"]["lambda_used"] == 1.0
         assert notes["lambda_threshold"]["lambda0"] >= 1.0
+
+
+class TestCornerGridBound:
+    """A grid too coarse for every rung of the smoothing ladder is a usage error."""
+
+    # the largest even cell count whose ladder is empty, from the ladder rule
+    COARSEST = max(c for c in range(2, 256, 2) if not _smoothing_ladder(make_grid(unit_box(2), c)))
+
+    @pytest.mark.parametrize("argv", [["--grid", "2"], ["--grid", str(COARSEST)],
+                                      ["--grid", "8", "--dim", "3"]])
+    def test_coarse_grid_is_usage_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main(["corner"] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "too coarse for the mollifier check" in err and err.count("\n") == 1
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
+    def test_next_grid_runs(self, tmp_path):
+        assert _smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))
+        argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2", "--n-pts", "50"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
+        assert read_report(str(tmp_path / "o"))["cells"] == self.COARSEST + 2
 
 
 class TestCarlemanLambdaGate:

@@ -8,6 +8,7 @@ from uccert import (PhasePoint, constant_metric, coordinate_field,
 from uccert.errors import ChartError, ContractViolation
 from uccert.fields import Chart, MetricField, ScalarField, linear_chart
 from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
+from uccert.symbols import pullback_metric_field
 
 
 def smooth_test_field():
@@ -87,7 +88,7 @@ class TestMetricField:
 
     def test_fd_derivative_matches_analytic(self, rng):
         q = bumpy_wave_metric(2, amp=0.1)
-        q_fd = MetricField(3, q._eval)
+        q_fd = MetricField(3, q)
         assert not q_fd.analytic
         for _ in range(5):
             x = rng.normal(size=3) * 0.3
@@ -99,6 +100,60 @@ class TestMetricField:
         q = constant_metric(np.diag([-1.0, 1.0]), domain_box=box)
         assert q.in_domain([0.0, 0.0])
         assert not q.in_domain([0.0, 1.5])
+
+
+def _metric_cases():
+    bumpy = bumpy_wave_metric(2, amp=0.1)
+    m = ik_model(2)
+    return {"constant": (constant_metric(np.diag([-1.0, 1.0, 1.0])), m.x0),
+            "supplied": (MetricField(3, bumpy, bumpy.deriv), m.x0),
+            "finite_difference": (MetricField(3, bumpy), m.x0),
+            "pullback": (pullback_metric_field(m.geometry.Q, flattening_chart(m, m.x0)), np.zeros(3)),
+            "bumpy": (bumpy, m.x0)}
+
+
+METRICS = _metric_cases()
+
+
+class TestMetricJet:
+    """A batch jet is the stack of the point jets, bit for bit, for every kind of
+    metric, the bumpy one included (its W(x) is one vector-matrix product per row)."""
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_batch_equals_stacked_point_jets(self, name, k, rng):
+        q, centre = METRICS[name]
+        xs = centre + 0.05 * rng.normal(size=(k, 3))
+        q0 = q.jet(xs, 0)
+        q1, dq1 = q.jet(xs, 1)
+        assert q0.shape == q1.shape == (k, 3, 3) and dq1.shape == (k, 3, 3, 3)
+        points = [q.jet(x, 1) for x in xs]
+        assert np.array_equal(q0, np.reshape([q.jet(x, 0) for x in xs], (k, 3, 3)))
+        assert np.array_equal(q1, np.reshape([p[0] for p in points], (k, 3, 3)))
+        assert np.array_equal(dq1, np.reshape([p[1] for p in points], (k, 3, 3, 3)))
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_call_and_deriv_read_the_jet(self, name, rng):
+        q, centre = METRICS[name]
+        x = centre + 0.05 * rng.normal(size=3)
+        value, partials = q.jet(x, 1)
+        assert np.array_equal(q(x), value)
+        for j in range(3):
+            assert np.array_equal(q.deriv(x, j), partials[j])
+
+    def test_constant_jets_are_read_only_views(self):
+        q, centre = METRICS["constant"]
+        value, partials = q.jet(np.stack([centre, centre]), 1)
+        assert not value.flags.writeable and not np.any(partials)
+
+    def test_contract(self):
+        q, _ = METRICS["bumpy"]
+        with pytest.raises(ContractViolation):
+            q.jet(np.zeros(2), 0)                 # wrong dimension
+        with pytest.raises(ContractViolation):
+            q.jet(np.zeros(3), 2)                 # no second order
+        with pytest.raises(ContractViolation):
+            MetricField(3, lambda x: np.eye(2))(np.zeros(3))     # supplier of the wrong shape
 
 
 class TestChart:

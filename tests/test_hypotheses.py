@@ -7,7 +7,7 @@ from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
 from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
 from uccert.hypotheses import _dedupe, _scan_points, _scan_resolution
-from uccert.models import cone_surface_field, negative_controls
+from uccert.models import cone_surface_field, get_model, negative_controls
 
 
 class TestSampling:
@@ -171,6 +171,41 @@ class TestSublevelInclusion:
     def test_nonpositive_lam_rejected(self, ik2):
         with pytest.raises(ContractViolation):
             verify_sublevel_inclusion(ik2.geometry, lam=0.0, radius=0.1, n_samples=10)
+
+    @staticmethod
+    def _loop_wedge_points(spec, radius, n_samples, seed, base):
+        """The per-try rejection loop that the blocked wedge test replaced."""
+        rng = np.random.default_rng(seed)
+        pts, tries = [], 0
+        while len(pts) < n_samples and tries < 50 * n_samples:
+            tries += 1
+            c = base[rng.integers(0, len(base))]
+            u = rng.normal(size=spec.dim)
+            u *= radius * rng.random() ** (1.0 / spec.dim) / np.linalg.norm(u)
+            x = c + u
+            if spec.phi_plus(x) > 0 and spec.phi_minus(x) > 0:
+                pts.append(x)
+        return np.array(pts).reshape(-1, spec.dim)
+
+    @pytest.mark.parametrize("model, lam, radius, n_samples, seed", [
+        ("ik2", 2.0, 0.1, 200, 0), ("ik3", 5.0, 0.3, 37, 3), ("ik4", 2.0, 0.1, 1, 7),
+        ("ctrl-c", 1.0, 0.01, 50, 1)])
+    def test_same_points_as_per_try_loop(self, model, lam, radius, n_samples, seed):
+        spec = get_model(model, n_surface_samples=60).geometry
+        base = sample_surface(spec, "intersection")
+        rep = verify_sublevel_inclusion(spec, lam=lam, radius=radius, n_samples=n_samples,
+                                        seed=seed, samples=base)
+        pts = self._loop_wedge_points(spec, radius, n_samples, seed, base)
+        psi0, psi1 = build_psi(spec)
+        margins = np.array([psi1(p) - lam * psi0(p) ** 2 for p in pts])
+        assert rep["n_samples"] == len(pts)
+        assert rep["worst_margin"] == pytest.approx(margins.min(), rel=1e-12, abs=1e-15)
+        assert rep["witness"] == [float(v) for v in pts[int(np.argmin(margins))]]
+
+    def test_empty_wedge_raises_after_every_try(self):
+        spec = negative_controls()[1].geometry          # ctrl-b: phi_minus = -phi_plus
+        with pytest.raises(InsufficientSamples):
+            verify_sublevel_inclusion(spec, lam=2.0, radius=0.1, n_samples=20, seed=0)
 
 
 # ---------------------------------------------------------------------------
