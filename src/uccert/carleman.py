@@ -11,6 +11,10 @@ over a reproducible corpus of compactly supported bumps and a geometric
 ladder of lam values.  The sweep reports the per-lam minimum ratio (a
 positive floor is the empirical face of the weighted estimate) and enough
 raw norms to audit the wired lam exponents from log-log slopes.
+
+Only the weight depends on lam, so the sweep forms P w, |grad w|^2, w^2, the
+dilated support and the weight shift once per test function; each lam adds
+one exponential on the support and three trapezoid sums.
 """
 
 from __future__ import annotations
@@ -63,8 +67,7 @@ def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
 
 
 def apply_operator(Q: MetricField, w_values: np.ndarray, grid: Grid,
-                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None,
-                   q_arrays: Optional[np.ndarray] = None) -> np.ndarray:
+                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None) -> np.ndarray:
     """Second-order centered discretization of P w.
 
     Pure second derivatives use the three-point stencil; mixed terms use
@@ -72,10 +75,12 @@ def apply_operator(Q: MetricField, w_values: np.ndarray, grid: Grid,
     shape, ``c`` grid shape; both default to zero.  Consistency is O(h^2) on
     smooth compactly supported w.
     """
-    w = np.asarray(w_values, dtype=float)
+    return _stencil(metric_on_grid(Q, grid), np.asarray(w_values, dtype=float), grid, b, c)
+
+
+def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
+             b: Optional[np.ndarray], c: Optional[np.ndarray]) -> np.ndarray:
     h = grid.h
-    if q_arrays is None:
-        q_arrays = metric_on_grid(Q, grid)
     out = np.zeros_like(w)
     for j in range(grid.dim):
         out += q_arrays[j, j] * d2(w, j, h[j])
@@ -104,15 +109,9 @@ def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def _weighted_norm(values: np.ndarray, weight_sq: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(trapezoid(values * values * weight_sq, grid)))
-
-
 def carleman_ratio(Q: MetricField, weight: WeightSpec, w_values: np.ndarray,
                    grid: Grid, lam: float,
-                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None,
-                   q_arrays: Optional[np.ndarray] = None,
-                   phi_values: Optional[np.ndarray] = None) -> dict:
+                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None) -> dict:
     """Weighted norms and their ratio for one test function and one lam.
 
     The weight exponent is shifted so its minimum over the (slightly dilated)
@@ -120,35 +119,60 @@ def carleman_ratio(Q: MetricField, weight: WeightSpec, w_values: np.ndarray,
     keeps the exponential representable.  A zero test function yields NaN
     ratio with an "empty" flag.
     """
-    if lam <= 0:
-        raise ContractViolation("lam must be positive")
-    w = np.asarray(w_values, dtype=float)
-    if phi_values is None:
-        phi_values = weight.phi_on_grid(grid)
-    support = np.abs(w) > 0.0
-    if not np.any(support):
-        return {"lhs": 0.0, "rhs1": 0.0, "rhs2": 0.0, "ratio": float("nan"),
-                "wnorm_grad": 0.0, "wnorm_w": 0.0, "empty": True}
-    region = _dilate(support, 2)
-    shift = float(np.min(phi_values[region]))
-    exponent = -lam * (phi_values - shift)
-    if float(np.max(np.abs(exponent[region]))) > EXP_LIMIT:
-        raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
-    wsq = np.where(region, np.exp(2.0 * np.clip(exponent, -EXP_LIMIT, 0.0)), 0.0)
+    return _ratio_table(Q, weight, [w_values], [lam], grid, b, c)[0][0]
 
-    pw = apply_operator(Q, w, grid, b=b, c=c, q_arrays=q_arrays)
-    grad_sq = np.zeros_like(w)
-    for a in range(grid.dim):
-        grad_sq += d1(w, a, grid.h[a]) ** 2
-    lhs = _weighted_norm(pw, wsq, grid)
-    wnorm_grad = float(np.sqrt(trapezoid(grad_sq * wsq, grid)))
-    wnorm_w = _weighted_norm(w, wsq, grid)
-    rhs1 = np.sqrt(lam) * wnorm_grad
-    rhs2 = lam ** 1.5 * wnorm_w
-    denom = rhs1 + rhs2
-    return {"lhs": lhs, "rhs1": rhs1, "rhs2": rhs2,
-            "ratio": lhs / denom if denom > 0 else float("nan"),
-            "wnorm_grad": wnorm_grad, "wnorm_w": wnorm_w, "empty": False}
+
+def _ratio_table(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray],
+                 lambdas: Sequence[float], grid: Grid,
+                 b: Optional[np.ndarray], c: Optional[np.ndarray]) -> list:
+    """table[t][k]: the carleman_ratio dict of corpus[t] at lambdas[k].
+
+    Every region and shift is found before any norm is taken, so an
+    unrepresentable exponent is reported at the smallest lam that has one.
+    """
+    if any(lam <= 0 for lam in lambdas):
+        raise ContractViolation("lam must be positive")
+    phi_values = weight.phi_on_grid(grid)
+    corpus = [np.asarray(w, dtype=float) for w in corpus]
+    # the dilation of an empty support is empty
+    regions = [_dilate(np.abs(w) > 0.0, 2) for w in corpus]
+    shifts = [float(np.min(phi_values[r])) if r.any() else 0.0 for r in regions]
+    # lam * max(phi - shift) rounds to the largest |exponent| on a region
+    spans = [float(np.max(phi_values[r] - shift)) for r, shift in zip(regions, shifts) if r.any()]
+    for lam in lambdas:
+        if any(lam * span > EXP_LIMIT for span in spans):
+            raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
+
+    q_arrays = metric_on_grid(Q, grid)
+    table = []
+    for w, region, shift in zip(corpus, regions, shifts):
+        if not region.any():
+            table.append([{"lhs": 0.0, "rhs1": 0.0, "rhs2": 0.0, "ratio": float("nan"),
+                           "wnorm_grad": 0.0, "wnorm_w": 0.0, "empty": True}
+                          for _ in lambdas])
+            continue
+        pw = _stencil(q_arrays, w, grid, b, c)
+        pw_sq = pw * pw
+        grad_sq = np.zeros_like(w)
+        for a in range(grid.dim):
+            grad_sq += d1(w, a, grid.h[a]) ** 2
+        w_sq = w * w
+        dphi = phi_values[region] - shift
+        wsq = np.zeros_like(w)
+        rows = []
+        for lam in lambdas:
+            wsq[region] = np.exp(2.0 * np.clip(-lam * dphi, -EXP_LIMIT, 0.0))
+            lhs = float(np.sqrt(trapezoid(pw_sq * wsq, grid)))
+            wnorm_grad = float(np.sqrt(trapezoid(grad_sq * wsq, grid)))
+            wnorm_w = float(np.sqrt(trapezoid(w_sq * wsq, grid)))
+            rhs1 = np.sqrt(lam) * wnorm_grad
+            rhs2 = lam ** 1.5 * wnorm_w
+            denom = rhs1 + rhs2
+            rows.append({"lhs": lhs, "rhs1": rhs1, "rhs2": rhs2,
+                         "ratio": lhs / denom if denom > 0 else float("nan"),
+                         "wnorm_grad": wnorm_grad, "wnorm_w": wnorm_w, "empty": False})
+        table.append(rows)
+    return table
 
 
 @dataclass
@@ -193,25 +217,14 @@ def lambda_sweep(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray
     lambdas = [float(v) for v in lambdas]
     if any(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ContractViolation("lambdas must be strictly increasing")
-    q_arrays = metric_on_grid(Q, grid)
-    phi_values = weight.phi_on_grid(grid)
-    rows = []
-    r_min = {}
-    for lam in lambdas:
-        best = np.inf
-        for t_id, w in enumerate(corpus):
-            r = carleman_ratio(Q, weight, w, grid, lam, b=b, c=c,
-                               q_arrays=q_arrays, phi_values=phi_values)
-            r["testfn"] = t_id
-            r["lam"] = lam
-            rows.append(r)
-            if not r["empty"] and np.isfinite(r["ratio"]):
-                best = min(best, r["ratio"])
-        r_min[lam] = float(best)
-    flags = []
-    for l1, l2 in zip(lambdas, lambdas[1:]):
-        if r_min[l2] < 0.5 * r_min[l1]:
-            flags.append((l1, l2))
+    table = _ratio_table(Q, weight, corpus, lambdas, grid, b, c)
+    rows, r_min = [], {}
+    for k, lam in enumerate(lambdas):
+        block = [dict(per_lam[k], testfn=t_id, lam=lam) for t_id, per_lam in enumerate(table)]
+        ratios = [r["ratio"] for r in block if not r["empty"] and np.isfinite(r["ratio"])]
+        r_min[lam] = float(min(ratios, default=np.inf))
+        rows += block
+    flags = [(l1, l2) for l1, l2 in zip(lambdas, lambdas[1:]) if r_min[l2] < 0.5 * r_min[l1]]
     return CarlemanReport(mu=weight.mu, lambdas=lambdas, rows=rows,
                           r_min=r_min, h=float(np.max(grid.h)),
                           decreasing_flags=flags)
@@ -223,15 +236,22 @@ def exponent_slopes(report: CarlemanReport, testfn: int = 0) -> tuple:
     rhs1 = lam^{1/2} ||e^{-lam phi} grad w|| and rhs2 = lam^{3/2} ||..w||, so
     the slopes of rhs/bare-norm recover the wired exponents 1/2 and 3/2.
     """
+    if len(report.lambdas) < 2:
+        raise ContractViolation(f"need at least two lam values for a slope, got {len(report.lambdas)}")
+    rows = [r for r in report.rows if r["testfn"] == testfn]
+    if not rows:
+        raise ContractViolation(f"test function {testfn} is not in the sweep")
+    if rows[0]["empty"]:
+        raise ContractViolation(f"test function {testfn} is zero on the grid")
     lams, s1, s2 = [], [], []
-    for r in report.rows:
-        if r["testfn"] == testfn and not r["empty"]:
-            if r["wnorm_grad"] > 0 and r["wnorm_w"] > 0:
-                lams.append(np.log(r["lam"]))
-                s1.append(np.log(r["rhs1"] / r["wnorm_grad"]))
-                s2.append(np.log(r["rhs2"] / r["wnorm_w"]))
+    for r in rows:
+        if r["wnorm_grad"] > 0 and r["wnorm_w"] > 0:
+            lams.append(np.log(r["lam"]))
+            s1.append(np.log(r["rhs1"] / r["wnorm_grad"]))
+            s2.append(np.log(r["rhs2"] / r["wnorm_w"]))
     if len(lams) < 2:
-        raise ContractViolation("need at least two lam values for a slope")
+        raise ContractViolation(f"test function {testfn} has nonzero weighted norms at "
+                                f"{len(lams)} of {len(rows)} lam values; a slope needs two")
     a = np.vstack([np.ones(len(lams)), lams]).T
     c1 = np.linalg.lstsq(a, np.array(s1), rcond=None)[0][1]
     c2 = np.linalg.lstsq(a, np.array(s2), rcond=None)[0][1]

@@ -407,12 +407,10 @@ def cmd_carleman(args) -> int:
     q, bent, box = carleman_section(lam=lam)
     grid = make_grid(box, cells)
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
+    if not any(np.any(w) for w in corpus):
+        raise ContractViolation(f"--grid {cells} is too coarse: every corpus function is zero at the nodes")
     weight = build_weight(bent, mu=args.mu)
-    lambdas = []
-    lam_v = 1.0
-    while lam_v <= args.lambda_max + 1e-9:
-        lambdas.append(lam_v)
-        lam_v *= 2.0
+    lambdas = [2.0 ** k for k in range(int(math.log2(args.lambda_max + 1e-9)) + 1)]
     rep = lambda_sweep(q, weight, corpus, lambdas, grid)
     s1, s2 = exponent_slopes(rep)
     floor = rep.r_floor(4.0)
@@ -539,9 +537,11 @@ def _validate_args(args):
     for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam"):
         if getattr(args, name) is not None and getattr(args, name) <= 0:
             raise ContractViolation(f"{_flag(name)} must be positive")
-    for name in ("samples", "grid", "tests", "n_pts", "max_rays"):
+    for name in ("samples", "grid", "tests", "n_pts", "max_rays", "corpus"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             raise ContractViolation(f"{_flag(name)} must be at least 1")
+    if args.lambda_max is not None and args.lambda_max < 2:
+        raise ContractViolation("--lambda-max must be at least 2 for a two-value lambda ladder")
 
 
 def main(argv: Optional[list] = None) -> int:

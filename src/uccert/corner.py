@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, d1, d2, restricted_trapezoid, trapezoid
+from .grids import Grid, ProductBump, _bump, d1, d2, restricted_trapezoid, trapezoid
 
 FACE_TOL = 1e-12
 
@@ -237,17 +237,14 @@ def detect_layer(cf: CornerField, tests: List[ProductBump]) -> dict:
 
 
 class BMatrixField:
-    """Symmetric coefficient matrix for the second-order form on the grid.
+    """Constant symmetric coefficient matrix for the second-order form on the grid.
 
-    Entries are callables on the grid (or constants); the (1,1) and (2,2)
-    entries must vanish for the corner identities to apply.
+    The (1,1) and (2,2) entries must vanish for the corner identities to apply.
     """
 
     def __init__(self, dim: int, entries: dict, name: str = ""):
         self.dim = dim
-        self.entries = {}
-        for (j, k), val in entries.items():
-            self.entries[(min(j, k), max(j, k))] = val
+        self.entries = {(min(j, k), max(j, k)): float(val) for (j, k), val in entries.items()}
         self.name = name
 
     @classmethod
@@ -260,22 +257,14 @@ class BMatrixField:
                     entries[(j, k)] = float(m[j, k])
         return cls(m.shape[0], entries, name=name)
 
-    def entry_on_grid(self, grid: Grid, j: int, k: int) -> np.ndarray:
-        val = self.entries.get((min(j, k), max(j, k)), 0.0)
-        if callable(val):
-            return np.asarray(val(*grid.meshgrid()), dtype=float)
-        return np.full(grid.shape, float(val))
-
-    def corner_entries_max(self, grid: Grid) -> float:
-        return max(float(np.max(np.abs(self.entry_on_grid(grid, 0, 0)))),
-                   float(np.max(np.abs(self.entry_on_grid(grid, 1, 1)))))
+    def corner_entries_max(self) -> float:
+        return max(abs(self.entries.get((0, 0), 0.0)), abs(self.entries.get((1, 1), 0.0)))
 
     def apply_second_order(self, cf: CornerField) -> np.ndarray:
         """sum_{j,k} beta_jk d_j d_k U on the grid from analytic partials."""
         grid = cf.grid
         out = np.zeros(grid.shape)
-        for (j, k), _ in self.entries.items():
-            beta = self.entry_on_grid(grid, j, k)
+        for (j, k), beta in self.entries.items():
             alpha = [0] * grid.dim
             alpha[j] += 1
             alpha[k] += 1
@@ -303,7 +292,7 @@ def verify_inequality_transfer(cf: CornerField, B: BMatrixField,
     identities (the quadrant indicator scales both sides identically).
     """
     grid = cf.grid
-    if B.corner_entries_max(grid) > tol_char:
+    if B.corner_entries_max() > tol_char:
         raise HypothesisError("coefficient matrix has nonzero (1,1) or (2,2) entry")
     bu = B.apply_second_order(cf)
     grad_mag = np.zeros(grid.shape)
@@ -375,20 +364,10 @@ def _mollifier_kernels(grid: Grid, eps: float) -> tuple:
     offsets = [hh * np.arange(-int(np.floor(eps / hh)), int(np.floor(eps / hh)) + 1)
                for hh in h]
     mesh = np.meshgrid(*[o / eps for o in offsets], indexing="ij")
-    r2 = sum(m * m for m in mesh)
-    s = 1.0 - r2
-    safe = s > 1e-8
-    base = np.zeros(r2.shape)
-    base[safe] = np.exp(-1.0 / s[safe])
-    cell = float(np.prod(h))
-    z = float(np.sum(base)) * cell
-    k0 = base / z
-    kgrads = []
-    for a in range(grid.dim):
-        ka = np.zeros(r2.shape)
-        ka[safe] = base[safe] * (-2.0 * mesh[a][safe] / (s[safe] ** 2))
-        kgrads.append(ka / (z * eps))
-    return k0, kgrads
+    s = 1.0 - sum(m * m for m in mesh)
+    base = _bump(s)
+    z = float(np.sum(base)) * float(np.prod(h))
+    return base / z, [_bump(s, mesh[a], 1) / (z * eps) for a in range(grid.dim)]
 
 
 def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,

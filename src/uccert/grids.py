@@ -136,7 +136,8 @@ def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Standard three-point second difference; edge values extrapolated flat."""
+    """Standard three-point second difference; the two edge rows along `axis`
+    are left at zero, so P w vanishes there whatever w does."""
     v = np.asarray(values, dtype=float)
     out = np.zeros_like(v)
     hi = [slice(None)] * v.ndim
@@ -158,36 +159,35 @@ def d1d1(values: np.ndarray, ax1: int, ax2: int, h1: float, h2: float) -> np.nda
 # Smooth compactly supported bump machinery
 # ---------------------------------------------------------------------------
 
+def _bump(s: np.ndarray, u: Optional[np.ndarray] = None, order: int = 0) -> np.ndarray:
+    """exp(-1/s) times its order-th derivative factor in u for s = 1 - |u|^2,
+    where s > 1e-8, and zero elsewhere; u is the coordinate differentiated."""
+    safe = s > 1e-8
+    out = np.zeros_like(s)
+    ss = s[safe]
+    e = np.exp(-1.0 / ss)
+    if order:
+        us = u[safe]
+        g1 = -2.0 * us / (ss * ss)
+        e = e * (g1 if order == 1 else (-2.0 - 6.0 * us * us) / (ss ** 3) + g1 * g1)
+    out[safe] = e
+    return out
+
+
 def bump_value(u: np.ndarray) -> np.ndarray:
     """exp(-1/(1-u^2)) inside |u| < 1, zero outside."""
     u = np.asarray(u, dtype=float)
-    s = 1.0 - u * u
-    safe = s > 1e-8
-    out = np.zeros_like(u)
-    out[safe] = np.exp(-1.0 / s[safe])
-    return out
+    return _bump(1.0 - u * u)
 
 
 def bump_d1(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    s = 1.0 - u * u
-    safe = s > 1e-8
-    out = np.zeros_like(u)
-    us, ss = u[safe], s[safe]
-    out[safe] = np.exp(-1.0 / ss) * (-2.0 * us / (ss * ss))
-    return out
+    return _bump(1.0 - u * u, u, 1)
 
 
 def bump_d2(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    s = 1.0 - u * u
-    safe = s > 1e-8
-    out = np.zeros_like(u)
-    us, ss = u[safe], s[safe]
-    g1 = -2.0 * us / (ss * ss)
-    g2 = (-2.0 - 6.0 * us * us) / (ss ** 3)
-    out[safe] = np.exp(-1.0 / ss) * (g2 + g1 * g1)
-    return out
+    return _bump(1.0 - u * u, u, 2)
 
 
 _BUMP_DERIVS = (bump_value, bump_d1, bump_d2)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uccert.carleman import (_dilate, apply_operator, build_weight, carleman_ratio,
-                             exponent_slopes, lambda_sweep, metric_on_grid)
+from uccert.carleman import (EXP_LIMIT, _dilate, apply_operator, build_weight,
+                             carleman_ratio, exponent_slopes, lambda_sweep, metric_on_grid)
 from uccert.errors import ContractViolation, RangeError
 from uccert.fields import ScalarField, constant_metric
-from uccert.grids import ProductBump, bump_superposition_values, make_grid, unit_box
+from uccert.grids import (ProductBump, bump_superposition_values, d1, d1d1, d2, make_grid,
+                          trapezoid, unit_box)
 from uccert.models import bumpy_wave_metric, carleman_section
 
 
@@ -198,6 +199,20 @@ class TestSweep:
         with pytest.raises(ContractViolation):
             lambda_sweep(q, weight, corpus, [2, 1], section_grid)
 
+    def test_slope_names_the_missing_requirement(self, section, section_grid):
+        q, bent, _ = section
+        weight = build_weight(bent, mu=1.0)
+        w = bump_superposition_values(section_grid, 1, seed=3)[0]
+        cases = [([w], [4.0], 0, "need at least two lam values for a slope, got 1"),
+                 ([np.zeros_like(w), w], [4.0, 8.0], 0, "test function 0 is zero on the grid"),
+                 ([w], [4.0, 8.0], 1, "test function 1 is not in the sweep")]
+        for corpus, lambdas, testfn, message in cases:
+            rep = lambda_sweep(q, weight, corpus, lambdas, section_grid)
+            with pytest.raises(ContractViolation, match=message):
+                exponent_slopes(rep, testfn)
+        rep = lambda_sweep(q, weight, [np.zeros_like(w), w], [4.0, 8.0], section_grid)
+        assert exponent_slopes(rep, 1) == pytest.approx((0.5, 1.5), abs=1e-10)
+
     def test_mu_sweep_all_positive(self, section):
         q, bent, box = section
         g = make_grid(box, 96)
@@ -206,6 +221,119 @@ class TestSweep:
             weight = build_weight(bent, mu=mu)
             rep = lambda_sweep(q, weight, corpus, [4, 8, 16], g)
             assert rep.r_floor(4.0) > 0
+
+
+def _loop_ratio(q_arrays, phi_values, w, grid, lam, b=None, c=None):
+    """One (w, lam) ratio computed from scratch, as the sweep did when lam was
+    its outer loop: the oracle for the per-test-function pass."""
+    w = np.asarray(w, dtype=float)
+    support = np.abs(w) > 0.0
+    if not np.any(support):
+        return {"lhs": 0.0, "rhs1": 0.0, "rhs2": 0.0, "ratio": float("nan"),
+                "wnorm_grad": 0.0, "wnorm_w": 0.0, "empty": True}
+    region = _dilate(support, 2)
+    shift = float(np.min(phi_values[region]))
+    exponent = -lam * (phi_values - shift)
+    if float(np.max(np.abs(exponent[region]))) > EXP_LIMIT:
+        raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
+    wsq = np.where(region, np.exp(2.0 * np.clip(exponent, -EXP_LIMIT, 0.0)), 0.0)
+    h = grid.h
+    pw = np.zeros_like(w)
+    for j in range(grid.dim):
+        pw += q_arrays[j, j] * d2(w, j, h[j])
+        for k in range(j + 1, grid.dim):
+            pw += 2.0 * q_arrays[j, k] * d1d1(w, j, k, h[j], h[k])
+    if b is not None:
+        for j in range(grid.dim):
+            pw += b[j] * d1(w, j, h[j])
+    if c is not None:
+        pw += c * w
+    grad_sq = np.zeros_like(w)
+    for a in range(grid.dim):
+        grad_sq += d1(w, a, h[a]) ** 2
+    lhs = float(np.sqrt(trapezoid(pw * pw * wsq, grid)))
+    wnorm_grad = float(np.sqrt(trapezoid(grad_sq * wsq, grid)))
+    wnorm_w = float(np.sqrt(trapezoid(w * w * wsq, grid)))
+    rhs1 = np.sqrt(lam) * wnorm_grad
+    rhs2 = lam ** 1.5 * wnorm_w
+    denom = rhs1 + rhs2
+    return {"lhs": lhs, "rhs1": rhs1, "rhs2": rhs2,
+            "ratio": lhs / denom if denom > 0 else float("nan"),
+            "wnorm_grad": wnorm_grad, "wnorm_w": wnorm_w, "empty": False}
+
+
+def _loop_rows(q, weight, corpus, lambdas, grid, b=None, c=None):
+    q_arrays = metric_on_grid(q, grid)
+    phi_values = weight.phi_on_grid(grid)
+    rows = []
+    for lam in lambdas:
+        for t_id, w in enumerate(corpus):
+            r = _loop_ratio(q_arrays, phi_values, w, grid, lam, b=b, c=c)
+            r["testfn"] = t_id
+            r["lam"] = lam
+            rows.append(r)
+    return rows
+
+
+def _bits(row):
+    return [(k, np.float64(v).tobytes()) for k, v in row.items()]
+
+
+class TestSweepAgainstLoop:
+    """lambda_sweep forms the lam-free terms once per test function; the
+    lam-outer loop that recomputed them is the oracle, row for row and bit
+    for bit."""
+
+    BOX = np.array([[-0.4, 0.4], [0.6, 1.4]])
+    LADDERS = ([8.0], [1.0, 4.0, 16.0], [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+
+    @pytest.fixture(scope="class")
+    def setup(self, section):
+        grid = make_grid(self.BOX, 64)
+        corpus = bump_superposition_values(grid, 5, seed=13)
+        corpus.insert(2, np.zeros(grid.shape))        # an empty test function
+        return grid, corpus, build_weight(section[1], mu=1.0)
+
+    @pytest.mark.parametrize("lambdas", LADDERS)
+    @pytest.mark.parametrize("metric", ["section", "bumpy", "lower_order"])
+    def test_rows_bit_for_bit(self, section, setup, metric, lambdas):
+        grid, corpus, weight = setup
+        q = bumpy_wave_metric(1) if metric == "bumpy" else section[0]
+        b = c = None
+        if metric == "lower_order":
+            x, y = grid.meshgrid()
+            b = np.stack([np.sin(3.0 * y), 0.5 + x * y])
+            c = np.cos(2.0 * x) - y
+        rows = lambda_sweep(q, weight, corpus, lambdas, grid, b=b, c=c).rows
+        oracle = _loop_rows(q, weight, corpus, lambdas, grid, b=b, c=c)
+        assert [_bits(r) for r in rows] == [_bits(r) for r in oracle]
+
+    def test_single_ratio_bit_for_bit(self, section, setup):
+        grid, corpus, weight = setup
+        q = bumpy_wave_metric(1)
+        for w in corpus:
+            got = carleman_ratio(q, weight, w, grid, 16.0)
+            want = _loop_ratio(metric_on_grid(q, grid), weight.phi_on_grid(grid), w, grid, 16.0)
+            assert _bits(got) == _bits(want)
+
+    def test_range_error_names_the_oracle_lam(self, section):
+        # test function 0 is narrow and overflows late; test function 1 is
+        # wide and overflows first, so the error names its lam
+        q, bent, _ = section
+        grid = make_grid(self.BOX, 64)
+        weight = build_weight(bent, mu=1.0)
+        corpus = [ProductBump([0.0, 1.0], [0.05, 0.05]).values_on_grid(grid),
+                  ProductBump([0.0, 1.0], [0.3, 0.3]).values_on_grid(grid)]
+        ladder = [2.0 ** k for k in range(24)]
+
+        def raised(fn, *args):
+            with pytest.raises(RangeError) as info:
+                fn(q, weight, *args, ladder, grid)
+            return str(info.value)
+
+        want = raised(_loop_rows, corpus)
+        assert raised(lambda_sweep, corpus) == want
+        assert raised(_loop_rows, corpus[:1]) != want
 
 
 class TestDilation:

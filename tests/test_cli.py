@@ -289,6 +289,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "must be at least 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "1"], "--grid 1 is too coarse"),
+        (["--corpus", "0"], "--corpus must be at least 1"),
+        (["--lambda-max", "1"], "--lambda-max must be at least 2"),
+        (["--lambda-max", "0.5"], "--lambda-max must be at least 2")])
+    def test_carleman_without_a_slope_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "16"] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
     def test_failed_certificate_names_its_gate(self, tmp_path):
         out = str(tmp_path / "o")
         assert main(["certify", "--model", "ik2", "--lambda", "1", "--out", out]) == 1

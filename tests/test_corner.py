@@ -225,6 +225,16 @@ class TestInequalityTransfer:
         rep = verify_inequality_transfer(cf, b, n_pts=5000, seed=2, C=measured)
         assert rep["violations"] == 0
 
+    def test_second_order_matches_full_grid_entries(self):
+        # each constant entry, spread over the grid as it once was, gives
+        # the same sum bit for bit
+        g = make_grid(unit_box(2), 64)
+        cf = corner_corpus(g)[1]
+        b = BMatrixField.from_matrix([[0.0, 0.7], [0.7, 0.0]])
+        want = np.zeros(g.shape)
+        want += 2.0 * np.full(g.shape, 0.7) * cf.partial((1, 1))
+        assert np.array_equal(b.apply_second_order(cf), want)
+
     def test_nonzero_corner_entry_rejected(self):
         g = make_grid(unit_box(2), 64)
         cf = corner_corpus(g)[1]
@@ -276,6 +286,38 @@ class TestMollifier:
         a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
         with pytest.raises(ResolutionError):
             mollifier_commutator(a, v, g, [2.0 / 64])
+
+
+def _kernels_inline(grid, eps):
+    """The mollifier kernels with the bump formula written out: the oracle
+    for _mollifier_kernels, which reads it from grids._bump."""
+    h = grid.h
+    offsets = [hh * np.arange(-int(np.floor(eps / hh)), int(np.floor(eps / hh)) + 1)
+               for hh in h]
+    mesh = np.meshgrid(*[o / eps for o in offsets], indexing="ij")
+    s = 1.0 - sum(m * m for m in mesh)
+    safe = s > 1e-8
+    base = np.zeros(s.shape)
+    base[safe] = np.exp(-1.0 / s[safe])
+    z = float(np.sum(base)) * float(np.prod(h))
+    kgrads = []
+    for a in range(grid.dim):
+        ka = np.zeros(s.shape)
+        ka[safe] = base[safe] * (-2.0 * mesh[a][safe] / (s[safe] ** 2))
+        kgrads.append(ka / (z * eps))
+    return base / z, kgrads
+
+
+@pytest.mark.parametrize("box, cells, eps", [
+    (unit_box(2), 512, 0.04), (unit_box(2), 128, 0.25), (unit_box(2), 96, 1.0 / 12),
+    (np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80), 0.3), (unit_box(3), 48, 0.3)])
+def test_mollifier_kernels_match_inline_formula(box, cells, eps):
+    grid = make_grid(box, cells)
+    k0, kg = _mollifier_kernels(grid, eps)
+    o0, og = _kernels_inline(grid, eps)
+    assert np.array_equal(k0, o0)
+    assert len(kg) == len(og) == grid.dim
+    assert all(np.array_equal(a, b) for a, b in zip(kg, og))
 
 
 def _commutator_by_fftconvolve(a, v, grid, eps_list):

@@ -88,6 +88,15 @@ class TestStencils:
         assert_allclose(d1d1(vals, 0, 1, g.h[0], g.h[1])[interior],
                         (2 * mesh[0])[interior], atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(9,), (7, 8), (5, 6, 7)])
+    def test_d2_leaves_edge_rows_zero(self, shape):
+        vals = np.random.default_rng(2).uniform(1.0, 2.0, size=shape)
+        for axis in range(len(shape)):
+            out = d2(vals, axis, 0.1)
+            edges = np.take(out, [0, -1], axis=axis)
+            assert np.all(edges == 0.0)
+            assert np.all(np.take(out, range(1, shape[axis] - 1), axis=axis) != 0.0)
+
     def test_mixed_matches_analytic_smooth(self):
         g = make_grid(unit_box(2), 256)
         mesh = g.meshgrid()
@@ -106,6 +115,21 @@ class TestBumps:
         fd2 = (bump_value(u + h) - 2 * bump_value(u) + bump_value(u - h)) / h ** 2
         assert_allclose(bump_d1(u), fd1, atol=1e-7)
         assert_allclose(bump_d2(u), fd2, atol=2e-4)
+
+    def test_bump_profiles_match_inline_formula(self):
+        # the formulas each profile once wrote out, on both sides of the cutoff
+        u = np.concatenate([np.linspace(-1.2, 1.2, 2401), [1.0 - 5e-9, -(1.0 - 4e-9)]])
+        s = 1.0 - u * u
+        safe = s > 1e-8
+        us, ss = u[safe], s[safe]
+        g1 = -2.0 * us / (ss * ss)
+        g2 = (-2.0 - 6.0 * us * us) / (ss ** 3)
+        for fn, inner in ((bump_value, np.exp(-1.0 / ss)),
+                          (bump_d1, np.exp(-1.0 / ss) * g1),
+                          (bump_d2, np.exp(-1.0 / ss) * (g2 + g1 * g1))):
+            want = np.zeros_like(u)
+            want[safe] = inner
+            assert np.array_equal(fn(u), want)
 
     def test_bump_vanishes_outside_support(self):
         b = ProductBump([0.0, 0.0], [0.3, 0.3])
