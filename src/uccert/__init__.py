@@ -27,7 +27,8 @@ from .hypotheses import (GeometrySpec, HypothesisReport, build_psi,
 from .certify import (Certificate, ConstraintSample, certify, certify_fields,
                       check_calderon, check_hormander, compute_lambda0,
                       compute_m0, constraint_samples, unit_sphere_seeds)
-from .rays import ContactReport, RayTrajectory, contact, integrate, launch_and_classify
+from .rays import (ContactReport, RayTrajectory, contact, integrate, integrate_rays,
+                   launch_and_classify)
 from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
 from .carleman import (CarlemanReport, WeightSpec, apply_operator, build_weight,

@@ -32,12 +32,12 @@ from .corner import (BMatrixField, SampledField, corner_corpus, detect_layer,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
 from .expressions import expression_field
-from .fields import PhasePoint, constant_metric, linear_combination, squared_field
+from .fields import constant_metric, linear_combination, squared_field
 from .grids import bump_corpus, bump_superposition_values, make_grid, unit_box
 from .hypotheses import (GeometrySpec, build_psi, check_assumptions,
                          verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
-from .rays import contact, integrate
+from .rays import contact, integrate_rays
 
 SCHEMA = "ucp-report/1"
 
@@ -267,9 +267,9 @@ def cmd_rays(args) -> int:
     ok = True
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
-    for ray_id in range(max_rays):
-        xi = cert.samples[ray_id].xi
-        traj = integrate(q, PhasePoint(model.x0, xi), ds, n_steps, two_sided=True)
+    trajs = integrate_rays(q, model.x0, [sample.xi for sample in cert.samples[:max_rays]],
+                           ds, n_steps, two_sided=True)
+    for ray_id, traj in enumerate(trajs):
         drift = max(drift, traj.conservation_defect())
         rep = contact(traj, q, bent, s_fit=s_fit)
         results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})

@@ -138,11 +138,15 @@ class MetricField:
         scale = max(1.0, float(np.max(np.abs(q))))
         return float(np.max(np.abs(q - q.T))) / scale
 
-    def in_domain(self, x) -> bool:
-        if self.domain_box is None:
-            return True
-        x = as_point(x)
-        return bool(np.all(x >= self.domain_box[:, 0]) and np.all(x <= self.domain_box[:, 1]))
+    def in_domain(self, x):
+        """Whether a point lies in the domain box, or a bool array over the rows of a batch."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ContractViolation(f"x must be a point or a batch, got shape {x.shape}")
+        inside = np.ones(x.shape[:-1], dtype=bool)
+        if self.domain_box is not None:
+            inside = np.all((x >= self.domain_box[:, 0]) & (x <= self.domain_box[:, 1]), axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
 
 def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation, FitError
-from .fields import MetricField, PhasePoint, ScalarField
-from .symbols import _quadratic_forms, hp, hp2
+from .fields import MetricField, PhasePoint, ScalarField, as_point
+from .symbols import _matvec, _quadratic_forms, hp, hp2
 
 DEFAULT_TOL_TAN_REL = 1e-6
 DEFAULT_TOL_ZERO = 1e-10
@@ -53,65 +53,99 @@ class RayTrajectory:
 
 
 def _flow(Q: MetricField, x: np.ndarray, xi: np.ndarray):
+    """The Hamiltonian vector field of p at each row of the (m, n) states (x, xi)."""
     q, dq = Q.jet(x, 1)
-    return 2.0 * q @ xi, -np.vecdot(xi @ dq, xi)
+    return 2.0 * _matvec(q, xi), -np.vecdot((xi[:, None, None, :] @ dq)[:, :, 0, :], xi[:, None, :])
 
 
-def _rk4_step(Q: MetricField, x, xi, ds):
+def _rk4_step(Q: MetricField, x, xi, h):
+    """One RK4 step of every row, row i with its own signed step h[i, 0]."""
     k1x, k1p = _flow(Q, x, xi)
-    k2x, k2p = _flow(Q, x + 0.5 * ds * k1x, xi + 0.5 * ds * k1p)
-    k3x, k3p = _flow(Q, x + 0.5 * ds * k2x, xi + 0.5 * ds * k2p)
-    k4x, k4p = _flow(Q, x + ds * k3x, xi + ds * k3p)
-    xn = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    xin = xi + ds / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    k2x, k2p = _flow(Q, x + 0.5 * h * k1x, xi + 0.5 * h * k1p)
+    k3x, k3p = _flow(Q, x + 0.5 * h * k2x, xi + 0.5 * h * k2p)
+    k4x, k4p = _flow(Q, x + h * k3x, xi + h * k3p)
+    xn = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    xin = xi + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
     return xn, xin
 
 
-def _march(Q: MetricField, start: PhasePoint, ds: float, n_steps: int):
-    """One-directional march; ds may be negative.  Stops at the domain box."""
-    xs = [start.x.copy()]
-    xis = [start.xi.copy()]
-    truncated = False
-    for _ in range(n_steps):
-        xn, xin = _rk4_step(Q, xs[-1], xis[-1], ds)
-        if not Q.in_domain(xn):
-            truncated = True
+def _march(Q: MetricField, x: np.ndarray, xi: np.ndarray, steps: np.ndarray, n_steps: int):
+    """March every row of the (m, n) states (x, xi) by its own signed step.
+
+    A row whose next point leaves the domain box stops at its last inside
+    point and is flagged truncated; the others march on.  Returns the
+    stacked states, shape (k + 1, m, n), in which row i is valid up to
+    index ``kept[i]`` and frozen after it, with ``kept`` and ``truncated``.
+    """
+    h = steps[:, None]
+    xs, xis = [x], [xi]
+    kept = np.zeros(len(x), dtype=int)
+    truncated = np.zeros(len(x), dtype=bool)
+    for k in range(1, n_steps + 1):
+        rows = np.flatnonzero(~truncated)
+        if rows.size == 0:
             break
-        xs.append(xn)
-        xis.append(xin)
-    return xs, xis, truncated
+        xn, xin = _rk4_step(Q, x[rows], xi[rows], h[rows])
+        inside = Q.in_domain(xn)
+        truncated[rows[~inside]] = True
+        rows = rows[inside]
+        x, xi = x.copy(), xi.copy()
+        x[rows], xi[rows] = xn[inside], xin[inside]
+        kept[rows] = k
+        xs.append(x)
+        xis.append(xi)
+    return np.stack(xs), np.stack(xis), kept, truncated
 
 
-def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int,
-              two_sided: bool = False) -> RayTrajectory:
-    """Integrate a ray from ``start``.
+def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int,
+                   two_sided: bool = False) -> list:
+    """Integrate one ray from ``x0`` for each covector row of ``xis``.
 
-    With ``two_sided`` the trajectory covers s in [-n_steps*ds, n_steps*ds],
-    which contact analysis needs; otherwise s runs forward from 0.  A ray
-    leaving the metric's domain box is truncated and flagged.
+    All rays march as one batch, each RK4 stage one metric jet over every
+    row still inside the domain box.  With ``two_sided`` each trajectory
+    covers s in [-n_steps*ds, n_steps*ds], which contact analysis needs;
+    otherwise s runs forward from 0.  A ray leaving the metric's domain box
+    is truncated on that side and flagged.  Returns one ``RayTrajectory``
+    per covector.
     """
     if ds <= 0:
         raise ContractViolation("ds must be positive")
     if n_steps < 1:
         raise ContractViolation("n_steps must be >= 1")
-    if start.dim != Q.dim:
+    x0, xis = as_point(x0), np.asarray(xis, dtype=float)
+    if x0.size != Q.dim or xis.ndim != 2 or xis.shape[1] != Q.dim:
         raise ContractViolation("start point dimension mismatch")
-    fwd_x, fwd_xi, trunc_f = _march(Q, start, ds, n_steps)
-    if two_sided:
-        bwd_x, bwd_xi, trunc_b = _march(Q, start, -ds, n_steps)
-        xs = bwd_x[:0:-1] + fwd_x
-        xis = bwd_xi[:0:-1] + fwd_xi
-        s0 = -ds * (len(bwd_x) - 1)
-        truncated = trunc_f or trunc_b
-    else:
-        xs, xis = fwd_x, fwd_xi
-        s0 = 0.0
-        truncated = trunc_f
-    s = s0 + ds * np.arange(len(xs))
-    xs = np.array(xs)
-    xis = np.array(xis)
-    p_vals = _quadratic_forms(xis, Q.jet(xs, 0), xis)
-    return RayTrajectory(s=s, xs=xs, xis=xis, p_vals=p_vals, step=ds, truncated=truncated)
+    n_rays = len(xis)
+    if n_rays == 0:
+        return []
+    sides = 2 if two_sided else 1
+    steps = np.repeat([ds, -ds][:sides], n_rays)        # forward rows, then backward rows
+    all_x, all_xi, kept, cut = _march(Q, np.tile(x0, (sides * n_rays, 1)),
+                                      np.tile(xis, (sides, 1)), steps, n_steps)
+    pieces = []
+    for i in range(n_rays):
+        fwd = slice(0, kept[i] + 1)
+        xs, xis_i = all_x[fwd, i], all_xi[fwd, i]
+        s0, truncated = 0.0, bool(cut[i])
+        if two_sided:
+            b = n_rays + i
+            bwd = slice(kept[b], 0, -1)                  # launch point once, from the forward rows
+            xs = np.concatenate([all_x[bwd, b], xs])
+            xis_i = np.concatenate([all_xi[bwd, b], xis_i])
+            s0, truncated = -ds * kept[b], truncated or bool(cut[b])
+        pieces.append((s0 + ds * np.arange(len(xs)), xs, xis_i, truncated))
+    xs_all = np.concatenate([xs for _, xs, _, _ in pieces])
+    xis_all = np.concatenate([xis_i for _, _, xis_i, _ in pieces])
+    p_all = _quadratic_forms(xis_all, Q.jet(xs_all, 0), xis_all)
+    p_vals = np.split(p_all, np.cumsum([len(s) for s, _, _, _ in pieces])[:-1])
+    return [RayTrajectory(s=s, xs=xs, xis=xis_i, p_vals=p, step=ds, truncated=truncated)
+            for (s, xs, xis_i, truncated), p in zip(pieces, p_vals)]
+
+
+def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int,
+              two_sided: bool = False) -> RayTrajectory:
+    """Integrate a ray from ``start``: the one-ray case of ``integrate_rays``."""
+    return integrate_rays(Q, start.x, start.xi[None, :], ds, n_steps, two_sided)[0]
 
 
 @dataclass

@@ -100,6 +100,9 @@ class TestMetricField:
         q = constant_metric(np.diag([-1.0, 1.0]), domain_box=box)
         assert q.in_domain([0.0, 0.0])
         assert not q.in_domain([0.0, 1.5])
+        batch = np.array([[0.0, 0.0], [0.0, 1.5], [-1.0, 1.0], [np.nan, 0.0]])
+        assert q.in_domain(batch).tolist() == [q.in_domain(x) for x in batch] == [True, False, True, False]
+        assert constant_metric(np.diag([-1.0, 1.0])).in_domain(batch).all()
 
 
 def _metric_cases():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uccert import (PhasePoint, constant_metric, contact, hp2, integrate,
+from uccert import (PhasePoint, constant_metric, contact, hp2, integrate, integrate_rays,
                     launch_and_classify, linear_combination, squared_field)
 from uccert.errors import ContractViolation, FitError
 from uccert.models import bumpy_wave_metric
@@ -141,3 +141,120 @@ class TestContact:
         traj = integrate(q, PhasePoint(ik2.x0, xi), ds=0.05, n_steps=1, two_sided=True)
         with pytest.raises(FitError):
             contact(traj, q, psi1, s_fit=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the batched march against the per-ray loop it replaced
+# ---------------------------------------------------------------------------
+
+def _point_flow(Q, x, xi):
+    q, dq = Q.jet(x, 1)
+    return 2.0 * q @ xi, -np.vecdot(xi @ dq, xi)
+
+
+def _point_rk4_step(Q, x, xi, ds):
+    k1x, k1p = _point_flow(Q, x, xi)
+    k2x, k2p = _point_flow(Q, x + 0.5 * ds * k1x, xi + 0.5 * ds * k1p)
+    k3x, k3p = _point_flow(Q, x + 0.5 * ds * k2x, xi + 0.5 * ds * k2p)
+    k4x, k4p = _point_flow(Q, x + ds * k3x, xi + ds * k3p)
+    xn = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    xin = xi + ds / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return xn, xin
+
+
+def _point_march(Q, start, ds, n_steps):
+    xs, xis = [start.x.copy()], [start.xi.copy()]
+    truncated = False
+    for _ in range(n_steps):
+        xn, xin = _point_rk4_step(Q, xs[-1], xis[-1], ds)
+        if not Q.in_domain(xn):
+            truncated = True
+            break
+        xs.append(xn)
+        xis.append(xin)
+    return xs, xis, truncated
+
+
+def _point_integrate(Q, start, ds, n_steps, two_sided=False):
+    """One ray at a time, one point per RK4 stage: the loop before batching."""
+    fwd_x, fwd_xi, trunc_f = _point_march(Q, start, ds, n_steps)
+    if two_sided:
+        bwd_x, bwd_xi, trunc_b = _point_march(Q, start, -ds, n_steps)
+        xs, xis = bwd_x[:0:-1] + fwd_x, bwd_xi[:0:-1] + fwd_xi
+        s0, truncated = -ds * (len(bwd_x) - 1), trunc_f or trunc_b
+    else:
+        xs, xis, s0, truncated = fwd_x, fwd_xi, 0.0, trunc_f
+    xs, xis = np.array(xs), np.array(xis)
+    p_vals = np.array([xi @ Q(x) @ xi for x, xi in zip(xs, xis)])
+    return s0 + ds * np.arange(len(xs)), xs, xis, p_vals, truncated
+
+
+def _wave_matrix(n, rng):
+    a = rng.normal(size=(n, n))
+    return a.T @ np.diag(np.concatenate([[-1.0], np.ones(n - 1)])) @ a
+
+
+class TestBatchedRaysAgainstPointLoop:
+    def assert_matches_loop(self, Q, x0, xis, ds, n_steps, two_sided):
+        trajs = integrate_rays(Q, x0, xis, ds, n_steps, two_sided=two_sided)
+        assert len(trajs) == len(xis)
+        for traj, xi in zip(trajs, xis):
+            s, xs, xis_, p_vals, truncated = _point_integrate(
+                Q, PhasePoint(x0, xi), ds, n_steps, two_sided)
+            for got, want in ((traj.s, s), (traj.xs, xs), (traj.xis, xis_)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # p is u.(Q v) per row; the oracle's (xi @ Q) @ xi on one point is the same sum
+            assert traj.p_vals.tobytes() == p_vals.tobytes()
+            assert traj.truncated is truncated
+            assert traj.step == ds
+        return trajs
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["constant", "bumpy"])
+    def test_bit_for_bit_on_metrics(self, d, kind):
+        rng = np.random.default_rng(d)
+        n = d + 1
+        q = (constant_metric(_wave_matrix(n, rng)) if kind == "constant"
+             else bumpy_wave_metric(d, amp=0.08))
+        x0 = np.concatenate([[0.05], np.full(d, 0.3)])
+        xis = rng.normal(size=(5, n))
+        self.assert_matches_loop(q, x0, xis, 1e-2, 60, two_sided=True)
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_rays_leave_the_box_at_different_steps(self, two_sided):
+        box = np.array([[-0.2, 0.35], [0.5, 1.5], [-2.0, 2.0]])
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
+        xis = np.array([[s, 0.0, 1.0] for s in (0.3, 0.6, -0.5, -1.5, 0.0)])
+        trajs = self.assert_matches_loop(q, [0.0, 1.0, 0.0], xis, 1e-2, 60, two_sided)
+        lengths = [len(t.s) for t in trajs]
+        assert len(set(lengths)) == len(lengths)           # every row stops at its own step
+        assert [t.truncated for t in trajs] == [True] * 4 + [False]
+        if two_sided:
+            # rows 0 and 1 leave forward first, rows 2 and 3 backward first
+            fwd = [len(t.s) - 1 - t.launch_index for t in trajs]
+            bwd = [t.launch_index for t in trajs]
+            assert [f < b for f, b in zip(fwd, bwd)] == [True, True, False, False, False]
+            assert fwd[4] == bwd[4] == 60
+
+    def test_first_step_leaves_on_both_sides(self):
+        box = np.array([[-1e-9, 1e-9], [0.5, 1.5], [-1.0, 1.0]])
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
+        xis = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        stuck, free = self.assert_matches_loop(q, [0.0, 1.0, 0.0], xis, 1e-2, 20, True)
+        assert stuck.s.tolist() == [0.0] and stuck.truncated
+        assert len(free.s) == 41 and not free.truncated
+
+    def test_integrate_is_the_one_ray_case(self):
+        q = bumpy_wave_metric(2, amp=0.08)
+        x0, xi = np.array([0.0, 1.0, 0.0]), np.array([0.6, -0.3, 0.75])
+        one = integrate(q, PhasePoint(x0, xi), 1e-2, 30, two_sided=True)
+        batch = integrate_rays(q, x0, [[0.1, 0.2, 0.3], xi], 1e-2, 30, two_sided=True)[1]
+        for attr in ("s", "xs", "xis", "p_vals"):
+            assert getattr(one, attr).tobytes() == getattr(batch, attr).tobytes()
+
+    def test_contract(self, ik2):
+        q = ik2.geometry.Q
+        assert integrate_rays(q, ik2.x0, np.zeros((0, 3)), 1e-2, 5) == []
+        for x0, xis in ((ik2.x0, np.ones(3)), (ik2.x0, np.ones((2, 2))), (np.ones(2), np.ones((2, 3)))):
+            with pytest.raises(ContractViolation):
+                integrate_rays(q, x0, xis, 1e-2, 5)
