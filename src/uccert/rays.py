@@ -2,8 +2,8 @@
 
 Rays solve  dx/ds = 2 Q(x) xi,  dxi_j/ds = -<d_j Q(x) xi, xi>  with a
 classical fourth-order one-step scheme; the symbol value is conserved along
-each ray up to the integrator error.  Contact analysis fits a quadratic to
-psi along a ray and compares the fitted curvature with half the second
+each ray up to the integrator error.  Contact analysis fits a quartic to
+psi along a ray and compares its curvature with half the second
 Hamiltonian derivative at launch: tangent rays of a certified surface bend
 to the negative side.
 """
@@ -174,7 +174,10 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
             tol_tan_rel: float = DEFAULT_TOL_TAN_REL) -> ContactReport:
     """Classify the contact of a ray with the level set {psi = 0}.
 
-    Least-squares quadratic fit of psi along the ray over |s| <= s_fit.
+    Least-squares quartic fit of psi along the ray over |s| <= s_fit, of
+    which the constant, linear and quadratic coefficients are read (a
+    quadratic fit over the symmetric window would fold about
+    (3/5) s_fit^2 times the cubic coefficient into the linear one).
     Tangency holds when the linear coefficient is below a scale-invariant
     threshold; a tangent ray lies below (above) the surface when the fitted
     curvature is negative (positive).  The curvature is compared against
@@ -190,7 +193,7 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
         raise FitError(f"only {int(np.sum(mask))} samples inside the fit window")
     s = traj.s[mask]
     vals = psi.jet(traj.xs[mask], 0)
-    coef = np.polynomial.polynomial.polyfit(s, vals, 2)
+    coef = np.polynomial.polynomial.polyfit(s, vals, 4)
     intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
 
     pp = PhasePoint(x0, xi0)

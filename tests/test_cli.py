@@ -203,6 +203,22 @@ class TestRaysCommand:
         assert header == ["ray", "field", "s", "x1", "x2", "x3",
                           "xi1", "xi2", "xi3", "p", "psi"]
 
+    def test_variable_metric_rays_are_tangent(self, tmp_path):
+        # on bumpy_wave the cubic term of psi along a ray is nonzero; the
+        # contact fit must not read it as a linear slope (a crossing)
+        cfg = tmp_path / "bumpy.conf"
+        cfg.write_text("[geometry]\ndim = 3\nmetric = bumpy_wave(2, 0.05)\n"
+                       "phi_plus = norm(x2, x3) - 1 - x1\nphi_minus = norm(x2, x3) - 1 + x1\n"
+                       "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\nx0 = 0, 1, 0\n"
+                       "\n[run]\ncommand = rays\nlambda = 2\nseed = 0\n")
+        out = str(tmp_path / "r")
+        assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        rep = read_report(out)
+        assert rep["passed"] and rep["n_rays"] > 0
+        for c in rep["contacts"]:
+            assert c["tangency"] and abs(c["fitted_c1"]) <= c["tol_tan"]
+            assert c["side"] == {"bent": "below", "surface": "above"}[c["field"]]
+
 
 class TestMalformedInput:
     def _conf(self, tmp_path, metric="diag(-1, 1, 1)", x0="0, 1, 0",
