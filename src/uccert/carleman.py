@@ -85,7 +85,8 @@ def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
     for j in range(grid.dim):
         out += q_arrays[j, j] * d2(w, j, h[j])
         for k in range(j + 1, grid.dim):
-            out += 2.0 * q_arrays[j, k] * d1d1(w, j, k, h[j], h[k])
+            if np.any(q_arrays[j, k]):          # an all-zero entry adds exactly zero
+                out += 2.0 * q_arrays[j, k] * d1d1(w, j, k, h[j], h[k])
     if b is not None:
         for j in range(grid.dim):
             out += b[j] * d1(w, j, h[j])

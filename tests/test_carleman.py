@@ -116,6 +116,25 @@ class TestApplyOperator:
         assert np.array_equal(metric_on_grid(q, g), loop.reshape((2, 2) + g.shape))
 
 
+    @pytest.mark.parametrize("q, box", [
+        (bumpy_wave_metric(1), [[-0.4, 0.4], [0.6, 1.4]]),
+        (constant_metric([[1.0, 0.5], [0.5, 2.0]]), [[-0.4, 0.4], [0.6, 1.4]]),
+        (constant_metric(np.diag([-1.0, 1.0])), [[-0.4, 0.4], [0.6, 1.4]]),
+        (constant_metric([[-1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         [[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]])])
+    def test_operator_equals_full_stencil(self, q, box):
+        # every second-order term, an all-zero off-diagonal entry included
+        g = make_grid(np.array(box), 24)
+        w = np.sin(3.0 * g.meshgrid()[0]) * np.cos(2.0 * g.meshgrid()[-1])
+        arrays = metric_on_grid(q, g)
+        full = np.zeros_like(w)
+        for j in range(g.dim):
+            full += arrays[j, j] * d2(w, j, g.h[j])
+            for k in range(j + 1, g.dim):
+                full += 2.0 * arrays[j, k] * d1d1(w, j, k, g.h[j], g.h[k])
+        assert np.array_equal(apply_operator(q, w, g), full)
+
+
 class TestRatio:
     def test_empty_field_reported(self, section, section_grid):
         q, bent, _ = section
