@@ -115,31 +115,22 @@ def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int,
     x0, xis = as_point(x0), np.asarray(xis, dtype=float)
     if x0.size != Q.dim or xis.ndim != 2 or xis.shape[1] != Q.dim:
         raise ContractViolation("start point dimension mismatch")
-    n_rays = len(xis)
-    if n_rays == 0:
-        return []
+    n_rays, n = xis.shape
     sides = 2 if two_sided else 1
     steps = np.repeat([ds, -ds][:sides], n_rays)        # forward rows, then backward rows
     all_x, all_xi, kept, cut = _march(Q, np.tile(x0, (sides * n_rays, 1)),
                                       np.tile(xis, (sides, 1)), steps, n_steps)
-    pieces = []
+    p = _quadratic_forms(all_xi, Q.jet(all_x.reshape(-1, n), 0).reshape(all_x.shape + (n,)), all_xi)
+    trajs = []
     for i in range(n_rays):
-        fwd = slice(0, kept[i] + 1)
-        xs, xis_i = all_x[fwd, i], all_xi[fwd, i]
-        s0, truncated = 0.0, bool(cut[i])
-        if two_sided:
-            b = n_rays + i
-            bwd = slice(kept[b], 0, -1)                  # launch point once, from the forward rows
-            xs = np.concatenate([all_x[bwd, b], xs])
-            xis_i = np.concatenate([all_xi[bwd, b], xis_i])
-            s0, truncated = -ds * kept[b], truncated or bool(cut[b])
-        pieces.append((s0 + ds * np.arange(len(xs)), xs, xis_i, truncated))
-    xs_all = np.concatenate([xs for _, xs, _, _ in pieces])
-    xis_all = np.concatenate([xis_i for _, _, xis_i, _ in pieces])
-    p_all = _quadratic_forms(xis_all, Q.jet(xs_all, 0), xis_all)
-    p_vals = np.split(p_all, np.cumsum([len(s) for s, _, _, _ in pieces])[:-1])
-    return [RayTrajectory(s=s, xs=xs, xis=xis_i, p_vals=p, step=ds, truncated=truncated)
-            for (s, xs, xis_i, truncated), p in zip(pieces, p_vals)]
+        parts = [(slice(0, kept[i] + 1), i)]
+        if two_sided:     # the backward row reversed, without its launch point
+            parts.insert(0, (slice(kept[n_rays + i], 0, -1), n_rays + i))
+        xs, xis_i, p_i = (np.concatenate([a[sl, row] for sl, row in parts]) for a in (all_x, all_xi, p))
+        s0 = -ds * kept[n_rays + i] if two_sided else 0.0
+        trajs.append(RayTrajectory(s=s0 + ds * np.arange(len(xs)), xs=xs, xis=xis_i, p_vals=p_i,
+                                   step=ds, truncated=bool(cut[[row for _, row in parts]].any())))
+    return trajs
 
 
 def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int,
