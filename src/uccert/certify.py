@@ -4,8 +4,17 @@ At a base point x0 on the surface intersection, the tangent null set
 N = {|xi| = 1 : p(x0, xi) = 0, b1 . xi = 0}, b1 = 2 Q dpsi1, is cut out by a
 quadratic form and a hyperplane, and every certified quantity is a quadratic
 form in xi maximized over N.  ``null_cone_max`` computes such maxima exactly
-(S-lemma; Finsler 1937, Polik & Terlaky, SIAM Review 49(3), 2007).  The
-certifier
+(S-lemma; Finsler 1937, Polik & Terlaky, SIAM Review 49(3), 2007): in closed
+form where N lies in a plane (two lines), by bisection of the multiplier in
+higher dimension, each with a rounding allowance that keeps the value above
+the exact maximum.
+
+All of this depends only on the 1-jet of Q and the 2-jets of psi0, psi1 at x0
+(Hormander, The Analysis of Linear Partial Differential Operators IV,
+ch. 28).  So the certifier reads them once each, with float errors raising
+(a singular jet makes the certificate degenerate), and hands every later
+step the exact Taylor models of Q (first order) and psi0, psi1 (second
+order) at x0, which give bit for bit the same jets there.  The certifier
 
   1. takes the floor m0 of |hp(psi0)| over N (strictly positive for
      consistent inputs),
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation)
-from .fields import MetricField, ScalarField, as_point, linear_combination, squared_field
+from .fields import Jet, MetricField, ScalarField, as_point, linear_combination, squared_field
 from .hypotheses import GeometrySpec, build_psi
 from .symbols import (_hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
                       quadratic_form_values, signature)
@@ -70,12 +79,38 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
     """Maximum of xi^T m xi over unit xi with xi^T a xi = 0 (and b . xi = 0).
 
     With m_r, a_r the forms on the hyperplane, the maximum is min_t f(t),
-    f(t) = lambda_max(m_r + t a_r) (S-lemma); every t gives an upper bound, as
-    xi^T m xi = xi^T (m + t a) xi on null xi.  f is convex with slope v^T a_r v
-    at its top eigenvector v, so t is bisected on the sign of that slope.
-    Returns (value plus the eigensolver's rounding allowance, a unit null
+    f(t) = lambda_max(m_r + t a_r) (S-lemma): every t gives an upper bound,
+    as xi^T m xi = xi^T (m + t a) xi on null xi.  Returns (value, a unit null
     witness attaining it to rounding), or None when a_r is definite (empty
     set).  When a_r is semidefinite and singular, the set is its kernel.
+    Otherwise the value is the maximum plus an allowance for rounding, so
+    that, away from underflow, it is never below the exact maximum over the
+    forms m_r, a_r:
+
+    * On a 2-D hyperplane (every 3-D certificate) the set is two lines.  With
+      eigenpairs (e0 < 0 < e1; v0, v1) of a_r they are y = sqrt(e1) v0
+      +- sqrt(-e0) v1, and the maximum is the larger of the two form values,
+      (e1 n00 - e0 n11 + 2 sqrt(-e0 e1) |n01|) / (e1 - e0) with n the matrix
+      of m_r in the basis (v0, v1).  Without eigenvectors: write the
+      symmetric parts as m_r = h0 I + [[p0, q0], [q0, -p0]] and a_r = h1 I
+      + [[p1, q1], [q1, -p1]], let w0 = (p0, q0), n1 = |(p1, q1)|,
+      P = p0 p1 + q0 q1, X = p0 q1 - q0 p1 and g = n1 - |h1| = min(-e0, e1);
+      then -e0 e1 = g (n1 + |h1|) and the maximum is
+          h0 + (sqrt(g (n1 + |h1|)) |X| - h1 P) / n1^2,
+      the minimum of f(t) = h0 + h1 t + |w0 + t (p1, q1)|.  Its rounding, in
+      u = EPS / 2 and to first order: h0, p, q err by u (relative); n1 by
+      3u (hypot errs below 1 ulp); P and X by 4u |w0| n1; g by 5u n1, so the
+      square root by (2.5 n1 / g + 3.5) u relative; the numerator by
+      u |w0| n1 (7 |h1| + 9.5 sqrt(-e0 e1)) <= 11.9 u |w0| n1^2 plus
+      2.5 u (n1 / g) sqrt(-e0 e1) |X|; the quotient by 23.2 u |w0| +
+      2.5 u R, R = sqrt((n1 + |h1|) / g) |X| / n1; the two last sums by
+      2u |h0| + 2.9u |w0|.  In all u (3 |h0| + 26.1 |w0| + 2.5 R), below the
+      allowance 2 EPS (|h0| + 8 |w0| + R).  R is the only term that grows
+      as the normal nears the null cone (g -> 0), and only where the
+      maximum itself moves with g: at a kink of f (both lines of equal
+      value) X = 0.
+    * On hyperplanes of dimension 3 or more, t is bisected (``_bisect_max``),
+      and each f(t) carries the eigensolver's rounding allowance.
     """
     basis = _hyperplane_basis(b, a.shape[0])
     mr = basis @ m @ basis.T
@@ -88,7 +123,41 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
             return None
         w, u = np.linalg.eigh(kernel.T @ mr @ kernel)
         return float(w[-1]), basis.T @ kernel @ u[:, -1]
+    if len(ev) > 2:
+        value, y = _bisect_max(mr, ar, ev)
+    else:
+        top, allowance, y = _two_line_max(mr, ar, ev, vec)
+        value = top + allowance
+    return value, basis.T @ y / np.linalg.norm(y)
 
+
+def _two_line_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray, vec: np.ndarray):
+    """(maximum, rounding allowance, maximizing line) over the two null lines
+    of an indefinite 2 x 2 form a_r with eigenpairs (ev, vec), in the
+    notation of ``null_cone_max``."""
+    e0, e1 = float(ev[0]), float(ev[1])
+    lines = [math.sqrt(e1) * vec[:, 0] + sign * math.sqrt(-e0) * vec[:, 1] for sign in (1.0, -1.0)]
+    h0, p0, q0 = (0.5 * float(mr[0, 0] + mr[1, 1]), 0.5 * float(mr[0, 0] - mr[1, 1]),
+                  0.5 * float(mr[0, 1] + mr[1, 0]))
+    h1, p1, q1 = (0.5 * float(ar[0, 0] + ar[1, 1]), 0.5 * float(ar[0, 0] - ar[1, 1]),
+                  0.5 * float(ar[0, 1] + ar[1, 0]))
+    n1 = math.hypot(p1, q1)
+    along, across = p0 * p1 + q0 * q1, p0 * q1 - q0 * p1
+    gap, room = n1 - abs(h1), n1 + abs(h1)
+    top = h0 + (math.sqrt(gap * room) * abs(across) - h1 * along) / (n1 * n1)
+    allowance = 2.0 * EPS * (abs(h0) + 8.0 * math.hypot(p0, q0) + math.sqrt(room / gap) * abs(across) / n1)
+    return top, allowance, max(lines, key=lambda line: float(line @ mr @ line))
+
+
+def _bisect_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray):
+    """(upper bound, witness) of the null-cone maximum for an indefinite a_r
+    with eigenvalues ev, by bisection of the S-lemma multiplier.
+
+    f is convex with slope v^T a_r v at its top eigenvector v, so t is
+    bisected on the sign of that slope, each f(t) plus the eigensolver's
+    rounding allowance; the witness is the null vector in the span of the
+    top eigenvectors at the two ends.
+    """
     def top(t):
         w, v = np.linalg.eigh(mr + t * ar)
         v = v[:, -1]
@@ -115,8 +184,7 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
     cross = float(v_lo @ ar @ v_hi)
     root = math.sqrt(cross * cross - s_lo * s_hi)
     tau = -s_lo / (cross + root) if cross > 0 else (root - cross) / s_hi
-    y = v_lo + tau * v_hi
-    return float(min(f_lo, f_hi)), basis.T @ y / np.linalg.norm(y)
+    return float(min(f_lo, f_hi)), v_lo + tau * v_hi
 
 
 @dataclass(frozen=True)
@@ -243,6 +311,9 @@ def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
                        n_samples=0, status="degenerate", notes={"gate": [gate], gate: numbers})
 
 
+_RAISE = dict(divide="raise", over="raise", invalid="raise")
+
+
 def _singular_jet(Q: MetricField, fields: dict, x0) -> Optional[dict]:
     """The first jet at x0 (metric, then value, gradient and Hessian of each
     field) that raises an arithmetic error or is not finite, or None."""
@@ -251,7 +322,7 @@ def _singular_jet(Q: MetricField, fields: dict, x0) -> Optional[dict]:
         jets += [(name, f), ("d" + name, f.grad), ("d2" + name, f.hess)]
     for name, jet in jets:
         try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with np.errstate(**_RAISE):
                 value = jet(x0)
         except ArithmeticError as e:
             return {"jet": name, "error": str(e)}
@@ -260,20 +331,98 @@ def _singular_jet(Q: MetricField, fields: dict, x0) -> Optional[dict]:
     return None
 
 
+def _read_jets(Q: MetricField, fields: dict, x0):
+    """The metric jet (Q, dQ) and a second-order jet of each field at x0,
+    each read once with float errors raising.
+
+    Returns (jets keyed "Q" and by field name, None), or (None, the first
+    singular jet) when a read raises or is not finite; only then are the
+    finer reads walked (``_singular_jet``), whose last reads are these.
+    """
+    try:
+        with np.errstate(**_RAISE):
+            jets = {"Q": Q.jet(x0, 1), **{name: f.jet(x0, 2) for name, f in fields.items()}}
+        parts = [*jets["Q"]] + [part for name in fields
+                                for part in (jets[name].value, jets[name].grad, jets[name].hess)]
+        if all(np.all(np.isfinite(part)) for part in parts):
+            return jets, None
+    except ArithmeticError:
+        pass
+    return None, _singular_jet(Q, fields, x0)
+
+
+def _at(x: np.ndarray, x0: np.ndarray):
+    """Whether the point x, or each row of a batch, is x0 exactly."""
+    return ~np.any(x != x0, axis=-1)
+
+
+def _frozen(part) -> np.ndarray:
+    """A read-only copy, so that no caller can change a model's numbers."""
+    part = np.array(part, dtype=float)
+    part.flags.writeable = False
+    return part
+
+
+def _taylor_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
+    """The first-order Taylor model of Q at x0 from its jet (q, dq) there, with
+    Q's name, domain box and analytic flag; at x0 it gives q and dq bit for bit."""
+    q, dq = _frozen(q), _frozen(dq)
+
+    def jet(x, order):
+        at = _at(x, x0)
+        if x.ndim == 1 and at:
+            value = q
+        else:
+            value = np.where(at[..., None, None], q, q + np.tensordot(x - x0, dq, axes=1))
+        return value if order == 0 else (value, np.broadcast_to(dq, x.shape[:-1] + dq.shape))
+
+    model = MetricField.from_jet(Q.dim, jet, domain_box=Q.domain_box, name=Q.name)
+    model.analytic = Q.analytic
+    return model
+
+
+def _taylor_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
+    """The second-order Taylor model of f at x0 from its jet there, with f's
+    name and analytic flag; at x0 (also as a batch row) it gives that jet bit
+    for bit, where the polynomial would turn a -0.0 into 0.0."""
+    v, g, h = jet.value, _frozen(jet.grad), _frozen(jet.hess)
+
+    def model(x, order):
+        at = _at(x, x0)
+        if x.ndim == 1 and at:
+            value, grad = v, g
+        else:
+            d = x - x0
+            hd = d @ h
+            value, grad = v + np.vecdot(d, g + 0.5 * hd), g + hd
+            if x.ndim == 2:
+                value, grad = np.where(at, v, value), np.where(at[:, None], g, grad)
+        if order == 0:
+            return value
+        return Jet(value, grad, np.broadcast_to(h, x.shape + h.shape[-1:]) if order == 2 else None)
+
+    return ScalarField.from_jet(model, name=f.name, analytic=f.analytic)
+
+
 def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
                    lam: Optional[float] = None, n: int = 2000,
                    tol_pos: float = DEFAULT_TOL_POS, seed: int = 0) -> Certificate:
-    """Certify the bent surface psi1 - lam * psi0^2 at x0 from explicit fields."""
+    """Certify the bent surface psi1 - lam * psi0^2 at x0 from explicit fields.
+
+    Q, psi0 and psi1 are read at x0 once each; every later step reads their
+    Taylor models at x0, which give the same jets there.
+    """
     x0 = as_point(x0)
     if lam is not None and lam <= 0:
         raise ContractViolation("lam must be positive")
     if n < 1:
         raise ContractViolation("n must be at least 1")
-    singular = _singular_jet(Q, {"psi0": psi0, "psi1": psi1}, x0)
+    jets, singular = _read_jets(Q, {"psi0": psi0, "psi1": psi1}, x0)
     if singular:
         return _degenerate(x0, "jet", singular)
-    a, dq = Q.jet(x0, 1)
-    g1 = psi1.grad(x0)
+    (a, dq), j0, j1 = jets["Q"], jets["psi0"], jets["psi1"]
+    Q, psi0, psi1 = _taylor_metric(Q, a, dq, x0), _taylor_scalar(psi0, j0, x0), _taylor_scalar(psi1, j1, x0)
+    g1 = j1.grad
     space_like = float(g1 @ a @ g1)
     if space_like <= tol_pos:
         return _degenerate(x0, "space_like_base", {"q_dpsi1_dpsi1": space_like, "tol_pos": tol_pos})
@@ -285,18 +434,18 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     bent = linear_combination([(1.0, psi1), (-lam_used, squared_field(psi0))],
                               name="bent_surface")
     xis = np.array([s.xi for s in samples])
-    drift = 2.0 * a @ psi0.grad(x0)
+    drift = 2.0 * a @ j0.grad
     # both routes are quadratic forms in xi; evaluate them in batch through
     # their polarized matrices, then spot-check the closed forms of hp and hp2
-    # on 25 directions, from one metric jet and one jet of each field
+    # on 25 directions, from the metric jet and one jet of each field
     m_surface = hp2_matrix(Q, psi1, x0)
     m_bent = hp2_matrix(Q, bent, x0)
     margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
     margins_direct = quadratic_form_values(m_bent, xis)
     worst_rel = float(np.max(np.abs(margins - margins_direct) / (1.0 + np.abs(margins))))
     spot = np.linspace(0, len(samples) - 1, min(len(samples), 25)).astype(int)
-    d0 = _hp_closed_form(a, psi0.grad(x0), xis[spot])
-    via_identity = _hp2_closed_form(a, dq, psi1.jet(x0, 2), xis[spot]) - 2.0 * lam_used * d0 * d0
+    d0 = _hp_closed_form(a, j0.grad, xis[spot])
+    via_identity = _hp2_closed_form(a, dq, j1, xis[spot]) - 2.0 * lam_used * d0 * d0
     via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
     m, m_direct = margins[spot], margins_direct[spot]
     worst_rel = max(worst_rel,
@@ -332,14 +481,15 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
 
     The base point must lie on both surfaces to spec.tol_zero, and every jet
     the certificate uses must be finite there; otherwise the certificate is
-    degenerate and its notes name the gate.
+    degenerate and its notes name the gate.  The surface values come from
+    the jets the finiteness gate read.
     """
     x0 = as_point(x0)
-    singular = _singular_jet(spec.Q, {"phi_plus": spec.phi_plus,
-                                      "phi_minus": spec.phi_minus}, x0)
+    jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
+                                         "phi_minus": spec.phi_minus}, x0)
     if singular:
         return _degenerate(x0, "jet", singular)
-    off = max(abs(spec.phi_plus(x0)), abs(spec.phi_minus(x0)))
+    off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
     psi0, psi1 = build_psi(spec)

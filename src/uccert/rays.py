@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractViolation, FitError
 from .fields import MetricField, PhasePoint, ScalarField, as_point
-from .symbols import _matvec, _quadratic_forms, hp, hp2
+from .symbols import _hp2_closed_form, _hp_closed_form, _matvec, _quadratic_forms
 
 DEFAULT_TOL_TAN_REL = 1e-6
 DEFAULT_TOL_ZERO = 1e-10
@@ -176,9 +176,11 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     """
     i0 = traj.launch_index
     x0, xi0 = traj.xs[i0], traj.xis[i0]
-    if abs(psi(x0)) > 10 * max(tol_zero, 1e-14):
+    q, dq = Q.jet(x0, 1)
+    jet = psi.jet(x0, 2)            # the launch point's value, gradient, hp and hp2
+    if abs(jet.value) > 10 * max(tol_zero, 1e-14):
         raise ContractViolation(
-            f"ray must launch on the level set: |psi(x0)| = {abs(psi(x0)):.2e}")
+            f"ray must launch on the level set: |psi(x0)| = {abs(jet.value):.2e}")
     mask = np.abs(traj.s) <= s_fit + 1e-15
     if int(np.sum(mask)) < 5:
         raise FitError(f"only {int(np.sum(mask))} samples inside the fit window")
@@ -187,11 +189,10 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     coef = np.polynomial.polynomial.polyfit(s, vals, 4)
     intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
 
-    pp = PhasePoint(x0, xi0)
-    speed = float(np.linalg.norm(2.0 * Q(x0) @ xi0))
-    tol_tan = tol_tan_rel * max(np.linalg.norm(psi.grad(x0)) * speed, 1e-30)
+    speed = float(np.linalg.norm(2.0 * q @ xi0))
+    tol_tan = tol_tan_rel * max(np.linalg.norm(jet.grad) * speed, 1e-30)
     tangent = abs(c1) <= tol_tan
-    predicted = 0.5 * hp2(Q, psi, pp)
+    predicted = 0.5 * float(_hp2_closed_form(q, dq, jet, xi0))
     if not tangent:
         side = "crossing"
     elif c2 < 0:
@@ -202,7 +203,7 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     return ContactReport(
         tangency=tangent, side=side, fitted_c2=c2, predicted_c2=predicted,
         fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan,
-        notes={"hp_at_launch": hp(Q, psi, pp), "n_fit": int(np.sum(mask))})
+        notes={"hp_at_launch": float(_hp_closed_form(q, jet.grad, xi0)), "n_fit": int(np.sum(mask))})
 
 
 def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi,

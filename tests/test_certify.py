@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uccert import (PhasePoint, build_psi, certify, certify_fields,
@@ -8,14 +8,15 @@ from uccert import (PhasePoint, build_psi, certify, certify_fields,
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
-from uccert.certify import null_cone_max
+from uccert.certify import (EPS, _bisect_max, _taylor_metric, _taylor_scalar, _two_line_max,
+                            null_cone_max)
 from uccert.errors import (ContractViolation, DegenerateConstraintSet,
                            NondegeneracyViolation)
 from uccert.expressions import expression_field
-from uccert.fields import MetricField
+from uccert.fields import MetricField, pullback_scalar
 from uccert.hypotheses import GeometrySpec
-from uccert.models import bumpy_wave_metric, ik_model
-from uccert.symbols import hp2_bracket, quadratic_form_values
+from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
+from uccert.symbols import hp2_bracket, pullback_metric_field, quadratic_form_values
 
 SQ2 = np.sqrt(2.0)
 
@@ -404,3 +405,222 @@ class TestCertificateProperties:
                 loop = hp2(q, psi, pp)
                 assert xi @ mat @ xi == pytest.approx(loop, rel=1e-10, abs=1e-10)
                 assert xi @ mat @ xi == pytest.approx(hp2_bracket(q, psi, pp), rel=1e-6, abs=1e-6)
+
+
+class TestJetGate:
+    """The gate reads each jet once and walks the finer reads only to name the
+    first singular one."""
+
+    @staticmethod
+    def _geometry(phi_plus: str, q=None):
+        return GeometrySpec(q or constant_metric(np.diag([-1.0, 1.0, 1.0])),
+                            expression_field(phi_plus, 3),
+                            expression_field("norm(x2, x3) - 1 + x1", 3),
+                            box=np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]]))
+
+    def test_singular_hessian_alone(self):
+        # x1^1.5 has value and slope 0 at x1 = 0, but its second derivative is singular
+        cert = certify(self._geometry("x1^1.5 + norm(x2, x3) - 1"), [0.0, 1.0, 0.0], lam=2.0)
+        assert cert.notes["gate"] == ["jet"]
+        assert cert.notes["jet"]["jet"] == "d2phi_plus"
+
+    def test_singular_value(self):
+        cert = certify(self._geometry("1 / x1 + norm(x2, x3) - 1"), [0.0, 1.0, 0.0], lam=2.0)
+        assert cert.notes["jet"]["jet"] == "phi_plus"
+
+    def test_singular_metric_derivative_alone(self):
+        def jet(x, order):
+            q = np.diag([-1.0, 1.0, 1.0])
+            return q if order == 0 else (q, np.full((3, 3, 3), np.inf))
+        q = MetricField.from_jet(3, jet)
+        cert = certify(self._geometry("norm(x2, x3) - 1 - x1", q), [0.0, 1.0, 0.0], lam=2.0)
+        assert cert.notes["jet"] == {"jet": "dQ", "error": "not finite"}
+
+    def test_expression_jets_read_per_certificate(self, monkeypatch):
+        # the gate reads phi_plus and phi_minus once each, and certify_fields
+        # reads psi0 and psi1 (two expression jets each) once for their models
+        geo = GeometrySpec(bumpy_wave_metric(2, 0.05),
+                           expression_field("norm(x2, x3) - 1 - x1", 3),
+                           expression_field("norm(x2, x3) - 1 + x1", 3),
+                           box=np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]]))
+        calls = []
+        for field in (geo.phi_plus, geo.phi_minus):
+            def counted(x, order, jet=field._jet):
+                calls.append(order)
+                return jet(x, order)
+            monkeypatch.setattr(field, "_jet", counted)
+        cert = certify(geo, [0.0, 1.0, 0.0], lam=2.0)
+        assert cert.status == "certified"
+        assert len(calls) <= 6
+
+
+def _pulled_back_fields(model):
+    """Q, psi0 and psi1 of a model in its flattening chart, where the metric's
+    derivatives are finite differences."""
+    chart = flattening_chart(model, model.x0)
+    psi0, psi1 = build_psi(model.geometry)
+    return (pullback_metric_field(model.geometry.Q, chart), pullback_scalar(psi0, chart),
+            pullback_scalar(psi1, chart), chart.inverse(model.x0))
+
+
+def _certificate_cases():
+    cases = []
+    for d in (2, 3, 4):
+        m = ik_model(d)
+        psi0, psi1 = build_psi(m.geometry)
+        cases.append((f"ik{d}", m.geometry.Q, psi0, psi1, m.x0))
+        cases.append((f"bumpy{d}", bumpy_wave_metric(d, 0.05), psi0, psi1, m.x0))
+    cases.append(("chart-ik2", *_pulled_back_fields(ik_model(2))))
+    return cases
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestTaylorModels:
+    """certify reads its fields through exact Taylor models at x0; the public
+    helpers on the original fields are the oracle."""
+
+    @pytest.mark.parametrize("name, q, psi0, psi1, x0", CERTIFICATE_CASES,
+                             ids=[c[0] for c in CERTIFICATE_CASES])
+    def test_certificate_matches_the_helpers_on_the_fields(self, name, q, psi0, psi1, x0):
+        cert = certify_fields(q, psi0, psi1, x0, lam=2.0, n=50)
+        m0 = compute_m0(q, psi0, psi1, x0)
+        bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
+        a = q(x0)
+        worst = null_cone_max(hp2_matrix(q, bent, x0), a, 2.0 * a @ psi1.grad(x0))[0]
+        assert _bits(cert.m0) == _bits(m0)
+        assert _bits(cert.lambda0) == _bits(compute_lambda0(q, psi1, x0, m0))
+        assert _bits(cert.worst_margin) == _bits(worst)
+        assert cert.fd_fallback == name.startswith("chart")
+
+    @pytest.mark.parametrize("name, q, psi0, psi1, x0", CERTIFICATE_CASES,
+                             ids=[c[0] for c in CERTIFICATE_CASES])
+    def test_model_jets_at_x0_are_the_fields_jets(self, name, q, psi0, psi1, x0):
+        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
+        assert (qm.name, qm.analytic) == (q.name, q.analytic)
+        assert _bits(qm(x0)) == _bits(q(x0))
+        assert all(_bits(u) == _bits(v) for u, v in zip(qm.jet(x0, 1), q.jet(x0, 1)))
+        for f in (psi0, psi1):
+            model = _taylor_scalar(f, f.jet(x0, 2), x0)
+            assert (model.name, model.analytic) == (f.name, f.analytic)
+            assert _bits(model(x0)) == _bits(f(x0))
+            for order in (1, 2):
+                got, want = model.jet(x0, order), f.jet(x0, order)
+                assert _bits(got.value) == _bits(want.value) and _bits(got.grad) == _bits(want.grad)
+            assert _bits(model.hess(x0)) == _bits(f.hess(x0))
+            # a batch row at x0 is its point, bit for bit
+            row = model.jet(np.stack([x0 + 0.1, x0]), 2)
+            assert _bits(row.grad[1]) == _bits(model.grad(x0)) and _bits(row.value[1]) == _bits(model(x0))
+
+    def test_signed_zeros_at_x0_are_kept(self):
+        # x1 (0 - x2) at (0, 1, 0) has value -0.0 and gradient (-1, -0.0, -0.0)
+        f = expression_field("x1 * (0 - x2)", 3)
+        x0 = np.array([0.0, 1.0, 0.0])
+        want = f.jet(x0, 2)
+        model = _taylor_scalar(f, want, x0)
+        point, batch = model.jet(x0, 2), model.jet(np.stack([x0 + 0.1, x0]), 2)
+        for value, grad in ((point.value, point.grad), (batch.value[1], batch.grad[1])):
+            assert _bits(value) == _bits(want.value) == _bits(-0.0)
+            assert _bits(grad) == _bits(want.grad)
+        q = constant_metric(np.diag([-1.0, 1.0, -0.0]))
+        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
+        assert _bits(qm.jet(np.stack([x0 + 0.1, x0]), 0)[1]) == _bits(q(x0))
+
+    def test_models_off_x0_are_the_taylor_polynomials(self, rng):
+        f = expression_field("x1 * x2 + 3 * x3^2 - 2 * x1 + 0.5", 3)
+        x0 = np.array([0.2, -0.4, 0.7])
+        model = _taylor_scalar(f, f.jet(x0, 2), x0)
+        xs = x0 + rng.uniform(-1.0, 1.0, (6, 3))
+        got, want = model.jet(xs, 2), f.jet(xs, 2)
+        for u, v in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
+            assert np.allclose(u, v, rtol=1e-13, atol=1e-13)
+        assert np.allclose(model.grad(xs[0]), want.grad[0], rtol=1e-13, atol=1e-13)
+        q = bumpy_wave_metric(2, 0.05)
+        q.domain_box = np.array([[-1.0, 1.0], [-1.0, 0.5], [0.0, 2.0]])
+        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
+        assert np.array_equal(qm.domain_box, q.domain_box)
+        q0, dq0 = q.jet(x0, 1)
+        linear = q0 + np.einsum("kj,jab->kab", xs - x0, dq0)
+        assert np.allclose(qm.jet(xs, 0), linear, rtol=1e-14, atol=1e-14)
+        assert np.allclose(qm(xs[0]), linear[0], rtol=1e-14, atol=1e-14)
+        assert np.array_equal(qm.jet(xs, 1)[1], np.broadcast_to(dq0, (6, 3, 3, 3)))
+
+
+def _exact_two_line_max(mpmath, mr, ar):
+    """Maximum of y^T m_r y / y^T y over the null lines of a_r, and the S-lemma
+    multiplier t that attains it, in 50-digit arithmetic on the float entries."""
+    with mpmath.workdps(50):
+        a00, a01, a11 = (mpmath.mpf(float(v)) for v in (ar[0, 0], ar[0, 1], ar[1, 1]))
+        m00, m01, m11 = (mpmath.mpf(float(v)) for v in (mr[0, 0], mr[0, 1], mr[1, 1]))
+        root = mpmath.sqrt(a01 * a01 - a00 * a11)
+        if a00 == a11 == 0:
+            lines = [(mpmath.mpf(1), mpmath.mpf(0)), (mpmath.mpf(0), mpmath.mpf(1))]
+        elif abs(a00) >= abs(a11):
+            lines = [((-a01 + s * root) / a00, mpmath.mpf(1)) for s in (1, -1)]
+        else:
+            lines = [(mpmath.mpf(1), (-a01 + s * root) / a11) for s in (1, -1)]
+        best = None
+        for c, s in lines:
+            value = (m00 * c * c + 2 * m01 * c * s + m11 * s * s) / (c * c + s * s)
+            t = -(m01 * (c * c - s * s) + (m11 - m00) * c * s) / (a01 * (c * c - s * s) + (a11 - a00) * c * s)
+            if best is None or value > best[0]:
+                best = (value, t)
+        return best
+
+
+class TestTwoLineClosedForm:
+    """On a 2-D hyperplane the null set is two lines and the maximum is closed
+    form; the bisection and a 50-digit maximum are its oracles."""
+
+    @staticmethod
+    def _forms(angle, log_scale, log_e0, log_e1, entries, log_m):
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s], [s, c]])
+        ar = rot @ np.diag([-10.0 ** (log_scale + log_e0), 10.0 ** (log_scale + log_e1)]) @ rot.T
+        ar = 0.5 * (ar + ar.T)
+        m00, m01, m11 = entries
+        mr = 10.0 ** log_m * np.array([[m00, m01], [m01, m11]])
+        ev, vec = np.linalg.eigh(ar)
+        band = 1e-10 * max(1.0, float(np.max(np.abs(ev))))
+        assume(ev[0] < -band and ev[1] > band)
+        return mr, ar, ev, vec
+
+    # (angle, log scale, log |e0|, log e1, entries of m_r, log scale of m_r);
+    # tiny entries are flushed to zero, as the allowance holds away from underflow
+    entries = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+    forms = st.tuples(st.floats(0.0, np.pi), st.floats(-3.0, 3.0), st.floats(-9.9, 0.0),
+                      st.floats(-9.9, 0.0), st.tuples(entries, entries, entries), st.floats(-3.0, 3.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms)
+    @example((0.3, 0.0, -9.9, 0.0, (0.5, -0.7, 0.2), 0.0))       # nearly null normals:
+    @example((1.1, 0.0, 0.0, -9.9, (0.5, -0.7, 0.2), 0.0))       # |e0| or e1 near the band
+    @example((0.0, 0.0, -9.9, -9.9, (1.0, 0.0, -1.0), 2.0))
+    def test_bounds_the_exact_maximum_within_the_allowance(self, form):
+        mpmath = pytest.importorskip("mpmath")
+        mr, ar, ev, vec = self._forms(*form)
+        top, allowance, _ = _two_line_max(mr, ar, ev, vec)
+        value = top + allowance
+        exact, t = _exact_two_line_max(mpmath, mr, ar)
+        assert mpmath.mpf(value) >= exact
+        assert float(mpmath.mpf(value) - exact) <= 2.0 * allowance
+        # the bisection carries 2 EPS max|eig(m_r + t a_r)| at t near t, and
+        # its scale has the floor EPS max|a_r|
+        size_m, size_a = float(np.max(np.abs(mr))), float(np.max(np.abs(ar)))
+        slack = 8.0 * EPS * (size_m + (abs(float(t)) + EPS) * size_a)
+        assert abs(value - _bisect_max(mr, ar, ev)[0]) <= 2.0 * allowance + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms)
+    @example((0.3, 0.0, -9.9, 0.0, (0.5, -0.7, 0.2), 0.0))
+    def test_witness_is_a_unit_null_vector(self, form):
+        mr, ar, _, _ = self._forms(*form)
+        value, witness = null_cone_max(mr, ar)
+        assert abs(np.linalg.norm(witness) - 1.0) <= 4.0 * EPS
+        assert abs(witness @ ar @ witness) <= 8.0 * EPS * float(np.max(np.abs(ar)))
+        assert value >= witness @ mr @ witness - 8.0 * EPS * float(np.max(np.abs(mr)))
