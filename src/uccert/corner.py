@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, _bump, d1, d2, restricted_trapezoid, trapezoid
+from .grids import Grid, ProductBump, _bump, d1, d2, restricted_trapezoid, window_trapezoid
 
 FACE_TOL = 1e-12
 
@@ -389,6 +389,15 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
     kernels per eps, v_k and a v_k per (eps, k), and the last two terms of
     D_jk are added in frequency space, so each D_jk costs two inverse
     transforms.
+
+    Every transformed input is zero outside the support window [lo, hi) of
+    v's gradients, the per-axis node range outside which every v_k vanishes.
+    So the transforms run on that window only, padded for a kernel of K
+    nodes, and each D_jk is exactly zero outside the window dilated by the
+    kernel half-width c = (K - 1) // 2, clipped to the grid.  The quadrature
+    is the grid's trapezoid rule restricted to that dilated window: its axis
+    weights are the full grid's, sliced.  A v with no nonzero gradient has
+    an empty window and a zero commutator at every eps.
     """
     # imported on first use: no other command needs scipy, and it is slow to load
     from scipy.fft import irfftn, next_fast_len, rfftn
@@ -398,11 +407,29 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
     for eps in eps_list:
         if eps < 4.0 * hmax:
             raise ResolutionError(f"eps = {eps:g} below resolution floor 4h = {4 * hmax:g}")
+    support = np.zeros(grid.shape, dtype=bool)
+    for vk in v.grads:
+        support |= vk != 0
+    if not support.any():
+        return [0.0] * len(eps_list)
+    lo, hi = [], []
+    for ax in range(grid.dim):
+        nodes = np.flatnonzero(support.any(axis=tuple(b for b in range(grid.dim) if b != ax)))
+        lo.append(int(nodes[0]))
+        hi.append(int(nodes[-1]) + 1)
+    src = tuple(slice(l, u) for l, u in zip(lo, hi))
+    v_k = [vk[src] for vk in v.grads]
+    av_k = [a.values[src] * vk for vk in v_k]
     out = []
     for eps in eps_list:
         k0, kg = _mollifier_kernels(grid, eps)
-        fshape = [next_fast_len(n + m - 1, real=True) for n, m in zip(grid.shape, k0.shape)]
-        crop = tuple(slice((m - 1) // 2, (m - 1) // 2 + n) for n, m in zip(grid.shape, k0.shape))
+        fshape = [next_fast_len(u - l + m - 1, real=True) for l, u, m in zip(lo, hi, k0.shape)]
+        half = [(m - 1) // 2 for m in k0.shape]
+        window = tuple(slice(max(l - c, 0), min(u + c, n))
+                       for l, u, c, n in zip(lo, hi, half, grid.shape))
+        # the window's place in the linear convolution of the cropped inputs
+        crop = tuple(slice(w.start - l + c, w.stop - l + c) for w, l, c in zip(window, lo, half))
+        a_win = a.values[window]
 
         def inverse(spec):
             return irfftn(spec, fshape)[crop]
@@ -411,15 +438,15 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
         f_kg = [rfftn(kj * cell, fshape) for kj in kg]
         total = 0.0
         for k in range(grid.dim):
-            f_v = rfftn(v.grads[k], fshape)
-            f_av = rfftn(a.values * v.grads[k], fshape)
+            f_v = rfftn(v_k[k], fshape)
+            f_av = rfftn(av_k[k], fshape)
             for j in range(grid.dim):
                 spec = -(f_kg[j] * f_av)
-                ajvk = a.grads[j] * v.grads[k]
+                ajvk = a.grads[j][src] * v_k[k]
                 if np.any(ajvk):
                     spec += f_k0 * rfftn(ajvk, fshape)
-                djk = a.values * inverse(f_kg[j] * f_v) + inverse(spec)
-                total += trapezoid(djk * djk, grid)
+                djk = a_win * inverse(f_kg[j] * f_v) + inverse(spec)
+                total += window_trapezoid(djk * djk, grid, window)
         out.append(float(np.sqrt(total)))
     return out
 

@@ -87,13 +87,28 @@ def _axis_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
+def _tensor_sum(values: np.ndarray, weights: Sequence[np.ndarray]) -> float:
+    """Contract each axis of values with its 1-D weights, last axis first."""
+    out = np.asarray(values, dtype=float)
+    for a in range(len(weights) - 1, -1, -1):
+        out = np.tensordot(out, weights[a], axes=(a, 0))
+    return float(out)
+
+
 def trapezoid(values: np.ndarray, grid: Grid) -> float:
     """Tensor trapezoid quadrature over the full box."""
-    out = np.asarray(values, dtype=float)
-    h = grid.h
-    for a in range(grid.dim - 1, -1, -1):
-        out = np.tensordot(out, _axis_weights(out.shape[a], h[a]), axes=(a, 0))
-    return float(out)
+    return _tensor_sum(values, [_axis_weights(n, hh) for n, hh in zip(np.shape(values), grid.h)])
+
+
+def window_trapezoid(values: np.ndarray, grid: Grid, window: Sequence[slice]) -> float:
+    """The grid's trapezoid rule over a box of nodes.
+
+    values holds the samples on grid[window]; the weights are the full grid's
+    axis weights sliced to the window, so the sum equals the full-box
+    trapezoid of values extended by zero.
+    """
+    return _tensor_sum(values, [_axis_weights(n, hh)[w]
+                                for n, hh, w in zip(grid.shape, grid.h, window)])
 
 
 def trapezoid_richardson(values: np.ndarray, grid: Grid) -> float:
@@ -124,10 +139,7 @@ def restricted_trapezoid(values: np.ndarray, grid: Grid, half_axes: Sequence[int
             weights.append(_axis_weights(grid.shape[a] - i0, h[a]))
         else:
             weights.append(_axis_weights(grid.shape[a], h[a]))
-    out = np.asarray(values, dtype=float)[tuple(idx)]
-    for a in range(grid.dim - 1, -1, -1):
-        out = np.tensordot(out, weights[a], axes=(a, 0))
-    return float(out)
+    return _tensor_sum(np.asarray(values, dtype=float)[tuple(idx)], weights)
 
 
 def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from numpy.testing import assert_allclose
 from scipy.signal import fftconvolve
@@ -363,6 +364,90 @@ class TestMollifierSpectra:
         a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         assert len(mollifier_commutator(a, v, g, [0.25, 0.125])) == 2
+
+
+class TestMollifierWindow:
+    """The transforms run on the support window of v's gradients; the
+    results must still match the whole-grid fftconvolve oracle."""
+
+    @staticmethod
+    def _record_rfftn(monkeypatch):
+        calls = []
+        rfftn = scipy.fft.rfftn
+
+        def recording(x, s=None, *args, **kwargs):
+            calls.append(tuple(s))
+            return rfftn(x, s, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, "rfftn", recording)
+        return calls
+
+    @staticmethod
+    def _linear_multiplier(grid, slopes):
+        mesh = grid.meshgrid()
+        return SampledField(0.5 + sum(c * m for c, m in zip(slopes, mesh)),
+                            [np.full(grid.shape, c) for c in slopes])
+
+    def test_zero_gradients_give_zero(self, monkeypatch):
+        calls = self._record_rfftn(monkeypatch)
+        g = make_grid(unit_box(2), 64)
+        a = self._linear_multiplier(g, (0.4, -0.25))
+        v = SampledField(np.full(g.shape, 0.3), [np.zeros(g.shape)] * 2)
+        eps = [0.25, 0.125]
+        got = mollifier_commutator(a, v, g, eps)
+        assert got == [0.0, 0.0] and not calls
+        assert_allclose(got, _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
+        with pytest.raises(ResolutionError):
+            mollifier_commutator(a, v, g, [2.0 / 64])
+
+    def test_support_reaching_the_edge_uses_the_whole_grid(self, monkeypatch):
+        g = make_grid(unit_box(2), 128)
+        x, y = g.meshgrid()
+        a = self._linear_multiplier(g, (0.4, -0.25))
+        v = SampledField(np.sin(2.0 * x) + y * y, [2.0 * np.cos(2.0 * x), 2.0 * y])
+        eps = [0.25, 0.125]
+        want = _commutator_by_fftconvolve(a, v, g, eps)
+        calls = self._record_rfftn(monkeypatch)
+        assert_allclose(mollifier_commutator(a, v, g, eps), want, rtol=1e-12)
+        from scipy.fft import next_fast_len
+        full = {tuple(next_fast_len(n + m - 1, real=True)
+                      for n, m in zip(g.shape, _mollifier_kernels(g, e)[0].shape)) for e in eps}
+        assert set(calls) == full
+
+    def test_three_dimensional_kink(self):
+        g = make_grid(unit_box(3), 48)
+        a = self._linear_multiplier(g, (0.4, 0.0, 0.2))
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        eps = [0.35, 0.175]
+        assert_allclose(mollifier_commutator(a, v, g, eps),
+                        _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
+
+    def test_non_square_grid_off_centre_bump(self):
+        g = make_grid(np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80))
+        a = self._linear_multiplier(g, (0.3, 0.15))
+        bump = ProductBump([0.35, 2.1], [0.4, 0.6])
+        v = SampledField(bump.values_on_grid(g),
+                         [bump.partial_on_grid(g, (1, 0)), bump.partial_on_grid(g, (0, 1))])
+        eps = [0.6, 0.3, 0.15]
+        assert_allclose(mollifier_commutator(a, v, g, eps),
+                        _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
+
+    def test_transforms_are_smaller_than_the_padded_grid(self, monkeypatch):
+        from scipy.fft import next_fast_len
+        g = make_grid(unit_box(2), 256)
+        a = self._linear_multiplier(g, (0.4, 0.0))
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        support = (v.grads[0] != 0) | (v.grads[1] != 0)
+        unfilled = [ax for ax in range(2) if not support.any(axis=1 - ax).all()]
+        assert unfilled
+        calls = self._record_rfftn(monkeypatch)
+        for eps in [0.32, 0.16, 0.08, 0.04]:
+            calls.clear()
+            mollifier_commutator(a, v, g, [eps])
+            kernel = _mollifier_kernels(g, eps)[0].shape
+            assert calls
+            for ax in unfilled:
+                padded = next_fast_len(g.shape[ax] + kernel[ax] - 1, real=True)
+                assert all(s[ax] < padded for s in calls)
 
 
 def test_fftconvolve_forwards_to_scipy():

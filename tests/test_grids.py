@@ -8,7 +8,8 @@ from uccert.errors import ContractViolation, SupportError
 from uccert.grids import (Grid, ProductBump, bump_d1, bump_d2, bump_value,
                           bump_superposition_values, d1, d1d1, d2, make_grid,
                           restricted_trapezoid, bump_corpus,
-                          trapezoid, trapezoid_richardson, unit_box)
+                          trapezoid, trapezoid_richardson, unit_box,
+                          window_trapezoid)
 
 
 class TestGrid:
@@ -72,6 +73,16 @@ class TestQuadrature:
         mesh = g.meshgrid()
         # x over {x >= 0} x (-1,1): 0.5 * 2 = 1
         assert restricted_trapezoid(mesh[0], g, (0,)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("window", [(slice(0, 65), slice(0, 81)), (slice(10, 40), slice(0, 81)),
+                                        (slice(3, 65), slice(17, 50)), (slice(64, 65), slice(5, 6))])
+    def test_window_trapezoid_is_trapezoid_of_zero_extension(self, window):
+        g = make_grid(np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80))
+        vals = np.random.default_rng(2).standard_normal(g.shape)
+        padded = np.zeros(g.shape)
+        padded[window] = vals[window]
+        assert window_trapezoid(vals[window], g, window) == pytest.approx(
+            trapezoid(padded, g), rel=1e-13, abs=1e-15)
 
 
 class TestStencils:
