@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .carleman import build_weight, exponent_slopes, lambda_sweep
 from .certify import certify
-from .corner import (BMatrixField, SampledField, corner_corpus, detect_layer,
+from .corner import (SampledField, corner_corpus, detect_layer,
                      kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
@@ -324,8 +324,7 @@ def _corner_layer(cf, tests: list, h2: float) -> dict:
 def _corner_transfer(cf, args) -> dict:
     bmat = np.zeros((args.dim, args.dim))
     bmat[0, 1] = bmat[1, 0] = 1.0
-    return verify_inequality_transfer(cf, BMatrixField.from_matrix(bmat),
-                                      n_pts=args.n_pts, seed=args.seed)
+    return verify_inequality_transfer(cf, bmat, n_pts=args.n_pts, seed=args.seed)
 
 
 def _smoothing_ladder(grid) -> list:

@@ -19,10 +19,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, _bump, d1, d2, restricted_trapezoid, window_trapezoid
-
-FACE_TOL = 1e-12
+from .errors import HypothesisError, ResolutionError
+from .grids import Grid, ProductBump, _bump, restricted_trapezoid, window_trapezoid
 
 
 def fftconvolve(in1, in2, mode="full", axes=None):
@@ -37,56 +35,27 @@ def fftconvolve(in1, in2, mode="full", axes=None):
     return convolve(in1, in2, mode=mode, axes=axes)
 
 
-class SeparableFunction:
-    """Sum of products of 1-d factors with analytic derivatives up to order 2.
+class CornerField:
+    """A C^2 corner candidate: a sum of products of 1-D factors on a grid.
 
-    terms[t][a] = (f, f', f'') for axis a; value = sum_t prod_a f(y_a).
+    terms[t][a] = (f, f', f'') for axis a, so U(y) = sum_t prod_a f(y_a) and
+    every partial derivative of order <= 2 per axis is exact.
     """
 
-    def __init__(self, terms, name: str = ""):
+    def __init__(self, grid: Grid, terms: list, name: str = ""):
+        self.grid = grid
         self.terms = terms
         self.name = name
-
-    @property
-    def dim(self) -> int:
-        return len(self.terms[0])
-
-    def partial_on_grid(self, grid: Grid, alpha: Sequence[int]) -> np.ndarray:
-        alpha = tuple(alpha)
-        out = np.zeros(grid.shape)
-        for term in self.terms:
-            piece = np.array(1.0)
-            for a in range(grid.dim):
-                piece = np.multiply.outer(piece, np.asarray(
-                    term[a][alpha[a]](grid.axis(a)), dtype=float))
-            out += piece
-        return out
-
-    def values_on_grid(self, grid: Grid) -> np.ndarray:
-        return self.partial_on_grid(grid, (0,) * self.dim)
-
-
-@dataclass
-class CornerField:
-    """A C^2 corner candidate: grid samples plus (optional) analytic partials."""
-
-    grid: Grid
-    values: np.ndarray
-    analytic: Optional[SeparableFunction] = None
-    name: str = ""
+        self.values = self.partial((0,) * grid.dim)
 
     def partial(self, alpha: Sequence[int]) -> np.ndarray:
-        if self.analytic is not None:
-            return self.analytic.partial_on_grid(self.grid, alpha)
-        out = np.asarray(self.values, dtype=float)
-        h = self.grid.h
-        for a, order in enumerate(alpha):
-            if order == 1:
-                out = d1(out, a, h[a])
-            elif order == 2:
-                out = d2(out, a, h[a])
-            elif order != 0:
-                raise ContractViolation("finite-difference partials support order <= 2")
+        """d^alpha U on the grid, alpha[a] <= 2, from the factors' derivatives."""
+        out = np.zeros(self.grid.shape)
+        for term in self.terms:
+            piece = np.array(1.0)
+            for a, axis in enumerate(self.grid.axes()):
+                piece = np.multiply.outer(piece, term[a][alpha[a]](axis))
+            out += piece
         return out
 
     def face_defects(self) -> tuple:
@@ -101,29 +70,21 @@ class CornerField:
         return (float(np.max(np.abs(on_face1))) if on_face1.size else 0.0,
                 float(np.max(np.abs(on_face2))) if on_face2.size else 0.0)
 
-    @property
-    def vanishes_on_face1(self) -> bool:
-        return self.face_defects()[0] <= FACE_TOL
 
-    @property
-    def vanishes_on_face2(self) -> bool:
-        return self.face_defects()[1] <= FACE_TOL
-
-    def satisfies_face_conditions(self, tol: float = FACE_TOL) -> bool:
-        f1, f2 = self.face_defects()
-        return f1 <= tol and f2 <= tol
-
-
-def corner_field_from_separable(grid: Grid, fn: SeparableFunction, name: str = "") -> CornerField:
-    return CornerField(grid, fn.values_on_grid(grid), analytic=fn, name=name or fn.name)
+def _multi_index(dim: int, *axes: int) -> tuple:
+    """The multi-index with one derivative along each listed axis."""
+    alpha = [0] * dim
+    for a in axes:
+        alpha[a] += 1
+    return tuple(alpha)
 
 
 def quadrant_mask(grid: Grid, closed: bool = True) -> np.ndarray:
-    """Indicator of the (closed by default) quadrant y_1 >= 0, y_2 >= 0."""
-    mesh = grid.meshgrid()
-    if closed:
-        return (mesh[0] >= 0.0) & (mesh[1] >= 0.0)
-    return (mesh[0] > 0.0) & (mesh[1] > 0.0)
+    """Indicator of the (closed by default) quadrant y_1 >= 0, y_2 >= 0,
+    a read-only broadcast of its (y_1, y_2) slice."""
+    half = np.greater_equal if closed else np.greater
+    mask = half(grid.axis(0), 0.0)[:, None] & half(grid.axis(1), 0.0)
+    return np.broadcast_to(mask.reshape(mask.shape + (1,) * (grid.dim - 2)), grid.shape)
 
 
 def extend_by_zero(cf: CornerField) -> np.ndarray:
@@ -142,10 +103,7 @@ def weak_pairing(v_values: np.ndarray, grid: Grid, alpha: Sequence[int],
 def identity_families(dim: int) -> dict:
     """Multi-indices of the pass-through identities, grouped by family."""
     def e(*axes):
-        a = [0] * dim
-        for ax in axes:
-            a[ax] += 1
-        return tuple(a)
+        return _multi_index(dim, *axes)
 
     fams = {
         "first": [e(0), e(1)],
@@ -166,8 +124,8 @@ def verify_extension_identities(cf: CornerField, tests: List[ProductBump],
     quadrant side is integrated with the restricted trapezoid rule, which is
     the second-order-accurate quadrature of the jump-extended integrand.
     """
-    if not cf.satisfies_face_conditions(tol=1e-10):
-        f1, f2 = cf.face_defects()
+    f1, f2 = cf.face_defects()
+    if not (f1 <= 1e-10 and f2 <= 1e-10):
         raise HypothesisError(
             f"corner field does not vanish on the quadrant faces "
             f"(defects {f1:.2e}, {f2:.2e}); the identities are not expected to hold")
@@ -209,9 +167,9 @@ def detect_layer(cf: CornerField, tests: List[ProductBump]) -> dict:
     """
     grid = cf.grid
     v = extend_by_zero(cf)
-    alpha = tuple([2] + [0] * (grid.dim - 1))
+    alpha = _multi_index(grid.dim, 0, 0)
     du2 = cf.partial(alpha)
-    du1 = cf.partial(tuple([1] + [0] * (grid.dim - 1)))
+    du1 = cf.partial(_multi_index(grid.dim, 0))
     i0 = grid.zero_index(0)
     face_grid = Grid(grid.box[1:], grid.n_cells[1:])
     rows = []
@@ -236,41 +194,16 @@ def detect_layer(cf: CornerField, tests: List[ProductBump]) -> dict:
     }
 
 
-class BMatrixField:
-    """Constant symmetric coefficient matrix for the second-order form on the grid.
-
-    The (1,1) and (2,2) entries must vanish for the corner identities to apply.
-    """
-
-    def __init__(self, dim: int, entries: dict, name: str = ""):
-        self.dim = dim
-        self.entries = {(min(j, k), max(j, k)): float(val) for (j, k), val in entries.items()}
-        self.name = name
-
-    @classmethod
-    def from_matrix(cls, matrix, name: str = "") -> "BMatrixField":
-        m = np.asarray(matrix, dtype=float)
-        entries = {}
-        for j in range(m.shape[0]):
-            for k in range(j, m.shape[0]):
-                if m[j, k] != 0.0:
-                    entries[(j, k)] = float(m[j, k])
-        return cls(m.shape[0], entries, name=name)
-
-    def corner_entries_max(self) -> float:
-        return max(abs(self.entries.get((0, 0), 0.0)), abs(self.entries.get((1, 1), 0.0)))
-
-    def apply_second_order(self, cf: CornerField) -> np.ndarray:
-        """sum_{j,k} beta_jk d_j d_k U on the grid from analytic partials."""
-        grid = cf.grid
-        out = np.zeros(grid.shape)
-        for (j, k), beta in self.entries.items():
-            alpha = [0] * grid.dim
-            alpha[j] += 1
-            alpha[k] += 1
-            mult = 1.0 if j == k else 2.0
-            out += mult * beta * cf.partial(tuple(alpha))
-        return out
+def _second_order_form(cf: CornerField, B: np.ndarray) -> np.ndarray:
+    """sum_{j,k} B_jk d_j d_k U on the grid, read from the upper triangle of
+    the symmetric matrix B."""
+    out = np.zeros(cf.grid.shape)
+    for j in range(B.shape[0]):
+        for k in range(j, B.shape[0]):
+            if B[j, k] != 0.0:
+                mult = 1.0 if j == k else 2.0
+                out += mult * float(B[j, k]) * cf.partial(_multi_index(cf.grid.dim, j, k))
+    return out
 
 
 def _interior_mask(grid: Grid) -> np.ndarray:
@@ -279,11 +212,15 @@ def _interior_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def verify_inequality_transfer(cf: CornerField, B: BMatrixField,
+def verify_inequality_transfer(cf: CornerField, B,
                                n_pts: int = 10000, seed: int = 0,
                                C: Optional[float] = None,
                                tol_char: float = 1e-12) -> dict:
     """Transfer the pointwise differential inequality from U to V.
+
+    B is the constant symmetric coefficient matrix of the second-order form
+    <B d, d> U; its (1,1) and (2,2) entries must vanish for the corner
+    identities to apply.
 
     The constant C is measured on the open quadrant (strict interior of the
     box) as the supremum of |<B d, d> U| / (|grad U| + |U|); the V-side
@@ -292,14 +229,13 @@ def verify_inequality_transfer(cf: CornerField, B: BMatrixField,
     identities (the quadrant indicator scales both sides identically).
     """
     grid = cf.grid
-    if B.corner_entries_max() > tol_char:
+    B = np.asarray(B, dtype=float)
+    if max(abs(B[0, 0]), abs(B[1, 1])) > tol_char:
         raise HypothesisError("coefficient matrix has nonzero (1,1) or (2,2) entry")
-    bu = B.apply_second_order(cf)
+    bu = _second_order_form(cf, B)
     grad_mag = np.zeros(grid.shape)
     for a in range(grid.dim):
-        alpha = [0] * grid.dim
-        alpha[a] = 1
-        grad_mag += cf.partial(tuple(alpha)) ** 2
+        grad_mag += cf.partial(_multi_index(grid.dim, a)) ** 2
     grad_mag = np.sqrt(grad_mag)
     denom = grad_mag + np.abs(cf.values)
 
@@ -455,64 +391,34 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
 # Standard analytic corpus
 # ---------------------------------------------------------------------------
 
-def _axis_identity():
-    return (lambda u: np.asarray(u, dtype=float),
-            lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _axis_square():
-    return (lambda u: np.asarray(u, dtype=float) ** 2,
-            lambda u: 2.0 * np.asarray(u, dtype=float),
-            lambda u: np.full_like(np.asarray(u, dtype=float), 2.0))
-
-
-def _axis_sin_pi():
-    return (lambda u: np.sin(np.pi * np.asarray(u, dtype=float)),
-            lambda u: np.pi * np.cos(np.pi * np.asarray(u, dtype=float)),
-            lambda u: -np.pi ** 2 * np.sin(np.pi * np.asarray(u, dtype=float)))
-
-
-def _axis_expm1():
-    return (lambda u: np.expm1(np.asarray(u, dtype=float)),
-            lambda u: np.exp(np.asarray(u, dtype=float)),
-            lambda u: np.exp(np.asarray(u, dtype=float)))
-
-
-def _axis_one():
-    return (lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-            lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _axis_cosh_taper():
-    return (lambda u: 1.0 / np.cosh(np.asarray(u, dtype=float)),
-            lambda u: -np.tanh(u) / np.cosh(np.asarray(u, dtype=float)),
-            lambda u: (np.tanh(u) ** 2 - 1.0 / np.cosh(u) ** 2) / np.cosh(np.asarray(u, dtype=float)))
+# 1-D factors (f, f', f'') of the corner fields, applied to grid axes
+LINEAR = (lambda u: u, np.ones_like, np.zeros_like)
+SQUARE = (lambda u: u ** 2, lambda u: 2.0 * u, lambda u: np.full_like(u, 2.0))
+SIN_PI = (lambda u: np.sin(np.pi * u), lambda u: np.pi * np.cos(np.pi * u),
+          lambda u: -np.pi ** 2 * np.sin(np.pi * u))
+EXPM1 = (np.expm1, np.exp, np.exp)
+ONE = (np.ones_like, np.zeros_like, np.zeros_like)
+SECH = (lambda u: 1.0 / np.cosh(u), lambda u: -np.tanh(u) / np.cosh(u),
+        lambda u: (np.tanh(u) ** 2 - 1.0 / np.cosh(u) ** 2) / np.cosh(u))
 
 
 def corner_corpus(grid: Grid) -> list:
     """Analytic corner fields vanishing on both quadrant faces."""
-    dim = grid.dim
-    pad = [_axis_one() for _ in range(dim - 2)]
+    pad = [ONE] * (grid.dim - 2)
 
-    def sep(name, *axis01, extra=None):
-        term = list(axis01) + (extra if extra is not None else pad)
-        return corner_field_from_separable(grid, SeparableFunction([term], name=name), name)
+    def field(name, *terms):
+        return CornerField(grid, [list(t) + pad for t in terms], name)
 
     fields = [
-        sep("product_linear", _axis_identity(), _axis_identity()),
-        sep("product_sin", _axis_sin_pi(), _axis_sin_pi()),
-        sep("sin_times_linear", _axis_sin_pi(), _axis_identity()),
-        sep("product_expm1", _axis_expm1(), _axis_expm1()),
-        corner_field_from_separable(grid, SeparableFunction(
-            [[_axis_identity(), _axis_identity()] + pad,
-             [_axis_square(), _axis_identity()] + pad,
-             [_axis_identity(), _axis_square()] + pad], name="cubic_mix"), "cubic_mix"),
+        field("product_linear", (LINEAR, LINEAR)),
+        field("product_sin", (SIN_PI, SIN_PI)),
+        field("sin_times_linear", (SIN_PI, LINEAR)),
+        field("product_expm1", (EXPM1, EXPM1)),
+        field("cubic_mix", (LINEAR, LINEAR), (SQUARE, LINEAR), (LINEAR, SQUARE)),
     ]
-    if dim >= 3:
-        taper = [_axis_cosh_taper() for _ in range(dim - 2)]
-        fields.append(sep("tapered_product", _axis_identity(), _axis_identity(), extra=taper))
+    if grid.dim >= 3:
+        fields.append(CornerField(grid, [[LINEAR, LINEAR] + [SECH] * (grid.dim - 2)],
+                                  "tapered_product"))
     return fields
 
 
@@ -538,9 +444,7 @@ def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
         bump = b.values_on_grid(grid)
         grads = []
         for axis in range(grid.dim):
-            alpha = [0] * grid.dim
-            alpha[axis] = 1
-            g = ramp * b.partial_on_grid(grid, tuple(alpha))
+            g = ramp * b.partial_on_grid(grid, _multi_index(grid.dim, axis))
             if axis == 0:
                 g = g + (mesh[0] > 0.0) * bump
             grads.append(g)

@@ -27,6 +27,10 @@ class Grid:
         object.__setattr__(self, "n_cells", tuple(int(c) for c in np.atleast_1d(self.n_cells)))
         if self.box.shape != (len(self.n_cells), 2):
             raise ContractViolation("box shape must match number of axes")
+        axes = tuple(np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(self.box, self.n_cells))
+        for ax in axes:
+            ax.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
@@ -41,10 +45,11 @@ class Grid:
         return (self.box[:, 1] - self.box[:, 0]) / np.array(self.n_cells, dtype=float)
 
     def axis(self, a: int) -> np.ndarray:
-        return np.linspace(self.box[a, 0], self.box[a, 1], self.n_cells[a] + 1)
+        """The node coordinates along axis a, built once and read-only."""
+        return self._axes[a]
 
     def axes(self) -> list:
-        return [self.axis(a) for a in range(self.dim)]
+        return list(self._axes)
 
     def meshgrid(self) -> list:
         return np.meshgrid(*self.axes(), indexing="ij")

@@ -18,10 +18,9 @@ from uccert import (build_psi, certify, certify_fields, hp, hp2, hp2_matrix,
                     unit_sphere_seeds)
 from uccert.carleman import build_weight, exponent_slopes, lambda_sweep
 from uccert.cli import main as cli_main
-from uccert.corner import (BMatrixField, SampledField, corner_corpus,
-                           detect_layer, kink_profile_corpus,
-                           mollifier_commutator, verify_extension_identities,
-                           verify_inequality_transfer)
+from uccert.corner import (SampledField, corner_corpus, detect_layer,
+                           kink_profile_corpus, mollifier_commutator,
+                           verify_extension_identities, verify_inequality_transfer)
 from uccert.fields import PhasePoint
 from uccert.grids import bump_corpus, bump_superposition_values, make_grid, unit_box
 from uccert.models import (bumpy_wave_metric, carleman_section,
@@ -239,7 +238,7 @@ def test_criterion_07_inequality_transfer():
     random off-face points with zero violations."""
     g = make_grid(unit_box(2), 512)
     cf = corner_corpus(g)[1]          # the sine product
-    b = BMatrixField.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+    b = [[0.0, 1.0], [1.0, 0.0]]
     rep = verify_inequality_transfer(cf, b, n_pts=10 ** 4, seed=12)
     ok = rep["violations"] == 0
     banner(7, "inequality transfer", ok,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -7,15 +9,14 @@ from scipy.signal import fftconvolve
 
 import uccert.corner
 
-from uccert.corner import (BMatrixField, CornerField, SampledField,
-                           SeparableFunction, _mollifier_kernels, corner_corpus,
-                           corner_field_from_separable, detect_layer,
-                           extend_by_zero, kink_profile_corpus,
-                           mollifier_commutator, quadrant_mask,
-                           verify_extension_identities,
+from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField,
+                           SampledField, _mollifier_kernels, _second_order_form,
+                           corner_corpus, detect_layer, extend_by_zero,
+                           kink_profile_corpus, mollifier_commutator,
+                           quadrant_mask, verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import HypothesisError, ResolutionError, SupportError
-from uccert.grids import (Grid, ProductBump, bump_corpus, make_grid,
+from uccert.grids import (Grid, ProductBump, bump_corpus, d1, d2, make_grid,
                           restricted_trapezoid, trapezoid, unit_box)
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
@@ -33,30 +34,16 @@ def _axis_const(c):
             lambda u: np.zeros_like(np.asarray(u, dtype=float)))
 
 
-def _axis_identity():
-    return (lambda u: np.asarray(u, dtype=float),
-            lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-
-
-def _axis_square():
-    return (lambda u: np.asarray(u, dtype=float) ** 2,
-            lambda u: 2.0 * np.asarray(u, dtype=float),
-            lambda u: np.full_like(np.asarray(u, dtype=float), 2.0))
-
-
 class TestExtendByZero:
     def test_constant_becomes_indicator(self):
         g = make_grid(unit_box(2), 32)
-        cf = corner_field_from_separable(
-            g, SeparableFunction([[_axis_const(1.0), _axis_const(1.0)]], "one"))
+        cf = CornerField(g, [[_axis_const(1.0), _axis_const(1.0)]], "one")
         v = extend_by_zero(cf)
         assert_allclose(v, quadrant_mask(g).astype(float))
 
     def test_product_restricted(self):
         g = make_grid(unit_box(2), 32)
-        cf = corner_field_from_separable(
-            g, SeparableFunction([[_axis_identity(), _axis_identity()]], "xy"))
+        cf = CornerField(g, [[LINEAR, LINEAR]], "xy")
         v = extend_by_zero(cf)
         mesh = g.meshgrid()
         assert_allclose(v, np.where((mesh[0] >= 0) & (mesh[1] >= 0),
@@ -65,23 +52,62 @@ class TestExtendByZero:
     def test_vanishing_on_quadrant_gives_zero(self):
         g = make_grid(unit_box(2), 32)
         mesh = g.meshgrid()
-        vals = np.where((mesh[0] < 0) | (mesh[1] < 0), 1.0, 0.0)
-        cf = CornerField(g, vals)
+        # 1 - H(y1) H(y2) with H the closed step
+        step = (lambda u: (u >= 0.0) * 1.0, np.zeros_like, np.zeros_like)
+        minus_step = (lambda u: (u >= 0.0) * -1.0, np.zeros_like, np.zeros_like)
+        cf = CornerField(g, [[ONE, ONE], [minus_step, step]], "outside")
+        assert np.array_equal(cf.values, np.where((mesh[0] < 0) | (mesh[1] < 0), 1.0, 0.0))
         assert np.all(extend_by_zero(cf) == 0.0)
 
     def test_face_condition_flags(self):
         g = make_grid(unit_box(2), 32)
-        cf = corner_field_from_separable(
-            g, SeparableFunction([[_axis_identity(), _axis_identity()]], "xy"))
-        assert cf.vanishes_on_face1 and cf.vanishes_on_face2
+        cf = CornerField(g, [[LINEAR, LINEAR]], "xy")
+        assert max(cf.face_defects()) <= 1e-12
         # sin(pi y1) * 1 vanishes on face 1 (y1 = 0) but not on face 2
-        sin_only = corner_field_from_separable(
-            g, SeparableFunction([[(lambda u: np.sin(np.pi * np.asarray(u, dtype=float)),
-                                    lambda u: np.pi * np.cos(np.pi * np.asarray(u, dtype=float)),
-                                    lambda u: -np.pi ** 2 * np.sin(np.pi * np.asarray(u, dtype=float))),
-                                   _axis_const(1.0)]], "sin1"))
-        assert sin_only.vanishes_on_face1
-        assert not sin_only.vanishes_on_face2
+        face1, face2 = CornerField(g, [[SIN_PI, _axis_const(1.0)]], "sin1").face_defects()
+        assert face1 <= 1e-12
+        assert face2 > 1e-12
+
+
+@pytest.mark.parametrize("box, cells", [
+    (unit_box(2), 32), (np.array([[-1.0, 1.0], [-0.5, 2.0]]), (40, 30)), (unit_box(3), 12)])
+@pytest.mark.parametrize("closed", [True, False])
+def test_quadrant_mask_matches_meshgrid(box, cells, closed):
+    g = make_grid(box, cells)
+    mesh = g.meshgrid()
+    want = ((mesh[0] >= 0.0) & (mesh[1] >= 0.0) if closed
+            else (mesh[0] > 0.0) & (mesh[1] > 0.0))
+    got = quadrant_mask(g, closed=closed)
+    assert got.shape == g.shape and got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+def _difference_partial(cf, alpha):
+    """d^alpha U by d1/d2 differences of the grid values, on interior nodes."""
+    out = cf.values
+    for a, order in enumerate(alpha):
+        if order:
+            out = (d1, d2)[order - 1](out, a, cf.grid.h[a])
+    return out[(slice(1, -1),) * cf.grid.dim]
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 64), (3, 24)])
+def test_factor_partials_match_second_order_differences(dim, cells):
+    # exact partials agree with the differences to rounding where those are
+    # exact (low-degree polynomials), otherwise to O(h^2): about 4x per halving
+    coarse, fine = (corner_corpus(make_grid(unit_box(dim), c)) for c in (cells, 2 * cells))
+    ratios = []
+    for cf_c, cf_f in zip(coarse, fine):
+        for alpha in itertools.product(range(3), repeat=dim):
+            err = [float(np.max(np.abs(cf.partial(alpha)[(slice(1, -1),) * dim]
+                                       - _difference_partial(cf, alpha))))
+                   for cf in (cf_c, cf_f)]
+            if err[0] <= 1e-5:
+                assert err[1] <= 1e-5, (cf_c.name, alpha, err)
+            else:
+                ratios.append(err[0] / err[1])
+                assert 3.5 <= ratios[-1] <= 4.5, (cf_c.name, alpha, err)
+    assert len(ratios) >= 20
 
 
 class TestWeakPairing:
@@ -140,8 +166,7 @@ class TestExtensionIdentities:
 
     def test_hypothesis_violation_rejected_and_large(self):
         g = make_grid(unit_box(2), 128)
-        cf = corner_field_from_separable(
-            g, SeparableFunction([[_axis_const(1.0), _axis_const(1.0)]], "one"))
+        cf = CornerField(g, [[_axis_const(1.0), _axis_const(1.0)]], "one")
         with pytest.raises(HypothesisError):
             verify_extension_identities(cf, bump_corpus(unit_box(2), 3, seed=1))
         # the first-derivative identity fails by an O(1) amount for U = 1,
@@ -180,8 +205,7 @@ class TestLayerProbe:
     def test_square_normal_factor_kills_layer(self):
         g = make_grid(unit_box(2), 256)
         tests = bump_corpus(unit_box(2), 6, seed=2)
-        cf = corner_field_from_separable(
-            g, SeparableFunction([[_axis_square(), _axis_identity()]], "sq"))
+        cf = CornerField(g, [[SQUARE, LINEAR]], "sq")
         rep = detect_layer(cf, tests)
         assert rep["max_layer_magnitude"] <= 1e-10
         assert rep["max_mismatch"] <= _tols(g)["first"]
@@ -202,8 +226,7 @@ class TestLayerProbe:
     def test_zero_field_trivial(self):
         g = make_grid(unit_box(2), 64)
         tests = bump_corpus(unit_box(2), 3, seed=2)
-        cf = CornerField(g, np.zeros(g.shape),
-                         analytic=SeparableFunction([[_axis_const(0.0), _axis_const(0.0)]], "z"))
+        cf = CornerField(g, [[_axis_const(0.0), _axis_const(0.0)]], "z")
         rep = detect_layer(cf, tests)
         assert rep["max_layer_magnitude"] == 0.0
         assert rep["max_mismatch"] == 0.0
@@ -213,7 +236,7 @@ class TestInequalityTransfer:
     def test_sinsin_zero_violations(self):
         g = make_grid(unit_box(2), 256)
         cf = corner_corpus(g)[1]          # product of sines
-        b = BMatrixField.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+        b = [[0.0, 1.0], [1.0, 0.0]]
         rep = verify_inequality_transfer(cf, b, n_pts=10000, seed=1)
         assert rep["violations"] == 0
         assert rep["C"] > 0
@@ -221,7 +244,7 @@ class TestInequalityTransfer:
     def test_supplied_constant_also_transfers(self):
         g = make_grid(unit_box(2), 128)
         cf = corner_corpus(g)[1]
-        b = BMatrixField.from_matrix([[0.0, 1.0], [1.0, 0.0]])
+        b = [[0.0, 1.0], [1.0, 0.0]]
         measured = verify_inequality_transfer(cf, b, n_pts=100, seed=1)["C"]
         rep = verify_inequality_transfer(cf, b, n_pts=5000, seed=2, C=measured)
         assert rep["violations"] == 0
@@ -231,15 +254,15 @@ class TestInequalityTransfer:
         # the same sum bit for bit
         g = make_grid(unit_box(2), 64)
         cf = corner_corpus(g)[1]
-        b = BMatrixField.from_matrix([[0.0, 0.7], [0.7, 0.0]])
+        b = np.array([[0.0, 0.7], [0.7, 0.0]])
         want = np.zeros(g.shape)
         want += 2.0 * np.full(g.shape, 0.7) * cf.partial((1, 1))
-        assert np.array_equal(b.apply_second_order(cf), want)
+        assert np.array_equal(_second_order_form(cf, b), want)
 
     def test_nonzero_corner_entry_rejected(self):
         g = make_grid(unit_box(2), 64)
         cf = corner_corpus(g)[1]
-        b = BMatrixField.from_matrix([[1.0, 0.0], [0.0, 0.0]])
+        b = [[1.0, 0.0], [0.0, 0.0]]
         with pytest.raises(HypothesisError):
             verify_inequality_transfer(cf, b, n_pts=10)
 

@@ -21,6 +21,18 @@ class TestGrid:
         assert ax[256] == 0.0
         assert g.h[0] == pytest.approx(2.0 / 512)
 
+    @pytest.mark.parametrize("box, cells", [
+        (unit_box(2), 64), (np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80)), (unit_box(3), 7)])
+    def test_axes_are_linspace_built_once_and_read_only(self, box, cells):
+        g = make_grid(box, cells)
+        for a in range(g.dim):
+            ax = g.axis(a)
+            assert np.array_equal(ax, np.linspace(box[a, 0], box[a, 1], g.n_cells[a] + 1))
+            assert ax is g.axis(a) and ax is g.axes()[a]
+            assert not ax.flags.writeable
+            with pytest.raises(ValueError):
+                ax[0] = 5.0
+
     def test_refine_coarsen_roundtrip(self):
         g = make_grid(unit_box(2), 64)
         assert g.refine().n_cells == (128, 128)
