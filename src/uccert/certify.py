@@ -40,11 +40,10 @@ import numpy as np
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation)
 from .fields import Jet, MetricField, ScalarField, as_point, linear_combination, squared_field
-from .hypotheses import GeometrySpec, build_psi
-from .symbols import (_hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
+from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, build_psi
+from .symbols import (ZERO_BAND, _hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
                       quadratic_form_values, signature)
 
-DEFAULT_TOL_POS = 1e-6
 KEY_IDENTITY_RTOL = 1e-6    # required agreement between the two margin routes
 EPS = np.finfo(float).eps
 
@@ -116,7 +115,7 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
     mr = basis @ m @ basis.T
     ar = basis @ a @ basis.T
     ev, vec = np.linalg.eigh(ar)
-    band = 1e-10 * max(1.0, float(np.max(np.abs(ev))))     # the zero band of signature()
+    band = ZERO_BAND * max(1.0, float(np.max(np.abs(ev))))
     if ev[0] >= -band or ev[-1] <= band:
         kernel = vec[:, np.abs(ev) <= band]
         if kernel.shape[1] == 0:

@@ -34,8 +34,8 @@ from .errors import ContractViolation, UccertError
 from .expressions import expression_field
 from .fields import constant_metric, linear_combination, squared_field
 from .grids import bump_corpus, bump_superposition_values, make_grid, unit_box
-from .hypotheses import (GeometrySpec, build_psi, check_assumptions,
-                         verify_split_signs, verify_sublevel_inclusion)
+from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, GeometrySpec,
+                         build_psi, check_assumptions, verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
 from .rays import contact, integrate_rays
 
@@ -503,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
         sp.add_argument("--mu", type=float, help="weight exponent (default 1)")
         sp.add_argument("--grid", type=int, default=None, help="cells per axis")
-        sp.add_argument("--tol-zero", type=float, default=1e-10)
-        sp.add_argument("--tol-char", type=float, default=1e-8)
-        sp.add_argument("--tol-pos", type=float, default=1e-6)
+        sp.add_argument("--tol-zero", type=float, default=DEFAULT_TOL_ZERO)
+        sp.add_argument("--tol-char", type=float, default=DEFAULT_TOL_CHAR)
+        sp.add_argument("--tol-pos", type=float, default=DEFAULT_TOL_POS)
         sp.add_argument("--ds", type=float, default=1e-3)
         sp.add_argument("--s-fit", type=float, default=0.05)
         sp.add_argument("--max-rays", type=int, default=8)

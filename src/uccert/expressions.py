@@ -1,8 +1,11 @@
 """Closed-form expression trees for user-supplied scalar fields.
 
 The driver accepts surface definitions like ``norm(x2, x3) - 1 - x1`` in its
-config files.  Expressions are parsed into a small AST supporting +, -, *, /,
-^ (numeric exponent), sqrt and norm over the coordinate variables x1..xn.
+config files.  ``parse_expression`` reads them with Python's parser (``ast``;
+the text is never evaluated) and builds, from an allow-list, a small tree over
+the coordinates x1..xn: decimal literals, + - * / and signs with Python's
+precedence, ``^`` or ``**`` to a signed numeric literal, sqrt and norm.  Any
+other form, and a tree deeper than ``MAX_DEPTH``, is a ``ContractViolation``.
 Each node has one method, ``ev(xs)``, over the coordinates ``xs``: floats for
 one point, coordinate rows for a batch of points, or ``Jet`` variables of
 either, which give exact gradients and Hessians by forward mode and keep
@@ -11,9 +14,10 @@ every downstream derivative supplier twice differentiable.
 
 from __future__ import annotations
 
+import ast
 import operator
 import re
-from typing import List, Tuple
+import warnings
 
 from .errors import ContractViolation
 from .fields import Jet, ScalarField, power
@@ -63,7 +67,7 @@ class Pow(Expr):
         return power(self.a.ev(xs), self.p)
 
 
-def norm_expr(args: List[Expr]) -> Expr:
+def norm_expr(args: list) -> Expr:
     """sqrt of the sum of squares, built from the core nodes."""
     if not args:
         raise ContractViolation("norm() needs at least one argument")
@@ -73,130 +77,81 @@ def norm_expr(args: List[Expr]) -> Expr:
     return Pow(total, 0.5)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                       r"|([A-Za-z_][A-Za-z_0-9]*)|(\*\*)|([()+\-*/^,]))")
+MAX_DEPTH = 500   # levels of a built tree; ``ev`` recurses once per level
 
-
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ContractViolation(f"cannot tokenize expression at: {text[pos:pos + 20]!r}")
-        num, name, dstar, op = m.groups()
-        if num is not None:
-            out.append(("num", num))
-        elif name is not None:
-            out.append(("name", name))
-        elif dstar is not None:
-            out.append(("op", "^"))
-        else:
-            out.append(("op", op))
-        pos = m.end()
-    out.append(("end", ""))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: List[Tuple[str, str]], dim: int):
-        self.toks = tokens
-        self.pos = 0
-        self.dim = dim
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ContractViolation(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek()[0] != "end":
-            raise ContractViolation(f"trailing input at {self.peek()[1]!r}")
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def _sign(self) -> float:
-        """Product of the leading unary + and - signs."""
-        sign = 1.0
-        while self.peek() in (("op", "-"), ("op", "+")):
-            if self.next()[1] == "-":
-                sign = -sign
-        return sign
-
-    def unary(self) -> Expr:
-        sign = self._sign()
-        node = self.power()
-        return BinOp("-", Const(0.0), node) if sign < 0 else node
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            expo = self._numeric_exponent()
-            return Pow(base, expo)
-        return base
-
-    def _numeric_exponent(self) -> float:
-        sign = self._sign()
-        kind, val = self.next()
-        if kind != "num":
-            raise ContractViolation("exponent must be a numeric literal")
-        return sign * float(val)
-
-    def atom(self) -> Expr:
-        kind, val = self.next()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.next()
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if val == "sqrt":
-                    if len(args) != 1:
-                        raise ContractViolation("sqrt() takes one argument")
-                    return Pow(args[0], 0.5)
-                if val == "norm":
-                    return norm_expr(args)
-                raise ContractViolation(f"unknown function {val!r}")
-            m = re.fullmatch(r"x(\d+)", val)
-            if not m:
-                raise ContractViolation(f"unknown symbol {val!r}; variables are x1..x{self.dim}")
-            return Var(int(m.group(1)) - 1, self.dim)
-        raise ContractViolation(f"unexpected token {val!r}")
+_OUTSIDE = re.compile(r"[^0-9A-Za-z_.()+\-*/, ]")
+_DECIMAL = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_SIGNS = (ast.UAdd, ast.USub)
 
 
 def parse_expression(text: str, dim: int) -> Expr:
-    return _Parser(_tokenize(text), dim).parse()
+    # collapsed whitespace keeps the text on one line, so that column offsets
+    # index it, and drops a leading indent, which Python would reject
+    src = " ".join(text.replace("^", "**").split())
+    bad = _OUTSIDE.search(src)
+    if bad:
+        raise ContractViolation(f"character {bad.group()!r} is not allowed in an expression")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            body = ast.parse(src, mode="eval").body
+    except (SyntaxError, RecursionError, MemoryError) as e:   # the last two: nested too deeply
+        raise ContractViolation(f"cannot parse expression: {getattr(e, 'msg', 'nested too deeply')}") from e
+
+    def sign_run(node):
+        """The product of the signs written together, as in ``--x1``, and the
+        operand after them; a parenthesis ends the run, so ``-(-x1)`` has two."""
+        sign = 1.0
+        while isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+            sign *= -1.0 if isinstance(node.op, ast.USub) else 1.0
+            if src[node.col_offset + 1:].lstrip().startswith("("):
+                return sign, node.operand
+            node = node.operand
+        return sign, node
+
+    def literal(node) -> float:
+        digits = src[node.col_offset:node.end_col_offset]
+        if not _DECIMAL.fullmatch(digits):
+            raise ContractViolation(f"unsupported literal {digits!r}")
+        return float(digits)
+
+    def build(node, level: int) -> Expr:
+        if level > MAX_DEPTH:
+            raise ContractViolation(f"expression is nested deeper than {MAX_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], build(node.left, level + 1), build(node.right, level + 1))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            sign, lit = sign_run(node.right)
+            if not isinstance(lit, ast.Constant) or "(" in src[node.left.end_col_offset:lit.col_offset]:
+                raise ContractViolation("exponent must be a numeric literal")
+            return Pow(build(node.left, level + 1), sign * literal(lit))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+            sign, node = sign_run(node)
+            return build(node, level) if sign > 0 else BinOp("-", Const(0.0), build(node, level + 1))
+        if isinstance(node, ast.Constant):
+            return Const(literal(node))
+        if isinstance(node, ast.Name):
+            m = re.fullmatch(r"x(\d+)", node.id)
+            if not m:
+                raise ContractViolation(f"unknown symbol {node.id!r}; variables are x1..x{dim}")
+            return Var(int(m.group(1)) - 1, dim)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.col_offset == node.col_offset and not node.keywords
+                and not (node.args and "," in src[node.args[-1].end_col_offset:node.end_col_offset])):
+            name, args = node.func.id, node.args
+            if name == "sqrt":
+                if len(args) != 1:
+                    raise ContractViolation("sqrt() takes one argument")
+                return Pow(build(args[0], level + 1), 0.5)
+            if name == "norm":
+                # norm_expr puts argument i under the Pow, k - max(i, 1) sums and a product
+                k = len(args)
+                return norm_expr([build(a, level + k + 2 - max(i, 1)) for i, a in enumerate(args)])
+            raise ContractViolation(f"unknown function {name!r}")
+        raise ContractViolation(f"unsupported syntax {src[node.col_offset:node.end_col_offset]!r}")
+
+    return build(body, 1)
 
 
 def expression_field(text: str, dim: int, name: str = "") -> ScalarField:

@@ -329,7 +329,6 @@ class ScalarField:
                 return value(x)
             return Jet(value(x), supplied_grad(x), supplied_hess(x) if order == 2 else None)
 
-        self._eval = eval_fn
         self._jet = _rowwise(point_jet)
         self.analytic = grad_fn is not None and hess_fn is not None
         self.name = name
@@ -339,7 +338,6 @@ class ScalarField:
         """Field from ``jet_fn(x, order)``, which takes one point or a (k, n)
         batch at every order and may return a plain number for a constant."""
         field = cls.__new__(cls)
-        field._eval = lambda x: jet_fn(x, 0)
         field._jet = jet_fn
         field.analytic = analytic
         field.name = name

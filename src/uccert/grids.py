@@ -31,6 +31,9 @@ class Grid:
         for ax in axes:
             ax.flags.writeable = False
         object.__setattr__(self, "_axes", axes)
+        zeros = tuple(int(np.argmin(np.abs(ax))) for ax in axes)
+        object.__setattr__(self, "_zeros", tuple(i if abs(ax[i]) <= 1e-12 else None
+                                                 for ax, i in zip(axes, zeros)))
 
     @property
     def dim(self) -> int:
@@ -59,11 +62,10 @@ class Grid:
         return np.stack([m.ravel() for m in self.meshgrid()], axis=1)
 
     def zero_index(self, a: int) -> int:
-        ax = self.axis(a)
-        i = int(np.argmin(np.abs(ax)))
-        if abs(ax[i]) > 1e-12:
+        """The node at coordinate 0 along axis a, found once."""
+        if self._zeros[a] is None:
             raise ContractViolation(f"axis {a} has no node at 0")
-        return i
+        return self._zeros[a]
 
     def refine(self) -> "Grid":
         return Grid(self.box, tuple(2 * c for c in self.n_cells))

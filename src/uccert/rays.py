@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import ContractViolation, FitError
 from .fields import MetricField, PhasePoint, ScalarField, as_point
+from .hypotheses import DEFAULT_TOL_ZERO
 from .symbols import _hp2_closed_form, _hp_closed_form, _matvec, _quadratic_forms
 
 DEFAULT_TOL_TAN_REL = 1e-6
-DEFAULT_TOL_ZERO = 1e-10
 
 
 @dataclass

@@ -25,6 +25,9 @@ def eval_symbol(Q: MetricField, pp: PhasePoint) -> float:
     return float(pp.xi @ Q(pp.x) @ pp.xi)
 
 
+ZERO_BAND = 1e-10   # half-width of signature()'s zero band, relative to the eigenvalues
+
+
 class Signature(NamedTuple):
     n_plus: int
     n_minus: int
@@ -34,9 +37,10 @@ class Signature(NamedTuple):
 def signature(M, tol_eig: float | None = None) -> Signature:
     """Counts of eigenvalues above, below, and inside the zero band.
 
-    The band half-width defaults to 1e-10 times the largest absolute
-    eigenvalue, which makes the zero test scale-invariant.  For a stack of
-    matrices, shape (k, n, n), the counts are arrays of length k.
+    The band half-width defaults to ZERO_BAND times the largest absolute
+    eigenvalue (at least 1), which makes the zero test scale-invariant.
+    For a stack of matrices, shape (k, n, n), the counts are arrays of
+    length k.
     """
     m = np.asarray(M, dtype=float)
     mt = np.swapaxes(m, -1, -2)
@@ -45,7 +49,7 @@ def signature(M, tol_eig: float | None = None) -> Signature:
         raise ContractViolation("signature() requires a symmetric matrix")
     ev = np.linalg.eigvalsh(0.5 * (m + mt))
     if tol_eig is None:
-        tol_eig = 1e-10 * np.maximum(1.0, np.max(np.abs(ev), axis=-1))
+        tol_eig = ZERO_BAND * np.maximum(1.0, np.max(np.abs(ev), axis=-1))
     band = np.expand_dims(tol_eig, -1)
     n_plus = np.sum(ev > band, axis=-1)
     n_minus = np.sum(ev < -band, axis=-1)

@@ -43,7 +43,7 @@ class TestWeight:
     def test_hessian_against_fd(self, section):
         _, bent, _ = section
         w = build_weight(bent, mu=1.0)
-        bare = ScalarField(w.phi._eval)
+        bare = ScalarField(w.phi)
         p = np.array([0.12, 1.07])
         assert_allclose(w.phi.hess(p), bare.hess(p), rtol=1e-4, atol=1e-6)
 

@@ -222,13 +222,13 @@ class TestRaysCommand:
 
 class TestMalformedInput:
     def _conf(self, tmp_path, metric="diag(-1, 1, 1)", x0="0, 1, 0",
-              box="-0.4:0.4, 0.6:1.4, -0.4:0.4"):
+              box="-0.4:0.4, 0.6:1.4, -0.4:0.4", phi_plus="norm(x2, x3) - 1 - x1"):
         conf = tmp_path / "geo.conf"
         conf.write_text(
             "[geometry]\n"
             "dim = 3\n"
             f"metric = {metric}\n"
-            "phi_plus = norm(x2, x3) - 1 - x1\n"
+            f"phi_plus = {phi_plus}\n"
             "phi_minus = norm(x2, x3) - 1 + x1\n"
             f"box = {box}\n"
             f"x0 = {x0}\n")
@@ -242,7 +242,12 @@ class TestMalformedInput:
         ("box", "-0.4:0.4, 0.6:inf, -0.4:0.4", "box must be finite"),
         ("metric", "diag(-1, 1, nan)", "diag() entries must be finite"),
         ("metric", "[[-1, 0, 0], [0, 1, 0], [0, 0, NaN]]", "matrix entries must be finite"),
-        ("metric", "bumpy_wave(2, 1e999)", "bumpy_wave amplitude must be finite")])
+        ("metric", "bumpy_wave(2, 1e999)", "bumpy_wave amplitude must be finite"),
+        ("phi_plus", "norm(x2, x3) - 1 - x1^(2)", "exponent must be a numeric literal"),
+        pytest.param("phi_plus", "(" * 300 + "norm(x2, x3)" + ")" * 300, "too many nested parentheses",
+                     id="phi_plus-300-nested-parentheses"),
+        pytest.param("phi_plus", "norm(x2, x3) - 1 - x1" + " + 0*x1" * 1200, "nested",
+                     id="phi_plus-sum-of-1203-terms")])
     def test_malformed_geometry_is_usage_error(self, tmp_path, capsys, command, key, value, message):
         out = str(tmp_path / "o")
         assert main([command, "--config", self._conf(tmp_path, **{key: value}), "--out", out]) == 2

@@ -45,14 +45,14 @@ class TestPhasePoint:
 class TestScalarFieldFallbacks:
     def test_fd_gradient_matches_analytic(self, rng):
         f = smooth_test_field()
-        bare = ScalarField(f._eval)
+        bare = ScalarField(f)
         for _ in range(10):
             x = rng.normal(size=3)
             assert_allclose(bare.grad(x), f.grad(x), rtol=1e-6, atol=1e-8)
 
     def test_fd_hessian_matches_analytic(self, rng):
         f = smooth_test_field()
-        bare = ScalarField(f._eval)
+        bare = ScalarField(f)
         for _ in range(5):
             x = rng.normal(size=3)
             assert_allclose(bare.hess(x), f.hess(x), rtol=2e-4, atol=1e-5)
@@ -76,7 +76,7 @@ class TestScalarFieldFallbacks:
         f = smooth_test_field()
         g = coordinate_field(3, 1)
         prod = product_field(f, g)
-        bare = ScalarField(prod._eval)
+        bare = ScalarField(prod)
         x = rng.normal(size=3)
         assert_allclose(prod.hess(x), bare.hess(x), rtol=2e-4, atol=1e-5)
 
@@ -214,7 +214,7 @@ class TestChart:
                         lambda x: np.array([2 * x[0] + x[1], x[0]]),
                         lambda x: np.array([[2.0, 1.0], [1.0, 0.0]]))
         fk = pullback_scalar(f, chart)
-        fk_fd = ScalarField(fk._eval)
+        fk_fd = ScalarField(fk)
         y = np.array([0.4, -0.7])
         assert_allclose(fk.grad(y), fk_fd.grad(y), rtol=1e-6, atol=1e-8)
         assert_allclose(fk.hess(y), fk_fd.hess(y), rtol=1e-4, atol=1e-5)

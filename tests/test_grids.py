@@ -33,6 +33,19 @@ class TestGrid:
             with pytest.raises(ValueError):
                 ax[0] = 5.0
 
+    @pytest.mark.parametrize("box, cells", [
+        (unit_box(2), 64), (np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80)), (unit_box(3), 7),
+        (np.array([[-0.3, 0.7], [0.1, 1.1]]), (10, 10))])
+    def test_zero_index_is_the_argmin_node(self, box, cells):
+        g = make_grid(box, cells)
+        for a in range(g.dim):
+            i = int(np.argmin(np.abs(g.axis(a))))
+            if abs(g.axis(a)[i]) <= 1e-12:
+                assert g.zero_index(a) == i
+            else:
+                with pytest.raises(ContractViolation, match=f"axis {a} has no node at 0"):
+                    g.zero_index(a)
+
     def test_refine_coarsen_roundtrip(self):
         g = make_grid(unit_box(2), 64)
         assert g.refine().n_cells == (128, 128)
