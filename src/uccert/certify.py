@@ -32,7 +32,7 @@ drift) condition checkers use the same exact maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -481,7 +481,9 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     The base point must lie on both surfaces to spec.tol_zero, and every jet
     the certificate uses must be finite there; otherwise the certificate is
     degenerate and its notes name the gate.  The surface values come from
-    the jets the finiteness gate read.
+    the jets the finiteness gate read, and so do psi0 and psi1: they are
+    built from the exact Taylor models of Q and phi± at x0, so the surface
+    expressions and the metric are evaluated once each.
     """
     x0 = as_point(x0)
     jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
@@ -491,8 +493,11 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
-    psi0, psi1 = build_psi(spec)
-    return certify_fields(spec.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
+    models = replace(spec, Q=_taylor_metric(spec.Q, *jets["Q"], x0),
+                     phi_plus=_taylor_scalar(spec.phi_plus, jets["phi_plus"], x0),
+                     phi_minus=_taylor_scalar(spec.phi_minus, jets["phi_minus"], x0))
+    psi0, psi1 = build_psi(models)
+    return certify_fields(models.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
 
 
 def _symbol_and_flow_covector(Q: MetricField, psi: ScalarField, x0, tol_pos: float):

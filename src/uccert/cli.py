@@ -158,13 +158,31 @@ def parse_metric(text: str, dim: int):
     raise ContractViolation(f"cannot parse metric {text!r}")
 
 
+def _check_keys(section: dict, name: str, known) -> None:
+    """A usage error naming the first key of a config section that nothing reads."""
+    for key in section:
+        if key not in known:
+            raise ContractViolation(f"unknown key {key!r} in [{name}] section")
+
+
+def _surface(geo: dict, key: str, dim: int):
+    """The surface expression under key, its errors prefixed with the key."""
+    try:
+        return expression_field(geo[key], dim, name=key)
+    except ContractViolation as e:
+        raise ContractViolation(f"{key}: {e}") from e
+
+
+_GEOMETRY_KEYS = ("dim", "metric", "phi_plus", "phi_minus", "box", "x0", "n_surface_samples", "name")
+
+
 @_malformed_is_usage_error
 def geometry_from_config(geo: dict) -> ModelSpec:
+    _check_keys(geo, "geometry", _GEOMETRY_KEYS)
     try:
         dim = int(geo["dim"])
         metric = parse_metric(geo["metric"], dim)
-        phi_plus = expression_field(geo["phi_plus"], dim, name="phi_plus")
-        phi_minus = expression_field(geo["phi_minus"], dim, name="phi_minus")
+        phi_plus, phi_minus = _surface(geo, "phi_plus", dim), _surface(geo, "phi_minus", dim)
         box_parts = [p.strip() for p in geo["box"].split(",")]
         if len(box_parts) != dim:
             raise ContractViolation(f"box needs {dim} lo:hi ranges")
@@ -481,6 +499,7 @@ def _run_section_command(args) -> str:
     command = run["command"].strip()
     if command not in _COMMANDS:
         raise ContractViolation(f"unknown command {command!r} in [run] section")
+    _check_keys(run, "run", {"command", *_RUN_KEYS})
     for key, (attr, cast) in _RUN_KEYS.items():
         if key in run and getattr(args, attr) is None:
             setattr(args, attr, _malformed_is_usage_error(cast)(run[key]))

@@ -7,9 +7,11 @@ direction pass through the indicator: each identity is tested in weak form by
 pairing against smooth compactly supported test functions.  The pure second
 derivative in a face-normal direction instead produces a surface-supported
 term whose density is the normal derivative of U on the face; the layer probe
-measures it.  The pointwise differential-inequality transfer from U to V and
-the smoothing commutator that justifies applying weighted estimates to
-low-regularity functions are verified on the same grids.
+measures it.  U and the test bumps are products of 1-D factors, so each of
+these integrals is, term by term of U, a product of 1-D sums (CornerField.pair)
+and no grid array is formed.  The pointwise differential-inequality transfer
+from U to V and the smoothing commutator that justifies applying weighted
+estimates to low-regularity functions are verified on grid arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, _bump, restricted_trapezoid, window_trapezoid
+from .grids import Grid, ProductBump, _axis_weights, _bump, trapezoid, window_trapezoid
 
 
 def fftconvolve(in1, in2, mode="full", axes=None):
@@ -70,6 +72,21 @@ class CornerField:
         return (float(np.max(np.abs(on_face1))) if on_face1.size else 0.0,
                 float(np.max(np.abs(on_face2))) if on_face2.size else 0.0)
 
+    def pair(self, phi: ProductBump, alpha: Sequence[int], beta: Sequence[int],
+             weights: Sequence[np.ndarray]) -> float:
+        """sum over the nodes of prod_a weights[a] * d^alpha U * d^beta phi:
+        per term of U a product over the axes of 1-D sums, each taken over the
+        nodes where that axis's weighted bump factor is nonzero."""
+        sums = []
+        for a, (coords, w) in enumerate(zip(self.grid.axes(), weights)):
+            factor = w * phi.axis_profile(coords, a, beta[a])
+            nz = np.flatnonzero(factor)
+            if nz.size == 0:
+                return 0.0
+            on = slice(nz[0], nz[-1] + 1)
+            sums.append([factor[on] @ term[a][alpha[a]](coords[on]) for term in self.terms])
+        return phi.amplitude * float(np.prod(sums, axis=0).sum())
+
 
 def _multi_index(dim: int, *axes: int) -> tuple:
     """The multi-index with one derivative along each listed axis."""
@@ -97,7 +114,25 @@ def weak_pairing(v_values: np.ndarray, grid: Grid, alpha: Sequence[int],
     """Distributional pairing <d^alpha V, phi> = (-1)^|alpha| integral V d^alpha phi."""
     testfn.check_support_inside(grid.box)
     sign = -1.0 if sum(alpha) % 2 else 1.0
-    return sign * testfn.pair(v_values, grid, alpha)
+    return sign * trapezoid(v_values * testfn.partial_on_grid(grid, alpha), grid)
+
+
+def _lab_weights(cf: CornerField, tests: List[ProductBump]) -> tuple:
+    """Per-axis weights (weak, quadrant, face) of the lab's integrals, once
+    every test function's support is checked to lie inside the box: weak
+    integrates V = U on the closed quadrant by the full trapezoid rule,
+    quadrant is restricted_trapezoid's rule (half weight at the zero node),
+    face is the point y_1 = 0 on axis 0 and the quadrant rule elsewhere."""
+    grid = cf.grid
+    for phi in tests:
+        phi.check_support_inside(grid.box)
+    full = [_axis_weights(n, h) for n, h in zip(grid.shape, grid.h)]
+    zeros = [grid.zero_index(a) for a in (0, 1)]
+    weak = [np.where(np.arange(w.size) >= i0, w, 0.0) for w, i0 in zip(full, zeros)] + full[2:]
+    quadrant = [np.concatenate([np.zeros(i0), _axis_weights(w.size - i0, h)])
+                for w, i0, h in zip(full, zeros, grid.h)] + full[2:]
+    face = [np.where(np.arange(grid.shape[0]) == zeros[0], 1.0, 0.0)] + quadrant[1:]
+    return weak, quadrant, face
 
 
 def identity_families(dim: int) -> dict:
@@ -129,18 +164,17 @@ def verify_extension_identities(cf: CornerField, tests: List[ProductBump],
         raise HypothesisError(
             f"corner field does not vanish on the quadrant faces "
             f"(defects {f1:.2e}, {f2:.2e}); the identities are not expected to hold")
-    grid = cf.grid
-    v = extend_by_zero(cf)
-    fams = identity_families(grid.dim)
+    weak, quadrant, _ = _lab_weights(cf, tests)
+    zero = (0,) * cf.grid.dim
     rows = []
     fam_max = {}
-    for fam, alphas in fams.items():
+    for fam, alphas in identity_families(cf.grid.dim).items():
         worst = 0.0
         for alpha in alphas:
-            du = cf.partial(alpha)
+            sign = -1.0 if sum(alpha) % 2 else 1.0
             for t_id, phi in enumerate(tests):
-                lhs = weak_pairing(v, grid, alpha, phi)
-                rhs = phi.pair(du, grid, half_axes=(0, 1))
+                lhs = sign * cf.pair(phi, zero, alpha, weak)
+                rhs = cf.pair(phi, alpha, zero, quadrant)
                 res = abs(lhs - rhs)
                 worst = max(worst, res)
                 rows.append({"family": fam, "alpha": list(alpha), "testfn": t_id,
@@ -148,7 +182,7 @@ def verify_extension_identities(cf: CornerField, tests: List[ProductBump],
         fam_max[fam] = worst
     report = {
         "field": cf.name,
-        "h": float(np.max(grid.h)),
+        "h": float(np.max(cf.grid.h)),
         "family_max_residual": fam_max,
         "rows": rows,
     }
@@ -165,23 +199,15 @@ def detect_layer(cf: CornerField, tests: List[ProductBump]) -> dict:
     face integral  S(phi) = integral_{y_1 = 0, y_2 >= 0} d1U(0, .) phi(0, .),
     whose density is the normal derivative of U on the face.
     """
-    grid = cf.grid
-    v = extend_by_zero(cf)
-    alpha = _multi_index(grid.dim, 0, 0)
-    du2 = cf.partial(alpha)
-    du1 = cf.partial(_multi_index(grid.dim, 0))
-    i0 = grid.zero_index(0)
-    face_grid = Grid(grid.box[1:], grid.n_cells[1:])
+    weak, quadrant, face = _lab_weights(cf, tests)
+    zero = (0,) * cf.grid.dim
+    e0, e00 = _multi_index(cf.grid.dim, 0), _multi_index(cf.grid.dim, 0, 0)
     rows = []
     worst_mismatch = 0.0
     max_layer = 0.0
     for t_id, phi in enumerate(tests):
-        delta = weak_pairing(v, grid, alpha, phi) - phi.pair(du2, grid, half_axes=(0, 1))
-        # phi on the face: its other axis profiles, scaled by the axis-0 profile at y_1 = 0
-        face_amp = phi.amplitude * phi.axis_profile(grid.axis(0)[i0:i0 + 1], 0, 0)[0]
-        face_phi = ProductBump(phi.center[1:], phi.radius[1:], amplitude=face_amp)
-        face_density = du1[i0] * face_phi.values_on_grid(face_grid)
-        s_phi = restricted_trapezoid(face_density, face_grid, half_axes=(0,))
+        delta = cf.pair(phi, zero, e00, weak) - cf.pair(phi, e00, zero, quadrant)
+        s_phi = cf.pair(phi, e0, zero, face)
         rows.append({"testfn": t_id, "delta": delta, "surface_integral": s_phi,
                      "mismatch": abs(delta - s_phi)})
         worst_mismatch = max(worst_mismatch, abs(delta - s_phi))

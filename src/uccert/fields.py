@@ -163,9 +163,13 @@ def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
 
 def power(base, p: float):
     """base ** p; on arrays libm ``pow`` per element, as ``**`` on one float
-    (``**`` on an array takes sqrt or SIMD routes that differ in the last bit)."""
+    (``**`` on an array takes sqrt or SIMD routes that differ in the last bit).
+    A negative base to a non-integer power is nan, as on arrays (``**`` on one
+    float would give a complex)."""
     if isinstance(base, np.ndarray):
         return np.float_power(base, p)
+    if isinstance(base, (int, float)) and base < 0 and not float(p).is_integer():
+        return float("nan")
     return base ** p
 
 

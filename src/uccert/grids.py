@@ -256,33 +256,6 @@ class ProductBump:
     def values_on_grid(self, grid: Grid) -> np.ndarray:
         return self.partial_on_grid(grid, (0,) * grid.dim)
 
-    def pair(self, values: np.ndarray, grid: Grid, alpha: Optional[Sequence[int]] = None,
-             half_axes: Sequence[int] = ()) -> float:
-        """Trapezoid integral of values * d^alpha(self) over the box, or over
-        {y_a >= 0 for a in half_axes} with the weights of restricted_trapezoid.
-
-        The bump is a tensor product, so values are contracted one axis at a
-        time with weights_a * axis_profile_a, restricted to the nodes where
-        that factor is nonzero; the full-grid product is never formed.
-        """
-        alpha = (0,) * grid.dim if alpha is None else tuple(alpha)
-        if len(alpha) != grid.dim or any(o < 0 or o > 2 for o in alpha):
-            raise ContractViolation("alpha must give a per-axis order in {0,1,2}")
-        out = np.asarray(values, dtype=float)
-        if out.shape != grid.shape:
-            raise ContractViolation("values must have the grid's shape")
-        h = grid.h
-        for a in range(grid.dim - 1, -1, -1):
-            start = grid.zero_index(a) if a in half_axes else 0
-            coords = grid.axis(a)[start:]
-            factor = _axis_weights(coords.size, h[a]) * self.axis_profile(coords, a, alpha[a])
-            nz = np.flatnonzero(factor)
-            if nz.size == 0:
-                return 0.0
-            lo, hi = nz[0], nz[-1] + 1
-            out = out[..., start + lo:start + hi] @ factor[lo:hi]
-        return self.amplitude * float(out)
-
     def __call__(self, y) -> float:
         y = np.asarray(y, dtype=float)
         out = self.amplitude

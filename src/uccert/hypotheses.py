@@ -116,18 +116,24 @@ def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
     the pseudo-inverse keeps it usable on degenerate pairs with parallel
     gradients, where it reduces to a single-surface projection.  A row stops
     moving once it converges; a row whose single gradient vanishes does not
-    move and fails.
+    move and fails, and so does a row whose residual or gradient is not
+    finite, which leaves the iteration.
     """
     x = np.array(seeds, dtype=float)
     live = np.arange(len(x))
+    singular = np.zeros(len(x), dtype=bool)
     for it in range(NEWTON_MAX_ITER + 1):
-        jets = [phi.jet(x[live], 1) for phi in fields]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # rows dropped below
+            jets = [phi.jet(x[live], 1) for phi in fields]
         f = np.stack([j.value for j in jets], axis=1)
         moving = ~(np.max(np.abs(f), axis=1) <= spec.tol_zero)
         live, f = live[moving], f[moving]
         if it == NEWTON_MAX_ITER or live.size == 0:
             break
         jac = np.stack([j.grad[moving] for j in jets], axis=1)
+        finite = np.all(np.isfinite(f), axis=1) & np.all(np.isfinite(jac), axis=(1, 2))
+        singular[live[~finite]] = True
+        live, f, jac = live[finite], f[finite], jac[finite]
         gram = jac @ np.swapaxes(jac, 1, 2)
         if len(fields) == 1:    # the 1x1 pseudo-inverse as a division, f / |g|^2
             mu = np.divide(f[..., None], gram, out=np.zeros_like(gram), where=gram >= 1e-30)
@@ -136,6 +142,7 @@ def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
         x[live] -= (np.swapaxes(jac, 1, 2) @ mu)[..., 0]
     ok = np.all((x >= spec.box[:, 0] - slack) & (x <= spec.box[:, 1] + slack), axis=1)
     ok[live] = False
+    ok[singular] = False
     return x, ok
 
 

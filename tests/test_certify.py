@@ -437,21 +437,23 @@ class TestJetGate:
         assert cert.notes["jet"] == {"jet": "dQ", "error": "not finite"}
 
     def test_expression_jets_read_per_certificate(self, monkeypatch):
-        # the gate reads phi_plus and phi_minus once each, and certify_fields
-        # reads psi0 and psi1 (two expression jets each) once for their models
+        # the gate reads Q, phi_plus and phi_minus once each, and psi0 and
+        # psi1 are built from the Taylor models of those reads, so a
+        # certificate walks each expression and the metric only once
         geo = GeometrySpec(bumpy_wave_metric(2, 0.05),
                            expression_field("norm(x2, x3) - 1 - x1", 3),
                            expression_field("norm(x2, x3) - 1 + x1", 3),
                            box=np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]]))
         calls = []
-        for field in (geo.phi_plus, geo.phi_minus):
-            def counted(x, order, jet=field._jet):
-                calls.append(order)
+        for name in ("Q", "phi_plus", "phi_minus"):
+            field = getattr(geo, name)
+            def counted(x, order, jet=field._jet, name=name):
+                calls.append((name, order))
                 return jet(x, order)
             monkeypatch.setattr(field, "_jet", counted)
         cert = certify(geo, [0.0, 1.0, 0.0], lam=2.0)
         assert cert.status == "certified"
-        assert len(calls) <= 6
+        assert sorted(calls) == [("Q", 1), ("phi_minus", 2), ("phi_plus", 2)]
 
 
 def _pulled_back_fields(model):

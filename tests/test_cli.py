@@ -253,6 +253,45 @@ class TestMalformedInput:
         assert main([command, "--config", self._conf(tmp_path, **{key: value}), "--out", out]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1 and "Traceback" not in err
+        if key.startswith("phi"):
+            assert f"error: {key}: " in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("phi_plus", ["norm(x2, x3) - 1 - x1 + sqrt(-0.1)*0",
+                                          "norm(x2, x3) - 1 - x1 + sqrt(-(.1))/x1"])
+    def test_fractional_power_of_negative_constant(self, tmp_path, capsys, phi_plus):
+        # the constant is nan, never a complex: certify and rays report a
+        # degenerate jet, and check finds no surface point
+        conf = self._conf(tmp_path, phi_plus=phi_plus)
+        out = str(tmp_path / "c")
+        assert main(["certify", "--config", conf, "--lambda", "2", "--out", out]) == 1
+        cert = read_report(out)["certificate"]
+        assert cert["status"] == "degenerate" and cert["notes"]["gate"] == ["jet"]
+        assert cert["notes"]["jet"]["jet"] == "phi_plus"
+        out = str(tmp_path / "r")
+        assert main(["rays", "--config", conf, "--lambda", "2", "--out", out]) == 1
+        assert read_report(out)["reason"] == "certification status degenerate"
+        assert capsys.readouterr().err == ""
+        assert main(["check", "--config", conf, "--out", str(tmp_path / "k")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("uccert: error: surface sampling failed (plus=0, ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unknown_geometry_key_is_usage_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path)
+        with open(conf, "a", encoding="utf-8") as f:
+            f.write("lambda = 2\n")
+        assert main(["certify", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "uccert: error: unknown key 'lambda' in [geometry] section\n"
+
+    def test_unknown_run_key_is_usage_error(self, tmp_path, capsys):
+        # dim and tests are flags of corner, not [run] keys: the run must not
+        # fall back to the 2-D lab with 20 tests
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = corner\ndim = 3\ntests = 2\ngrid = 48\n")
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(conf), "--out", out]) == 2
+        assert capsys.readouterr().err == "uccert: error: unknown key 'dim' in [run] section\n"
         assert not os.path.exists(os.path.join(out, "report.json"))
 
     def test_malformed_metric_entry_is_usage_error(self, tmp_path, capsys):

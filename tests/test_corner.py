@@ -10,7 +10,7 @@ from scipy.signal import fftconvolve
 import uccert.corner
 
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField,
-                           SampledField, _mollifier_kernels, _second_order_form,
+                           SampledField, _lab_weights, _mollifier_kernels, _second_order_form,
                            corner_corpus, detect_layer, extend_by_zero,
                            kink_profile_corpus, mollifier_commutator,
                            quadrant_mask, verify_extension_identities,
@@ -220,8 +220,8 @@ class TestLayerProbe:
         face = Grid(g.box[1:], g.n_cells[1:])
         for row, phi in zip(detect_layer(cf, tests)["rows"], tests):
             full_row = phi.values_on_grid(g)[i0]
-            assert row["surface_integral"] == restricted_trapezoid(du1[i0] * full_row, face,
-                                                                   half_axes=(0,))
+            assert row["surface_integral"] == pytest.approx(
+                restricted_trapezoid(du1[i0] * full_row, face, half_axes=(0,)), rel=1e-12)
 
     def test_zero_field_trivial(self):
         g = make_grid(unit_box(2), 64)
@@ -230,6 +230,94 @@ class TestLayerProbe:
         rep = detect_layer(cf, tests)
         assert rep["max_layer_magnitude"] == 0.0
         assert rep["max_mismatch"] == 0.0
+
+
+def _straddling_bumps(box):
+    """Bumps straddling face 1, face 2 and the corner, and one off the
+    quadrant (every pairing with it is 0), all inside the box."""
+    dim = len(box)
+    rest = [0.5 * (lo + hi) for lo, hi in box[2:]]
+    return [ProductBump([0.02, 0.4] + rest, 0.3, amplitude=1.3),
+            ProductBump([0.4, -0.03] + rest, 0.3, amplitude=-0.8),
+            ProductBump([0.05, 0.04] + rest, 0.25, amplitude=0.6),
+            ProductBump([-0.5, -0.3] + rest, [0.3, 0.15] + [0.3] * (dim - 2))]
+
+
+class TestSeparablePairing:
+    """CornerField.pair against the full-grid quadratures it replaces."""
+
+    @pytest.mark.parametrize("box, cells, names", [
+        (unit_box(2), (40, 30), None),
+        (np.array([[-1.0, 1.0], [-0.5, 2.0]]), (40, 30), None),
+        (unit_box(3), (16, 20, 12), ("tapered_product",))])
+    def test_matches_full_grid_quadrature(self, box, cells, names):
+        g = make_grid(box, cells)
+        dim = g.dim
+        i0 = g.zero_index(0)
+        face_grid = Grid(g.box[1:], g.n_cells[1:])
+        quadrant = quadrant_mask(g)
+        indices = list(itertools.product((0, 1, 2), repeat=dim))
+        bumps = _straddling_bumps(box)
+        fields = [cf for cf in corner_corpus(g) if names is None or cf.name in names]
+        weak, quad, face = _lab_weights(fields[0], bumps)
+        for phi in bumps:
+            phi_beta = {beta: phi.partial_on_grid(g, beta) for beta in indices}
+            for cf in fields:
+                for alpha in indices:
+                    du = cf.partial(alpha)
+                    for beta in indices:
+                        integrand = du * phi_beta[beta]
+                        want = {"weak": trapezoid(np.where(quadrant, integrand, 0.0), g),
+                                "quadrant": restricted_trapezoid(integrand, g, (0, 1)),
+                                "face": restricted_trapezoid(integrand[i0], face_grid, (0,))}
+                        for rule, w in (("weak", weak), ("quadrant", quad), ("face", face)):
+                            got = cf.pair(phi, alpha, beta, w)
+                            assert got == pytest.approx(want[rule], rel=1e-12), \
+                                (cf.name, alpha, beta, rule)
+                            if phi is bumps[-1]:
+                                assert got == 0.0
+
+    @pytest.mark.parametrize("dim, cells", [(2, 128), (3, 24)])
+    def test_lab_forms_no_grid_array(self, monkeypatch, dim, cells):
+        # run with the full-grid routes patched to raise, then check every
+        # row against those routes
+        g = make_grid(unit_box(dim), cells)
+        tests = bump_corpus(unit_box(dim), 4, seed=42) + _straddling_bumps(unit_box(dim))[:3]
+        corpus = corner_corpus(g)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the lab formed a grid array")
+        monkeypatch.setattr(CornerField, "partial", forbidden)
+        monkeypatch.setattr(ProductBump, "partial_on_grid", forbidden)
+        monkeypatch.setattr(uccert.corner, "extend_by_zero", forbidden)
+        got = [(verify_extension_identities(cf, tests, tol_weak=_tols(g)), detect_layer(cf, tests))
+               for cf in corpus]
+        monkeypatch.undo()
+        i0 = g.zero_index(0)
+        face_grid = Grid(g.box[1:], g.n_cells[1:])
+        e0, e00 = (1,) + (0,) * (dim - 1), (2,) + (0,) * (dim - 1)
+        for cf, (rep, layer) in zip(corpus, got):
+            assert rep["passed"], (cf.name, rep["family_max_residual"])
+            v = extend_by_zero(cf)
+            for row in rep["rows"]:
+                phi, alpha = tests[row["testfn"]], tuple(row["alpha"])
+                rhs = restricted_trapezoid(cf.partial(alpha) * phi.values_on_grid(g), g, (0, 1))
+                assert row["lhs"] == pytest.approx(weak_pairing(v, g, alpha, phi), rel=1e-12, abs=1e-16)
+                assert row["rhs"] == pytest.approx(rhs, rel=1e-12, abs=1e-16)
+            for row, phi in zip(layer["rows"], tests):
+                delta = weak_pairing(v, g, e00, phi) - restricted_trapezoid(
+                    cf.partial(e00) * phi.values_on_grid(g), g, (0, 1))
+                s_phi = restricted_trapezoid((cf.partial(e0) * phi.values_on_grid(g))[i0],
+                                             face_grid, (0,))
+                assert row["delta"] == pytest.approx(delta, rel=1e-12, abs=1e-16)
+                assert row["surface_integral"] == pytest.approx(s_phi, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
+    def test_support_touching_boundary_rejected(self, lab):
+        g = make_grid(unit_box(2), 64)
+        tests = bump_corpus(unit_box(2), 3, seed=1) + [ProductBump([0.7, 0.0], [0.4, 0.4])]
+        with pytest.raises(SupportError):
+            lab(corner_corpus(g)[0], tests)
 
 
 class TestInequalityTransfer:

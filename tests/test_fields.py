@@ -6,7 +6,7 @@ from uccert import (PhasePoint, constant_metric, coordinate_field,
                     linear_combination, product_field, pullback_scalar,
                     squared_field)
 from uccert.errors import ChartError, ContractViolation
-from uccert.fields import Chart, MetricField, ScalarField, linear_chart
+from uccert.fields import Chart, MetricField, ScalarField, linear_chart, power
 from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
 from uccert.symbols import pullback_metric_field
 
@@ -218,3 +218,14 @@ class TestChart:
         y = np.array([0.4, -0.7])
         assert_allclose(fk.grad(y), fk_fd.grad(y), rtol=1e-6, atol=1e-8)
         assert_allclose(fk.hess(y), fk_fd.hess(y), rtol=1e-4, atol=1e-5)
+
+
+def test_power_of_negative_float_is_nan_not_complex():
+    # as np.float_power does on arrays; integer exponents keep their sign
+    for base in (-0.1, np.float64(-0.1), -2):
+        got = power(base, 0.5)
+        assert isinstance(got, float) and np.isnan(got)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(power(np.array([-0.1]), 0.5)[0])
+    assert power(-2.0, 3.0) == -8.0 and power(-2.0, -2.0) == 0.25
+    assert power(0.3, 1.7) == 0.3 ** 1.7

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -202,36 +200,3 @@ class TestBumps:
             assert np.all(vals[:, 0] == 0) and np.all(vals[:, -1] == 0)
             assert np.max(np.abs(vals)) > 0
 
-
-class TestProductBumpPair:
-    @pytest.mark.parametrize("dim, cells", [(2, (40, 48)), (3, (16, 20, 12))])
-    def test_matches_full_grid_quadrature(self, dim, cells):
-        g = make_grid(unit_box(dim), cells)
-        values = np.random.default_rng(dim).standard_normal(g.shape)
-        # corpus bumps, one whose support leaves the box, one straddling y_1 = 0
-        bumps = bump_corpus(unit_box(dim), 3, seed=11) + [
-            ProductBump([0.9] + [-0.2] * (dim - 1), 0.3, amplitude=-1.5),
-            ProductBump([0.05] + [0.1] * (dim - 1), 0.4, amplitude=0.7)]
-        for b in bumps:
-            assert b.pair(values, g) == b.pair(values, g, (0,) * dim)
-            for alpha in itertools.product((0, 1, 2), repeat=dim):
-                integrand = values * b.partial_on_grid(g, alpha)
-                assert b.pair(values, g, alpha) == pytest.approx(
-                    trapezoid(integrand, g), rel=1e-12), alpha
-                for half_axes in ((0,), (0, 1)):
-                    assert b.pair(values, g, alpha, half_axes=half_axes) == pytest.approx(
-                        restricted_trapezoid(integrand, g, half_axes=half_axes), rel=1e-12), \
-                        (alpha, half_axes)
-
-    def test_support_outside_half_space_pairs_to_zero(self):
-        g = make_grid(unit_box(2), 32)
-        b = ProductBump([-0.6, 0.0], [0.3, 0.3])
-        assert b.pair(np.ones(g.shape), g, (1, 0), half_axes=(0,)) == 0.0
-
-    def test_contract_checks(self):
-        g = make_grid(unit_box(2), 32)
-        b = ProductBump([0.0, 0.0], [0.3, 0.3])
-        with pytest.raises(ContractViolation):
-            b.pair(np.ones((33, 32)), g)
-        with pytest.raises(ContractViolation):
-            b.pair(np.ones(g.shape), g, (3, 0))

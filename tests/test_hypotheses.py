@@ -6,7 +6,8 @@ from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
                     verify_sublevel_inclusion)
 from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
-from uccert.hypotheses import _dedupe, _scan_points, _scan_resolution
+from uccert.expressions import expression_field
+from uccert.hypotheses import _dedupe, _project, _scan_points, _scan_resolution
 from uccert.models import cone_surface_field, get_model, negative_controls
 
 
@@ -270,6 +271,23 @@ def _loop_sample(spec, which):
                     fresh += land(x + delta * direction / nrm)
         arr = _dedupe(np.array(fresh))
     return arr
+
+
+def test_project_drops_rows_that_are_not_finite():
+    # sqrt(x1) * 0 is nan where x1 < 0: those rows fail without reaching the
+    # pseudo-inverse, and every other row lands bit for bit as it does alone
+    box = np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]])
+    spec = GeometrySpec(constant_metric(np.diag([-1.0, 1.0, 1.0])),
+                        expression_field("norm(x2, x3) - 1 - x1 + sqrt(x1)*0", 3),
+                        expression_field("norm(x2, x3) - 1 + x1", 3), box=box)
+    fields = [spec.phi_plus, spec.phi_minus]
+    seeds = _scan_points(box, 7)
+    finite = seeds[:, 0] >= 0.0
+    x, ok = _project(spec, fields, seeds, 1e-9)
+    x_alone, ok_alone = _project(spec, fields, seeds[finite], 1e-9)
+    assert not ok[~finite].any() and ok_alone.any()
+    assert np.array_equal(ok[finite], ok_alone)
+    assert np.array_equal(x[finite], x_alone)
 
 
 def _unit(v):
