@@ -33,7 +33,7 @@ from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
 from .carleman import (CarlemanReport, WeightSpec, apply_operator, build_weight,
                        carleman_ratio, exponent_slopes, lambda_sweep)
-from .corner import (CornerField, SampledField, corner_corpus, detect_layer,
+from .corner import (CornerField, affine_multiplier, corner_corpus, detect_layer,
                      extend_by_zero, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer,
                      weak_pairing)

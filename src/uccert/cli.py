@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .carleman import build_weight, exponent_slopes, lambda_sweep
 from .certify import certify
-from .corner import (SampledField, corner_corpus, detect_layer,
+from .corner import (affine_multiplier, corner_corpus, detect_layer,
                      kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
@@ -360,8 +360,7 @@ def _smoothing_ladder(grid) -> list:
 def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
     # expected decay scales with rung count
     decay_bound = 0.5 ** ((len(eps_list) - 1) / 2.0)
-    afield = SampledField(0.5 + 0.4 * grid.meshgrid()[0],
-                          [0.4 * np.ones(grid.shape)] + [np.zeros(grid.shape)] * (grid.dim - 1))
+    afield = affine_multiplier(0.5, [0.4] + [0.0] * (grid.dim - 1))
     moll_norms = [mollifier_commutator(afield, v, grid, eps_list)
                   for v in kink_profile_corpus(grid, count=2, seed=seed + 5)]
     moll_ok = all(all(n1 > n2 for n1, n2 in zip(ns, ns[1:]))
@@ -372,7 +371,7 @@ def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
 
 def cmd_corner(args) -> int:
     dim = args.dim
-    cells = (512 if dim == 2 else 64) if args.grid is None else args.grid
+    cells = (512 if dim == 2 else 128) if args.grid is None else args.grid
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
     if not eps_list:
@@ -383,7 +382,7 @@ def cmd_corner(args) -> int:
     tols = {k: v * h2 for k, v in WEAK_K.items()}
 
     # one helper per stage, so each stage's grid arrays are freed on return;
-    # the corpus goes before the mollifier, whose transforms set the peak memory
+    # the inequality transfer is the only stage that forms them
     corpus = corner_corpus(grid)
     identity_reports, residual_rows, ok = _corner_identities(corpus, tests, tols)
     layer = _corner_layer(corpus[0], tests, h2)

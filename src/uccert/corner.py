@@ -9,28 +9,29 @@ derivative in a face-normal direction instead produces a surface-supported
 term whose density is the normal derivative of U on the face; the layer probe
 measures it.  U and the test bumps are products of 1-D factors, so each of
 these integrals is, term by term of U, a product of 1-D sums (CornerField.pair)
-and no grid array is formed.  The pointwise differential-inequality transfer
-from U to V and the smoothing commutator that justifies applying weighted
-estimates to low-regularity functions are verified on grid arrays.
+and no grid array is formed.  The smoothing commutator that justifies
+applying weighted estimates to low-regularity functions is separable too: a
+product kernel, a multiplier that is a sum of 1-D terms and a field given by
+its factors leave only 1-D convolutions and 1-D sums.  Only the pointwise
+differential-inequality transfer from U to V is verified on grid arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, _axis_weights, _bump, trapezoid, window_trapezoid
+from .grids import Grid, ProductBump, _axis_weights, _bump, trapezoid
 
 
 def fftconvolve(in1, in2, mode="full", axes=None):
     """scipy.signal.fftconvolve, imported on call.
 
-    Nothing here calls it, since the commutator reuses spectra; the name stays
-    because the benchmark tracer (perfbench/tracer.py) wraps it in this
-    module. Importing scipy.signal at module level would cost most of the
+    Nothing here calls it, since the commutator convolves 1-D factors; the
+    name stays because the benchmark tracer (perfbench/tracer.py) wraps it in
+    this module. Importing scipy.signal at module level would cost most of the
     start-up of every command.
     """
     from scipy.signal import fftconvolve as convolve
@@ -308,31 +309,35 @@ def verify_inequality_transfer(cf: CornerField, B,
 # Smoothing commutator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SampledField:
-    """Grid samples of a function together with per-axis derivative samples."""
+def _mollifier_kernels(h: float, eps: float) -> tuple:
+    """The 1-D bump kernel of width eps sampled at spacing h, and its
+    derivative kernel, normalized to unit discrete mass.
 
-    values: np.ndarray
-    grads: List[np.ndarray]
-
-
-def _mollifier_kernels(grid: Grid, eps: float) -> tuple:
-    """Sampled bump kernel and its gradient kernels, normalized to unit mass.
-
-    The discrete sum of the base kernel times the cell volume is exactly 1,
-    so smoothing preserves constants.
+    sum(k) * h is exactly 1, so the product of one kernel per axis, times the
+    cell volume, sums to 1 and smoothing preserves constants.
     """
-    h = grid.h
-    offsets = [hh * np.arange(-int(np.floor(eps / hh)), int(np.floor(eps / hh)) + 1)
-               for hh in h]
-    mesh = np.meshgrid(*[o / eps for o in offsets], indexing="ij")
-    s = 1.0 - sum(m * m for m in mesh)
+    u = h * np.arange(-int(np.floor(eps / h)), int(np.floor(eps / h)) + 1) / eps
+    s = 1.0 - u * u
     base = _bump(s)
-    z = float(np.sum(base)) * float(np.prod(h))
-    return base / z, [_bump(s, mesh[a], 1) / (z * eps) for a in range(grid.dim)]
+    z = float(np.sum(base)) * h
+    return base / z, _bump(s, u, 1) / (z * eps)
 
 
-def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
+def _smooth(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The discrete convolution of node samples f with an odd-length kernel
+    centred on its middle tap, kept on f's nodes (fftconvolve's "same")."""
+    c = (kernel.size - 1) // 2
+    return np.convolve(f, kernel)[c:c + f.size]
+
+
+def affine_multiplier(offset: float, slopes: Sequence[float]) -> list:
+    """a(y) = offset + sum_b slopes[b] y_b in mollifier_commutator's form:
+    one factor pair (g_b, g_b') per axis, the offset carried by axis 0."""
+    return [(lambda u, c=c, s=s: c + s * u, lambda u, s=s: np.full_like(u, s))
+            for c, s in zip([offset] + [0.0] * (len(slopes) - 1), slopes)]
+
+
+def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
                          eps_list: Sequence[float]) -> list:
     """L2 size of  a * Hess(smooth(v)) - smooth(a * Hess(v))  per smoothing width.
 
@@ -342,74 +347,66 @@ def mollifier_commutator(a: SampledField, v: SampledField, grid: Grid,
 
         D_jk = a . (dK_j * v_k) - (dK_j * (a v_k)) + (K * (a_j v_k)),
 
-    with v_k = d_k v and a_j = d_j a.  For constant a the last term vanishes
-    and the first two cancel to rounding, so the commutator is zero to
-    floating-point accuracy by construction.
+    with v_k = d_k v and a_j = d_j a.  The convolutions are the grid's
+    discrete ones (fftconvolve(..., mode="same") times the cell volume).
 
-    The convolutions are those of fftconvolve(..., mode="same") with the cell
-    volume folded into the kernels, but each spectrum is computed once: the
-    kernels per eps, v_k and a v_k per (eps, k), and the last two terms of
-    D_jk are added in frequency space, so each D_jk costs two inverse
-    transforms.
+    Every factor is separable, so no array of the grid's shape is formed:
 
-    Every transformed input is zero outside the support window [lo, hi) of
-    v's gradients, the per-axis node range outside which every v_k vanishes.
-    So the transforms run on that window only, padded for a kernel of K
-    nodes, and each D_jk is exactly zero outside the window dilated by the
-    kernel half-width c = (K - 1) // 2, clipped to the grid.  The quadrature
-    is the grid's trapezoid rule restricted to that dilated window: its axis
-    weights are the full grid's, sliced.  A v with no nonzero gradient has
-    an empty window and a zero commutator at every eps.
+    * the kernel is K(y) = prod_a k(y_a / eps), each 1-D factor of unit
+      discrete mass (_mollifier_kernels);
+    * a(y) = sum_b g_b(y_b), given as one factor pair a[b] = (g_b, g_b') per
+      axis, so a_j = g_j'(y_j);
+    * v(y) = sum_t prod_c f_tc(y_c), given as corner field terms:
+      v[t][c] = (f, f', f''), of which f'' is not read.
+
+    For a term t of v_k, write F_c for its factor on axis c.  The part of
+    D_jk from g_b is a product of 1-D factors, which on every axis c != b is
+    one convolution (of F_c with k', the derivative kernel, on axis j and
+    with k elsewhere), and on axis b is the first two terms' difference
+    formed pointwise, plus, when b = j, the third term, whose other factors
+    are the same:
+
+        g_b (kappa * F_b) - kappa * (g_b F_b) + [b = j] k * (g_j' F_j).
+
+    For constant a the difference cancels to rounding, so the commutator is
+    zero to floating-point accuracy by construction.  The trapezoid integral
+    of D_jk^2 is then a Gram sum: over pairs of these products, the product
+    over the axes of their 1-D weighted inner products.
     """
-    # imported on first use: no other command needs scipy, and it is slow to load
-    from scipy.fft import irfftn, next_fast_len, rfftn
-
     hmax = float(np.max(grid.h))
-    cell = float(np.prod(grid.h))
     for eps in eps_list:
         if eps < 4.0 * hmax:
             raise ResolutionError(f"eps = {eps:g} below resolution floor 4h = {4 * hmax:g}")
-    support = np.zeros(grid.shape, dtype=bool)
-    for vk in v.grads:
-        support |= vk != 0
-    if not support.any():
-        return [0.0] * len(eps_list)
-    lo, hi = [], []
-    for ax in range(grid.dim):
-        nodes = np.flatnonzero(support.any(axis=tuple(b for b in range(grid.dim) if b != ax)))
-        lo.append(int(nodes[0]))
-        hi.append(int(nodes[-1]) + 1)
-    src = tuple(slice(l, u) for l, u in zip(lo, hi))
-    v_k = [vk[src] for vk in v.grads]
-    av_k = [a.values[src] * vk for vk in v_k]
+    dim = grid.dim
+    axes = grid.axes()
+    weights = [_axis_weights(n, h) for n, h in zip(grid.shape, grid.h)]
+    g = [a[b][0](axes[b]) for b in range(dim)]
+    dg = [a[b][1](axes[b]) for b in range(dim)]
+    # per term, per axis: the factor and its derivative on the axis nodes
+    f = [[(term[c][0](axes[c]), term[c][1](axes[c])) for c in range(dim)] for term in v]
     out = []
     for eps in eps_list:
-        k0, kg = _mollifier_kernels(grid, eps)
-        fshape = [next_fast_len(u - l + m - 1, real=True) for l, u, m in zip(lo, hi, k0.shape)]
-        half = [(m - 1) // 2 for m in k0.shape]
-        window = tuple(slice(max(l - c, 0), min(u + c, n))
-                       for l, u, c, n in zip(lo, hi, half, grid.shape))
-        # the window's place in the linear convolution of the cropped inputs
-        crop = tuple(slice(w.start - l + c, w.stop - l + c) for w, l, c in zip(window, lo, half))
-        a_win = a.values[window]
-
-        def inverse(spec):
-            return irfftn(spec, fshape)[crop]
-
-        f_k0 = rfftn(k0 * cell, fshape)
-        f_kg = [rfftn(kj * cell, fshape) for kj in kg]
+        # per axis, the value and derivative kernels with the spacing folded in
+        kern = [[k * h for k in _mollifier_kernels(h, eps)] for h in grid.h]
         total = 0.0
-        for k in range(grid.dim):
-            f_v = rfftn(v_k[k], fshape)
-            f_av = rfftn(av_k[k], fshape)
-            for j in range(grid.dim):
-                spec = -(f_kg[j] * f_av)
-                ajvk = a.grads[j][src] * v_k[k]
-                if np.any(ajvk):
-                    spec += f_k0 * rfftn(ajvk, fshape)
-                djk = a_win * inverse(f_kg[j] * f_v) + inverse(spec)
-                total += window_trapezoid(djk * djk, grid, window)
-        out.append(float(np.sqrt(total)))
+        for j in range(dim):
+            for k in range(dim):
+                pieces = []
+                for ft in f:
+                    vk = [ft[c][int(c == k)] for c in range(dim)]
+                    conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
+                    for b in range(dim):
+                        on_b = g[b] * conv[b] - _smooth(g[b] * vk[b], kern[b][int(b == j)])
+                        if b == j:
+                            on_b = on_b + _smooth(dg[j] * vk[j], kern[j][0])
+                        pieces.append(conv[:b] + [on_b] + conv[b + 1:])
+                gram = np.ones((len(pieces), len(pieces)))
+                for c in range(dim):
+                    rows = np.array([p[c] for p in pieces])
+                    gram *= (rows * weights[c]) @ rows.T
+                total += float(gram.sum())
+        # a sum of Hadamard products of Gram matrices is >= 0 up to rounding
+        out.append(float(np.sqrt(max(total, 0.0))))
     return out
 
 
@@ -448,18 +445,24 @@ def corner_corpus(grid: Grid) -> list:
     return fields
 
 
-def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
-    """H^1-but-not-H^2 profiles: max(0, y_1) times a smooth bump.
+def _kink(p: tuple) -> tuple:
+    """The factor triple of max(0, u) p(u) from the triple of p; the
+    derivatives are taken almost everywhere, 0 at the kink u = 0."""
+    return (lambda u: np.maximum(u, 0.0) * p[0](u),
+            lambda u: (u > 0.0) * p[0](u) + np.maximum(u, 0.0) * p[1](u),
+            lambda u: (u > 0.0) * (2.0 * p[1](u) + u * p[2](u)))
 
-    Gradients are supplied analytically almost everywhere (the kink line has
-    measure zero and carries the grid value 0 from the max).
+
+def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
+    """H^1-but-not-H^2 profiles: max(0, y_1) times a smooth product bump.
+
+    Each field is one corner field term (a list of per-axis factor triples,
+    mollifier_commutator's form for v) whose axis-0 factor carries the kink.
     """
     rng = np.random.default_rng(seed)
     out = []
     box = grid.box
     width = box[:, 1] - box[:, 0]
-    mesh = grid.meshgrid()
-    ramp = np.maximum(mesh[0], 0.0)
     for _ in range(count):
         radius = rng.uniform(0.3, 0.42) * width
         center = np.zeros(grid.dim)
@@ -467,12 +470,6 @@ def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
         amp = rng.uniform(0.8, 1.4)
         b = ProductBump(center, radius, amplitude=amp)
         b.check_support_inside(box, margin=0.0)
-        bump = b.values_on_grid(grid)
-        grads = []
-        for axis in range(grid.dim):
-            g = ramp * b.partial_on_grid(grid, _multi_index(grid.dim, axis))
-            if axis == 0:
-                g = g + (mesh[0] > 0.0) * bump
-            grads.append(g)
-        out.append(SampledField(ramp * bump, grads))
+        factors = b.factors()
+        out.append([[_kink(factors[0])] + factors[1:]])
     return out

@@ -19,6 +19,8 @@ import operator
 import re
 import warnings
 
+import numpy as np
+
 from .errors import ContractViolation
 from .fields import Jet, ScalarField, power
 
@@ -29,8 +31,12 @@ class Expr:
 
 
 class Const(Expr):
+    """A literal, held as a numpy scalar: arithmetic on constants alone
+    follows IEEE (1/0 is inf, 0^-1 is inf, inf*0 is nan) where Python floats
+    would raise."""
+
     def __init__(self, v: float):
-        self.v = float(v)
+        self.v = np.float64(v)
 
     def ev(self, xs):
         return self.v
@@ -159,8 +165,11 @@ def expression_field(text: str, dim: int, name: str = "") -> ScalarField:
     node = parse_expression(text, dim)
 
     def jet(x, order):
-        if order:
-            return node.ev(Jet.variables(x, order))
-        return node.ev(x.tolist() if x.ndim == 1 else x.T)
+        # a constant that divides by zero or overflows is inf or nan, as an
+        # array is at a batch of points; the callers' finiteness gates name it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if order:
+                return node.ev(Jet.variables(x, order))
+            return node.ev(x.tolist() if x.ndim == 1 else x.T)
 
     return ScalarField.from_jet(jet, name=name or text)

@@ -107,17 +107,6 @@ def trapezoid(values: np.ndarray, grid: Grid) -> float:
     return _tensor_sum(values, [_axis_weights(n, hh) for n, hh in zip(np.shape(values), grid.h)])
 
 
-def window_trapezoid(values: np.ndarray, grid: Grid, window: Sequence[slice]) -> float:
-    """The grid's trapezoid rule over a box of nodes.
-
-    values holds the samples on grid[window]; the weights are the full grid's
-    axis weights sliced to the window, so the sum equals the full-box
-    trapezoid of values extended by zero.
-    """
-    return _tensor_sum(values, [_axis_weights(n, hh)[w]
-                                for n, hh, w in zip(grid.shape, grid.h, window)])
-
-
 def trapezoid_richardson(values: np.ndarray, grid: Grid) -> float:
     """One Richardson level: (4 T(h) - T(2h)) / 3.  Needs even cell counts."""
     t_h = trapezoid(values, grid)
@@ -242,6 +231,13 @@ class ProductBump:
     def axis_profile(self, coords: np.ndarray, a: int, order: int) -> np.ndarray:
         u = (np.asarray(coords, dtype=float) - self.center[a]) / self.radius[a]
         return _BUMP_DERIVS[order](u) / self.radius[a] ** order
+
+    def factors(self) -> list:
+        """Per-axis factor triples (f, f', f'') of the bump, as a corner field
+        term takes them, with the amplitude carried by axis 0."""
+        def factor(a, scale):
+            return tuple(lambda u, o=o: scale * self.axis_profile(u, a, o) for o in range(3))
+        return [factor(a, self.amplitude if a == 0 else 1.0) for a in range(self.dim)]
 
     def partial_on_grid(self, grid: Grid, alpha: Sequence[int]) -> np.ndarray:
         alpha = tuple(alpha)

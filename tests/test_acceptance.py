@@ -18,7 +18,7 @@ from uccert import (build_psi, certify, certify_fields, hp, hp2, hp2_matrix,
                     unit_sphere_seeds)
 from uccert.carleman import build_weight, exponent_slopes, lambda_sweep
 from uccert.cli import main as cli_main
-from uccert.corner import (SampledField, corner_corpus, detect_layer,
+from uccert.corner import (affine_multiplier, corner_corpus, detect_layer,
                            kink_profile_corpus, mollifier_commutator,
                            verify_extension_identities, verify_inequality_transfer)
 from uccert.fields import PhasePoint
@@ -253,17 +253,14 @@ def test_criterion_08_mollifier_commutator():
     hmax = float(np.max(g.h))
     eps = [0.32, 0.16, 0.08, 0.04, 0.02]
     assert eps[-1] >= 4.0 * hmax
-    mesh = g.meshgrid()
-    afield = SampledField(0.5 + 0.4 * mesh[0],
-                          [0.4 * np.ones(g.shape), np.zeros(g.shape)])
+    afield = affine_multiplier(0.5, [0.4, 0.0])
     final_ratios = []
     for v in kink_profile_corpus(g, count=3, seed=5):
         norms = mollifier_commutator(afield, v, g, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
         assert norms[-1] <= 0.25 * norms[0]
         final_ratios.append(norms[-1] / norms[0])
-    a_const = SampledField(0.7 * np.ones(g.shape),
-                           [np.zeros(g.shape), np.zeros(g.shape)])
+    a_const = affine_multiplier(0.7, [0.0, 0.0])
     v0 = kink_profile_corpus(g, count=1, seed=5)[0]
     const_norms = mollifier_commutator(a_const, v0, g, eps)
     assert max(const_norms) <= 1e-12

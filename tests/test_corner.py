@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.signal
 from numpy.testing import assert_allclose
 from scipy.signal import fftconvolve
@@ -10,7 +9,7 @@ from scipy.signal import fftconvolve
 import uccert.corner
 
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField,
-                           SampledField, _lab_weights, _mollifier_kernels, _second_order_form,
+                           _lab_weights, _mollifier_kernels, _second_order_form, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
                            kink_profile_corpus, mollifier_commutator,
                            quadrant_mask, verify_extension_identities,
@@ -360,12 +359,8 @@ class TestMollifier:
         # ~ O(eps) for twice-differentiable v; the grid must resolve the
         # smallest kernel comfortably or quadrature error pollutes the tail
         g = make_grid(unit_box(2), 512)
-        mesh = g.meshgrid()
-        a = SampledField(0.3 + 0.5 * mesh[0],
-                         [0.5 * np.ones(g.shape), np.zeros(g.shape)])
-        bump = ProductBump([0.0, 0.0], [0.45, 0.45])
-        v = SampledField(bump.values_on_grid(g),
-                         [bump.partial_on_grid(g, (1, 0)), bump.partial_on_grid(g, (0, 1))])
+        a = affine_multiplier(0.3, [0.5, 0.0])
+        v = [ProductBump([0.0, 0.0], [0.45, 0.45]).factors()]
         eps = [0.32, 0.16, 0.08, 0.04]
         norms = mollifier_commutator(a, v, g, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
@@ -376,9 +371,7 @@ class TestMollifier:
 
     def test_kink_corpus_decays(self):
         g = make_grid(unit_box(2), 256)
-        mesh = g.meshgrid()
-        a = SampledField(0.5 + 0.4 * mesh[0],
-                         [0.4 * np.ones(g.shape), np.zeros(g.shape)])
+        a = affine_multiplier(0.5, [0.4, 0.0])
         eps = [0.32, 0.16, 0.08, 0.04]
         for v in kink_profile_corpus(g, count=2, seed=5):
             norms = mollifier_commutator(a, v, g, eps)
@@ -386,8 +379,7 @@ class TestMollifier:
 
     def test_constant_multiplier_exact_zero(self):
         g = make_grid(unit_box(2), 256)
-        a = SampledField(0.7 * np.ones(g.shape),
-                         [np.zeros(g.shape), np.zeros(g.shape)])
+        a = affine_multiplier(0.7, [0.0, 0.0])
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         norms = mollifier_commutator(a, v, g, [0.2, 0.1, 0.05])
         assert max(norms) <= 1e-12
@@ -395,29 +387,23 @@ class TestMollifier:
     def test_unresolved_eps_rejected(self):
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
+        a = affine_multiplier(1.0, [0.0, 0.0])
         with pytest.raises(ResolutionError):
             mollifier_commutator(a, v, g, [2.0 / 64])
 
 
-def _kernels_inline(grid, eps):
-    """The mollifier kernels with the bump formula written out: the oracle
-    for _mollifier_kernels, which reads it from grids._bump."""
-    h = grid.h
-    offsets = [hh * np.arange(-int(np.floor(eps / hh)), int(np.floor(eps / hh)) + 1)
-               for hh in h]
-    mesh = np.meshgrid(*[o / eps for o in offsets], indexing="ij")
-    s = 1.0 - sum(m * m for m in mesh)
+def _kernels_inline(h, eps):
+    """The 1-D mollifier kernels with the bump formula written out: the
+    oracle for _mollifier_kernels, which reads it from grids._bump."""
+    u = h * np.arange(-int(np.floor(eps / h)), int(np.floor(eps / h)) + 1) / eps
+    s = 1.0 - u * u
     safe = s > 1e-8
     base = np.zeros(s.shape)
     base[safe] = np.exp(-1.0 / s[safe])
-    z = float(np.sum(base)) * float(np.prod(h))
-    kgrads = []
-    for a in range(grid.dim):
-        ka = np.zeros(s.shape)
-        ka[safe] = base[safe] * (-2.0 * mesh[a][safe] / (s[safe] ** 2))
-        kgrads.append(ka / (z * eps))
-    return base / z, kgrads
+    z = float(np.sum(base)) * h
+    grad = np.zeros(s.shape)
+    grad[safe] = base[safe] * (-2.0 * u[safe] / (s[safe] ** 2))
+    return base / z, grad / (z * eps)
 
 
 @pytest.mark.parametrize("box, cells, eps", [
@@ -425,16 +411,33 @@ def _kernels_inline(grid, eps):
     (np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80), 0.3), (unit_box(3), 48, 0.3)])
 def test_mollifier_kernels_match_inline_formula(box, cells, eps):
     grid = make_grid(box, cells)
-    k0, kg = _mollifier_kernels(grid, eps)
-    o0, og = _kernels_inline(grid, eps)
-    assert np.array_equal(k0, o0)
-    assert len(kg) == len(og) == grid.dim
-    assert all(np.array_equal(a, b) for a, b in zip(kg, og))
+    for h in grid.h:
+        k0, kg = _mollifier_kernels(h, eps)
+        o0, og = _kernels_inline(h, eps)
+        assert np.array_equal(k0, o0) and np.array_equal(kg, og)
+        assert k0.size % 2 == 1 and np.sum(k0) * h == pytest.approx(1.0, rel=1e-14)
+
+
+def _outer(vectors):
+    out = np.array(1.0)
+    for x in vectors:
+        out = np.multiply.outer(out, x)
+    return out
 
 
 def _commutator_by_fftconvolve(a, v, grid, eps_list):
-    """Three independent fftconvolve calls per (j, k): the oracle for the
-    spectrum-reusing commutator."""
+    """The oracle for the separable commutator: a, grad(a) and grad(v) sampled
+    on the whole grid, the product kernel formed from the 1-D kernels, and
+    three independent fftconvolve calls per (j, k)."""
+    dim, axes = grid.dim, grid.axes()
+
+    def along(b, f):
+        return _outer([f(x) if c == b else np.ones_like(x) for c, x in enumerate(axes)])
+
+    a_values = sum(along(b, a[b][0]) for b in range(dim))
+    a_grads = [along(j, a[j][1]) for j in range(dim)]
+    v_grads = [sum(_outer([t[c][int(c == k)](x) for c, x in enumerate(axes)]) for t in v)
+               for k in range(dim)]
     cell = float(np.prod(grid.h))
 
     def conv(field, kernel):
@@ -442,123 +445,110 @@ def _commutator_by_fftconvolve(a, v, grid, eps_list):
 
     out = []
     for eps in eps_list:
-        k0, kg = _mollifier_kernels(grid, eps)
+        kernels = [_mollifier_kernels(h, eps) for h in grid.h]
+        k0 = _outer([k[0] for k in kernels])
+        kg = [_outer([k[int(c == j)] for c, k in enumerate(kernels)]) for j in range(dim)]
         total = 0.0
-        for j in range(grid.dim):
-            for k in range(grid.dim):
-                djk = (a.values * conv(v.grads[k], kg[j]) - conv(a.values * v.grads[k], kg[j])
-                       + conv(a.grads[j] * v.grads[k], k0))
-                total += trapezoid(djk * djk, grid)
+        for j, k in itertools.product(range(dim), repeat=2):
+            djk = (a_values * conv(v_grads[k], kg[j]) - conv(a_values * v_grads[k], kg[j])
+                   + conv(a_grads[j] * v_grads[k], k0))
+            total += trapezoid(djk * djk, grid)
         out.append(float(np.sqrt(total)))
     return out
 
 
-class TestMollifierSpectra:
-    EPS = [0.32, 0.16, 0.08, 0.04]
+def _kink(grid):
+    return kink_profile_corpus(grid, count=1, seed=5)[0]
 
-    @pytest.mark.parametrize("slope", [(0.4, 0.0), (0.4, -0.25)])
-    def test_matches_three_convolution_formula(self, slope):
-        g = make_grid(unit_box(2), 256)
-        mesh = g.meshgrid()
-        a = SampledField(0.5 + slope[0] * mesh[0] + slope[1] * mesh[1],
-                         [np.full(g.shape, slope[0]), np.full(g.shape, slope[1])])
-        v = kink_profile_corpus(g, count=1, seed=5)[0]
-        got = mollifier_commutator(a, v, g, self.EPS)
-        assert_allclose(got, _commutator_by_fftconvolve(a, v, g, self.EPS), rtol=1e-12)
 
-    def test_makes_no_fftconvolve_call(self, monkeypatch):
+def _off_centre_bump(grid):
+    return [ProductBump([0.35, 2.1], [0.4, 0.6]).factors()]
+
+
+def _edge_support(grid):
+    # sin(pi x) + y^2: two terms, gradients nonzero up to the box edges
+    return [[SIN_PI, ONE], [ONE, SQUARE]]
+
+
+def _zero_gradients(grid):
+    return [[_axis_const(0.3)] * grid.dim]
+
+
+class TestSeparableCommutator:
+    @pytest.mark.parametrize("box, cells, slopes, field, eps", [
+        (unit_box(2), 256, (0.4, 0.0), _kink, [0.32, 0.16, 0.08, 0.04]),
+        (unit_box(2), 256, (0.4, -0.25), _kink, [0.32, 0.16, 0.08, 0.04]),
+        (unit_box(3), 48, (0.4, 0.0, 0.0), _kink, [0.35, 0.175]),
+        (unit_box(3), 48, (0.4, -0.25, 0.2), _kink, [0.35, 0.175]),
+        (np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80), (0.3, 0.15), _off_centre_bump,
+         [0.6, 0.3, 0.15]),
+        (unit_box(2), 128, (0.4, -0.25), _edge_support, [0.25, 0.125]),
+        (unit_box(2), 64, (0.4, -0.25), _zero_gradients, [0.25, 0.125]),
+        (unit_box(3), 24, (0.4, -0.25, 0.0), _zero_gradients, [0.35])],
+        ids=["2d-kink-slope0", "2d-kink-slope1", "3d-kink-slope0", "3d-kink-slope1",
+             "non-square-off-centre-bump", "support-to-the-edge", "2d-zero-gradients",
+             "3d-zero-gradients"])
+    def test_matches_full_grid_product_kernel(self, box, cells, slopes, field, eps):
+        g = make_grid(box, cells)
+        a, v = affine_multiplier(0.5, slopes), field(g)
+        got = mollifier_commutator(a, v, g, eps)
+        want = _commutator_by_fftconvolve(a, v, g, eps)
+        if field is _zero_gradients:
+            assert got == [0.0] * len(eps) and want == [0.0] * len(eps)
+        else:
+            assert_allclose(got, want, rtol=1e-12)
+
+    def test_forms_no_grid_array(self, monkeypatch):
+        # a 3-D grid array of 97^3 doubles is 7.3 MB; the 1-D route needs
+        # kilobytes, and no FFT
+        import tracemalloc
+
         def refuse(*args, **kwargs):
             raise AssertionError("fftconvolve called")
         monkeypatch.setattr(uccert.corner, "fftconvolve", refuse)
         monkeypatch.setattr(scipy.signal, "fftconvolve", refuse)
-        g = make_grid(unit_box(2), 64)
-        a = SampledField(np.ones(g.shape), [np.zeros(g.shape)] * 2)
-        v = kink_profile_corpus(g, count=1, seed=5)[0]
-        assert len(mollifier_commutator(a, v, g, [0.25, 0.125])) == 2
+        g = make_grid(unit_box(3), 96)
+        a = affine_multiplier(0.5, [0.4, -0.25, 0.2])
+        v = _kink(g)
+        tracemalloc.start()
+        try:
+            norms = mollifier_commutator(a, v, g, [0.35, 0.175, 0.0875])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms) == 3 and all(n > 0 for n in norms)
+        assert peak < 8 * int(np.prod(g.shape)) / 20
 
 
-class TestMollifierWindow:
-    """The transforms run on the support window of v's gradients; the
-    results must still match the whole-grid fftconvolve oracle."""
+def _corpus_bumps(grid, count, seed):
+    """The product bumps kink_profile_corpus draws, in its order."""
+    rng = np.random.default_rng(seed)
+    width = grid.box[:, 1] - grid.box[:, 0]
+    out = []
+    for _ in range(count):
+        radius = rng.uniform(0.3, 0.42) * width
+        center = np.zeros(grid.dim)
+        center[0] = rng.uniform(-0.05, 0.05)
+        out.append(ProductBump(center, radius, amplitude=rng.uniform(0.8, 1.4)))
+    return out
 
-    @staticmethod
-    def _record_rfftn(monkeypatch):
-        calls = []
-        rfftn = scipy.fft.rfftn
 
-        def recording(x, s=None, *args, **kwargs):
-            calls.append(tuple(s))
-            return rfftn(x, s, *args, **kwargs)
-        monkeypatch.setattr(scipy.fft, "rfftn", recording)
-        return calls
-
-    @staticmethod
-    def _linear_multiplier(grid, slopes):
-        mesh = grid.meshgrid()
-        return SampledField(0.5 + sum(c * m for c, m in zip(slopes, mesh)),
-                            [np.full(grid.shape, c) for c in slopes])
-
-    def test_zero_gradients_give_zero(self, monkeypatch):
-        calls = self._record_rfftn(monkeypatch)
-        g = make_grid(unit_box(2), 64)
-        a = self._linear_multiplier(g, (0.4, -0.25))
-        v = SampledField(np.full(g.shape, 0.3), [np.zeros(g.shape)] * 2)
-        eps = [0.25, 0.125]
-        got = mollifier_commutator(a, v, g, eps)
-        assert got == [0.0, 0.0] and not calls
-        assert_allclose(got, _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
-        with pytest.raises(ResolutionError):
-            mollifier_commutator(a, v, g, [2.0 / 64])
-
-    def test_support_reaching_the_edge_uses_the_whole_grid(self, monkeypatch):
-        g = make_grid(unit_box(2), 128)
-        x, y = g.meshgrid()
-        a = self._linear_multiplier(g, (0.4, -0.25))
-        v = SampledField(np.sin(2.0 * x) + y * y, [2.0 * np.cos(2.0 * x), 2.0 * y])
-        eps = [0.25, 0.125]
-        want = _commutator_by_fftconvolve(a, v, g, eps)
-        calls = self._record_rfftn(monkeypatch)
-        assert_allclose(mollifier_commutator(a, v, g, eps), want, rtol=1e-12)
-        from scipy.fft import next_fast_len
-        full = {tuple(next_fast_len(n + m - 1, real=True)
-                      for n, m in zip(g.shape, _mollifier_kernels(g, e)[0].shape)) for e in eps}
-        assert set(calls) == full
-
-    def test_three_dimensional_kink(self):
-        g = make_grid(unit_box(3), 48)
-        a = self._linear_multiplier(g, (0.4, 0.0, 0.2))
-        v = kink_profile_corpus(g, count=1, seed=5)[0]
-        eps = [0.35, 0.175]
-        assert_allclose(mollifier_commutator(a, v, g, eps),
-                        _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
-
-    def test_non_square_grid_off_centre_bump(self):
-        g = make_grid(np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80))
-        a = self._linear_multiplier(g, (0.3, 0.15))
-        bump = ProductBump([0.35, 2.1], [0.4, 0.6])
-        v = SampledField(bump.values_on_grid(g),
-                         [bump.partial_on_grid(g, (1, 0)), bump.partial_on_grid(g, (0, 1))])
-        eps = [0.6, 0.3, 0.15]
-        assert_allclose(mollifier_commutator(a, v, g, eps),
-                        _commutator_by_fftconvolve(a, v, g, eps), rtol=1e-12)
-
-    def test_transforms_are_smaller_than_the_padded_grid(self, monkeypatch):
-        from scipy.fft import next_fast_len
-        g = make_grid(unit_box(2), 256)
-        a = self._linear_multiplier(g, (0.4, 0.0))
-        v = kink_profile_corpus(g, count=1, seed=5)[0]
-        support = (v.grads[0] != 0) | (v.grads[1] != 0)
-        unfilled = [ax for ax in range(2) if not support.any(axis=1 - ax).all()]
-        assert unfilled
-        calls = self._record_rfftn(monkeypatch)
-        for eps in [0.32, 0.16, 0.08, 0.04]:
-            calls.clear()
-            mollifier_commutator(a, v, g, [eps])
-            kernel = _mollifier_kernels(g, eps)[0].shape
-            assert calls
-            for ax in unfilled:
-                padded = next_fast_len(g.shape[ax] + kernel[ax] - 1, real=True)
-                assert all(s[ax] < padded for s in calls)
+def test_kink_fields_are_ramp_times_bump():
+    # the corpus's factors against the full-grid construction: V = max(0, y_1)
+    # times a product bump, its gradient taken almost everywhere (0 on the kink)
+    g = make_grid(unit_box(2), 128)
+    x = g.axis(0)
+    ramp = np.maximum(x, 0.0)[:, None]
+    for v, bump in zip(kink_profile_corpus(g, count=3, seed=5),
+                       _corpus_bumps(g, count=3, seed=5)):
+        (term,) = v
+        assert_allclose(_outer([f[0](x) for f, x in zip(term, g.axes())]),
+                        ramp * bump.values_on_grid(g), rtol=1e-13, atol=1e-300)
+        grad0 = ramp * bump.partial_on_grid(g, (1, 0)) + (x > 0.0)[:, None] * bump.values_on_grid(g)
+        grad1 = ramp * bump.partial_on_grid(g, (0, 1))
+        for k, want in enumerate([grad0, grad1]):
+            got = _outer([f[int(c == k)](x) for c, (f, x) in enumerate(zip(term, g.axes()))])
+            assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
 
 def test_fftconvolve_forwards_to_scipy():

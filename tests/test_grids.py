@@ -6,8 +6,7 @@ from uccert.errors import ContractViolation, SupportError
 from uccert.grids import (Grid, ProductBump, bump_d1, bump_d2, bump_value,
                           bump_superposition_values, d1, d1d1, d2, make_grid,
                           restricted_trapezoid, bump_corpus,
-                          trapezoid, trapezoid_richardson, unit_box,
-                          window_trapezoid)
+                          trapezoid, trapezoid_richardson, unit_box)
 
 
 class TestGrid:
@@ -97,16 +96,6 @@ class TestQuadrature:
         # x over {x >= 0} x (-1,1): 0.5 * 2 = 1
         assert restricted_trapezoid(mesh[0], g, (0,)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("window", [(slice(0, 65), slice(0, 81)), (slice(10, 40), slice(0, 81)),
-                                        (slice(3, 65), slice(17, 50)), (slice(64, 65), slice(5, 6))])
-    def test_window_trapezoid_is_trapezoid_of_zero_extension(self, window):
-        g = make_grid(np.array([[-1.0, 1.0], [0.0, 3.0]]), (64, 80))
-        vals = np.random.default_rng(2).standard_normal(g.shape)
-        padded = np.zeros(g.shape)
-        padded[window] = vals[window]
-        assert window_trapezoid(vals[window], g, window) == pytest.approx(
-            trapezoid(padded, g), rel=1e-13, abs=1e-15)
-
 
 class TestStencils:
     def test_d1_d2_on_polynomial(self):
@@ -177,6 +166,15 @@ class TestBumps:
         ax0 = b.axis_profile(g.axis(0), 0, 1)
         ax1 = b.axis_profile(g.axis(1), 1, 0)
         assert_allclose(vals, 2.0 * np.multiply.outer(ax0, ax1), atol=1e-15)
+
+    def test_factors_give_every_partial(self):
+        b = ProductBump([0.1, -0.2, 0.3], [0.5, 0.4, 0.45], amplitude=-1.3)
+        g = make_grid(unit_box(3), 24)
+        for alpha in [(0, 0, 0), (1, 0, 2), (2, 1, 0), (0, 2, 1)]:
+            got = np.array(1.0)
+            for f, o, x in zip(b.factors(), alpha, g.axes()):
+                got = np.multiply.outer(got, f[o](x))
+            assert_allclose(got, b.partial_on_grid(g, alpha), rtol=1e-14, atol=1e-300)
 
     def test_support_check(self):
         b = ProductBump([0.8, 0.0], [0.3, 0.3])
