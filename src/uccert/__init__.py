@@ -24,7 +24,7 @@ from .symbols import (eval_symbol, hp, hp2, hp2_bracket, hp2_matrix,
 from .hypotheses import (GeometrySpec, HypothesisReport, build_psi,
                          check_assumptions, sample_surface,
                          verify_split_signs, verify_sublevel_inclusion)
-from .certify import (Certificate, ConstraintSample, certify, certify_fields,
+from .certify import (Certificate, certify, certify_fields,
                       check_calderon, check_hormander, compute_lambda0,
                       compute_m0, constraint_samples, unit_sphere_seeds)
 from .rays import (ContactReport, RayTrajectory, contact, integrate, integrate_rays,

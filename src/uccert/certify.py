@@ -186,16 +186,10 @@ def _bisect_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray):
     return float(min(f_lo, f_hi)), v_lo + tau * v_hi
 
 
-@dataclass(frozen=True)
-class ConstraintSample:
-    xi: np.ndarray
-    res_p: float
-    res_hp: float
-
-
 def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int = 0,
-                       tol_pos: float = DEFAULT_TOL_POS) -> list:
-    """Unit covectors satisfying p = 0 and hp(psi1) = 0 at x0, listed exactly.
+                       tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
+    """Unit covectors satisfying p = 0 and hp(psi1) = 0 at x0, listed exactly
+    as the rows of a (k, dim) array.
 
     On the hyperplane b1 . xi = 0 (orthonormal basis B, dimension d) the
     restricted symbol A_r = B A B^T has signature (d-1, 1), so with
@@ -206,7 +200,7 @@ def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int 
     """
     x0 = as_point(x0)
     if n == 0:
-        return []
+        return np.empty((0, Q.dim))
     a = Q(x0)
     g1 = psi1.grad(x0)
     if float(g1 @ a @ g1) <= tol_pos:
@@ -224,12 +218,7 @@ def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int 
     u = np.array([[-1.0], [1.0]]) if d == 2 else unit_sphere_seeds(n, d - 1, seed=seed)
     xis = np.hstack([u, np.ones((len(u), 1))]) @ lorentz_normal_form(ar).T @ basis
     xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    if d == 2:
-        xis = np.concatenate([xis, -xis])
-    res_p = np.abs(quadratic_form_values(a, xis))
-    res_hp = np.abs(xis @ b1)
-    return [ConstraintSample(xi=v, res_p=float(rp), res_hp=float(rh))
-            for v, rp, rh in zip(xis, res_p, res_hp)]
+    return np.concatenate([xis, -xis]) if d == 2 else xis
 
 
 def compute_m0(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
@@ -279,7 +268,9 @@ class Certificate:
     status: str                         # "certified" | "failed" | "degenerate"
     margins: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     margins_direct: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    samples: list = dc_field(default_factory=list)
+    samples: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 0)))   # (k, n) directions
+    res_p: np.ndarray = dc_field(default_factory=lambda: np.empty(0))           # |xi^T Q xi|
+    res_hp: np.ndarray = dc_field(default_factory=lambda: np.empty(0))          # |xi . b1|
     route_disagreement: float = 0.0
     fd_fallback: bool = False
     notes: dict = dc_field(default_factory=dict)
@@ -300,8 +291,8 @@ class Certificate:
 
     def sample_rows(self) -> list:
         """Rows (xi..., res_p, res_hp, margin, margin_direct) for CSV export."""
-        return [list(map(float, s.xi)) + [float(s.res_p), float(s.res_hp), float(m), float(md)]
-                for s, m, md in zip(self.samples, self.margins, self.margins_direct)]
+        return np.column_stack([self.samples, self.res_p, self.res_hp,
+                                self.margins, self.margins_direct]).tolist()
 
 
 def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
@@ -425,14 +416,13 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     space_like = float(g1 @ a @ g1)
     if space_like <= tol_pos:
         return _degenerate(x0, "space_like_base", {"q_dpsi1_dpsi1": space_like, "tol_pos": tol_pos})
-    samples = constraint_samples(Q, psi1, x0, n, seed=seed, tol_pos=tol_pos)
+    xis = constraint_samples(Q, psi1, x0, n, seed=seed, tol_pos=tol_pos)
     m0 = compute_m0(Q, psi0, psi1, x0, tol_pos=tol_pos)
     lambda0 = compute_lambda0(Q, psi1, x0, m0)
     lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
 
     bent = linear_combination([(1.0, psi1), (-lam_used, squared_field(psi0))],
                               name="bent_surface")
-    xis = np.array([s.xi for s in samples])
     drift = 2.0 * a @ j0.grad
     # both routes are quadratic forms in xi; evaluate them in batch through
     # their polarized matrices, then spot-check the closed forms of hp and hp2
@@ -442,7 +432,7 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
     margins_direct = quadratic_form_values(m_bent, xis)
     worst_rel = float(np.max(np.abs(margins - margins_direct) / (1.0 + np.abs(margins))))
-    spot = np.linspace(0, len(samples) - 1, min(len(samples), 25)).astype(int)
+    spot = np.linspace(0, len(xis) - 1, min(len(xis), 25)).astype(int)
     d0 = _hp_closed_form(a, j0.grad, xis[spot])
     via_identity = _hp2_closed_form(a, dq, j1, xis[spot]) - 2.0 * lam_used * d0 * d0
     via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
@@ -455,7 +445,8 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "
             f"(> {KEY_IDENTITY_RTOL:g}); derivative suppliers are inconsistent")
-    worst = null_cone_max(m_bent, a, 2.0 * a @ g1)[0]
+    b1 = 2.0 * a @ g1
+    worst = null_cone_max(m_bent, a, b1)[0]
     tripped = {}
     if not worst < -tol_pos:
         tripped["margin"] = {"worst_margin": worst, "required_below": -tol_pos}
@@ -466,9 +457,10 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
         notes.update(gate=list(tripped), **tripped)
     return Certificate(
         x0=x0, m0=m0, lambda0=lambda0, lambda_used=lam_used,
-        worst_margin=worst, n_samples=len(samples),
+        worst_margin=worst, n_samples=len(xis),
         status="failed" if tripped else "certified",
-        margins=margins, margins_direct=margins_direct, samples=samples,
+        margins=margins, margins_direct=margins_direct, samples=xis,
+        res_p=np.abs(quadratic_form_values(a, xis)), res_hp=np.abs(xis @ b1),
         route_disagreement=worst_rel,
         fd_fallback=not (Q.analytic and psi0.analytic and psi1.analytic),
         notes=notes)

@@ -78,8 +78,7 @@ def write_csv(out_dir: str, name: str, header: list, rows: list):
     with open(tmp, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for r in rows:
-            w.writerow(r)
+        w.writerows(rows)
     os.replace(tmp, os.path.join(out_dir, name))
 
 
@@ -285,8 +284,7 @@ def cmd_rays(args) -> int:
     ok = True
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
-    trajs = integrate_rays(q, model.x0, [sample.xi for sample in cert.samples[:max_rays]],
-                           ds, n_steps, two_sided=True)
+    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], ds, n_steps, two_sided=True)
     for ray_id, traj in enumerate(trajs):
         drift = max(drift, traj.conservation_defect())
         rep = contact(traj, q, bent, s_fit=s_fit)
@@ -505,7 +503,10 @@ def _run_section_command(args) -> str:
     return command
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; each
+    parse still fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="uccert",
         description="certification toolkit for wave-type symbols and surface pairs")

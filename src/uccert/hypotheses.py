@@ -16,6 +16,7 @@ surface under the wedge region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
 
@@ -162,7 +163,8 @@ def _level_fields(spec: GeometrySpec, which: str) -> list:
 def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     """Sample points of one surface, or of the intersection, inside the box.
 
-    A coarse grid scan selects seeds with the smallest level-set residuals;
+    A coarse grid scan selects seeds with the smallest level-set residuals
+    (the rest of the scan when none of them converges inside the box);
     each seed is refined by Newton projection (joint projection for the
     intersection), and shortfalls are filled by seeding tangential
     perturbations of the points already found.  Non-convergent seeds are
@@ -179,9 +181,13 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     pts = _scan_points(spec.box, per_axis)
     res = np.max([np.abs(phi.jet(pts, 0)) for phi in fields], axis=0)
     order = np.argsort(res, kind="stable")
-    seeds = pts[order[:min(len(order), max(cap, 64))]]
     slack = 1e-9 * float(np.max(np.abs(spec.box)))
-    x, ok = _project(spec, fields, seeds, slack)
+    n_seeds = max(cap, 64)
+    x, ok = _project(spec, fields, pts[order[:n_seeds]], slack)
+    if not ok.any():
+        # the lowest-residual scan points can all lie on the box faces, from
+        # which Newton steps outward: project the rest, in residual order
+        x, ok = _project(spec, fields, pts[order[n_seeds:]], slack)
     arr = _dedupe(x[ok][:cap])
 
     # densify by perturbing known points tangentially and re-projecting, two
@@ -363,7 +369,7 @@ def verify_sublevel_inclusion(spec: GeometrySpec, lam: float, radius: float,
     def draw():                      # one try: its centre, direction and radius
         c = base[rng.integers(0, len(base))]
         u = rng.normal(size=spec.dim)
-        u *= radius * rng.random() ** (1.0 / spec.dim) / np.linalg.norm(u)
+        u *= radius * rng.random() ** (1.0 / spec.dim) / math.sqrt(u @ u)
         return c + u
 
     # the first n_samples wedge points among the first 50 n_samples tries,

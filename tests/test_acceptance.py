@@ -167,12 +167,12 @@ def test_criterion_05_ray_contact(ik2_cert):
     q = model.geometry.Q
     t0 = time.monotonic()
     worst_bent = worst_surf = 0.0
-    for s in cert.samples:
-        rep = launch_and_classify(q, bent, model.x0, s.xi)
+    for xi in cert.samples:
+        rep = launch_and_classify(q, bent, model.x0, xi)
         assert rep.tangency and rep.side == "below"
         assert abs(rep.fitted_c2 - (-3.0)) <= 0.05 * 3.0
         worst_bent = max(worst_bent, abs(rep.fitted_c2 + 3.0) / 3.0)
-        rep1 = launch_and_classify(q, psi1, model.x0, s.xi)
+        rep1 = launch_and_classify(q, psi1, model.x0, xi)
         assert rep1.tangency and rep1.side == "above"
         assert abs(rep1.fitted_c2 - 1.0) <= 0.05
         worst_surf = max(worst_surf, abs(rep1.fitted_c2 - 1.0))
@@ -330,8 +330,8 @@ def test_criterion_10_chart_invariance(ik2_cert):
     # original constraint covector (no renormalization; the curvature form
     # is invariant pointwise on phase space, not on the unit sphere)
     worst_rel = 0.0
-    for k, s in enumerate(cert.samples):
-        eta = transport_covector(chart, y0, s.xi)
+    for k, xi in enumerate(cert.samples):
+        eta = transport_covector(chart, y0, xi)
         pp = PhasePoint(y0, eta)
         margin_chart = (hp2(qk, psi1k, pp)
                         - 2.0 * cert.lambda_used * hp(qk, psi0k, pp) ** 2)

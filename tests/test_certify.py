@@ -46,19 +46,21 @@ class TestConstraintSamples:
         q, psi0, psi1 = ik2_fields
         samples = constraint_samples(q, psi1, ik2.x0, 2000)
         assert len(samples) == 4
-        got = sorted(tuple(np.round(s.xi / (1 / SQ2)).astype(int)) for s in samples)
+        got = sorted(tuple(np.round(xi / (1 / SQ2)).astype(int)) for xi in samples)
         assert got == [(-1, 0, -1), (-1, 0, 1), (1, 0, -1), (1, 0, 1)]
 
     def test_residuals_below_eps(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
-        for s in constraint_samples(q, psi1, ik2.x0, 500):
-            assert s.res_p <= 1e-10
-            assert s.res_hp <= 1e-10
-            assert abs(np.linalg.norm(s.xi) - 1.0) <= 1e-12
+        a = q(ik2.x0)
+        b1 = 2.0 * a @ psi1.grad(ik2.x0)
+        for xi in constraint_samples(q, psi1, ik2.x0, 500):
+            assert abs(xi @ a @ xi) <= 1e-10
+            assert abs(xi @ b1) <= 1e-10
+            assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
 
     def test_zero_request_empty(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
-        assert constraint_samples(q, psi1, ik2.x0, 0) == []
+        assert constraint_samples(q, psi1, ik2.x0, 0).tolist() == []
 
     def test_characteristic_base_surface_rejected(self, ik2, ik2_fields):
         q, psi0, _ = ik2_fields
@@ -176,6 +178,48 @@ class TestCertify:
         assert cert.n_samples >= 1
 
 
+def _rows_per_sample(cert):
+    """The per-sample row builder that ``Certificate.sample_rows`` replaced."""
+    return [list(map(float, xi)) + [float(rp), float(rh), float(m), float(md)]
+            for xi, rp, rh, m, md in zip(cert.samples, cert.res_p, cert.res_hp,
+                                         cert.margins, cert.margins_direct)]
+
+
+def _bumpy_config_geometry():
+    """The bumpy-metric cone pair of the example config, certified at (0, 1, 0)."""
+    return GeometrySpec(bumpy_wave_metric(2, 0.05),
+                        expression_field("norm(x2, x3) - 1 - x1", 3),
+                        expression_field("norm(x2, x3) - 1 + x1", 3),
+                        box=np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]]))
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "bumpy"])
+    def test_rows_match_the_per_sample_builder_bit_for_bit(self, name):
+        if name == "bumpy":
+            geo, x0 = _bumpy_config_geometry(), np.array([0.0, 1.0, 0.0])
+        else:
+            m = ik_model(int(name[2:]))
+            geo, x0 = m.geometry, m.x0
+        cert = certify(geo, x0, lam=2.0, seed=3)
+        assert cert.status == "certified"
+        a = geo.Q(x0)
+        b1 = 2.0 * a @ build_psi(geo)[1].grad(x0)
+        assert _bits(cert.res_p) == _bits(np.abs(quadratic_form_values(a, cert.samples)))
+        assert _bits(cert.res_hp) == _bits(np.abs(cert.samples @ b1))
+        rows = cert.sample_rows()
+        want = _rows_per_sample(cert)
+        assert len(rows) == cert.n_samples == len(cert.samples) > 0
+        assert all(type(v) is float for row in rows for v in row)
+        assert _bits(rows) == _bits(want)
+
+    def test_degenerate_certificate_has_no_rows(self, ik2, ik2_fields):
+        q, psi0, psi1 = ik2_fields
+        cert = certify_fields(q, psi1, psi0, ik2.x0, lam=2.0)
+        assert cert.status == "degenerate"
+        assert cert.sample_rows() == []
+
+
 class TestConditionCheckers:
     def test_bent_surface_passes_second_order(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
@@ -277,8 +321,10 @@ class TestExactNullCone:
         q = ik3.geometry.Q
         _, psi1 = build_psi(ik3.geometry)
         samples = constraint_samples(q, psi1, ik3.x0, 300)
+        a = q(ik3.x0)
+        b1 = 2.0 * a @ psi1.grad(ik3.x0)
         assert len(samples) == 300
-        assert max(max(s.res_p, s.res_hp) for s in samples) <= 1e-14
+        assert max(max(abs(xi @ a @ xi), abs(xi @ b1)) for xi in samples) <= 1e-14
 
     def test_empty_set_and_kernel(self):
         a = np.diag([-1.0, 1.0, 1.0])

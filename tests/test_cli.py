@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from uccert.cli import _smoothing_ladder, main, parse_config_file, parse_metric
+from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric
 from uccert.errors import ContractViolation
 from uccert.grids import make_grid, unit_box
 
@@ -148,14 +148,53 @@ class TestRunCommand:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical(self, tmp_path):
+    OUTPUTS = {"certify": ("report.json", "constraint_samples.csv"),
+               "rays": ("report.json", "rays.csv")}
+
+    @pytest.mark.parametrize("model", ["ik2", "ik4"])
+    @pytest.mark.parametrize("command", ["certify", "rays"])
+    def test_outputs_byte_identical(self, tmp_path, model, command):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
-            assert main(["certify", "--model", "ik2", "--lambda", "2",
+            assert main([command, "--model", model, "--lambda", "2",
                          "--seed", "5", "--out", out]) == 0
-        with open(os.path.join(a, "report.json"), "rb") as f1, \
-                open(os.path.join(b, "report.json"), "rb") as f2:
-            assert f1.read() == f2.read()
+        for name in self.OUTPUTS[command]:
+            with open(os.path.join(a, name), "rb") as f1, open(os.path.join(b, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+
+class TestSharedParser:
+    """main builds its parser once per process; each call parses afresh."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik3", "--lambda", "2", "--samples", "7",
+                     "--out", out]) == 0
+        assert read_report(out)["certificate"]["n_samples"] == 7
+        assert main(["certify", "--model", "ik3", "--lambda", "2", "--out", out]) == 0
+        cert = read_report(out)["certificate"]
+        assert cert["notes"]["n_seeds"] == 2000
+        assert cert["n_samples"] == 2000
+
+    def test_parse_error_then_valid_call(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik2", "--samples", "many"]) == 2
+        assert main(["certify", "--model", "ik2", "--lambda", "2", "--out", out]) == 0
+        assert read_report(out)["seed"] == 0
+
+    def test_run_merge_after_a_plain_call(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nlambda = 2\nseed = 9\n")
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik2", "--lambda", "2", "--seed", "4", "--out", out]) == 0
+        assert read_report(out)["seed"] == 4
+        assert main(["run", "--config", str(conf), "--out", out]) == 0
+        assert read_report(out)["seed"] == 9
+        assert main(["run", "--config", str(conf), "--seed", "0", "--out", out]) == 0
+        assert read_report(out)["seed"] == 0
 
 
 class TestAllPipeline:
@@ -466,6 +505,17 @@ class TestCheckSampling:
         monkeypatch.setattr(hypotheses, "sample_surface", counting)
         assert main(["check", "--model", "ik2", "--out", str(tmp_path / "o")]) == 0
         assert sorted(calls) == ["intersection", "minus", "plus"]
+
+
+class TestFewSurfaceSamples:
+    @pytest.mark.parametrize("samples", [1, 4, 16])
+    def test_ik4_check_with_few_samples(self, tmp_path, samples):
+        # the lowest-residual scan seeds of ik4 all lie on the box faces and
+        # project out of the box; the next seeds in residual order land inside
+        out = str(tmp_path / "o")
+        assert main(["check", "--model", "ik4", "--samples", str(samples), "--out", out]) == 0
+        counts = read_report(out)["hypotheses"]["n_samples"]
+        assert counts["plus"] > 0 and counts["minus"] > 0 and counts["intersection"] > 0
 
 
 class TestModuleEntryPoint:

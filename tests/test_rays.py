@@ -114,9 +114,9 @@ class TestContact:
         q, psi0, psi1 = ik2_fields
         from uccert import constraint_samples
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
-        for s in constraint_samples(q, psi1, ik2.x0, 400):
-            rep = launch_and_classify(q, bent, ik2.x0, s.xi)
-            pred = 0.5 * hp2(q, bent, PhasePoint(ik2.x0, s.xi))
+        for xi in constraint_samples(q, psi1, ik2.x0, 400):
+            rep = launch_and_classify(q, bent, ik2.x0, xi)
+            pred = 0.5 * hp2(q, bent, PhasePoint(ik2.x0, xi))
             assert rep.fitted_c2 == pytest.approx(pred, rel=0.05)
             assert rep.side == "below"
 
