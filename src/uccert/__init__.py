@@ -33,8 +33,8 @@ from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
 from .carleman import (CarlemanReport, WeightSpec, apply_operator, build_weight,
                        carleman_ratio, exponent_slopes, lambda_sweep)
-from .corner import (CornerField, affine_multiplier, corner_corpus, detect_layer,
-                     extend_by_zero, kink_profile_corpus, mollifier_commutator,
+from .corner import (CornerField, PairingTables, affine_multiplier, corner_corpus,
+                     detect_layer, extend_by_zero, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer,
                      weak_pairing)
 from .grids import Grid, ProductBump, make_grid, bump_corpus, unit_box

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .carleman import build_weight, exponent_slopes, lambda_sweep
 from .certify import certify
-from .corner import (affine_multiplier, corner_corpus, detect_layer,
+from .corner import (PairingTables, affine_multiplier, corner_corpus, detect_layer,
                      kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
@@ -44,6 +44,10 @@ SCHEMA = "ucp-report/1"
 # weak-identity residual bounds: K * h^2, K fitted once per family on the
 # analytic corpus with headroom
 WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
+
+# RK4 steps per side of a ray, ceil(s_fit / ds) + 2, above which `rays` stops
+# before any work: each step is a row per ray in rays.csv
+MAX_RAY_STEPS = 20_000
 
 
 def _write_atomic(path: str, data: str):
@@ -264,6 +268,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_rays(args) -> int:
+    ds, s_fit = args.ds, args.s_fit
+    ratio = s_fit / ds              # both finite and positive; the quotient may overflow
+    n_steps = math.ceil(ratio) + 2 if math.isfinite(ratio) else math.inf
+    if n_steps > MAX_RAY_STEPS:
+        raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} takes {n_steps} RK4 steps "
+                                f"per side, above the bound of {MAX_RAY_STEPS}")
     model = resolve_model(args)
     lam = 2.0 if args.lam is None else args.lam
     cert = certify(model.geometry, model.x0, lam=lam,
@@ -277,8 +287,6 @@ def cmd_rays(args) -> int:
     psi0, psi1 = build_psi(model.geometry)
     bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))], name="bent")
     q = model.geometry.Q
-    ds, s_fit = args.ds, args.s_fit
-    n_steps = int(np.ceil(s_fit / ds)) + 2
     results = []
     csv_rows = []
     ok = True
@@ -313,7 +321,7 @@ def cmd_rays(args) -> int:
     return 0 if ok else 1
 
 
-def _corner_identities(corpus: list, tests: list, tols: dict) -> tuple:
+def _corner_identities(corpus: list, tests: PairingTables, tols: dict) -> tuple:
     """Pass-through identities on every corpus field: (reports, CSV rows, passed)."""
     reports = []
     rows = []
@@ -329,7 +337,7 @@ def _corner_identities(corpus: list, tests: list, tols: dict) -> tuple:
     return reports, rows, ok
 
 
-def _corner_layer(cf, tests: list, h2: float) -> dict:
+def _corner_layer(cf, tests: PairingTables, h2: float) -> dict:
     layer = detect_layer(cf, tests)
     layer_ok = layer["max_mismatch"] <= max(0.01 * layer["max_layer_magnitude"], 10 * h2)
     return {"max_mismatch": layer["max_mismatch"],
@@ -379,13 +387,12 @@ def cmd_corner(args) -> int:
     tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
     tols = {k: v * h2 for k, v in WEAK_K.items()}
 
-    # one helper per stage, so each stage's grid arrays are freed on return;
-    # the inequality transfer is the only stage that forms them
+    # every 1-D table is built once here, and no stage forms a grid array
     corpus = corner_corpus(grid)
-    identity_reports, residual_rows, ok = _corner_identities(corpus, tests, tols)
-    layer = _corner_layer(corpus[0], tests, h2)
+    tables = PairingTables(grid, tests)
+    identity_reports, residual_rows, ok = _corner_identities(corpus, tables, tols)
+    layer = _corner_layer(corpus[0], tables, h2)
     transfer = _corner_transfer(corpus[1], args)
-    del corpus
     mollifier = _corner_mollifier(grid, eps_list, args.seed)
     ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
 

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import uccert.cli
 from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric
 from uccert.errors import ContractViolation
 from uccert.grids import make_grid, unit_box
@@ -197,6 +199,21 @@ class TestSharedParser:
         assert read_report(out)["seed"] == 0
 
 
+class TestCornerRunsInOneProcess:
+    def test_a_run_reads_nothing_an_earlier_run_built(self, tmp_path):
+        # the benchmark calls main repeatedly in one process
+        first = ["corner", "--grid", "128", "--seed", "0"]
+        outs = [str(tmp_path / name) for name in "abc"]
+        codes = [main(first + ["--out", outs[0]]),
+                 main(["corner", "--dim", "3", "--grid", "32", "--seed", "5", "--out", outs[1]]),
+                 main(first + ["--out", outs[2]])]
+        assert codes[0] == codes[2] and set(codes) <= {0, 1}
+        for name in ("report.json", "corner_residuals.csv"):
+            with open(os.path.join(outs[0], name), "rb") as f1, \
+                    open(os.path.join(outs[2], name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+
 class TestAllPipeline:
     def test_full_pipeline_ik2(self, tmp_path):
         import time
@@ -241,6 +258,25 @@ class TestRaysCommand:
             header = f.readline().strip().split(",")
         assert header == ["ray", "field", "s", "x1", "x2", "x3",
                           "xi1", "xi2", "xi3", "p", "psi"]
+
+    @pytest.mark.parametrize("argv, steps", [(["--ds", "1e-9"], "50000002"),
+                                             (["--ds", "1e-300", "--s-fit", "1e300"], "inf")])
+    def test_step_bound_stops_before_any_work(self, tmp_path, capsys, argv, steps):
+        out = str(tmp_path / "r")
+        t0 = time.perf_counter()
+        assert main(["rays", "--model", "ik2", "--out", out] + argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "--ds" in err and "--s-fit" in err and f"takes {steps} RK4 steps" in err
+        assert not os.path.exists(out)
+
+    def test_step_bound_admits_its_own_count(self, tmp_path, monkeypatch):
+        # the default --s-fit 0.05 at --ds 1e-3 takes 52 steps per side
+        monkeypatch.setattr(uccert.cli, "MAX_RAY_STEPS", 52)
+        assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(uccert.cli, "MAX_RAY_STEPS", 51)
+        assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "b")]) == 2
 
     def test_variable_metric_rays_are_tangent(self, tmp_path):
         # on bumpy_wave the cubic term of psi along a ray is nonzero; the

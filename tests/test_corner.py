@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from scipy.signal import fftconvolve
 
 import uccert.corner
 
-from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField,
-                           _lab_weights, _mollifier_kernels, _second_order_form, affine_multiplier,
+from uccert.cli import _corner_mollifier, _smoothing_ladder, main
+from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
+                           _mollifier_kernels, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
                            kink_profile_corpus, mollifier_commutator,
                            quadrant_mask, verify_extension_identities,
@@ -258,8 +261,8 @@ class TestSeparablePairing:
         indices = list(itertools.product((0, 1, 2), repeat=dim))
         bumps = _straddling_bumps(box)
         fields = [cf for cf in corner_corpus(g) if names is None or cf.name in names]
-        weak, quad, face = _lab_weights(fields[0], bumps)
-        for phi in bumps:
+        tables = PairingTables(g, bumps)
+        for t, phi in enumerate(bumps):
             phi_beta = {beta: phi.partial_on_grid(g, beta) for beta in indices}
             for cf in fields:
                 for alpha in indices:
@@ -269,8 +272,8 @@ class TestSeparablePairing:
                         want = {"weak": trapezoid(np.where(quadrant, integrand, 0.0), g),
                                 "quadrant": restricted_trapezoid(integrand, g, (0, 1)),
                                 "face": restricted_trapezoid(integrand[i0], face_grid, (0,))}
-                        for rule, w in (("weak", weak), ("quadrant", quad), ("face", face)):
-                            got = cf.pair(phi, alpha, beta, w)
+                        for rule in ("weak", "quadrant", "face"):
+                            got = cf.pair(tables, t, alpha, beta, rule)
                             assert got == pytest.approx(want[rule], rel=1e-12), \
                                 (cf.name, alpha, beta, rule)
                             if phi is bumps[-1]:
@@ -283,10 +286,17 @@ class TestSeparablePairing:
         g = make_grid(unit_box(dim), cells)
         tests = bump_corpus(unit_box(dim), 4, seed=42) + _straddling_bumps(unit_box(dim))[:3]
         corpus = corner_corpus(g)
+        partial = CornerField.partial
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the lab formed a grid array")
-        monkeypatch.setattr(CornerField, "partial", forbidden)
+
+        def below_grid_size(cf, alpha, idx=None):
+            out = partial(cf, alpha, idx)
+            if np.size(out) >= np.prod(g.shape):
+                forbidden()
+            return out
+        monkeypatch.setattr(CornerField, "partial", below_grid_size)
         monkeypatch.setattr(ProductBump, "partial_on_grid", forbidden)
         monkeypatch.setattr(uccert.corner, "extend_by_zero", forbidden)
         got = [(verify_extension_identities(cf, tests, tol_weak=_tols(g)), detect_layer(cf, tests))
@@ -336,15 +346,14 @@ class TestInequalityTransfer:
         rep = verify_inequality_transfer(cf, b, n_pts=5000, seed=2, C=measured)
         assert rep["violations"] == 0
 
-    def test_second_order_matches_full_grid_entries(self):
-        # each constant entry, spread over the grid as it once was, gives
-        # the same sum bit for bit
+    def test_zero_field_leaves_no_constant_to_measure(self):
+        # every denominator is 0 on the open quadrant (a ValueError from an
+        # empty max before the transfer went to slabs)
         g = make_grid(unit_box(2), 64)
-        cf = corner_corpus(g)[1]
-        b = np.array([[0.0, 0.7], [0.7, 0.0]])
-        want = np.zeros(g.shape)
-        want += 2.0 * np.full(g.shape, 0.7) * cf.partial((1, 1))
-        assert np.array_equal(_second_order_form(cf, b), want)
+        cf = CornerField(g, [[_axis_const(0.0), _axis_const(0.0)]], "z")
+        with pytest.raises(HypothesisError, match="void"):
+            verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]], n_pts=10)
+        assert verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]], n_pts=10, C=1.0)["passed"]
 
     def test_nonzero_corner_entry_rejected(self):
         g = make_grid(unit_box(2), 64)
@@ -352,6 +361,158 @@ class TestInequalityTransfer:
         b = [[1.0, 0.0], [0.0, 0.0]]
         with pytest.raises(HypothesisError):
             verify_inequality_transfer(cf, b, n_pts=10)
+
+
+
+def _unit(dim, *axes):
+    alpha = [0] * dim
+    for a in axes:
+        alpha[a] += 1
+    return tuple(alpha)
+
+
+def _partial_on_full_grid(cf, alpha):
+    """d^alpha U on every node, each factor evaluated afresh on its axis."""
+    out = np.zeros(cf.grid.shape)
+    for term in cf.terms:
+        piece = np.array(1.0)
+        for a, axis in enumerate(cf.grid.axes()):
+            piece = np.multiply.outer(piece, term[a][alpha[a]](axis))
+        out += piece
+    return out
+
+
+def transfer_on_full_grid(cf, B, n_pts=10000, seed=0, C=None, tol_char=1e-12):
+    """The oracle for verify_inequality_transfer: the form, |grad U| + |U| and
+    the open-quadrant mask as arrays of the grid's shape, C taken over them at
+    once and the sampled nodes read from them."""
+    grid = cf.grid
+    dim = grid.dim
+    B = np.asarray(B, dtype=float)
+    if max(abs(B[0, 0]), abs(B[1, 1])) > tol_char:
+        raise HypothesisError("coefficient matrix has nonzero (1,1) or (2,2) entry")
+    bu = np.zeros(grid.shape)
+    for j in range(B.shape[0]):
+        for k in range(j, B.shape[0]):
+            if B[j, k] != 0.0:
+                mult = 1.0 if j == k else 2.0
+                bu += mult * float(B[j, k]) * _partial_on_full_grid(cf, _unit(dim, j, k))
+    grad_mag = np.zeros(grid.shape)
+    for a in range(dim):
+        grad_mag += _partial_on_full_grid(cf, _unit(dim, a)) ** 2
+    grad_mag = np.sqrt(grad_mag)
+    denom = grad_mag + np.abs(_partial_on_full_grid(cf, _unit(dim)))
+
+    interior = np.zeros(grid.shape, dtype=bool)
+    interior[(slice(1, -1),) * dim] = True
+    open_quadrant = quadrant_mask(grid, closed=False) & interior
+    lhs_u = np.abs(bu)
+    if C is None:
+        bad = open_quadrant & (denom <= 0) & (lhs_u > tol_char)
+        if np.any(bad):
+            w = np.argwhere(bad)[0]
+            raise HypothesisError(
+                f"inequality hypothesis fails on the open quadrant: zero "
+                f"denominator with nonzero second-order form at node {tuple(w)}")
+        ok = open_quadrant & (denom > 0)
+        C = float(np.max(lhs_u[ok] / denom[ok]))
+
+    rng = np.random.default_rng(seed)
+    idx = []
+    for a in range(dim):
+        lo, hi = 1, grid.shape[a] - 1
+        col = rng.integers(lo, hi, size=n_pts)
+        if a in (0, 1):
+            z = grid.zero_index(a)
+            col = np.where(col == z, z + 1, col)
+        idx.append(col)
+    idx = tuple(idx)
+    hpart = quadrant_mask(grid, closed=True)[idx].astype(float)
+    lhs_v = hpart * lhs_u[idx]
+    rhs_v = C * hpart * denom[idx]
+    slack = 1e-12 * (1.0 + np.abs(rhs_v))
+    violations = int(np.sum(lhs_v > rhs_v + slack))
+    worst = float(np.max(lhs_v - rhs_v)) if n_pts else 0.0
+    return {"field": cf.name, "C": float(C), "n_points": int(n_pts),
+            "violations": violations, "worst_excess": worst, "passed": violations == 0}
+
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+
+
+class TestTransferOracle:
+    """verify_inequality_transfer, in slabs and at the sampled nodes, against
+    the full-grid oracle: the reports are equal, every number bit for bit.
+    A slab of 37 nodes holds at most one axis-0 row of these grids, so the
+    second case takes the supremum row by row."""
+
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    @pytest.mark.parametrize("box, cells, b", [
+        (unit_box(2), 64, SWAP), (unit_box(2), 256, SWAP),
+        (np.array([[-1.0, 1.0], [-0.5, 2.0]]), (40, 30), [[0.0, -0.6], [-0.6, 0.0]]),
+        (unit_box(3), 48, [[0.0, 1.0, 0.3], [1.0, 0.0, 0.0], [0.3, 0.0, 0.5]])],
+        ids=["64", "256", "non-square", "3d-48"])
+    def test_report_equals_oracle(self, monkeypatch, box, cells, b, slab_nodes):
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
+        for cf in corner_corpus(make_grid(box, cells)):
+            for kwargs in ({"n_pts": 10000, "seed": 3}, {"n_pts": 700, "seed": 4, "C": 0.9}):
+                assert (verify_inequality_transfer(cf, b, **kwargs)
+                        == transfer_on_full_grid(cf, b, **kwargs)), (cf.name, kwargs)
+
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    def test_zero_denominator_names_the_oracle_node(self, monkeypatch, slab_nodes):
+        # U = (y_1 - 1/2)(y_2 - 1/4): U and grad U vanish at that node of the
+        # open quadrant, where d_1 d_2 U = 1
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
+        g = make_grid(unit_box(2), 64)
+        shift = [(lambda u, c=c: u - c, np.ones_like, np.zeros_like) for c in (0.5, 0.25)]
+        cf = CornerField(g, [shift], "saddle")
+        nodes = []
+        for transfer in (verify_inequality_transfer, transfer_on_full_grid):
+            with pytest.raises(HypothesisError, match="zero denominator") as err:
+                transfer(cf, SWAP)
+            named = str(err.value).replace("np.int64", "").split("node")[1]
+            nodes.append(re.findall(r"\d+", named))
+        assert nodes[0] == nodes[1] == ["48", "40"]
+
+
+class TestLabFootprint:
+    def test_peak_memory_below_half_a_grid_array(self):
+        # cmd_corner's stages before the mollifier on 97^3 nodes, where one
+        # grid array of doubles is 7.3 MB
+        g = make_grid(unit_box(3), 96)
+        tests = bump_corpus(unit_box(3), 20, seed=42)
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = 1.0
+        tracemalloc.start()
+        try:
+            corpus = corner_corpus(g)
+            tables = PairingTables(g, tests)
+            for cf in corpus:
+                verify_extension_identities(cf, tables, tol_weak=_tols(g))
+            detect_layer(corpus[0], tables)
+            verify_inequality_transfer(corpus[1], b, n_pts=10000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * int(np.prod(g.shape)) / 2
+
+    def test_pairings_profile_each_bump_once_per_axis_and_order(self, monkeypatch, tmp_path):
+        # the mollifier stage's kink fields read bump profiles too; its calls
+        # are counted apart and taken off the run's
+        calls = []
+        profile = ProductBump.axis_profile
+
+        def counted(self, coords, a, order):
+            calls.append(order)
+            return profile(self, coords, a, order)
+        monkeypatch.setattr(ProductBump, "axis_profile", counted)
+        assert main(["corner", "--grid", "128", "--tests", "20", "--out", str(tmp_path)]) in (0, 1)
+        run = len(calls)
+        g = make_grid(unit_box(2), 128)
+        _corner_mollifier(g, _smoothing_ladder(g), 0)
+        mollifier = len(calls) - run
+        assert 0 < run - mollifier <= 3 * g.dim * 20
 
 
 class TestMollifier:
