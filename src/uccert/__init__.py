@@ -2,7 +2,7 @@
 
 Submodules:
     fields       metric/scalar fields, phase points, charts
-    symbols      symbol evaluation, Hamiltonian brackets, signatures, pullbacks
+    symbols      Hamiltonian brackets, signatures, pullbacks
     hypotheses   surface sampling and standing-assumption checks
     certify      pointwise pseudo-convexity certification
     rays         Hamiltonian ray tracing and contact classification
@@ -15,24 +15,22 @@ Submodules:
 """
 
 from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField,
-                     constant_metric, coordinate_field, identity_chart,
-                     linear_chart, linear_combination, product_field,
+                     constant_metric, linear_combination, product_field,
                      pullback_scalar, squared_field)
-from .symbols import (eval_symbol, hp, hp2, hp2_bracket, hp2_matrix,
-                      lorentz_normal_form, pullback_metric,
-                      pullback_metric_field, signature, transport_covector)
+from .symbols import (hp, hp2, hp2_bracket, hp2_matrix, lorentz_normal_form,
+                      pullback_metric, pullback_metric_field, signature,
+                      transport_covector)
 from .hypotheses import (GeometrySpec, HypothesisReport, build_psi,
                          check_assumptions, sample_surface,
                          verify_split_signs, verify_sublevel_inclusion)
-from .certify import (Certificate, certify, certify_fields,
-                      check_calderon, check_hormander, compute_lambda0,
+from .certify import (Certificate, certify, certify_fields, compute_lambda0,
                       compute_m0, constraint_samples, unit_sphere_seeds)
 from .rays import (ContactReport, RayTrajectory, contact, integrate, integrate_rays,
                    launch_and_classify)
 from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
-from .carleman import (CarlemanReport, WeightSpec, apply_operator, build_weight,
-                       carleman_ratio, exponent_slopes, lambda_sweep)
+from .carleman import (CarlemanReport, WeightSpec, build_weight, exponent_slopes,
+                       lambda_sweep)
 from .corner import (CornerField, PairingTables, affine_multiplier, corner_corpus,
                      detect_layer, extend_by_zero, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer,

@@ -66,20 +66,16 @@ def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
     return np.moveaxis(Q.jet(grid.points(), 0), 0, -1).reshape((grid.dim, grid.dim) + grid.shape)
 
 
-def apply_operator(Q: MetricField, w_values: np.ndarray, grid: Grid,
-                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None) -> np.ndarray:
-    """Second-order centered discretization of P w.
+def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
+             b: Optional[np.ndarray], c: Optional[np.ndarray]) -> np.ndarray:
+    """Second-order centered discretization of P w from the entries of Q on
+    the grid (``metric_on_grid``).
 
     Pure second derivatives use the three-point stencil; mixed terms use
     successive centered first differences.  ``b`` has shape (dim,) + grid
-    shape, ``c`` grid shape; both default to zero.  Consistency is O(h^2) on
+    shape, ``c`` grid shape; None stands for zero.  Consistency is O(h^2) on
     smooth compactly supported w.
     """
-    return _stencil(metric_on_grid(Q, grid), np.asarray(w_values, dtype=float), grid, b, c)
-
-
-def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
-             b: Optional[np.ndarray], c: Optional[np.ndarray]) -> np.ndarray:
     h = grid.h
     out = np.zeros_like(w)
     for j in range(grid.dim):
@@ -110,24 +106,15 @@ def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def carleman_ratio(Q: MetricField, weight: WeightSpec, w_values: np.ndarray,
-                   grid: Grid, lam: float,
-                   b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None) -> dict:
-    """Weighted norms and their ratio for one test function and one lam.
-
-    The weight exponent is shifted so its minimum over the (slightly dilated)
-    support of w is zero; this changes every norm by the same factor and
-    keeps the exponential representable.  A zero test function yields NaN
-    ratio with an "empty" flag.
-    """
-    return _ratio_table(Q, weight, [w_values], [lam], grid, b, c)[0][0]
-
-
 def _ratio_table(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray],
                  lambdas: Sequence[float], grid: Grid,
                  b: Optional[np.ndarray], c: Optional[np.ndarray]) -> list:
-    """table[t][k]: the carleman_ratio dict of corpus[t] at lambdas[k].
+    """table[t][k]: the weighted norms and their ratio for corpus[t] at lambdas[k].
 
+    The weight exponent is shifted so its minimum over the (slightly dilated)
+    support of a test function is zero; this changes every norm by the same
+    factor and keeps the exponential representable.  A zero test function
+    yields NaN ratio with an "empty" flag.
     Every region and shift is found before any norm is taken, so an
     unrepresentable exponent is reported at the smallest lam that has one.
     """

@@ -24,9 +24,6 @@ order) at x0, which give bit for bit the same jets there.  The certifier
      independent routes that are required to agree: the algebraic reduction
          hp2(psi1) - 2 lam hp(psi0)^2     (valid since psi0(x0) = 0)
      and a direct hp2 of the composed field.
-
-Standalone second-order (tangential curvature) and first-order (transversal
-drift) condition checkers use the same exact maximum.
 """
 
 from __future__ import annotations
@@ -491,52 +488,3 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     psi0, psi1 = build_psi(models)
     return certify_fields(models.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
 
-
-def _symbol_and_flow_covector(Q: MetricField, psi: ScalarField, x0, tol_pos: float):
-    """(Q(x0), b) with hp(psi)(x0, xi) = b . xi, for psi with a nonzero differential."""
-    g = psi.grad(x0)
-    if np.linalg.norm(g) <= tol_pos:
-        raise ContractViolation("psi must have a nonzero differential at x0")
-    a = Q(x0)
-    return a, 2.0 * a @ g
-
-
-def check_hormander(Q: MetricField, psi: ScalarField, x0,
-                    tol_pos: float = DEFAULT_TOL_POS) -> dict:
-    """Second-order condition: hp2(psi) < 0 on {p = 0, hp(psi) = 0} at x0.
-
-    An empty constraint set (possible for definite or transversally-drifting
-    geometries) is a vacuous pass and is reported distinctly.
-    """
-    x0 = as_point(x0)
-    a, b = _symbol_and_flow_covector(Q, psi, x0, tol_pos)
-    found = null_cone_max(hp2_matrix(Q, psi, x0), a, b)
-    if found is None:
-        return {"status": "vacuous", "passed": True, "max_hp2": None, "witness": None}
-    passed = bool(found[0] < -tol_pos)
-    return {"status": "pass" if passed else "fail", "passed": passed,
-            "max_hp2": float(found[0]), "witness": [float(v) for v in found[1]]}
-
-
-def check_calderon(Q: MetricField, psi: ScalarField, x0,
-                   tol_pos: float = DEFAULT_TOL_POS) -> dict:
-    """First-order condition: hp(psi) != 0 on the unit null directions at x0.
-
-    hp(psi) = b . xi with b = 2 Q dpsi, so its zeros on the null cone are the
-    null directions in the hyperplane b . xi = 0, which exist exactly when the
-    symbol restricted to it is not definite; a witness is returned.  Otherwise
-    the minimum of |hp(psi)| over the unit null cone is sqrt(-max(-b b^T)).
-    """
-    x0 = as_point(x0)
-    a, b = _symbol_and_flow_covector(Q, psi, x0, tol_pos)
-    zero = null_cone_max(np.zeros_like(a), a, b)
-    if zero is not None:
-        return {"status": "fail", "passed": False,
-                "min_abs_hp": abs(float(b @ zero[1])),
-                "witness": [float(v) for v in zero[1]]}
-    found = null_cone_max(-np.outer(b, b), a)
-    if found is None:
-        return {"status": "vacuous", "passed": True, "min_abs_hp": None, "witness": None}
-    min_abs = math.sqrt(max(0.0, -found[0]))
-    return {"status": "pass" if min_abs > tol_pos else "fail", "passed": min_abs > tol_pos,
-            "min_abs_hp": min_abs, "witness": [float(v) for v in found[1]]}

@@ -236,11 +236,10 @@ def cmd_check(args) -> int:
     ok = rep.passed()
     if ok:
         both = rep.samples["intersection"]
-        payload["split_signs"] = verify_split_signs(model.geometry, samples=both,
-                                                    tol_pos=args.tol_pos)
+        payload["split_signs"] = verify_split_signs(model.geometry, both, tol_pos=args.tol_pos)
         payload["sublevel_inclusion"] = verify_sublevel_inclusion(
-            model.geometry, lam=2.0 if args.lam is None else args.lam, radius=0.1,
-            n_samples=200, seed=args.seed, samples=both)
+            model.geometry, both, lam=2.0 if args.lam is None else args.lam, radius=0.1,
+            n_samples=200, seed=args.seed)
         ok = (payload["split_signs"]["status"] == "pass"
               and payload["sublevel_inclusion"]["included"])
     payload["passed"] = bool(ok)
@@ -435,8 +434,17 @@ def cmd_carleman(args) -> int:
     rep = lambda_sweep(q, weight, corpus, lambdas, grid)
     s1, s2 = exponent_slopes(rep)
     floor = rep.r_floor(4.0)
-    ok = (floor > 0 and not rep.decreasing_flags
-          and abs(s1 - 0.5) <= 0.05 and abs(s2 - 1.5) <= 0.05)
+    tripped = {}
+    if not floor > 0:
+        tripped["r_floor"] = {"r_floor_from_lam4": floor, "required_above": 0.0}
+    if rep.decreasing_flags:
+        tripped["decreasing_flags"] = {
+            "steps": [[l1, l2] for l1, l2 in rep.decreasing_flags],
+            "r_min": [[rep.r_min[l1], rep.r_min[l2]] for l1, l2 in rep.decreasing_flags],
+            "required_ratio_at_least": 0.5}
+    for gate, slope, wired in (("slope_rhs1", s1, 0.5), ("slope_rhs2", s2, 1.5)):
+        if not abs(slope - wired) <= 0.05:
+            tripped[gate] = {"slope": slope, "wired": wired, "tolerance": 0.05}
     payload = {
         "command": "carleman",
         "seed": args.seed,
@@ -445,13 +453,15 @@ def cmd_carleman(args) -> int:
         "sweep": rep.to_dict(),
         "r_floor_from_lam4": floor,
         "exponent_slopes": [s1, s2],
-        "passed": bool(ok),
+        "passed": not tripped,
     }
+    if tripped:
+        payload["notes"] = {"gate": list(tripped), **tripped}
     write_report(args.out, payload)
     write_csv(args.out, "carleman_ratios.csv",
               ["testfn_id", "lambda", "lhs", "rhs1", "rhs2", "ratio"],
               rep.csv_rows())
-    return 0 if ok else 1
+    return 1 if tripped else 0
 
 
 def cmd_all(args) -> int:

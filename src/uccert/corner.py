@@ -293,6 +293,9 @@ def detect_layer(cf: CornerField, tests) -> dict:
 # nodes per axis-0 slab of the transfer's supremum: the slab's few arrays stay
 # near 256 kB each, whatever the grid
 SLAB_NODES = 2 ** 15
+# a (1,1) or (2,2) entry of B, or a second-order form at a node of zero
+# denominator, counts as nonzero above this
+TOL_CHAR = 1e-12
 
 
 def _transfer_sides(cf: CornerField, B: np.ndarray, idx: tuple) -> tuple:
@@ -314,10 +317,10 @@ def _transfer_sides(cf: CornerField, B: np.ndarray, idx: tuple) -> tuple:
     return np.abs(form, out=form), denom
 
 
-def _open_quadrant_sup(cf: CornerField, B: np.ndarray, tol_char: float) -> float:
+def _open_quadrant_sup(cf: CornerField, B: np.ndarray) -> float:
     """The supremum of |<B d, d> U| / (|grad U| + |U|) over the open quadrant's
     nodes off the box edges, taken in axis-0 slabs of about SLAB_NODES nodes.
-    A node there with a zero denominator and a form above tol_char fails the
+    A node there with a zero denominator and a form above TOL_CHAR fails the
     hypothesis; the first such node in C order is named."""
     grid = cf.grid
     lo = [1] * grid.dim
@@ -330,7 +333,7 @@ def _open_quadrant_sup(cf: CornerField, B: np.ndarray, tol_char: float) -> float
     for r0 in range(block[0].start, block[0].stop, rows):
         slab = (slice(r0, min(r0 + rows, block[0].stop)), *block[1:])
         lhs, denom = _transfer_sides(cf, B, slab)
-        bad = (denom <= 0) & (lhs > tol_char)
+        bad = (denom <= 0) & (lhs > TOL_CHAR)
         if np.any(bad):
             node = tuple(int(i) for i in np.argwhere(bad)[0] + [s.start for s in slab])
             raise HypothesisError(
@@ -347,8 +350,7 @@ def _open_quadrant_sup(cf: CornerField, B: np.ndarray, tol_char: float) -> float
 
 def verify_inequality_transfer(cf: CornerField, B,
                                n_pts: int = 10000, seed: int = 0,
-                               C: Optional[float] = None,
-                               tol_char: float = 1e-12) -> dict:
+                               C: Optional[float] = None) -> dict:
     """Transfer the pointwise differential inequality from U to V.
 
     B is the constant symmetric coefficient matrix of the second-order form
@@ -365,10 +367,10 @@ def verify_inequality_transfer(cf: CornerField, B,
     """
     grid = cf.grid
     B = np.asarray(B, dtype=float)
-    if max(abs(B[0, 0]), abs(B[1, 1])) > tol_char:
+    if max(abs(B[0, 0]), abs(B[1, 1])) > TOL_CHAR:
         raise HypothesisError("coefficient matrix has nonzero (1,1) or (2,2) entry")
     if C is None:
-        C = _open_quadrant_sup(cf, B, tol_char)
+        C = _open_quadrant_sup(cf, B)
 
     # off-face interior nodes, both inside and outside the quadrant
     rng = np.random.default_rng(seed)
@@ -562,7 +564,7 @@ def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
         center[0] = rng.uniform(-0.05, 0.05)
         amp = rng.uniform(0.8, 1.4)
         b = ProductBump(center, radius, amplitude=amp)
-        b.check_support_inside(box, margin=0.0)
+        b.check_support_inside(box)
         factors = b.factors()
         out.append([[_kink(factors[0])] + factors[1:]])
     return out

@@ -18,15 +18,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartError, ContractViolation
+from .errors import ContractViolation
 
 # Relative step for central finite differences; O(h^2) error is far below
 # the certification tolerances used downstream.
 FD_REL_STEP = 1e-4
 
 
-def _fd_step(x: np.ndarray, rel: float = FD_REL_STEP) -> float:
-    return rel * max(1.0, float(np.max(np.abs(x))))
+def _fd_step(x: np.ndarray) -> float:
+    return FD_REL_STEP * max(1.0, float(np.max(np.abs(x))))
 
 
 def _partial(fn: Callable, x: np.ndarray, j: int):
@@ -132,11 +132,6 @@ class MetricField:
 
     def deriv(self, x, j: int) -> np.ndarray:
         return self.jet(as_point(x), 1)[1][j]
-
-    def symmetry_defect(self, x) -> float:
-        q = self(x)
-        scale = max(1.0, float(np.max(np.abs(q))))
-        return float(np.max(np.abs(q - q.T))) / scale
 
     def in_domain(self, x):
         """Whether a point lies in the domain box, or a bool array over the rows of a batch."""
@@ -372,17 +367,6 @@ class ScalarField:
         return self.jet(x, 2).hess
 
 
-def constant_field(value: float, dim: int, name: str = "") -> ScalarField:
-    return ScalarField.from_jet(
-        lambda x, order: Jet.constant(value, x, order) if order else value, name=name)
-
-
-def coordinate_field(dim: int, axis: int, name: str = "") -> ScalarField:
-    return ScalarField.from_jet(
-        lambda x, order: Jet.variables(x, order)[axis] if order else x[..., axis],
-        name=name or f"x{axis + 1}")
-
-
 def linear_combination(terms: Sequence[tuple], name: str = "") -> ScalarField:
     """Weighted sum of scalar fields."""
     terms = [(float(c), f) for c, f in terms]
@@ -436,26 +420,6 @@ class Chart:
     def jacobian_partial(self, y, j: int) -> np.ndarray:
         """d/dy_j of the Jacobian matrix, by central differences."""
         return _partial(self.jacobian, as_point(y), j)
-
-    def condition_number(self, y) -> float:
-        return float(np.linalg.cond(self.jacobian(y)))
-
-    def roundtrip_defect(self, y) -> float:
-        y = as_point(y)
-        return float(np.max(np.abs(self.inverse(self.forward(y)) - y)))
-
-
-def identity_chart(dim: int) -> Chart:
-    eye = np.eye(dim)
-    return Chart(lambda y: y.copy(), lambda x: x.copy(), lambda y: eye, name="identity")
-
-
-def linear_chart(matrix) -> Chart:
-    a = np.asarray(matrix, dtype=float)
-    if abs(np.linalg.det(a)) < 1e-14:
-        raise ChartError("linear chart matrix is singular")
-    ainv = np.linalg.inv(a)
-    return Chart(lambda y: a @ y, lambda x: ainv @ x, lambda y: a, name="linear")
 
 
 def pullback_scalar(f: ScalarField, chart: Chart, name: str = "") -> ScalarField:

@@ -67,9 +67,6 @@ class Grid:
             raise ContractViolation(f"axis {a} has no node at 0")
         return self._zeros[a]
 
-    def refine(self) -> "Grid":
-        return Grid(self.box, tuple(2 * c for c in self.n_cells))
-
     def coarsen(self) -> "Grid":
         if any(c % 2 for c in self.n_cells):
             raise ContractViolation("cannot coarsen an odd cell count")
@@ -222,10 +219,10 @@ class ProductBump:
     def support_box(self) -> np.ndarray:
         return np.stack([self.center - self.radius, self.center + self.radius], axis=1)
 
-    def check_support_inside(self, box: np.ndarray, margin: float = 0.0):
+    def check_support_inside(self, box: np.ndarray):
         sb = self.support_box()
         box = np.asarray(box, dtype=float)
-        if np.any(sb[:, 0] < box[:, 0] + margin) or np.any(sb[:, 1] > box[:, 1] - margin):
+        if np.any(sb[:, 0] < box[:, 0]) or np.any(sb[:, 1] > box[:, 1]):
             raise SupportError("bump support touches the working box boundary")
 
     def axis_profile(self, coords: np.ndarray, a: int, order: int) -> np.ndarray:
@@ -260,8 +257,9 @@ class ProductBump:
         return out
 
 
-def bump_corpus(box, count: int, seed: int, margin: float = 0.02) -> list:
-    """Reproducible corpus of product bumps supported strictly inside the box."""
+def bump_corpus(box, count: int, seed: int) -> list:
+    """Reproducible corpus of product bumps supported strictly inside the box,
+    at least 0.02 from its faces."""
     box = np.asarray(box, dtype=float)
     rng = np.random.default_rng(seed)
     dim = box.shape[0]
@@ -269,30 +267,30 @@ def bump_corpus(box, count: int, seed: int, margin: float = 0.02) -> list:
     width = box[:, 1] - box[:, 0]
     while len(out) < count:
         radius = rng.uniform(0.12, 0.25) * width
-        lo = box[:, 0] + radius + margin
-        hi = box[:, 1] - radius - margin
+        lo = box[:, 0] + radius + 0.02
+        hi = box[:, 1] - radius - 0.02
         center = rng.uniform(lo, hi)
         amp = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
         b = ProductBump(center, radius, amplitude=amp)
-        b.check_support_inside(box, margin=0.0)
+        b.check_support_inside(box)
         out.append(b)
     return out
 
 
-def bump_superposition_values(grid: Grid, count: int, seed: int,
-                              max_bumps: int = 5, margin: float = 0.04) -> list:
-    """Corpus of grid functions, each a superposition of a few product bumps."""
+def bump_superposition_values(grid: Grid, count: int, seed: int) -> list:
+    """Corpus of grid functions, each a superposition of one to five product
+    bumps kept 4% of the box width from its faces."""
     rng = np.random.default_rng(seed)
     box = grid.box
     width = box[:, 1] - box[:, 0]
     out = []
     for _ in range(count):
-        k = int(rng.integers(1, max_bumps + 1))
+        k = int(rng.integers(1, 6))
         vals = np.zeros(grid.shape)
         for _ in range(k):
             radius = rng.uniform(0.10, 0.22) * width
-            lo = box[:, 0] + radius + margin * width
-            hi = box[:, 1] - radius - margin * width
+            lo = box[:, 0] + radius + 0.04 * width
+            hi = box[:, 1] - radius - 0.04 * width
             center = rng.uniform(lo, hi)
             amp = rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0])
             vals += ProductBump(center, radius, amplitude=amp).values_on_grid(grid)

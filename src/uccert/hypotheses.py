@@ -315,19 +315,15 @@ def build_psi(spec: GeometrySpec):
     return psi0, psi1
 
 
-def verify_split_signs(spec: GeometrySpec,
-                       samples: Optional[np.ndarray] = None,
-                       tol_pos: float = DEFAULT_TOL_POS,
-                       tol_id: float = DEFAULT_TOL_ID) -> dict:
+def verify_split_signs(spec: GeometrySpec, samples: np.ndarray,
+                       tol_pos: float = DEFAULT_TOL_POS) -> dict:
     """Derived sign facts for the split fields at intersection samples.
 
-    At each sampled intersection point:  <Q dpsi1, dpsi1> > 0,
+    At each intersection point (a row of ``samples``):  <Q dpsi1, dpsi1> > 0,
     <Q dpsi0, dpsi0> < 0, the two add to zero, and <Q dpsi1, dpsi0> = 0.
     Violations indicate inconsistent inputs, since these facts follow
     algebraically from the standing assumptions.
     """
-    if samples is None:
-        samples = sample_surface(spec, "intersection")
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples for split-sign check")
     psi0, psi1 = build_psi(spec)
@@ -336,7 +332,7 @@ def verify_split_signs(spec: GeometrySpec,
     e1, e0, cross = (_quadratic_forms(d1, qs, d1), _quadratic_forms(d0, qs, d0),
                      _quadratic_forms(d1, qs, d0))
     bad = ~((e1 > tol_pos) & (e0 < -tol_pos)
-            & (np.abs(e1 + e0) <= tol_id) & (np.abs(cross) <= tol_id))
+            & (np.abs(e1 + e0) <= DEFAULT_TOL_ID) & (np.abs(cross) <= DEFAULT_TOL_ID))
     return {
         "status": "fail" if bad.any() else "pass",
         "surface_form_min": float(e1.min()),
@@ -348,26 +344,23 @@ def verify_split_signs(spec: GeometrySpec,
     }
 
 
-def verify_sublevel_inclusion(spec: GeometrySpec, lam: float, radius: float,
-                              n_samples: int, seed: int = 0,
-                              samples: Optional[np.ndarray] = None) -> dict:
+def verify_sublevel_inclusion(spec: GeometrySpec, samples: np.ndarray, lam: float,
+                              radius: float, n_samples: int, seed: int = 0) -> dict:
     """Check psi1 > lam * psi0^2 on wedge points near the intersection.
 
     Samples points with phi_plus > 0 and phi_minus > 0 within ``radius`` of
-    intersection points (``samples``, or sampled when None).  The inclusion
-    is only guaranteed where |psi0| < 1/lam; sampled points beyond that band
-    are flagged.
+    the intersection points ``samples``.  The inclusion is only guaranteed
+    where |psi0| < 1/lam; sampled points beyond that band are flagged.
     """
     if lam <= 0:
         raise ContractViolation("lam must be positive")
-    base = sample_surface(spec, "intersection") if samples is None else samples
-    if len(base) == 0:
+    if len(samples) == 0:
         raise InsufficientSamples("no intersection samples")
     psi0, psi1 = build_psi(spec)
     rng = np.random.default_rng(seed)
 
     def draw():                      # one try: its centre, direction and radius
-        c = base[rng.integers(0, len(base))]
+        c = samples[rng.integers(0, len(samples))]
         u = rng.normal(size=spec.dim)
         u *= radius * rng.random() ** (1.0 / spec.dim) / math.sqrt(u @ u)
         return c + u

@@ -89,8 +89,8 @@ def ik_model(d: int, n_surface_samples: int = 200) -> ModelSpec:
     return ModelSpec(f"ik{d}", d, geo, np.eye(d + 1)[1], constants)
 
 
-def negative_controls(d: int = 2, n_surface_samples: int = 200) -> list:
-    """Controls that each violate exactly one standing assumption.
+def negative_controls(n_surface_samples: int = 200) -> list:
+    """Controls in d = 2 that each violate exactly one standing assumption.
 
     ctrl-a: second surface |y|-1+2t is not characteristic (raw residual -3);
             the sign pairing becomes +3, so only the characteristic check fails.
@@ -100,6 +100,7 @@ def negative_controls(d: int = 2, n_surface_samples: int = 200) -> list:
     ctrl-c: second surface negated in the radial part flips the sign pairing
             to -2 while staying characteristic and transversal.
     """
+    d = 2
     q = _wave_metric(d)
     phi_plus = cone_surface_field(d, +1.0, -1.0)
     box = _default_box(d)

@@ -161,8 +161,7 @@ class ContactReport:
 
 
 def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
-            s_fit: float = 0.05, tol_zero: float = DEFAULT_TOL_ZERO,
-            tol_tan_rel: float = DEFAULT_TOL_TAN_REL) -> ContactReport:
+            s_fit: float = 0.05, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
     """Classify the contact of a ray with the level set {psi = 0}.
 
     Least-squares quartic fit of psi along the ray over |s| <= s_fit, of
@@ -190,7 +189,7 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
 
     speed = float(np.linalg.norm(2.0 * q @ xi0))
-    tol_tan = tol_tan_rel * max(np.linalg.norm(jet.grad) * speed, 1e-30)
+    tol_tan = DEFAULT_TOL_TAN_REL * max(np.linalg.norm(jet.grad) * speed, 1e-30)
     tangent = abs(c1) <= tol_tan
     predicted = 0.5 * float(_hp2_closed_form(q, dq, jet, xi0))
     if not tangent:
@@ -206,10 +205,9 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
         notes={"hp_at_launch": float(_hp_closed_form(q, jet.grad, xi0)), "n_fit": int(np.sum(mask))})
 
 
-def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi,
-                        ds: float = 1e-3, s_fit: float = 0.05,
-                        tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
-    """Convenience wrapper: integrate a two-sided ray and classify contact."""
-    n_steps = int(np.ceil(s_fit / ds)) + 2
-    traj = integrate(Q, PhasePoint(x0, xi), ds, n_steps, two_sided=True)
-    return contact(traj, Q, psi, s_fit=s_fit, tol_zero=tol_zero)
+def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactReport:
+    """Integrate a two-sided ray and classify its contact, with the ``rays``
+    command's default step and fit window."""
+    ds, s_fit = 1e-3, 0.05
+    traj = integrate(Q, PhasePoint(x0, xi), ds, int(np.ceil(s_fit / ds)) + 2, two_sided=True)
+    return contact(traj, Q, psi, s_fit=s_fit)

@@ -1,7 +1,7 @@
 """Principal-symbol geometry for second-order operators with matrix coefficients.
 
 The symbol is the quadratic form p(x, xi) = <Q(x) xi, xi>.  This module
-evaluates p, the first and second derivatives of scalar fields along the
+evaluates the first and second derivatives of scalar fields along the
 Hamiltonian flow of p, eigenvalue signatures, the normal form of a
 (n-1, 1)-signature matrix, and the transformation of Q under a chart.
 
@@ -18,13 +18,6 @@ from .errors import ChartError, ContractViolation, SignatureError
 from .fields import Chart, MetricField, PhasePoint, ScalarField, as_point
 
 
-def eval_symbol(Q: MetricField, pp: PhasePoint) -> float:
-    """Quadratic form <Q(x) xi, xi>."""
-    if pp.dim != Q.dim:
-        raise ContractViolation(f"phase point dim {pp.dim} != metric dim {Q.dim}")
-    return float(pp.xi @ Q(pp.x) @ pp.xi)
-
-
 ZERO_BAND = 1e-10   # half-width of signature()'s zero band, relative to the eigenvalues
 
 
@@ -34,10 +27,10 @@ class Signature(NamedTuple):
     n_zero: int
 
 
-def signature(M, tol_eig: float | None = None) -> Signature:
+def signature(M) -> Signature:
     """Counts of eigenvalues above, below, and inside the zero band.
 
-    The band half-width defaults to ZERO_BAND times the largest absolute
+    The band half-width is ZERO_BAND times the largest absolute
     eigenvalue (at least 1), which makes the zero test scale-invariant.
     For a stack of matrices, shape (k, n, n), the counts are arrays of
     length k.
@@ -48,19 +41,12 @@ def signature(M, tol_eig: float | None = None) -> Signature:
     if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):
         raise ContractViolation("signature() requires a symmetric matrix")
     ev = np.linalg.eigvalsh(0.5 * (m + mt))
-    if tol_eig is None:
-        tol_eig = ZERO_BAND * np.maximum(1.0, np.max(np.abs(ev), axis=-1))
-    band = np.expand_dims(tol_eig, -1)
+    band = np.expand_dims(ZERO_BAND * np.maximum(1.0, np.max(np.abs(ev), axis=-1)), -1)
     n_plus = np.sum(ev > band, axis=-1)
     n_minus = np.sum(ev < -band, axis=-1)
     if m.ndim == 2:
         n_plus, n_minus = int(n_plus), int(n_minus)
     return Signature(n_plus, n_minus, m.shape[-1] - n_plus - n_minus)
-
-
-def has_wave_signature(M, tol_eig: float | None = None) -> bool:
-    n = np.asarray(M).shape[0]
-    return signature(M, tol_eig=tol_eig) == Signature(n - 1, 1, 0)
 
 
 def lorentz_normal_form(M) -> np.ndarray:
@@ -128,14 +114,15 @@ def hp2(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:
     return float(_hp2_closed_form(q, dq, psi.jet(pp.x, 2), pp.xi))
 
 
-def hp2_bracket(Q: MetricField, psi: ScalarField, pp: PhasePoint, step: float = 1e-5) -> float:
+def hp2_bracket(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:
     """Independent route to hp2 via the nested bracket with finite differences.
 
     Writes hp2 = {p, hp(psi)} and differentiates p and hp(psi) in x by central
-    differences (the xi-derivatives of both are exact polynomials).  Used as a
-    cross-check oracle against the closed-form assembly.
+    differences of step 1e-5 (the xi-derivatives of both are exact
+    polynomials).  Used as a cross-check oracle against the closed-form
+    assembly.
     """
-    x, xi, n = pp.x, pp.xi, pp.dim
+    x, xi, n, step = pp.x, pp.xi, pp.dim, 1e-5
     q = Q(x)
     dp_dxi, dg_dxi = 2.0 * (q @ xi), 2.0 * (q @ psi.grad(x))
     shifted = np.concatenate([x + step * np.eye(n), x - step * np.eye(n)])     # x +- step e_j

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from uccert import (PhasePoint, build_psi, certify, certify_fields,
-                    check_calderon, check_hormander, compute_lambda0,
+from uccert import (PhasePoint, build_psi, certify, certify_fields, compute_lambda0,
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
@@ -15,7 +14,7 @@ from uccert.errors import (ContractViolation, DegenerateConstraintSet,
 from uccert.expressions import expression_field
 from uccert.fields import MetricField, pullback_scalar
 from uccert.hypotheses import GeometrySpec
-from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
+from uccert.models import bumpy_wave_metric, flattening_chart, get_model, ik_model
 from uccert.symbols import hp2_bracket, pullback_metric_field, quadratic_form_values
 
 SQ2 = np.sqrt(2.0)
@@ -106,8 +105,7 @@ class TestM0Lambda0:
 
     def test_lambda0_linear_surface_nonpositive(self, ik2, ik2_fields):
         q, psi0, _ = ik2_fields
-        from uccert.fields import coordinate_field
-        linear = coordinate_field(3, 1)
+        linear = expression_field("x2", 3)
         assert compute_lambda0(q, linear, ik2.x0, m0=1.0) <= 0.0
 
 
@@ -220,57 +218,6 @@ class TestSampleRows:
         assert cert.sample_rows() == []
 
 
-class TestConditionCheckers:
-    def test_bent_surface_passes_second_order(self, ik2, ik2_fields):
-        q, psi0, psi1 = ik2_fields
-        bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
-        rep = check_hormander(q, bent, ik2.x0)
-        assert rep["status"] == "pass"
-        assert rep["max_hp2"] == pytest.approx(-6.0, abs=1e-3)
-
-    def test_plain_surface_fails_second_order(self, ik2, ik2_fields):
-        q, _, psi1 = ik2_fields
-        rep = check_hormander(q, psi1, ik2.x0)
-        assert rep["status"] == "fail"
-        assert rep["max_hp2"] == pytest.approx(2.0, abs=1e-3)
-
-    def test_elliptic_vacuous_pass(self, ik2_fields):
-        _, _, psi1 = ik2_fields
-        q = constant_metric(np.eye(3))
-        rep = check_hormander(q, psi1, [0.0, 1.0, 0.0])
-        assert rep["status"] == "vacuous"
-        assert rep["passed"]
-
-    def test_hormander_matches_certify_status(self, ik2, ik2_fields):
-        q, psi0, psi1 = ik2_fields
-        for lam in (0.5, 1.01, 2.0):
-            bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))])
-            rep = check_hormander(q, bent, ik2.x0)
-            cert = certify(ik2.geometry, ik2.x0, lam=lam)
-            assert rep["passed"] == (cert.status == "certified")
-
-    def test_calderon_time_function_passes(self, ik2, ik2_fields):
-        q, psi0, _ = ik2_fields
-        rep = check_calderon(q, psi0, ik2.x0)
-        assert rep["status"] == "pass"
-        assert rep["min_abs_hp"] == pytest.approx(SQ2, abs=1e-3)
-
-    def test_calderon_surface_fails_with_witness(self, ik2, ik2_fields):
-        q, _, psi1 = ik2_fields
-        rep = check_calderon(q, psi1, ik2.x0)
-        assert rep["status"] == "fail"
-        wit = np.array(rep["witness"])
-        a = q(ik2.x0)
-        assert abs(wit @ a @ wit) <= 1e-10
-        assert abs(hp(q, psi1, PhasePoint(ik2.x0, wit))) <= 1e-9
-
-    def test_zero_differential_rejected(self, ik2, ik2_fields):
-        q = ik2_fields[0]
-        from uccert.fields import constant_field
-        with pytest.raises(ContractViolation):
-            check_calderon(q, constant_field(1.0, 3), ik2.x0)
-
-
 class TestSoundnessGates:
     def test_base_point_off_the_surfaces_is_degenerate(self, ik2):
         cert = certify(ik2.geometry, [0.2, 1.3, 0.0], lam=2.0)
@@ -306,6 +253,12 @@ class TestSoundnessGates:
     def test_certified_has_no_gate(self, ik2):
         assert "gate" not in certify(ik2.geometry, ik2.x0, lam=2.0).notes
 
+    @pytest.mark.xfail(strict=True, reason="certify has no characteristic gate: ctrl-a's phi_minus "
+                                           "has unit-normalized residual 0.6 at x0")
+    def test_non_characteristic_pair_is_not_certified(self):
+        ctrl_a = get_model("ctrl-a")
+        assert certify(ctrl_a.geometry, ctrl_a.x0, lam=2.0).status != "certified"
+
 
 class TestExactNullCone:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -337,12 +290,15 @@ class TestExactNullCone:
         assert abs(witness @ a @ witness) <= 1e-12
 
     def test_calderon_fails_on_a_characteristic_surface(self, ik2):
-        # dphi_plus is null, so the restricted symbol is singular semidefinite
+        # dphi_plus is null, so the symbol restricted to the zero set of
+        # hp(phi_plus) = b . xi is singular semidefinite: hp vanishes on its kernel
         q = ik2.geometry.Q
-        rep = check_calderon(q, ik2.geometry.phi_plus, ik2.x0)
-        assert rep["status"] == "fail"
-        wit = np.array(rep["witness"])
-        assert abs(wit @ q(ik2.x0) @ wit) <= 1e-10
+        a = q(ik2.x0)
+        b = 2.0 * a @ ik2.geometry.phi_plus.grad(ik2.x0)
+        found = null_cone_max(np.zeros_like(a), a, b)
+        assert found is not None
+        wit = found[1]
+        assert abs(wit @ a @ wit) <= 1e-10
         assert abs(hp(q, ik2.geometry.phi_plus, PhasePoint(ik2.x0, wit))) <= 1e-9
 
     @settings(max_examples=40, deadline=None)

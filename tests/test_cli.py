@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import uccert.cli
+from uccert.carleman import CarlemanReport
 from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric
 from uccert.errors import ContractViolation
 from uccert.grids import make_grid, unit_box
@@ -508,6 +510,54 @@ class TestCarlemanLambdaGate:
         assert main(["carleman", "--grid", "32", "--out", out]) == 0
         rep = read_report(out)
         assert rep["passed"] is True and "notes" not in rep
+
+
+class TestCarlemanGates:
+    """A failing sweep names every condition that failed, with its numbers."""
+
+    def test_coarse_grid_names_the_decreasing_flags(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "3", "--out", out]) == 1
+        rep = read_report(out)
+        assert rep["passed"] is False
+        assert rep["notes"]["gate"] == ["decreasing_flags"]
+        assert rep["r_floor_from_lam4"] == pytest.approx(6.1e-8, rel=0.01)
+        assert rep["exponent_slopes"] == pytest.approx([0.5, 1.5])
+        gate = rep["notes"]["decreasing_flags"]
+        assert gate["steps"] == rep["sweep"]["decreasing_flags"]
+        assert gate["required_ratio_at_least"] == 0.5
+        r_min = rep["sweep"]["r_min"]
+        for (l1, l2), pair in zip(gate["steps"], gate["r_min"]):
+            assert pair == [r_min[str(l1)], r_min[str(l2)]]
+            assert pair[1] < 0.5 * pair[0]
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+    def test_nonpositive_floor_is_named(self, tmp_path, monkeypatch, floor):
+        monkeypatch.setattr(CarlemanReport, "r_floor", lambda self, lam_from: floor)
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "32", "--out", out]) == 1
+        rep = read_report(out)
+        assert rep["passed"] is False
+        assert rep["notes"]["gate"] == ["r_floor"]
+        gate = rep["notes"]["r_floor"]
+        assert gate["required_above"] == 0.0
+        assert gate["r_floor_from_lam4"] == floor or math.isnan(gate["r_floor_from_lam4"])
+
+    @pytest.mark.parametrize("slopes, gates", [((0.6, 1.5), ["slope_rhs1"]),
+                                               ((0.5, 1.4), ["slope_rhs2"]),
+                                               ((math.nan, 1.56), ["slope_rhs1", "slope_rhs2"])])
+    def test_slope_outside_its_bound_is_named(self, tmp_path, monkeypatch, slopes, gates):
+        monkeypatch.setattr(uccert.cli, "exponent_slopes", lambda rep: slopes)
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "32", "--out", out]) == 1
+        rep = read_report(out)
+        assert rep["passed"] is False
+        assert rep["notes"]["gate"] == gates
+        for gate, slope, wired in zip(("slope_rhs1", "slope_rhs2"), slopes, (0.5, 1.5)):
+            if gate in gates:
+                got = rep["notes"][gate]
+                assert got["slope"] == slope or math.isnan(got["slope"])
+                assert (got["wired"], got["tolerance"]) == (wired, 0.05)
 
 
 class TestRunFlagPrecedence:

@@ -133,7 +133,7 @@ class TestSplitFields:
         np.testing.assert_allclose(psi0.grad(x), 0.5 * (gm - gp), atol=1e-14)
 
     def test_split_sign_values(self, ik2):
-        rep = verify_split_signs(ik2.geometry)
+        rep = verify_split_signs(ik2.geometry, sample_surface(ik2.geometry, "intersection"))
         assert rep["status"] == "pass"
         assert rep["surface_form_min"] == pytest.approx(1.0, abs=1e-8)
         assert rep["difference_form_max"] == pytest.approx(-1.0, abs=1e-8)
@@ -147,31 +147,32 @@ class TestSplitFields:
                               linear_combination([(3.0, geo.phi_plus)]),
                               linear_combination([(3.0, geo.phi_minus)]),
                               geo.box, n_surface_samples=100)
-        rep = verify_split_signs(scaled)
+        rep = verify_split_signs(scaled, sample_surface(scaled, "intersection"))
         assert rep["status"] == "pass"
 
 
 class TestSublevelInclusion:
     def test_model_included(self, ik2):
-        rep = verify_sublevel_inclusion(ik2.geometry, lam=2.0, radius=0.1,
-                                        n_samples=300, seed=3)
+        rep = verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                        lam=2.0, radius=0.1, n_samples=300, seed=3)
         assert rep["included"]
         assert rep["worst_margin"] > 0
         assert not rep["radius_exceeds_band"]
 
     def test_large_radius_flagged(self, ik2):
-        rep = verify_sublevel_inclusion(ik2.geometry, lam=2.0, radius=0.6,
-                                        n_samples=300, seed=3)
+        rep = verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                        lam=2.0, radius=0.6, n_samples=300, seed=3)
         assert rep["radius_exceeds_band"]
 
     def test_tiny_lam_always_included(self, ik2):
-        rep = verify_sublevel_inclusion(ik2.geometry, lam=1e-6, radius=0.2,
-                                        n_samples=200, seed=3)
+        rep = verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                        lam=1e-6, radius=0.2, n_samples=200, seed=3)
         assert rep["included"]
 
     def test_nonpositive_lam_rejected(self, ik2):
         with pytest.raises(ContractViolation):
-            verify_sublevel_inclusion(ik2.geometry, lam=0.0, radius=0.1, n_samples=10)
+            verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                      lam=0.0, radius=0.1, n_samples=10)
 
     @staticmethod
     def _loop_wedge_points(spec, radius, n_samples, seed, base):
@@ -194,8 +195,8 @@ class TestSublevelInclusion:
     def test_same_points_as_per_try_loop(self, model, lam, radius, n_samples, seed):
         spec = get_model(model, n_surface_samples=60).geometry
         base = sample_surface(spec, "intersection")
-        rep = verify_sublevel_inclusion(spec, lam=lam, radius=radius, n_samples=n_samples,
-                                        seed=seed, samples=base)
+        rep = verify_sublevel_inclusion(spec, base, lam=lam, radius=radius, n_samples=n_samples,
+                                        seed=seed)
         pts = self._loop_wedge_points(spec, radius, n_samples, seed, base)
         psi0, psi1 = build_psi(spec)
         margins = np.array([psi1(p) - lam * psi0(p) ** 2 for p in pts])
@@ -206,7 +207,8 @@ class TestSublevelInclusion:
     def test_empty_wedge_raises_after_every_try(self):
         spec = negative_controls()[1].geometry          # ctrl-b: phi_minus = -phi_plus
         with pytest.raises(InsufficientSamples):
-            verify_sublevel_inclusion(spec, lam=2.0, radius=0.1, n_samples=20, seed=0)
+            verify_sublevel_inclusion(spec, sample_surface(spec, "intersection"),
+                                      lam=2.0, radius=0.1, n_samples=20, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,7 @@ class TestBatchedAgainstPointLoops:
         else:
             assert checks["sign_condition"].status == "skipped"
         psi0, psi1 = build_psi(spec)
-        split = verify_split_signs(spec, samples=s_both)
+        split = verify_split_signs(spec, s_both)
         e1 = [float(psi1.grad(p) @ spec.Q(p) @ psi1.grad(p)) for p in s_both]
         cross = [abs(float(psi1.grad(p) @ spec.Q(p) @ psi0.grad(p))) for p in s_both]
         assert split["surface_form_min"] == min(e1)

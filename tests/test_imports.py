@@ -1,12 +1,28 @@
-"""Every name a uccert module imports is used in that module, and every
-module-level private name is read somewhere in the package."""
+"""Every name a uccert module imports is used in that module, every
+module-level private name is read somewhere in the package, every public
+function, class and method is read by the package, the acceptance tests, the
+benchmark tracer or an oracle test, and the declared runtime dependencies are
+the third-party packages the package imports at load time."""
 
 import ast
+import importlib
+import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uccert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uccert"
+
+# public names that only a test reads, each with the test that checks the
+# library against it
+ORACLES = {
+    "extend_by_zero": "tests/test_corner.py::TestSeparablePairing::test_lab_forms_no_grid_array",
+    "hp2_bracket": "tests/test_certify.py::TestCertificateProperties::"
+                   "test_closed_form_hp2_matrix_matches_loop_and_bracket",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -36,6 +52,17 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def reads(tree: ast.AST) -> set:
+    """Names a tree reads: ``ast.Name`` loads and attribute names."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
 def stranded_private_names(sources: dict) -> list:
     """Module-level private names (``_x``, not dunders) that no module reads,
     as ``module.name``; sources maps module names to their text."""
@@ -52,11 +79,7 @@ def stranded_private_names(sources: dict) -> list:
                 names = []
             defined += [(module, n) for n in names
                         if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+        read |= reads(tree)
     return sorted(f"{module}.{n}" for module, n in defined if n not in read)
 
 
@@ -72,3 +95,90 @@ def test_every_private_name_is_read():
     # a helper left behind when its last caller is deleted fails here
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert stranded_private_names(sources) == []
+
+
+def unread_public_names(sources: dict, readers: set) -> list:
+    """Public module-level functions and classes, and the public methods of
+    such classes, that no module but ``__init__`` reads and ``readers`` does
+    not hold, as ``module.name`` or ``module.Class.method``; sources maps
+    module names to their text."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined, read = [], set(readers)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
+                defined.append((node.name, f"{module}.{node.name}"))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(m.name, f"{module}.{node.name}.{m.name}") for m in node.body
+                                if isinstance(m, functions) and not m.name.startswith("_")]
+        if module != "__init__":            # a re-export is not a use
+            read |= reads(tree)
+    return sorted(qualified for name, qualified in defined if name not in read)
+
+
+def test_public_detector_flags_unread_names():
+    sources = {"a": "def used():\n    pass\ndef unread():\n    pass\nclass K:\n"
+                    "    def m(self):\n        pass\n    def _p(self):\n        pass\n"
+                    "    def gone(self):\n        pass\nused()\n",
+               "b": "from .a import K\nK().m()\n",
+               "c": "def oracle():\n    pass\n",
+               "__init__": "from .a import unread, K\nK.gone\n"}
+    assert unread_public_names(sources, {"oracle"}) == ["a.K.gone", "a.unread"]
+    assert unread_public_names(sources, set()) == ["a.K.gone", "a.unread", "c.oracle"]
+
+
+def tracer_reads() -> set:
+    """The callables and classes the benchmark tracer wraps, by name; the
+    tracer is loaded from its file and only its target list is read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    uc = {p.stem: importlib.import_module(f"uccert.{p.stem}") for p in SRC.glob("*.py")
+          if p.stem not in ("__init__", "__main__")}
+    names = set()
+    for _, owner, attr, _, _ in tracer.layer_targets(uc):
+        names.add(attr)
+        if isinstance(owner, type):
+            names.add(owner.__name__)
+    return names
+
+
+def test_every_public_name_is_read():
+    # a public name that only tests read is deleted, or named in ORACLES
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = (reads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+               | tracer_reads() | set(ORACLES))
+    assert unread_public_names(sources, readers) == []
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_is_read_by_its_test(name):
+    path, *scopes = ORACLES[name].split("::")
+    body = ast.parse((ROOT / path).read_text()).body
+    for scope in scopes:
+        node = next(n for n in body if getattr(n, "name", None) == scope)
+        body = node.body
+    assert name in reads(node)
+
+
+def module_level_imports(source: str) -> set:
+    """Top-level packages that a module's own statements import, so at load
+    time, leaving out relative imports."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_runtime_dependencies_are_the_load_time_imports():
+    tomllib = pytest.importorskip("tomllib")         # Python 3.11+
+    imported = set().union(*(module_level_imports(p.read_text()) for p in SRC.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"uccert"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]}
+    assert "numpy" in third_party
+    assert declared == third_party

@@ -98,7 +98,7 @@ class TestFlatteningChart:
     def test_d3_chart(self, ik3):
         chart = flattening_chart(ik3, ik3.x0)
         y = np.array([0.05, -0.08, 0.1, -0.2])
-        assert chart.roundtrip_defect(y) < 1e-8
+        assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
         qk = pullback_metric(ik3.geometry.Q, chart, y)
         assert abs(qk[0, 0]) < 1e-8
         assert abs(qk[1, 1]) < 1e-8
@@ -109,8 +109,9 @@ class TestVariableMetric:
         q = bumpy_wave_metric(2, amp=0.1)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=3)
-            assert tuple(signature(q(x))) == (2, 1, 0)
-            assert q.symmetry_defect(x) <= 1e-12
+            qx = q(x)
+            assert tuple(signature(qx)) == (2, 1, 0)
+            assert np.max(np.abs(qx - qx.T)) <= 1e-12 * max(1.0, np.max(np.abs(qx)))
 
     def test_carleman_section_fields(self):
         q, bent, box = carleman_section(lam=2.0)
