@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ContractViolation, DegenerateConstraintSet,
-                     InternalInconsistency, NondegeneracyViolation)
+                     InternalInconsistency, NondegeneracyViolation, SignatureError)
 from .fields import Jet, MetricField, ScalarField, as_point, linear_combination, squared_field
 from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, build_psi
 from .symbols import (ZERO_BAND, _hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
@@ -64,15 +64,18 @@ def unit_sphere_seeds(n: int, dim: int, seed: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _hyperplane_basis(b: Optional[np.ndarray], dim: int) -> np.ndarray:
-    """Rows: an orthonormal basis of {xi : b . xi = 0}, or of R^dim when b is None."""
-    if b is None:
-        return np.eye(dim)
-    return np.linalg.svd(b.reshape(1, -1))[2][1:]
+def _hyperplane(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The hyperplane b . xi = 0 for the form a: (rows of an orthonormal basis
+    B, the restricted form a_r = B a B^T, the eigenpairs of a_r).  A
+    certificate builds it once and reads it for its directions, m0 and the
+    worst margin."""
+    basis = np.linalg.svd(b.reshape(1, -1))[2][1:]
+    ar = basis @ a @ basis.T
+    return basis, ar, np.linalg.eigh(ar)
 
 
-def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
-    """Maximum of xi^T m xi over unit xi with xi^T a xi = 0 (and b . xi = 0).
+def null_cone_max(m: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Maximum of xi^T m xi over unit xi with xi^T a xi = 0 and b . xi = 0.
 
     With m_r, a_r the forms on the hyperplane, the maximum is min_t f(t),
     f(t) = lambda_max(m_r + t a_r) (S-lemma): every t gives an upper bound,
@@ -108,10 +111,13 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None):
     * On hyperplanes of dimension 3 or more, t is bisected (``_bisect_max``),
       and each f(t) carries the eigensolver's rounding allowance.
     """
-    basis = _hyperplane_basis(b, a.shape[0])
+    return _null_cone_max(m, _hyperplane(a, b))
+
+
+def _null_cone_max(m: np.ndarray, plane: tuple):
+    """``null_cone_max`` on a hyperplane built by ``_hyperplane``."""
+    basis, ar, (ev, vec) = plane
     mr = basis @ m @ basis.T
-    ar = basis @ a @ basis.T
-    ev, vec = np.linalg.eigh(ar)
     band = ZERO_BAND * max(1.0, float(np.max(np.abs(ev))))
     if ev[0] >= -band or ev[-1] <= band:
         kernel = vec[:, np.abs(ev) <= band]
@@ -184,7 +190,7 @@ def _bisect_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray):
 
 
 def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int = 0,
-                       tol_pos: float = DEFAULT_TOL_POS) -> np.ndarray:
+                       tol_pos: float = DEFAULT_TOL_POS, plane: Optional[tuple] = None) -> np.ndarray:
     """Unit covectors satisfying p = 0 and hp(psi1) = 0 at x0, listed exactly
     as the rows of a (k, dim) array.
 
@@ -193,44 +199,52 @@ def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int 
     R = lorentz_normal_form(A_r) every null direction is xi ~ B^T R (u, 1) with
     u on the sphere S^{d-2}.  For d = 2 that sphere is u = +-1, and with both
     signs of xi the set is its four points; for d >= 3, n seeded points u are
-    listed.
+    listed.  ``plane``, the hyperplane from ``_hyperplane`` when the caller
+    has built it, skips reading Q and psi1 and their space-like check.
     """
     x0 = as_point(x0)
     if n == 0:
         return np.empty((0, Q.dim))
-    a = Q(x0)
-    g1 = psi1.grad(x0)
-    if float(g1 @ a @ g1) <= tol_pos:
-        raise ContractViolation(
-            "surface field is not space-like at x0 (<Q dpsi1, dpsi1> <= 0); "
-            "the base surface must be non-characteristic")
-    b1 = 2.0 * a @ g1
-    basis = _hyperplane_basis(b1, Q.dim)
-    ar = basis @ a @ basis.T
-    sig = signature(ar)
-    if sig.n_zero == 0 and 0 in (sig.n_plus, sig.n_minus):
-        raise DegenerateConstraintSet(
-            "the null cone does not meet the tangent hyperplane: empty constraint set")
+    if plane is None:
+        a = Q(x0)
+        g1 = psi1.grad(x0)
+        if float(g1 @ a @ g1) <= tol_pos:
+            raise ContractViolation(
+                "surface field is not space-like at x0 (<Q dpsi1, dpsi1> <= 0); "
+                "the base surface must be non-characteristic")
+        plane = _hyperplane(a, 2.0 * a @ g1)
+    basis, ar, _ = plane
+    try:
+        r = lorentz_normal_form(ar)
+    except SignatureError:
+        sig = signature(ar)
+        if sig.n_zero == 0 and 0 in (sig.n_plus, sig.n_minus):
+            raise DegenerateConstraintSet(
+                "the null cone does not meet the tangent hyperplane: empty constraint set") from None
+        raise
     d = ar.shape[0]
     u = np.array([[-1.0], [1.0]]) if d == 2 else unit_sphere_seeds(n, d - 1, seed=seed)
-    xis = np.hstack([u, np.ones((len(u), 1))]) @ lorentz_normal_form(ar).T @ basis
+    xis = np.hstack([u, np.ones((len(u), 1))]) @ r.T @ basis
     xis /= np.linalg.norm(xis, axis=1, keepdims=True)
     return np.concatenate([xis, -xis]) if d == 2 else xis
 
 
 def compute_m0(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
-               tol_pos: float = DEFAULT_TOL_POS) -> float:
+               tol_pos: float = DEFAULT_TOL_POS, plane: Optional[tuple] = None) -> float:
     """Floor of |hp(psi0)| over the tangent null set of psi1 at x0.
 
     hp(psi0) = c . xi with the drift covector c = 2 Q dpsi0, so its square is
     the form c c^T and m0^2 = -max(-c c^T) over the set, computed exactly.
     The value is strictly positive for consistent inputs; at or below
-    tolerance it flags an inconsistency in the geometry.
+    tolerance it flags an inconsistency in the geometry.  ``plane`` is the
+    tangent hyperplane from ``_hyperplane`` when the caller has built it.
     """
     x0 = as_point(x0)
     a = Q(x0)
     c = 2.0 * a @ psi0.grad(x0)
-    found = null_cone_max(-np.outer(c, c), a, 2.0 * a @ psi1.grad(x0))
+    if plane is None:
+        plane = _hyperplane(a, 2.0 * a @ psi1.grad(x0))
+    found = _null_cone_max(-np.outer(c, c), plane)
     if found is None:
         raise DegenerateConstraintSet(
             "the null cone does not meet the tangent hyperplane: empty constraint set")
@@ -285,11 +299,6 @@ class Certificate:
             "fd_fallback": bool(self.fd_fallback),
             "notes": dict(self.notes),
         }
-
-    def sample_rows(self) -> list:
-        """Rows (xi..., res_p, res_hp, margin, margin_direct) for CSV export."""
-        return np.column_stack([self.samples, self.res_p, self.res_hp,
-                                self.margins, self.margins_direct]).tolist()
 
 
 def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
@@ -413,8 +422,10 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     space_like = float(g1 @ a @ g1)
     if space_like <= tol_pos:
         return _degenerate(x0, "space_like_base", {"q_dpsi1_dpsi1": space_like, "tol_pos": tol_pos})
-    xis = constraint_samples(Q, psi1, x0, n, seed=seed, tol_pos=tol_pos)
-    m0 = compute_m0(Q, psi0, psi1, x0, tol_pos=tol_pos)
+    b1 = 2.0 * a @ g1
+    plane = _hyperplane(a, b1)
+    xis = constraint_samples(Q, psi1, x0, n, seed=seed, tol_pos=tol_pos, plane=plane)
+    m0 = compute_m0(Q, psi0, psi1, x0, tol_pos=tol_pos, plane=plane)
     lambda0 = compute_lambda0(Q, psi1, x0, m0)
     lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
 
@@ -442,8 +453,7 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "
             f"(> {KEY_IDENTITY_RTOL:g}); derivative suppliers are inconsistent")
-    b1 = 2.0 * a @ g1
-    worst = null_cone_max(m_bent, a, b1)[0]
+    worst = _null_cone_max(m_bent, plane)[0]
     tripped = {}
     if not worst < -tol_pos:
         tripped["margin"] = {"worst_margin": worst, "required_below": -tol_pos}

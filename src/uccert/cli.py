@@ -12,7 +12,7 @@ collections are emitted in sorted order.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
 import functools
 import json
@@ -50,11 +50,14 @@ WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
 MAX_RAY_STEPS = 20_000
 
 
-def _write_atomic(path: str, data: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file written under a temporary name and renamed to path when
+    the block ends without raising, so that path is never partly written."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(data)
+    with open(tmp, "w", encoding="utf-8", newline="") as f:
+        yield f
     os.replace(tmp, path)
 
 
@@ -72,18 +75,67 @@ def _np_default(obj):
 
 def write_report(out_dir: str, payload: dict):
     payload = {"schema": SCHEMA, "version": __version__, **payload}
-    _write_atomic(os.path.join(out_dir, "report.json"),
-                  json.dumps(payload, indent=2, sort_keys=True, default=_np_default) + "\n")
+    with _atomic_file(os.path.join(out_dir, "report.json")) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True, default=_np_default) + "\n")
 
 
-def write_csv(out_dir: str, name: str, header: list, rows: list):
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, os.path.join(out_dir, name))
+# array rows formatted at a time: their cells are held as text until written
+CSV_BLOCK_ROWS = 1024
+
+# a CSV cell is quoted when it holds the delimiter, the quote or a line break
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _cell(value) -> str:
+    """A cell as the csv module's excel dialect writes it: str of the value,
+    '' for None, quoted with its quotes doubled when it needs quotes."""
+    text = "" if value is None else str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(values) -> list:
+    """The cells of one column.  A float64 or integer array is formatted once
+    per distinct value, floats per bit pattern (so -0.0 and 0.0 stay apart),
+    each as its shortest repr, which parses back to the same double."""
+    if not (isinstance(values, np.ndarray) and (values.dtype == np.float64 or values.dtype.kind in "iu")):
+        return [_cell(v) for v in values]
+    floats = values.dtype == np.float64
+    distinct, index = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[index].tolist()
+
+
+def _row(cells) -> str:
+    """A row of cells as one line; a row of one empty field is quoted, as the
+    csv module does, so that it reads back as a row."""
+    return ",".join(map(_cell, cells)) or ('""' if len(cells) == 1 else "")
+
+
+def write_csv(out_dir: str, name: str, header: list, rows, labels: tuple = ()):
+    """Write out_dir/name atomically as CSV in the excel dialect, with CRLF
+    line ends: byte for byte what ``csv.writer`` writes.
+
+    ``rows`` is a list of rows, or a 2-D array whose columns follow the
+    ``labels`` columns, each a column of one cell per array row.  Either way
+    ``len(rows)`` is the number of data rows.  An array is formatted
+    ``CSV_BLOCK_ROWS`` rows at a time, so the text held in memory stays bounded.
+    """
+    with _atomic_file(os.path.join(out_dir, name)) as f:
+        f.write(_row(header) + "\r\n")
+        if not isinstance(rows, np.ndarray):
+            f.writelines(line + "\r\n" for line in map(_row, rows))
+            return
+        for lo in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            table = rows[block]
+            columns = [_column(c[block]) for c in labels] + [_column(c) for c in table.T]
+            lines = list(map(",".join, zip(*columns))) if columns else [""] * len(table)
+            if len(columns) == 1:
+                lines = [line or '""' for line in lines]
+            f.write("\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +314,13 @@ def cmd_certify(args) -> int:
     write_report(args.out, payload)
     dim = model.geometry.dim
     header = [f"xi{i + 1}" for i in range(dim)] + ["res_p", "res_hp", "margin", "margin_direct"]
-    write_csv(args.out, "constraint_samples.csv", header, cert.sample_rows())
+    write_csv(args.out, "constraint_samples.csv", header, _sample_table(cert))
     return 0 if cert.status == "certified" else 1
+
+
+def _sample_table(cert) -> np.ndarray:
+    """One row per listed direction: (xi..., res_p, res_hp, margin, margin_direct)."""
+    return np.column_stack([cert.samples, cert.res_p, cert.res_hp, cert.margins, cert.margins_direct])
 
 
 def cmd_rays(args) -> int:
@@ -278,16 +335,22 @@ def cmd_rays(args) -> int:
     cert = certify(model.geometry, model.x0, lam=lam,
                    n=min(1000 if args.samples is None else args.samples, 1000),
                    tol_pos=args.tol_pos, seed=args.seed)
+    dim = model.geometry.dim
+    header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
+              + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
     if cert.status != "certified":
+        # the certificate says which gate tripped; no ray of an earlier run stays behind
         write_report(args.out, {"command": "rays", "model": model.name,
                                 "seed": args.seed, "passed": False,
-                                "reason": f"certification status {cert.status}"})
+                                "reason": f"certification status {cert.status}",
+                                "certificate": cert.to_dict()})
+        write_csv(args.out, "rays.csv", header, [])
         return 1
     psi0, psi1 = build_psi(model.geometry)
     bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))], name="bent")
     q = model.geometry.Q
     results = []
-    csv_rows = []
+    tables = []
     ok = True
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
@@ -297,8 +360,8 @@ def cmd_rays(args) -> int:
         rep = contact(traj, q, bent, s_fit=s_fit)
         results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})
         ok = ok and rep.tangency and rep.side == "below"
-        for row in traj.annotate(bent).rows():
-            csv_rows.append([ray_id, "bent"] + row)
+        t = traj.annotate(bent)
+        tables.append(np.column_stack([t.s, t.xs, t.xis, t.p_vals, t.psi_vals]))
         rep1 = contact(traj, q, psi1, s_fit=s_fit)
         results.append({"ray": ray_id, "field": "surface", **rep1.to_dict()})
         ok = ok and rep1.side == "above"
@@ -313,10 +376,9 @@ def cmd_rays(args) -> int:
         "passed": bool(ok),
     }
     write_report(args.out, payload)
-    dim = model.geometry.dim
-    header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
-              + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
-    write_csv(args.out, "rays.csv", header, csv_rows)
+    table = np.concatenate(tables)
+    ray_ids = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    write_csv(args.out, "rays.csv", header, table, labels=(ray_ids, ["bent"] * len(table)))
     return 0 if ok else 1
 
 

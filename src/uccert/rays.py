@@ -47,10 +47,6 @@ class RayTrajectory:
                              p_vals=self.p_vals, step=self.step,
                              truncated=self.truncated, psi_vals=vals)
 
-    def rows(self) -> list:
-        psi = np.full(len(self.s), np.nan) if self.psi_vals is None else self.psi_vals
-        return np.column_stack([self.s, self.xs, self.xis, self.p_vals, psi]).tolist()
-
 
 def _flow(Q: MetricField, x: np.ndarray, xi: np.ndarray):
     """The Hamiltonian vector field of p at each row of the (m, n) states (x, xi)."""

@@ -35,18 +35,27 @@ def signature(M) -> Signature:
     For a stack of matrices, shape (k, n, n), the counts are arrays of
     length k.
     """
+    return _signature_of(np.linalg.eigvalsh(_symmetric_part(M)))
+
+
+def _symmetric_part(M) -> np.ndarray:
+    """(M + M^T) / 2 of a matrix, or of each of a stack, that is symmetric to rounding."""
     m = np.asarray(M, dtype=float)
     mt = np.swapaxes(m, -1, -2)
     scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
     if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):
         raise ContractViolation("signature() requires a symmetric matrix")
-    ev = np.linalg.eigvalsh(0.5 * (m + mt))
+    return 0.5 * (m + mt)
+
+
+def _signature_of(ev: np.ndarray) -> Signature:
+    """The signature counts of the eigenvalues ev (last axis)."""
     band = np.expand_dims(ZERO_BAND * np.maximum(1.0, np.max(np.abs(ev), axis=-1)), -1)
     n_plus = np.sum(ev > band, axis=-1)
     n_minus = np.sum(ev < -band, axis=-1)
-    if m.ndim == 2:
+    if ev.ndim == 1:
         n_plus, n_minus = int(n_plus), int(n_minus)
-    return Signature(n_plus, n_minus, m.shape[-1] - n_plus - n_minus)
+    return Signature(n_plus, n_minus, ev.shape[-1] - n_plus - n_minus)
 
 
 def lorentz_normal_form(M) -> np.ndarray:
@@ -54,14 +63,14 @@ def lorentz_normal_form(M) -> np.ndarray:
 
     Built from the symmetric eigendecomposition with column rescaling and a
     reordering that places the negative direction last; no Gram-Schmidt on
-    the indefinite form is ever performed.
+    the indefinite form is ever performed.  The one eigendecomposition gives
+    both the signature check and R.
     """
-    m = np.asarray(M, dtype=float)
-    n = m.shape[0]
-    sig = signature(m)
+    ev, vec = np.linalg.eigh(_symmetric_part(M))
+    n = len(ev)
+    sig = _signature_of(ev)
     if sig != Signature(n - 1, 1, 0):
         raise SignatureError(f"normal form requires signature ({n - 1},1,0), got {tuple(sig)}")
-    ev, vec = np.linalg.eigh(0.5 * (m + m.T))
     r = vec / np.sqrt(np.abs(ev))[None, :]
     order = np.concatenate([np.flatnonzero(ev > 0), np.flatnonzero(ev < 0)])
     return r[:, order]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from uccert import build_psi, ik_model
+
+# a failing property prints its @reproduce_failure line, so that an example
+# that fails once in many runs can be replayed after the run
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

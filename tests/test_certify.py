@@ -9,6 +9,7 @@ from uccert import (PhasePoint, build_psi, certify, certify_fields, compute_lamb
                     unit_sphere_seeds)
 from uccert.certify import (EPS, _bisect_max, _taylor_metric, _taylor_scalar, _two_line_max,
                             null_cone_max)
+from uccert.cli import _sample_table
 from uccert.errors import (ContractViolation, DegenerateConstraintSet,
                            NondegeneracyViolation)
 from uccert.expressions import expression_field
@@ -177,7 +178,7 @@ class TestCertify:
 
 
 def _rows_per_sample(cert):
-    """The per-sample row builder that ``Certificate.sample_rows`` replaced."""
+    """The per-sample rows that the array table of ``constraint_samples.csv`` replaced."""
     return [list(map(float, xi)) + [float(rp), float(rh), float(m), float(md)]
             for xi, rp, rh, m, md in zip(cert.samples, cert.res_p, cert.res_hp,
                                          cert.margins, cert.margins_direct)]
@@ -205,17 +206,17 @@ class TestSampleRows:
         b1 = 2.0 * a @ build_psi(geo)[1].grad(x0)
         assert _bits(cert.res_p) == _bits(np.abs(quadratic_form_values(a, cert.samples)))
         assert _bits(cert.res_hp) == _bits(np.abs(cert.samples @ b1))
-        rows = cert.sample_rows()
+        table = _sample_table(cert)
         want = _rows_per_sample(cert)
-        assert len(rows) == cert.n_samples == len(cert.samples) > 0
-        assert all(type(v) is float for row in rows for v in row)
-        assert _bits(rows) == _bits(want)
+        assert table.shape == (cert.n_samples, geo.dim + 4) and cert.n_samples == len(cert.samples) > 0
+        assert table.dtype == np.float64
+        assert _bits(table) == _bits(want)
 
     def test_degenerate_certificate_has_no_rows(self, ik2, ik2_fields):
         q, psi0, psi1 = ik2_fields
         cert = certify_fields(q, psi1, psi0, ik2.x0, lam=2.0)
         assert cert.status == "degenerate"
-        assert cert.sample_rows() == []
+        assert len(_sample_table(cert)) == 0
 
 
 class TestSoundnessGates:
@@ -623,8 +624,12 @@ class TestTwoLineClosedForm:
     @given(forms)
     @example((0.3, 0.0, -9.9, 0.0, (0.5, -0.7, 0.2), 0.0))
     def test_witness_is_a_unit_null_vector(self, form):
+        # the forms act on the plane x1 = 0 of R^3, whose basis is (e2, e3) exactly
         mr, ar, _, _ = self._forms(*form)
-        value, witness = null_cone_max(mr, ar)
+        m, a = np.zeros((3, 3)), np.zeros((3, 3))
+        m[1:, 1:], a[1:, 1:] = mr, ar
+        value, witness = null_cone_max(m, a, np.array([1.0, 0.0, 0.0]))
+        assert witness[0] == 0.0
         assert abs(np.linalg.norm(witness) - 1.0) <= 4.0 * EPS
-        assert abs(witness @ ar @ witness) <= 8.0 * EPS * float(np.max(np.abs(ar)))
-        assert value >= witness @ mr @ witness - 8.0 * EPS * float(np.max(np.abs(mr)))
+        assert abs(witness @ a @ witness) <= 8.0 * EPS * float(np.max(np.abs(ar)))
+        assert value >= witness @ m @ witness - 8.0 * EPS * float(np.max(np.abs(mr)))

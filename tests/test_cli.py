@@ -280,6 +280,22 @@ class TestRaysCommand:
         monkeypatch.setattr(uccert.cli, "MAX_RAY_STEPS", 51)
         assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "b")]) == 2
 
+    def test_failed_gate_leaves_no_earlier_rays(self, tmp_path):
+        # a run that fails its certificate gate replaces the last run's rays
+        # with a header-only rays.csv, and its report carries the certificate
+        out = str(tmp_path / "r")
+        assert main(["rays", "--model", "ik2", "--lambda", "2", "--out", out]) == 0
+        path = os.path.join(out, "rays.csv")
+        assert os.path.getsize(path) > 10_000
+        assert main(["rays", "--model", "ik2", "--lambda", "0.5", "--out", out]) == 1
+        rep = read_report(out)
+        assert rep["reason"] == "certification status failed" and not rep["passed"]
+        cert = rep["certificate"]
+        assert cert["status"] == "failed" and "lambda_threshold" in cert["notes"]["gate"]
+        assert cert["notes"]["lambda_threshold"] == {"lambda_used": 0.5, "lambda0": cert["lambda0"]}
+        with open(path, "rb") as f:
+            assert f.read() == b"ray,field,s,x1,x2,x3,xi1,xi2,xi3,p,psi\r\n"
+
     def test_variable_metric_rays_are_tangent(self, tmp_path):
         # on bumpy_wave the cubic term of psi along a ray is nonzero; the
         # contact fit must not read it as a linear slope (a crossing)
