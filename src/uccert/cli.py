@@ -37,7 +37,7 @@ from .grids import bump_corpus, bump_superposition_values, make_grid, unit_box
 from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, GeometrySpec,
                          build_psi, check_assumptions, verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
-from .rays import contact, integrate_rays
+from .rays import contact_rays, integrate_rays
 
 SCHEMA = "ucp-report/1"
 
@@ -355,14 +355,13 @@ def cmd_rays(args) -> int:
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
     trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], ds, n_steps, two_sided=True)
-    for ray_id, traj in enumerate(trajs):
-        drift = max(drift, traj.conservation_defect())
-        rep = contact(traj, q, bent, s_fit=s_fit)
+    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=s_fit)
+    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=s_fit)
+    for ray_id, (t, rep, vals, rep1) in enumerate(zip(trajs, bent_reps, bent_vals, surface_reps)):
+        drift = max(drift, t.conservation_defect())
         results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})
         ok = ok and rep.tangency and rep.side == "below"
-        t = traj.annotate(bent)
-        tables.append(np.column_stack([t.s, t.xs, t.xis, t.p_vals, t.psi_vals]))
-        rep1 = contact(traj, q, psi1, s_fit=s_fit)
+        tables.append(np.column_stack([t.s, t.xs, t.xis, t.p_vals, vals]))
         results.append({"ray": ray_id, "field": "surface", **rep1.to_dict()})
         ok = ok and rep1.side == "above"
     payload = {
@@ -634,6 +633,8 @@ def _validate_args(args):
     for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam"):
         if getattr(args, name) is not None and getattr(args, name) <= 0:
             raise ContractViolation(f"{_flag(name)} must be positive")
+    if args.seed < 0:
+        raise ContractViolation(f"--seed must be non-negative, got {args.seed}")
     for name in ("samples", "grid", "tests", "n_pts", "max_rays", "corpus"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             raise ContractViolation(f"{_flag(name)} must be at least 1")

@@ -16,7 +16,6 @@ surface under the wedge region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
 
@@ -97,13 +96,68 @@ class HypothesisReport:
         }
 
 
-def _scan_points(box: np.ndarray, per_axis: int) -> np.ndarray:
-    return Grid(box, (per_axis - 1,) * len(box)).points()
+# scan nodes evaluated at a time: no array of every node's coordinates is formed
+_SCAN_SLAB_ROWS = 4096
 
 
 def _scan_resolution(n_target: int, dim: int) -> int:
     per_axis = int(np.ceil((6.0 * n_target) ** (1.0 / dim)))
     return int(np.clip(per_axis, 8, 41))
+
+
+def _scan_points(axes: list, rows: np.ndarray) -> np.ndarray:
+    """The scan grid's nodes at the flat C-order indices ``rows``, one per row."""
+    index = np.unravel_index(rows, tuple(len(ax) for ax in axes))
+    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+
+
+def _scan_residuals(spec: GeometrySpec, axes: list, selectors) -> dict:
+    """The level-set residual of each selector at every scan node, in C order.
+
+    The grid is walked in slabs of ``_SCAN_SLAB_ROWS`` nodes; each level-set
+    function that a selector needs is evaluated once per slab, and the
+    intersection's residual is the larger of the two surfaces'.
+    """
+    n_nodes = int(np.prod([len(ax) for ax in axes]))
+    phis = {"plus": spec.phi_plus, "minus": spec.phi_minus}
+    needed = {s for sel in selectors for s in (("plus", "minus") if sel == "intersection" else (sel,))}
+    res = {s: np.empty(n_nodes) for s in needed}
+    for lo in range(0, n_nodes, _SCAN_SLAB_ROWS):
+        pts = _scan_points(axes, np.arange(lo, min(lo + _SCAN_SLAB_ROWS, n_nodes)))
+        for s in needed:
+            res[s][lo:lo + len(pts)] = np.abs(phis[s].jet(pts, 0))
+    return {sel: np.maximum(res["plus"], res["minus"]) if sel == "intersection" else res[sel]
+            for sel in selectors}
+
+
+def _lowest(res: np.ndarray, k: int) -> np.ndarray:
+    """The first k (>= 1) indices of ``np.argsort(res, kind="stable")`` (ties
+    in index order, nan last), found by partial selection."""
+    if k >= len(res):
+        return np.argsort(res, kind="stable")
+    kth = np.partition(res, k - 1)[k - 1]
+    nan = np.isnan(kth)
+    head = np.flatnonzero(~np.isnan(res) if nan else res < kth)
+    head = head[np.argsort(res[head], kind="stable")]
+    ties = np.flatnonzero(np.isnan(res) if nan else res == kth)
+    return np.concatenate([head, ties[:k - len(head)]])
+
+
+def _scan_axes(spec: GeometrySpec) -> list:
+    per_axis = _scan_resolution(spec.n_surface_samples, spec.dim)
+    return Grid(spec.box, (per_axis - 1,) * spec.dim).axes()
+
+
+def _n_seeds(spec: GeometrySpec) -> int:
+    return max(4 * spec.n_surface_samples, 64)
+
+
+def _scan_seeds(spec: GeometrySpec, selectors) -> dict:
+    """Per selector, the scan nodes with the smallest residuals, lowest first:
+    one scan of the box for all of them."""
+    axes = _scan_axes(spec)
+    return {sel: _scan_points(axes, _lowest(res, _n_seeds(spec)))
+            for sel, res in _scan_residuals(spec, axes, selectors).items()}
 
 
 def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
@@ -160,7 +214,7 @@ def _level_fields(spec: GeometrySpec, which: str) -> list:
             "intersection": [spec.phi_plus, spec.phi_minus]}[which]
 
 
-def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
+def sample_surface(spec: GeometrySpec, which: str, *, seeds: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample points of one surface, or of the intersection, inside the box.
 
     A coarse grid scan selects seeds with the smallest level-set residuals
@@ -170,24 +224,26 @@ def sample_surface(spec: GeometrySpec, which: str) -> np.ndarray:
     perturbations of the points already found.  Non-convergent seeds are
     discarded.  Returns an array of shape (k, n); k may fall short of the
     requested count when the surface barely meets the box, and is 0 when it
-    misses the box entirely.  The procedure is deterministic.
+    misses the box entirely.  The procedure is deterministic.  ``seeds``
+    hands in the scan's seeds when a caller has scanned for several
+    surfaces at once.
     """
     if which not in ("plus", "minus", "intersection"):
         raise ContractViolation(f"unknown surface selector {which!r}")
     fields = _level_fields(spec, which)
     n_target = spec.n_surface_samples
     cap = 4 * n_target
-    per_axis = _scan_resolution(n_target, spec.dim)
-    pts = _scan_points(spec.box, per_axis)
-    res = np.max([np.abs(phi.jet(pts, 0)) for phi in fields], axis=0)
-    order = np.argsort(res, kind="stable")
+    if seeds is None:
+        seeds = _scan_seeds(spec, (which,))[which]
     slack = 1e-9 * float(np.max(np.abs(spec.box)))
-    n_seeds = max(cap, 64)
-    x, ok = _project(spec, fields, pts[order[:n_seeds]], slack)
+    x, ok = _project(spec, fields, seeds, slack)
     if not ok.any():
         # the lowest-residual scan points can all lie on the box faces, from
-        # which Newton steps outward: project the rest, in residual order
-        x, ok = _project(spec, fields, pts[order[n_seeds:]], slack)
+        # which Newton steps outward: scan again and project the rest, in
+        # residual order
+        axes = _scan_axes(spec)
+        order = np.argsort(_scan_residuals(spec, axes, (which,))[which], kind="stable")
+        x, ok = _project(spec, fields, _scan_points(axes, order[_n_seeds(spec):]), slack)
     arr = _dedupe(x[ok][:cap])
 
     # densify by perturbing known points tangentially and re-projecting, two
@@ -224,9 +280,9 @@ def check_assumptions(spec: GeometrySpec,
     uses raw gradients and is evaluated only at transversal intersection
     points (it degenerates to zero where the gradients are parallel).
     """
-    s_plus = sample_surface(spec, "plus")
-    s_minus = sample_surface(spec, "minus")
-    s_both = sample_surface(spec, "intersection")
+    seeds = _scan_seeds(spec, ("plus", "minus", "intersection"))
+    s_plus, s_minus, s_both = (sample_surface(spec, which, seeds=seeds[which])
+                               for which in ("plus", "minus", "intersection"))
     if len(s_plus) == 0 or len(s_minus) == 0 or len(s_both) == 0:
         raise InsufficientSamples(
             f"surface sampling failed (plus={len(s_plus)}, minus={len(s_minus)}, "
@@ -354,23 +410,28 @@ def verify_sublevel_inclusion(spec: GeometrySpec, samples: np.ndarray, lam: floa
     """
     if lam <= 0:
         raise ContractViolation("lam must be positive")
+    if not 0 < radius < np.inf:
+        raise ContractViolation(f"radius must be finite and positive, got {radius}")
+    if n_samples < 1:
+        raise ContractViolation(f"n_samples must be at least 1, got {n_samples}")
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples")
     psi0, psi1 = build_psi(spec)
-    rng = np.random.default_rng(seed)
-
-    def draw():                      # one try: its centre, direction and radius
-        c = samples[rng.integers(0, len(samples))]
-        u = rng.normal(size=spec.dim)
-        u *= radius * rng.random() ** (1.0 / spec.dim) / math.sqrt(u @ u)
-        return c + u
+    # a try's centre, direction and radius each come from their own stream,
+    # so the tries do not depend on how they are split into blocks
+    centres, directions, radii = (np.random.default_rng(s)
+                                  for s in np.random.SeedSequence(seed).spawn(3))
 
     # the first n_samples wedge points among the first 50 n_samples tries,
-    # tested a block of tries at a time (about a quarter of them fall in the wedge)
+    # drawn and tested a block at a time (about a quarter of them fall in the wedge)
     pts, tries = np.empty((0, spec.dim)), 0
     while len(pts) < n_samples and tries < 50 * n_samples:
-        block = np.array([draw() for _ in range(min(4 * (n_samples - len(pts)), 50 * n_samples - tries))])
-        tries += len(block)
+        m = min(4 * (n_samples - len(pts)), 50 * n_samples - tries)
+        c = samples[centres.integers(0, len(samples), size=m)]
+        u = directions.normal(size=(m, spec.dim))
+        u *= (radius * np.float_power(radii.random(m), 1.0 / spec.dim) / np.sqrt(np.vecdot(u, u)))[:, None]
+        block = c + u
+        tries += m
         wedge = (spec.phi_plus.jet(block, 0) > 0) & (spec.phi_minus.jet(block, 0) > 0)
         pts = np.concatenate([pts, block[wedge]])[:n_samples]
     if not len(pts):

@@ -156,11 +156,11 @@ class ContactReport:
         }
 
 
-def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
-            s_fit: float = 0.05, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
-    """Classify the contact of a ray with the level set {psi = 0}.
+def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = 0.05,
+                 tol_zero: float = DEFAULT_TOL_ZERO) -> tuple:
+    """Classify the contact of each ray with the level set {psi = 0}.
 
-    Least-squares quartic fit of psi along the ray over |s| <= s_fit, of
+    Least-squares quartic fit of psi along each ray over |s| <= s_fit, of
     which the constant, linear and quadratic coefficients are read (a
     quadratic fit over the symmetric window would fold about
     (3/5) s_fit^2 times the cubic coefficient into the linear one).
@@ -168,37 +168,58 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
     threshold; a tangent ray lies below (above) the surface when the fitted
     curvature is negative (positive).  The curvature is compared against
     the launch-point prediction, half of hp2(psi).
+
+    The rays share their launch point, at which Q and psi's second-order
+    jet are read once, and psi is evaluated once on every point of every
+    ray.  Returns one ``ContactReport`` per ray and the psi values along
+    each ray.
     """
-    i0 = traj.launch_index
-    x0, xi0 = traj.xs[i0], traj.xis[i0]
+    if not trajs:
+        return [], []
+    launch = [t.launch_index for t in trajs]
+    x0 = trajs[0].xs[launch[0]]
+    if any(not np.array_equal(t.xs[i0], x0) for t, i0 in zip(trajs, launch)):
+        raise ContractViolation("rays must share their launch point")
     q, dq = Q.jet(x0, 1)
     jet = psi.jet(x0, 2)            # the launch point's value, gradient, hp and hp2
     if abs(jet.value) > 10 * max(tol_zero, 1e-14):
         raise ContractViolation(
             f"ray must launch on the level set: |psi(x0)| = {abs(jet.value):.2e}")
-    mask = np.abs(traj.s) <= s_fit + 1e-15
-    if int(np.sum(mask)) < 5:
-        raise FitError(f"only {int(np.sum(mask))} samples inside the fit window")
-    s = traj.s[mask]
-    vals = psi.jet(traj.xs[mask], 0)
-    coef = np.polynomial.polynomial.polyfit(s, vals, 4)
-    intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
+    values = np.split(psi.jet(np.concatenate([t.xs for t in trajs]), 0),
+                      np.cumsum([len(t.xs) for t in trajs])[:-1])
+    grad_norm = np.linalg.norm(jet.grad)
+    reports = []
+    for traj, i0, vals in zip(trajs, launch, values):
+        xi0 = traj.xis[i0]
+        mask = np.abs(traj.s) <= s_fit + 1e-15
+        n_fit = int(np.sum(mask))
+        if n_fit < 5:
+            raise FitError(f"only {n_fit} samples inside the fit window")
+        coef = np.polynomial.polynomial.polyfit(traj.s[mask], vals[mask], 4)
+        intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
 
-    speed = float(np.linalg.norm(2.0 * q @ xi0))
-    tol_tan = DEFAULT_TOL_TAN_REL * max(np.linalg.norm(jet.grad) * speed, 1e-30)
-    tangent = abs(c1) <= tol_tan
-    predicted = 0.5 * float(_hp2_closed_form(q, dq, jet, xi0))
-    if not tangent:
-        side = "crossing"
-    elif c2 < 0:
-        side = "below"
-    else:
-        side = "above"
-    rel = abs(c2 - predicted) / abs(predicted) if predicted != 0 else abs(c2)
-    return ContactReport(
-        tangency=tangent, side=side, fitted_c2=c2, predicted_c2=predicted,
-        fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan,
-        notes={"hp_at_launch": float(_hp_closed_form(q, jet.grad, xi0)), "n_fit": int(np.sum(mask))})
+        speed = float(np.linalg.norm(2.0 * q @ xi0))
+        tol_tan = DEFAULT_TOL_TAN_REL * max(grad_norm * speed, 1e-30)
+        tangent = abs(c1) <= tol_tan
+        predicted = 0.5 * float(_hp2_closed_form(q, dq, jet, xi0))
+        if not tangent:
+            side = "crossing"
+        elif c2 < 0:
+            side = "below"
+        else:
+            side = "above"
+        rel = abs(c2 - predicted) / abs(predicted) if predicted != 0 else abs(c2)
+        reports.append(ContactReport(
+            tangency=tangent, side=side, fitted_c2=c2, predicted_c2=predicted,
+            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan,
+            notes={"hp_at_launch": float(_hp_closed_form(q, jet.grad, xi0)), "n_fit": n_fit}))
+    return reports, values
+
+
+def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
+            s_fit: float = 0.05, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
+    """Classify the contact of one ray: the one-ray case of ``contact_rays``."""
+    return contact_rays([traj], Q, psi, s_fit, tol_zero)[0][0]
 
 
 def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactReport:

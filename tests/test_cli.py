@@ -576,6 +576,24 @@ class TestCarlemanGates:
                 assert (got["wired"], got["tolerance"]) == (wired, 0.05)
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [["check", "--model", "ik2"], ["certify", "--model", "ik2"],
+                                      ["rays", "--model", "ik2"], ["corner", "--grid", "64"],
+                                      ["carleman", "--grid", "32"]])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main(argv + ["--seed", "-1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "--seed" in err
+        assert not os.path.exists(out)
+
+    def test_negative_seed_in_run_section_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = certify\nmodel = ik2\nseed = -1\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestRunFlagPrecedence:
     def test_explicit_flag_equal_to_its_default_beats_config(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -597,16 +615,22 @@ class TestRunFlagPrecedence:
 class TestCheckSampling:
     def test_check_samples_each_surface_once(self, tmp_path, monkeypatch):
         from uccert import hypotheses
-        calls = []
-        sample = hypotheses.sample_surface
+        calls, scans = [], []
+        sample, scan = hypotheses.sample_surface, hypotheses._scan_residuals
 
-        def counting(spec, which):
+        def counting(spec, which, **kw):
             calls.append(which)
-            return sample(spec, which)
+            return sample(spec, which, **kw)
+
+        def counting_scans(spec, axes, selectors):
+            scans.append(tuple(selectors))
+            return scan(spec, axes, selectors)
 
         monkeypatch.setattr(hypotheses, "sample_surface", counting)
+        monkeypatch.setattr(hypotheses, "_scan_residuals", counting_scans)
         assert main(["check", "--model", "ik2", "--out", str(tmp_path / "o")]) == 0
         assert sorted(calls) == ["intersection", "minus", "plus"]
+        assert scans == [("plus", "minus", "intersection")]
 
 
 class TestFewSurfaceSamples:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from uccert import hypotheses
 from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
                     sample_surface, verify_split_signs,
                     verify_sublevel_inclusion)
 from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
 from uccert.expressions import expression_field
-from uccert.hypotheses import _dedupe, _project, _scan_points, _scan_resolution
+from uccert.grids import Grid
+from uccert.hypotheses import _dedupe, _lowest, _project, _scan_resolution
 from uccert.models import cone_surface_field, get_model, negative_controls
 
 
@@ -174,16 +177,29 @@ class TestSublevelInclusion:
             verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
                                       lam=0.0, radius=0.1, n_samples=10)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.inf, np.nan])
+    def test_radius_not_finite_and_positive_rejected(self, ik2, radius):
+        with pytest.raises(ContractViolation, match="radius"):
+            verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                      lam=2.0, radius=radius, n_samples=10)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_requested_samples_rejected(self, ik2, n_samples):
+        with pytest.raises(ContractViolation, match="n_samples"):
+            verify_sublevel_inclusion(ik2.geometry, sample_surface(ik2.geometry, "intersection"),
+                                      lam=2.0, radius=0.1, n_samples=n_samples)
+
     @staticmethod
     def _loop_wedge_points(spec, radius, n_samples, seed, base):
-        """The per-try rejection loop that the blocked wedge test replaced."""
-        rng = np.random.default_rng(seed)
+        """A per-try rejection loop, one try at a time from the three streams."""
+        centres, directions, radii = (np.random.default_rng(s)
+                                      for s in np.random.SeedSequence(seed).spawn(3))
         pts, tries = [], 0
         while len(pts) < n_samples and tries < 50 * n_samples:
             tries += 1
-            c = base[rng.integers(0, len(base))]
-            u = rng.normal(size=spec.dim)
-            u *= radius * rng.random() ** (1.0 / spec.dim) / np.linalg.norm(u)
+            c = base[centres.integers(0, len(base))]
+            u = directions.normal(size=spec.dim)
+            u *= radius * radii.random() ** (1.0 / spec.dim) / np.linalg.norm(u)
             x = c + u
             if spec.phi_plus(x) > 0 and spec.phi_minus(x) > 0:
                 pts.append(x)
@@ -243,7 +259,7 @@ def _loop_sample(spec, which):
     fields = {"plus": [spec.phi_plus], "minus": [spec.phi_minus],
               "intersection": [spec.phi_plus, spec.phi_minus]}[which]
     n = spec.n_surface_samples
-    pts = _scan_points(spec.box, _scan_resolution(n, spec.dim))
+    pts = Grid(spec.box, (_scan_resolution(n, spec.dim) - 1,) * spec.dim).points()
     res = np.max([[abs(phi(p)) for p in pts] for phi in fields], axis=0)
     slack = 1e-9 * float(np.max(np.abs(spec.box)))
 
@@ -283,7 +299,7 @@ def test_project_drops_rows_that_are_not_finite():
                         expression_field("norm(x2, x3) - 1 - x1 + sqrt(x1)*0", 3),
                         expression_field("norm(x2, x3) - 1 + x1", 3), box=box)
     fields = [spec.phi_plus, spec.phi_minus]
-    seeds = _scan_points(box, 7)
+    seeds = Grid(box, (6, 6, 6)).points()
     finite = seeds[:, 0] >= 0.0
     x, ok = _project(spec, fields, seeds, 1e-9)
     x_alone, ok_alone = _project(spec, fields, seeds[finite], 1e-9)
@@ -332,6 +348,39 @@ class TestBatchedAgainstPointLoops:
         got, ref = sample_surface(spec, which), _loop_sample(spec, which)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name", sorted(ORACLE))
+    def test_check_scans_once_and_samples_as_the_public_call(self, name, monkeypatch):
+        # one slab scan serves the three surfaces, and no array of every scan
+        # node is formed; a surface none of whose seeds converges (the cap's
+        # intersection) scans again for the rest of the nodes
+        spec = ORACLE[name]
+        want = {w: sample_surface(spec, w) for w in ("plus", "minus", "intersection")}
+        got, scans = {}, []
+        sample, scan = hypotheses.sample_surface, hypotheses._scan_residuals
+
+        def recording(spec, which, **kw):
+            got[which] = sample(spec, which, **kw)
+            return got[which]
+
+        def counting(spec, axes, selectors):
+            scans.append(tuple(selectors))
+            return scan(spec, axes, selectors)
+
+        def no_points(self):
+            raise AssertionError("the scan formed every node of its grid")
+
+        monkeypatch.setattr(Grid, "points", no_points)
+        monkeypatch.setattr(hypotheses, "sample_surface", recording)
+        monkeypatch.setattr(hypotheses, "_scan_residuals", counting)
+        if all(len(v) for v in want.values()):
+            check_assumptions(spec)
+        else:
+            with pytest.raises(InsufficientSamples):
+                check_assumptions(spec)
+        assert scans == [("plus", "minus", "intersection")] + [(w,) for w, v in want.items() if not len(v)]
+        for which, pts in want.items():
+            assert got[which].shape == pts.shape and got[which].tobytes() == pts.tobytes()
+
     @pytest.mark.parametrize("name", ["ik2", "bumpy", "ctrl-b"])
     def test_checks_equal_point_loops(self, name):
         spec = ORACLE[name]
@@ -379,3 +428,17 @@ class TestBatchedAgainstPointLoops:
         first = next(p for p in pts if p[0] + 1e-3 < 0)
         assert sig.status == "fail" and sig.witness == [float(v) for v in first]
         assert sig.margin == 0.0
+
+
+_residuals = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, np.inf, -np.inf, np.nan])
+                      | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=60)
+
+
+@given(res=_residuals)
+def test_lowest_is_the_head_of_a_stable_argsort(res):
+    # heavy ties from the sampled values, nan and inf, and every k up to past the length
+    res = np.array(res)
+    order = np.argsort(res, kind="stable")
+    for k in range(1, len(res) + 3):
+        got = _lowest(res, k)
+        assert got.dtype.kind == "i" and got.tolist() == order[:k].tolist()

@@ -1,11 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uccert import (PhasePoint, constant_metric, contact, hp2, integrate, integrate_rays,
-                    launch_and_classify, linear_combination, squared_field)
+from uccert import (PhasePoint, build_psi, certify, constant_metric, contact, contact_rays, hp2,
+                    integrate, integrate_rays, launch_and_classify, linear_combination,
+                    squared_field)
+from uccert.cli import geometry_from_config
 from uccert.errors import ContractViolation, FitError
-from uccert.models import bumpy_wave_metric
+from uccert.models import bumpy_wave_metric, get_model
 
 SQ2 = np.sqrt(2.0)
 
@@ -258,3 +263,54 @@ class TestBatchedRaysAgainstPointLoop:
         for x0, xis in ((ik2.x0, np.ones(3)), (ik2.x0, np.ones((2, 2))), (np.ones(2), np.ones((2, 3)))):
             with pytest.raises(ContractViolation):
                 integrate_rays(q, x0, xis, 1e-2, 5)
+
+
+# ---------------------------------------------------------------------------
+# contact of a batch of rays against the one-ray contact
+# ---------------------------------------------------------------------------
+
+_BUMPY = {"dim": "3", "metric": "bumpy_wave(2, 0.05)", "phi_plus": "norm(x2, x3) - 1 - x1",
+          "phi_minus": "norm(x2, x3) - 1 + x1", "box": "-0.4:0.4, 0.6:1.4, -0.4:0.4", "x0": "0, 1, 0"}
+
+
+def _rays_case(name):
+    """(Q, (bent, psi1), trajectories) of the rays command at its defaults on
+    a model, or on ik2 in a domain box that cuts two of three rays short."""
+    if name == "truncated":
+        geo, x0 = get_model("ik2").geometry, np.array([0.0, 1.0, 0.0])
+        box = np.array([[-0.02, 0.35], [0.5, 1.5], [-2.0, 2.0]])
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
+        xis = np.array([[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])
+    else:
+        model = geometry_from_config(_BUMPY) if name == "bumpy" else get_model(name)
+        geo, x0, q = model.geometry, model.x0, model.geometry.Q
+        xis = certify(geo, x0, lam=2.0, n=1000, seed=0).samples[:8]
+    psi0, psi1 = build_psi(geo)
+    bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
+    trajs = integrate_rays(q, x0, xis, 1e-3, math.ceil(0.05 / 1e-3) + 2, two_sided=True)
+    return q, (bent, psi1), trajs
+
+
+@pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "bumpy", "truncated"])
+def test_contact_rays_equals_the_one_ray_contact(name):
+    q, fields, trajs = _rays_case(name)
+    if name == "truncated":
+        assert [t.truncated for t in trajs] == [True, True, False]
+    for psi in fields:
+        reports, values = contact_rays(trajs, q, psi, s_fit=0.05)
+        assert len(reports) == len(values) == len(trajs)
+        for traj, rep, vals in zip(trajs, reports, values):
+            one = contact(traj, q, psi, s_fit=0.05)
+            assert dataclasses.astuple(rep) == dataclasses.astuple(one)
+            want = traj.annotate(psi).psi_vals
+            assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
+
+
+def test_contact_rays_needs_one_launch_point(ik2, ik2_fields):
+    q, _, psi1 = ik2_fields
+    xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
+    here = integrate(q, PhasePoint(ik2.x0, xi), 1e-3, 52, two_sided=True)
+    there = integrate(q, PhasePoint([0.0, 0.0, 1.0], xi), 1e-3, 52, two_sided=True)
+    assert contact_rays([here, here], q, psi1)[0][0] == contact(here, q, psi1)
+    with pytest.raises(ContractViolation, match="launch point"):
+        contact_rays([here, there], q, psi1)
