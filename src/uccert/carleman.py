@@ -57,7 +57,7 @@ def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
         e = np.exp(u.value)
         return u.chain(np.expm1(u.value), e, e)
 
-    phi = ScalarField.from_jet(jet, name=f"expm1({mu:g}*psi)", analytic=psi.analytic)
+    phi = ScalarField(jet, name=f"expm1({mu:g}*psi)")
     return WeightSpec(psi=psi, mu=float(mu), phi=phi)
 
 

@@ -283,7 +283,6 @@ class Certificate:
     res_p: np.ndarray = dc_field(default_factory=lambda: np.empty(0))           # |xi^T Q xi|
     res_hp: np.ndarray = dc_field(default_factory=lambda: np.empty(0))          # |xi . b1|
     route_disagreement: float = 0.0
-    fd_fallback: bool = False
     notes: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -296,7 +295,6 @@ class Certificate:
             "n_samples": int(self.n_samples),
             "status": self.status,
             "route_disagreement": float(self.route_disagreement),
-            "fd_fallback": bool(self.fd_fallback),
             "notes": dict(self.notes),
         }
 
@@ -361,7 +359,7 @@ def _frozen(part) -> np.ndarray:
 
 def _taylor_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
     """The first-order Taylor model of Q at x0 from its jet (q, dq) there, with
-    Q's name, domain box and analytic flag; at x0 it gives q and dq bit for bit."""
+    Q's name and domain box; at x0 it gives q and dq bit for bit."""
     q, dq = _frozen(q), _frozen(dq)
 
     def jet(x, order):
@@ -372,15 +370,13 @@ def _taylor_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
             value = np.where(at[..., None, None], q, q + np.tensordot(x - x0, dq, axes=1))
         return value if order == 0 else (value, np.broadcast_to(dq, x.shape[:-1] + dq.shape))
 
-    model = MetricField.from_jet(Q.dim, jet, domain_box=Q.domain_box, name=Q.name)
-    model.analytic = Q.analytic
-    return model
+    return MetricField(Q.dim, jet, domain_box=Q.domain_box, name=Q.name)
 
 
 def _taylor_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
     """The second-order Taylor model of f at x0 from its jet there, with f's
-    name and analytic flag; at x0 (also as a batch row) it gives that jet bit
-    for bit, where the polynomial would turn a -0.0 into 0.0."""
+    name; at x0 (also as a batch row) it gives that jet bit for bit, where the
+    polynomial would turn a -0.0 into 0.0."""
     v, g, h = jet.value, _frozen(jet.grad), _frozen(jet.hess)
 
     def model(x, order):
@@ -397,7 +393,7 @@ def _taylor_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
             return value
         return Jet(value, grad, np.broadcast_to(h, x.shape + h.shape[-1:]) if order == 2 else None)
 
-    return ScalarField.from_jet(model, name=f.name, analytic=f.analytic)
+    return ScalarField(model, name=f.name)
 
 
 def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
@@ -468,9 +464,7 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
         status="failed" if tripped else "certified",
         margins=margins, margins_direct=margins_direct, samples=xis,
         res_p=np.abs(quadratic_form_values(a, xis)), res_hp=np.abs(xis @ b1),
-        route_disagreement=worst_rel,
-        fd_fallback=not (Q.analytic and psi0.analytic and psi1.analytic),
-        notes=notes)
+        route_disagreement=worst_rel, notes=notes)
 
 
 def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,

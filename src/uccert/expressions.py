@@ -172,4 +172,4 @@ def expression_field(text: str, dim: int, name: str = "") -> ScalarField:
                 return node.ev(Jet.variables(x, order))
             return node.ev(x.tolist() if x.ndim == 1 else x.T)
 
-    return ScalarField.from_jet(jet, name=name or text)
+    return ScalarField(jet, name=name or text)

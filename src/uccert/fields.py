@@ -5,40 +5,19 @@ safe to evaluate concurrently.  Each field evaluates through one jet function,
 at one point or on a (k, n) batch of points: a scalar field gives its value,
 or its value with gradient and Hessian as a forward-mode ``Jet``, and derived
 fields are jet arithmetic on their parts; a metric field gives its matrix,
-or the matrix with its partial derivatives.  Analytic derivative suppliers are
-optional: when absent, central finite differences with a step proportional to
-the local coordinate scale are used and the field is flagged as non-analytic
-so callers can record the fallback in their reports.
+or the matrix with its partial derivatives.  A chart is one jet function as
+well, so a field pulled back through it is the chain rule on exact jets.  No
+derivative in this module is a finite difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-
-# Relative step for central finite differences; O(h^2) error is far below
-# the certification tolerances used downstream.
-FD_REL_STEP = 1e-4
-
-
-def _fd_step(x: np.ndarray) -> float:
-    return FD_REL_STEP * max(1.0, float(np.max(np.abs(x))))
-
-
-def _partial(fn: Callable, x: np.ndarray, j: int):
-    """d fn / dx_j at x by central differences."""
-    e = np.zeros_like(x)
-    e[j] = h = _fd_step(x)
-    return (fn(x + e) - fn(x - e)) / (2.0 * h)
-
-
-def _central_difference(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """All partials of fn at x by central differences, stacked along the last axis."""
-    return np.stack([_partial(fn, x, j) for j in range(x.size)], axis=-1)
 
 
 def as_point(x) -> np.ndarray:
@@ -71,48 +50,19 @@ class PhasePoint:
 class MetricField:
     """x -> symmetric n x n coefficient matrix Q(x) of a second-order symbol.
 
-    ``jet(x, order)`` is the only evaluation path, at one point or on a (k, n)
-    batch: order 0 gives Q, of shape (n, n) or (k, n, n), order 1 the pair
-    (Q, dQ) with dQ[..., j, :, :] = dQ/dx_j; ``__call__`` and ``deriv`` read
-    it.  Build a field from a jet function with ``from_jet``, or from a
-    matrix supplier of one point and an optional partial supplier
-    ``deriv_fn(x, j)``, run row by row on a batch (without ``deriv_fn`` the
-    partials are central finite differences on the matrix).
+    The field is one jet function ``jet_fn(x, order)``, which takes one point
+    or a (k, n) batch: order 0 gives Q, of shape (n, n) or (k, n, n), order 1
+    the pair (Q, dQ) with dQ[..., j, :, :] = dQ/dx_j.  ``jet`` checks the
+    shapes it returns; ``__call__`` and ``deriv`` read it.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        eval_fn: Callable[[np.ndarray], np.ndarray],
-        deriv_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
-        domain_box: Optional[np.ndarray] = None,
-        name: str = "",
-    ):
+    def __init__(self, dim: int, jet_fn: Callable, domain_box=None, name: str = ""):
         if dim < 1:
             raise ContractViolation("dim must be >= 1")
-
-        def value(x):
-            return np.asarray(eval_fn(x), dtype=float)
-
-        partial = deriv_fn or (lambda x, j: _partial(value, x, j))
-
-        def point_jet(x, order):
-            q = value(x)
-            return q if order == 0 else (q, np.array([partial(x, j) for j in range(x.size)], dtype=float))
-
         self.dim = int(dim)
-        self._jet = _rowwise(point_jet, rank=2)
-        self.analytic = deriv_fn is not None
+        self._jet = jet_fn
         self.domain_box = None if domain_box is None else np.asarray(domain_box, dtype=float)
         self.name = name
-
-    @classmethod
-    def from_jet(cls, dim: int, jet_fn: Callable, domain_box=None, name: str = "") -> "MetricField":
-        """Field from an exact ``jet_fn(x, order)``, which takes one point or a
-        (k, n) batch at orders 0 and 1 and returns what ``jet`` returns."""
-        field = cls(dim, None, domain_box=domain_box, name=name)
-        field._jet, field.analytic = jet_fn, True
-        return field
 
     def jet(self, x, order: int = 1):
         """Q (order 0) or the pair (Q, dQ) (order 1), at a point or at each row of a batch."""
@@ -153,7 +103,7 @@ def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
         q = np.broadcast_to(m, x.shape[:-1] + m.shape)
         return q if order == 0 else (q, np.broadcast_to(zero, x.shape[:-1] + zero.shape))
 
-    return MetricField.from_jet(m.shape[0], jet, domain_box=domain_box, name=name)
+    return MetricField(m.shape[0], jet, domain_box=domain_box, name=name)
 
 
 def power(base, p: float):
@@ -267,80 +217,19 @@ class Jet:
         return self.chain(power(v, p), p * power(v, p - 1.0), f2)
 
 
-def _rowwise(point_jet: Callable, rank: int = 0) -> Callable:
-    """A jet function of one point, extended to a (k, n) batch row by row: the
-    value of a field of tensor rank ``rank`` (0 for a scalar, 2 for a matrix)
-    and its derivative of order i are stacked to shape (k,) + (n,) * (rank + i),
-    and come back as a ``Jet`` for a scalar, as a tuple for a matrix."""
-
-    def jet(x, order):
-        if x.ndim == 1:
-            return point_jet(x, order)
-        rows = [point_jet(p, order) for p in x]
-        if order == 0:
-            rows = [(r,) for r in rows]
-        elif rank == 0:
-            rows = [(r.value, r.grad, r.hess) for r in rows]
-        parts = [np.array([r[i] for r in rows], dtype=float).reshape(x.shape[:1] + x.shape[1:] * (rank + i))
-                 for i in range(order + 1)]
-        if order == 0:
-            return parts[0]
-        return Jet(*parts) if rank == 0 else tuple(parts)
-
-    return jet
-
-
 class ScalarField:
     """x -> psi(x), with gradient and Hessian, through one jet function.
 
-    ``jet(x, order)`` is the only evaluation path, for one point or a (k, n)
-    batch of points: order 0 gives the value (a float, or a (k,) array),
-    orders 1 and 2 give a ``Jet``; ``__call__``, ``grad`` and ``hess`` read
-    it.  Build a field from a jet function with ``from_jet``, or from value,
-    gradient and Hessian suppliers of one point (a batch then runs them row
-    by row); missing suppliers fall back to central finite differences on
-    the value (gradient) or on the gradient (Hessian, symmetrized).
+    The field is one jet function ``jet_fn(x, order)``, which takes one point
+    or a (k, n) batch at every order and may return a plain number for a
+    constant.  ``jet`` gives, at order 0, the value (a float, or a (k,)
+    array), and at orders 1 and 2 a ``Jet``; ``__call__``, ``grad`` and
+    ``hess`` read it.
     """
 
-    def __init__(
-        self,
-        eval_fn: Callable[[np.ndarray], float],
-        grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        name: str = "",
-    ):
-        def value(x):
-            return float(eval_fn(x))
-
-        def supplied_grad(x):
-            if grad_fn is None:
-                return _central_difference(value, x)
-            return np.asarray(grad_fn(x), dtype=float)
-
-        def supplied_hess(x):
-            if hess_fn is None:
-                m = _central_difference(supplied_grad, x)
-                return 0.5 * (m + m.T)
-            return np.asarray(hess_fn(x), dtype=float)
-
-        def point_jet(x, order):
-            if order == 0:
-                return value(x)
-            return Jet(value(x), supplied_grad(x), supplied_hess(x) if order == 2 else None)
-
-        self._jet = _rowwise(point_jet)
-        self.analytic = grad_fn is not None and hess_fn is not None
+    def __init__(self, jet_fn: Callable, name: str = ""):
+        self._jet = jet_fn
         self.name = name
-
-    @classmethod
-    def from_jet(cls, jet_fn: Callable, name: str = "", analytic: bool = True) -> "ScalarField":
-        """Field from ``jet_fn(x, order)``, which takes one point or a (k, n)
-        batch at every order and may return a plain number for a constant."""
-        field = cls.__new__(cls)
-        field._jet = jet_fn
-        field.analytic = analytic
-        field.name = name
-        return field
 
     def jet(self, x, order: int = 2):
         """Order 0: the value at a point, or the values at the rows of a (k, n)
@@ -370,14 +259,12 @@ class ScalarField:
 def linear_combination(terms: Sequence[tuple], name: str = "") -> ScalarField:
     """Weighted sum of scalar fields."""
     terms = [(float(c), f) for c, f in terms]
-    return ScalarField.from_jet(lambda x, order: sum(c * f.jet(x, order) for c, f in terms),
-                                name=name, analytic=all(f.analytic for _, f in terms))
+    return ScalarField(lambda x, order: sum(c * f.jet(x, order) for c, f in terms), name=name)
 
 
 def product_field(f: ScalarField, g: ScalarField, name: str = "") -> ScalarField:
     """Pointwise product of two scalar fields."""
-    return ScalarField.from_jet(lambda x, order: f.jet(x, order) * g.jet(x, order),
-                                name=name, analytic=f.analytic and g.analytic)
+    return ScalarField(lambda x, order: f.jet(x, order) * g.jet(x, order), name=name)
 
 
 def squared_field(f: ScalarField, name: str = "") -> ScalarField:
@@ -385,63 +272,58 @@ def squared_field(f: ScalarField, name: str = "") -> ScalarField:
 
 
 class Chart:
-    """Local diffeomorphism y -> x with Jacobian and inverse.
+    """Local diffeomorphism y -> x, written once as a jet function.
 
-    ``jacobian(y)`` has columns dx/dy_i.  When no analytic Jacobian is given
-    it is produced by central differences on ``forward``.  Second derivatives
-    of the component maps (needed to transport Hessians) always come from
-    central differences on the Jacobian.
+    ``forward_jet(y)`` takes one point or a (k, n) batch and returns the
+    components of x as second-order jets in y, that is, arithmetic on
+    ``Jet.variables(y, 2)``; ``inverse(x)`` maps one point back.  The point x,
+    the Jacobian J[..., i, j] = dx_i/dy_j and its partials
+    dJ[..., i, j, l] = d^2 x_i / dy_j dy_l are all read from that one jet.
     """
 
-    def __init__(
-        self,
-        forward: Callable[[np.ndarray], np.ndarray],
-        inverse: Callable[[np.ndarray], np.ndarray],
-        jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        name: str = "",
-    ):
-        self._forward = forward
+    def __init__(self, forward_jet: Callable, inverse: Callable, name: str = ""):
+        self._forward_jet = forward_jet
         self._inverse = inverse
-        self._jacobian = jacobian
         self.name = name
 
+    def jet(self, y):
+        """(x, J, dJ) at the point y, or at each row of a (k, n) batch."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2):
+            raise ContractViolation(f"y must be a point or a (k, n) batch, got shape {y.shape}")
+        xs = self._forward_jet(y)
+        return (np.stack([c.value for c in xs], axis=-1), np.stack([c.grad for c in xs], axis=-2),
+                np.stack([c.hess for c in xs], axis=-3))
+
     def forward(self, y) -> np.ndarray:
-        return np.asarray(self._forward(as_point(y)), dtype=float)
+        return self.jet(y)[0]
+
+    def jacobian(self, y) -> np.ndarray:
+        return self.jet(y)[1]
 
     def inverse(self, x) -> np.ndarray:
         return np.asarray(self._inverse(as_point(x)), dtype=float)
 
-    def jacobian(self, y) -> np.ndarray:
-        y = as_point(y)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(y), dtype=float)
-        return _central_difference(self.forward, y)
-
-    def jacobian_partial(self, y, j: int) -> np.ndarray:
-        """d/dy_j of the Jacobian matrix, by central differences."""
-        return _partial(self.jacobian, as_point(y), j)
-
 
 def pullback_scalar(f: ScalarField, chart: Chart, name: str = "") -> ScalarField:
-    """Compose a scalar field with a chart, transporting gradient and Hessian.
+    """Compose a scalar field with a chart, by the chain rule on jets.
 
-    grad(f o k)(y) = J(y)^T grad f(k(y));  the Hessian picks up the extra
-    curvature term sum_k (d_k f) Hess(k_k) from the chart's second derivatives.
+    With g and H the gradient and Hessian of f at x = k(y):
+    grad(f o k)(y) = J^T g and Hess(f o k)(y) = J^T H J + sum_i g_i d^2 x_i.
     """
 
     def jet(y, order):
-        fx = f.jet(chart.forward(y), order)
         if order == 0:
-            return fx
-        jac = chart.jacobian(y)
-        grad = jac.T @ fx.grad
+            return f.jet(chart.forward(y), 0)
+        x, jac, djac = chart.jet(y)
+        fx = f.jet(x, order)
+        jt = np.swapaxes(jac, -1, -2)
+        grad = (jt @ fx.grad[..., None])[..., 0]
         if order == 1:
             return Jet(fx.value, grad)
-        hout = jac.T @ fx.hess @ jac
-        for j in range(y.size):
-            # jacobian_partial[:, i][k] = d^2 k_k / dy_j dy_i
-            hout[j, :] += chart.jacobian_partial(y, j).T @ fx.grad
-        return Jet(fx.value, grad, 0.5 * (hout + hout.T))
+        n, lead = y.shape[-1], y.shape[:-1]
+        curvature = (fx.grad[..., None, :] @ djac.reshape(lead + (n, n * n))).reshape(lead + (n, n))
+        hess = jt @ fx.hess @ jac + curvature
+        return Jet(fx.value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
-    return ScalarField.from_jet(_rowwise(jet), name=name or (f.name + "_chart" if f.name else ""),
-                                analytic=f.analytic)
+    return ScalarField(jet, name=name or (f.name + "_chart" if f.name else ""))

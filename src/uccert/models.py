@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ChartError, ContractViolation
 from .fields import (Chart, Jet, MetricField, ScalarField, constant_metric,
                      linear_combination, squared_field)
 from .hypotheses import GeometrySpec, build_psi
@@ -41,7 +41,7 @@ def cone_surface_field(d: int, radial_sign: float, t_coeff: float) -> ScalarFiel
         h[..., 1:, 1:] = s * (eye - yhat[..., :, None] * yhat[..., None, :]) / r[..., None, None]
         return Jet(value, g, h)
 
-    return ScalarField.from_jet(jet, name=f"{s:+g}*(|y|-1){a:+g}*t")
+    return ScalarField(jet, name=f"{s:+g}*(|y|-1){a:+g}*t")
 
 
 def _default_box(d: int) -> np.ndarray:
@@ -141,7 +141,9 @@ def flattening_chart(model: ModelSpec, x0) -> Chart:
     (projective angles), which keeps the chart smooth away from y = 0.  In
     the pulled-back coefficient matrix the (1,1) and (2,2) entries vanish on
     the whole chart domain because both cone functions solve the eikonal
-    equation globally.
+    equation globally.  The inverse covers the open half-space of points
+    whose spatial part has a positive component along the base direction,
+    and raises ChartError elsewhere.
     """
     x0 = np.asarray(x0, dtype=float)
     geo = model.geometry
@@ -149,50 +151,32 @@ def flattening_chart(model: ModelSpec, x0) -> Chart:
         raise ContractViolation("chart base point must lie on the surface intersection")
     d = model.d
     y0 = x0[1:]
-    r0 = np.linalg.norm(y0)
-    yhat0 = y0 / r0
+    yhat0 = y0 / np.linalg.norm(y0)
     # orthonormal completion of yhat0
     basis = np.linalg.svd(yhat0.reshape(1, -1))[2][1:]
 
-    def forward(y):
-        y1, y2, z = y[0], y[1], y[2:]
+    def forward_jet(y):
+        y1, y2, *z = Jet.variables(y, 2)
         r = 1.0 + 0.5 * (y1 + y2)
-        t = 0.5 * (y2 - y1)
-        w = yhat0 + basis.T @ z
-        direction = w / np.linalg.norm(w)
-        out = np.empty(d + 1)
-        out[0] = t
-        out[1:] = r * direction
-        return out
+        w = [yhat0[a] + sum(basis[i, a] * z[i] for i in range(d - 1)) for a in range(d)]
+        scale = r * sum(c * c for c in w) ** -0.5
+        return [0.5 * (y2 - y1)] + [scale * c for c in w]
 
     def inverse(x):
         t, yy = x[0], x[1:]
+        along = float(yy @ yhat0)
+        if not along > 0.0:
+            raise ChartError(f"{x} is not in the chart's half-space: its spatial part has "
+                             f"component {along:.3e} along the base direction")
         r = np.linalg.norm(yy)
         direction = yy / r
-        denom = float(direction @ yhat0)
         out = np.empty(d + 1)
         out[0] = r - 1.0 - t
         out[1] = r - 1.0 + t
-        out[2:] = (basis @ direction) / denom
+        out[2:] = (basis @ direction) / float(direction @ yhat0)
         return out
 
-    def jacobian(y):
-        y1, y2, z = y[0], y[1], y[2:]
-        r = 1.0 + 0.5 * (y1 + y2)
-        w = yhat0 + basis.T @ z
-        nw = np.linalg.norm(w)
-        direction = w / nw
-        jac = np.zeros((d + 1, d + 1))
-        jac[0, 0] = -0.5
-        jac[0, 1] = 0.5
-        jac[1:, 0] = 0.5 * direction
-        jac[1:, 1] = 0.5 * direction
-        for i in range(d - 1):
-            u = basis[i]
-            jac[1:, 2 + i] = r * (u - direction * float(direction @ u)) / nw
-        return jac
-
-    return Chart(forward, inverse, jacobian, name=f"flatten-{model.name}")
+    return Chart(forward_jet, inverse, name=f"flatten-{model.name}")
 
 
 def carleman_section(lam: float = 2.0):
@@ -237,4 +221,4 @@ def bumpy_wave_metric(d: int, amp: float = 0.05, seed: int = 11) -> MetricField:
         # dQ/dx_j = dL_j^T D L + L^T D dL_j, axis j ahead of the matrix axes
         return q, np.swapaxes(dl, -1, -2) @ dmat @ l[..., None, :, :] + ltd[..., None, :, :] @ dl
 
-    return MetricField.from_jet(n, jet, name=f"bumpy_wave{d}(amp={amp:g})")
+    return MetricField(n, jet, name=f"bumpy_wave{d}(amp={amp:g})")

@@ -165,34 +165,48 @@ def quadratic_form_values(M, xis: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", xis, np.asarray(M, dtype=float), xis)
 
 
-def pullback_metric(Q: MetricField, chart: Chart, y) -> np.ndarray:
-    """Coefficient matrix of the symbol in chart coordinates.
-
-    Q_chart(y) = J(y)^-1 Q(k(y)) J(y)^-T with J the chart Jacobian; the
-    eigenvalue signature is preserved and checked.
-    """
-    y = as_point(y)
-    jac = chart.jacobian(y)
-    cond = np.linalg.cond(jac)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ChartError(f"chart Jacobian near-singular at {y} (cond={cond:.3e})")
-    jinv = np.linalg.inv(jac)
-    q = Q(chart.forward(y))
-    qk = jinv @ q @ jinv.T
-    qk = 0.5 * (qk + qk.T)
-    if signature(qk) != signature(q):
-        raise ChartError("pullback changed the eigenvalue signature")
-    return qk
-
-
 def pullback_metric_field(Q: MetricField, chart: Chart, name: str = "") -> MetricField:
-    """The pulled-back coefficient matrix as a metric field over chart coordinates.
+    """The coefficient matrix of the symbol in chart coordinates, as a metric
+    field over them: Q_y = J^-1 Q J^-T, with J the chart Jacobian, and its
+    partials by the chain rule on the metric's jet and the chart's jet (x, J, dJ):
+        d_j Q_y = J^-1 (sum_i d_i Q J_ij) J^-T - A_j - A_j^T,  A_j = J^-1 d_j J Q_y.
 
-    Derivatives fall back to finite differences (the chart makes the pullback
-    genuinely variable even for constant Q).
+    Raises ChartError where the chart's jet is not finite, its Jacobian is
+    near-singular, or Q_y has another eigenvalue signature than Q.
     """
-    return MetricField(Q.dim, lambda y: pullback_metric(Q, chart, y),
-                       name=name or (Q.name + "_chart" if Q.name else ""))
+
+    def jet(y, order):
+        with np.errstate(all="ignore"):          # a jet that is not finite is gated next
+            x, jac, djac = chart.jet(y)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(jac))):
+            raise ChartError(f"chart jet not finite at {y}")
+        cond = np.linalg.cond(jac)
+        if not np.all(cond <= 1e12):
+            raise ChartError(f"chart Jacobian near-singular at {y} (cond={np.max(cond):.3e})")
+        jinv = np.linalg.inv(jac)
+        jinv_t = np.swapaxes(jinv, -1, -2)
+        q, dq = Q.jet(x, 1) if order else (Q.jet(x, 0), None)
+        qk = jinv @ q @ jinv_t
+        qk = 0.5 * (qk + np.swapaxes(qk, -1, -2))
+        if np.any(np.array(signature(qk)) != np.array(signature(q))):
+            raise ChartError("pullback changed the eigenvalue signature")
+        if order == 0:
+            return qk
+        n, lead = Q.dim, y.shape[:-1]
+        # sum_i d_i Q J_ij, axis j ahead of the matrix axes, as in the metric's own jet
+        dq_y = (np.swapaxes(jac, -1, -2) @ dq.reshape(lead + (n, n * n))).reshape(lead + (n, n, n))
+        a = jinv[..., None, :, :] @ np.moveaxis(djac, -1, -3) @ qk[..., None, :, :]
+        dqk = jinv[..., None, :, :] @ dq_y @ jinv_t[..., None, :, :] - a - np.swapaxes(a, -1, -2)
+        return qk, 0.5 * (dqk + np.swapaxes(dqk, -1, -2))
+
+    return MetricField(Q.dim, jet, name=name or (Q.name + "_chart" if Q.name else ""))
+
+
+def pullback_metric(Q: MetricField, chart: Chart, y) -> np.ndarray:
+    """Coefficient matrix of the symbol in chart coordinates, at a point or at
+    each row of a (k, n) batch, with the gates of ``pullback_metric_field``;
+    the eigenvalue signature is preserved and checked."""
+    return pullback_metric_field(Q, chart).jet(y, 0)
 
 
 def transport_covector(chart: Chart, y, xi) -> np.ndarray:

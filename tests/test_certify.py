@@ -331,7 +331,10 @@ class TestExactNullCone:
 
 
 def _scaled(q, c):
-    return MetricField(q.dim, lambda x: c * q(x), lambda x, j: c * q.deriv(x, j))
+    def jet(x, order):
+        return c * q.jet(x, 0) if order == 0 else tuple(c * part for part in q.jet(x, 1))
+
+    return MetricField(q.dim, jet)
 
 
 def hyperplane_scan(Q, psi0, psi1, x0, lam, n, band, seed=99):
@@ -435,7 +438,7 @@ class TestJetGate:
         def jet(x, order):
             q = np.diag([-1.0, 1.0, 1.0])
             return q if order == 0 else (q, np.full((3, 3, 3), np.inf))
-        q = MetricField.from_jet(3, jet)
+        q = MetricField(3, jet)
         cert = certify(self._geometry("norm(x2, x3) - 1 - x1", q), [0.0, 1.0, 0.0], lam=2.0)
         assert cert.notes["jet"] == {"jet": "dQ", "error": "not finite"}
 
@@ -460,12 +463,31 @@ class TestJetGate:
 
 
 def _pulled_back_fields(model):
-    """Q, psi0 and psi1 of a model in its flattening chart, where the metric's
-    derivatives are finite differences."""
+    """Q, psi0 and psi1 of a model in its flattening chart, and the base point there."""
     chart = flattening_chart(model, model.x0)
     psi0, psi1 = build_psi(model.geometry)
     return (pullback_metric_field(model.geometry.Q, chart), pullback_scalar(psi0, chart),
             pullback_scalar(psi1, chart), chart.inverse(model.x0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flattening_chart_certificate_has_closed_forms(d):
+    """At lam = 2 the chart certificate of ik<d> is exact to 1e-12.
+
+    At x0 the flattening chart's Jacobian J has the columns (-1/2, yhat0/2),
+    (1/2, yhat0/2) and (0, b_i), with (yhat0, b_i) orthonormal.  In x, the
+    tangent null set is xi = (a, 0, xi_theta) with |xi_theta| = |a|: there
+    hp(psi0)^2 = 4 a^2, hp2(psi1) = 4 |xi_theta|^2 = 4 a^2 and the margin
+    4 a^2 - 2 lam 4 a^2 = -12 a^2.  Covectors transport by eta = J^T xi, and
+    |J^T xi|^2 = a^2/4 + a^2/4 + a^2 = 3 a^2 / 2, so the chart's unit sphere
+    has a^2 = 2/3: m0 = sqrt(8/3) and worst_margin = -8.  hp2(psi1) is
+    4 ((J^-1 e_theta) . eta)^2 with |J^-1 e_theta| = 1, whose sphere maximum
+    4 gives lambda0 = 4 / (2 m0^2) = 3/4."""
+    cert = certify_fields(*_pulled_back_fields(ik_model(d)), lam=2.0)
+    assert cert.status == "certified"
+    assert abs(cert.worst_margin + 8.0) <= 1e-12
+    assert abs(cert.lambda0 - 0.75) <= 1e-12
+    assert abs(cert.m0 - np.sqrt(8.0 / 3.0)) <= 1e-12
 
 
 def _certificate_cases():
@@ -501,18 +523,17 @@ class TestTaylorModels:
         assert _bits(cert.m0) == _bits(m0)
         assert _bits(cert.lambda0) == _bits(compute_lambda0(q, psi1, x0, m0))
         assert _bits(cert.worst_margin) == _bits(worst)
-        assert cert.fd_fallback == name.startswith("chart")
 
     @pytest.mark.parametrize("name, q, psi0, psi1, x0", CERTIFICATE_CASES,
                              ids=[c[0] for c in CERTIFICATE_CASES])
     def test_model_jets_at_x0_are_the_fields_jets(self, name, q, psi0, psi1, x0):
         qm = _taylor_metric(q, *q.jet(x0, 1), x0)
-        assert (qm.name, qm.analytic) == (q.name, q.analytic)
+        assert qm.name == q.name
         assert _bits(qm(x0)) == _bits(q(x0))
         assert all(_bits(u) == _bits(v) for u, v in zip(qm.jet(x0, 1), q.jet(x0, 1)))
         for f in (psi0, psi1):
             model = _taylor_scalar(f, f.jet(x0, 2), x0)
-            assert (model.name, model.analytic) == (f.name, f.analytic)
+            assert model.name == f.name
             assert _bits(model(x0)) == _bits(f(x0))
             for order in (1, 2):
                 got, want = model.jet(x0, order), f.jet(x0, order)

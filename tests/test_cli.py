@@ -44,7 +44,7 @@ class TestConfigParsing:
         q3 = parse_metric("[[-1.0, 0.0], [0.0, 1.0]]", 2)
         assert q3([0, 0])[1, 1] == 1.0
         q4 = parse_metric("bumpy_wave(2, 0.05)", 3)
-        assert q4.analytic
+        assert q4.name == "bumpy_wave2(amp=0.05)"
         with pytest.raises(ContractViolation):
             parse_metric("diag(1)", 3)
         with pytest.raises(ContractViolation):

@@ -11,13 +11,14 @@ from uccert.cli import main
 from uccert.errors import ContractViolation
 from uccert.expressions import (MAX_DEPTH, BinOp, Const, Expr, Pow, Var, expression_field,
                                 norm_expr, parse_expression)
-from uccert.fields import Jet, ScalarField
+from uccert.fields import Jet
+
+from conftest import central_difference, fd_hess
 
 
 def fd_check(field, x, rtol=1e-5, atol=1e-7):
-    bare = ScalarField(field)
-    assert_allclose(field.grad(x), bare.grad(x), rtol=rtol, atol=atol)
-    assert_allclose(field.hess(x), bare.hess(x), rtol=1e-3, atol=1e-4)
+    assert_allclose(field.grad(x), central_difference(field, x), rtol=rtol, atol=atol)
+    assert_allclose(field.hess(x), fd_hess(field, x), rtol=1e-3, atol=1e-4)
 
 
 class TestParsing:

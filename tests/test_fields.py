@@ -6,29 +6,33 @@ from uccert import (PhasePoint, constant_metric, expression_field,
                     linear_combination, product_field, pullback_scalar,
                     squared_field)
 from uccert.errors import ChartError, ContractViolation
-from uccert.fields import Chart, MetricField, ScalarField, power
+from uccert.fields import Chart, Jet, MetricField, ScalarField, power
 from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
 from uccert.symbols import pullback_metric, pullback_metric_field
 
+from conftest import central_difference, fd_hess, linear_chart
+
 
 def smooth_test_field():
-    def ev(x):
-        return np.sin(x[0]) * np.cos(2 * x[1]) + x[2] ** 3
+    """sin(x1) cos(2 x2) + x3^3 with its closed-form gradient and Hessian."""
 
-    def gr(x):
-        return np.array([np.cos(x[0]) * np.cos(2 * x[1]),
-                         -2 * np.sin(x[0]) * np.sin(2 * x[1]),
-                         3 * x[2] ** 2])
+    def jet(x, order):
+        s0, c0 = np.sin(x[..., 0]), np.cos(x[..., 0])
+        s1, c1 = np.sin(2 * x[..., 1]), np.cos(2 * x[..., 1])
+        value = s0 * c1 + x[..., 2] ** 3
+        if order == 0:
+            return value
+        grad = np.stack([c0 * c1, -2 * s0 * s1, 3 * x[..., 2] ** 2], axis=-1)
+        if order == 1:
+            return Jet(value, grad)
+        h = np.zeros(x.shape + (3,))
+        h[..., 0, 0] = -s0 * c1
+        h[..., 0, 1] = h[..., 1, 0] = -2 * c0 * s1
+        h[..., 1, 1] = -4 * s0 * c1
+        h[..., 2, 2] = 6 * x[..., 2]
+        return Jet(value, grad, h)
 
-    def he(x):
-        h = np.zeros((3, 3))
-        h[0, 0] = -np.sin(x[0]) * np.cos(2 * x[1])
-        h[0, 1] = h[1, 0] = -2 * np.cos(x[0]) * np.sin(2 * x[1])
-        h[1, 1] = -4 * np.sin(x[0]) * np.cos(2 * x[1])
-        h[2, 2] = 6 * x[2]
-        return h
-
-    return ScalarField(ev, gr, he, name="smooth3")
+    return ScalarField(jet, name="smooth3")
 
 
 class TestPhasePoint:
@@ -42,21 +46,19 @@ class TestPhasePoint:
         assert pp.x.dtype == float
 
 
-class TestScalarFieldFallbacks:
-    def test_fd_gradient_matches_analytic(self, rng):
+class TestScalarFieldDerivatives:
+    def test_gradient_matches_finite_differences(self, rng):
         f = smooth_test_field()
-        bare = ScalarField(f)
         for _ in range(10):
             x = rng.normal(size=3)
-            assert_allclose(bare.grad(x), f.grad(x), rtol=1e-6, atol=1e-8)
+            assert_allclose(central_difference(f, x), f.grad(x), rtol=1e-6, atol=1e-8)
 
-    def test_fd_hessian_matches_analytic(self, rng):
+    def test_hessian_matches_finite_differences(self, rng):
         f = smooth_test_field()
-        bare = ScalarField(f)
         for _ in range(5):
             x = rng.normal(size=3)
-            assert_allclose(bare.hess(x), f.hess(x), rtol=2e-4, atol=1e-5)
-            assert_allclose(bare.hess(x), bare.hess(x).T, atol=1e-10)
+            assert_allclose(fd_hess(f, x), f.hess(x), rtol=2e-4, atol=1e-5)
+            assert_allclose(f.hess(x), f.hess(x).T, atol=1e-10)
 
     def test_combinators(self, rng):
         f = smooth_test_field()
@@ -76,20 +78,18 @@ class TestScalarFieldFallbacks:
         f = smooth_test_field()
         g = expression_field("x2", 3)
         prod = product_field(f, g)
-        bare = ScalarField(prod)
         x = rng.normal(size=3)
-        assert_allclose(prod.hess(x), bare.hess(x), rtol=2e-4, atol=1e-5)
+        assert_allclose(prod.hess(x), fd_hess(prod, x), rtol=2e-4, atol=1e-5)
 
 
 class TestMetricField:
-    def test_fd_derivative_matches_analytic(self, rng):
+    def test_derivative_matches_finite_differences(self, rng):
         q = bumpy_wave_metric(2, amp=0.1)
-        q_fd = MetricField(3, q)
-        assert not q_fd.analytic
         for _ in range(5):
             x = rng.normal(size=3) * 0.3
+            fd = central_difference(q, x)
             for j in range(3):
-                assert_allclose(q_fd.deriv(x, j), q.deriv(x, j), rtol=1e-6, atol=1e-8)
+                assert_allclose(fd[..., j], q.deriv(x, j), rtol=1e-6, atol=1e-8)
 
     def test_domain_box(self):
         box = np.array([[-1, 1], [-1, 1]], dtype=float)
@@ -105,9 +105,8 @@ def _metric_cases():
     bumpy = bumpy_wave_metric(2, amp=0.1)
     m = ik_model(2)
     return {"constant": (constant_metric(np.diag([-1.0, 1.0, 1.0])), m.x0),
-            "supplied": (MetricField(3, bumpy, bumpy.deriv), m.x0),
-            "finite_difference": (MetricField(3, bumpy), m.x0),
             "pullback": (pullback_metric_field(m.geometry.Q, flattening_chart(m, m.x0)), np.zeros(3)),
+            "pullback_bumpy": (pullback_metric_field(bumpy, flattening_chart(m, m.x0)), np.zeros(3)),
             "bumpy": (bumpy, m.x0)}
 
 
@@ -152,21 +151,33 @@ class TestMetricJet:
         with pytest.raises(ContractViolation):
             q.jet(np.zeros(3), 2)                 # no second order
         with pytest.raises(ContractViolation):
-            MetricField(3, lambda x: np.eye(2))(np.zeros(3))     # supplier of the wrong shape
+            MetricField(3, lambda x, order: np.eye(2))(np.zeros(3))     # jet of the wrong shape
 
 
 class TestChart:
     def test_singular_linear_chart_rejected(self):
-        a = np.zeros((2, 2))
-        chart = Chart(lambda y: a @ y, lambda x: x, lambda y: a)
+        chart = linear_chart(np.zeros((2, 2)))
         with pytest.raises(ChartError):
             pullback_metric(constant_metric(np.diag([-1.0, 1.0])), chart, [0.0, 1.0])
 
-    def test_fd_jacobian(self):
-        chart = Chart(lambda y: np.array([y[0] ** 2, y[1]]),
-                      lambda x: np.array([np.sqrt(x[0]), x[1]]))
-        jac = chart.jacobian(np.array([2.0, 1.0]))
-        assert_allclose(jac, np.array([[4.0, 0.0], [0.0, 1.0]]), rtol=1e-7)
+    def test_jacobian_and_partials_from_the_jet(self):
+        def forward_jet(y):
+            u, v = Jet.variables(y, 2)
+            return [u * u, v]
+
+        chart = Chart(forward_jet, lambda x: np.array([np.sqrt(x[0]), x[1]]))
+        x, jac, djac = chart.jet(np.array([2.0, 1.0]))
+        assert np.array_equal(x, [4.0, 1.0]) and np.array_equal(chart.forward([2.0, 1.0]), x)
+        assert np.array_equal(jac, [[4.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(chart.jacobian([2.0, 1.0]), jac)
+        want = np.zeros((2, 2, 2))
+        want[0, 0, 0] = 2.0
+        assert np.array_equal(djac, want)
+        batch = chart.jet(np.array([[2.0, 1.0], [3.0, -1.0]]))
+        assert [part.shape for part in batch] == [(2, 2), (2, 2, 2), (2, 2, 2, 2)]
+        assert all(np.array_equal(part[0], point) for part, point in zip(batch, (x, jac, djac)))
+        with pytest.raises(ContractViolation):
+            chart.jet(np.zeros((1, 1, 2)))
 
     def test_flattening_chart_roundtrip(self):
         m = ik_model(2)
@@ -184,7 +195,7 @@ class TestChart:
     def test_pullback_scalar_chain_rule(self, rng):
         f = smooth_test_field()
         a = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
-        chart = Chart(lambda y: a @ y, lambda x: np.linalg.solve(a, x), lambda y: a)
+        chart = linear_chart(a)
         fk = pullback_scalar(f, chart)
         y = rng.normal(size=3)
         x = chart.forward(y)
@@ -193,22 +204,48 @@ class TestChart:
         assert_allclose(fk.hess(y), a.T @ f.hess(x) @ a, rtol=1e-5, atol=1e-7)
 
     def test_pullback_scalar_curved_chart(self):
-        # quadratic chart exercises the second-derivative transport term
-        def fwd(y):
-            return np.array([y[0] + 0.3 * y[1] ** 2, y[1]])
+        # a quadratic chart exercises the second-derivative transport term
+        def forward_jet(y):
+            u, v = Jet.variables(y, 2)
+            return [u + 0.3 * v * v, v]
 
-        def inv(x):
-            return np.array([x[0] - 0.3 * x[1] ** 2, x[1]])
+        def quadratic(x, order):
+            a, b = Jet.variables(x, order) if order else x.T
+            return a * a + a * b
 
-        chart = Chart(fwd, inv)
-        f = ScalarField(lambda x: x[0] ** 2 + x[0] * x[1],
-                        lambda x: np.array([2 * x[0] + x[1], x[0]]),
-                        lambda x: np.array([[2.0, 1.0], [1.0, 0.0]]))
-        fk = pullback_scalar(f, chart)
-        fk_fd = ScalarField(fk)
+        chart = Chart(forward_jet, lambda x: np.array([x[0] - 0.3 * x[1] ** 2, x[1]]))
+        fk = pullback_scalar(ScalarField(quadratic), chart)
         y = np.array([0.4, -0.7])
-        assert_allclose(fk.grad(y), fk_fd.grad(y), rtol=1e-6, atol=1e-8)
-        assert_allclose(fk.hess(y), fk_fd.hess(y), rtol=1e-4, atol=1e-5)
+        assert_allclose(fk.grad(y), central_difference(fk, y), rtol=1e-6, atol=1e-8)
+        assert_allclose(fk.hess(y), fd_hess(fk, y), rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("metric", ["wave", "bumpy"])
+    def test_pullback_metric_partials_match_finite_differences(self, metric, rng):
+        # d_j Q_y from the chain rule against central differences of Q_y; the
+        # bumpy metric adds the term of Q's own partials
+        m = ik_model(2)
+        q = m.geometry.Q if metric == "wave" else bumpy_wave_metric(2, amp=0.1)
+        chart = flattening_chart(m, m.x0)
+        qk = pullback_metric_field(q, chart)
+        for _ in range(4):
+            y = rng.uniform(-0.15, 0.15, size=3)
+            fd = central_difference(lambda p: pullback_metric(q, chart, p), y)
+            value, partials = qk.jet(y, 1)
+            assert np.array_equal(value, pullback_metric(q, chart, y))
+            assert_allclose(np.moveaxis(fd, -1, 0), partials, rtol=0, atol=1e-7)
+
+    def test_pullback_of_a_point_that_is_not_finite_is_a_chart_error(self, ik2):
+        # np.linalg.cond raises LinAlgError on a Jacobian that is not finite,
+        # so the finiteness gate comes first, on a point and on a batch
+        chart = flattening_chart(ik2, ik2.x0)
+        q = ik2.geometry.Q
+        bad = np.array([0.1, 0.1, np.inf])
+        with pytest.raises(ChartError):
+            pullback_metric(q, chart, bad)
+        with pytest.raises(ChartError):
+            pullback_metric(q, chart, np.stack([np.zeros(3), bad]))
+        with pytest.raises(ChartError):
+            pullback_metric_field(q, chart).jet(np.array([0.0, np.nan, 0.0]), 1)
 
 
 def test_power_of_negative_float_is_nan_not_complex():

@@ -418,7 +418,14 @@ class TestBatchedAgainstPointLoops:
         # Q is Riemannian for t < -1e-3 and Lorentzian above; the check fails
         # at the first sample with the wrong signature
         from uccert.fields import MetricField
-        q = MetricField(3, lambda x: np.diag([np.sign(x[0] + 1e-3) * -1.0, 1.0, 1.0]))
+
+        def jet(x, order):
+            q = np.zeros(x.shape[:-1] + (3, 3))
+            q[..., 0, 0] = np.sign(x[..., 0] + 1e-3) * -1.0
+            q[..., 1, 1] = q[..., 2, 2] = 1.0
+            return q if order == 0 else (q, np.zeros(x.shape[:-1] + (3, 3, 3)))
+
+        q = MetricField(3, jet)
         m = ik_model(2, n_surface_samples=30)
         spec = GeometrySpec(q, m.geometry.phi_plus, m.geometry.phi_minus, m.geometry.box,
                             n_surface_samples=30)

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uccert import check_assumptions, pullback_metric, signature
-from uccert.errors import ContractViolation
+from uccert.errors import ChartError, ContractViolation
 from uccert.models import (bumpy_wave_metric, carleman_section,
                            cone_surface_field, flattening_chart, get_model,
                            ik_model, negative_controls)
+
+from conftest import central_difference, fd_hess
 
 
 class TestModel:
@@ -33,12 +35,10 @@ class TestModel:
 
     def test_cone_field_derivatives(self, rng):
         f = cone_surface_field(3, -1.0, 2.0)
-        from uccert.fields import ScalarField
-        bare = ScalarField(f)
         for _ in range(5):
             x = np.array([rng.normal()] + list(rng.normal(size=3) + np.array([2.0, 0, 0])))
-            assert_allclose(f.grad(x), bare.grad(x), rtol=1e-6, atol=1e-8)
-            assert_allclose(f.hess(x), bare.hess(x), rtol=1e-4, atol=1e-5)
+            assert_allclose(f.grad(x), central_difference(f, x), rtol=1e-6, atol=1e-8)
+            assert_allclose(f.hess(x), fd_hess(f, x), rtol=1e-4, atol=1e-5)
 
     def test_get_model_names(self):
         assert get_model("ik2").name == "ik2"
@@ -84,12 +84,22 @@ class TestFlatteningChart:
             assert tuple(signature(qk)) == (2, 1, 0)
 
     def test_analytic_jacobian_matches_fd(self, ik2):
-        from uccert.fields import Chart
         chart = flattening_chart(ik2, ik2.x0)
-        fd_chart = Chart(chart._forward, chart._inverse)
         for y in ([0.0, 0.0, 0.0], [0.1, -0.05, 0.2]):
-            assert_allclose(chart.jacobian(np.array(y)),
-                            fd_chart.jacobian(np.array(y)), rtol=1e-6, atol=1e-8)
+            y = np.array(y)
+            _, jac, djac = chart.jet(y)
+            assert_allclose(jac, central_difference(chart.forward, y), rtol=1e-6, atol=1e-8)
+            assert_allclose(djac, central_difference(chart.jacobian, y), rtol=1e-6, atol=1e-8)
+
+    def test_inverse_rejects_points_off_its_half_space(self, ik2):
+        # ungated, the far side of the origin maps to a point that the forward
+        # map sends to (0.1, 1, 0), and the origin to nan
+        chart = flattening_chart(ik2, ik2.x0)
+        for x in ([0.1, -1.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.5]):
+            with pytest.raises(ChartError):
+                chart.inverse(x)
+        x = np.array([0.1, 0.5, -0.8])
+        assert_allclose(chart.forward(chart.inverse(x)), x, atol=1e-14)
 
     def test_off_intersection_base_rejected(self, ik2):
         with pytest.raises(ContractViolation):
