@@ -382,9 +382,11 @@ def cmd_rays(args) -> int:
 
 
 def _corner_identities(corpus: list, tests: PairingTables, tols: dict) -> tuple:
-    """Pass-through identities on every corpus field: (reports, CSV rows, passed)."""
+    """Pass-through identities on every corpus field: (reports, CSV label
+    columns, CSV value rows, passed)."""
     reports = []
-    rows = []
+    labels = []
+    values = []
     ok = True
     for cf in corpus:
         rep = verify_extension_identities(cf, tests, tol_weak=tols)
@@ -392,9 +394,10 @@ def _corner_identities(corpus: list, tests: PairingTables, tols: dict) -> tuple:
         reports.append({"field": cf.name, "passed": rep["passed"],
                         "family_max_residual": rep["family_max_residual"]})
         for row in rep["rows"]:
-            rows.append([cf.name, row["family"], "".join(map(str, row["alpha"])),
-                         row["testfn"], row["lhs"], row["rhs"], row["residual"]])
-    return reports, rows, ok
+            labels.append((cf.name, row["family"], "".join(map(str, row["alpha"])), row["testfn"]))
+            values.append((row["lhs"], row["rhs"], row["residual"]))
+    names, families, alphas, testfns = zip(*labels)
+    return reports, (names, families, alphas, np.array(testfns)), np.array(values), ok
 
 
 def _corner_layer(cf, tests: PairingTables, h2: float) -> dict:
@@ -438,6 +441,9 @@ def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
 def cmd_corner(args) -> int:
     dim = args.dim
     cells = (512 if dim == 2 else 128) if args.grid is None else args.grid
+    if cells % 2:
+        raise ContractViolation(f"--grid {cells} must be even, so that the quadrant faces "
+                                f"y_1 = 0 and y_2 = 0 get a node at 0")
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
     if not eps_list:
@@ -450,8 +456,11 @@ def cmd_corner(args) -> int:
     # every 1-D table is built once here, and no stage forms a grid array
     corpus = corner_corpus(grid)
     tables = PairingTables(grid, tests)
-    identity_reports, residual_rows, ok = _corner_identities(corpus, tables, tols)
+    identity_reports, residual_labels, residuals, ok = _corner_identities(corpus, tables, tols)
     layer = _corner_layer(corpus[0], tables, h2)
+    # the tables hold every test bump's factors on every node: dropped here,
+    # they do not stack on the transfer's slabs at the run's peak memory
+    del tables
     transfer = _corner_transfer(corpus[1], args)
     mollifier = _corner_mollifier(grid, eps_list, args.seed)
     ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
@@ -471,7 +480,7 @@ def cmd_corner(args) -> int:
     write_report(args.out, payload)
     write_csv(args.out, "corner_residuals.csv",
               ["field", "family", "alpha", "testfn", "lhs", "rhs", "residual"],
-              residual_rows)
+              residuals, labels=residual_labels)
     return 0 if ok else 1
 
 

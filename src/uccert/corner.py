@@ -8,18 +8,22 @@ pairing against smooth compactly supported test functions.  The pure second
 derivative in a face-normal direction instead produces a surface-supported
 term whose density is the normal derivative of U on the face; the layer probe
 measures it.  U and the test bumps are products of 1-D factors, so each of
-these integrals is, term by term of U, a product of 1-D sums (CornerField.pair)
-over 1-D tables built once per run: each field's factors on the grid axes,
-and each test bump's weighted factors (PairingTables).  The smoothing
-commutator that justifies applying weighted estimates to low-regularity
-functions is separable too: a product kernel, a multiplier that is a sum of
-1-D terms and a field given by its factors leave only 1-D convolutions and
-1-D sums.  The pointwise differential-inequality transfer from U to V reads
-the field's partials in axis-0 slabs of the grid, and at the sampled nodes
-only.  So no stage of the lab forms an array of the grid's shape: at 128
-cells per axis, `corner --dim 3` runs in about 0.08 s after start-up and the
-process peaks at 41 MB resident on a 2-core x86-64 machine (0.33 s and
-216 MB while the transfer formed grid arrays).
+these integrals is, term by term of U, a product of 1-D sums over 1-D tables
+built once per run: each field's factors on the grid axes, and, per
+integration rule and axis, one array holding every test bump's weighted
+factors of order 0-2 (PairingTables).  CornerField.pair pairs a field with
+all test bumps at once, by one matrix-vector product per axis and term of U,
+so each side of an identity is a handful of products whatever the corpus
+size.  The smoothing commutator that justifies applying weighted estimates
+to low-regularity functions is separable too: a product kernel, a multiplier
+that is a sum of 1-D terms and a field given by its factors leave only 1-D
+convolutions and 1-D sums.  The pointwise differential-inequality transfer
+from U to V reads the field's partials in axis-0 slabs of the grid, and at
+the sampled nodes only.  So no stage of the lab forms an array of the grid's
+shape: at 128 cells per axis, `corner --dim 3` runs in about 0.06 s after
+start-up (0.25 s as a whole process) and the process peaks at 40 MB resident
+on a 2-core x86-64 machine with one BLAS thread (0.33 s and 216 MB while the
+transfer formed grid arrays).
 """
 
 from __future__ import annotations
@@ -98,55 +102,44 @@ class CornerField:
         on_face2 = self.partial(zero, (slice(i0, None), slice(j0, j0 + 1)) + rest)
         return float(np.max(np.abs(on_face1))), float(np.max(np.abs(on_face2)))
 
-    def pair(self, tables: "PairingTables", t: int, alpha: Sequence[int],
-             beta: Sequence[int], rule: str) -> float:
-        """sum over the nodes of rule's weights * d^alpha U * d^beta phi_t, for
-        the t-th test bump of tables: per term of U a product over the axes
-        of 1-D dot products, each over the window where that axis's weighted
-        bump factor is nonzero."""
-        sums = []
-        for a, by_order in enumerate(tables.windows[rule][t]):
-            window = by_order[beta[a]]
-            if window is None:
-                return 0.0
-            on, factor = window
-            sums.append([factor @ term[a][alpha[a]][on] for term in self.tables])
-        return tables.amplitudes[t] * float(np.prod(sums, axis=0).sum())
-
-
-def _window(factor: np.ndarray):
-    """(slice, factor[slice]) over the nodes from factor's first nonzero to
-    its last, or None when it has none."""
-    nz = np.flatnonzero(factor)
-    if nz.size == 0:
-        return None
-    on = slice(nz[0], nz[-1] + 1)
-    return on, factor[on]
+    def pair(self, tables: "PairingTables", alpha: Sequence[int],
+             beta: Sequence[int], rule: str) -> np.ndarray:
+        """For every test bump phi_t of tables, the sum over the nodes of
+        rule's weights * d^alpha U * d^beta phi_t, as a (T,) array: per term
+        of U, the product over the axes (in axis order) of one matrix-vector
+        product each, of the bumps' weighted factors with U's factor; the
+        terms summed in order, then scaled by the bumps' amplitudes."""
+        out = 0.0
+        for term in self.tables:
+            piece = 1.0
+            for a, by_order in enumerate(tables.factors[rule]):
+                piece = piece * (by_order[beta[a]] @ term[a][alpha[a]])
+            out = out + piece
+        return tables.amplitudes * out
 
 
 class PairingTables:
     """A test corpus's 1-D tables on one grid, for CornerField.pair.
 
-    windows[rule][t][a][order] is the order-th derivative of test bump t's
-    factor on axis a times that axis's weights of the rule (_lab_weights), on
-    the window of its nonzero nodes (_window).  Every test function's support
-    is checked to lie inside the box first.  Build one per grid and corpus;
-    it holds nothing that outlives them.
+    factors[rule][a] has shape (3, T, n_a): [order, t] is the order-th
+    derivative of test bump t's factor on axis a times that axis's weights
+    of the rule (_lab_weights), zero off the bump's support.  Every test
+    function's support is checked to lie inside the box first, and a corpus
+    of no test function is refused, since every identity would pass on it.
+    Build one per grid and corpus; it holds nothing that outlives them.
     """
 
     def __init__(self, grid: Grid, tests: List[ProductBump]):
+        if not tests:
+            raise ContractViolation("a pairing needs at least one test function")
         for phi in tests:
             phi.check_support_inside(grid.box)
         self.grid = grid
-        self.amplitudes = [phi.amplitude for phi in tests]
-        profiles = [[[phi.axis_profile(x, a, order) for order in range(3)]
-                     for a, x in enumerate(grid.axes())] for phi in tests]
-        self.windows = {rule: [[[_window(w * p) for p in by_order]
-                                for w, by_order in zip(weights, prof)] for prof in profiles]
+        self.amplitudes = np.array([phi.amplitude for phi in tests], dtype=float)
+        profiles = [np.array([[phi.axis_profile(x, a, order) for phi in tests] for order in range(3)])
+                    for a, x in enumerate(grid.axes())]
+        self.factors = {rule: [w * p for w, p in zip(weights, profiles)]
                         for rule, weights in _lab_weights(grid).items()}
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
 
 
 def _pairing_tables(cf: CornerField, tests) -> PairingTables:
@@ -240,13 +233,13 @@ def verify_extension_identities(cf: CornerField, tests,
         worst = 0.0
         for alpha in alphas:
             sign = -1.0 if sum(alpha) % 2 else 1.0
-            for t_id in range(len(tables)):
-                lhs = sign * cf.pair(tables, t_id, zero, alpha, "weak")
-                rhs = cf.pair(tables, t_id, alpha, zero, "quadrant")
-                res = abs(lhs - rhs)
-                worst = max(worst, res)
-                rows.append({"family": fam, "alpha": list(alpha), "testfn": t_id,
-                             "lhs": lhs, "rhs": rhs, "residual": res})
+            lhs = sign * cf.pair(tables, zero, alpha, "weak")
+            rhs = cf.pair(tables, alpha, zero, "quadrant")
+            res = np.abs(lhs - rhs)
+            worst = max(worst, float(res.max()))
+            rows.extend({"family": fam, "alpha": list(alpha), "testfn": t_id,
+                         "lhs": l, "rhs": r, "residual": e}
+                        for t_id, (l, r, e) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.tolist())))
         fam_max[fam] = worst
     report = {
         "field": cf.name,
@@ -271,21 +264,15 @@ def detect_layer(cf: CornerField, tests) -> dict:
     tables = _pairing_tables(cf, tests)
     zero = (0,) * cf.grid.dim
     e0, e00 = _multi_index(cf.grid.dim, 0), _multi_index(cf.grid.dim, 0, 0)
-    rows = []
-    worst_mismatch = 0.0
-    max_layer = 0.0
-    for t_id in range(len(tables)):
-        delta = (cf.pair(tables, t_id, zero, e00, "weak")
-                 - cf.pair(tables, t_id, e00, zero, "quadrant"))
-        s_phi = cf.pair(tables, t_id, e0, zero, "face")
-        rows.append({"testfn": t_id, "delta": delta, "surface_integral": s_phi,
-                     "mismatch": abs(delta - s_phi)})
-        worst_mismatch = max(worst_mismatch, abs(delta - s_phi))
-        max_layer = max(max_layer, abs(s_phi))
+    delta = cf.pair(tables, zero, e00, "weak") - cf.pair(tables, e00, zero, "quadrant")
+    s_phi = cf.pair(tables, e0, zero, "face")
+    mismatch = np.abs(delta - s_phi)
+    rows = [{"testfn": t_id, "delta": d, "surface_integral": s, "mismatch": m}
+            for t_id, (d, s, m) in enumerate(zip(delta.tolist(), s_phi.tolist(), mismatch.tolist()))]
     return {
         "field": cf.name,
-        "max_mismatch": worst_mismatch,
-        "max_layer_magnitude": max_layer,
+        "max_mismatch": float(mismatch.max()),
+        "max_layer_magnitude": float(np.abs(s_phi).max()),
         "rows": rows,
     }
 

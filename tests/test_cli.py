@@ -491,6 +491,15 @@ class TestCornerGridBound:
         assert "too coarse for the mollifier check" in err and err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "report.json"))
 
+    @pytest.mark.parametrize("argv", [["--grid", "33"], ["--grid", "3"], ["--grid", "65", "--dim", "3"]])
+    def test_odd_grid_is_usage_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "o")
+        assert main(["corner"] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"--grid {argv[1]} must be even" in err and "node at 0" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
     def test_next_grid_runs(self, tmp_path):
         assert _smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))
         argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2", "--n-pts", "50"]

@@ -12,12 +12,12 @@ import uccert.corner
 
 from uccert.cli import _corner_mollifier, _smoothing_ladder, main
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
-                           _mollifier_kernels, affine_multiplier,
+                           _lab_weights, _mollifier_kernels, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
                            kink_profile_corpus, mollifier_commutator,
                            quadrant_mask, verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
-from uccert.errors import HypothesisError, ResolutionError, SupportError
+from uccert.errors import ContractViolation, HypothesisError, ResolutionError, SupportError
 from uccert.grids import (Grid, ProductBump, bump_corpus, d1, d2, make_grid,
                           restricted_trapezoid, trapezoid, unit_box)
 
@@ -273,7 +273,7 @@ class TestSeparablePairing:
                                 "quadrant": restricted_trapezoid(integrand, g, (0, 1)),
                                 "face": restricted_trapezoid(integrand[i0], face_grid, (0,))}
                         for rule in ("weak", "quadrant", "face"):
-                            got = cf.pair(tables, t, alpha, beta, rule)
+                            got = cf.pair(tables, alpha, beta, rule)[t]
                             assert got == pytest.approx(want[rule], rel=1e-12), \
                                 (cf.name, alpha, beta, rule)
                             if phi is bumps[-1]:
@@ -327,6 +327,76 @@ class TestSeparablePairing:
         tests = bump_corpus(unit_box(2), 3, seed=1) + [ProductBump([0.7, 0.0], [0.4, 0.4])]
         with pytest.raises(SupportError):
             lab(corner_corpus(g)[0], tests)
+
+    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
+    def test_empty_corpus_rejected(self, lab):
+        # with no test function every identity would pass and the layer read 0
+        g = make_grid(unit_box(2), 64)
+        with pytest.raises(ContractViolation, match="at least one test function"):
+            lab(corner_corpus(g)[0], [])
+
+    @pytest.mark.parametrize("dim, cells", [(2, 512), (3, 24)])
+    def test_batched_pair_equals_windowed_dots(self, dim, cells):
+        # the route pair replaced: per test function, axis and term of U, one
+        # dot over the window where the bump's weighted factor is nonzero.  A
+        # 1-D sum may cancel to far below its terms, so the two summation
+        # orders are held to rounding of the sum of the products' magnitudes,
+        # a dot product's error bound
+        g = make_grid(unit_box(dim), cells)
+        bumps = bump_corpus(unit_box(dim), 20, seed=42)
+        tables = PairingTables(g, bumps)
+        indices = list(itertools.product((0, 1, 2), repeat=dim))
+        got, want, scale = [], [], []
+        for cf in corner_corpus(g):
+            for rule, weights in _lab_weights(g).items():
+                # dots[t, a, beta_a, alpha_a, term] is the windowed dot and the dot of
+                # magnitudes, both 0 where the weighted bump factor has no nonzero node
+                dots = np.zeros((len(bumps), dim, 3, 3, len(cf.tables), 2))
+                for t, phi in enumerate(bumps):
+                    for a, (w, x) in enumerate(zip(weights, g.axes())):
+                        for order in range(3):
+                            factor = w * phi.axis_profile(x, a, order)
+                            nz = np.flatnonzero(factor)
+                            if nz.size == 0:
+                                continue
+                            on = slice(nz[0], nz[-1] + 1)
+                            for k in range(3):
+                                for i, term in enumerate(cf.tables):
+                                    dots[t, a, order, k, i] = (factor[on] @ term[a][k][on],
+                                                               np.abs(factor[on]) @ np.abs(term[a][k][on]))
+                amplitudes = np.array([phi.amplitude for phi in bumps])
+                for alpha in indices:
+                    for beta in indices:
+                        got.append(cf.pair(tables, alpha, beta, rule))
+                        # per test and term the product over the axes in axis order,
+                        # then the terms summed in order
+                        sums = np.prod(dots[:, range(dim), beta, alpha], axis=1).sum(axis=1)
+                        want.append(amplitudes * sums[:, 0])
+                        scale.append(np.abs(amplitudes) * sums[:, 1])
+        got, want, scale = np.concatenate(got), np.concatenate(want), np.concatenate(scale)
+        np.testing.assert_array_less(np.abs(got - want), 1e-13 * scale + 1e-16)
+        # and where no 1-D sum cancels, the values agree to 1e-13 relative
+        exact = np.abs(want) >= 1e-3 * scale
+        assert got[exact] == pytest.approx(want[exact], rel=1e-13, abs=1e-16)
+
+    def test_pair_calls_do_not_grow_with_the_corpus(self, monkeypatch):
+        g = make_grid(unit_box(2), 64)
+        cf = corner_corpus(g)[0]
+        pair = CornerField.pair
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return pair(*args)
+        monkeypatch.setattr(CornerField, "pair", counted)
+        counts = []
+        for count in (4, 40):
+            calls.clear()
+            tables = PairingTables(g, bump_corpus(unit_box(2), count, seed=3))
+            verify_extension_identities(cf, tables)
+            detect_layer(cf, tables)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestInequalityTransfer:

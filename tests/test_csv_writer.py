@@ -1,6 +1,7 @@
 """``cli.write_csv`` against the csv module, which the package itself does not
 import: the same bytes for any table, and the CLI's CSVs equal the csv
-rendering of the certificate and ray arrays they come from."""
+rendering of the certificate and ray arrays and the corner identity rows
+they come from."""
 
 import ast
 import csv
@@ -12,12 +13,15 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uccert.cli
 from uccert import build_psi, certify, integrate_rays, linear_combination, squared_field
 from uccert.cli import geometry_from_config, main, parse_config_file, write_csv
+from uccert.corner import corner_corpus, verify_extension_identities
+from uccert.grids import bump_corpus, make_grid, unit_box
 from uccert.models import get_model
 
 BUMPY_CONFIG = ("[geometry]\ndim = 3\nmetric = bumpy_wave(2, 0.05)\n"
@@ -132,3 +136,18 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
                 rows.append([ray, "bent", s, *x, *xi, p, psi])
         assert len(rows) > 0
         assert _read(os.path.join(out, "rays.csv")) == csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 64), (3, 24)])
+def test_corner_csv_is_the_csv_rendering_of_the_identity_rows(tmp_path, dim, cells):
+    out = str(tmp_path / "k")
+    argv = ["corner", "--dim", str(dim), "--grid", str(cells), "--tests", "3", "--n-pts", "50"]
+    assert main(argv + ["--out", out]) in (0, 1)
+    grid = make_grid(unit_box(dim), cells)
+    tests = bump_corpus(unit_box(dim), 3, seed=42)
+    header = ["field", "family", "alpha", "testfn", "lhs", "rhs", "residual"]
+    rows = [[cf.name, row["family"], "".join(map(str, row["alpha"])), row["testfn"],
+             row["lhs"], row["rhs"], row["residual"]]
+            for cf in corner_corpus(grid) for row in verify_extension_identities(cf, tests)["rows"]]
+    assert len(rows) > 0
+    assert _read(os.path.join(out, "corner_residuals.csv")) == csv_module_bytes(header, rows)
