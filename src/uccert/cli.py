@@ -49,6 +49,15 @@ WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
 # before any work: each step is a row per ray in rays.csv
 MAX_RAY_STEPS = 20_000
 
+# grid nodes above which `corner` stops before any work: the inequality
+# transfer visits every node of the open quadrant.  257^3 (`--dim 3 --grid
+# 256`) is about a quarter of it
+MAX_CORNER_NODES = 2 ** 26
+# pairing-table entries (3 rules x 3 orders x tests x nodes per axis, summed
+# over the axes) above which `corner` stops before any work: 128 MiB of
+# doubles, about 90 times the default 2-D lab's
+MAX_PAIRING_ENTRIES = 2 ** 24
+
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
@@ -100,7 +109,10 @@ def _column(values) -> list:
     per distinct value, floats per bit pattern (so -0.0 and 0.0 stay apart),
     each as its shortest repr, which parses back to the same double."""
     if not (isinstance(values, np.ndarray) and (values.dtype == np.float64 or values.dtype.kind in "iu")):
-        return [_cell(v) for v in values]
+        # each distinct string once; other values apart, so 0, 0.0 and False
+        # never share a cell
+        strings = {v: _cell(v) for v in dict.fromkeys(v for v in values if type(v) is str)}
+        return [strings[v] if type(v) is str else _cell(v) for v in values]
     floats = values.dtype == np.float64
     distinct, index = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
     if floats:
@@ -444,6 +456,14 @@ def cmd_corner(args) -> int:
     if cells % 2:
         raise ContractViolation(f"--grid {cells} must be even, so that the quadrant faces "
                                 f"y_1 = 0 and y_2 = 0 get a node at 0")
+    nodes = (cells + 1) ** dim
+    if nodes > MAX_CORNER_NODES:
+        raise ContractViolation(f"--grid {cells} in {dim}-D has {nodes} nodes, "
+                                f"above the bound of {MAX_CORNER_NODES}")
+    entries = 9 * args.tests * (cells + 1) * dim
+    if entries > MAX_PAIRING_ENTRIES:
+        raise ContractViolation(f"--tests {args.tests} at --grid {cells} in {dim}-D needs {entries} "
+                                f"pairing-table entries, above the bound of {MAX_PAIRING_ENTRIES}")
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
     if not eps_list:

@@ -11,19 +11,22 @@ measures it.  U and the test bumps are products of 1-D factors, so each of
 these integrals is, term by term of U, a product of 1-D sums over 1-D tables
 built once per run: each field's factors on the grid axes, and, per
 integration rule and axis, one array holding every test bump's weighted
-factors of order 0-2 (PairingTables).  CornerField.pair pairs a field with
+factors of order 0-2 (PairingTables).  Those arrays take one bump evaluation
+per axis and order for the whole corpus (grids.bump_profiles), after one
+array comparison checks every support.  CornerField.pair pairs a field with
 all test bumps at once, by one matrix-vector product per axis and term of U,
 so each side of an identity is a handful of products whatever the corpus
 size.  The smoothing commutator that justifies applying weighted estimates
 to low-regularity functions is separable too: a product kernel, a multiplier
 that is a sum of 1-D terms and a field given by its factors leave only 1-D
-convolutions and 1-D sums.  The pointwise differential-inequality transfer
+convolutions and 1-D sums, and a term of the multiplier that is zero on the
+grid is skipped.  The pointwise differential-inequality transfer
 from U to V reads the field's partials in axis-0 slabs of the grid, and at
 the sampled nodes only.  So no stage of the lab forms an array of the grid's
-shape: at 128 cells per axis, `corner --dim 3` runs in about 0.06 s after
-start-up (0.25 s as a whole process) and the process peaks at 40 MB resident
+shape: at 128 cells per axis, `corner --dim 3` runs in about 0.04 s after
+start-up (0.22 s as a whole process) and the process peaks at 39 MB resident
 on a 2-core x86-64 machine with one BLAS thread (0.33 s and 216 MB while the
-transfer formed grid arrays).
+transfer formed grid arrays; 0.25 s with a bump evaluation per test bump).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, HypothesisError, ResolutionError
-from .grids import Grid, ProductBump, _axis_weights, _bump, trapezoid
+from .grids import (Grid, ProductBump, _axis_weights, _bump, bump_profiles,
+                    check_supports_inside, trapezoid)
 
 
 def fftconvolve(in1, in2, mode="full", axes=None):
@@ -123,23 +127,34 @@ class PairingTables:
 
     factors[rule][a] has shape (3, T, n_a): [order, t] is the order-th
     derivative of test bump t's factor on axis a times that axis's weights
-    of the rule (_lab_weights), zero off the bump's support.  Every test
-    function's support is checked to lie inside the box first, and a corpus
-    of no test function is refused, since every identity would pass on it.
-    Build one per grid and corpus; it holds nothing that outlives them.
+    of the rule (_lab_weights), zero off the bump's support.  Each axis and
+    order is one bump_profiles evaluation over the whole corpus, and every
+    support is checked to lie inside the box first, in one comparison.  A
+    corpus of no test function is refused, since every identity would pass
+    on it.  Build one per grid and corpus; it holds nothing that outlives
+    them.
     """
 
     def __init__(self, grid: Grid, tests: List[ProductBump]):
         if not tests:
             raise ContractViolation("a pairing needs at least one test function")
-        for phi in tests:
-            phi.check_support_inside(grid.box)
+        centers = np.array([phi.center for phi in tests])
+        radii = np.array([phi.radius for phi in tests])
+        check_supports_inside(centers, radii, grid.box)
         self.grid = grid
         self.amplitudes = np.array([phi.amplitude for phi in tests], dtype=float)
-        profiles = [np.array([[phi.axis_profile(x, a, order) for phi in tests] for order in range(3)])
-                    for a, x in enumerate(grid.axes())]
-        self.factors = {rule: [w * p for w, p in zip(weights, profiles)]
-                        for rule, weights in _lab_weights(grid).items()}
+        weights = _lab_weights(grid)
+        self.factors = {rule: [] for rule in weights}
+        for a, x in enumerate(grid.axes()):
+            r = radii[:, a:a + 1]
+            u = (x - centers[:, a:a + 1]) / r
+            profiles = [bump_profiles(u, r, order) for order in range(3)]
+            # written in place, so no stacked copy of the profiles sits beside the tables
+            for rule, by_axis in weights.items():
+                table = np.empty((3,) + u.shape)
+                for order, prof in enumerate(profiles):
+                    np.multiply(by_axis[a], prof, out=table[order])
+                self.factors[rule].append(table)
 
 
 def _pairing_tables(cf: CornerField, tests) -> PairingTables:
@@ -451,9 +466,12 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
         g_b (kappa * F_b) - kappa * (g_b F_b) + [b = j] k * (g_j' F_j).
 
     For constant a the difference cancels to rounding, so the commutator is
-    zero to floating-point accuracy by construction.  The trapezoid integral
-    of D_jk^2 is then a Gram sum: over pairs of these products, the product
-    over the axes of their 1-D weighted inner products.
+    zero to floating-point accuracy by construction.  A term g_b that is zero
+    at every node, with g_b', gives only zero products and is skipped (the
+    lab's multiplier varies along y_1 only).  The trapezoid integral of
+    D_jk^2 is then a Gram sum: over pairs of these products, the product
+    over the axes of their 1-D weighted inner products.  The kernels are
+    built once per width and distinct grid spacing.
     """
     hmax = float(np.max(grid.h))
     for eps in eps_list:
@@ -464,12 +482,16 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
     weights = [_axis_weights(n, h) for n, h in zip(grid.shape, grid.h)]
     g = [a[b][0](axes[b]) for b in range(dim)]
     dg = [a[b][1](axes[b]) for b in range(dim)]
+    live = [b for b in range(dim) if np.any(g[b]) or np.any(dg[b])]
     # per term, per axis: the factor and its derivative on the axis nodes
     f = [[(term[c][0](axes[c]), term[c][1](axes[c])) for c in range(dim)] for term in v]
+    spacings = grid.h.tolist()
     out = []
     for eps in eps_list:
-        # per axis, the value and derivative kernels with the spacing folded in
-        kern = [[k * h for k in _mollifier_kernels(h, eps)] for h in grid.h]
+        # per distinct spacing, the value and derivative kernels with the
+        # spacing folded in
+        by_spacing = {h: [k * h for k in _mollifier_kernels(h, eps)] for h in set(spacings)}
+        kern = [by_spacing[h] for h in spacings]
         total = 0.0
         for j in range(dim):
             for k in range(dim):
@@ -477,11 +499,13 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
                 for ft in f:
                     vk = [ft[c][int(c == k)] for c in range(dim)]
                     conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
-                    for b in range(dim):
+                    for b in live:
                         on_b = g[b] * conv[b] - _smooth(g[b] * vk[b], kern[b][int(b == j)])
                         if b == j:
                             on_b = on_b + _smooth(dg[j] * vk[j], kern[j][0])
                         pieces.append(conv[:b] + [on_b] + conv[b + 1:])
+                if not pieces:
+                    continue
                 gram = np.ones((len(pieces), len(pieces)))
                 for c in range(dim):
                     rows = np.array([p[c] for p in pieces])

@@ -198,6 +198,30 @@ def bump_d2(u: np.ndarray) -> np.ndarray:
 _BUMP_DERIVS = (bump_value, bump_d1, bump_d2)
 
 
+def bump_profiles(u: np.ndarray, radius, order: int) -> np.ndarray:
+    """The order-th derivative of y -> bump((y - c) / radius) at the centred,
+    scaled coordinates u = (y - c) / radius, where bump(u) = exp(-1/(1-u^2))
+    inside |u| < 1.  For a corpus, u is (T, n) and radius (T, 1): one row per
+    bump, in one evaluation.  radius ** order is C's pow (np.float_power)
+    for an array and a scalar alike, where numpy's ** squares an array by a
+    product, so a row has the bits of the one-bump case."""
+    return _BUMP_DERIVS[order](u) / np.float_power(radius, order)
+
+
+def check_supports_inside(centers: np.ndarray, radii: np.ndarray, box) -> None:
+    """Raise SupportError unless every support box [c - r, c + r], one per
+    row of the (T, dim) centers and radii, lies inside box (faces included),
+    naming the first test function whose support does not."""
+    lo, hi = centers - radii, centers + radii
+    box = np.asarray(box, dtype=float)
+    outside = np.any(lo < box[:, 0], axis=1) | np.any(hi > box[:, 1], axis=1)
+    if np.any(outside):
+        t = int(np.argmax(outside))
+        support = np.stack([lo[t], hi[t]], axis=1).tolist()
+        raise SupportError(f"test function {t} has support {support}, which is not inside "
+                           f"the working box {box.tolist()}")
+
+
 class ProductBump:
     """Smooth compactly supported product bump with analytic derivatives.
 
@@ -216,18 +240,14 @@ class ProductBump:
     def dim(self) -> int:
         return self.center.size
 
-    def support_box(self) -> np.ndarray:
-        return np.stack([self.center - self.radius, self.center + self.radius], axis=1)
-
     def check_support_inside(self, box: np.ndarray):
-        sb = self.support_box()
-        box = np.asarray(box, dtype=float)
-        if np.any(sb[:, 0] < box[:, 0]) or np.any(sb[:, 1] > box[:, 1]):
-            raise SupportError("bump support touches the working box boundary")
+        check_supports_inside(self.center[None], self.radius[None], box)
 
     def axis_profile(self, coords: np.ndarray, a: int, order: int) -> np.ndarray:
+        """The order-th derivative of the bump's axis-a factor at coords: the
+        one-row case of bump_profiles."""
         u = (np.asarray(coords, dtype=float) - self.center[a]) / self.radius[a]
-        return _BUMP_DERIVS[order](u) / self.radius[a] ** order
+        return bump_profiles(u, self.radius[a], order)
 
     def factors(self) -> list:
         """Per-axis factor triples (f, f', f'') of the bump, as a corner field
@@ -259,21 +279,28 @@ class ProductBump:
 
 def bump_corpus(box, count: int, seed: int) -> list:
     """Reproducible corpus of product bumps supported strictly inside the box,
-    at least 0.02 from its faces."""
+    at least 0.02 from its faces.
+
+    Each centre is drawn at least its radius plus 0.02 from the faces, which
+    places every support inside a box at least 0.08 wide on each axis (a
+    radius is at most a quarter of the width), so no bump needs a check.
+    """
     box = np.asarray(box, dtype=float)
-    rng = np.random.default_rng(seed)
-    dim = box.shape[0]
-    out = []
     width = box[:, 1] - box[:, 0]
-    while len(out) < count:
+    if np.any(width < 0.08):
+        raise SupportError(f"box widths {width.tolist()} leave no room for a bump corpus: "
+                           f"every axis must be at least 0.08 wide")
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
         radius = rng.uniform(0.12, 0.25) * width
         lo = box[:, 0] + radius + 0.02
         hi = box[:, 1] - radius - 0.02
-        center = rng.uniform(lo, hi)
-        amp = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        b = ProductBump(center, radius, amplitude=amp)
-        b.check_support_inside(box)
-        out.append(b)
+        # the draws and the bits of uniform(lo, hi) and choice([-1.0, 1.0]),
+        # without their per-call argument handling
+        center = lo + (hi - lo) * rng.random(lo.size)
+        amp = rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(0, 2)]
+        out.append(ProductBump(center, radius, amplitude=amp))
     return out
 
 

@@ -477,7 +477,8 @@ class TestMalformedInput:
 
 
 class TestCornerGridBound:
-    """A grid too coarse for every rung of the smoothing ladder is a usage error."""
+    """A grid too coarse for every rung of the smoothing ladder, or a lab too
+    large to build, is a usage error."""
 
     # the largest even cell count whose ladder is empty, from the ladder rule
     COARSEST = max(c for c in range(2, 256, 2) if not _smoothing_ladder(make_grid(unit_box(2), c)))
@@ -499,6 +500,36 @@ class TestCornerGridBound:
         assert f"--grid {argv[1]} must be even" in err and "node at 0" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--grid", "20000000"], "nodes"), (["--grid", "1000000000"], "nodes"),
+        (["--grid", "8192"], "nodes"), (["--grid", "406", "--dim", "3"], "nodes"),
+        (["--tests", "1000000"], "pairing-table entries"),
+        (["--tests", "400", "--grid", "8190"], "pairing-table entries")])
+    def test_oversized_lab_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, what):
+        # stopped before any work: the grid, the corpora and the tables refuse to be built
+        def refuse(*args, **kwargs):
+            raise AssertionError("corner did work before its size bound")
+        for name in ("make_grid", "bump_corpus", "corner_corpus", "PairingTables"):
+            monkeypatch.setattr(uccert.cli, name, refuse)
+        out = str(tmp_path / "o")
+        assert main(["corner"] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert what in err and "above the bound of" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [["--grid", "512"], ["--dim", "3", "--grid", "256"], ["--dim", "3"],
+                                      ["--grid", "8190"]])
+    def test_grids_within_the_size_bound_start_work(self, tmp_path, monkeypatch, argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(uccert.cli, "make_grid", reached)
+        with pytest.raises(Reached):
+            main(["corner"] + argv + ["--out", str(tmp_path / "o")])
 
     def test_next_grid_runs(self, tmp_path):
         assert _smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.signal import fftconvolve
 
 import uccert.corner
+import uccert.grids
 
-from uccert.cli import _corner_mollifier, _smoothing_ladder, main
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
                            _lab_weights, _mollifier_kernels, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
@@ -18,8 +18,8 @@ from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTabl
                            quadrant_mask, verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import ContractViolation, HypothesisError, ResolutionError, SupportError
-from uccert.grids import (Grid, ProductBump, bump_corpus, d1, d2, make_grid,
-                          restricted_trapezoid, trapezoid, unit_box)
+from uccert.grids import (Grid, ProductBump, bump_corpus, bump_d1, bump_d2, bump_value, d1, d2,
+                          make_grid, restricted_trapezoid, trapezoid, unit_box)
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
 WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
@@ -329,6 +329,37 @@ class TestSeparablePairing:
             lab(corner_corpus(g)[0], tests)
 
     @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
+    def test_support_error_names_the_first_test_function_outside(self, lab):
+        g = make_grid(unit_box(2), 64)
+        tests = (bump_corpus(unit_box(2), 3, seed=1)
+                 + [ProductBump([0.7, 0.0], [0.4, 0.4]), ProductBump([0.0, -0.8], 0.3)])
+        support = [[0.7 - 0.4, 0.7 + 0.4], [-0.4, 0.4]]
+        want = f"test function 3 has support {support}, which is not inside the working box " \
+               f"{[[-1.0, 1.0], [-1.0, 1.0]]}"
+        with pytest.raises(SupportError, match=re.escape(want)):
+            lab(corner_corpus(g)[0], tests)
+
+    @pytest.mark.parametrize("dim, cells, straddling", [(2, 512, False), (3, 24, False),
+                                                         (2, 64, True), (3, 24, True)])
+    def test_tables_equal_per_bump_profiles(self, dim, cells, straddling):
+        # the routes the corpus-wide evaluation replaced: axis_profile, one bump
+        # at a time, and the formula it once wrote out with a scalar radius
+        g = make_grid(unit_box(dim), cells)
+        bumps = _straddling_bumps(unit_box(dim)) if straddling else bump_corpus(unit_box(dim), 20, seed=42)
+        tables = PairingTables(g, bumps)
+        derivs = (bump_value, bump_d1, bump_d2)
+        assert np.array_equal(tables.amplitudes, [phi.amplitude for phi in bumps])
+        for rule, weights in _lab_weights(g).items():
+            for a, (w, x) in enumerate(zip(weights, g.axes())):
+                assert tables.factors[rule][a].shape == (3, len(bumps), x.size)
+                for order in range(3):
+                    for t, phi in enumerate(bumps):
+                        c, r = phi.center[a], phi.radius[a]
+                        got = tables.factors[rule][a][order, t]
+                        assert np.array_equal(got, w * phi.axis_profile(x, a, order)), (rule, a, order, t)
+                        assert np.array_equal(got, w * (derivs[order]((x - c) / r) / r ** order))
+
+    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
     def test_empty_corpus_rejected(self, lab):
         # with no test function every identity would pass and the layer read 0
         g = make_grid(unit_box(2), 64)
@@ -567,22 +598,24 @@ class TestLabFootprint:
             tracemalloc.stop()
         assert peak < 8 * int(np.prod(g.shape)) / 2
 
-    def test_pairings_profile_each_bump_once_per_axis_and_order(self, monkeypatch, tmp_path):
-        # the mollifier stage's kink fields read bump profiles too; its calls
-        # are counted apart and taken off the run's
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairing_tables_evaluate_bumps_once_per_axis_and_order(self, monkeypatch, dim):
+        # the whole corpus in one bump evaluation per axis and order: a
+        # per-bump loop would make the count grow with the corpus
+        g = make_grid(unit_box(dim), 24)
+        bump = uccert.grids._bump
         calls = []
-        profile = ProductBump.axis_profile
 
-        def counted(self, coords, a, order):
-            calls.append(order)
-            return profile(self, coords, a, order)
-        monkeypatch.setattr(ProductBump, "axis_profile", counted)
-        assert main(["corner", "--grid", "128", "--tests", "20", "--out", str(tmp_path)]) in (0, 1)
-        run = len(calls)
-        g = make_grid(unit_box(2), 128)
-        _corner_mollifier(g, _smoothing_ladder(g), 0)
-        mollifier = len(calls) - run
-        assert 0 < run - mollifier <= 3 * g.dim * 20
+        def counted(*args):
+            calls.append(args)
+            return bump(*args)
+        monkeypatch.setattr(uccert.grids, "_bump", counted)
+        counts = []
+        for count in (4, 40):
+            calls.clear()
+            PairingTables(g, bump_corpus(unit_box(dim), count, seed=3))
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] <= 3 * dim
 
 
 class TestMollifier:
@@ -614,6 +647,12 @@ class TestMollifier:
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         norms = mollifier_commutator(a, v, g, [0.2, 0.1, 0.05])
         assert max(norms) <= 1e-12
+
+    def test_zero_multiplier_gives_exact_zero(self):
+        # every term of a is zero on the grid and skipped: no product is left
+        g = make_grid(unit_box(2), 64)
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        assert mollifier_commutator(affine_multiplier(0.0, [0.0, 0.0]), v, g, [0.25, 0.125]) == [0.0, 0.0]
 
     def test_unresolved_eps_rejected(self):
         g = make_grid(unit_box(2), 64)

@@ -74,6 +74,19 @@ def test_array_form_writes_what_the_csv_module_writes(header, n_rows, n_cols, bl
         assert written_bytes(header, table, labels) == csv_module_bytes(header, rows)
 
 
+@pytest.mark.parametrize("block_rows", [3, 1024])
+def test_mixed_label_column_keeps_each_value_apart(block_rows):
+    # strings are formatted once each; 0, 0.0, -0.0, False and "0" are equal
+    # or hash alike, and each keeps its own text
+    label = ["a", 0, 0.0, -0.0, False, "a", 'x,"y"', "", None, True, "0", "a", 'x,"y"', 1, 1.0, "1"]
+    ids = np.arange(len(label))
+    table = np.linspace(-1.0, 1.0, len(label))[:, None]
+    rows = [[v, i, x] for v, i, x in zip(label, ids.tolist(), table[:, 0].tolist())]
+    with mock.patch.object(uccert.cli, "CSV_BLOCK_ROWS", block_rows):
+        got = written_bytes(["label", "id", "x"], table, (label, ids))
+    assert got == csv_module_bytes(["label", "id", "x"], rows)
+
+
 def test_signed_zeros_and_nans_keep_their_text():
     table = np.array([[0.0, -0.0, math.nan], [-0.0, 0.0, -math.nan], [5e-324, -5e-324, math.inf]])
     assert written_bytes(["a", "b", "c"], table) == \

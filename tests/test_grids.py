@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from uccert.errors import ContractViolation, SupportError
 from uccert.grids import (Grid, ProductBump, bump_d1, bump_d2, bump_value,
                           bump_superposition_values, d1, d1d1, d2, make_grid,
-                          restricted_trapezoid, bump_corpus,
+                          restricted_trapezoid, bump_corpus, bump_profiles,
                           trapezoid, trapezoid_richardson, unit_box)
 
 
@@ -155,6 +155,19 @@ class TestBumps:
             want[safe] = inner
             assert np.array_equal(fn(u), want)
 
+    def test_corpus_rows_keep_the_bits_of_one_bump(self):
+        # at this radius numpy's array square and C's pow differ in the last
+        # bit; a row of a corpus evaluation divides as the one-bump case does
+        r = 0.3025027907848431
+        assert (np.array([r]) ** 2)[0] != np.float64(r) ** 2
+        x = np.linspace(-1.0, 1.0, 513)
+        b = ProductBump([0.1], [r])
+        radii = np.array([[r], [0.5 * r]])
+        for order, fn in enumerate((bump_value, bump_d1, bump_d2)):
+            rows = bump_profiles((x - 0.1) / radii, radii, order)
+            assert np.array_equal(rows[0], b.axis_profile(x, 0, order))
+            assert np.array_equal(rows[0], fn((x - 0.1) / r) / np.float64(r) ** order)
+
     def test_bump_vanishes_outside_support(self):
         b = ProductBump([0.0, 0.0], [0.3, 0.3])
         assert b([0.31, 0.0]) == 0.0
@@ -181,6 +194,32 @@ class TestBumps:
         b = ProductBump([0.8, 0.0], [0.3, 0.3])
         with pytest.raises(SupportError):
             b.check_support_inside(unit_box(2))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_corpus_equals_the_checked_choice_loop(self, dim):
+        # the loop bump_corpus replaced: the sign drawn by choice and every
+        # support checked as it is drawn
+        box = unit_box(dim)
+        width = box[:, 1] - box[:, 0]
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            want = []
+            while len(want) < 20:
+                radius = rng.uniform(0.12, 0.25) * width
+                center = rng.uniform(box[:, 0] + radius + 0.02, box[:, 1] - radius - 0.02)
+                amp = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                b = ProductBump(center, radius, amplitude=amp)
+                b.check_support_inside(box)
+                want.append(b)
+            got = bump_corpus(box, 20, seed)
+            assert len(got) == 20
+            for b1, b2 in zip(got, want):
+                assert np.array_equal(b1.center, b2.center) and np.array_equal(b1.radius, b2.radius)
+                assert b1.amplitude == b2.amplitude
+
+    def test_corpus_needs_room_on_every_axis(self):
+        with pytest.raises(SupportError, match="at least 0.08 wide"):
+            bump_corpus(np.array([[-1.0, 1.0], [0.0, 0.07]]), 3, seed=0)
 
     def test_corpus_reproducible(self):
         c1 = bump_corpus(unit_box(2), 5, seed=42)
