@@ -1,7 +1,7 @@
 """Desk-scale weighted-inequality experiments for the certified surface.
 
 Builds the convexified weight phi = exp(mu * psi) - 1 from a certified
-surface field, discretizes the operator P = <Q d, d> + b . d + c on a uniform
+surface field, discretizes the principal part P = <Q d, d> on a uniform
 grid, and measures the inequality ratio
 
     ||e^{-lam phi} P w||  /  ( lam^{1/2} ||e^{-lam phi} grad w||
@@ -14,34 +14,25 @@ raw norms to audit the wired lam exponents from log-log slopes.
 
 Only the weight depends on lam, so the sweep forms P w, |grad w|^2, w^2, the
 dilated support and the weight shift once per test function; each lam adds
-one exponential on the support and three trapezoid sums.
+one exponential on the support and three trapezoid sums.  The result is a
+set of (T, L) arrays: T test functions by L values of lam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, RangeError
-from .fields import MetricField, ScalarField
+from .fields import MetricField, ScalarField, power
 from .grids import Grid, d1, d1d1, d2, trapezoid
 
 EXP_LIMIT = 700.0     # largest magnitude we allow in the weight exponent
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    psi: ScalarField
-    mu: float
-    phi: ScalarField
-
-    def phi_on_grid(self, grid: Grid) -> np.ndarray:
-        return self.phi.jet(grid.points(), 0).reshape(grid.shape)
-
-
-def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
+def build_weight(psi: ScalarField, mu: float) -> ScalarField:
     """Convexified weight phi = exp(mu * psi) - 1.
 
     Shares the zero level set (and hence the sublevel sets) with psi exactly,
@@ -57,8 +48,7 @@ def build_weight(psi: ScalarField, mu: float) -> WeightSpec:
         e = np.exp(u.value)
         return u.chain(np.expm1(u.value), e, e)
 
-    phi = ScalarField(jet, name=f"expm1({mu:g}*psi)")
-    return WeightSpec(psi=psi, mu=float(mu), phi=phi)
+    return ScalarField(jet, name=f"expm1({mu:g}*psi)")
 
 
 def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
@@ -66,15 +56,13 @@ def metric_on_grid(Q: MetricField, grid: Grid) -> np.ndarray:
     return np.moveaxis(Q.jet(grid.points(), 0), 0, -1).reshape((grid.dim, grid.dim) + grid.shape)
 
 
-def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
-             b: Optional[np.ndarray], c: Optional[np.ndarray]) -> np.ndarray:
-    """Second-order centered discretization of P w from the entries of Q on
-    the grid (``metric_on_grid``).
+def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order centered discretization of P w = <Q d, d> w from the
+    entries of Q on the grid (``metric_on_grid``).
 
     Pure second derivatives use the three-point stencil; mixed terms use
-    successive centered first differences.  ``b`` has shape (dim,) + grid
-    shape, ``c`` grid shape; None stands for zero.  Consistency is O(h^2) on
-    smooth compactly supported w.
+    successive centered first differences.  Consistency is O(h^2) on smooth
+    compactly supported w.
     """
     h = grid.h
     out = np.zeros_like(w)
@@ -83,11 +71,6 @@ def _stencil(q_arrays: np.ndarray, w: np.ndarray, grid: Grid,
         for k in range(j + 1, grid.dim):
             if np.any(q_arrays[j, k]):          # an all-zero entry adds exactly zero
                 out += 2.0 * q_arrays[j, k] * d1d1(w, j, k, h[j], h[k])
-    if b is not None:
-        for j in range(grid.dim):
-            out += b[j] * d1(w, j, h[j])
-    if c is not None:
-        out += c * w
     return out
 
 
@@ -106,21 +89,21 @@ def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def _ratio_table(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray],
-                 lambdas: Sequence[float], grid: Grid,
-                 b: Optional[np.ndarray], c: Optional[np.ndarray]) -> list:
-    """table[t][k]: the weighted norms and their ratio for corpus[t] at lambdas[k].
+def _ratio_table(Q: MetricField, phi: ScalarField, corpus: Sequence[np.ndarray],
+                 lambdas: Sequence[float], grid: Grid) -> tuple:
+    """(lhs, wnorm_grad, wnorm_w, empty): the weighted norms of corpus[t] at
+    lambdas[k] in entry [t, k] of three (T, L) arrays, and the (T,) mask of
+    zero test functions, whose norms are all zero.
 
     The weight exponent is shifted so its minimum over the (slightly dilated)
     support of a test function is zero; this changes every norm by the same
-    factor and keeps the exponential representable.  A zero test function
-    yields NaN ratio with an "empty" flag.
+    factor and keeps the exponential representable.
     Every region and shift is found before any norm is taken, so an
     unrepresentable exponent is reported at the smallest lam that has one.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ContractViolation("lam must be positive")
-    phi_values = weight.phi_on_grid(grid)
+    phi_values = phi.jet(grid.points(), 0).reshape(grid.shape)
     corpus = [np.asarray(w, dtype=float) for w in corpus]
     # the dilation of an empty support is empty
     regions = [_dilate(np.abs(w) > 0.0, 2) for w in corpus]
@@ -132,45 +115,66 @@ def _ratio_table(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray
             raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
 
     q_arrays = metric_on_grid(Q, grid)
-    table = []
-    for w, region, shift in zip(corpus, regions, shifts):
-        if not region.any():
-            table.append([{"lhs": 0.0, "rhs1": 0.0, "rhs2": 0.0, "ratio": float("nan"),
-                           "wnorm_grad": 0.0, "wnorm_w": 0.0, "empty": True}
-                          for _ in lambdas])
-            continue
-        pw = _stencil(q_arrays, w, grid, b, c)
+    lhs, wnorm_grad, wnorm_w = (np.zeros((len(corpus), len(lambdas))) for _ in range(3))
+    empty = np.array([not r.any() for r in regions], dtype=bool)
+    for t in np.flatnonzero(~empty):
+        w, region = corpus[t], regions[t]
+        pw = _stencil(q_arrays, w, grid)
         pw_sq = pw * pw
         grad_sq = np.zeros_like(w)
         for a in range(grid.dim):
             grad_sq += d1(w, a, grid.h[a]) ** 2
         w_sq = w * w
-        dphi = phi_values[region] - shift
+        dphi = phi_values[region] - shifts[t]
         wsq = np.zeros_like(w)
-        rows = []
-        for lam in lambdas:
+        for k, lam in enumerate(lambdas):
             wsq[region] = np.exp(2.0 * np.clip(-lam * dphi, -EXP_LIMIT, 0.0))
-            lhs = float(np.sqrt(trapezoid(pw_sq * wsq, grid)))
-            wnorm_grad = float(np.sqrt(trapezoid(grad_sq * wsq, grid)))
-            wnorm_w = float(np.sqrt(trapezoid(w_sq * wsq, grid)))
-            rhs1 = np.sqrt(lam) * wnorm_grad
-            rhs2 = lam ** 1.5 * wnorm_w
-            denom = rhs1 + rhs2
-            rows.append({"lhs": lhs, "rhs1": rhs1, "rhs2": rhs2,
-                         "ratio": lhs / denom if denom > 0 else float("nan"),
-                         "wnorm_grad": wnorm_grad, "wnorm_w": wnorm_w, "empty": False})
-        table.append(rows)
-    return table
+            lhs[t, k] = np.sqrt(trapezoid(pw_sq * wsq, grid))
+            wnorm_grad[t, k] = np.sqrt(trapezoid(grad_sq * wsq, grid))
+            wnorm_w[t, k] = np.sqrt(trapezoid(w_sq * wsq, grid))
+    return lhs, wnorm_grad, wnorm_w, empty
 
 
 @dataclass
 class CarlemanReport:
-    mu: float
-    lambdas: list
-    rows: list                      # per (testfn, lam) dict
-    r_min: dict                     # lam -> min ratio over corpus
+    """The sweep as (T, L) arrays, row t for corpus[t] and column k for
+    lambdas[k]; the right-hand sides, the ratio and its per-lam minimum are
+    derived from them."""
+    lambdas: np.ndarray             # (L,)
+    lhs: np.ndarray                 # ||e^{-lam phi} P w||
+    wnorm_grad: np.ndarray          # ||e^{-lam phi} grad w||
+    wnorm_w: np.ndarray             # ||e^{-lam phi} w||
+    empty: np.ndarray               # (T,) zero test functions
     h: float
-    decreasing_flags: list = dc_field(default_factory=list)
+
+    @property
+    def rhs1(self) -> np.ndarray:
+        return np.sqrt(self.lambdas) * self.wnorm_grad
+
+    @property
+    def rhs2(self) -> np.ndarray:
+        return power(self.lambdas, 1.5) * self.wnorm_w
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """lhs / (rhs1 + rhs2), NaN where the denominator is zero."""
+        denom = self.rhs1 + self.rhs2
+        return np.divide(self.lhs, denom, out=np.full_like(denom, np.nan), where=denom > 0)
+
+    @property
+    def r_min(self) -> dict:
+        """lam -> the least finite ratio over the nonzero test functions (inf
+        when there is none)."""
+        ratio = self.ratio
+        mins = np.where(~self.empty[:, None] & np.isfinite(ratio), ratio, np.inf).min(axis=0)
+        return dict(zip(self.lambdas.tolist(), mins.tolist()))
+
+    @property
+    def decreasing_flags(self) -> list:
+        """The lam steps (l1, l2) where the corpus minimum drops by more than half."""
+        r_min = self.r_min
+        lams = list(r_min)
+        return [(l1, l2) for l1, l2 in zip(lams, lams[1:]) if r_min[l2] < 0.5 * r_min[l1]]
 
     def r_floor(self, lam_from: float) -> float:
         vals = [r for lam, r in self.r_min.items() if lam >= lam_from]
@@ -178,69 +182,50 @@ class CarlemanReport:
 
     def to_dict(self) -> dict:
         return {
-            "mu": self.mu,
             "h": self.h,
-            "lambdas": [float(v) for v in self.lambdas],
-            "r_min": {str(k): float(v) for k, v in self.r_min.items()},
-            "decreasing_flags": list(self.decreasing_flags),
-            "n_rows": len(self.rows),
+            "lambdas": self.lambdas.tolist(),
+            "r_min": {str(k): v for k, v in self.r_min.items()},
+            "decreasing_flags": self.decreasing_flags,
+            "n_rows": self.lhs.size,
         }
 
-    def csv_rows(self) -> list:
-        return [[r["testfn"], r["lam"], r["lhs"], r["rhs1"], r["rhs2"], r["ratio"]]
-                for r in self.rows]
 
+def lambda_sweep(Q: MetricField, phi: ScalarField, corpus: Sequence[np.ndarray],
+                 lambdas: Sequence[float], grid: Grid) -> CarlemanReport:
+    """The (testfn x lam) ratio table of the weight field phi.
 
-def lambda_sweep(Q: MetricField, weight: WeightSpec, corpus: Sequence[np.ndarray],
-                 lambdas: Sequence[float], grid: Grid,
-                 b: Optional[np.ndarray] = None, c: Optional[np.ndarray] = None) -> CarlemanReport:
-    """Full (testfn x lam) ratio table with the per-lam corpus minimum.
-
-    Flags any lam step where the corpus minimum drops by more than half,
-    which would signal the ratio decreasing toward zero instead of leveling
-    at a positive floor.
+    Its ``decreasing_flags`` name any lam step where the corpus minimum drops
+    by more than half, which would signal the ratio decreasing toward zero
+    instead of leveling at a positive floor.
     """
     if not len(corpus):
         raise ContractViolation("corpus must be nonempty")
-    lambdas = [float(v) for v in lambdas]
-    if any(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
+    lambdas = np.array(lambdas, dtype=float)
+    if np.any(lambdas[1:] <= lambdas[:-1]):
         raise ContractViolation("lambdas must be strictly increasing")
-    table = _ratio_table(Q, weight, corpus, lambdas, grid, b, c)
-    rows, r_min = [], {}
-    for k, lam in enumerate(lambdas):
-        block = [dict(per_lam[k], testfn=t_id, lam=lam) for t_id, per_lam in enumerate(table)]
-        ratios = [r["ratio"] for r in block if not r["empty"] and np.isfinite(r["ratio"])]
-        r_min[lam] = float(min(ratios, default=np.inf))
-        rows += block
-    flags = [(l1, l2) for l1, l2 in zip(lambdas, lambdas[1:]) if r_min[l2] < 0.5 * r_min[l1]]
-    return CarlemanReport(mu=weight.mu, lambdas=lambdas, rows=rows,
-                          r_min=r_min, h=float(np.max(grid.h)),
-                          decreasing_flags=flags)
+    lhs, wnorm_grad, wnorm_w, empty = _ratio_table(Q, phi, corpus, lambdas, grid)
+    return CarlemanReport(lambdas=lambdas, lhs=lhs, wnorm_grad=wnorm_grad, wnorm_w=wnorm_w,
+                          empty=empty, h=float(np.max(grid.h)))
 
 
-def exponent_slopes(report: CarlemanReport, testfn: int = 0) -> tuple:
-    """Log-log slopes of rhs1 and rhs2 against lam, normalized by the bare norms.
+def exponent_slopes(report: CarlemanReport) -> tuple:
+    """Log-log slopes of rhs1 and rhs2 of test function 0 against lam,
+    normalized by the bare norms.
 
     rhs1 = lam^{1/2} ||e^{-lam phi} grad w|| and rhs2 = lam^{3/2} ||..w||, so
     the slopes of rhs/bare-norm recover the wired exponents 1/2 and 3/2.
     """
     if len(report.lambdas) < 2:
         raise ContractViolation(f"need at least two lam values for a slope, got {len(report.lambdas)}")
-    rows = [r for r in report.rows if r["testfn"] == testfn]
-    if not rows:
-        raise ContractViolation(f"test function {testfn} is not in the sweep")
-    if rows[0]["empty"]:
-        raise ContractViolation(f"test function {testfn} is zero on the grid")
-    lams, s1, s2 = [], [], []
-    for r in rows:
-        if r["wnorm_grad"] > 0 and r["wnorm_w"] > 0:
-            lams.append(np.log(r["lam"]))
-            s1.append(np.log(r["rhs1"] / r["wnorm_grad"]))
-            s2.append(np.log(r["rhs2"] / r["wnorm_w"]))
-    if len(lams) < 2:
-        raise ContractViolation(f"test function {testfn} has nonzero weighted norms at "
-                                f"{len(lams)} of {len(rows)} lam values; a slope needs two")
-    a = np.vstack([np.ones(len(lams)), lams]).T
-    c1 = np.linalg.lstsq(a, np.array(s1), rcond=None)[0][1]
-    c2 = np.linalg.lstsq(a, np.array(s2), rcond=None)[0][1]
+    if report.empty[0]:
+        raise ContractViolation("test function 0 is zero on the grid")
+    grad, w = report.wnorm_grad[0], report.wnorm_w[0]
+    keep = (grad > 0) & (w > 0)
+    n = int(np.count_nonzero(keep))
+    if n < 2:
+        raise ContractViolation(f"test function 0 has nonzero weighted norms at "
+                                f"{n} of {len(keep)} lam values; a slope needs two")
+    a = np.vstack([np.ones(n), np.log(report.lambdas[keep])]).T
+    c1 = np.linalg.lstsq(a, np.log(report.rhs1[0, keep] / grad[keep]), rcond=None)[0][1]
+    c2 = np.linalg.lstsq(a, np.log(report.rhs2[0, keep] / w[keep]), rcond=None)[0][1]
     return float(c1), float(c2)

@@ -57,6 +57,15 @@ MAX_CORNER_NODES = 2 ** 26
 # over the axes) above which `corner` stops before any work: 128 MiB of
 # doubles, about 90 times the default 2-D lab's
 MAX_PAIRING_ENTRIES = 2 ** 24
+# points above which `corner` stops before any work: the inequality transfer
+# draws dim indices and about ten arrays of doubles per point, about 100 MiB
+# at the bound
+MAX_TRANSFER_POINTS = 2 ** 20
+# corpus values (test functions x grid nodes) above which `carleman` stops
+# before any work: the corpus is held as one grid of doubles per test
+# function, 512 MiB at the bound.  The default 50 x 257^2 is about 5% of it
+# and `--grid 1024` about 78%
+MAX_CARLEMAN_VALUES = 2 ** 26
 
 
 @contextlib.contextmanager
@@ -464,6 +473,9 @@ def cmd_corner(args) -> int:
     if entries > MAX_PAIRING_ENTRIES:
         raise ContractViolation(f"--tests {args.tests} at --grid {cells} in {dim}-D needs {entries} "
                                 f"pairing-table entries, above the bound of {MAX_PAIRING_ENTRIES}")
+    if args.n_pts > MAX_TRANSFER_POINTS:
+        raise ContractViolation(f"--n-pts {args.n_pts} is above the bound of {MAX_TRANSFER_POINTS} "
+                                f"inequality-transfer points")
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
     if not eps_list:
@@ -507,6 +519,10 @@ def cmd_corner(args) -> int:
 def cmd_carleman(args) -> int:
     lam = 2.0 if args.lam is None else args.lam
     cells = 256 if args.grid is None else args.grid
+    values = args.corpus * (cells + 1) ** 2
+    if values > MAX_CARLEMAN_VALUES:
+        raise ContractViolation(f"--corpus {args.corpus} at --grid {cells} needs {values} corpus values, "
+                                f"above the bound of {MAX_CARLEMAN_VALUES}")
     ik2 = get_model("ik2")      # the section is its y_2 = 0 slice through x0
     threshold = certify(ik2.geometry, ik2.x0, lam=lam).notes.get("lambda_threshold")
     if threshold:
@@ -519,9 +535,8 @@ def cmd_carleman(args) -> int:
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
     if not any(np.any(w) for w in corpus):
         raise ContractViolation(f"--grid {cells} is too coarse: every corpus function is zero at the nodes")
-    weight = build_weight(bent, mu=args.mu)
     lambdas = [2.0 ** k for k in range(int(math.log2(args.lambda_max + 1e-9)) + 1)]
-    rep = lambda_sweep(q, weight, corpus, lambdas, grid)
+    rep = lambda_sweep(q, build_weight(bent, mu=args.mu), corpus, lambdas, grid)
     s1, s2 = exponent_slopes(rep)
     floor = rep.r_floor(4.0)
     tripped = {}
@@ -540,7 +555,7 @@ def cmd_carleman(args) -> int:
         "seed": args.seed,
         "mu": args.mu,
         "cells": cells,
-        "sweep": rep.to_dict(),
+        "sweep": {"mu": args.mu, **rep.to_dict()},
         "r_floor_from_lam4": floor,
         "exponent_slopes": [s1, s2],
         "passed": not tripped,
@@ -548,9 +563,12 @@ def cmd_carleman(args) -> int:
     if tripped:
         payload["notes"] = {"gate": list(tripped), **tripped}
     write_report(args.out, payload)
+    # lam-major: a block of every test function per lam
+    n_tests, n_lams = rep.lhs.shape
+    table = np.stack([a.T.ravel() for a in (rep.lhs, rep.rhs1, rep.rhs2, rep.ratio)], axis=1)
     write_csv(args.out, "carleman_ratios.csv",
-              ["testfn_id", "lambda", "lhs", "rhs1", "rhs2", "ratio"],
-              rep.csv_rows())
+              ["testfn_id", "lambda", "lhs", "rhs1", "rhs2", "ratio"], table,
+              labels=(np.tile(np.arange(n_tests), n_lams), np.repeat(rep.lambdas, n_tests)))
     return 1 if tripped else 0
 
 

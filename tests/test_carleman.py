@@ -1,9 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from uccert.carleman import (EXP_LIMIT, _dilate, _stencil, build_weight, exponent_slopes,
                              lambda_sweep, metric_on_grid)
+from uccert.cli import main
 from uccert.errors import ContractViolation, RangeError
 from uccert.fields import ScalarField, constant_metric
 from uccert.grids import (ProductBump, bump_superposition_values, d1, d1d1, d2, make_grid,
@@ -30,7 +34,7 @@ class TestWeight:
         w = build_weight(bent, mu=1.5)
         for p in ([0.0, 1.0], [0.1, 1.0 + 2.0 * 0.01], [-0.2, 1.08]):
             p = np.array(p)
-            assert np.sign(w.phi(p)) == np.sign(np.sign(bent(p)))
+            assert np.sign(w(p)) == np.sign(np.sign(bent(p)))
 
     def test_gradient_chain_rule(self, section, rng):
         _, bent, _ = section
@@ -38,15 +42,15 @@ class TestWeight:
         w = build_weight(bent, mu=mu)
         for _ in range(5):
             p = np.array([rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.3)])
-            assert_allclose(w.phi.grad(p),
+            assert_allclose(w.grad(p),
                             mu * np.exp(mu * bent(p)) * bent.grad(p), rtol=1e-12)
-            assert w.phi(p) == pytest.approx(np.expm1(mu * bent(p)), rel=1e-12)
+            assert w(p) == pytest.approx(np.expm1(mu * bent(p)), rel=1e-12)
 
     def test_hessian_against_fd(self, section):
         _, bent, _ = section
         w = build_weight(bent, mu=1.0)
         p = np.array([0.12, 1.07])
-        assert_allclose(w.phi.hess(p), fd_hess(w.phi, p), rtol=1e-4, atol=1e-6)
+        assert_allclose(w.hess(p), fd_hess(w, p), rtol=1e-4, atol=1e-6)
 
     def test_nonpositive_mu_rejected(self, section):
         with pytest.raises(ContractViolation):
@@ -57,7 +61,7 @@ class TestApplyOperator:
     def test_zero_field(self, section, section_grid):
         q = section[0]
         out = _stencil(metric_on_grid(q, section_grid), np.zeros(section_grid.shape),
-                       section_grid, None, None)
+                       section_grid)
         assert np.all(out == 0.0)
 
     def test_flat_wave_against_analytic(self, section):
@@ -66,11 +70,11 @@ class TestApplyOperator:
         bump = ProductBump([0.0, 1.0], [0.25, 0.25])
         w = bump.values_on_grid(g)
         truth = -bump.partial_on_grid(g, (2, 0)) + bump.partial_on_grid(g, (0, 2))
-        err = np.max(np.abs(_stencil(metric_on_grid(q, g), w, g, None, None) - truth))
+        err = np.max(np.abs(_stencil(metric_on_grid(q, g), w, g) - truth))
         g2 = make_grid(g.box, 2 * 256)
         w2 = bump.values_on_grid(g2)
         truth2 = -bump.partial_on_grid(g2, (2, 0)) + bump.partial_on_grid(g2, (0, 2))
-        err2 = np.max(np.abs(_stencil(metric_on_grid(q, g2), w2, g2, None, None) - truth2))
+        err2 = np.max(np.abs(_stencil(metric_on_grid(q, g2), w2, g2) - truth2))
         assert err / err2 >= 3.5            # O(h^2) consistency
         assert err <= 0.05 * np.max(np.abs(truth))
 
@@ -81,23 +85,9 @@ class TestApplyOperator:
         w = mesh[0] ** 2 + 3.0 * mesh[0] * mesh[1] - mesh[1] ** 2
         # <Q d, d> w = q11*2 + 2*q12*3 + q22*(-2), constant
         expected = 1.0 * 2 + 2 * 0.5 * 3 + 2.0 * (-2)
-        out = _stencil(metric_on_grid(q, g), w, g, None, None)
+        out = _stencil(metric_on_grid(q, g), w, g)
         interior = (slice(2, -2), slice(2, -2))
         assert_allclose(out[interior], expected, atol=1e-10)
-
-    def test_lower_order_terms(self, section, section_grid):
-        q = section[0]
-        g = section_grid
-        mesh = g.meshgrid()
-        bump = ProductBump([0.0, 1.0], [0.25, 0.25])
-        w = bump.values_on_grid(g)
-        b = np.stack([np.ones(g.shape), 2.0 * np.ones(g.shape)])
-        c = 0.5 * mesh[0]
-        base = _stencil(metric_on_grid(q, g), w, g, None, None)
-        full = _stencil(metric_on_grid(q, g), w, g, b, c)
-        from uccert.grids import d1
-        expected = d1(w, 0, g.h[0]) + 2.0 * d1(w, 1, g.h[1]) + c * w
-        assert_allclose(full - base, expected, atol=1e-12)
 
     def test_variable_metric_on_grid(self):
         q = bumpy_wave_metric(1, amp=0.1)
@@ -134,41 +124,40 @@ class TestApplyOperator:
             full += arrays[j, j] * d2(w, j, g.h[j])
             for k in range(j + 1, g.dim):
                 full += 2.0 * arrays[j, k] * d1d1(w, j, k, g.h[j], g.h[k])
-        assert np.array_equal(_stencil(metric_on_grid(q, g), w, g, None, None), full)
+        assert np.array_equal(_stencil(metric_on_grid(q, g), w, g), full)
 
 
 class TestRatio:
     def test_empty_field_reported(self, section, section_grid):
         q, bent, _ = section
         weight = build_weight(bent, mu=1.0)
-        r = lambda_sweep(q, weight, [np.zeros(section_grid.shape)], [4.0], section_grid).rows[0]
-        assert r["empty"]
-        assert np.isnan(r["ratio"])
+        rep = lambda_sweep(q, weight, [np.zeros(section_grid.shape)], [4.0], section_grid)
+        assert rep.empty[0]
+        assert np.isnan(rep.ratio[0, 0])
+        assert rep.r_min == {4.0: np.inf}
 
     def test_homogeneity_in_w(self, section, section_grid):
         q, bent, _ = section
         weight = build_weight(bent, mu=1.0)
         w = bump_superposition_values(section_grid, 1, seed=3)[0]
-        r1 = lambda_sweep(q, weight, [w], [8.0], section_grid).rows[0]
-        r2 = lambda_sweep(q, weight, [2.0 * w], [8.0], section_grid).rows[0]
-        assert r2["lhs"] == pytest.approx(2.0 * r1["lhs"], rel=1e-12)
-        assert r2["rhs1"] == pytest.approx(2.0 * r1["rhs1"], rel=1e-12)
-        assert r2["rhs2"] == pytest.approx(2.0 * r1["rhs2"], rel=1e-12)
-        assert r2["ratio"] == pytest.approx(r1["ratio"], rel=1e-12)
+        r1 = lambda_sweep(q, weight, [w], [8.0], section_grid)
+        r2 = lambda_sweep(q, weight, [2.0 * w], [8.0], section_grid)
+        assert r2.lhs[0, 0] == pytest.approx(2.0 * r1.lhs[0, 0], rel=1e-12)
+        assert r2.rhs1[0, 0] == pytest.approx(2.0 * r1.rhs1[0, 0], rel=1e-12)
+        assert r2.rhs2[0, 0] == pytest.approx(2.0 * r1.rhs2[0, 0], rel=1e-12)
+        assert r2.ratio[0, 0] == pytest.approx(r1.ratio[0, 0], rel=1e-12)
 
     def test_weight_shift_invariance(self, section, section_grid):
         # adding a constant to the weight leaves every reported norm alone,
         # because the exponent is always re-based on the support minimum
         q, bent, _ = section
         w = bump_superposition_values(section_grid, 1, seed=4)[0]
-        w1 = build_weight(bent, mu=1.0)
-        shifted = ScalarField(lambda x, order: w1.phi.jet(x, order) + 5.0)
-        from uccert.carleman import WeightSpec
-        w2 = WeightSpec(bent, 1.0, shifted)
-        r1 = lambda_sweep(q, w1, [w], [8.0], section_grid).rows[0]
-        r2 = lambda_sweep(q, w2, [w], [8.0], section_grid).rows[0]
+        phi = build_weight(bent, mu=1.0)
+        shifted = ScalarField(lambda x, order: phi.jet(x, order) + 5.0)
+        r1 = lambda_sweep(q, phi, [w], [8.0], section_grid)
+        r2 = lambda_sweep(q, shifted, [w], [8.0], section_grid)
         for key in ("lhs", "rhs1", "rhs2", "ratio"):
-            assert r2[key] == pytest.approx(r1[key], rel=1e-12)
+            assert getattr(r2, key)[0, 0] == pytest.approx(getattr(r1, key)[0, 0], rel=1e-12)
 
     def test_unrepresentable_lambda_rejected(self, section, section_grid):
         q, bent, _ = section
@@ -206,8 +195,8 @@ class TestSweep:
         weight = build_weight(bent, mu=1.0)
         vals = {}
         for lam in (4.0, 8.0):
-            r = lambda_sweep(q, weight, [w], [lam], g).rows[0]
-            vals[lam] = (r["rhs2"] / r["rhs1"]) / (lam * r["wnorm_w"] / r["wnorm_grad"])
+            r = lambda_sweep(q, weight, [w], [lam], g)
+            vals[lam] = (r.rhs2[0, 0] / r.rhs1[0, 0]) / (lam * r.wnorm_w[0, 0] / r.wnorm_grad[0, 0])
         assert vals[4.0] == pytest.approx(1.0, rel=1e-12)
         assert vals[8.0] == pytest.approx(1.0, rel=1e-12)
 
@@ -224,15 +213,12 @@ class TestSweep:
         q, bent, _ = section
         weight = build_weight(bent, mu=1.0)
         w = bump_superposition_values(section_grid, 1, seed=3)[0]
-        cases = [([w], [4.0], 0, "need at least two lam values for a slope, got 1"),
-                 ([np.zeros_like(w), w], [4.0, 8.0], 0, "test function 0 is zero on the grid"),
-                 ([w], [4.0, 8.0], 1, "test function 1 is not in the sweep")]
-        for corpus, lambdas, testfn, message in cases:
+        cases = [([w], [4.0], "need at least two lam values for a slope, got 1"),
+                 ([np.zeros_like(w), w], [4.0, 8.0], "test function 0 is zero on the grid")]
+        for corpus, lambdas, message in cases:
             rep = lambda_sweep(q, weight, corpus, lambdas, section_grid)
             with pytest.raises(ContractViolation, match=message):
-                exponent_slopes(rep, testfn)
-        rep = lambda_sweep(q, weight, [np.zeros_like(w), w], [4.0, 8.0], section_grid)
-        assert exponent_slopes(rep, 1) == pytest.approx((0.5, 1.5), abs=1e-10)
+                exponent_slopes(rep)
 
     def test_mu_sweep_all_positive(self, section):
         q, bent, box = section
@@ -244,7 +230,7 @@ class TestSweep:
             assert rep.r_floor(4.0) > 0
 
 
-def _loop_ratio(q_arrays, phi_values, w, grid, lam, b=None, c=None):
+def _loop_ratio(q_arrays, phi_values, w, grid, lam):
     """One (w, lam) ratio computed from scratch, as the sweep did when lam was
     its outer loop: the oracle for the per-test-function pass."""
     w = np.asarray(w, dtype=float)
@@ -264,11 +250,6 @@ def _loop_ratio(q_arrays, phi_values, w, grid, lam, b=None, c=None):
         pw += q_arrays[j, j] * d2(w, j, h[j])
         for k in range(j + 1, grid.dim):
             pw += 2.0 * q_arrays[j, k] * d1d1(w, j, k, h[j], h[k])
-    if b is not None:
-        for j in range(grid.dim):
-            pw += b[j] * d1(w, j, h[j])
-    if c is not None:
-        pw += c * w
     grad_sq = np.zeros_like(w)
     for a in range(grid.dim):
         grad_sq += d1(w, a, h[a]) ** 2
@@ -283,16 +264,28 @@ def _loop_ratio(q_arrays, phi_values, w, grid, lam, b=None, c=None):
             "wnorm_grad": wnorm_grad, "wnorm_w": wnorm_w, "empty": False}
 
 
-def _loop_rows(q, weight, corpus, lambdas, grid, b=None, c=None):
+def _loop_rows(q, phi, corpus, lambdas, grid):
     q_arrays = metric_on_grid(q, grid)
-    phi_values = weight.phi_on_grid(grid)
+    phi_values = phi.jet(grid.points(), 0).reshape(grid.shape)
     rows = []
     for lam in lambdas:
         for t_id, w in enumerate(corpus):
-            r = _loop_ratio(q_arrays, phi_values, w, grid, lam, b=b, c=c)
+            r = _loop_ratio(q_arrays, phi_values, w, grid, lam)
             r["testfn"] = t_id
             r["lam"] = lam
             rows.append(r)
+    return rows
+
+
+def _sweep_rows(rep):
+    """The report's arrays as the oracle's rows: lam-major, one dict per
+    (testfn, lam) with the oracle's keys in its order."""
+    rows = []
+    for k, lam in enumerate(rep.lambdas.tolist()):
+        for t in range(len(rep.empty)):
+            rows.append({key: getattr(rep, key)[t, k]
+                         for key in ("lhs", "rhs1", "rhs2", "ratio", "wnorm_grad", "wnorm_w")})
+            rows[-1].update(empty=rep.empty[t], testfn=t, lam=lam)
     return rows
 
 
@@ -316,24 +309,19 @@ class TestSweepAgainstLoop:
         return grid, corpus, build_weight(section[1], mu=1.0)
 
     @pytest.mark.parametrize("lambdas", LADDERS)
-    @pytest.mark.parametrize("metric", ["section", "bumpy", "lower_order"])
+    @pytest.mark.parametrize("metric", ["section", "bumpy"])
     def test_rows_bit_for_bit(self, section, setup, metric, lambdas):
         grid, corpus, weight = setup
         q = bumpy_wave_metric(1) if metric == "bumpy" else section[0]
-        b = c = None
-        if metric == "lower_order":
-            x, y = grid.meshgrid()
-            b = np.stack([np.sin(3.0 * y), 0.5 + x * y])
-            c = np.cos(2.0 * x) - y
-        rows = lambda_sweep(q, weight, corpus, lambdas, grid, b=b, c=c).rows
-        oracle = _loop_rows(q, weight, corpus, lambdas, grid, b=b, c=c)
+        rows = _sweep_rows(lambda_sweep(q, weight, corpus, lambdas, grid))
+        oracle = _loop_rows(q, weight, corpus, lambdas, grid)
         assert [_bits(r) for r in rows] == [_bits(r) for r in oracle]
 
     def test_single_ratio_bit_for_bit(self, section, setup):
         grid, corpus, weight = setup
         q = bumpy_wave_metric(1)
         for w in corpus:
-            got = lambda_sweep(q, weight, [w], [16.0], grid).rows[0]
+            got = _sweep_rows(lambda_sweep(q, weight, [w], [16.0], grid))[0]
             want = _loop_rows(q, weight, [w], [16.0], grid)[0]
             assert _bits(got) == _bits(want)
 
@@ -355,6 +343,40 @@ class TestSweepAgainstLoop:
         want = raised(_loop_rows, corpus)
         assert raised(lambda_sweep, corpus) == want
         assert raised(_loop_rows, corpus[:1]) != want
+
+
+class TestCliAgainstLoop:
+    """`carleman` writes the sweep's arrays through the CSV writer's array
+    path: every cell, parsed back to a double, and the report's per-lam
+    minimum equal the loop oracle bit for bit."""
+
+    @pytest.mark.parametrize("cells, code", [(32, 0), (3, 1)])    # 3 cells: empty test functions
+    def test_csv_and_r_min_bit_for_bit(self, tmp_path, cells, code):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", str(cells), "--out", out]) == code
+        # the command's defaults: lambda 2, mu 1, 50 bumps at seed 0 + 7, lambdas 1..64
+        q, bent, box = carleman_section(lam=2.0)
+        grid = make_grid(box, cells)
+        corpus = bump_superposition_values(grid, 50, seed=7)
+        lambdas = [2.0 ** k for k in range(7)]
+        oracle = _loop_rows(q, build_weight(bent, mu=1.0), corpus, lambdas, grid)
+        with open(os.path.join(out, "carleman_ratios.csv"), newline="") as f:
+            lines = f.read().split("\r\n")
+        assert lines[0] == "testfn_id,lambda,lhs,rhs1,rhs2,ratio"
+        assert lines[-1] == "" and len(lines) == len(oracle) + 2
+        keys = ("lam", "lhs", "rhs1", "rhs2", "ratio")
+        for line, row in zip(lines[1:-1], oracle):
+            testfn, *numbers = line.split(",")
+            assert int(testfn) == row["testfn"]
+            assert ([np.float64(float(c)).tobytes() for c in numbers]
+                    == [np.float64(row[k]).tobytes() for k in keys])
+        with open(os.path.join(out, "report.json")) as f:
+            r_min = json.load(f)["sweep"]["r_min"]
+        want = {str(lam): min((r["ratio"] for r in oracle if r["lam"] == lam
+                               and not r["empty"] and np.isfinite(r["ratio"])), default=np.inf)
+                for lam in lambdas}
+        assert ({k: np.float64(v).tobytes() for k, v in r_min.items()}
+                == {k: np.float64(v).tobytes() for k, v in want.items()})
 
 
 class TestDilation:

@@ -505,7 +505,8 @@ class TestCornerGridBound:
         (["--grid", "20000000"], "nodes"), (["--grid", "1000000000"], "nodes"),
         (["--grid", "8192"], "nodes"), (["--grid", "406", "--dim", "3"], "nodes"),
         (["--tests", "1000000"], "pairing-table entries"),
-        (["--tests", "400", "--grid", "8190"], "pairing-table entries")])
+        (["--tests", "400", "--grid", "8190"], "pairing-table entries"),
+        (["--n-pts", "1048577"], "inequality-transfer points")])
     def test_oversized_lab_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, what):
         # stopped before any work: the grid, the corpora and the tables refuse to be built
         def refuse(*args, **kwargs):
@@ -536,6 +537,37 @@ class TestCornerGridBound:
         argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2", "--n-pts", "50"]
         assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
         assert read_report(str(tmp_path / "o"))["cells"] == self.COARSEST + 2
+
+
+class TestCarlemanSizeBound:
+    """`carleman` holds its corpus as one grid of doubles per test function;
+    above MAX_CARLEMAN_VALUES of them it is a usage error before any work."""
+
+    @pytest.mark.parametrize("argv", [["--grid", "20000"], ["--grid", "1000000000"],
+                                      ["--corpus", "1000000000"], ["--grid", "1024", "--corpus", "64"]])
+    def test_oversized_sweep_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        # stopped before any work: the certificate, the grid and the corpus refuse to be built
+        def refuse(*args, **kwargs):
+            raise AssertionError("carleman did work before its size bound")
+        for name in ("certify", "carleman_section", "make_grid", "bump_superposition_values"):
+            monkeypatch.setattr(uccert.cli, name, refuse)
+        out = str(tmp_path / "o")
+        assert main(["carleman"] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "corpus values" in err and "above the bound of" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [[], ["--grid", "1024"], ["--grid", "256", "--corpus", "1000"]])
+    def test_sweeps_within_the_size_bound_start_work(self, tmp_path, monkeypatch, argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(uccert.cli, "certify", reached)
+        with pytest.raises(Reached):
+            main(["carleman"] + argv + ["--out", str(tmp_path / "o")])
 
 
 class TestCarlemanLambdaGate:

@@ -110,7 +110,7 @@ class TestFieldJets:
     def test_bent_field_and_weight_batch_bit_for_bit(self, d, lam, mu, seed):
         psi0, psi1 = build_psi(ik_model(d).geometry)
         bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))])
-        phi = build_weight(bent, mu).phi
+        phi = build_weight(bent, mu)
         pts = np.random.default_rng(seed).uniform(-0.5, 1.5, (25, d + 1))
         assert _same_bits(bent, pts)
         assert _same_bits(phi, pts)
