@@ -20,7 +20,7 @@ from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField,
 from .symbols import (hp, hp2, hp2_bracket, hp2_matrix, lorentz_normal_form,
                       pullback_metric, pullback_metric_field, signature,
                       transport_covector)
-from .hypotheses import (GeometrySpec, HypothesisReport, build_psi,
+from .hypotheses import (GeometrySpec, HypothesisReport, bent_surface, build_psi,
                          check_assumptions, sample_surface,
                          verify_split_signs, verify_sublevel_inclusion)
 from .certify import (Certificate, certify, certify_fields, compute_lambda0,

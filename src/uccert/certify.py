@@ -13,8 +13,9 @@ All of this depends only on the 1-jet of Q and the 2-jets of psi0, psi1 at x0
 (Hormander, The Analysis of Linear Partial Differential Operators IV,
 ch. 28).  So the certifier reads them once each, with float errors raising
 (a singular jet makes the certificate degenerate), and hands every later
-step the exact Taylor models of Q (first order) and psi0, psi1 (second
-order) at x0, which give bit for bit the same jets there.  The certifier
+step Q (first order) and psi0, psi1 (second order) pinned to those jets:
+fields that answer at x0 alone, with the jets as read, and raise anywhere
+else.  The certifier
 
   1. takes the floor m0 of |hp(psi0)| over N (strictly positive for
      consistent inputs),
@@ -36,8 +37,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation, SignatureError)
-from .fields import Jet, MetricField, ScalarField, as_point, linear_combination, squared_field
-from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, build_psi
+from .fields import Jet, MetricField, ScalarField, as_point
+from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, build_psi
 from .symbols import (ZERO_BAND, _hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
                       quadratic_form_values, signature)
 
@@ -345,55 +346,42 @@ def _read_jets(Q: MetricField, fields: dict, x0):
     return None, _singular_jet(Q, fields, x0)
 
 
-def _at(x: np.ndarray, x0: np.ndarray):
-    """Whether the point x, or each row of a batch, is x0 exactly."""
-    return ~np.any(x != x0, axis=-1)
-
-
 def _frozen(part) -> np.ndarray:
-    """A read-only copy, so that no caller can change a model's numbers."""
+    """A read-only copy, so that no caller can change a pinned jet's numbers."""
     part = np.array(part, dtype=float)
     part.flags.writeable = False
     return part
 
 
-def _taylor_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
-    """The first-order Taylor model of Q at x0 from its jet (q, dq) there, with
-    Q's name and domain box; at x0 it gives q and dq bit for bit."""
+def _require_x0(x: np.ndarray, x0: np.ndarray) -> None:
+    """Raise unless x is the point x0 (a nan coordinate matching a nan)."""
+    if not np.array_equal(x, x0, equal_nan=True):
+        where = x.tolist() if x.ndim == 1 else f"a batch of shape {x.shape}"
+        raise ContractViolation(f"a certificate reads its fields at x0 = {x0.tolist()} only, not at {where}")
+
+
+def _pinned_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
+    """Q, with its name, pinned to its jet (q, dq) read at x0: it answers at
+    x0 alone, with read-only arrays."""
     q, dq = _frozen(q), _frozen(dq)
 
     def jet(x, order):
-        at = _at(x, x0)
-        if x.ndim == 1 and at:
-            value = q
-        else:
-            value = np.where(at[..., None, None], q, q + np.tensordot(x - x0, dq, axes=1))
-        return value if order == 0 else (value, np.broadcast_to(dq, x.shape[:-1] + dq.shape))
+        _require_x0(x, x0)
+        return q if order == 0 else (q, dq)
 
-    return MetricField(Q.dim, jet, domain_box=Q.domain_box, name=Q.name)
+    return MetricField(Q.dim, jet, name=Q.name)
 
 
-def _taylor_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
-    """The second-order Taylor model of f at x0 from its jet there, with f's
-    name; at x0 (also as a batch row) it gives that jet bit for bit, where the
-    polynomial would turn a -0.0 into 0.0."""
+def _pinned_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
+    """f, with its name, pinned to its second-order jet read at x0: it answers
+    at x0 alone, with read-only arrays and the value as read (-0.0 kept)."""
     v, g, h = jet.value, _frozen(jet.grad), _frozen(jet.hess)
 
-    def model(x, order):
-        at = _at(x, x0)
-        if x.ndim == 1 and at:
-            value, grad = v, g
-        else:
-            d = x - x0
-            hd = d @ h
-            value, grad = v + np.vecdot(d, g + 0.5 * hd), g + hd
-            if x.ndim == 2:
-                value, grad = np.where(at, v, value), np.where(at[:, None], g, grad)
-        if order == 0:
-            return value
-        return Jet(value, grad, np.broadcast_to(h, x.shape + h.shape[-1:]) if order == 2 else None)
+    def pinned(x, order):
+        _require_x0(x, x0)
+        return v if order == 0 else Jet(v, g, h if order == 2 else None)
 
-    return ScalarField(model, name=f.name)
+    return ScalarField(pinned, name=f.name)
 
 
 def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
@@ -401,8 +389,10 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
                    tol_pos: float = DEFAULT_TOL_POS, seed: int = 0) -> Certificate:
     """Certify the bent surface psi1 - lam * psi0^2 at x0 from explicit fields.
 
-    Q, psi0 and psi1 are read at x0 once each; every later step reads their
-    Taylor models at x0, which give the same jets there.
+    Q, psi0 and psi1 are read at x0 once each for the jet gate, and the later
+    steps read them at x0 again; ``certify`` hands in fields pinned to their
+    jets there, for which those reads cost nothing.  A lam so large that the
+    margins overflow gives a degenerate certificate under the arithmetic gate.
     """
     x0 = as_point(x0)
     if lam is not None and lam <= 0:
@@ -413,7 +403,6 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     if singular:
         return _degenerate(x0, "jet", singular)
     (a, dq), j0, j1 = jets["Q"], jets["psi0"], jets["psi1"]
-    Q, psi0, psi1 = _taylor_metric(Q, a, dq, x0), _taylor_scalar(psi0, j0, x0), _taylor_scalar(psi1, j1, x0)
     g1 = j1.grad
     space_like = float(g1 @ a @ g1)
     if space_like <= tol_pos:
@@ -425,31 +414,41 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     lambda0 = compute_lambda0(Q, psi1, x0, m0)
     lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
 
-    bent = linear_combination([(1.0, psi1), (-lam_used, squared_field(psi0))],
-                              name="bent_surface")
+    bent = bent_surface(psi0, psi1, lam_used)
     drift = 2.0 * a @ j0.grad
     # both routes are quadratic forms in xi; evaluate them in batch through
     # their polarized matrices, then spot-check the closed forms of hp and hp2
-    # on 25 directions, from the metric jet and one jet of each field
-    m_surface = hp2_matrix(Q, psi1, x0)
-    m_bent = hp2_matrix(Q, bent, x0)
-    margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
-    margins_direct = quadratic_form_values(m_bent, xis)
-    worst_rel = float(np.max(np.abs(margins - margins_direct) / (1.0 + np.abs(margins))))
-    spot = np.linspace(0, len(xis) - 1, min(len(xis), 25)).astype(int)
-    d0 = _hp_closed_form(a, j0.grad, xis[spot])
-    via_identity = _hp2_closed_form(a, dq, j1, xis[spot]) - 2.0 * lam_used * d0 * d0
-    via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
-    m, m_direct = margins[spot], margins_direct[spot]
-    worst_rel = max(worst_rel,
-                    float(np.max(np.abs(via_identity - m) / (1.0 + np.abs(m)))),
-                    float(np.max(np.abs(via_direct - m_direct) / (1.0 + np.abs(m)))),
-                    float(np.max(np.abs(via_identity - via_direct) / (1.0 + np.abs(via_identity)))))
-    if worst_rel > KEY_IDENTITY_RTOL:
+    # on 25 directions, from the metric jet and one jet of each field.  A huge
+    # lam overflows them without a warning, and the first certificate
+    # quantity that is not finite names the arithmetic gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_surface = hp2_matrix(Q, psi1, x0)
+        m_bent = hp2_matrix(Q, bent, x0)
+        margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
+        margins_direct = quadratic_form_values(m_bent, xis)
+        spot = np.linspace(0, len(xis) - 1, min(len(xis), 25)).astype(int)
+        d0 = _hp_closed_form(a, j0.grad, xis[spot])
+        via_identity = _hp2_closed_form(a, dq, j1, xis[spot]) - 2.0 * lam_used * d0 * d0
+        via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
+        m, m_direct = margins[spot], margins_direct[spot]
+        worst_rel = float(np.max(np.concatenate([            # a nan here stays nan
+            np.abs(margins - margins_direct) / (1.0 + np.abs(margins)),
+            np.abs(via_identity - m) / (1.0 + np.abs(m)),
+            np.abs(via_direct - m_direct) / (1.0 + np.abs(m)),
+            np.abs(via_identity - via_direct) / (1.0 + np.abs(via_identity))])))
+        try:
+            worst = _null_cone_max(m_bent, plane)[0]
+        except np.linalg.LinAlgError:           # an eigensolver met an overflowed form
+            worst = math.nan
+    quantities = {"margins": margins, "margins_direct": margins_direct,
+                  "route_disagreement": worst_rel, "worst_margin": worst}
+    overflowed = [name for name, value in quantities.items() if not np.all(np.isfinite(value))]
+    if overflowed:
+        return _degenerate(x0, "arithmetic", {"lambda_used": lam_used, "quantity": overflowed[0]})
+    if not worst_rel <= KEY_IDENTITY_RTOL:
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "
             f"(> {KEY_IDENTITY_RTOL:g}); derivative suppliers are inconsistent")
-    worst = _null_cone_max(m_bent, plane)[0]
     tripped = {}
     if not worst < -tol_pos:
         tripped["margin"] = {"worst_margin": worst, "required_below": -tol_pos}
@@ -475,8 +474,8 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     the certificate uses must be finite there; otherwise the certificate is
     degenerate and its notes name the gate.  The surface values come from
     the jets the finiteness gate read, and so do psi0 and psi1: they are
-    built from the exact Taylor models of Q and phi± at x0, so the surface
-    expressions and the metric are evaluated once each.
+    built from Q and phi± pinned to those jets, so the surface expressions
+    and the metric are evaluated once each.
     """
     x0 = as_point(x0)
     jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
@@ -486,9 +485,8 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
-    models = replace(spec, Q=_taylor_metric(spec.Q, *jets["Q"], x0),
-                     phi_plus=_taylor_scalar(spec.phi_plus, jets["phi_plus"], x0),
-                     phi_minus=_taylor_scalar(spec.phi_minus, jets["phi_minus"], x0))
-    psi0, psi1 = build_psi(models)
-    return certify_fields(models.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
-
+    pinned = replace(spec, Q=_pinned_metric(spec.Q, *jets["Q"], x0),
+                     phi_plus=_pinned_scalar(spec.phi_plus, jets["phi_plus"], x0),
+                     phi_minus=_pinned_scalar(spec.phi_minus, jets["phi_minus"], x0))
+    psi0, psi1 = build_psi(pinned)
+    return certify_fields(pinned.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)

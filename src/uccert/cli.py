@@ -32,10 +32,11 @@ from .corner import (PairingTables, affine_multiplier, corner_corpus, detect_lay
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
 from .expressions import expression_field
-from .fields import constant_metric, linear_combination, squared_field
+from .fields import constant_metric
 from .grids import bump_corpus, bump_superposition_values, make_grid, unit_box
 from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, GeometrySpec,
-                         build_psi, check_assumptions, verify_split_signs, verify_sublevel_inclusion)
+                         bent_surface, build_psi, check_assumptions, verify_split_signs,
+                         verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
 from .rays import contact_rays, integrate_rays
 
@@ -66,6 +67,10 @@ MAX_TRANSFER_POINTS = 2 ** 20
 # function, 512 MiB at the bound.  The default 50 x 257^2 is about 5% of it
 # and `--grid 1024` about 78%
 MAX_CARLEMAN_VALUES = 2 ** 26
+# constraint samples above which `certify` stops before any work: each is a
+# row of constraint_samples.csv, about 128 bytes on ik3, where the bound
+# writes 134 MB and peaks near 180 MB of RSS
+MAX_CONSTRAINT_SAMPLES = 2 ** 20
 
 
 @contextlib.contextmanager
@@ -320,7 +325,14 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _bound_constraint_samples(args) -> None:
+    if args.samples is not None and args.samples > MAX_CONSTRAINT_SAMPLES:
+        raise ContractViolation(f"--samples {args.samples} is above the bound of "
+                                f"{MAX_CONSTRAINT_SAMPLES} constraint samples")
+
+
 def cmd_certify(args) -> int:
+    _bound_constraint_samples(args)
     model = resolve_model(args)
     cert = certify(model.geometry, model.x0, lam=args.lam,
                    n=2000 if args.samples is None else args.samples,
@@ -368,7 +380,7 @@ def cmd_rays(args) -> int:
         write_csv(args.out, "rays.csv", header, [])
         return 1
     psi0, psi1 = build_psi(model.geometry)
-    bent = linear_combination([(1.0, psi1), (-lam, squared_field(psi0))], name="bent")
+    bent = bent_surface(psi0, psi1, lam)
     q = model.geometry.Q
     results = []
     tables = []
@@ -573,6 +585,7 @@ def cmd_carleman(args) -> int:
 
 
 def cmd_all(args) -> int:
+    _bound_constraint_samples(args)
     stages = [("check", cmd_check), ("certify", cmd_certify), ("rays", cmd_rays),
               ("corner", cmd_corner), ("carleman", cmd_carleman)]
     root = args.out

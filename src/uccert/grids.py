@@ -179,25 +179,6 @@ def _bump(s: np.ndarray, u: Optional[np.ndarray] = None, order: int = 0) -> np.n
     return out
 
 
-def bump_value(u: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-u^2)) inside |u| < 1, zero outside."""
-    u = np.asarray(u, dtype=float)
-    return _bump(1.0 - u * u)
-
-
-def bump_d1(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return _bump(1.0 - u * u, u, 1)
-
-
-def bump_d2(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return _bump(1.0 - u * u, u, 2)
-
-
-_BUMP_DERIVS = (bump_value, bump_d1, bump_d2)
-
-
 def bump_profiles(u: np.ndarray, radius, order: int) -> np.ndarray:
     """The order-th derivative of y -> bump((y - c) / radius) at the centred,
     scaled coordinates u = (y - c) / radius, where bump(u) = exp(-1/(1-u^2))
@@ -205,7 +186,7 @@ def bump_profiles(u: np.ndarray, radius, order: int) -> np.ndarray:
     bump, in one evaluation.  radius ** order is C's pow (np.float_power)
     for an array and a scalar alike, where numpy's ** squares an array by a
     product, so a row has the bits of the one-bump case."""
-    return _BUMP_DERIVS[order](u) / np.float_power(radius, order)
+    return _bump(1.0 - u * u, u, order) / np.float_power(radius, order)
 
 
 def check_supports_inside(centers: np.ndarray, radii: np.ndarray, box) -> None:

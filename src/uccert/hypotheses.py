@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
-from .fields import MetricField, ScalarField, linear_combination
+from .fields import MetricField, ScalarField, linear_combination, squared_field
 from .grids import Grid
 from .symbols import _quadratic_forms, signature
 
@@ -369,6 +369,11 @@ def build_psi(spec: GeometrySpec):
     psi1 = linear_combination([(0.5, spec.phi_plus), (0.5, spec.phi_minus)], name="psi1")
     psi0 = linear_combination([(0.5, spec.phi_minus), (-0.5, spec.phi_plus)], name="psi0")
     return psi0, psi1
+
+
+def bent_surface(psi0: ScalarField, psi1: ScalarField, lam: float) -> ScalarField:
+    """The bent surface field psi1 - lam * psi0^2 of the split fields."""
+    return linear_combination([(1.0, psi1), (-float(lam), squared_field(psi0))], name="bent_surface")
 
 
 def verify_split_signs(spec: GeometrySpec, samples: np.ndarray,

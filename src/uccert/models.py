@@ -15,9 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartError, ContractViolation
-from .fields import (Chart, Jet, MetricField, ScalarField, constant_metric,
-                     linear_combination, squared_field)
-from .hypotheses import GeometrySpec, build_psi
+from .fields import Chart, Jet, MetricField, ScalarField, constant_metric
+from .hypotheses import GeometrySpec, bent_surface, build_psi
 
 
 def cone_surface_field(d: int, radial_sign: float, t_coeff: float) -> ScalarField:
@@ -191,9 +190,7 @@ def carleman_section(lam: float = 2.0):
     box = np.array([[-0.4, 0.4], [0.6, 1.4]])
     psi0, psi1 = build_psi(GeometrySpec(q, cone_surface_field(1, +1.0, -1.0),
                                         cone_surface_field(1, +1.0, +1.0), box))
-    bent = linear_combination([(1.0, psi1), (-float(lam), squared_field(psi0))],
-                              name=f"bent_2d(lam={lam:g})")
-    return q, bent, box
+    return q, bent_surface(psi0, psi1, lam), box
 
 
 def bumpy_wave_metric(d: int, amp: float = 0.05, seed: int = 11) -> MetricField:

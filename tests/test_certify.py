@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +9,7 @@ from uccert import (PhasePoint, build_psi, certify, certify_fields, compute_lamb
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
-from uccert.certify import (EPS, _bisect_max, _taylor_metric, _taylor_scalar, _two_line_max,
+from uccert.certify import (EPS, _bisect_max, _pinned_metric, _pinned_scalar, _two_line_max,
                             null_cone_max)
 from uccert.cli import _sample_table
 from uccert.errors import (ContractViolation, DegenerateConstraintSet,
@@ -254,6 +256,24 @@ class TestSoundnessGates:
     def test_certified_has_no_gate(self, ik2):
         assert "gate" not in certify(ik2.geometry, ik2.x0, lam=2.0).notes
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("lam, quantity", [(1e307, "worst_margin"), (1e308, "margins")])
+    def test_overflow_names_the_arithmetic_gate(self, d, lam, quantity):
+        # at 1e307 the margins are finite but the null-cone maximum is not
+        # (ik2: its rounding allowance; ik3: the bisection's shifted forms); at
+        # 1e308 the margins overflow.  Warnings are errors here, so none is
+        # raised, and the report holds finite numbers only
+        m = ik_model(d)
+        cert = certify(m.geometry, m.x0, lam=lam)
+        assert cert.status == "degenerate" and cert.notes["gate"] == ["arithmetic"]
+        assert cert.notes["arithmetic"] == {"lambda_used": lam, "quantity": quantity}
+        json.dumps(cert.to_dict(), allow_nan=False)
+
+    def test_huge_finite_margins_stay_certified(self, ik2):
+        cert = certify(ik2.geometry, ik2.x0, lam=1e300)
+        assert cert.status == "certified"
+        assert cert.worst_margin == pytest.approx(-4e300, rel=1e-12)
+
     @pytest.mark.xfail(strict=True, reason="certify has no characteristic gate: ctrl-a's phi_minus "
                                            "has unit-normalized residual 0.6 at x0")
     def test_non_characteristic_pair_is_not_certified(self):
@@ -444,7 +464,7 @@ class TestJetGate:
 
     def test_expression_jets_read_per_certificate(self, monkeypatch):
         # the gate reads Q, phi_plus and phi_minus once each, and psi0 and
-        # psi1 are built from the Taylor models of those reads, so a
+        # psi1 are built from the fields pinned to those reads, so a
         # certificate walks each expression and the metric only once
         geo = GeometrySpec(bumpy_wave_metric(2, 0.05),
                            expression_field("norm(x2, x3) - 1 - x1", 3),
@@ -508,9 +528,9 @@ def _bits(v):
     return np.asarray(v, dtype=float).tobytes()
 
 
-class TestTaylorModels:
-    """certify reads its fields through exact Taylor models at x0; the public
-    helpers on the original fields are the oracle."""
+class TestPinnedJets:
+    """certify reads its fields through fields pinned to their jets at x0; the
+    public helpers on the original fields are the oracle."""
 
     @pytest.mark.parametrize("name, q, psi0, psi1, x0", CERTIFICATE_CASES,
                              ids=[c[0] for c in CERTIFICATE_CASES])
@@ -526,55 +546,53 @@ class TestTaylorModels:
 
     @pytest.mark.parametrize("name, q, psi0, psi1, x0", CERTIFICATE_CASES,
                              ids=[c[0] for c in CERTIFICATE_CASES])
-    def test_model_jets_at_x0_are_the_fields_jets(self, name, q, psi0, psi1, x0):
-        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
+    def test_pinned_jets_at_x0_are_the_fields_jets(self, name, q, psi0, psi1, x0):
+        qm = _pinned_metric(q, *q.jet(x0, 1), x0)
         assert qm.name == q.name
         assert _bits(qm(x0)) == _bits(q(x0))
         assert all(_bits(u) == _bits(v) for u, v in zip(qm.jet(x0, 1), q.jet(x0, 1)))
         for f in (psi0, psi1):
-            model = _taylor_scalar(f, f.jet(x0, 2), x0)
-            assert model.name == f.name
-            assert _bits(model(x0)) == _bits(f(x0))
+            pinned = _pinned_scalar(f, f.jet(x0, 2), x0)
+            assert pinned.name == f.name
+            assert _bits(pinned(x0)) == _bits(f(x0))
             for order in (1, 2):
-                got, want = model.jet(x0, order), f.jet(x0, order)
+                got, want = pinned.jet(x0, order), f.jet(x0, order)
                 assert _bits(got.value) == _bits(want.value) and _bits(got.grad) == _bits(want.grad)
-            assert _bits(model.hess(x0)) == _bits(f.hess(x0))
-            # a batch row at x0 is its point, bit for bit
-            row = model.jet(np.stack([x0 + 0.1, x0]), 2)
-            assert _bits(row.grad[1]) == _bits(model.grad(x0)) and _bits(row.value[1]) == _bits(model(x0))
+            assert _bits(pinned.hess(x0)) == _bits(f.hess(x0))
 
     def test_signed_zeros_at_x0_are_kept(self):
         # x1 (0 - x2) at (0, 1, 0) has value -0.0 and gradient (-1, -0.0, -0.0)
         f = expression_field("x1 * (0 - x2)", 3)
         x0 = np.array([0.0, 1.0, 0.0])
         want = f.jet(x0, 2)
-        model = _taylor_scalar(f, want, x0)
-        point, batch = model.jet(x0, 2), model.jet(np.stack([x0 + 0.1, x0]), 2)
-        for value, grad in ((point.value, point.grad), (batch.value[1], batch.grad[1])):
-            assert _bits(value) == _bits(want.value) == _bits(-0.0)
-            assert _bits(grad) == _bits(want.grad)
+        pinned = _pinned_scalar(f, want, x0)
+        got = pinned.jet(x0, 2)
+        assert _bits(got.value) == _bits(pinned(x0)) == _bits(want.value) == _bits(-0.0)
+        assert _bits(got.grad) == _bits(want.grad)
         q = constant_metric(np.diag([-1.0, 1.0, -0.0]))
-        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
-        assert _bits(qm.jet(np.stack([x0 + 0.1, x0]), 0)[1]) == _bits(q(x0))
+        assert _bits(_pinned_metric(q, *q.jet(x0, 1), x0)(x0)) == _bits(q(x0))
 
-    def test_models_off_x0_are_the_taylor_polynomials(self, rng):
+    def test_pinned_fields_answer_at_x0_alone_with_read_only_arrays(self):
         f = expression_field("x1 * x2 + 3 * x3^2 - 2 * x1 + 0.5", 3)
-        x0 = np.array([0.2, -0.4, 0.7])
-        model = _taylor_scalar(f, f.jet(x0, 2), x0)
-        xs = x0 + rng.uniform(-1.0, 1.0, (6, 3))
-        got, want = model.jet(xs, 2), f.jet(xs, 2)
-        for u, v in ((got.value, want.value), (got.grad, want.grad), (got.hess, want.hess)):
-            assert np.allclose(u, v, rtol=1e-13, atol=1e-13)
-        assert np.allclose(model.grad(xs[0]), want.grad[0], rtol=1e-13, atol=1e-13)
         q = bumpy_wave_metric(2, 0.05)
-        q.domain_box = np.array([[-1.0, 1.0], [-1.0, 0.5], [0.0, 2.0]])
-        qm = _taylor_metric(q, *q.jet(x0, 1), x0)
-        assert np.array_equal(qm.domain_box, q.domain_box)
-        q0, dq0 = q.jet(x0, 1)
-        linear = q0 + np.einsum("kj,jab->kab", xs - x0, dq0)
-        assert np.allclose(qm.jet(xs, 0), linear, rtol=1e-14, atol=1e-14)
-        assert np.allclose(qm(xs[0]), linear[0], rtol=1e-14, atol=1e-14)
-        assert np.array_equal(qm.jet(xs, 1)[1], np.broadcast_to(dq0, (6, 3, 3, 3)))
+        x0 = np.array([0.2, -0.4, 0.7])
+        pinned, qm = _pinned_scalar(f, f.jet(x0, 2), x0), _pinned_metric(q, *q.jet(x0, 1), x0)
+        for x in (x0 + np.array([0.0, 0.0, 1e-12]), np.stack([x0, x0]), x0[None, :]):
+            for order in (0, 1, 2):
+                with pytest.raises(ContractViolation, match="reads its fields at x0"):
+                    pinned.jet(x, order)
+            for order in (0, 1):
+                with pytest.raises(ContractViolation, match="reads its fields at x0"):
+                    qm.jet(x, order)
+        with pytest.raises(ContractViolation, match=r"not at a batch of shape \(2, 3\)"):
+            pinned.jet(np.stack([x0, x0]), 0)
+        jet = pinned.jet(x0, 2)
+        for part in (jet.grad, jet.hess, pinned.grad(x0), *qm.jet(x0, 1), qm(x0)):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
+        # an equal copy of x0 is x0
+        assert _bits(pinned.jet(x0.copy(), 1).grad) == _bits(f.grad(x0))
 
 
 def _exact_two_line_max(mpmath, mr, ar):

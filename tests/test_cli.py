@@ -96,6 +96,33 @@ class TestCertifyCommand:
         out = str(tmp_path / "f")
         assert main(["certify", "--model", "ik2", "--lambda", "0.5", "--out", out]) == 1
 
+    @pytest.mark.parametrize("lam", ["1e307", "1e308"])
+    def test_overflow_is_degenerate_with_finite_numbers(self, tmp_path, lam):
+        out = str(tmp_path / "o")
+        assert main(["certify", "--model", "ik2", "--lambda", lam, "--out", out]) == 1
+
+        def refuse(name):
+            raise ValueError(f"report.json holds {name}")
+        with open(os.path.join(out, "report.json")) as f:
+            cert = json.load(f, parse_constant=refuse)["certificate"]
+        assert cert["status"] == "degenerate" and cert["notes"]["gate"] == ["arithmetic"]
+        assert cert["notes"]["arithmetic"]["lambda_used"] == float(lam)
+
+    def test_samples_bound(self, tmp_path, capsys, monkeypatch):
+        assert main(["certify", "--model", "ik2", "--samples", str(uccert.cli.MAX_CONSTRAINT_SAMPLES),
+                     "--out", str(tmp_path / "ok")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify did work before its sample bound")
+        monkeypatch.setattr(uccert.cli, "resolve_model", refuse)
+        for command in ("certify", "all"):
+            out = str(tmp_path / command)
+            argv = [command, "--model", "ik2", "--samples", "1048577", "--out", out]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--samples 1048577 is above the bound of 1048576" in err
+            assert err.count("\n") == 1 and not os.path.exists(out)
+
     def test_inline_geometry_reproduces_model(self, tmp_path):
         conf = tmp_path / "geo.conf"
         conf.write_text(

@@ -18,8 +18,8 @@ from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTabl
                            quadrant_mask, verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import ContractViolation, HypothesisError, ResolutionError, SupportError
-from uccert.grids import (Grid, ProductBump, bump_corpus, bump_d1, bump_d2, bump_value, d1, d2,
-                          make_grid, restricted_trapezoid, trapezoid, unit_box)
+from uccert.grids import (Grid, ProductBump, bump_corpus, bump_profiles, d1, d2, make_grid,
+                          restricted_trapezoid, trapezoid, unit_box)
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
 WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
@@ -347,7 +347,6 @@ class TestSeparablePairing:
         g = make_grid(unit_box(dim), cells)
         bumps = _straddling_bumps(unit_box(dim)) if straddling else bump_corpus(unit_box(dim), 20, seed=42)
         tables = PairingTables(g, bumps)
-        derivs = (bump_value, bump_d1, bump_d2)
         assert np.array_equal(tables.amplitudes, [phi.amplitude for phi in bumps])
         for rule, weights in _lab_weights(g).items():
             for a, (w, x) in enumerate(zip(weights, g.axes())):
@@ -357,7 +356,7 @@ class TestSeparablePairing:
                         c, r = phi.center[a], phi.radius[a]
                         got = tables.factors[rule][a][order, t]
                         assert np.array_equal(got, w * phi.axis_profile(x, a, order)), (rule, a, order, t)
-                        assert np.array_equal(got, w * (derivs[order]((x - c) / r) / r ** order))
+                        assert np.array_equal(got, w * (bump_profiles((x - c) / r, 1.0, order) / r ** order))
 
     @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
     def test_empty_corpus_rejected(self, lab):

@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uccert.errors import ContractViolation, SupportError
-from uccert.grids import (Grid, ProductBump, bump_d1, bump_d2, bump_value,
-                          bump_superposition_values, d1, d1d1, d2, make_grid,
+from uccert.grids import (Grid, ProductBump, bump_superposition_values, d1, d1d1, d2, make_grid,
                           restricted_trapezoid, bump_corpus, bump_profiles,
                           trapezoid, trapezoid_richardson, unit_box)
 
@@ -135,10 +134,11 @@ class TestBumps:
     def test_bump_derivatives_match_fd(self):
         u = np.linspace(-0.95, 0.95, 101)
         h = 1e-6
-        fd1 = (bump_value(u + h) - bump_value(u - h)) / (2 * h)
-        fd2 = (bump_value(u + h) - 2 * bump_value(u) + bump_value(u - h)) / h ** 2
-        assert_allclose(bump_d1(u), fd1, atol=1e-7)
-        assert_allclose(bump_d2(u), fd2, atol=2e-4)
+        value = [bump_profiles(v, 1.0, 0) for v in (u - h, u, u + h)]
+        fd1 = (value[2] - value[0]) / (2 * h)
+        fd2 = (value[2] - 2 * value[1] + value[0]) / h ** 2
+        assert_allclose(bump_profiles(u, 1.0, 1), fd1, atol=1e-7)
+        assert_allclose(bump_profiles(u, 1.0, 2), fd2, atol=2e-4)
 
     def test_bump_profiles_match_inline_formula(self):
         # the formulas each profile once wrote out, on both sides of the cutoff
@@ -148,12 +148,11 @@ class TestBumps:
         us, ss = u[safe], s[safe]
         g1 = -2.0 * us / (ss * ss)
         g2 = (-2.0 - 6.0 * us * us) / (ss ** 3)
-        for fn, inner in ((bump_value, np.exp(-1.0 / ss)),
-                          (bump_d1, np.exp(-1.0 / ss) * g1),
-                          (bump_d2, np.exp(-1.0 / ss) * (g2 + g1 * g1))):
+        for order, inner in enumerate((np.exp(-1.0 / ss), np.exp(-1.0 / ss) * g1,
+                                       np.exp(-1.0 / ss) * (g2 + g1 * g1))):
             want = np.zeros_like(u)
             want[safe] = inner
-            assert np.array_equal(fn(u), want)
+            assert np.array_equal(bump_profiles(u, 1.0, order), want)
 
     def test_corpus_rows_keep_the_bits_of_one_bump(self):
         # at this radius numpy's array square and C's pow differ in the last
@@ -163,10 +162,10 @@ class TestBumps:
         x = np.linspace(-1.0, 1.0, 513)
         b = ProductBump([0.1], [r])
         radii = np.array([[r], [0.5 * r]])
-        for order, fn in enumerate((bump_value, bump_d1, bump_d2)):
+        for order in range(3):
             rows = bump_profiles((x - 0.1) / radii, radii, order)
             assert np.array_equal(rows[0], b.axis_profile(x, 0, order))
-            assert np.array_equal(rows[0], fn((x - 0.1) / r) / np.float64(r) ** order)
+            assert np.array_equal(rows[0], bump_profiles((x - 0.1) / r, 1.0, order) / np.float64(r) ** order)
 
     def test_bump_vanishes_outside_support(self):
         b = ProductBump([0.0, 0.0], [0.3, 0.3])

@@ -22,7 +22,7 @@ ORACLES = {
     "extend_by_zero": "tests/test_corner.py::TestSeparablePairing::test_lab_forms_no_grid_array",
     "hp2_bracket": "tests/test_certify.py::TestCertificateProperties::"
                    "test_closed_form_hp2_matrix_matches_loop_and_bracket",
-    "null_cone_max": "tests/test_certify.py::TestTaylorModels::"
+    "null_cone_max": "tests/test_certify.py::TestPinnedJets::"
                      "test_certificate_matches_the_helpers_on_the_fields",
 }
 
