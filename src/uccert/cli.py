@@ -28,7 +28,7 @@ from . import __version__
 from .carleman import build_weight, exponent_slopes, lambda_sweep
 from .certify import certify
 from .corner import (PairingTables, affine_multiplier, corner_corpus, detect_layer,
-                     kink_profile_corpus, mollifier_commutator,
+                     identity_families, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
 from .expressions import expression_field
@@ -54,10 +54,15 @@ MAX_RAY_STEPS = 20_000
 # transfer visits every node of the open quadrant.  257^3 (`--dim 3 --grid
 # 256`) is about a quarter of it
 MAX_CORNER_NODES = 2 ** 26
-# pairing-table entries (3 rules x 3 orders x tests x nodes per axis, summed
-# over the axes) above which `corner` stops before any work: 128 MiB of
-# doubles, about 90 times the default 2-D lab's
+# pairing-table entries (3 orders x tests x nodes per axis, summed over the
+# axes) above which `corner` stops before any work: 128 MiB of doubles, about
+# 270 times the default 2-D lab's
 MAX_PAIRING_ENTRIES = 2 ** 24
+# residual rows per corpus field (tests x pass-through identities) above which
+# `corner` stops before any work: each row is about 0.65 KB while the report is
+# built.  At the bound `--dim 3 --grid 24` (5461 tests, six fields) peaks near
+# 150 MB of RSS and `--grid 64` (10922 tests, five fields) near 160 MB
+MAX_RESIDUAL_ROWS = 2 ** 15
 # points above which `corner` stops before any work: the inequality transfer
 # draws dim indices and about ten arrays of doubles per point, about 100 MiB
 # at the bound
@@ -71,6 +76,10 @@ MAX_CARLEMAN_VALUES = 2 ** 26
 # row of constraint_samples.csv, about 128 bytes on ik3, where the bound
 # writes 134 MB and peaks near 180 MB of RSS
 MAX_CONSTRAINT_SAMPLES = 2 ** 20
+# surface samples (`--samples` or `[geometry] n_surface_samples`) above which
+# `check` stops before any sampling: about 2.4 KB each, so that `check --model
+# ik3` peaks near 185 MB of RSS at the bound and ik4 near 210 MB
+MAX_SURFACE_SAMPLES = 2 ** 16
 
 
 @contextlib.contextmanager
@@ -282,9 +291,10 @@ def geometry_from_config(geo: dict) -> ModelSpec:
 
 
 def resolve_model(args) -> ModelSpec:
+    """The model or config geometry, with the surface sample count and
+    tol_zero the flags set: a flag wins over a config value."""
     if args.model:
-        n_surface = 200 if args.samples is None else args.samples
-        model = get_model(args.model, n_surface_samples=n_surface)
+        model = get_model(args.model)
     elif args.config:
         sections = parse_config_file(args.config)
         if "geometry" not in sections:
@@ -292,8 +302,10 @@ def resolve_model(args) -> ModelSpec:
         model = geometry_from_config(sections["geometry"])
     else:
         raise ContractViolation("need --model or --config with a [geometry] section")
-    if args.tol_zero != model.geometry.tol_zero:
-        geo = dataclasses.replace(model.geometry, tol_zero=args.tol_zero)
+    geo = model.geometry
+    n_surface = geo.n_surface_samples if args.samples is None else args.samples
+    if (n_surface, args.tol_zero) != (geo.n_surface_samples, geo.tol_zero):
+        geo = dataclasses.replace(geo, n_surface_samples=n_surface, tol_zero=args.tol_zero)
         model = dataclasses.replace(model, geometry=geo)
     return model
 
@@ -302,8 +314,21 @@ def resolve_model(args) -> ModelSpec:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
+# Each command's usage checks, made before it does any work: `all` runs every
+# stage's checks before its first stage, so that a usage error writes nothing.
+
+def _usage_check(args) -> ModelSpec:
+    """The model, its surface sample count checked against the bound."""
     model = resolve_model(args)
+    n_surface = model.geometry.n_surface_samples
+    if n_surface > MAX_SURFACE_SAMPLES:
+        raise ContractViolation(f"{n_surface} surface samples (--samples or n_surface_samples) "
+                                f"is above the bound of {MAX_SURFACE_SAMPLES}")
+    return model
+
+
+def cmd_check(args) -> int:
+    model = _usage_check(args)
     rep = check_assumptions(model.geometry, tol_char=args.tol_char, tol_pos=args.tol_pos)
     payload = {
         "command": "check",
@@ -325,14 +350,14 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _bound_constraint_samples(args) -> None:
+def _usage_certify(args) -> None:
     if args.samples is not None and args.samples > MAX_CONSTRAINT_SAMPLES:
         raise ContractViolation(f"--samples {args.samples} is above the bound of "
                                 f"{MAX_CONSTRAINT_SAMPLES} constraint samples")
 
 
 def cmd_certify(args) -> int:
-    _bound_constraint_samples(args)
+    _usage_certify(args)
     model = resolve_model(args)
     cert = certify(model.geometry, model.x0, lam=args.lam,
                    n=2000 if args.samples is None else args.samples,
@@ -356,13 +381,19 @@ def _sample_table(cert) -> np.ndarray:
     return np.column_stack([cert.samples, cert.res_p, cert.res_hp, cert.margins, cert.margins_direct])
 
 
-def cmd_rays(args) -> int:
+def _usage_rays(args) -> int:
+    """The RK4 steps per side of a ray, checked against the bound."""
     ds, s_fit = args.ds, args.s_fit
     ratio = s_fit / ds              # both finite and positive; the quotient may overflow
     n_steps = math.ceil(ratio) + 2 if math.isfinite(ratio) else math.inf
     if n_steps > MAX_RAY_STEPS:
         raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} takes {n_steps} RK4 steps "
                                 f"per side, above the bound of {MAX_RAY_STEPS}")
+    return n_steps
+
+
+def cmd_rays(args) -> int:
+    n_steps = _usage_rays(args)
     model = resolve_model(args)
     lam = 2.0 if args.lam is None else args.lam
     cert = certify(model.geometry, model.x0, lam=lam,
@@ -387,9 +418,9 @@ def cmd_rays(args) -> int:
     ok = True
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
-    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], ds, n_steps, two_sided=True)
-    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=s_fit)
-    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=s_fit)
+    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], args.ds, n_steps, two_sided=True)
+    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=args.s_fit)
+    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=args.s_fit)
     for ray_id, (t, rep, vals, rep1) in enumerate(zip(trajs, bent_reps, bent_vals, surface_reps)):
         drift = max(drift, t.conservation_defect())
         results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})
@@ -463,7 +494,7 @@ def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
     # expected decay scales with rung count
     decay_bound = 0.5 ** ((len(eps_list) - 1) / 2.0)
     afield = affine_multiplier(0.5, [0.4] + [0.0] * (grid.dim - 1))
-    moll_norms = [mollifier_commutator(afield, v, grid, eps_list)
+    moll_norms = [mollifier_commutator(afield, v, eps_list)
                   for v in kink_profile_corpus(grid, count=2, seed=seed + 5)]
     moll_ok = all(all(n1 > n2 for n1, n2 in zip(ns, ns[1:]))
                   and ns[-1] <= decay_bound * ns[0]
@@ -471,7 +502,9 @@ def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
     return {"eps": eps_list, "norms": moll_norms, "passed": bool(moll_ok)}
 
 
-def cmd_corner(args) -> int:
+def _usage_corner(args) -> tuple:
+    """The lab's grid and smoothing ladder, after its size bounds; the
+    grid is made only once they hold."""
     dim = args.dim
     cells = (512 if dim == 2 else 128) if args.grid is None else args.grid
     if cells % 2:
@@ -481,10 +514,14 @@ def cmd_corner(args) -> int:
     if nodes > MAX_CORNER_NODES:
         raise ContractViolation(f"--grid {cells} in {dim}-D has {nodes} nodes, "
                                 f"above the bound of {MAX_CORNER_NODES}")
-    entries = 9 * args.tests * (cells + 1) * dim
+    entries = 3 * args.tests * (cells + 1) * dim
     if entries > MAX_PAIRING_ENTRIES:
         raise ContractViolation(f"--tests {args.tests} at --grid {cells} in {dim}-D needs {entries} "
                                 f"pairing-table entries, above the bound of {MAX_PAIRING_ENTRIES}")
+    rows = args.tests * sum(map(len, identity_families(dim).values()))
+    if rows > MAX_RESIDUAL_ROWS:
+        raise ContractViolation(f"--tests {args.tests} in {dim}-D gives {rows} residual rows per "
+                                f"corpus field, above the bound of {MAX_RESIDUAL_ROWS}")
     if args.n_pts > MAX_TRANSFER_POINTS:
         raise ContractViolation(f"--n-pts {args.n_pts} is above the bound of {MAX_TRANSFER_POINTS} "
                                 f"inequality-transfer points")
@@ -493,6 +530,12 @@ def cmd_corner(args) -> int:
     if not eps_list:
         raise ContractViolation(f"--grid {cells} is too coarse for the mollifier check: "
                                 f"its smoothing ladder resolves no width at h = {float(np.max(grid.h)):g}")
+    return grid, eps_list
+
+
+def cmd_corner(args) -> int:
+    grid, eps_list = _usage_corner(args)
+    dim, cells = grid.dim, grid.n_cells[0]
     h2 = float(np.max(grid.h)) ** 2
     tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
     tols = {k: v * h2 for k, v in WEAK_K.items()}
@@ -502,7 +545,7 @@ def cmd_corner(args) -> int:
     tables = PairingTables(grid, tests)
     identity_reports, residual_labels, residuals, ok = _corner_identities(corpus, tables, tols)
     layer = _corner_layer(corpus[0], tables, h2)
-    # the tables hold every test bump's factors on every node: dropped here,
+    # the tables hold every test bump's profiles on every node: dropped here,
     # they do not stack on the transfer's slabs at the run's peak memory
     del tables
     transfer = _corner_transfer(corpus[1], args)
@@ -528,13 +571,19 @@ def cmd_corner(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_carleman(args) -> int:
-    lam = 2.0 if args.lam is None else args.lam
+def _usage_carleman(args) -> int:
+    """The sweep's cells per axis, checked against the corpus bound."""
     cells = 256 if args.grid is None else args.grid
     values = args.corpus * (cells + 1) ** 2
     if values > MAX_CARLEMAN_VALUES:
         raise ContractViolation(f"--corpus {args.corpus} at --grid {cells} needs {values} corpus values, "
                                 f"above the bound of {MAX_CARLEMAN_VALUES}")
+    return cells
+
+
+def cmd_carleman(args) -> int:
+    cells = _usage_carleman(args)
+    lam = 2.0 if args.lam is None else args.lam
     ik2 = get_model("ik2")      # the section is its y_2 = 0 slice through x0
     threshold = certify(ik2.geometry, ik2.x0, lam=lam).notes.get("lambda_threshold")
     if threshold:
@@ -585,7 +634,9 @@ def cmd_carleman(args) -> int:
 
 
 def cmd_all(args) -> int:
-    _bound_constraint_samples(args)
+    # the constraint-sample bound first, before the model is read
+    for usage in (_usage_certify, _usage_check, _usage_rays, _usage_corner, _usage_carleman):
+        usage(args)
     stages = [("check", cmd_check), ("certify", cmd_certify), ("rays", cmd_rays),
               ("corner", cmd_corner), ("carleman", cmd_carleman)]
     root = args.out

@@ -9,24 +9,26 @@ derivative in a face-normal direction instead produces a surface-supported
 term whose density is the normal derivative of U on the face; the layer probe
 measures it.  U and the test bumps are products of 1-D factors, so each of
 these integrals is, term by term of U, a product of 1-D sums over 1-D tables
-built once per run: each field's factors on the grid axes, and, per
-integration rule and axis, one array holding every test bump's weighted
-factors of order 0-2 (PairingTables).  Those arrays take one bump evaluation
-per axis and order for the whole corpus (grids.bump_profiles), after one
-array comparison checks every support.  CornerField.pair pairs a field with
-all test bumps at once, by one matrix-vector product per axis and term of U,
-so each side of an identity is a handful of products whatever the corpus
-size.  The smoothing commutator that justifies applying weighted estimates
-to low-regularity functions is separable too: a product kernel, a multiplier
-that is a sum of 1-D terms and a field given by its factors leave only 1-D
-convolutions and 1-D sums, and a term of the multiplier that is zero on the
-grid is skipped.  The pointwise differential-inequality transfer
-from U to V reads the field's partials in axis-0 slabs of the grid, and at
-the sampled nodes only.  So no stage of the lab forms an array of the grid's
-shape: at 128 cells per axis, `corner --dim 3` runs in about 0.04 s after
-start-up (0.22 s as a whole process) and the process peaks at 39 MB resident
-on a 2-core x86-64 machine with one BLAS thread (0.33 s and 216 MB while the
-transfer formed grid arrays; 0.25 s with a bump evaluation per test bump).
+built once per run: each field's factors on the grid axes (CornerField), and,
+per axis, one array holding every test bump's profiles of order 0-2, with
+each integration rule a weight vector per axis (PairingTables).  The profiles
+take one bump evaluation per axis and order for the whole corpus
+(grids.bump_profiles), after one array comparison checks every support.
+CornerField.pair pairs a field with all test bumps at once, by one
+matrix-vector product per axis and term of U, of the profiles with U's factor
+times the rule's weights, so each side of an identity is a handful of
+products whatever the corpus size.  The smoothing commutator that justifies
+applying weighted estimates to low-regularity functions is separable too: a
+product kernel, a multiplier that is a sum of 1-D terms and a CornerField
+leave only 1-D convolutions and 1-D sums, and a term of the multiplier that
+is zero on the grid is skipped.  The pointwise differential-inequality
+transfer from U to V reads the field's partials in axis-0 slabs of the grid,
+and at the sampled nodes only.  So no stage of the lab forms an array of the
+grid's shape: at 128 cells per axis, `corner --dim 3` runs in about 0.04 s
+after start-up (0.22 s as a whole process) and the process peaks at 39 MB
+resident on a 2-core x86-64 machine with one BLAS thread (0.33 s and 216 MB
+while the transfer formed grid arrays; 0.25 s with a bump evaluation per test
+bump).
 """
 
 from __future__ import annotations
@@ -111,13 +113,14 @@ class CornerField:
         """For every test bump phi_t of tables, the sum over the nodes of
         rule's weights * d^alpha U * d^beta phi_t, as a (T,) array: per term
         of U, the product over the axes (in axis order) of one matrix-vector
-        product each, of the bumps' weighted factors with U's factor; the
-        terms summed in order, then scaled by the bumps' amplitudes."""
+        product each, of the bumps' profiles with U's factor times the rule's
+        weights; the terms summed in order, then scaled by the bumps'
+        amplitudes."""
         out = 0.0
         for term in self.tables:
             piece = 1.0
-            for a, by_order in enumerate(tables.factors[rule]):
-                piece = piece * (by_order[beta[a]] @ term[a][alpha[a]])
+            for a, (profiles, w) in enumerate(zip(tables.profiles, tables.weights[rule])):
+                piece = piece * (profiles[beta[a]] @ (w * term[a][alpha[a]]))
             out = out + piece
         return tables.amplitudes * out
 
@@ -125,12 +128,12 @@ class CornerField:
 class PairingTables:
     """A test corpus's 1-D tables on one grid, for CornerField.pair.
 
-    factors[rule][a] has shape (3, T, n_a): [order, t] is the order-th
-    derivative of test bump t's factor on axis a times that axis's weights
-    of the rule (_lab_weights), zero off the bump's support.  Each axis and
-    order is one bump_profiles evaluation over the whole corpus, and every
-    support is checked to lie inside the box first, in one comparison.  A
-    corpus of no test function is refused, since every identity would pass
+    profiles[a] has shape (3, T, n_a): [order, t] is the order-th derivative
+    of test bump t's factor on axis a, zero off the bump's support.  Each
+    axis and order is one bump_profiles evaluation over the whole corpus, and
+    every support is checked to lie inside the box first, in one comparison.
+    weights[rule][a] is axis a's weight vector of the rule (_lab_weights).
+    A corpus of no test function is refused, since every identity would pass
     on it.  Build one per grid and corpus; it holds nothing that outlives
     them.
     """
@@ -143,18 +146,15 @@ class PairingTables:
         check_supports_inside(centers, radii, grid.box)
         self.grid = grid
         self.amplitudes = np.array([phi.amplitude for phi in tests], dtype=float)
-        weights = _lab_weights(grid)
-        self.factors = {rule: [] for rule in weights}
+        self.weights = _lab_weights(grid)
+        self.profiles = []
         for a, x in enumerate(grid.axes()):
             r = radii[:, a:a + 1]
             u = (x - centers[:, a:a + 1]) / r
-            profiles = [bump_profiles(u, r, order) for order in range(3)]
-            # written in place, so no stacked copy of the profiles sits beside the tables
-            for rule, by_axis in weights.items():
-                table = np.empty((3,) + u.shape)
-                for order, prof in enumerate(profiles):
-                    np.multiply(by_axis[a], prof, out=table[order])
-                self.factors[rule].append(table)
+            table = np.empty((3,) + u.shape)
+            for order in range(3):
+                table[order] = bump_profiles(u, r, order)
+            self.profiles.append(table)
 
 
 def _pairing_tables(cf: CornerField, tests) -> PairingTables:
@@ -434,7 +434,7 @@ def affine_multiplier(offset: float, slopes: Sequence[float]) -> list:
             for c, s in zip([offset] + [0.0] * (len(slopes) - 1), slopes)]
 
 
-def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
+def mollifier_commutator(a: Sequence[tuple], v: CornerField,
                          eps_list: Sequence[float]) -> list:
     """L2 size of  a * Hess(smooth(v)) - smooth(a * Hess(v))  per smoothing width.
 
@@ -453,8 +453,8 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
       discrete mass (_mollifier_kernels);
     * a(y) = sum_b g_b(y_b), given as one factor pair a[b] = (g_b, g_b') per
       axis, so a_j = g_j'(y_j);
-    * v(y) = sum_t prod_c f_tc(y_c), given as corner field terms:
-      v[t][c] = (f, f', f''), of which f'' is not read.
+    * v(y) = sum_t prod_c f_tc(y_c) is a CornerField, whose grid the
+      convolutions use and whose tables of f and f' they read.
 
     For a term t of v_k, write F_c for its factor on axis c.  The part of
     D_jk from g_b is a product of 1-D factors, which on every axis c != b is
@@ -473,6 +473,7 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
     over the axes of their 1-D weighted inner products.  The kernels are
     built once per width and distinct grid spacing.
     """
+    grid = v.grid
     hmax = float(np.max(grid.h))
     for eps in eps_list:
         if eps < 4.0 * hmax:
@@ -483,8 +484,6 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
     g = [a[b][0](axes[b]) for b in range(dim)]
     dg = [a[b][1](axes[b]) for b in range(dim)]
     live = [b for b in range(dim) if np.any(g[b]) or np.any(dg[b])]
-    # per term, per axis: the factor and its derivative on the axis nodes
-    f = [[(term[c][0](axes[c]), term[c][1](axes[c])) for c in range(dim)] for term in v]
     spacings = grid.h.tolist()
     out = []
     for eps in eps_list:
@@ -496,8 +495,8 @@ def mollifier_commutator(a: Sequence[tuple], v: list, grid: Grid,
         for j in range(dim):
             for k in range(dim):
                 pieces = []
-                for ft in f:
-                    vk = [ft[c][int(c == k)] for c in range(dim)]
+                for term in v.tables:
+                    vk = [term[c][int(c == k)] for c in range(dim)]
                     conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
                     for b in live:
                         on_b = g[b] * conv[b] - _smooth(g[b] * vk[b], kern[b][int(b == j)])
@@ -562,14 +561,14 @@ def _kink(p: tuple) -> tuple:
 def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
     """H^1-but-not-H^2 profiles: max(0, y_1) times a smooth product bump.
 
-    Each field is one corner field term (a list of per-axis factor triples,
-    mollifier_commutator's form for v) whose axis-0 factor carries the kink.
+    Each field is a CornerField of one term whose axis-0 factor carries the
+    kink.
     """
     rng = np.random.default_rng(seed)
     out = []
     box = grid.box
     width = box[:, 1] - box[:, 0]
-    for _ in range(count):
+    for i in range(count):
         radius = rng.uniform(0.3, 0.42) * width
         center = np.zeros(grid.dim)
         center[0] = rng.uniform(-0.05, 0.05)
@@ -577,5 +576,5 @@ def kink_profile_corpus(grid: Grid, count: int = 3, seed: int = 5) -> list:
         b = ProductBump(center, radius, amplitude=amp)
         b.check_support_inside(box)
         factors = b.factors()
-        out.append([[_kink(factors[0])] + factors[1:]])
+        out.append(CornerField(grid, [[_kink(factors[0])] + factors[1:]], f"kink_{i}"))
     return out

@@ -256,13 +256,13 @@ def test_criterion_08_mollifier_commutator():
     afield = affine_multiplier(0.5, [0.4, 0.0])
     final_ratios = []
     for v in kink_profile_corpus(g, count=3, seed=5):
-        norms = mollifier_commutator(afield, v, g, eps)
+        norms = mollifier_commutator(afield, v, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
         assert norms[-1] <= 0.25 * norms[0]
         final_ratios.append(norms[-1] / norms[0])
     a_const = affine_multiplier(0.7, [0.0, 0.0])
     v0 = kink_profile_corpus(g, count=1, seed=5)[0]
-    const_norms = mollifier_commutator(a_const, v0, g, eps)
+    const_norms = mollifier_commutator(a_const, v0, eps)
     assert max(const_norms) <= 1e-12
     banner(8, "mollifier commutator", True,
            f"(final/initial max {max(final_ratios):.3f}, const-a {max(const_norms):.1e})")

@@ -533,6 +533,8 @@ class TestCornerGridBound:
         (["--grid", "8192"], "nodes"), (["--grid", "406", "--dim", "3"], "nodes"),
         (["--tests", "1000000"], "pairing-table entries"),
         (["--tests", "400", "--grid", "8190"], "pairing-table entries"),
+        (["--tests", "10923", "--grid", "64"], "residual rows"),
+        (["--tests", "5462", "--grid", "24", "--dim", "3"], "residual rows"),
         (["--n-pts", "1048577"], "inequality-transfer points")])
     def test_oversized_lab_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, what):
         # stopped before any work: the grid, the corpora and the tables refuse to be built
@@ -548,7 +550,8 @@ class TestCornerGridBound:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [["--grid", "512"], ["--dim", "3", "--grid", "256"], ["--dim", "3"],
-                                      ["--grid", "8190"]])
+                                      ["--grid", "8190"], ["--tests", "10922", "--grid", "64"],
+                                      ["--tests", "5461", "--grid", "24", "--dim", "3"]])
     def test_grids_within_the_size_bound_start_work(self, tmp_path, monkeypatch, argv):
         class Reached(Exception):
             pass
@@ -730,6 +733,89 @@ class TestCheckSampling:
         assert main(["check", "--model", "ik2", "--out", str(tmp_path / "o")]) == 0
         assert sorted(calls) == ["intersection", "minus", "plus"]
         assert scans == [("plus", "minus", "intersection")]
+
+
+GEOMETRY = ("[geometry]\n"
+            "dim = 3\n"
+            "metric = wave(2)\n"
+            "phi_plus = norm(x2, x3) - 1 - x1\n"
+            "phi_minus = norm(x2, x3) - 1 + x1\n"
+            "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\n"
+            "x0 = 0, 1, 0\n")
+
+
+class TestSurfaceSamples:
+    @pytest.mark.parametrize("argv, run", [(["--samples", "20"], ""), ([], "[run]\ncommand = check\nsamples = 20\n")])
+    def test_samples_flag_wins_over_config(self, tmp_path, argv, run):
+        # --samples, or [run] samples, sets the config geometry's surface samples
+        conf, fixed = tmp_path / "g.conf", tmp_path / "fixed.conf"
+        conf.write_text(GEOMETRY + "n_surface_samples = 400\n" + run)
+        fixed.write_text(GEOMETRY + "n_surface_samples = 20\n")
+        outs = [str(tmp_path / name) for name in ("flag", "fixed", "config")]
+        assert main(["run" if run else "check", "--config", str(conf), "--out", outs[0]] + argv) == 0
+        assert main(["check", "--config", str(fixed), "--out", outs[1]]) == 0
+        assert main(["check", "--config", str(conf), "--out", outs[2]]) == 0
+        reports = [read_report(out) for out in outs]
+        assert reports[0] == reports[1] != reports[2]
+        assert max(reports[0]["hypotheses"]["n_samples"].values()) < 100
+
+    @pytest.mark.parametrize("command", ["check", "all"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_samples_bound_stops_before_sampling(self, tmp_path, capsys, monkeypatch, command, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check sampled above its bound")
+        monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
+        over = uccert.cli.MAX_SURFACE_SAMPLES + 1
+        conf = tmp_path / "g.conf"
+        conf.write_text(GEOMETRY + ("" if source == "flag" else f"n_surface_samples = {over}\n"))
+        argv = [command, "--config", str(conf)] + (["--samples", str(over)] if source == "flag" else [])
+        out = str(tmp_path / "o")
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{over} surface samples" in err and "above the bound of" in err
+        assert err.count("\n") == 1 and not os.path.exists(out)
+
+    def test_samples_at_the_bound_start_work(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(uccert.cli, "check_assumptions", reached)
+        with pytest.raises(Reached):
+            main(["check", "--model", "ik3", "--samples", str(uccert.cli.MAX_SURFACE_SAMPLES),
+                  "--out", str(tmp_path / "o")])
+
+
+class TestAllChecksEveryBoundFirst:
+    """`all` stops on any stage's size bound before its first stage runs."""
+
+    CASES = {
+        "MAX_CONSTRAINT_SAMPLES": (["--samples", "1048577"], "constraint samples"),
+        "MAX_SURFACE_SAMPLES": (["--samples", "65537"], "surface samples"),
+        "MAX_RAY_STEPS": (["--ds", "1e-9"], "RK4 steps"),
+        "MAX_CORNER_NODES": (["--grid", "8192"], "nodes"),
+        "MAX_PAIRING_ENTRIES": (["--tests", "1000000"], "pairing-table entries"),
+        "MAX_RESIDUAL_ROWS": (["--tests", "20000", "--grid", "64"], "residual rows"),
+        "MAX_TRANSFER_POINTS": (["--n-pts", "1048577"], "inequality-transfer points"),
+        "MAX_CARLEMAN_VALUES": (["--corpus", "100000"], "corpus values"),
+    }
+
+    def test_every_bound_has_a_case(self):
+        assert set(self.CASES) == {name for name in vars(uccert.cli) if name.startswith("MAX_")}
+
+    @pytest.mark.parametrize("bound", sorted(CASES))
+    def test_bound_stops_before_any_stage(self, tmp_path, capsys, monkeypatch, bound):
+        def refuse(*args, **kwargs):
+            raise AssertionError("all ran a stage before checking every bound")
+        monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
+        argv, what = self.CASES[bound]
+        out = str(tmp_path / "o")
+        assert main(["all", "--model", "ik2", "--out", out] + argv) == 2
+        err = capsys.readouterr().err
+        assert what in err and f"above the bound of {getattr(uccert.cli, bound)}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 class TestFewSurfaceSamples:

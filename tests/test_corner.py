@@ -348,15 +348,52 @@ class TestSeparablePairing:
         bumps = _straddling_bumps(unit_box(dim)) if straddling else bump_corpus(unit_box(dim), 20, seed=42)
         tables = PairingTables(g, bumps)
         assert np.array_equal(tables.amplitudes, [phi.amplitude for phi in bumps])
-        for rule, weights in _lab_weights(g).items():
-            for a, (w, x) in enumerate(zip(weights, g.axes())):
-                assert tables.factors[rule][a].shape == (3, len(bumps), x.size)
-                for order in range(3):
-                    for t, phi in enumerate(bumps):
-                        c, r = phi.center[a], phi.radius[a]
-                        got = tables.factors[rule][a][order, t]
-                        assert np.array_equal(got, w * phi.axis_profile(x, a, order)), (rule, a, order, t)
-                        assert np.array_equal(got, w * (bump_profiles((x - c) / r, 1.0, order) / r ** order))
+        assert len(tables.profiles) == dim
+        for a, x in enumerate(g.axes()):
+            assert tables.profiles[a].shape == (3, len(bumps), x.size)
+            for order in range(3):
+                for t, phi in enumerate(bumps):
+                    c, r = phi.center[a], phi.radius[a]
+                    got = tables.profiles[a][order, t]
+                    assert np.array_equal(got, phi.axis_profile(x, a, order)), (a, order, t)
+                    assert np.array_equal(got, bump_profiles((x - c) / r, 1.0, order) / r ** order)
+        want = _lab_weights(g)
+        assert tables.weights.keys() == want.keys()
+        for rule, weights in want.items():
+            assert all(np.array_equal(w, v) for w, v in zip(tables.weights[rule], weights, strict=True))
+
+    @pytest.mark.parametrize("dim, cells, exact", [(2, 512, True), (3, 32, True), (2, 100, False)])
+    def test_pair_equals_weighted_tables(self, dim, cells, exact):
+        # the tables pair once read: per rule and axis, the weights applied to
+        # the bumps' profiles, (w * profile) @ factor.  Every weight is 0, 1, h
+        # or h/2, so on power-of-two cell counts moving it to U's factor keeps
+        # every product, and the sums, bit for bit
+        g = make_grid(unit_box(dim), cells)
+        bumps = bump_corpus(unit_box(dim), 20, seed=42) + _straddling_bumps(unit_box(dim))
+        tables = PairingTables(g, bumps)
+        indices = list(itertools.product((0, 1, 2), repeat=dim))
+        for cf in corner_corpus(g):
+            for rule, weights in _lab_weights(g).items():
+                weighted = [w * p for w, p in zip(weights, tables.profiles)]
+                for alpha in indices:
+                    for beta in indices:
+                        want, scale = 0.0, 0.0
+                        for term in cf.tables:
+                            piece, size = 1.0, 1.0
+                            for a, table in enumerate(weighted):
+                                piece = piece * (table[beta[a]] @ term[a][alpha[a]])
+                                size = size * (np.abs(table[beta[a]]) @ np.abs(term[a][alpha[a]]))
+                            want, scale = want + piece, scale + size
+                        want = tables.amplitudes * want
+                        got = cf.pair(tables, alpha, beta, rule)
+                        if exact:
+                            assert np.array_equal(got, want), (cf.name, rule, alpha, beta)
+                        else:
+                            # to rounding of the sum of the products' magnitudes, as a
+                            # sum that cancels may lose every bit
+                            err = np.abs(got - want)
+                            assert np.all(err <= 1e-14 * np.abs(tables.amplitudes) * scale), \
+                                (cf.name, rule, alpha, beta)
 
     @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
     def test_empty_corpus_rejected(self, lab):
@@ -623,9 +660,9 @@ class TestMollifier:
         # smallest kernel comfortably or quadrature error pollutes the tail
         g = make_grid(unit_box(2), 512)
         a = affine_multiplier(0.3, [0.5, 0.0])
-        v = [ProductBump([0.0, 0.0], [0.45, 0.45]).factors()]
+        v = CornerField(g, [ProductBump([0.0, 0.0], [0.45, 0.45]).factors()])
         eps = [0.32, 0.16, 0.08, 0.04]
-        norms = mollifier_commutator(a, v, g, eps)
+        norms = mollifier_commutator(a, v, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
         # O(eps): three halvings shrink the norm by about 8 (first-order
         # behavior only sets in once eps is small against the field scale)
@@ -637,28 +674,28 @@ class TestMollifier:
         a = affine_multiplier(0.5, [0.4, 0.0])
         eps = [0.32, 0.16, 0.08, 0.04]
         for v in kink_profile_corpus(g, count=2, seed=5):
-            norms = mollifier_commutator(a, v, g, eps)
+            norms = mollifier_commutator(a, v, eps)
             assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
 
     def test_constant_multiplier_exact_zero(self):
         g = make_grid(unit_box(2), 256)
         a = affine_multiplier(0.7, [0.0, 0.0])
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        norms = mollifier_commutator(a, v, g, [0.2, 0.1, 0.05])
+        norms = mollifier_commutator(a, v, [0.2, 0.1, 0.05])
         assert max(norms) <= 1e-12
 
     def test_zero_multiplier_gives_exact_zero(self):
         # every term of a is zero on the grid and skipped: no product is left
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        assert mollifier_commutator(affine_multiplier(0.0, [0.0, 0.0]), v, g, [0.25, 0.125]) == [0.0, 0.0]
+        assert mollifier_commutator(affine_multiplier(0.0, [0.0, 0.0]), v, [0.25, 0.125]) == [0.0, 0.0]
 
     def test_unresolved_eps_rejected(self):
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         a = affine_multiplier(1.0, [0.0, 0.0])
         with pytest.raises(ResolutionError):
-            mollifier_commutator(a, v, g, [2.0 / 64])
+            mollifier_commutator(a, v, [2.0 / 64])
 
 
 def _kernels_inline(h, eps):
@@ -694,10 +731,11 @@ def _outer(vectors):
     return out
 
 
-def _commutator_by_fftconvolve(a, v, grid, eps_list):
+def _commutator_by_fftconvolve(a, v, eps_list):
     """The oracle for the separable commutator: a, grad(a) and grad(v) sampled
-    on the whole grid, the product kernel formed from the 1-D kernels, and
-    three independent fftconvolve calls per (j, k)."""
+    on the whole grid from the factor functions, the product kernel formed
+    from the 1-D kernels, and three independent fftconvolve calls per (j, k)."""
+    grid = v.grid
     dim, axes = grid.dim, grid.axes()
 
     def along(b, f):
@@ -705,7 +743,7 @@ def _commutator_by_fftconvolve(a, v, grid, eps_list):
 
     a_values = sum(along(b, a[b][0]) for b in range(dim))
     a_grads = [along(j, a[j][1]) for j in range(dim)]
-    v_grads = [sum(_outer([t[c][int(c == k)](x) for c, x in enumerate(axes)]) for t in v)
+    v_grads = [sum(_outer([t[c][int(c == k)](x) for c, x in enumerate(axes)]) for t in v.terms)
                for k in range(dim)]
     cell = float(np.prod(grid.h))
 
@@ -731,16 +769,16 @@ def _kink(grid):
 
 
 def _off_centre_bump(grid):
-    return [ProductBump([0.35, 2.1], [0.4, 0.6]).factors()]
+    return CornerField(grid, [ProductBump([0.35, 2.1], [0.4, 0.6]).factors()])
 
 
 def _edge_support(grid):
     # sin(pi x) + y^2: two terms, gradients nonzero up to the box edges
-    return [[SIN_PI, ONE], [ONE, SQUARE]]
+    return CornerField(grid, [[SIN_PI, ONE], [ONE, SQUARE]])
 
 
 def _zero_gradients(grid):
-    return [[_axis_const(0.3)] * grid.dim]
+    return CornerField(grid, [[_axis_const(0.3)] * grid.dim])
 
 
 class TestSeparableCommutator:
@@ -760,8 +798,8 @@ class TestSeparableCommutator:
     def test_matches_full_grid_product_kernel(self, box, cells, slopes, field, eps):
         g = make_grid(box, cells)
         a, v = affine_multiplier(0.5, slopes), field(g)
-        got = mollifier_commutator(a, v, g, eps)
-        want = _commutator_by_fftconvolve(a, v, g, eps)
+        got = mollifier_commutator(a, v, eps)
+        want = _commutator_by_fftconvolve(a, v, eps)
         if field is _zero_gradients:
             assert got == [0.0] * len(eps) and want == [0.0] * len(eps)
         else:
@@ -781,7 +819,7 @@ class TestSeparableCommutator:
         v = _kink(g)
         tracemalloc.start()
         try:
-            norms = mollifier_commutator(a, v, g, [0.35, 0.175, 0.0875])
+            norms = mollifier_commutator(a, v, [0.35, 0.175, 0.0875])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -810,7 +848,7 @@ def test_kink_fields_are_ramp_times_bump():
     ramp = np.maximum(x, 0.0)[:, None]
     for v, bump in zip(kink_profile_corpus(g, count=3, seed=5),
                        _corpus_bumps(g, count=3, seed=5)):
-        (term,) = v
+        (term,) = v.terms
         assert_allclose(_outer([f[0](x) for f, x in zip(term, g.axes())]),
                         ramp * bump.values_on_grid(g), rtol=1e-13, atol=1e-300)
         grad0 = ramp * bump.partial_on_grid(g, (1, 0)) + (x > 0.0)[:, None] * bump.values_on_grid(g)
