@@ -38,7 +38,7 @@ from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, Ge
                          bent_surface, build_psi, check_assumptions, verify_split_signs,
                          verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
-from .rays import contact_rays, integrate_rays
+from .rays import FIT_POINTS, _fit_window, _ray_parameters, contact_rays, integrate_rays
 
 SCHEMA = "ucp-report/1"
 
@@ -382,13 +382,18 @@ def _sample_table(cert) -> np.ndarray:
 
 
 def _usage_rays(args) -> int:
-    """The RK4 steps per side of a ray, checked against the bound."""
+    """The RK4 steps per side of a ray, checked against the bound, and the
+    points of the fit window, checked against the quartic's count."""
     ds, s_fit = args.ds, args.s_fit
     ratio = s_fit / ds              # both finite and positive; the quotient may overflow
     n_steps = math.ceil(ratio) + 2 if math.isfinite(ratio) else math.inf
     if n_steps > MAX_RAY_STEPS:
         raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} takes {n_steps} RK4 steps "
                                 f"per side, above the bound of {MAX_RAY_STEPS}")
+    n_fit = int(np.sum(_fit_window(_ray_parameters(ds, n_steps), s_fit)))
+    if n_fit < FIT_POINTS:
+        raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} leaves {n_fit} ray points in "
+                                f"the fit window, below the {FIT_POINTS} a quartic fit needs")
     return n_steps
 
 
@@ -418,9 +423,10 @@ def cmd_rays(args) -> int:
     ok = True
     drift = 0.0
     max_rays = min(len(cert.samples), args.max_rays)
-    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], args.ds, n_steps, two_sided=True)
-    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=args.s_fit)
-    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=args.s_fit)
+    tol_zero = model.geometry.tol_zero
+    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], args.ds, n_steps)
+    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=args.s_fit, tol_zero=tol_zero)
+    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
     for ray_id, (t, rep, vals, rep1) in enumerate(zip(trajs, bent_reps, bent_vals, surface_reps)):
         drift = max(drift, t.conservation_defect())
         results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})

@@ -56,12 +56,11 @@ class MetricField:
     shapes it returns; ``__call__`` and ``deriv`` read it.
     """
 
-    def __init__(self, dim: int, jet_fn: Callable, domain_box=None, name: str = ""):
+    def __init__(self, dim: int, jet_fn: Callable, name: str = ""):
         if dim < 1:
             raise ContractViolation("dim must be >= 1")
         self.dim = int(dim)
         self._jet = jet_fn
-        self.domain_box = None if domain_box is None else np.asarray(domain_box, dtype=float)
         self.name = name
 
     def jet(self, x, order: int = 1):
@@ -83,18 +82,8 @@ class MetricField:
     def deriv(self, x, j: int) -> np.ndarray:
         return self.jet(as_point(x), 1)[1][j]
 
-    def in_domain(self, x):
-        """Whether a point lies in the domain box, or a bool array over the rows of a batch."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2):
-            raise ContractViolation(f"x must be a point or a batch, got shape {x.shape}")
-        inside = np.ones(x.shape[:-1], dtype=bool)
-        if self.domain_box is not None:
-            inside = np.all((x >= self.domain_box[:, 0]) & (x <= self.domain_box[:, 1]), axis=-1)
-        return bool(inside) if x.ndim == 1 else inside
 
-
-def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
+def constant_metric(matrix, name: str = "") -> MetricField:
     """A constant matrix; its jets are read-only broadcast views."""
     m = np.asarray(matrix, dtype=float)
     zero = np.zeros(m.shape[:1] + m.shape)
@@ -103,7 +92,7 @@ def constant_metric(matrix, domain_box=None, name: str = "") -> MetricField:
         q = np.broadcast_to(m, x.shape[:-1] + m.shape)
         return q if order == 0 else (q, np.broadcast_to(zero, x.shape[:-1] + zero.shape))
 
-    return MetricField(m.shape[0], jet, domain_box=domain_box, name=name)
+    return MetricField(m.shape[0], jet, name=name)
 
 
 def power(base, p: float):

@@ -10,7 +10,7 @@ to the negative side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,9 +18,10 @@ import numpy as np
 from .errors import ContractViolation, FitError
 from .fields import MetricField, PhasePoint, ScalarField, as_point
 from .hypotheses import DEFAULT_TOL_ZERO
-from .symbols import _hp2_closed_form, _hp_closed_form, _matvec, _quadratic_forms
+from .symbols import _hp2_closed_form, _matvec, _quadratic_forms
 
 DEFAULT_TOL_TAN_REL = 1e-6
+FIT_POINTS = 5                    # a quartic has five coefficients
 
 
 @dataclass
@@ -30,7 +31,6 @@ class RayTrajectory:
     xis: np.ndarray               # (k, n) covectors
     p_vals: np.ndarray            # symbol values along the ray
     step: float
-    truncated: bool = False
     psi_vals: Optional[np.ndarray] = None
 
     @property
@@ -44,8 +44,7 @@ class RayTrajectory:
         """New trajectory carrying psi values along the ray; self is untouched."""
         vals = psi.jet(self.xs, 0)
         return RayTrajectory(s=self.s, xs=self.xs, xis=self.xis,
-                             p_vals=self.p_vals, step=self.step,
-                             truncated=self.truncated, psi_vals=vals)
+                             p_vals=self.p_vals, step=self.step, psi_vals=vals)
 
 
 def _flow(Q: MetricField, x: np.ndarray, xi: np.ndarray):
@@ -65,44 +64,35 @@ def _rk4_step(Q: MetricField, x, xi, h):
     return xn, xin
 
 
-def _march(Q: MetricField, x: np.ndarray, xi: np.ndarray, steps: np.ndarray, n_steps: int):
-    """March every row of the (m, n) states (x, xi) by its own signed step.
-
-    A row whose next point leaves the domain box stops at its last inside
-    point and is flagged truncated; the others march on.  Returns the
-    stacked states, shape (k + 1, m, n), in which row i is valid up to
-    index ``kept[i]`` and frozen after it, with ``kept`` and ``truncated``.
-    """
-    h = steps[:, None]
+def _march(Q: MetricField, x: np.ndarray, xi: np.ndarray, h: np.ndarray, n_steps: int):
+    """March every row of the (m, n) states (x, xi) ``n_steps`` times, row i
+    by its own signed step h[i, 0].  Returns the stacked states, shape
+    (n_steps + 1, m, n)."""
     xs, xis = [x], [xi]
-    kept = np.zeros(len(x), dtype=int)
-    truncated = np.zeros(len(x), dtype=bool)
-    for k in range(1, n_steps + 1):
-        rows = np.flatnonzero(~truncated)
-        if rows.size == 0:
-            break
-        xn, xin = _rk4_step(Q, x[rows], xi[rows], h[rows])
-        inside = Q.in_domain(xn)
-        truncated[rows[~inside]] = True
-        rows = rows[inside]
-        x, xi = x.copy(), xi.copy()
-        x[rows], xi[rows] = xn[inside], xin[inside]
-        kept[rows] = k
+    for _ in range(n_steps):
+        x, xi = _rk4_step(Q, x, xi, h)
         xs.append(x)
         xis.append(xi)
-    return np.stack(xs), np.stack(xis), kept, truncated
+    return np.stack(xs), np.stack(xis)
 
 
-def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int,
-                   two_sided: bool = False) -> list:
+def _ray_parameters(ds: float, n_steps: int) -> np.ndarray:
+    """The parameter values every ray shares: s in [-n_steps*ds, n_steps*ds]."""
+    return -ds * n_steps + ds * np.arange(2 * n_steps + 1)
+
+
+def _fit_window(s: np.ndarray, s_fit: float) -> np.ndarray:
+    """The points of a ray that the contact fit reads: |s| <= s_fit."""
+    return np.abs(s) <= s_fit + 1e-15
+
+
+def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int) -> list:
     """Integrate one ray from ``x0`` for each covector row of ``xis``.
 
-    All rays march as one batch, each RK4 stage one metric jet over every
-    row still inside the domain box.  With ``two_sided`` each trajectory
-    covers s in [-n_steps*ds, n_steps*ds], which contact analysis needs;
-    otherwise s runs forward from 0.  A ray leaving the metric's domain box
-    is truncated on that side and flagged.  Returns one ``RayTrajectory``
-    per covector.
+    All rays march as one batch, forward and backward, each RK4 stage one
+    metric jet over every row.  Each trajectory covers s in
+    [-n_steps*ds, n_steps*ds], which contact analysis needs, and is a view
+    of one (ray, step, n) array.  Returns one ``RayTrajectory`` per covector.
     """
     if ds <= 0:
         raise ContractViolation("ds must be positive")
@@ -112,27 +102,19 @@ def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int,
     if x0.size != Q.dim or xis.ndim != 2 or xis.shape[1] != Q.dim:
         raise ContractViolation("start point dimension mismatch")
     n_rays, n = xis.shape
-    sides = 2 if two_sided else 1
-    steps = np.repeat([ds, -ds][:sides], n_rays)        # forward rows, then backward rows
-    all_x, all_xi, kept, cut = _march(Q, np.tile(x0, (sides * n_rays, 1)),
-                                      np.tile(xis, (sides, 1)), steps, n_steps)
+    steps = np.repeat([ds, -ds], n_rays)[:, None]       # forward rows, then backward rows
+    all_x, all_xi = _march(Q, np.tile(x0, (2 * n_rays, 1)), np.tile(xis, (2, 1)), steps, n_steps)
     p = _quadratic_forms(all_xi, Q.jet(all_x.reshape(-1, n), 0).reshape(all_x.shape + (n,)), all_xi)
-    trajs = []
-    for i in range(n_rays):
-        parts = [(slice(0, kept[i] + 1), i)]
-        if two_sided:     # the backward row reversed, without its launch point
-            parts.insert(0, (slice(kept[n_rays + i], 0, -1), n_rays + i))
-        xs, xis_i, p_i = (np.concatenate([a[sl, row] for sl, row in parts]) for a in (all_x, all_xi, p))
-        s0 = -ds * kept[n_rays + i] if two_sided else 0.0
-        trajs.append(RayTrajectory(s=s0 + ds * np.arange(len(xs)), xs=xs, xis=xis_i, p_vals=p_i,
-                                   step=ds, truncated=bool(cut[[row for _, row in parts]].any())))
-    return trajs
+    # each backward row reversed, without its launch point, then the forward row
+    xs, xis_, p = (np.concatenate([a[:0:-1, n_rays:], a[:, :n_rays]]).swapaxes(0, 1)
+                   for a in (all_x, all_xi, p))
+    s = _ray_parameters(ds, n_steps)
+    return [RayTrajectory(s=s, xs=xs[i], xis=xis_[i], p_vals=p[i], step=ds) for i in range(n_rays)]
 
 
-def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int,
-              two_sided: bool = False) -> RayTrajectory:
+def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int) -> RayTrajectory:
     """Integrate a ray from ``start``: the one-ray case of ``integrate_rays``."""
-    return integrate_rays(Q, start.x, start.xi[None, :], ds, n_steps, two_sided)[0]
+    return integrate_rays(Q, start.x, start.xi[None, :], ds, n_steps)[0]
 
 
 @dataclass
@@ -145,7 +127,6 @@ class ContactReport:
     intercept: float
     rel_error_c2: float
     tol_tan: float
-    notes: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -191,9 +172,9 @@ def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = 0
     reports = []
     for traj, i0, vals in zip(trajs, launch, values):
         xi0 = traj.xis[i0]
-        mask = np.abs(traj.s) <= s_fit + 1e-15
+        mask = _fit_window(traj.s, s_fit)
         n_fit = int(np.sum(mask))
-        if n_fit < 5:
+        if n_fit < FIT_POINTS:
             raise FitError(f"only {n_fit} samples inside the fit window")
         coef = np.polynomial.polynomial.polyfit(traj.s[mask], vals[mask], 4)
         intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
@@ -211,8 +192,7 @@ def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = 0
         rel = abs(c2 - predicted) / abs(predicted) if predicted != 0 else abs(c2)
         reports.append(ContactReport(
             tangency=tangent, side=side, fitted_c2=c2, predicted_c2=predicted,
-            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan,
-            notes={"hp_at_launch": float(_hp_closed_form(q, jet.grad, xi0)), "n_fit": n_fit}))
+            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan))
     return reports, values
 
 
@@ -226,5 +206,5 @@ def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactRepo
     """Integrate a two-sided ray and classify its contact, with the ``rays``
     command's default step and fit window."""
     ds, s_fit = 1e-3, 0.05
-    traj = integrate(Q, PhasePoint(x0, xi), ds, int(np.ceil(s_fit / ds)) + 2, two_sided=True)
+    traj = integrate(Q, PhasePoint(x0, xi), ds, int(np.ceil(s_fit / ds)) + 2)
     return contact(traj, Q, psi, s_fit=s_fit)

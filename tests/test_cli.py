@@ -307,6 +307,39 @@ class TestRaysCommand:
         monkeypatch.setattr(uccert.cli, "MAX_RAY_STEPS", 51)
         assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "b")]) == 2
 
+    @pytest.mark.parametrize("argv, points", [(["--s-fit", "0.001", "--ds", "0.001"], 3),
+                                              (["--s-fit", "0.0019", "--ds", "0.001"], 3),
+                                              (["--ds", "1"], 1)])
+    def test_fit_window_bound_stops_before_any_work(self, tmp_path, capsys, argv, points):
+        out = str(tmp_path / "r")
+        assert main(["rays", "--model", "ik2", "--out", out] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"leaves {points} ray points in the fit window, below the 5" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("s_fit", ["0.002", "0.0039"])
+    def test_fit_window_of_five_points_or_more_runs(self, tmp_path, s_fit):
+        # at --ds 0.001, |s| <= 0.002 holds five ray points and |s| <= 0.0039 seven
+        out = str(tmp_path / "r")
+        assert main(["rays", "--model", "ik2", "--s-fit", s_fit, "--ds", "0.001", "--out", out]) == 0
+        assert read_report(out)["passed"]
+
+    def test_tol_zero_sets_the_launch_check(self, tmp_path):
+        # x0 sits 1e-7 off both cones: inside --tol-zero 1e-6, outside the default
+        cfg = tmp_path / "off.conf"
+        cfg.write_text("[geometry]\ndim = 3\nmetric = wave(2)\n"
+                       "phi_plus = norm(x2, x3) - 1 - x1\nphi_minus = norm(x2, x3) - 1 + x1\n"
+                       "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\nx0 = 0, 1.0000001, 0\n")
+        argv = ["--config", str(cfg), "--lambda", "2"]
+        assert main(["certify", *argv, "--tol-zero", "1e-6", "--out", str(tmp_path / "c")]) == 0
+        out = str(tmp_path / "r")
+        assert main(["rays", *argv, "--tol-zero", "1e-6", "--out", out]) == 0
+        rep = read_report(out)
+        assert rep["passed"] and rep["n_rays"] > 0
+        assert main(["rays", *argv, "--out", out]) == 1
+        assert read_report(out)["certificate"]["notes"]["gate"] == ["on_surfaces"]
+
     def test_failed_gate_leaves_no_earlier_rays(self, tmp_path):
         # a run that fails its certificate gate replaces the last run's rays
         # with a header-only rays.csv, and its report carries the certificate
@@ -804,18 +837,29 @@ class TestAllChecksEveryBoundFirst:
     def test_every_bound_has_a_case(self):
         assert set(self.CASES) == {name for name in vars(uccert.cli) if name.startswith("MAX_")}
 
-    @pytest.mark.parametrize("bound", sorted(CASES))
-    def test_bound_stops_before_any_stage(self, tmp_path, capsys, monkeypatch, bound):
+    @staticmethod
+    def stopped_before_any_stage(tmp_path, capsys, monkeypatch, argv) -> str:
+        """The one stderr line of an `all` run that must exit 2 and write nothing."""
         def refuse(*args, **kwargs):
             raise AssertionError("all ran a stage before checking every bound")
         monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
-        argv, what = self.CASES[bound]
         out = str(tmp_path / "o")
         assert main(["all", "--model", "ik2", "--out", out] + argv) == 2
         err = capsys.readouterr().err
-        assert what in err and f"above the bound of {getattr(uccert.cli, bound)}" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists(out)
+        return err
+
+    @pytest.mark.parametrize("bound", sorted(CASES))
+    def test_bound_stops_before_any_stage(self, tmp_path, capsys, monkeypatch, bound):
+        argv, what = self.CASES[bound]
+        err = self.stopped_before_any_stage(tmp_path, capsys, monkeypatch, argv)
+        assert what in err and f"above the bound of {getattr(uccert.cli, bound)}" in err
+
+    def test_fit_window_stops_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        argv = ["--s-fit", "0.001", "--ds", "0.001", "--grid", "64"]
+        err = self.stopped_before_any_stage(tmp_path, capsys, monkeypatch, argv)
+        assert "leaves 3 ray points in the fit window" in err
 
 
 class TestFewSurfaceSamples:

@@ -137,8 +137,7 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
         cert = certify(geo, x0, lam=2.0, n=1000, seed=0)
         psi0, psi1 = build_psi(geo)
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
-        trajs = integrate_rays(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2,
-                               two_sided=True)
+        trajs = integrate_rays(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2)
         header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
                   + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
         rows = []

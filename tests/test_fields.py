@@ -91,15 +91,6 @@ class TestMetricField:
             for j in range(3):
                 assert_allclose(fd[..., j], q.deriv(x, j), rtol=1e-6, atol=1e-8)
 
-    def test_domain_box(self):
-        box = np.array([[-1, 1], [-1, 1]], dtype=float)
-        q = constant_metric(np.diag([-1.0, 1.0]), domain_box=box)
-        assert q.in_domain([0.0, 0.0])
-        assert not q.in_domain([0.0, 1.5])
-        batch = np.array([[0.0, 0.0], [0.0, 1.5], [-1.0, 1.0], [np.nan, 0.0]])
-        assert q.in_domain(batch).tolist() == [q.in_domain(x) for x in batch] == [True, False, True, False]
-        assert constant_metric(np.diag([-1.0, 1.0])).in_domain(batch).all()
-
 
 def _metric_cases():
     bumpy = bumpy_wave_metric(2, amp=0.1)

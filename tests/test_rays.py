@@ -22,14 +22,14 @@ class TestIntegrate:
         traj = integrate(q, PhasePoint(ik2.x0, xi0), ds=1e-2, n_steps=50)
         # constant coefficients: x(s) = x0 + 2 s Q xi, xi constant
         v = 2.0 * q(ik2.x0) @ xi0
-        for k in (10, 25, 50):
+        for k in traj.launch_index + np.array([-50, -25, -10, 10, 25, 50]):
             assert_allclose(traj.xs[k], ik2.x0 + traj.s[k] * v, atol=1e-13)
             assert_allclose(traj.xis[k], xi0, atol=1e-14)
 
     def test_zero_covector_stationary(self, ik2):
         q = ik2.geometry.Q
         traj = integrate(q, PhasePoint(ik2.x0, np.zeros(3)), ds=1e-2, n_steps=20)
-        assert_allclose(traj.xs, np.tile(ik2.x0, (21, 1)), atol=1e-15)
+        assert_allclose(traj.xs, np.tile(ik2.x0, (41, 1)), atol=1e-15)
 
     def test_invalid_args(self, ik2):
         q = ik2.geometry.Q
@@ -70,18 +70,10 @@ class TestIntegrate:
         traj = integrate(qv, pp, ds=1e-3, n_steps=1000)
         assert np.max(np.abs(traj.p_vals)) <= 1e-8
 
-    def test_domain_truncation(self):
-        box = np.array([[-0.1, 0.1], [0.5, 1.5], [-1.0, 1.0]])
-        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
-        xi0 = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint([0.0, 1.0, 0.0], xi0), ds=1e-2, n_steps=100)
-        assert traj.truncated
-        assert len(traj.s) < 101
-
     def test_two_sided_window(self, ik2):
         q = ik2.geometry.Q
         xi0 = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi0), ds=1e-3, n_steps=10, two_sided=True)
+        traj = integrate(q, PhasePoint(ik2.x0, xi0), ds=1e-3, n_steps=10)
         assert traj.s[0] == pytest.approx(-0.01)
         assert traj.s[-1] == pytest.approx(0.01)
         assert np.all(np.diff(traj.s) > 0)
@@ -130,7 +122,7 @@ class TestContact:
         from uccert import hp
         q, psi0, _ = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=1e-3, n_steps=52, two_sided=True)
+        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=1e-3, n_steps=52)
         rep = contact(traj, q, psi0, s_fit=0.05)
         assert rep.fitted_c1 == pytest.approx(hp(q, psi0, PhasePoint(ik2.x0, xi)), rel=1e-6)
 
@@ -143,7 +135,7 @@ class TestContact:
     def test_too_few_samples_fit_error(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=0.05, n_steps=1, two_sided=True)
+        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=0.05, n_steps=1)
         with pytest.raises(FitError):
             contact(traj, q, psi1, s_fit=0.05)
 
@@ -169,29 +161,20 @@ def _point_rk4_step(Q, x, xi, ds):
 
 def _point_march(Q, start, ds, n_steps):
     xs, xis = [start.x.copy()], [start.xi.copy()]
-    truncated = False
     for _ in range(n_steps):
         xn, xin = _point_rk4_step(Q, xs[-1], xis[-1], ds)
-        if not Q.in_domain(xn):
-            truncated = True
-            break
         xs.append(xn)
         xis.append(xin)
-    return xs, xis, truncated
+    return xs, xis
 
 
-def _point_integrate(Q, start, ds, n_steps, two_sided=False):
+def _point_integrate(Q, start, ds, n_steps):
     """One ray at a time, one point per RK4 stage: the loop before batching."""
-    fwd_x, fwd_xi, trunc_f = _point_march(Q, start, ds, n_steps)
-    if two_sided:
-        bwd_x, bwd_xi, trunc_b = _point_march(Q, start, -ds, n_steps)
-        xs, xis = bwd_x[:0:-1] + fwd_x, bwd_xi[:0:-1] + fwd_xi
-        s0, truncated = -ds * (len(bwd_x) - 1), trunc_f or trunc_b
-    else:
-        xs, xis, s0, truncated = fwd_x, fwd_xi, 0.0, trunc_f
-    xs, xis = np.array(xs), np.array(xis)
+    fwd_x, fwd_xi = _point_march(Q, start, ds, n_steps)
+    bwd_x, bwd_xi = _point_march(Q, start, -ds, n_steps)
+    xs, xis = np.array(bwd_x[:0:-1] + fwd_x), np.array(bwd_xi[:0:-1] + fwd_xi)
     p_vals = np.array([xi @ Q(x) @ xi for x, xi in zip(xs, xis)])
-    return s0 + ds * np.arange(len(xs)), xs, xis, p_vals, truncated
+    return -ds * (len(bwd_x) - 1) + ds * np.arange(len(xs)), xs, xis, p_vals
 
 
 def _wave_matrix(n, rng):
@@ -200,17 +183,15 @@ def _wave_matrix(n, rng):
 
 
 class TestBatchedRaysAgainstPointLoop:
-    def assert_matches_loop(self, Q, x0, xis, ds, n_steps, two_sided):
-        trajs = integrate_rays(Q, x0, xis, ds, n_steps, two_sided=two_sided)
+    def assert_matches_loop(self, Q, x0, xis, ds, n_steps):
+        trajs = integrate_rays(Q, x0, xis, ds, n_steps)
         assert len(trajs) == len(xis)
         for traj, xi in zip(trajs, xis):
-            s, xs, xis_, p_vals, truncated = _point_integrate(
-                Q, PhasePoint(x0, xi), ds, n_steps, two_sided)
+            s, xs, xis_, p_vals = _point_integrate(Q, PhasePoint(x0, xi), ds, n_steps)
             for got, want in ((traj.s, s), (traj.xs, xs), (traj.xis, xis_)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             # p is u.(Q v) per row; the oracle's (xi @ Q) @ xi on one point is the same sum
             assert traj.p_vals.tobytes() == p_vals.tobytes()
-            assert traj.truncated is truncated
             assert traj.step == ds
         return trajs
 
@@ -223,37 +204,13 @@ class TestBatchedRaysAgainstPointLoop:
              else bumpy_wave_metric(d, amp=0.08))
         x0 = np.concatenate([[0.05], np.full(d, 0.3)])
         xis = rng.normal(size=(5, n))
-        self.assert_matches_loop(q, x0, xis, 1e-2, 60, two_sided=True)
-
-    @pytest.mark.parametrize("two_sided", [False, True])
-    def test_rays_leave_the_box_at_different_steps(self, two_sided):
-        box = np.array([[-0.2, 0.35], [0.5, 1.5], [-2.0, 2.0]])
-        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
-        xis = np.array([[s, 0.0, 1.0] for s in (0.3, 0.6, -0.5, -1.5, 0.0)])
-        trajs = self.assert_matches_loop(q, [0.0, 1.0, 0.0], xis, 1e-2, 60, two_sided)
-        lengths = [len(t.s) for t in trajs]
-        assert len(set(lengths)) == len(lengths)           # every row stops at its own step
-        assert [t.truncated for t in trajs] == [True] * 4 + [False]
-        if two_sided:
-            # rows 0 and 1 leave forward first, rows 2 and 3 backward first
-            fwd = [len(t.s) - 1 - t.launch_index for t in trajs]
-            bwd = [t.launch_index for t in trajs]
-            assert [f < b for f, b in zip(fwd, bwd)] == [True, True, False, False, False]
-            assert fwd[4] == bwd[4] == 60
-
-    def test_first_step_leaves_on_both_sides(self):
-        box = np.array([[-1e-9, 1e-9], [0.5, 1.5], [-1.0, 1.0]])
-        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
-        xis = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        stuck, free = self.assert_matches_loop(q, [0.0, 1.0, 0.0], xis, 1e-2, 20, True)
-        assert stuck.s.tolist() == [0.0] and stuck.truncated
-        assert len(free.s) == 41 and not free.truncated
+        self.assert_matches_loop(q, x0, xis, 1e-2, 60)
 
     def test_integrate_is_the_one_ray_case(self):
         q = bumpy_wave_metric(2, amp=0.08)
         x0, xi = np.array([0.0, 1.0, 0.0]), np.array([0.6, -0.3, 0.75])
-        one = integrate(q, PhasePoint(x0, xi), 1e-2, 30, two_sided=True)
-        batch = integrate_rays(q, x0, [[0.1, 0.2, 0.3], xi], 1e-2, 30, two_sided=True)[1]
+        one = integrate(q, PhasePoint(x0, xi), 1e-2, 30)
+        batch = integrate_rays(q, x0, [[0.1, 0.2, 0.3], xi], 1e-2, 30)[1]
         for attr in ("s", "xs", "xis", "p_vals"):
             assert getattr(one, attr).tobytes() == getattr(batch, attr).tobytes()
 
@@ -274,28 +231,19 @@ _BUMPY = {"dim": "3", "metric": "bumpy_wave(2, 0.05)", "phi_plus": "norm(x2, x3)
 
 
 def _rays_case(name):
-    """(Q, (bent, psi1), trajectories) of the rays command at its defaults on
-    a model, or on ik2 in a domain box that cuts two of three rays short."""
-    if name == "truncated":
-        geo, x0 = get_model("ik2").geometry, np.array([0.0, 1.0, 0.0])
-        box = np.array([[-0.02, 0.35], [0.5, 1.5], [-2.0, 2.0]])
-        q = constant_metric(np.diag([-1.0, 1.0, 1.0]), domain_box=box)
-        xis = np.array([[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])
-    else:
-        model = geometry_from_config(_BUMPY) if name == "bumpy" else get_model(name)
-        geo, x0, q = model.geometry, model.x0, model.geometry.Q
-        xis = certify(geo, x0, lam=2.0, n=1000, seed=0).samples[:8]
+    """(Q, (bent, psi1), trajectories) of the rays command at its defaults on a model."""
+    model = geometry_from_config(_BUMPY) if name == "bumpy" else get_model(name)
+    geo, x0, q = model.geometry, model.x0, model.geometry.Q
+    xis = certify(geo, x0, lam=2.0, n=1000, seed=0).samples[:8]
     psi0, psi1 = build_psi(geo)
     bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
-    trajs = integrate_rays(q, x0, xis, 1e-3, math.ceil(0.05 / 1e-3) + 2, two_sided=True)
+    trajs = integrate_rays(q, x0, xis, 1e-3, math.ceil(0.05 / 1e-3) + 2)
     return q, (bent, psi1), trajs
 
 
-@pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "bumpy", "truncated"])
+@pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "bumpy"])
 def test_contact_rays_equals_the_one_ray_contact(name):
     q, fields, trajs = _rays_case(name)
-    if name == "truncated":
-        assert [t.truncated for t in trajs] == [True, True, False]
     for psi in fields:
         reports, values = contact_rays(trajs, q, psi, s_fit=0.05)
         assert len(reports) == len(values) == len(trajs)
@@ -309,8 +257,8 @@ def test_contact_rays_equals_the_one_ray_contact(name):
 def test_contact_rays_needs_one_launch_point(ik2, ik2_fields):
     q, _, psi1 = ik2_fields
     xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-    here = integrate(q, PhasePoint(ik2.x0, xi), 1e-3, 52, two_sided=True)
-    there = integrate(q, PhasePoint([0.0, 0.0, 1.0], xi), 1e-3, 52, two_sided=True)
+    here = integrate(q, PhasePoint(ik2.x0, xi), 1e-3, 52)
+    there = integrate(q, PhasePoint([0.0, 0.0, 1.0], xi), 1e-3, 52)
     assert contact_rays([here, here], q, psi1)[0][0] == contact(here, q, psi1)
     with pytest.raises(ContractViolation, match="launch point"):
         contact_rays([here, there], q, psi1)
