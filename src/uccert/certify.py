@@ -5,17 +5,18 @@ N = {|xi| = 1 : p(x0, xi) = 0, b1 . xi = 0}, b1 = 2 Q dpsi1, is cut out by a
 quadratic form and a hyperplane, and every certified quantity is a quadratic
 form in xi maximized over N.  ``null_cone_max`` computes such maxima exactly
 (S-lemma; Finsler 1937, Polik & Terlaky, SIAM Review 49(3), 2007): in closed
-form where N lies in a plane (two lines), by bisection of the multiplier in
-higher dimension, each with a rounding allowance that keeps the value above
-the exact maximum.
+form where N lies in a plane (two lines), by a bracketed search on the
+multiplier in higher dimension, each with a rounding allowance that keeps the
+value above the exact maximum.
 
 All of this depends only on the 1-jet of Q and the 2-jets of psi0, psi1 at x0
 (Hormander, The Analysis of Linear Partial Differential Operators IV,
-ch. 28).  So the certifier reads them once each, with float errors raising
-(a singular jet makes the certificate degenerate), and hands every later
-step Q (first order) and psi0, psi1 (second order) pinned to those jets:
-fields that answer at x0 alone, with the jets as read, and raise anywhere
-else.  The certifier
+ch. 28).  So the certifier reads Q and the surface pair once each, with
+float errors raising (a singular jet makes the certificate degenerate),
+composes the jets of psi0 and psi1 from them, and hands every later step Q
+(first order) and psi0, psi1 (second order) pinned to those jets: fields that
+answer at x0 alone, with the jets as read, and raise anywhere else.  The
+certifier
 
   1. takes the floor m0 of |hp(psi0)| over N (strictly positive for
      consistent inputs),
@@ -30,7 +31,7 @@ else.  The certifier
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -38,9 +39,9 @@ import numpy as np
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation, SignatureError)
 from .fields import Jet, MetricField, ScalarField, as_point
-from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, build_psi
-from .symbols import (ZERO_BAND, _hp2_closed_form, _hp_closed_form, hp2_matrix, lorentz_normal_form,
-                      quadratic_form_values, signature)
+from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, build_psi, split_jets
+from .symbols import (ZERO_BAND, _hp2_closed_forms, _hp_closed_form, _signature_of, hp2_matrix,
+                      lorentz_normal_form, quadratic_form_values)
 
 KEY_IDENTITY_RTOL = 1e-6    # required agreement between the two margin routes
 EPS = np.finfo(float).eps
@@ -67,11 +68,13 @@ def unit_sphere_seeds(n: int, dim: int, seed: int = 0) -> np.ndarray:
 
 def _hyperplane(a: np.ndarray, b: np.ndarray) -> tuple:
     """The hyperplane b . xi = 0 for the form a: (rows of an orthonormal basis
-    B, the restricted form a_r = B a B^T, the eigenpairs of a_r).  A
-    certificate builds it once and reads it for its directions, m0 and the
+    B, the restricted form a_r = B a B^T made symmetric, the eigenpairs of
+    a_r).  A certificate builds it once and reads it for its directions (the
+    eigenpairs are those ``lorentz_normal_form`` would compute), m0 and the
     worst margin."""
     basis = np.linalg.svd(b.reshape(1, -1))[2][1:]
     ar = basis @ a @ basis.T
+    ar = 0.5 * (ar + ar.T)
     return basis, ar, np.linalg.eigh(ar)
 
 
@@ -109,29 +112,37 @@ def null_cone_max(m: np.ndarray, a: np.ndarray, b: np.ndarray):
       as the normal nears the null cone (g -> 0), and only where the
       maximum itself moves with g: at a kink of f (both lines of equal
       value) X = 0.
-    * On hyperplanes of dimension 3 or more, t is bisected (``_bisect_max``),
-      and each f(t) carries the eigensolver's rounding allowance.
+    * On hyperplanes of dimension 3 or more, f is minimized by a bracketed
+      search (``_multiplier_search``) that stops when an upper and a lower
+      bound of min f meet within the eigensolver's rounding allowance.  The
+      value is f at an evaluated t plus that allowance, which bounds the
+      exact maximum from above however early the search stops.
     """
     return _null_cone_max(m, _hyperplane(a, b))
 
 
-def _null_cone_max(m: np.ndarray, plane: tuple):
-    """``null_cone_max`` on a hyperplane built by ``_hyperplane``."""
+def _null_cone_max(m: np.ndarray, plane: tuple, witness: bool = True):
+    """``null_cone_max`` on a hyperplane built by ``_hyperplane``; without
+    ``witness`` the pair is (value, None), and no witness is formed."""
     basis, ar, (ev, vec) = plane
     mr = basis @ m @ basis.T
-    band = ZERO_BAND * max(1.0, float(np.max(np.abs(ev))))
-    if ev[0] >= -band or ev[-1] <= band:
+    low, high = float(ev[0]), float(ev[-1])          # eigh sorts ascending
+    band = ZERO_BAND * max(1.0, -low, high)
+    if low >= -band or high <= band:
         kernel = vec[:, np.abs(ev) <= band]
         if kernel.shape[1] == 0:
             return None
         w, u = np.linalg.eigh(kernel.T @ mr @ kernel)
-        return float(w[-1]), basis.T @ kernel @ u[:, -1]
+        return float(w[-1]), (basis.T @ kernel @ u[:, -1] if witness else None)
     if len(ev) > 2:
-        value, y = _bisect_max(mr, ar, ev)
-    else:
+        value, y = _multiplier_search(mr, ar, ev, witness)
+    elif witness:
         top, allowance, y = _two_line_max(mr, ar, ev, vec)
         value = top + allowance
-    return value, basis.T @ y / np.linalg.norm(y)
+    else:
+        top, allowance = _two_line_top(mr, ar)
+        return top + allowance, None
+    return value, (basis.T @ y / np.linalg.norm(y) if witness else None)
 
 
 def _two_line_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray, vec: np.ndarray):
@@ -140,31 +151,52 @@ def _two_line_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray, vec: np.ndarra
     notation of ``null_cone_max``."""
     e0, e1 = float(ev[0]), float(ev[1])
     lines = [math.sqrt(e1) * vec[:, 0] + sign * math.sqrt(-e0) * vec[:, 1] for sign in (1.0, -1.0)]
-    h0, p0, q0 = (0.5 * float(mr[0, 0] + mr[1, 1]), 0.5 * float(mr[0, 0] - mr[1, 1]),
-                  0.5 * float(mr[0, 1] + mr[1, 0]))
-    h1, p1, q1 = (0.5 * float(ar[0, 0] + ar[1, 1]), 0.5 * float(ar[0, 0] - ar[1, 1]),
-                  0.5 * float(ar[0, 1] + ar[1, 0]))
+    return (*_two_line_top(mr, ar), max(lines, key=lambda line: float(line @ mr @ line)))
+
+
+def _two_line_top(mr: np.ndarray, ar: np.ndarray):
+    """(maximum, rounding allowance) of ``_two_line_max``, from the entries
+    of the forms alone."""
+    (m00, m01), (m10, m11) = mr.tolist()
+    (a00, a01), (a10, a11) = ar.tolist()
+    h0, p0, q0 = 0.5 * (m00 + m11), 0.5 * (m00 - m11), 0.5 * (m01 + m10)
+    h1, p1, q1 = 0.5 * (a00 + a11), 0.5 * (a00 - a11), 0.5 * (a01 + a10)
     n1 = math.hypot(p1, q1)
     along, across = p0 * p1 + q0 * q1, p0 * q1 - q0 * p1
     gap, room = n1 - abs(h1), n1 + abs(h1)
     top = h0 + (math.sqrt(gap * room) * abs(across) - h1 * along) / (n1 * n1)
     allowance = 2.0 * EPS * (abs(h0) + 8.0 * math.hypot(p0, q0) + math.sqrt(room / gap) * abs(across) / n1)
-    return top, allowance, max(lines, key=lambda line: float(line @ mr @ line))
+    return top, allowance
 
 
-def _bisect_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray):
-    """(upper bound, witness) of the null-cone maximum for an indefinite a_r
-    with eigenvalues ev, by bisection of the S-lemma multiplier.
+def _multiplier_search(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray, witness: bool = True):
+    """(upper bound, witness or None) of the null-cone maximum for an
+    indefinite a_r with eigenvalues ev: the minimum of the convex
+    f(t) = lambda_max(m_r + t a_r), by a bracketed search on the S-lemma
+    multiplier t.
 
-    f is convex with slope v^T a_r v at its top eigenvector v, so t is
-    bisected on the sign of that slope, each f(t) plus the eigensolver's
-    rounding allowance; the witness is the null vector in the span of the
-    top eigenvectors at the two ends.
+    f's slope at t is v^T a_r v at its top eigenvector v, and each f(t)
+    carries the eigensolver's rounding allowance.  The search keeps ends
+    lo < hi of slope <= 0 and > 0, so the minimum lies between them, and two
+    bounds of it: the upper bound, the smaller f at the ends, and the lower
+    bound, the height where the ends' tangent lines cross (f is convex, so it
+    lies above both).  Each step evaluates f at the secant root of the slope
+    through the two latest evaluations when that root lies inside the
+    bracket (exact where the slope is linear, near a smooth minimum), else
+    where the ends' tangent lines cross (exact where f is two lines, at a
+    kink), and at the midpoint instead when the bracket has not halved in the
+    last three steps; the new point replaces the end of its slope's sign.
+    The search stops when the bounds meet within the larger allowance at the
+    ends, or when the bracket is within rounding of a point.  The value is
+    the upper bound, f at an evaluated t plus its allowance, so it stays
+    above the exact maximum however the search stops; the witness is the
+    null vector in the span of the top eigenvectors at the two ends.
     """
     def top(t):
         w, v = np.linalg.eigh(mr + t * ar)
         v = v[:, -1]
-        return w[-1] + len(w) * EPS * max(-w[0], w[-1]), v, float(v @ ar @ v)
+        allowance = len(w) * EPS * max(-w[0], w[-1])
+        return w[-1] + allowance, allowance, v, float(v @ ar @ v)
 
     # beyond these ends f exceeds 2 max|eig(m_r)| >= f(0), so the slope there
     # has the sign of the side
@@ -172,22 +204,41 @@ def _bisect_max(mr: np.ndarray, ar: np.ndarray, ev: np.ndarray):
     lo, hi = 3.0 * scale / ev[0], 3.0 * scale / ev[-1]
     ends = [top(lo), top(hi)]
     t_unit = scale / float(np.max(np.abs(ev)))
-    while hi - lo > 4.0 * EPS * (abs(lo) + abs(hi) + t_unit):
-        t = 0.5 * (lo + hi)
+    latest = [(lo, ends[0][3]), (hi, ends[1][3])]      # (t, slope) of the two latest evaluations
+    widths = [math.inf] * 3                            # the bracket's width before each step
+    while True:
+        (f_lo, tol_lo, _, s_lo), (f_hi, tol_hi, _, s_hi) = ends
+        cross = (f_hi - f_lo + s_lo * lo - s_hi * hi) / (s_lo - s_hi)
+        lower = f_lo + s_lo * (cross - lo)
+        # written so that a nan stops the search
+        if not (min(f_lo, f_hi) - lower > max(tol_lo, tol_hi)
+                and hi - lo > 4.0 * EPS * (abs(lo) + abs(hi) + t_unit)):
+            break
+        (t1, s1), (t2, s2) = latest
+        t = t2 - s2 * (t2 - t1) / (s2 - s1) if s2 != s1 else cross
+        if not lo < t < hi:
+            t = cross
+        if not lo < t < hi or hi - lo > 0.5 * widths[-3]:
+            t = 0.5 * (lo + hi)
+        widths.append(hi - lo)
         e = top(t)
-        if e[2] > 0:
+        latest = [latest[1], (t, e[3])]
+        if e[3] > 0:
             hi, ends[1] = t, e
         else:
             lo, ends[0] = t, e
-    (f_lo, v_lo, s_lo), (f_hi, v_hi, s_hi) = ends
-    # both end vectors lie in the top eigenspace at the minimum, with slopes
+    (f_lo, _, v_lo, s_lo), (f_hi, _, v_hi, s_hi) = ends
+    value = float(min(f_lo, f_hi))
+    if not witness:
+        return value, None
+    # near the minimum both end vectors lie in the top eigenspace, with slopes
     # of opposite sign: the null vector of their span is the witness
     if v_lo @ v_hi < 0:
         v_hi = -v_hi
     cross = float(v_lo @ ar @ v_hi)
     root = math.sqrt(cross * cross - s_lo * s_hi)
     tau = -s_lo / (cross + root) if cross > 0 else (root - cross) / s_hi
-    return float(min(f_lo, f_hi)), v_lo + tau * v_hi
+    return value, v_lo + tau * v_hi
 
 
 def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int = 0,
@@ -214,19 +265,23 @@ def constraint_samples(Q: MetricField, psi1: ScalarField, x0, n: int, seed: int 
                 "surface field is not space-like at x0 (<Q dpsi1, dpsi1> <= 0); "
                 "the base surface must be non-characteristic")
         plane = _hyperplane(a, 2.0 * a @ g1)
-    basis, ar, _ = plane
+    basis, ar, eig = plane
     try:
-        r = lorentz_normal_form(ar)
+        r = lorentz_normal_form(ar, eig=eig)
     except SignatureError:
-        sig = signature(ar)
+        sig = _signature_of(eig[0])
         if sig.n_zero == 0 and 0 in (sig.n_plus, sig.n_minus):
             raise DegenerateConstraintSet(
                 "the null cone does not meet the tangent hyperplane: empty constraint set") from None
         raise
     d = ar.shape[0]
-    u = np.array([[-1.0], [1.0]]) if d == 2 else unit_sphere_seeds(n, d - 1, seed=seed)
-    xis = np.hstack([u, np.ones((len(u), 1))]) @ r.T @ basis
-    xis /= np.linalg.norm(xis, axis=1, keepdims=True)
+    if d == 2:
+        u1 = np.array([[-1.0, 1.0], [1.0, 1.0]])
+    else:
+        u = unit_sphere_seeds(n, d - 1, seed=seed)
+        u1 = np.hstack([u, np.ones((len(u), 1))])
+    xis = u1 @ r.T @ basis
+    xis /= np.sqrt(np.add.reduce(xis * xis, axis=1, keepdims=True))      # np.linalg.norm's sum
     return np.concatenate([xis, -xis]) if d == 2 else xis
 
 
@@ -245,7 +300,7 @@ def compute_m0(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     c = 2.0 * a @ psi0.grad(x0)
     if plane is None:
         plane = _hyperplane(a, 2.0 * a @ psi1.grad(x0))
-    found = _null_cone_max(-np.outer(c, c), plane)
+    found = _null_cone_max(-np.outer(c, c), plane, witness=False)
     if found is None:
         raise DegenerateConstraintSet(
             "the null cone does not meet the tangent hyperplane: empty constraint set")
@@ -337,9 +392,9 @@ def _read_jets(Q: MetricField, fields: dict, x0):
     try:
         with np.errstate(**_RAISE):
             jets = {"Q": Q.jet(x0, 1), **{name: f.jet(x0, 2) for name, f in fields.items()}}
-        parts = [*jets["Q"]] + [part for name in fields
-                                for part in (jets[name].value, jets[name].grad, jets[name].hess)]
-        if all(np.all(np.isfinite(part)) for part in parts):
+        parts = [*jets["Q"]] + [part for name in fields for part in (jets[name].grad, jets[name].hess)]
+        values = [jets[name].value for name in fields]
+        if np.isfinite(np.concatenate([part.ravel() for part in parts] + [values])).all():
             return jets, None
     except ArithmeticError:
         pass
@@ -355,7 +410,7 @@ def _frozen(part) -> np.ndarray:
 
 def _require_x0(x: np.ndarray, x0: np.ndarray) -> None:
     """Raise unless x is the point x0 (a nan coordinate matching a nan)."""
-    if not np.array_equal(x, x0, equal_nan=True):
+    if x is not x0 and not np.array_equal(x, x0, equal_nan=True):
         where = x.tolist() if x.ndim == 1 else f"a batch of shape {x.shape}"
         raise ContractViolation(f"a certificate reads its fields at x0 = {x0.tolist()} only, not at {where}")
 
@@ -391,8 +446,10 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
 
     Q, psi0 and psi1 are read at x0 once each for the jet gate, and the later
     steps read them at x0 again; ``certify`` hands in fields pinned to their
-    jets there, for which those reads cost nothing.  A lam so large that the
-    margins overflow gives a degenerate certificate under the arithmetic gate.
+    jets there, for which those reads cost nothing.  The bent surface's jet is
+    composed once, and the steps that read it read a field pinned to it.  A
+    lam so large that the margins overflow gives a degenerate certificate
+    under the arithmetic gate.
     """
     x0 = as_point(x0)
     if lam is not None and lam <= 0:
@@ -414,7 +471,6 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     lambda0 = compute_lambda0(Q, psi1, x0, m0)
     lam_used = float(lam) if lam is not None else 2.0 * max(lambda0, 0.0) + 1.0
 
-    bent = bent_surface(psi0, psi1, lam_used)
     drift = 2.0 * a @ j0.grad
     # both routes are quadratic forms in xi; evaluate them in batch through
     # their polarized matrices, then spot-check the closed forms of hp and hp2
@@ -422,29 +478,35 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     # lam overflows them without a warning, and the first certificate
     # quantity that is not finite names the arithmetic gate
     with np.errstate(over="ignore", invalid="ignore"):
+        bent = bent_surface(psi0, psi1, lam_used)
+        bent_jet = bent.jet(x0, 2)
+        bent = _pinned_scalar(bent, bent_jet, x0)
         m_surface = hp2_matrix(Q, psi1, x0)
         m_bent = hp2_matrix(Q, bent, x0)
         margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
         margins_direct = quadratic_form_values(m_bent, xis)
         spot = np.linspace(0, len(xis) - 1, min(len(xis), 25)).astype(int)
         d0 = _hp_closed_form(a, j0.grad, xis[spot])
-        via_identity = _hp2_closed_form(a, dq, j1, xis[spot]) - 2.0 * lam_used * d0 * d0
-        via_direct = _hp2_closed_form(a, dq, bent.jet(x0, 2), xis[spot])
+        surface, direct = _hp2_closed_forms(a, dq, (j1, bent_jet), xis[spot])
+        via_identity = surface - 2.0 * lam_used * d0 * d0
         m, m_direct = margins[spot], margins_direct[spot]
-        worst_rel = float(np.max(np.concatenate([            # a nan here stays nan
-            np.abs(margins - margins_direct) / (1.0 + np.abs(margins)),
-            np.abs(via_identity - m) / (1.0 + np.abs(m)),
-            np.abs(via_direct - m_direct) / (1.0 + np.abs(m)),
-            np.abs(via_identity - via_direct) / (1.0 + np.abs(via_identity))])))
+        # each pair's relative difference, the four pairs as one array; a nan
+        # here stays nan
+        worst_rel = float(np.max(
+            np.abs(np.concatenate([margins, via_identity, direct, via_identity])
+                   - np.concatenate([margins_direct, m, m_direct, direct]))
+            / (1.0 + np.abs(np.concatenate([margins, m, m, via_identity])))))
         try:
-            worst = _null_cone_max(m_bent, plane)[0]
+            worst = _null_cone_max(m_bent, plane, witness=False)[0]
         except np.linalg.LinAlgError:           # an eigensolver met an overflowed form
             worst = math.nan
-    quantities = {"margins": margins, "margins_direct": margins_direct,
-                  "route_disagreement": worst_rel, "worst_margin": worst}
-    overflowed = [name for name, value in quantities.items() if not np.all(np.isfinite(value))]
-    if overflowed:
-        return _degenerate(x0, "arithmetic", {"lambda_used": lam_used, "quantity": overflowed[0]})
+    # worst_rel is finite only where both margin arrays are, so two floats
+    # tell whether any certificate quantity is not finite
+    if not (math.isfinite(worst_rel) and math.isfinite(worst)):
+        quantities = {"margins": margins, "margins_direct": margins_direct,
+                      "route_disagreement": worst_rel, "worst_margin": worst}
+        overflowed = next(name for name, value in quantities.items() if not np.all(np.isfinite(value)))
+        return _degenerate(x0, "arithmetic", {"lambda_used": lam_used, "quantity": overflowed})
     if not worst_rel <= KEY_IDENTITY_RTOL:
         raise InternalInconsistency(
             f"margin routes disagree by {worst_rel:.3e} relative "
@@ -472,10 +534,11 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
 
     The base point must lie on both surfaces to spec.tol_zero, and every jet
     the certificate uses must be finite there; otherwise the certificate is
-    degenerate and its notes name the gate.  The surface values come from
-    the jets the finiteness gate read, and so do psi0 and psi1: they are
-    built from Q and phi± pinned to those jets, so the surface expressions
-    and the metric are evaluated once each.
+    degenerate and its notes name the gate.  The gate reads Q and phi± once
+    each, and the surface values come from those jets.  The jets of psi0 and
+    psi1 are composed from them by the arithmetic of ``build_psi``'s fields,
+    and ``certify_fields`` gets Q, psi0 and psi1 pinned to those jets, so the
+    surface expressions and the metric are evaluated once each.
     """
     x0 = as_point(x0)
     jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
@@ -485,8 +548,6 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
-    pinned = replace(spec, Q=_pinned_metric(spec.Q, *jets["Q"], x0),
-                     phi_plus=_pinned_scalar(spec.phi_plus, jets["phi_plus"], x0),
-                     phi_minus=_pinned_scalar(spec.phi_minus, jets["phi_minus"], x0))
-    psi0, psi1 = build_psi(pinned)
-    return certify_fields(pinned.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
+    psi0, psi1 = (_pinned_scalar(f, jet, x0) for f, jet in zip(build_psi(spec), split_jets(jets)))
+    return certify_fields(_pinned_metric(spec.Q, *jets["Q"], x0), psi0, psi1, x0,
+                          lam=lam, n=n, tol_pos=tol_pos, seed=seed)

@@ -35,8 +35,8 @@ from .expressions import expression_field
 from .fields import constant_metric
 from .grids import bump_corpus, bump_superposition_values, make_grid, unit_box
 from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, GeometrySpec,
-                         bent_surface, build_psi, check_assumptions, verify_split_signs,
-                         verify_sublevel_inclusion)
+                         bent_surface, build_psi, check_assumptions, scan_nodes,
+                         verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
 from .rays import FIT_POINTS, _fit_window, _ray_parameters, contact_rays, integrate_rays
 
@@ -80,6 +80,14 @@ MAX_CONSTRAINT_SAMPLES = 2 ** 20
 # `check` stops before any sampling: about 2.4 KB each, so that `check --model
 # ik3` peaks near 185 MB of RSS at the bound and ik4 near 210 MB
 MAX_SURFACE_SAMPLES = 2 ** 16
+# box-scan nodes (the scan's nodes per axis to the power of the dimension)
+# above which `check` stops before any sampling: the scan holds a few residual
+# arrays of a double per node, and a surface whose lowest-residual seeds all
+# leave the box projects every other node at once, about 0.7 KB each.  Every
+# built-in model up to ik5 passes at any --samples (ik4 at 65536 samples scans
+# 537824 nodes and peaks near 210 MB of RSS); ik6 (8^7 nodes) peaked at 1.5 GB
+# and ik9 (8^10) cannot allocate its first array
+MAX_SCAN_NODES = 2 ** 20
 
 
 @contextlib.contextmanager
@@ -318,12 +326,17 @@ def resolve_model(args) -> ModelSpec:
 # stage's checks before its first stage, so that a usage error writes nothing.
 
 def _usage_check(args) -> ModelSpec:
-    """The model, its surface sample count checked against the bound."""
+    """The model, its surface sample count and box-scan nodes checked against
+    their bounds."""
     model = resolve_model(args)
     n_surface = model.geometry.n_surface_samples
     if n_surface > MAX_SURFACE_SAMPLES:
         raise ContractViolation(f"{n_surface} surface samples (--samples or n_surface_samples) "
                                 f"is above the bound of {MAX_SURFACE_SAMPLES}")
+    nodes = scan_nodes(model.geometry)
+    if nodes > MAX_SCAN_NODES:
+        raise ContractViolation(f"the box scan of a {model.geometry.dim}-dimensional geometry takes "
+                                f"{nodes} scan nodes, above the bound of {MAX_SCAN_NODES}")
     return model
 
 

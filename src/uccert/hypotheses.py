@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
-from .fields import MetricField, ScalarField, linear_combination, squared_field
+from .fields import MetricField, ScalarField, linear_combination, squared_field, weighted_sum
 from .grids import Grid
 from .symbols import _quadratic_forms, signature
 
@@ -148,6 +148,12 @@ def _scan_axes(spec: GeometrySpec) -> list:
     return Grid(spec.box, (per_axis - 1,) * spec.dim).axes()
 
 
+def scan_nodes(spec: GeometrySpec) -> int:
+    """The number of nodes of the box scan that sampling a surface of spec
+    makes: its residual arrays hold a double per node."""
+    return _scan_resolution(spec.n_surface_samples, spec.dim) ** spec.dim
+
+
 def _n_seeds(spec: GeometrySpec) -> int:
     return max(4 * spec.n_surface_samples, 64)
 
@@ -202,10 +208,16 @@ def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
 
 
 def _dedupe(arr: np.ndarray) -> np.ndarray:
+    """The rows of arr in order, less each row equal to an earlier one at a
+    resolution of 1e-9: one stable sort of the rounded rows, and the first
+    row of each run of equal rows kept."""
     if len(arr) == 0:
         return arr
-    _, keep = np.unique(np.round(arr / 1e-9), axis=0, return_index=True)
-    return arr[np.sort(keep)]
+    key = np.round(arr / 1e-9)
+    order = np.lexsort(key.T[::-1])
+    ranked = key[order]
+    first = np.concatenate([[True], np.any(ranked[1:] != ranked[:-1], axis=1)])
+    return arr[np.sort(order[first])]
 
 
 def _level_fields(spec: GeometrySpec, which: str) -> list:
@@ -359,6 +371,11 @@ def check_assumptions(spec: GeometrySpec,
                             samples=samples)
 
 
+# the (coefficient, surface) terms of psi0 and psi1
+_SPLIT = {"psi0": ((0.5, "phi_minus"), (-0.5, "phi_plus")),
+          "psi1": ((0.5, "phi_plus"), (0.5, "phi_minus"))}
+
+
 def build_psi(spec: GeometrySpec):
     """Half-sum and half-difference fields of the surface pair.
 
@@ -366,9 +383,15 @@ def build_psi(spec: GeometrySpec):
     psi0 = (phi_minus - phi_plus)/2, assembled by linearity so gradients and
     Hessians are exact whenever the inputs are.
     """
-    psi1 = linear_combination([(0.5, spec.phi_plus), (0.5, spec.phi_minus)], name="psi1")
-    psi0 = linear_combination([(0.5, spec.phi_minus), (-0.5, spec.phi_plus)], name="psi0")
-    return psi0, psi1
+    return tuple(linear_combination([(c, getattr(spec, phi)) for c, phi in terms], name=name)
+                 for name, terms in _SPLIT.items())
+
+
+def split_jets(phi_jets: dict) -> tuple:
+    """The jets of (psi0, psi1) at a point, from the jets of the surface pair
+    there keyed "phi_plus" and "phi_minus": bit for bit the jets of
+    ``build_psi``'s fields, by the same arithmetic."""
+    return tuple(weighted_sum((c, phi_jets[phi]) for c, phi in terms) for terms in _SPLIT.values())
 
 
 def bent_surface(psi0: ScalarField, psi1: ScalarField, lam: float) -> ScalarField:

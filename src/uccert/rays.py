@@ -47,33 +47,35 @@ class RayTrajectory:
                              p_vals=self.p_vals, step=self.step, psi_vals=vals)
 
 
-def _flow(Q: MetricField, x: np.ndarray, xi: np.ndarray):
-    """The Hamiltonian vector field of p at each row of the (m, n) states (x, xi)."""
+def _flow(Q: MetricField, y: np.ndarray) -> np.ndarray:
+    """The Hamiltonian vector field of p at each row of the (m, 2n) states
+    y = (x, xi)."""
+    n = y.shape[1] // 2
+    x, xi = y[:, :n], y[:, n:]
     q, dq = Q.jet(x, 1)
-    return 2.0 * _matvec(q, xi), -np.vecdot((xi[:, None, None, :] @ dq)[:, :, 0, :], xi[:, None, :])
+    return np.concatenate([2.0 * _matvec(q, xi),
+                           -np.vecdot((xi[:, None, None, :] @ dq)[:, :, 0, :], xi[:, None, :])], axis=1)
 
 
-def _rk4_step(Q: MetricField, x, xi, h):
-    """One RK4 step of every row, row i with its own signed step h[i, 0]."""
-    k1x, k1p = _flow(Q, x, xi)
-    k2x, k2p = _flow(Q, x + 0.5 * h * k1x, xi + 0.5 * h * k1p)
-    k3x, k3p = _flow(Q, x + 0.5 * h * k2x, xi + 0.5 * h * k2p)
-    k4x, k4p = _flow(Q, x + h * k3x, xi + h * k3p)
-    xn = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    xin = xi + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return xn, xin
+def _rk4_step(Q: MetricField, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One RK4 step of every row of the states y, row i with its own signed
+    step h[i, 0]."""
+    k1 = _flow(Q, y)
+    k2 = _flow(Q, y + 0.5 * h * k1)
+    k3 = _flow(Q, y + 0.5 * h * k2)
+    k4 = _flow(Q, y + h * k3)
+    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(Q: MetricField, x: np.ndarray, xi: np.ndarray, h: np.ndarray, n_steps: int):
-    """March every row of the (m, n) states (x, xi) ``n_steps`` times, row i
-    by its own signed step h[i, 0].  Returns the stacked states, shape
-    (n_steps + 1, m, n)."""
-    xs, xis = [x], [xi]
+def _march(Q: MetricField, y: np.ndarray, h: np.ndarray, n_steps: int) -> np.ndarray:
+    """March every row of the (m, 2n) states y = (x, xi) ``n_steps`` times,
+    row i by its own signed step h[i, 0].  Returns the stacked states, shape
+    (n_steps + 1, m, 2n)."""
+    ys = [y]
     for _ in range(n_steps):
-        x, xi = _rk4_step(Q, x, xi, h)
-        xs.append(x)
-        xis.append(xi)
-    return np.stack(xs), np.stack(xis)
+        y = _rk4_step(Q, y, h)
+        ys.append(y)
+    return np.stack(ys)
 
 
 def _ray_parameters(ds: float, n_steps: int) -> np.ndarray:
@@ -103,7 +105,8 @@ def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int) -> list:
         raise ContractViolation("start point dimension mismatch")
     n_rays, n = xis.shape
     steps = np.repeat([ds, -ds], n_rays)[:, None]       # forward rows, then backward rows
-    all_x, all_xi = _march(Q, np.tile(x0, (2 * n_rays, 1)), np.tile(xis, (2, 1)), steps, n_steps)
+    start = np.hstack([np.tile(x0, (2 * n_rays, 1)), np.tile(xis, (2, 1))])
+    all_x, all_xi = np.split(_march(Q, start, steps, n_steps), 2, axis=2)
     p = _quadratic_forms(all_xi, Q.jet(all_x.reshape(-1, n), 0).reshape(all_x.shape + (n,)), all_xi)
     # each backward row reversed, without its launch point, then the forward row
     xs, xis_, p = (np.concatenate([a[:0:-1, n_rays:], a[:, :n_rays]]).swapaxes(0, 1)

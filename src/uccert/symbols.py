@@ -10,7 +10,7 @@ All functions are pure; nothing here caches state.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,30 +50,34 @@ def _symmetric_part(M) -> np.ndarray:
 
 def _signature_of(ev: np.ndarray) -> Signature:
     """The signature counts of the eigenvalues ev (last axis)."""
-    band = np.expand_dims(ZERO_BAND * np.maximum(1.0, np.max(np.abs(ev), axis=-1)), -1)
-    n_plus = np.sum(ev > band, axis=-1)
-    n_minus = np.sum(ev < -band, axis=-1)
-    if ev.ndim == 1:
-        n_plus, n_minus = int(n_plus), int(n_minus)
+    top = np.abs(ev).max(axis=-1)
+    if ev.ndim == 1:            # one matrix: counted on floats, cheaper than array sums
+        band = ZERO_BAND * (1.0 if top <= 1.0 else float(top))         # nan stays nan
+        vals = ev.tolist()
+        n_plus, n_minus = sum(v > band for v in vals), sum(v < -band for v in vals)
+    else:
+        band = ZERO_BAND * np.maximum(1.0, top)[..., None]
+        n_plus, n_minus = np.sum(ev > band, axis=-1), np.sum(ev < -band, axis=-1)
     return Signature(n_plus, n_minus, ev.shape[-1] - n_plus - n_minus)
 
 
-def lorentz_normal_form(M) -> np.ndarray:
+def lorentz_normal_form(M, eig: Optional[tuple] = None) -> np.ndarray:
     """Invertible R with R^T M R = diag(1, ..., 1, -1).
 
     Built from the symmetric eigendecomposition with column rescaling and a
     reordering that places the negative direction last; no Gram-Schmidt on
     the indefinite form is ever performed.  The one eigendecomposition gives
-    both the signature check and R.
+    both the signature check and R; ``eig``, the eigenpairs of M when M is
+    symmetric and the caller has them, stands in for it.
     """
-    ev, vec = np.linalg.eigh(_symmetric_part(M))
+    ev, vec = np.linalg.eigh(_symmetric_part(M)) if eig is None else eig
     n = len(ev)
     sig = _signature_of(ev)
     if sig != Signature(n - 1, 1, 0):
         raise SignatureError(f"normal form requires signature ({n - 1},1,0), got {tuple(sig)}")
-    r = vec / np.sqrt(np.abs(ev))[None, :]
-    order = np.concatenate([np.flatnonzero(ev > 0), np.flatnonzero(ev < 0)])
-    return r[:, order]
+    r = vec / np.sqrt(np.abs(ev))
+    # eigh sorts ascending, so the one negative eigenvalue is the first
+    return r[:, list(range(1, n)) + [0]]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,13 +103,22 @@ def _hp2_closed_form(q: np.ndarray, dq: np.ndarray, jet, xi: np.ndarray):
     where dp/dxi = 2 Q xi and the last dot pairs the covector with components
     <d_j Q xi, xi> against the vector Q dpsi.
     """
+    return _hp2_closed_forms(q, dq, (jet,), xi)[0]
+
+
+def _hp2_closed_forms(q: np.ndarray, dq: np.ndarray, jets, xi: np.ndarray) -> list:
+    """``_hp2_closed_form`` of each of several jets at the same point, the
+    parts that depend on Q and xi alone formed once."""
     v = _matvec(q, xi)                               # dp/dxi = 2 v
-    hv = _matvec(jet.hess, v)                        # component j: <Q xi, d(d_j psi)>
     dq_xi = _matvec(dq, xi[..., None, :])            # row j: d_j Q xi
     xi_dq_xi = _quadratic_forms(xi[..., None, :], dq, xi[..., None, :])     # <d_j Q xi, xi>
-    term1 = np.sum(2.0 * v * (np.vecdot(dq_xi, jet.grad) + hv), axis=-1)
-    term2 = np.sum(xi_dq_xi * (q @ jet.grad), axis=-1)
-    return 2.0 * (term1 - term2)
+    out = []
+    for jet in jets:
+        hv = _matvec(jet.hess, v)                    # component j: <Q xi, d(d_j psi)>
+        term1 = np.sum(2.0 * v * (np.vecdot(dq_xi, jet.grad) + hv), axis=-1)
+        term2 = np.sum(xi_dq_xi * (q @ jet.grad), axis=-1)
+        out.append(2.0 * (term1 - term2))
+    return out
 
 
 def hp(Q: MetricField, psi: ScalarField, pp: PhasePoint) -> float:

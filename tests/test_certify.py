@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from uccert import (PhasePoint, build_psi, certify, certify_fields, compute_lamb
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
-from uccert.certify import (EPS, _bisect_max, _pinned_metric, _pinned_scalar, _two_line_max,
-                            null_cone_max)
+from uccert.certify import (EPS, _hyperplane, _null_cone_max, _pinned_metric, _pinned_scalar,
+                            _two_line_max, null_cone_max)
 from uccert.cli import _sample_table
 from uccert.errors import (ContractViolation, DegenerateConstraintSet,
                            NondegeneracyViolation)
 from uccert.expressions import expression_field
-from uccert.fields import MetricField, pullback_scalar
+from uccert.fields import Jet, MetricField, ScalarField, pullback_scalar
 from uccert.hypotheses import GeometrySpec
 from uccert.models import bumpy_wave_metric, flattening_chart, get_model, ik_model
 from uccert.symbols import hp2_bracket, pullback_metric_field, quadratic_form_values
@@ -454,6 +455,21 @@ class TestJetGate:
         cert = certify(self._geometry("1 / x1 + norm(x2, x3) - 1"), [0.0, 1.0, 0.0], lam=2.0)
         assert cert.notes["jet"]["jet"] == "phi_plus"
 
+    def test_singular_value_alone(self):
+        # a surface whose value at x0 is nan while its gradient and Hessian
+        # are finite
+        surface = expression_field("norm(x2, x3) - 1 - x1", 3)
+
+        def jet(x, order):
+            if order == 0:
+                return math.nan
+            finite = surface.jet(x, order)
+            return Jet(math.nan, finite.grad, finite.hess)
+        geo = self._geometry("norm(x2, x3) - 1 - x1")
+        cert = certify(GeometrySpec(geo.Q, ScalarField(jet), geo.phi_minus, box=geo.box),
+                       [0.0, 1.0, 0.0], lam=2.0)
+        assert cert.notes["jet"] == {"jet": "phi_plus", "error": "not finite"}
+
     def test_singular_metric_derivative_alone(self):
         def jet(x, order):
             q = np.diag([-1.0, 1.0, 1.0])
@@ -595,6 +611,45 @@ class TestPinnedJets:
         assert _bits(pinned.jet(x0.copy(), 1).grad) == _bits(f.grad(x0))
 
 
+def _bisect_max(mr, ar, ev):
+    """Oracle of the multiplier search: (upper bound, witness, multiplier) of
+    the null-cone maximum for an indefinite a_r with eigenvalues ev, by
+    bisection of the S-lemma multiplier t to machine precision.
+
+    f(t) = lambda_max(m_r + t a_r) is convex with slope v^T a_r v at its top
+    eigenvector v, so t is bisected on the sign of that slope, each f(t) plus
+    the eigensolver's rounding allowance; the witness is the null vector in
+    the span of the top eigenvectors at the two ends.
+    """
+    def top(t):
+        w, v = np.linalg.eigh(mr + t * ar)
+        v = v[:, -1]
+        return w[-1] + len(w) * EPS * max(-w[0], w[-1]), v, float(v @ ar @ v)
+
+    # beyond these ends f exceeds 2 max|eig(m_r)| >= f(0), so the slope there
+    # has the sign of the side
+    scale = max(float(np.max(np.abs(np.linalg.eigvalsh(mr)))), EPS * float(np.max(np.abs(ev))))
+    lo, hi = 3.0 * scale / ev[0], 3.0 * scale / ev[-1]
+    ends = [top(lo), top(hi)]
+    t_unit = scale / float(np.max(np.abs(ev)))
+    while hi - lo > 4.0 * EPS * (abs(lo) + abs(hi) + t_unit):
+        t = 0.5 * (lo + hi)
+        e = top(t)
+        if e[2] > 0:
+            hi, ends[1] = t, e
+        else:
+            lo, ends[0] = t, e
+    (f_lo, v_lo, s_lo), (f_hi, v_hi, s_hi) = ends
+    # both end vectors lie in the top eigenspace at the minimum, with slopes
+    # of opposite sign: the null vector of their span is the witness
+    if v_lo @ v_hi < 0:
+        v_hi = -v_hi
+    cross = float(v_lo @ ar @ v_hi)
+    root = math.sqrt(cross * cross - s_lo * s_hi)
+    tau = -s_lo / (cross + root) if cross > 0 else (root - cross) / s_hi
+    return float(min(f_lo, f_hi)), v_lo + tau * v_hi, 0.5 * (lo + hi)
+
+
 def _exact_two_line_max(mpmath, mr, ar):
     """Maximum of y^T m_r y / y^T y over the null lines of a_r, and the S-lemma
     multiplier t that attains it, in 50-digit arithmetic on the float entries."""
@@ -672,3 +727,100 @@ class TestTwoLineClosedForm:
         assert abs(np.linalg.norm(witness) - 1.0) <= 4.0 * EPS
         assert abs(witness @ a @ witness) <= 8.0 * EPS * float(np.max(np.abs(ar)))
         assert value >= witness @ m @ witness - 8.0 * EPS * float(np.max(np.abs(mr)))
+
+
+class TestMultiplierSearch:
+    """On hyperplanes of dimension 3 or more the maximum is a bracketed search
+    on the S-lemma multiplier; the bisection to machine precision is its
+    oracle."""
+
+    @staticmethod
+    def _forms(d, seed):
+        """An indefinite symbol a_r on R^d (both signs present) and a form m_r,
+        at scales drawn over a few decades."""
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        n_minus = int(rng.integers(1, d))
+        sizes = 10.0 ** rng.uniform(-2.0, 2.0, d)
+        ar = basis @ np.diag(np.where(np.arange(d) < n_minus, -sizes, sizes)) @ basis.T
+        mr = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        return 0.5 * (mr + mr.T), 0.5 * (ar + ar.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 5), st.integers(0, 2 ** 32 - 1))
+    def test_bounds_match_the_bisection_and_the_witness_is_a_unit_null_vector(self, d, seed):
+        mr, ar = self._forms(d, seed)
+        # the forms act on the plane x1 = 0 of R^(d+1), whose basis is exact
+        m, a = np.zeros((d + 1, d + 1)), np.zeros((d + 1, d + 1))
+        m[1:, 1:], a[1:, 1:] = mr, ar
+        e1 = np.eye(d + 1)[0]
+        basis, plane_ar, (ev, _) = _hyperplane(a, e1)
+        assume(np.array_equal(np.abs(basis), np.eye(d + 1)[1:]))
+        value, witness = null_cone_max(m, a, e1)
+        assert _null_cone_max(m, _hyperplane(a, e1), witness=False) == (value, None)
+        oracle, _, t = _bisect_max(basis @ m @ basis.T, plane_ar, ev)
+        size_m, size_a = float(np.max(np.abs(mr))), float(np.max(np.abs(ar)))
+        allowance = d * EPS * float(np.max(np.abs(np.linalg.eigvalsh(mr + t * ar))))
+        slack = 8.0 * EPS * (size_m + (abs(t) + EPS) * size_a)
+        assert oracle - slack <= value <= oracle + 2.0 * allowance + slack
+        assert witness[0] == 0.0
+        assert abs(np.linalg.norm(witness) - 1.0) <= 4.0 * EPS
+        assert abs(witness @ a @ witness) <= 16.0 * d * EPS * size_a
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ik_searches_take_at_most_ten_eigensolves(self, d, monkeypatch):
+        m = ik_model(d)
+        q, (psi0, psi1), x0 = m.geometry.Q, build_psi(m.geometry), m.x0
+        a = q(x0)
+        plane = _hyperplane(a, 2.0 * a @ psi1.grad(x0))
+        drift = 2.0 * a @ psi0.grad(x0)
+        bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, solve=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for form in (-np.outer(drift, drift), hp2_matrix(q, bent, x0)):
+            calls.clear()
+            assert _null_cone_max(form, plane) is not None
+            assert 0 < len(calls) <= 10
+
+
+def _bumpy_map():
+    """The bumpy-wave geometry of the certificate map and every 8th of its
+    sampled intersection points: 46 base points."""
+    from uccert.hypotheses import sample_surface
+    geo = GeometrySpec(bumpy_wave_metric(2, 0.05),
+                       expression_field("norm(x2, x3) - 1 - x1", 3),
+                       expression_field("norm(x2, x3) - 1 + x1", 3),
+                       box=np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]]))
+    return geo, sample_surface(geo, "intersection")[::8]
+
+
+def _certificate_bits(cert):
+    arrays = (cert.x0, cert.margins, cert.margins_direct, cert.samples, cert.res_p, cert.res_hp)
+    return json.dumps(cert.to_dict(), sort_keys=True), [(a.shape, _bits(a)) for a in arrays]
+
+
+class TestComposedJets:
+    """certify composes the split jets once and hands certify_fields pinned
+    fields; the same certificate from the unpinned fields is its oracle."""
+
+    def test_bumpy_map_certificates_match_the_unpinned_fields(self):
+        geo, points = _bumpy_map()
+        assert len(points) == 46
+        psi0, psi1 = build_psi(geo)
+        for x0 in points:
+            cert = certify(geo, x0, lam=2.0, seed=3)
+            assert cert.status == "certified"
+            assert _certificate_bits(cert) == _certificate_bits(
+                certify_fields(geo.Q, psi0, psi1, x0, lam=2.0, seed=3))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ik_certificates_match_the_unpinned_fields(self, d):
+        m = ik_model(d)
+        cert = certify(m.geometry, m.x0, lam=2.0)
+        assert cert.status == "certified"
+        assert _certificate_bits(cert) == _certificate_bits(
+            certify_fields(m.geometry.Q, *build_psi(m.geometry), m.x0, lam=2.0))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uccert.cli
+import uccert.hypotheses
 from uccert.carleman import CarlemanReport
 from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric
 from uccert.errors import ContractViolation
@@ -820,12 +821,39 @@ class TestSurfaceSamples:
                   "--out", str(tmp_path / "o")])
 
 
+class TestScanNodes:
+    """`check` stops before the box scan when the scan would take more nodes
+    than its bound: 8^7 for ik6, 8^9 for ik8 and 8^10 for ik9."""
+
+    @pytest.mark.parametrize("command", ["check", "all"])
+    @pytest.mark.parametrize("model, nodes", [("ik8", 8 ** 9), ("ik9", 8 ** 10), ("ik6", 8 ** 7)])
+    def test_bound_stops_before_any_scan(self, tmp_path, capsys, monkeypatch, command, model, nodes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check scanned above its bound")
+        monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
+        monkeypatch.setattr(uccert.hypotheses, "_scan_residuals", refuse)
+        out = str(tmp_path / "o")
+        assert main([command, "--model", model, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{nodes} scan nodes, above the bound of {uccert.cli.MAX_SCAN_NODES}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err and not os.path.exists(out)
+
+    def test_every_model_up_to_ik5_scans_within_the_bound(self, tmp_path):
+        # ik5 scans 8^6 nodes, and at the surface-sample bound ik4 scans 14^5
+        for model, samples in (("ik5", 200), ("ik4", uccert.cli.MAX_SURFACE_SAMPLES),
+                               ("ik5", uccert.cli.MAX_SURFACE_SAMPLES)):
+            geo = uccert.cli.get_model(model, n_surface_samples=samples).geometry
+            assert uccert.hypotheses.scan_nodes(geo) <= uccert.cli.MAX_SCAN_NODES
+        assert main(["check", "--model", "ik5", "--out", str(tmp_path / "o")]) == 0
+
+
 class TestAllChecksEveryBoundFirst:
     """`all` stops on any stage's size bound before its first stage runs."""
 
     CASES = {
         "MAX_CONSTRAINT_SAMPLES": (["--samples", "1048577"], "constraint samples"),
         "MAX_SURFACE_SAMPLES": (["--samples", "65537"], "surface samples"),
+        "MAX_SCAN_NODES": (["--model", "ik9"], "scan nodes"),
         "MAX_RAY_STEPS": (["--ds", "1e-9"], "RK4 steps"),
         "MAX_CORNER_NODES": (["--grid", "8192"], "nodes"),
         "MAX_PAIRING_ENTRIES": (["--tests", "1000000"], "pairing-table entries"),

@@ -449,3 +449,19 @@ def test_lowest_is_the_head_of_a_stable_argsort(res):
     for k in range(1, len(res) + 3):
         got = _lowest(res, k)
         assert got.dtype.kind == "i" and got.tolist() == order[:k].tolist()
+
+
+# rows of a few distinct values at the 1e-9 rounding scale, with signed zeros
+# and values that round to the same node, so that rows repeat and tie
+_row_values = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.2e-9, 3e-9, 2.0, -2.0, 2.0 + 1e-12, 0.4e-9, -0.4e-9])
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.lists(_row_values, min_size=dim, max_size=dim), min_size=0, max_size=40)))
+def test_dedupe_keeps_the_first_of_each_row_in_order(rows):
+    # the np.unique form it replaces is the oracle, bit for bit
+    arr = np.array(rows, dtype=float).reshape(len(rows), -1 if rows else 3)
+    got = _dedupe(arr)
+    want = arr if len(arr) == 0 else arr[np.sort(
+        np.unique(np.round(arr / 1e-9), axis=0, return_index=True)[1])]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
