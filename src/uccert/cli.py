@@ -83,11 +83,12 @@ MAX_SURFACE_SAMPLES = 2 ** 16
 # box-scan nodes (the scan's nodes per axis to the power of the dimension)
 # above which `check` stops before any sampling: the scan holds a few residual
 # arrays of a double per node, and a surface whose lowest-residual seeds all
-# leave the box projects every other node at once, about 0.7 KB each.  Every
-# built-in model up to ik5 passes at any --samples (ik4 at 65536 samples scans
-# 537824 nodes and peaks near 210 MB of RSS); ik6 (8^7 nodes) peaked at 1.5 GB
-# and ik9 (8^10) cannot allocate its first array
-MAX_SCAN_NODES = 2 ** 20
+# leave the box projects every other node at once, about 0.7 KB each.  The
+# bound is ik6's scan, 8^7 nodes at any --samples: `check --model ik6` peaks
+# at 1.5 GB of RSS in 11 s at its 200 samples, where it projects every other
+# node, and at 267 MB at 65536 samples.  ik7 (8^8) and up stop; ik9 (8^10)
+# could not allocate its first residual array
+MAX_SCAN_NODES = 8 ** 7
 
 
 @contextlib.contextmanager

@@ -471,9 +471,7 @@ def mollifier_commutator(a: Sequence[tuple], v: CornerField,
     lab's multiplier varies along y_1 only).  The trapezoid integral of
     D_jk^2 is then a Gram sum: over pairs of these products, the product
     over the axes of their 1-D weighted inner products.  The kernels are
-    built once per width and distinct grid spacing, and each distinct pair
-    of a 1-D input and a kernel is convolved once per width: in 3-D the pairs
-    (j, k) share most of them.
+    built once per width and distinct grid spacing.
     """
     grid = v.grid
     hmax = float(np.max(grid.h))
@@ -487,39 +485,23 @@ def mollifier_commutator(a: Sequence[tuple], v: CornerField,
     dg = [a[b][1](axes[b]) for b in range(dim)]
     live = [b for b in range(dim) if np.any(g[b]) or np.any(dg[b])]
     spacings = grid.h.tolist()
-    # v's 1-D factors, equal ones as one object (the lab's bumps repeat their
-    # factor on every axis but the first), so that identity names them
-    same = {}
-    tables = [[tuple(same.setdefault((f.shape, f.tobytes()), f) for f in pair) for pair in term]
-              for term in v.tables]
     out = []
     for eps in eps_list:
         # per distinct spacing, the value and derivative kernels with the
         # spacing folded in
         by_spacing = {h: [k * h for k in _mollifier_kernels(h, eps)] for h in set(spacings)}
         kern = [by_spacing[h] for h in spacings]
-        smoothed = {}
-
-        def smooth(f, kernel, times=None):
-            """(times *) f convolved with kernel, each distinct triple once per
-            width; the factors, multipliers and kernels stay alive through the
-            call, so their identities name them."""
-            key = (id(f), id(kernel), id(times))
-            if key not in smoothed:
-                smoothed[key] = _smooth(f if times is None else times * f, kernel)
-            return smoothed[key]
-
         total = 0.0
         for j in range(dim):
             for k in range(dim):
                 pieces = []
-                for term in tables:
+                for term in v.tables:
                     vk = [term[c][int(c == k)] for c in range(dim)]
-                    conv = [smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
+                    conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
                     for b in live:
-                        on_b = g[b] * conv[b] - smooth(vk[b], kern[b][int(b == j)], g[b])
+                        on_b = g[b] * conv[b] - _smooth(g[b] * vk[b], kern[b][int(b == j)])
                         if b == j:
-                            on_b = on_b + smooth(vk[j], kern[j][0], dg[j])
+                            on_b = on_b + _smooth(dg[j] * vk[j], kern[j][0])
                         pieces.append(conv[:b] + [on_b] + conv[b + 1:])
                 if not pieces:
                     continue

@@ -84,18 +84,13 @@ class MetricField:
 
 
 def constant_metric(matrix, name: str = "") -> MetricField:
-    """A constant matrix; its jets are read-only broadcast views, kept for
-    the latest batch shape (a ray march reads one shape at every stage)."""
+    """A constant matrix; its jets are read-only broadcast views."""
     m = np.asarray(matrix, dtype=float)
     zero = np.zeros(m.shape[:1] + m.shape)
-    latest = [None]             # (batch shape, Q view, dQ view)
 
     def jet(x, order):
-        lead, views = x.shape[:-1], latest[0]
-        if views is None or views[0] != lead:
-            views = latest[0] = (lead, np.broadcast_to(m, lead + m.shape),
-                                 np.broadcast_to(zero, lead + zero.shape))
-        return views[1] if order == 0 else views[1:]
+        q = np.broadcast_to(m, x.shape[:-1] + m.shape)
+        return q if order == 0 else (q, np.broadcast_to(zero, x.shape[:-1] + zero.shape))
 
     return MetricField(m.shape[0], jet, name=name)
 
@@ -250,16 +245,10 @@ class ScalarField:
         return self.jet(x, 2).hess
 
 
-def weighted_sum(terms):
-    """The sum of c * v over (c, v) terms, each v a value or a ``Jet``: the
-    arithmetic by which ``linear_combination`` combines its fields' jets."""
-    return sum(c * v for c, v in terms)
-
-
 def linear_combination(terms: Sequence[tuple], name: str = "") -> ScalarField:
     """Weighted sum of scalar fields."""
     terms = [(float(c), f) for c, f in terms]
-    return ScalarField(lambda x, order: weighted_sum((c, f.jet(x, order)) for c, f in terms), name=name)
+    return ScalarField(lambda x, order: sum(c * f.jet(x, order) for c, f in terms), name=name)
 
 
 def product_field(f: ScalarField, g: ScalarField, name: str = "") -> ScalarField:

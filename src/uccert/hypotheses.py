@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import ContractViolation, InsufficientSamples
-from .fields import MetricField, ScalarField, linear_combination, squared_field, weighted_sum
+from .fields import MetricField, ScalarField, linear_combination, squared_field
 from .grids import Grid
 from .symbols import _quadratic_forms, signature
 
@@ -371,11 +371,6 @@ def check_assumptions(spec: GeometrySpec,
                             samples=samples)
 
 
-# the (coefficient, surface) terms of psi0 and psi1
-_SPLIT = {"psi0": ((0.5, "phi_minus"), (-0.5, "phi_plus")),
-          "psi1": ((0.5, "phi_plus"), (0.5, "phi_minus"))}
-
-
 def build_psi(spec: GeometrySpec):
     """Half-sum and half-difference fields of the surface pair.
 
@@ -383,15 +378,9 @@ def build_psi(spec: GeometrySpec):
     psi0 = (phi_minus - phi_plus)/2, assembled by linearity so gradients and
     Hessians are exact whenever the inputs are.
     """
-    return tuple(linear_combination([(c, getattr(spec, phi)) for c, phi in terms], name=name)
-                 for name, terms in _SPLIT.items())
-
-
-def split_jets(phi_jets: dict) -> tuple:
-    """The jets of (psi0, psi1) at a point, from the jets of the surface pair
-    there keyed "phi_plus" and "phi_minus": bit for bit the jets of
-    ``build_psi``'s fields, by the same arithmetic."""
-    return tuple(weighted_sum((c, phi_jets[phi]) for c, phi in terms) for terms in _SPLIT.values())
+    psi1 = linear_combination([(0.5, spec.phi_plus), (0.5, spec.phi_minus)], name="psi1")
+    psi0 = linear_combination([(0.5, spec.phi_minus), (-0.5, spec.phi_plus)], name="psi0")
+    return psi0, psi1
 
 
 def bent_surface(psi0: ScalarField, psi1: ScalarField, lam: float) -> ScalarField:

@@ -757,15 +757,17 @@ class TestMultiplierSearch:
         basis, plane_ar, (ev, _) = _hyperplane(a, e1)
         assume(np.array_equal(np.abs(basis), np.eye(d + 1)[1:]))
         value, witness = null_cone_max(m, a, e1)
-        assert _null_cone_max(m, _hyperplane(a, e1), witness=False) == (value, None)
         oracle, _, t = _bisect_max(basis @ m @ basis.T, plane_ar, ev)
         size_m, size_a = float(np.max(np.abs(mr))), float(np.max(np.abs(ar)))
-        allowance = d * EPS * float(np.max(np.abs(np.linalg.eigvalsh(mr + t * ar))))
+        # the search's allowance at the oracle's multiplier
+        allowance = d * d * EPS * float(np.max(np.abs(np.linalg.eigvalsh(mr + t * ar))))
         slack = 8.0 * EPS * (size_m + (abs(t) + EPS) * size_a)
         assert oracle - slack <= value <= oracle + 2.0 * allowance + slack
         assert witness[0] == 0.0
         assert abs(np.linalg.norm(witness) - 1.0) <= 4.0 * EPS
         assert abs(witness @ a @ witness) <= 16.0 * d * EPS * size_a
+        # and it attains the value to rounding
+        assert value - 2.0 * allowance - slack <= witness @ m @ witness
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_ik_searches_take_at_most_ten_eigensolves(self, d, monkeypatch):

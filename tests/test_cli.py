@@ -823,10 +823,10 @@ class TestSurfaceSamples:
 
 class TestScanNodes:
     """`check` stops before the box scan when the scan would take more nodes
-    than its bound: 8^7 for ik6, 8^9 for ik8 and 8^10 for ik9."""
+    than its bound, ik6's 8^7: 8^8 for ik7, 8^9 for ik8 and 8^10 for ik9."""
 
     @pytest.mark.parametrize("command", ["check", "all"])
-    @pytest.mark.parametrize("model, nodes", [("ik8", 8 ** 9), ("ik9", 8 ** 10), ("ik6", 8 ** 7)])
+    @pytest.mark.parametrize("model, nodes", [("ik7", 8 ** 8), ("ik8", 8 ** 9), ("ik9", 8 ** 10)])
     def test_bound_stops_before_any_scan(self, tmp_path, capsys, monkeypatch, command, model, nodes):
         def refuse(*args, **kwargs):
             raise AssertionError("check scanned above its bound")
@@ -838,12 +838,13 @@ class TestScanNodes:
         assert f"{nodes} scan nodes, above the bound of {uccert.cli.MAX_SCAN_NODES}" in err
         assert err.count("\n") == 1 and "Traceback" not in err and not os.path.exists(out)
 
-    def test_every_model_up_to_ik5_scans_within_the_bound(self, tmp_path):
-        # ik5 scans 8^6 nodes, and at the surface-sample bound ik4 scans 14^5
-        for model, samples in (("ik5", 200), ("ik4", uccert.cli.MAX_SURFACE_SAMPLES),
-                               ("ik5", uccert.cli.MAX_SURFACE_SAMPLES)):
-            geo = uccert.cli.get_model(model, n_surface_samples=samples).geometry
-            assert uccert.hypotheses.scan_nodes(geo) <= uccert.cli.MAX_SCAN_NODES
+    def test_every_model_up_to_ik6_scans_within_the_bound(self, tmp_path):
+        # ik5 scans 8^6 nodes and ik6 8^7, and at the surface-sample bound ik4
+        # scans 14^5 and ik5 9^6
+        for model in ("ik4", "ik5", "ik6"):
+            for samples in (200, uccert.cli.MAX_SURFACE_SAMPLES):
+                geo = uccert.cli.get_model(model, n_surface_samples=samples).geometry
+                assert uccert.hypotheses.scan_nodes(geo) <= uccert.cli.MAX_SCAN_NODES
         assert main(["check", "--model", "ik5", "--out", str(tmp_path / "o")]) == 0
 
 

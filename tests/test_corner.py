@@ -8,7 +8,6 @@ import scipy.signal
 from numpy.testing import assert_allclose
 from scipy.signal import fftconvolve
 
-import uccert.cli
 import uccert.corner
 import uccert.grids
 
@@ -826,21 +825,6 @@ class TestSeparableCommutator:
             tracemalloc.stop()
         assert len(norms) == 3 and all(n > 0 for n in norms)
         assert peak < 8 * int(np.prod(g.shape)) / 20
-
-    @pytest.mark.parametrize("argv, convolutions", [(["--dim", "3", "--grid", "128"], 84),
-                                                    (["--grid", "512"], 140)])
-    def test_corner_convolves_each_distinct_pair_once(self, tmp_path, monkeypatch, argv, convolutions):
-        # the kernels differ per width and the inputs per field, so over a run
-        # no (input, kernel) pair may repeat; in 3-D the pairs (j, k) share
-        # most of them, and the axes y_2 and y_3 of the lab's bumps too
-        pairs = []
-
-        def recorded(f, kernel, smooth=uccert.corner._smooth):
-            pairs.append((f.tobytes(), kernel.tobytes()))
-            return smooth(f, kernel)
-        monkeypatch.setattr(uccert.corner, "_smooth", recorded)
-        assert uccert.cli.main(["corner", *argv, "--out", str(tmp_path / "o")]) == 0
-        assert len(pairs) == len(set(pairs)) == convolutions
 
 
 def _corpus_bumps(grid, count, seed):
