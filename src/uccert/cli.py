@@ -1,12 +1,14 @@
 """Batch driver: wire configs to the computational modules, emit reports.
 
 Commands: check, certify, rays, corner, carleman, all, run (the last reads
-the command from the config file's [run] section).  Each run writes a
-``report.json`` (schema "ucp-report/1") plus CSV data files into the output
-directory, atomically (temp file + rename).  Exit status: 0 when every check
-passed, 1 when a check failed, 2 on config/usage errors.  Identical config
-and seed produce byte-identical reports: no timestamps are recorded and all
-collections are emitted in sorted order.
+the command from the config file's [run] section).  Each command is a plan,
+which makes its usage checks before any work, and a run, which returns a
+report and CSV tables; one writer puts them into the output directory as
+``report.json`` (schema "ucp-report/1") and CSV files, atomically (temp file
++ rename).  Exit status: 0 when the report says passed, 1 when it does not,
+2 on config/usage errors.  Identical config and seed produce byte-identical
+reports: no timestamps are recorded and all collections are emitted in
+sorted order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, Ge
                          bent_surface, build_psi, check_assumptions, scan_nodes,
                          verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
-from .rays import FIT_POINTS, _fit_window, _ray_parameters, contact_rays, integrate_rays
+from .rays import DEFAULT_DS, DEFAULT_S_FIT, FIT_POINTS, contact_rays, integrate_rays, ray_steps
 
 SCHEMA = "ucp-report/1"
 
@@ -81,12 +83,13 @@ MAX_CONSTRAINT_SAMPLES = 2 ** 20
 # ik3` peaks near 185 MB of RSS at the bound and ik4 near 210 MB
 MAX_SURFACE_SAMPLES = 2 ** 16
 # box-scan nodes (the scan's nodes per axis to the power of the dimension)
-# above which `check` stops before any sampling: the scan holds a few residual
-# arrays of a double per node, and a surface whose lowest-residual seeds all
-# leave the box projects every other node at once, about 0.7 KB each.  The
-# bound is ik6's scan, 8^7 nodes at any --samples: `check --model ik6` peaks
-# at 1.5 GB of RSS in 11 s at its 200 samples, where it projects every other
-# node, and at 267 MB at 65536 samples.  ik7 (8^8) and up stop; ik9 (8^10)
+# above which `check` stops before any sampling: the scan holds a residual
+# array of a double per node and surface, and a surface whose lowest-residual
+# seeds all leave the box projects the rest of the nodes in residual order, a
+# chunk of seeds at a time.  The bound is ik6's scan, 8^7 nodes at any
+# --samples: on a 2-core machine `check --model ik6` takes 1.1 s and peaks at
+# 95 MB of RSS at its 200 samples, where it projects past the seeds, and
+# 4-5 s and 250 MB at 65536 samples.  ik7 (8^8) and up stop; ik9 (8^10)
 # could not allocate its first residual array
 MAX_SCAN_NODES = 8 ** 7
 
@@ -299,9 +302,9 @@ def geometry_from_config(geo: dict) -> ModelSpec:
     return ModelSpec(spec.name, dim - 1, spec, x0)
 
 
-def resolve_model(args) -> ModelSpec:
-    """The model or config geometry, with the surface sample count and
-    tol_zero the flags set: a flag wins over a config value."""
+def resolve_model(args, n_surface: Optional[int] = None) -> ModelSpec:
+    """The model or config geometry, with --tol-zero and, when given,
+    n_surface surface samples: either wins over a config value."""
     if args.model:
         model = get_model(args.model)
     elif args.config:
@@ -312,7 +315,7 @@ def resolve_model(args) -> ModelSpec:
     else:
         raise ContractViolation("need --model or --config with a [geometry] section")
     geo = model.geometry
-    n_surface = geo.n_surface_samples if args.samples is None else args.samples
+    n_surface = geo.n_surface_samples if n_surface is None else n_surface
     if (n_surface, args.tol_zero) != (geo.n_surface_samples, geo.tol_zero):
         geo = dataclasses.replace(geo, n_surface_samples=n_surface, tol_zero=args.tol_zero)
         model = dataclasses.replace(model, geometry=geo)
@@ -323,13 +326,17 @@ def resolve_model(args) -> ModelSpec:
 # commands
 # ---------------------------------------------------------------------------
 
-# Each command's usage checks, made before it does any work: `all` runs every
-# stage's checks before its first stage, so that a usage error writes nothing.
+# Each command is a plan and a run.  The plan makes the command's usage checks
+# before any work and returns what they derive; the run takes the plan and
+# returns the report's payload and its CSV tables, (name, header, rows,
+# labels) each, which `_emit` writes.  `all` makes every stage's plan before
+# its first stage runs, so that a usage error writes nothing.
 
-def _usage_check(args) -> ModelSpec:
+def _plan_check(args) -> ModelSpec:
     """The model, its surface sample count and box-scan nodes checked against
-    their bounds."""
-    model = resolve_model(args)
+    their bounds.  Under `all`, --samples counts the certificate's directions
+    alone, and check samples at the geometry's own count."""
+    model = resolve_model(args, n_surface=None if args.command == "all" else args.samples)
     n_surface = model.geometry.n_surface_samples
     if n_surface > MAX_SURFACE_SAMPLES:
         raise ContractViolation(f"{n_surface} surface samples (--samples or n_surface_samples) "
@@ -341,15 +348,9 @@ def _usage_check(args) -> ModelSpec:
     return model
 
 
-def cmd_check(args) -> int:
-    model = _usage_check(args)
+def _run_check(args, model: ModelSpec) -> tuple:
     rep = check_assumptions(model.geometry, tol_char=args.tol_char, tol_pos=args.tol_pos)
-    payload = {
-        "command": "check",
-        "model": model.name,
-        "seed": args.seed,
-        "hypotheses": rep.to_dict(),
-    }
+    payload = {"command": "check", "model": model.name, "seed": args.seed, "hypotheses": rep.to_dict()}
     ok = rep.passed()
     if ok:
         both = rep.samples["intersection"]
@@ -360,34 +361,25 @@ def cmd_check(args) -> int:
         ok = (payload["split_signs"]["status"] == "pass"
               and payload["sublevel_inclusion"]["included"])
     payload["passed"] = bool(ok)
-    write_report(args.out, payload)
-    return 0 if ok else 1
+    return payload, []
 
 
-def _usage_certify(args) -> None:
+def _plan_certify(args) -> ModelSpec:
+    """The model, read once --samples is within the constraint-sample bound."""
     if args.samples is not None and args.samples > MAX_CONSTRAINT_SAMPLES:
         raise ContractViolation(f"--samples {args.samples} is above the bound of "
                                 f"{MAX_CONSTRAINT_SAMPLES} constraint samples")
+    return resolve_model(args)
 
 
-def cmd_certify(args) -> int:
-    _usage_certify(args)
-    model = resolve_model(args)
+def _run_certify(args, model: ModelSpec) -> tuple:
     cert = certify(model.geometry, model.x0, lam=args.lam,
                    n=2000 if args.samples is None else args.samples,
                    tol_pos=args.tol_pos, seed=args.seed)
-    payload = {
-        "command": "certify",
-        "model": model.name,
-        "seed": args.seed,
-        "certificate": cert.to_dict(),
-        "passed": cert.status == "certified",
-    }
-    write_report(args.out, payload)
-    dim = model.geometry.dim
-    header = [f"xi{i + 1}" for i in range(dim)] + ["res_p", "res_hp", "margin", "margin_direct"]
-    write_csv(args.out, "constraint_samples.csv", header, _sample_table(cert))
-    return 0 if cert.status == "certified" else 1
+    payload = {"command": "certify", "model": model.name, "seed": args.seed,
+               "certificate": cert.to_dict(), "passed": cert.status == "certified"}
+    header = [f"xi{i + 1}" for i in range(model.geometry.dim)] + ["res_p", "res_hp", "margin", "margin_direct"]
+    return payload, [("constraint_samples.csv", header, _sample_table(cert), ())]
 
 
 def _sample_table(cert) -> np.ndarray:
@@ -395,25 +387,22 @@ def _sample_table(cert) -> np.ndarray:
     return np.column_stack([cert.samples, cert.res_p, cert.res_hp, cert.margins, cert.margins_direct])
 
 
-def _usage_rays(args) -> int:
-    """The RK4 steps per side of a ray, checked against the bound, and the
-    points of the fit window, checked against the quartic's count."""
+def _plan_rays(args) -> tuple:
+    """The model and the RK4 steps per side of a ray, once the steps are
+    within their bound and the fit window holds the points a quartic needs."""
     ds, s_fit = args.ds, args.s_fit
-    ratio = s_fit / ds              # both finite and positive; the quotient may overflow
-    n_steps = math.ceil(ratio) + 2 if math.isfinite(ratio) else math.inf
-    if n_steps > MAX_RAY_STEPS:
+    n_steps, n_fit = ray_steps(ds, s_fit, MAX_RAY_STEPS)
+    if n_fit is None:
         raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} takes {n_steps} RK4 steps "
                                 f"per side, above the bound of {MAX_RAY_STEPS}")
-    n_fit = int(np.sum(_fit_window(_ray_parameters(ds, n_steps), s_fit)))
     if n_fit < FIT_POINTS:
         raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} leaves {n_fit} ray points in "
                                 f"the fit window, below the {FIT_POINTS} a quartic fit needs")
-    return n_steps
+    return resolve_model(args), n_steps
 
 
-def cmd_rays(args) -> int:
-    n_steps = _usage_rays(args)
-    model = resolve_model(args)
+def _run_rays(args, plan: tuple) -> tuple:
+    model, n_steps = plan
     lam = 2.0 if args.lam is None else args.lam
     cert = certify(model.geometry, model.x0, lam=lam,
                    n=min(1000 if args.samples is None else args.samples, 1000),
@@ -423,46 +412,33 @@ def cmd_rays(args) -> int:
               + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
     if cert.status != "certified":
         # the certificate says which gate tripped; no ray of an earlier run stays behind
-        write_report(args.out, {"command": "rays", "model": model.name,
-                                "seed": args.seed, "passed": False,
-                                "reason": f"certification status {cert.status}",
-                                "certificate": cert.to_dict()})
-        write_csv(args.out, "rays.csv", header, [])
-        return 1
+        return ({"command": "rays", "model": model.name, "seed": args.seed, "passed": False,
+                 "reason": f"certification status {cert.status}", "certificate": cert.to_dict()},
+                [("rays.csv", header, [], ())])
     psi0, psi1 = build_psi(model.geometry)
-    bent = bent_surface(psi0, psi1, lam)
-    q = model.geometry.Q
-    results = []
-    tables = []
-    ok = True
-    drift = 0.0
+    q, tol_zero = model.geometry.Q, model.geometry.tol_zero
     max_rays = min(len(cert.samples), args.max_rays)
-    tol_zero = model.geometry.tol_zero
     trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], args.ds, n_steps)
-    bent_reps, bent_vals = contact_rays(trajs, q, bent, s_fit=args.s_fit, tol_zero=tol_zero)
+    bent_reps, bent_vals = contact_rays(trajs, q, bent_surface(psi0, psi1, lam), s_fit=args.s_fit,
+                                        tol_zero=tol_zero)
     surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
-    for ray_id, (t, rep, vals, rep1) in enumerate(zip(trajs, bent_reps, bent_vals, surface_reps)):
-        drift = max(drift, t.conservation_defect())
-        results.append({"ray": ray_id, "field": "bent", **rep.to_dict()})
-        ok = ok and rep.tangency and rep.side == "below"
-        tables.append(np.column_stack([t.s, t.xs, t.xis, t.p_vals, vals]))
-        results.append({"ray": ray_id, "field": "surface", **rep1.to_dict()})
-        ok = ok and rep1.side == "above"
     payload = {
         "command": "rays",
         "model": model.name,
         "seed": args.seed,
         "lambda": lam,
         "n_rays": max_rays,
-        "contacts": results,
-        "conservation_defect": drift,
-        "passed": bool(ok),
+        "contacts": [{"ray": ray_id, "field": field, **rep.to_dict()}
+                     for ray_id, reps in enumerate(zip(bent_reps, surface_reps))
+                     for field, rep in zip(("bent", "surface"), reps)],
+        "conservation_defect": max([0.0] + [t.conservation_defect() for t in trajs]),
+        "passed": all(bent.tangency and bent.side == "below" and surface.side == "above"
+                      for bent, surface in zip(bent_reps, surface_reps)),
     }
-    write_report(args.out, payload)
-    table = np.concatenate(tables)
-    ray_ids = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
-    write_csv(args.out, "rays.csv", header, table, labels=(ray_ids, ["bent"] * len(table)))
-    return 0 if ok else 1
+    table = np.concatenate([np.column_stack([t.s, t.xs, t.xis, t.p_vals, vals])
+                            for t, vals in zip(trajs, bent_vals)])
+    ray_ids = np.repeat(np.arange(len(trajs)), [len(t.s) for t in trajs])
+    return payload, [("rays.csv", header, table, (ray_ids, ["bent"] * len(table)))]
 
 
 def _corner_identities(corpus: list, tests: PairingTables, tols: dict) -> tuple:
@@ -492,12 +468,6 @@ def _corner_layer(cf, tests: PairingTables, h2: float) -> dict:
             "passed": bool(layer_ok)}
 
 
-def _corner_transfer(cf, args) -> dict:
-    bmat = np.zeros((args.dim, args.dim))
-    bmat[0, 1] = bmat[1, 0] = 1.0
-    return verify_inequality_transfer(cf, bmat, n_pts=args.n_pts, seed=args.seed)
-
-
 def _smoothing_ladder(grid) -> list:
     """Mollifier widths: halve from min(0.35, 64h) while staying resolved
     (>= 4h), at most five rungs; empty when the grid resolves none."""
@@ -522,7 +492,7 @@ def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
     return {"eps": eps_list, "norms": moll_norms, "passed": bool(moll_ok)}
 
 
-def _usage_corner(args) -> tuple:
+def _plan_corner(args) -> tuple:
     """The lab's grid and smoothing ladder, after its size bounds; the
     grid is made only once they hold."""
     dim = args.dim
@@ -553,8 +523,8 @@ def _usage_corner(args) -> tuple:
     return grid, eps_list
 
 
-def cmd_corner(args) -> int:
-    grid, eps_list = _usage_corner(args)
+def _run_corner(args, plan: tuple) -> tuple:
+    grid, eps_list = plan
     dim, cells = grid.dim, grid.n_cells[0]
     h2 = float(np.max(grid.h)) ** 2
     tests = bump_corpus(unit_box(dim), args.tests, seed=args.seed + 42)
@@ -562,13 +532,15 @@ def cmd_corner(args) -> int:
 
     # every 1-D table is built once here, and no stage forms a grid array
     corpus = corner_corpus(grid)
-    tables = PairingTables(grid, tests)
-    identity_reports, residual_labels, residuals, ok = _corner_identities(corpus, tables, tols)
-    layer = _corner_layer(corpus[0], tables, h2)
+    pairing = PairingTables(grid, tests)
+    identity_reports, residual_labels, residuals, ok = _corner_identities(corpus, pairing, tols)
+    layer = _corner_layer(corpus[0], pairing, h2)
     # the tables hold every test bump's profiles on every node: dropped here,
     # they do not stack on the transfer's slabs at the run's peak memory
-    del tables
-    transfer = _corner_transfer(corpus[1], args)
+    del pairing
+    bmat = np.zeros((dim, dim))
+    bmat[0, 1] = bmat[1, 0] = 1.0
+    transfer = verify_inequality_transfer(corpus[1], bmat, n_pts=args.n_pts, seed=args.seed)
     mollifier = _corner_mollifier(grid, eps_list, args.seed)
     ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
 
@@ -584,14 +556,11 @@ def cmd_corner(args) -> int:
         "mollifier": mollifier,
         "passed": bool(ok),
     }
-    write_report(args.out, payload)
-    write_csv(args.out, "corner_residuals.csv",
-              ["field", "family", "alpha", "testfn", "lhs", "rhs", "residual"],
-              residuals, labels=residual_labels)
-    return 0 if ok else 1
+    header = ["field", "family", "alpha", "testfn", "lhs", "rhs", "residual"]
+    return payload, [("corner_residuals.csv", header, residuals, residual_labels)]
 
 
-def _usage_carleman(args) -> int:
+def _plan_carleman(args) -> int:
     """The sweep's cells per axis, checked against the corpus bound."""
     cells = 256 if args.grid is None else args.grid
     values = args.corpus * (cells + 1) ** 2
@@ -601,16 +570,14 @@ def _usage_carleman(args) -> int:
     return cells
 
 
-def cmd_carleman(args) -> int:
-    cells = _usage_carleman(args)
+def _run_carleman(args, cells: int) -> tuple:
     lam = 2.0 if args.lam is None else args.lam
     ik2 = get_model("ik2")      # the section is its y_2 = 0 slice through x0
     threshold = certify(ik2.geometry, ik2.x0, lam=lam).notes.get("lambda_threshold")
     if threshold:
         notes = {"gate": ["lambda_threshold"], "lambda_threshold": threshold}
-        write_report(args.out, {"command": "carleman", "seed": args.seed, "mu": args.mu,
-                                "cells": cells, "passed": False, "notes": notes})
-        return 1
+        return {"command": "carleman", "seed": args.seed, "mu": args.mu,
+                "cells": cells, "passed": False, "notes": notes}, []
     q, bent, box = carleman_section(lam=lam)
     grid = make_grid(box, cells)
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
@@ -643,34 +610,45 @@ def cmd_carleman(args) -> int:
     }
     if tripped:
         payload["notes"] = {"gate": list(tripped), **tripped}
-    write_report(args.out, payload)
     # lam-major: a block of every test function per lam
     n_tests, n_lams = rep.lhs.shape
     table = np.stack([a.T.ravel() for a in (rep.lhs, rep.rhs1, rep.rhs2, rep.ratio)], axis=1)
-    write_csv(args.out, "carleman_ratios.csv",
-              ["testfn_id", "lambda", "lhs", "rhs1", "rhs2", "ratio"], table,
-              labels=(np.tile(np.arange(n_tests), n_lams), np.repeat(rep.lambdas, n_tests)))
-    return 1 if tripped else 0
+    labels = (np.tile(np.arange(n_tests), n_lams), np.repeat(rep.lambdas, n_tests))
+    return payload, [("carleman_ratios.csv", ["testfn_id", "lambda", "lhs", "rhs1", "rhs2", "ratio"],
+                      table, labels)]
 
 
-def cmd_all(args) -> int:
-    # the constraint-sample bound first, before the model is read
-    for usage in (_usage_certify, _usage_check, _usage_rays, _usage_corner, _usage_carleman):
-        usage(args)
-    stages = [("check", cmd_check), ("certify", cmd_certify), ("rays", cmd_rays),
-              ("corner", cmd_corner), ("carleman", cmd_carleman)]
-    root = args.out
-    statuses = {}
-    worst = 0
-    for name, fn in stages:
-        sub = argparse.Namespace(**vars(args))
-        sub.out = os.path.join(root, name)
-        rc = fn(sub)
-        statuses[name] = rc
-        worst = max(worst, rc)
-    write_report(root, {"command": "all", "seed": args.seed,
-                        "stage_exit_codes": statuses, "passed": worst == 0})
-    return worst
+def _plan_all(args) -> dict:
+    """Every stage's plan, certify's first: its bound stops the run before
+    the model is read."""
+    stages = sorted((name for name in COMMANDS if name != "all"), key=lambda name: name != "certify")
+    return {name: COMMANDS[name][0](args) for name in stages}
+
+
+def _run_all(args, plans: dict) -> tuple:
+    """Each stage, in the table's order, run on its plan and emitted into
+    out/<stage> before the next runs, so that no two stages' tables are held
+    at once; the payload is the stages' exit codes."""
+    codes = {name: _emit(os.path.join(args.out, name), *run(args, plans[name]))
+             for name, (_, run) in COMMANDS.items() if name in plans}
+    return {"command": "all", "seed": args.seed, "stage_exit_codes": codes,
+            "passed": not any(codes.values())}, []
+
+
+def _emit(out_dir: str, payload: dict, tables: list) -> int:
+    """Write a run's report and CSV tables; the exit code, 0 when the report
+    says passed and 1 when not."""
+    write_report(out_dir, payload)
+    for name, header, rows, labels in tables:
+        write_csv(out_dir, name, header, rows, labels=labels)
+    return 0 if payload["passed"] else 1
+
+
+# command -> (plan, run); the parser, the [run] section and `all` read it, and
+# `all` runs the stages in this order
+COMMANDS = {"check": (_plan_check, _run_check), "certify": (_plan_certify, _run_certify),
+            "rays": (_plan_rays, _run_rays), "corner": (_plan_corner, _run_corner),
+            "carleman": (_plan_carleman, _run_carleman), "all": (_plan_all, _run_all)}
 
 
 # [run] keys: config key -> (attribute, type); a flag left unset on the CLI is None
@@ -703,7 +681,7 @@ def _run_section_command(args) -> str:
     if not run or "command" not in run:
         raise ContractViolation("config file has no [run] section with a command")
     command = run["command"].strip()
-    if command not in _COMMANDS:
+    if command not in COMMANDS:
         raise ContractViolation(f"unknown command {command!r} in [run] section")
     _check_keys(run, "run", {"command", *_RUN_KEYS})
     for key, (attr, cast) in _RUN_KEYS.items():
@@ -720,36 +698,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uccert",
         description="certification toolkit for wave-type symbols and surface pairs")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name in [*COMMANDS, "run"]:
+        sp = sub.add_parser(name)
         sp.add_argument("--model", help="built-in model name (ik2, ik3, ctrl-a/b/c)")
         sp.add_argument("--config", help="config file path")
         sp.add_argument("--out", help="output directory (default uccert-out)")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--samples", type=int, default=None,
-                        help="surface/constraint sample count")
+                        help="surface samples (check) or constraint samples (certify, rays); "
+                             "under all, constraint samples only")
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
         sp.add_argument("--mu", type=float, help="weight exponent (default 1)")
         sp.add_argument("--grid", type=int, default=None, help="cells per axis")
         sp.add_argument("--tol-zero", type=float, default=DEFAULT_TOL_ZERO)
         sp.add_argument("--tol-char", type=float, default=DEFAULT_TOL_CHAR)
         sp.add_argument("--tol-pos", type=float, default=DEFAULT_TOL_POS)
-        sp.add_argument("--ds", type=float, default=1e-3)
-        sp.add_argument("--s-fit", type=float, default=0.05)
+        sp.add_argument("--ds", type=float, default=DEFAULT_DS)
+        sp.add_argument("--s-fit", type=float, default=DEFAULT_S_FIT)
         sp.add_argument("--max-rays", type=int, default=8)
         sp.add_argument("--dim", type=int, default=2, choices=(2, 3))
         sp.add_argument("--tests", type=int, default=20)
         sp.add_argument("--n-pts", type=int, default=10000)
         sp.add_argument("--corpus", type=int, default=50)
         sp.add_argument("--lambda-max", type=float, help="largest lambda (default 64)")
-
-    for name in ("check", "certify", "rays", "corner", "carleman", "all", "run"):
-        common(sub.add_parser(name))
     return p
-
-
-_COMMANDS = {"check": cmd_check, "certify": cmd_certify, "rays": cmd_rays,
-             "corner": cmd_corner, "carleman": cmd_carleman, "all": cmd_all}
 
 
 def _flag(attr: str) -> str:
@@ -780,12 +752,14 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        command = _run_section_command(args) if args.command == "run" else args.command
+        if args.command == "run":
+            args.command = _run_section_command(args)
         for attr, value in _FLAG_DEFAULTS.items():
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
         _validate_args(args)
-        return _COMMANDS[command](args)
+        plan, run = COMMANDS[args.command]
+        return _emit(args.out, *run(args, plan(args)))
     except (UccertError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"uccert: error: {e}", file=sys.stderr)
         return 2

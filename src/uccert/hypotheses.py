@@ -158,14 +158,6 @@ def _n_seeds(spec: GeometrySpec) -> int:
     return max(4 * spec.n_surface_samples, 64)
 
 
-def _scan_seeds(spec: GeometrySpec, selectors) -> dict:
-    """Per selector, the scan nodes with the smallest residuals, lowest first:
-    one scan of the box for all of them."""
-    axes = _scan_axes(spec)
-    return {sel: _scan_points(axes, _lowest(res, _n_seeds(spec)))
-            for sel, res in _scan_residuals(spec, axes, selectors).items()}
-
-
 def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
     """Joint Newton projection of every seed (row) onto the common zero set of
     the level-set functions; returns the points and a mask of those that
@@ -226,37 +218,44 @@ def _level_fields(spec: GeometrySpec, which: str) -> list:
             "intersection": [spec.phi_plus, spec.phi_minus]}[which]
 
 
-def sample_surface(spec: GeometrySpec, which: str, *, seeds: Optional[np.ndarray] = None) -> np.ndarray:
+def sample_surface(spec: GeometrySpec, which: str, *, residuals: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample points of one surface, or of the intersection, inside the box.
 
     A coarse grid scan selects seeds with the smallest level-set residuals
-    (the rest of the scan when none of them converges inside the box);
-    each seed is refined by Newton projection (joint projection for the
-    intersection), and shortfalls are filled by seeding tangential
-    perturbations of the points already found.  Non-convergent seeds are
-    discarded.  Returns an array of shape (k, n); k may fall short of the
-    requested count when the surface barely meets the box, and is 0 when it
-    misses the box entirely.  The procedure is deterministic.  ``seeds``
-    hands in the scan's seeds when a caller has scanned for several
-    surfaces at once.
+    (the rest of the scan, in residual order, when none of them converges
+    inside the box); each seed is refined by Newton projection (joint
+    projection for the intersection), and shortfalls are filled by seeding
+    tangential perturbations of the points already found.  Non-convergent
+    seeds are discarded.  Returns an array of shape (k, n); k may fall short
+    of the requested count when the surface barely meets the box, and is 0
+    when it misses the box entirely.  The procedure is deterministic.
+    ``residuals`` hands in the scan's residuals of ``which`` when a caller
+    has scanned for several surfaces at once.
     """
     if which not in ("plus", "minus", "intersection"):
         raise ContractViolation(f"unknown surface selector {which!r}")
     fields = _level_fields(spec, which)
     n_target = spec.n_surface_samples
     cap = 4 * n_target
-    if seeds is None:
-        seeds = _scan_seeds(spec, (which,))[which]
+    axes = _scan_axes(spec)
+    if residuals is None:
+        residuals = _scan_residuals(spec, axes, (which,))[which]
+    n_seeds = _n_seeds(spec)
     slack = 1e-9 * float(np.max(np.abs(spec.box)))
-    x, ok = _project(spec, fields, seeds, slack)
+    x, ok = _project(spec, fields, _scan_points(axes, _lowest(residuals, n_seeds)), slack)
+    found = [x[ok]]
     if not ok.any():
         # the lowest-residual scan points can all lie on the box faces, from
-        # which Newton steps outward: scan again and project the rest, in
-        # residual order
-        axes = _scan_axes(spec)
-        order = np.argsort(_scan_residuals(spec, axes, (which,))[which], kind="stable")
-        x, ok = _project(spec, fields, _scan_points(axes, order[_n_seeds(spec):]), slack)
-    arr = _dedupe(x[ok][:cap])
+        # which Newton steps outward: project the rest in residual order, a
+        # chunk of n_seeds nodes at a time, until cap points converge.  Each
+        # row's projection is its own, so the chunks find the same points
+        rest = np.argsort(residuals, kind="stable")[n_seeds:]
+        for lo in range(0, len(rest), n_seeds):
+            x, ok = _project(spec, fields, _scan_points(axes, rest[lo:lo + n_seeds]), slack)
+            found.append(x[ok])
+            if sum(map(len, found)) >= cap:
+                break
+    arr = _dedupe(np.concatenate(found)[:cap])
 
     # densify by perturbing known points tangentially and re-projecting, two
     # directions per point; a round adds at most 2 len(arr) points, so the
@@ -292,9 +291,11 @@ def check_assumptions(spec: GeometrySpec,
     uses raw gradients and is evaluated only at transversal intersection
     points (it degenerates to zero where the gradients are parallel).
     """
-    seeds = _scan_seeds(spec, ("plus", "minus", "intersection"))
-    s_plus, s_minus, s_both = (sample_surface(spec, which, seeds=seeds[which])
-                               for which in ("plus", "minus", "intersection"))
+    selectors = ("plus", "minus", "intersection")
+    # one scan for the three surfaces; each residual array is dropped once sampled
+    residuals = _scan_residuals(spec, _scan_axes(spec), selectors)
+    s_plus, s_minus, s_both = (sample_surface(spec, which, residuals=residuals.pop(which))
+                               for which in selectors)
     if len(s_plus) == 0 or len(s_minus) == 0 or len(s_both) == 0:
         raise InsufficientSamples(
             f"surface sampling failed (plus={len(s_plus)}, minus={len(s_minus)}, "

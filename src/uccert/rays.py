@@ -22,6 +22,8 @@ from .symbols import _hp2_closed_form, _matvec, _quadratic_forms
 
 DEFAULT_TOL_TAN_REL = 1e-6
 FIT_POINTS = 5                    # a quartic has five coefficients
+DEFAULT_DS = 1e-3                 # the RK4 step of a ray
+DEFAULT_S_FIT = 0.05              # the contact fit's window, |s| <= s_fit
 
 
 @dataclass
@@ -88,6 +90,18 @@ def _fit_window(s: np.ndarray, s_fit: float) -> np.ndarray:
     return np.abs(s) <= s_fit + 1e-15
 
 
+def ray_steps(ds: float = DEFAULT_DS, s_fit: float = DEFAULT_S_FIT, max_steps: float = np.inf) -> tuple:
+    """The RK4 steps per side of a ray that the contact fit over |s| <= s_fit
+    reads at step ds, ceil(s_fit / ds) + 2 (inf when the quotient
+    overflows), and the ray points inside that window.  The count is None,
+    and no ray's parameters are formed, when the steps exceed max_steps."""
+    ratio = s_fit / ds              # both finite and positive; the quotient may overflow
+    n_steps = int(np.ceil(ratio)) + 2 if np.isfinite(ratio) else np.inf
+    if n_steps > max_steps:
+        return n_steps, None
+    return n_steps, int(np.sum(_fit_window(_ray_parameters(ds, n_steps), s_fit)))
+
+
 def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int) -> list:
     """Integrate one ray from ``x0`` for each covector row of ``xis``.
 
@@ -140,7 +154,7 @@ class ContactReport:
         }
 
 
-def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = 0.05,
+def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = DEFAULT_S_FIT,
                  tol_zero: float = DEFAULT_TOL_ZERO) -> tuple:
     """Classify the contact of each ray with the level set {psi = 0}.
 
@@ -200,14 +214,13 @@ def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = 0
 
 
 def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
-            s_fit: float = 0.05, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
+            s_fit: float = DEFAULT_S_FIT, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
     """Classify the contact of one ray: the one-ray case of ``contact_rays``."""
     return contact_rays([traj], Q, psi, s_fit, tol_zero)[0][0]
 
 
 def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactReport:
-    """Integrate a two-sided ray and classify its contact, with the ``rays``
-    command's default step and fit window."""
-    ds, s_fit = 1e-3, 0.05
-    traj = integrate(Q, PhasePoint(x0, xi), ds, int(np.ceil(s_fit / ds)) + 2)
-    return contact(traj, Q, psi, s_fit=s_fit)
+    """Integrate a two-sided ray and classify its contact, at the default
+    step and fit window."""
+    traj = integrate(Q, PhasePoint(x0, xi), DEFAULT_DS, ray_steps()[0])
+    return contact(traj, Q, psi)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -274,6 +275,98 @@ class TestAllPipeline:
             "x0 = 0, 1, 0\n")
         assert main(["check", "--config", str(conf),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+BUMPY = ("[geometry]\ndim = 3\nmetric = bumpy_wave(2, 0.05)\n"
+         "phi_plus = norm(x2, x3) - 1 - x1\nphi_minus = norm(x2, x3) - 1 + x1\n"
+         "box = -0.4:0.4, 0.6:1.4, -0.4:0.4\nx0 = 0, 1, 0\n")
+
+STAGES = ["check", "certify", "rays", "corner", "carleman"]
+
+
+class TestCommandTable:
+    """Each command is a (plan, run) pair in one table; the parser, the [run]
+    section and `all` read it, and one writer turns a run into files and an
+    exit code."""
+
+    FLAGS = ["--lambda", "2", "--grid", "64", "--corpus", "8", "--seed", "3"]
+
+    @pytest.mark.parametrize("source", ["model", "config"])
+    def test_all_stages_equal_the_standalone_commands(self, tmp_path, source):
+        conf = tmp_path / "bumpy.conf"
+        conf.write_text(BUMPY)
+        argv = (["--model", "ik2"] if source == "model" else ["--config", str(conf)]) + self.FLAGS
+        out = tmp_path / "all"
+        assert main(["all", *argv, "--out", str(out)]) in (0, 1)
+        codes = read_report(out)["stage_exit_codes"]
+        assert list(codes) == sorted(STAGES)
+        for stage in STAGES:
+            alone = tmp_path / stage
+            assert main([stage, *argv, "--out", str(alone)]) == codes[stage]
+            names = sorted(os.listdir(alone))
+            assert sorted(os.listdir(out / stage)) == names and "report.json" in names
+            for name in names:
+                assert (out / stage / name).read_bytes() == (alone / name).read_bytes(), (stage, name)
+
+    def test_all_plans_every_stage_once_before_the_first_runs(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, plan, run):
+            def counted_plan(args):
+                calls.append(("plan", name))
+                return plan(args)
+
+            def counted_run(args, planned):
+                calls.append(("run", name))
+                return run(args, planned)
+            return counted_plan, counted_run
+        for name, (plan, run) in list(uccert.cli.COMMANDS.items()):
+            monkeypatch.setitem(uccert.cli.COMMANDS, name, counted(name, plan, run))
+        assert main(["all", "--model", "ik2", "--grid", "64", "--corpus", "8",
+                     "--out", str(tmp_path / "o")]) == 0
+        # certify's plan first: its bound stops a run before the model is read
+        planned = ["certify", "check", "rays", "corner", "carleman"]
+        assert calls == ([("plan", "all")] + [("plan", name) for name in planned]
+                         + [("run", "all")] + [("run", name) for name in STAGES])
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--model", "ik2"], 0),
+        (["check", "--model", "ctrl-a"], 1),
+        (["certify", "--model", "ik2", "--lambda", "2"], 0),
+        (["certify", "--model", "ik2", "--lambda", "0.5"], 1),
+        (["rays", "--model", "ik2", "--lambda", "2"], 0),
+        (["rays", "--model", "ik2", "--lambda", "0.5"], 1),
+        (["corner", "--grid", "64", "--tests", "3"], 0),
+        (["corner", "--grid", "64", "--tests", "3"], 1),
+        (["carleman", "--grid", "32"], 0),
+        (["carleman", "--grid", "32", "--lambda", "0.5"], 1),
+        (["all", "--model", "ik2", "--grid", "64", "--corpus", "8"], 0),
+        (["all", "--model", "ik2", "--grid", "64", "--corpus", "8", "--lambda", "0.5"], 1)])
+    def test_exit_code_is_zero_exactly_when_the_report_passed(self, tmp_path, monkeypatch, argv, code):
+        if argv[0] == "corner" and code:
+            # identity residuals held to zero fail every corpus field
+            monkeypatch.setattr(uccert.cli, "WEAK_K", dict.fromkeys(uccert.cli.WEAK_K, 0.0))
+        out = str(tmp_path / "o")
+        assert main(argv + ["--out", out]) == code
+        assert read_report(out)["passed"] is (code == 0)
+
+    def test_parser_offers_the_table_and_run(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [*uccert.cli.COMMANDS, "run"]
+
+    @pytest.mark.parametrize("via", ["flag", "run"])
+    def test_all_gives_samples_to_the_certificate_alone(self, tmp_path, via):
+        # --samples 100000 is within the constraint-sample bound; check samples
+        # at the geometry's own 200, as a check run alone at --samples 200
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = all\nmodel = ik2\nsamples = 100000\ngrid = 64\n")
+        out, alone = tmp_path / "all", tmp_path / "check"
+        argv = (["all", "--model", "ik2", "--samples", "100000", "--grid", "64"] if via == "flag"
+                else ["run", "--config", str(conf)])
+        assert main(argv + ["--corpus", "8", "--out", str(out)]) == 0
+        assert main(["check", "--model", "ik2", "--samples", "200", "--out", str(alone)]) == 0
+        assert (out / "check" / "report.json").read_bytes() == (alone / "report.json").read_bytes()
+        assert read_report(out / "certify")["certificate"]["notes"]["n_seeds"] == 100000
 
 
 class TestRaysCommand:
@@ -800,9 +893,14 @@ class TestSurfaceSamples:
             raise AssertionError("check sampled above its bound")
         monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
         over = uccert.cli.MAX_SURFACE_SAMPLES + 1
+        # under all, --samples counts the certificate's directions alone: the
+        # surface count above the bound comes from the config, and a small
+        # --samples does not lower it
+        flag = {"check": str(over), "all": "20"}[command]
+        in_config = source == "config" or command == "all"
         conf = tmp_path / "g.conf"
-        conf.write_text(GEOMETRY + ("" if source == "flag" else f"n_surface_samples = {over}\n"))
-        argv = [command, "--config", str(conf)] + (["--samples", str(over)] if source == "flag" else [])
+        conf.write_text(GEOMETRY + (f"n_surface_samples = {over}\n" if in_config else ""))
+        argv = [command, "--config", str(conf)] + (["--samples", flag] if source == "flag" else [])
         out = str(tmp_path / "o")
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
@@ -853,7 +951,7 @@ class TestAllChecksEveryBoundFirst:
 
     CASES = {
         "MAX_CONSTRAINT_SAMPLES": (["--samples", "1048577"], "constraint samples"),
-        "MAX_SURFACE_SAMPLES": (["--samples", "65537"], "surface samples"),
+        "MAX_SURFACE_SAMPLES": (["--config", "n_surface_samples = 65537\n"], "surface samples"),
         "MAX_SCAN_NODES": (["--model", "ik9"], "scan nodes"),
         "MAX_RAY_STEPS": (["--ds", "1e-9"], "RK4 steps"),
         "MAX_CORNER_NODES": (["--grid", "8192"], "nodes"),
@@ -868,12 +966,18 @@ class TestAllChecksEveryBoundFirst:
 
     @staticmethod
     def stopped_before_any_stage(tmp_path, capsys, monkeypatch, argv) -> str:
-        """The one stderr line of an `all` run that must exit 2 and write nothing."""
+        """The one stderr line of an `all` run that must exit 2 and write
+        nothing; on ik2, or on GEOMETRY plus the text after --config."""
         def refuse(*args, **kwargs):
             raise AssertionError("all ran a stage before checking every bound")
         monkeypatch.setattr(uccert.cli, "check_assumptions", refuse)
+        source = ["--model", "ik2"]
+        if argv[0] == "--config":
+            conf = tmp_path / "g.conf"
+            conf.write_text(GEOMETRY + argv[1])
+            source, argv = ["--config", str(conf)], argv[2:]
         out = str(tmp_path / "o")
-        assert main(["all", "--model", "ik2", "--out", out] + argv) == 2
+        assert main(["all", *source, "--out", out] + argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists(out)

@@ -615,7 +615,7 @@ class TestTransferOracle:
 
 class TestLabFootprint:
     def test_peak_memory_below_half_a_grid_array(self):
-        # cmd_corner's stages before the mollifier on 97^3 nodes, where one
+        # the corner run's stages before the mollifier on 97^3 nodes, where one
         # grid array of doubles is 7.3 MB
         g = make_grid(unit_box(3), 96)
         tests = bump_corpus(unit_box(3), 20, seed=42)

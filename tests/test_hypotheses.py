@@ -352,7 +352,7 @@ class TestBatchedAgainstPointLoops:
     def test_check_scans_once_and_samples_as_the_public_call(self, name, monkeypatch):
         # one slab scan serves the three surfaces, and no array of every scan
         # node is formed; a surface none of whose seeds converges (the cap's
-        # intersection) scans again for the rest of the nodes
+        # intersection) takes the rest of the nodes from the same scan
         spec = ORACLE[name]
         want = {w: sample_surface(spec, w) for w in ("plus", "minus", "intersection")}
         got, scans = {}, []
@@ -377,7 +377,7 @@ class TestBatchedAgainstPointLoops:
         else:
             with pytest.raises(InsufficientSamples):
                 check_assumptions(spec)
-        assert scans == [("plus", "minus", "intersection")] + [(w,) for w, v in want.items() if not len(v)]
+        assert scans == [("plus", "minus", "intersection")]
         for which, pts in want.items():
             assert got[which].shape == pts.shape and got[which].tobytes() == pts.tobytes()
 
@@ -435,6 +435,29 @@ class TestBatchedAgainstPointLoops:
         first = next(p for p in pts if p[0] + 1e-3 < 0)
         assert sig.status == "fail" and sig.witness == [float(v) for v in first]
         assert sig.margin == 0.0
+
+
+def test_fallback_projects_the_rest_a_chunk_of_seeds_at_a_time(monkeypatch):
+    # no lowest-residual seed of ik4's plus cone converges inside the box at 16
+    # samples; the rest of the scan follows in residual order, n_seeds rows a
+    # call, until cap = 64 points converge, and gives the points of one
+    # projection of every node past the seeds
+    spec = get_model("ik4", n_surface_samples=16).geometry
+    n_seeds, cap = hypotheses._n_seeds(spec), 64
+    axes = hypotheses._scan_axes(spec)
+    order = np.argsort(hypotheses._scan_residuals(spec, axes, ("plus",))["plus"], kind="stable")
+    slack = 1e-9 * float(np.max(np.abs(spec.box)))
+    x, ok = _project(spec, [spec.phi_plus], hypotheses._scan_points(axes, order[n_seeds:]), slack)
+    want = _dedupe(x[ok][:cap])
+    rows = []
+
+    def recording(spec, fields, seeds, slack):
+        rows.append(len(seeds))
+        return _project(spec, fields, seeds, slack)
+    monkeypatch.setattr(hypotheses, "_project", recording)
+    got = sample_surface(spec, "plus")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rows == [n_seeds] * len(rows) and 2 < len(rows) < len(order) // n_seeds
 
 
 _residuals = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, np.inf, -np.inf, np.nan])
