@@ -14,9 +14,8 @@ Submodules:
     cli          batch driver
 """
 
-from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField,
-                     constant_metric, linear_combination, product_field,
-                     pullback_scalar, squared_field)
+from .fields import (Chart, Jet, MetricField, PhasePoint, ScalarField, constant_metric,
+                     linear_combination, pullback_scalar, squared_field)
 from .symbols import (hp, hp2, hp2_bracket, hp2_matrix, lorentz_normal_form,
                       pullback_metric, pullback_metric_field, signature,
                       transport_covector)

@@ -560,17 +560,23 @@ def _run_corner(args, plan: tuple) -> tuple:
     return payload, [("corner_residuals.csv", header, residuals, residual_labels)]
 
 
-def _plan_carleman(args) -> int:
-    """The sweep's cells per axis, checked against the corpus bound."""
+def _plan_carleman(args) -> tuple:
+    """The sweep's cells per axis, checked against the corpus bound, and its
+    lambda ladder 1, 2, 4, ... to --lambda-max, which must reach 4, the floor's first lambda."""
     cells = 256 if args.grid is None else args.grid
     values = args.corpus * (cells + 1) ** 2
     if values > MAX_CARLEMAN_VALUES:
         raise ContractViolation(f"--corpus {args.corpus} at --grid {cells} needs {values} corpus values, "
                                 f"above the bound of {MAX_CARLEMAN_VALUES}")
-    return cells
+    lambdas = [2.0 ** k for k in range(int(math.log2(args.lambda_max + 1e-9)) + 1)]
+    if max(lambdas, default=0.0) < 4.0:
+        raise ContractViolation(f"--lambda-max {args.lambda_max:g} must be at least 4, "
+                                f"the first lambda of the floor r_floor_from_lam4")
+    return cells, lambdas
 
 
-def _run_carleman(args, cells: int) -> tuple:
+def _run_carleman(args, plan: tuple) -> tuple:
+    cells, lambdas = plan
     lam = 2.0 if args.lam is None else args.lam
     ik2 = get_model("ik2")      # the section is its y_2 = 0 slice through x0
     threshold = certify(ik2.geometry, ik2.x0, lam=lam).notes.get("lambda_threshold")
@@ -583,7 +589,6 @@ def _run_carleman(args, cells: int) -> tuple:
     corpus = bump_superposition_values(grid, args.corpus, seed=args.seed + 7)
     if not any(np.any(w) for w in corpus):
         raise ContractViolation(f"--grid {cells} is too coarse: every corpus function is zero at the nodes")
-    lambdas = [2.0 ** k for k in range(int(math.log2(args.lambda_max + 1e-9)) + 1)]
     rep = lambda_sweep(q, build_weight(bent, mu=args.mu), corpus, lambdas, grid)
     s1, s2 = exponent_slopes(rep)
     floor = rep.r_floor(4.0)
@@ -733,7 +738,7 @@ def _validate_args(args):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ContractViolation(f"{_flag(name)} must be finite, got {value}")
-    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam"):
+    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam", "lambda_max"):
         if getattr(args, name) is not None and getattr(args, name) <= 0:
             raise ContractViolation(f"{_flag(name)} must be positive")
     if args.seed < 0:
@@ -741,8 +746,6 @@ def _validate_args(args):
     for name in ("samples", "grid", "tests", "n_pts", "max_rays", "corpus"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             raise ContractViolation(f"{_flag(name)} must be at least 1")
-    if args.lambda_max is not None and args.lambda_max < 2:
-        raise ContractViolation("--lambda-max must be at least 2 for a two-value lambda ladder")
 
 
 def main(argv: Optional[list] = None) -> int:

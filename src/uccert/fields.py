@@ -251,13 +251,14 @@ def linear_combination(terms: Sequence[tuple], name: str = "") -> ScalarField:
     return ScalarField(lambda x, order: sum(c * f.jet(x, order) for c, f in terms), name=name)
 
 
-def product_field(f: ScalarField, g: ScalarField, name: str = "") -> ScalarField:
-    """Pointwise product of two scalar fields."""
-    return ScalarField(lambda x, order: f.jet(x, order) * g.jet(x, order), name=name)
-
-
 def squared_field(f: ScalarField, name: str = "") -> ScalarField:
-    return product_field(f, f, name=name or (f.name + "^2" if f.name else ""))
+    """Pointwise square of a scalar field, reading f once per jet."""
+
+    def jet(x, order):
+        j = f.jet(x, order)
+        return j * j
+
+    return ScalarField(jet, name=name or (f.name + "^2" if f.name else ""))
 
 
 class Chart:

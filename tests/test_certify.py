@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +12,14 @@ from uccert import (PhasePoint, build_psi, certify, certify_fields, compute_lamb
                     compute_m0, constant_metric, constraint_samples, hp, hp2,
                     hp2_matrix, linear_combination, squared_field,
                     unit_sphere_seeds)
-from uccert.certify import (EPS, _hyperplane, _null_cone_max, _pinned_metric, _pinned_scalar,
-                            _two_line_max, null_cone_max)
+from uccert.certify import (EPS, KEY_IDENTITY_RTOL, _hyperplane, _null_cone_max, _pinned_metric,
+                            _pinned_scalar, _two_line_max, null_cone_max)
 from uccert.cli import _sample_table
-from uccert.errors import (ContractViolation, DegenerateConstraintSet,
+from uccert.errors import (ContractViolation, DegenerateConstraintSet, InternalInconsistency,
                            NondegeneracyViolation)
 from uccert.expressions import expression_field
 from uccert.fields import Jet, MetricField, ScalarField, pullback_scalar
-from uccert.hypotheses import GeometrySpec
+from uccert.hypotheses import DEFAULT_TOL_POS, GeometrySpec
 from uccert.models import bumpy_wave_metric, flattening_chart, get_model, ik_model
 from uccert.symbols import hp2_bracket, pullback_metric_field, quadratic_form_values
 
@@ -280,6 +282,66 @@ class TestSoundnessGates:
     def test_non_characteristic_pair_is_not_certified(self):
         ctrl_a = get_model("ctrl-a")
         assert certify(ctrl_a.geometry, ctrl_a.x0, lam=2.0).status != "certified"
+
+
+class TestGateThresholds:
+    """Each certify gate on both sides of its threshold: an input 10x past
+    it trips the gate, and one at 0.1x of it does not (lambda_threshold: at it,
+    and one double above it)."""
+
+    ONE = expression_field("1", 3)
+    # zero value and gradient at ik2's x0 = (0, 1, 0), and hp2 nonzero there
+    BOWL = expression_field("x1^2 + (x2 - 1)^2 + x3^2", 3)
+
+    @pytest.mark.parametrize("scale, degenerate", [(10.0, True), (0.1, False)])
+    def test_on_surfaces(self, ik2, scale, degenerate):
+        geo = ik2.geometry
+        off = scale * geo.tol_zero
+        shifted = replace(geo, phi_plus=linear_combination([(1.0, geo.phi_plus), (off, self.ONE)]))
+        cert = certify(shifted, ik2.x0, lam=2.0)
+        if degenerate:
+            assert cert.status == "degenerate" and cert.notes["gate"] == ["on_surfaces"]
+            assert cert.notes["on_surfaces"]["max_abs_phi"] == pytest.approx(off, rel=1e-6)
+        else:
+            assert cert.status == "certified"
+
+    @pytest.mark.parametrize("scale, degenerate", [(10.0, False), (0.1, True)])
+    def test_space_like_base(self, ik2, ik2_fields, scale, degenerate):
+        # ik2 has <Q dpsi1, dpsi1> = 1 at x0, so sqrt(s) psi1 has s there
+        q, psi0, psi1 = ik2_fields
+        target = scale * DEFAULT_TOL_POS
+        cert = certify_fields(q, psi0, linear_combination([(math.sqrt(target), psi1)]), ik2.x0, lam=2.0)
+        if degenerate:
+            assert cert.status == "degenerate" and cert.notes["gate"] == ["space_like_base"]
+            assert cert.notes["space_like_base"]["q_dpsi1_dpsi1"] == pytest.approx(target, rel=1e-9)
+            assert cert.notes["space_like_base"]["tol_pos"] == DEFAULT_TOL_POS
+        else:
+            assert cert.status != "degenerate"
+
+    def test_lambda_threshold_is_strict(self, ik2):
+        # lambda0 does not depend on lam: lam = lambda0 fails, the next double passes
+        lambda0 = certify(ik2.geometry, ik2.x0, lam=2.0).lambda0
+        at = certify(ik2.geometry, ik2.x0, lam=lambda0)
+        assert at.status == "failed" and at.notes["gate"] == ["lambda_threshold"]
+        above = certify(ik2.geometry, ik2.x0, lam=float(np.nextafter(lambda0, np.inf)))
+        assert above.status == "certified" and above.lambda0 == lambda0
+
+    def test_route_disagreement_above_its_tolerance_raises(self, ik2, ik2_fields):
+        # psi0 = c at x0 adds -2 lam c hp2(psi0) to the direct route only:
+        # about 4.6 c relative on ik2 with the bowl, so c = 7e-6 puts the
+        # disagreement between KEY_IDENTITY_RTOL and 1000 times it
+        q, psi0, psi1 = ik2_fields
+        off_base = linear_combination([(1.0, psi0), (7e-6, self.ONE), (1.0, self.BOWL)])
+        with pytest.raises(InternalInconsistency) as info:
+            certify_fields(q, off_base, psi1, ik2.x0, lam=2.0)
+        disagreement = float(re.search(r"disagree by (\S+) relative", str(info.value)).group(1))
+        assert KEY_IDENTITY_RTOL < disagreement < 1000.0 * KEY_IDENTITY_RTOL
+
+    def test_consistent_routes_do_not_raise(self, ik2, ik2_fields):
+        q, psi0, psi1 = ik2_fields
+        on_base = linear_combination([(1.0, psi0), (1.0, self.BOWL)])
+        cert = certify_fields(q, on_base, psi1, ik2.x0, lam=2.0)
+        assert cert.status == "certified" and cert.route_disagreement <= KEY_IDENTITY_RTOL
 
 
 class TestExactNullCone:

@@ -612,8 +612,11 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv, message", [
         (["--grid", "1"], "--grid 1 is too coarse"),
         (["--corpus", "0"], "--corpus must be at least 1"),
-        (["--lambda-max", "1"], "--lambda-max must be at least 2"),
-        (["--lambda-max", "0.5"], "--lambda-max must be at least 2")])
+        (["--lambda-max", "1"], "--lambda-max 1 must be at least 4"),
+        (["--lambda-max", "0.5"], "--lambda-max 0.5 must be at least 4"),
+        (["--lambda-max", "2"], "--lambda-max 2 must be at least 4"),
+        (["--lambda-max", "3.9"], "--lambda-max 3.9 must be at least 4"),
+        (["--lambda-max", "0"], "--lambda-max must be positive")])
     def test_carleman_without_a_slope_is_usage_error(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "o")
         assert main(["carleman", "--grid", "16"] + argv + ["--out", out]) == 2
@@ -993,6 +996,32 @@ class TestAllChecksEveryBoundFirst:
         argv = ["--s-fit", "0.001", "--ds", "0.001", "--grid", "64"]
         err = self.stopped_before_any_stage(tmp_path, capsys, monkeypatch, argv)
         assert "leaves 3 ray points in the fit window" in err
+
+    def test_lambda_ladder_stops_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        err = self.stopped_before_any_stage(tmp_path, capsys, monkeypatch, ["--lambda-max", "2"])
+        assert "--lambda-max 2 must be at least 4" in err
+
+
+class TestCarlemanLambdaLadder:
+    """The ladder 1, 2, 4, ... must reach the floor's first lambda, 4: below
+    it the floor would be NaN, which is not JSON."""
+
+    def test_ladder_to_four_runs_and_reports_its_floor(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["carleman", "--grid", "16", "--lambda-max", "4", "--out", out]) == 0
+        with open(os.path.join(out, "report.json")) as f:
+            report = json.load(f, parse_constant=lambda name: pytest.fail(f"{name} in report.json"))
+        assert report["sweep"]["lambdas"] == [1.0, 2.0, 4.0]
+        assert report["r_floor_from_lam4"] == report["sweep"]["r_min"]["4.0"] > 0
+
+    def test_run_section_ladder_below_four_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("[run]\ncommand = carleman\ngrid = 16\nlambda_max = 2\n")
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(conf), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--lambda-max 2 must be at least 4" in err
+        assert err.count("\n") == 1 and "Traceback" not in err and not os.path.exists(out)
 
 
 class TestFewSurfaceSamples:

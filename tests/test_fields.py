@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 
 from uccert import (PhasePoint, constant_metric, expression_field,
-                    linear_combination, product_field, pullback_scalar,
-                    squared_field)
+                    linear_combination, pullback_scalar, squared_field)
 from uccert.errors import ChartError, ContractViolation
 from uccert.fields import Chart, Jet, MetricField, ScalarField, power
 from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
@@ -33,6 +32,11 @@ def smooth_test_field():
         return Jet(value, grad, h)
 
     return ScalarField(jet, name="smooth3")
+
+
+def _product(f, g):
+    """The pointwise product f g as a field, by the Jet product rule."""
+    return ScalarField(lambda x, order: f.jet(x, order) * g.jet(x, order))
 
 
 class TestPhasePoint:
@@ -64,7 +68,7 @@ class TestScalarFieldDerivatives:
         f = smooth_test_field()
         g = expression_field("x1", 3)
         combo = linear_combination([(2.0, f), (-1.5, g)])
-        prod = product_field(f, g)
+        prod = _product(f, g)
         sq = squared_field(f)
         x = rng.normal(size=3)
         assert combo(x) == pytest.approx(2 * f(x) - 1.5 * x[0])
@@ -77,9 +81,26 @@ class TestScalarFieldDerivatives:
     def test_product_hessian_against_fd(self, rng):
         f = smooth_test_field()
         g = expression_field("x2", 3)
-        prod = product_field(f, g)
+        prod = _product(f, g)
         x = rng.normal(size=3)
         assert_allclose(prod.hess(x), fd_hess(prod, x), rtol=2e-4, atol=1e-5)
+
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_squared_field_reads_its_field_once_per_jet(self, rng, order, batch):
+        f = smooth_test_field()
+        reads = []
+        read = f._jet
+        f._jet = lambda x, k: reads.append(k) or read(x, k)
+        x = rng.normal(size=(4, 3) if batch else 3)
+        got = squared_field(f).jet(x, order)
+        assert reads == [order]
+        want = read(x, order)
+        want = want * want
+        if order:
+            got, want = (got.value, got.grad, got.hess), (want.value, want.grad, want.hess)
+        assert_equal(got, want)
 
 
 class TestMetricField:

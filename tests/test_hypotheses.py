@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from uccert import hypotheses
 from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
-                    sample_surface, verify_split_signs,
+                    linear_combination, sample_surface, verify_split_signs,
                     verify_sublevel_inclusion)
 from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
@@ -110,6 +110,33 @@ class TestAssumptions:
                                     n_surface_samples=200)
             fine = check_assumptions(fine_geo)
             assert set(coarse.failed_names()) <= set(fine.failed_names())
+
+
+class TestCheckGateThresholds:
+    """The characteristic and gradient checks on both sides of their
+    thresholds: 10x past it fails the check, 0.1x of it passes."""
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
+    def test_characteristic_residual(self, ik2, scale, status):
+        # |y| - 1 + (1 + e) t has unit-normalized residual e (1 + e/2) / (1 + e + e^2/2)
+        eps = scale * hypotheses.DEFAULT_TOL_CHAR
+        geo = ik2.geometry
+        spec = GeometrySpec(geo.Q, geo.phi_plus, cone_surface_field(2, 1.0, 1.0 + eps), geo.box,
+                            n_surface_samples=100)
+        check = check_assumptions(spec).checks["characteristic_minus"]
+        assert check.status == status
+        assert check.margin == pytest.approx(eps, rel=1e-3)
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_vanishing_gradient(self, ik2, scale, status):
+        # a multiple c phi_plus of the cone, |grad| = c sqrt(2) on it
+        geo = ik2.geometry
+        c = scale * hypotheses.DEFAULT_TOL_POS / np.sqrt(2.0)
+        spec = GeometrySpec(geo.Q, linear_combination([(c, geo.phi_plus)]), geo.phi_minus, geo.box,
+                            n_surface_samples=100)
+        check = check_assumptions(spec).checks["nondegenerate_gradients"]
+        assert check.status == status
+        assert check.margin == pytest.approx(scale * hypotheses.DEFAULT_TOL_POS, rel=1e-9)
 
 
 class TestSplitFields:
