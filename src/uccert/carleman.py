@@ -98,36 +98,40 @@ def _ratio_table(Q: MetricField, phi: ScalarField, corpus: Sequence[np.ndarray],
 
     The weight exponent is shifted so its minimum over the (slightly dilated)
     support of a test function is zero; this changes every norm by the same
-    factor and keeps the exponential representable.
-    Every region and shift is found before any norm is taken, so an
-    unrepresentable exponent is reported at the smallest lam that has one.
+    factor and keeps the exponential representable.  Each region is formed
+    where its function's norms are taken, and an unrepresentable exponent is
+    reported after the sweep, from the largest span, at the smallest lam that
+    has one.
     """
     if any(lam <= 0 for lam in lambdas):
         raise ContractViolation("lam must be positive")
     phi_values = phi.jet(grid.points(), 0).reshape(grid.shape)
-    corpus = [np.asarray(w, dtype=float) for w in corpus]
-    # the dilation of an empty support is empty
-    regions = [_dilate(np.abs(w) > 0.0, 2) for w in corpus]
-    shifts = [float(np.min(phi_values[r])) if r.any() else 0.0 for r in regions]
-    # lam * max(phi - shift) rounds to the largest |exponent| on a region
-    spans = [float(np.max(phi_values[r] - shift)) for r, shift in zip(regions, shifts) if r.any()]
-    for lam in lambdas:
-        if any(lam * span > EXP_LIMIT for span in spans):
-            raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
-
     q_arrays = metric_on_grid(Q, grid)
     weights = functools.reduce(np.multiply.outer, [_axis_weights(n, hh) for n, hh in zip(grid.shape, grid.h)])
     lhs, wnorm_grad, wnorm_w = (np.zeros((len(corpus), len(lambdas))) for _ in range(3))
-    empty = np.array([not r.any() for r in regions], dtype=bool)
-    for t in np.flatnonzero(~empty):
-        w, region = corpus[t], regions[t]
+    empty = np.ones(len(corpus), dtype=bool)
+    largest_span = 0.0
+    for t, w in enumerate(corpus):
+        w = np.asarray(w, dtype=float)
+        # the dilation of an empty support is empty
+        region = _dilate(np.abs(w) > 0.0, 2)
+        if not region.any():
+            continue
+        empty[t] = False
+        phi_r = phi_values[region]
+        phi_r -= np.min(phi_r)
+        # lam * max(phi - shift) rounds to the largest |exponent| on the region
+        largest_span = max(largest_span, float(np.max(phi_r)))
         grad_sq = sum(d1(w, a, grid.h[a]) ** 2 for a in range(grid.dim))
         integrands = np.stack([_stencil(q_arrays, w, grid)[region] ** 2, grad_sq[region], w[region] ** 2])
         # e^{-2 lam (phi - shift)} on the region, a column per lam; doubling is exact
-        wsq = np.multiply.outer(phi_values[region] - shifts[t], -2.0 * lambdas)
+        wsq = np.multiply.outer(phi_r, -2.0 * lambdas)
         np.exp(np.clip(wsq, -2.0 * EXP_LIMIT, 0.0, out=wsq), out=wsq)
         lhs[t], wnorm_grad[t], wnorm_w[t] = np.sqrt((integrands * weights[region]) @ wsq)
         del grad_sq, integrands, wsq        # freed before the next function's stencil
+    for lam in lambdas:
+        if lam * largest_span > EXP_LIMIT:
+            raise RangeError(f"weight exponent exceeds representable range at lam={lam:g}")
     return lhs, wnorm_grad, wnorm_w, empty
 
 

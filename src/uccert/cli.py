@@ -517,9 +517,11 @@ def _plan_corner(args) -> tuple:
                                 f"inequality-transfer points")
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
-    if not eps_list:
-        raise ContractViolation(f"--grid {cells} is too coarse for the mollifier check: "
-                                f"its smoothing ladder resolves no width at h = {float(np.max(grid.h)):g}")
+    # one width gives no pair to compare and a decay bound of 1
+    if len(eps_list) < 2:
+        raise ContractViolation(f"--grid {cells} is too coarse for the mollifier check: its smoothing "
+                                f"ladder resolves {len(eps_list)} of the two widths a decay needs "
+                                f"at h = {float(np.max(grid.h)):g}")
     return grid, eps_list
 
 

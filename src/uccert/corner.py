@@ -18,17 +18,17 @@ CornerField.pair pairs a field with all test bumps at once, by one
 matrix-vector product per axis and term of U, of the profiles with U's factor
 times the rule's weights, so each side of an identity is a handful of
 products whatever the corpus size.  The smoothing commutator that justifies
-applying weighted estimates to low-regularity functions is separable too: a
-product kernel, a multiplier that is a sum of 1-D terms and a CornerField
-leave only 1-D convolutions and 1-D sums, and a term of the multiplier that
-is zero on the grid is skipped.  The pointwise differential-inequality
-transfer from U to V reads the field's partials in axis-0 slabs of the grid,
-and at the sampled nodes only.  So no stage of the lab forms an array of the
-grid's shape: at 128 cells per axis, `corner --dim 3` runs in about 0.04 s
-after start-up (0.22 s as a whole process) and the process peaks at 39 MB
-resident on a 2-core x86-64 machine with one BLAS thread (0.33 s and 216 MB
-while the transfer formed grid arrays; 0.25 s with a bump evaluation per test
-bump).
+applying weighted estimates to low-regularity functions is separable too:
+for an affine multiplier a with slopes s, a(x) (K * f)(x) - (K * (a f))(x) is
+((s . u) K * f)(x) at every node, u the kernel tap's offset, so a product
+kernel and a CornerField leave one 1-D convolution per axis and nonzero
+slope, and 1-D sums: 120 convolutions in the 2-D lab, 216 in the 3-D lab at
+128 cells.  The pointwise differential-inequality transfer from U to V reads
+the field's partials in axis-0 slabs of the grid, and at the sampled nodes
+only.  So no stage of the lab forms an array of the grid's shape: at 128
+cells per axis, `corner --dim 3` runs in about 0.04 s after start-up (0.22 s
+as a whole process) and the process peaks at 39 MB resident on a 2-core
+x86-64 machine with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -427,51 +427,41 @@ def _smooth(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.convolve(f, kernel)[c:c + f.size]
 
 
-def affine_multiplier(offset: float, slopes: Sequence[float]) -> list:
-    """a(y) = offset + sum_b slopes[b] y_b in mollifier_commutator's form:
-    one factor pair (g_b, g_b') per axis, the offset carried by axis 0."""
-    return [(lambda u, c=c, s=s: c + s * u, lambda u, s=s: np.full_like(u, s))
-            for c, s in zip([offset] + [0.0] * (len(slopes) - 1), slopes)]
+def affine_multiplier(offset: float, slopes: Sequence[float]) -> tuple:
+    """a(y) = offset + sum_b slopes[b] y_b as mollifier_commutator takes it:
+    the data (offset, slopes)."""
+    return float(offset), tuple(float(s) for s in slopes)
 
 
-def mollifier_commutator(a: Sequence[tuple], v: CornerField,
-                         eps_list: Sequence[float]) -> list:
-    """L2 size of  a * Hess(smooth(v)) - smooth(a * Hess(v))  per smoothing width.
+def mollifier_commutator(a: tuple, v: CornerField, eps_list: Sequence[float]) -> list:
+    """L2 size of  a * Hess(smooth(v)) - smooth(a * Hess(v))  per smoothing width,
+    for an affine multiplier a = (offset, slopes) (affine_multiplier).
 
     The Hessian of the smoothed field puts one derivative on the kernel and
     one on v; the second term is evaluated in weak form, which needs only
-    grad(a) and grad(v):
+    grad(a) = s, the slopes, and grad(v):
 
-        D_jk = a . (dK_j * v_k) - (dK_j * (a v_k)) + (K * (a_j v_k)),
+        D_jk = a (dK_j * v_k) - dK_j * (a v_k) + K * (s_j v_k),  v_k = d_k v.
 
-    with v_k = d_k v and a_j = d_j a.  The convolutions are the grid's
-    discrete ones (fftconvolve(..., mode="same") times the cell volume).
+    The convolutions are the grid's discrete ones (fftconvolve(..., mode=
+    "same") times the cell volume).  At a node x the first two terms sum
+    (a(x) - a(x - u)) dK_j(u) v_k(x - u) over the kernel's taps u, and
+    a(x) - a(x - u) = s . u, so node for node, the cropped edges included,
 
-    Every factor is separable, so no array of the grid's shape is formed:
+        D_jk = sum_b s_b ((u_b dK_j) * v_k) + s_j (K * v_k):
 
-    * the kernel is K(y) = prod_a k(y_a / eps), each 1-D factor of unit
-      discrete mass (_mollifier_kernels);
-    * a(y) = sum_b g_b(y_b), given as one factor pair a[b] = (g_b, g_b') per
-      axis, so a_j = g_j'(y_j);
-    * v(y) = sum_t prod_c f_tc(y_c) is a CornerField, whose grid the
-      convolutions use and whose tables of f and f' they read.
-
-    For a term t of v_k, write F_c for its factor on axis c.  The part of
-    D_jk from g_b is a product of 1-D factors, which on every axis c != b is
-    one convolution (of F_c with k', the derivative kernel, on axis j and
-    with k elsewhere), and on axis b is the first two terms' difference
-    formed pointwise, plus, when b = j, the third term, whose other factors
-    are the same:
-
-        g_b (kappa * F_b) - kappa * (g_b F_b) + [b = j] k * (g_j' F_j).
-
-    For constant a the difference cancels to rounding, so the commutator is
-    zero to floating-point accuracy by construction.  A term g_b that is zero
-    at every node, with g_b', gives only zero products and is skipped (the
-    lab's multiplier varies along y_1 only).  The trapezoid integral of
-    D_jk^2 is then a Gram sum: over pairs of these products, the product
-    over the axes of their 1-D weighted inner products.  The kernels are
-    built once per width and distinct grid spacing.
+    the offset cancels exactly, a constant multiplier gives exactly zero and
+    a zero slope adds no term.  The kernel is K(y) = prod_c k(y_c / eps),
+    each 1-D factor of unit discrete mass (_mollifier_kernels), so dK_j has
+    k' on axis j and k elsewhere, and v is a CornerField, whose grid and
+    tables of f and f' the convolutions read.  For a term of v_k with factor
+    F_c on axis c, the part of D_jk from slope s_b is a product of one 1-D
+    convolution per axis: F_c with dK_j's factor k_j on every axis c != b,
+    and on axis b with the moment kernel s_b (u_b k_j + [b = j] k), where the
+    term s_j (K * v_k) joins the b = j part.  No array of the grid's shape is
+    formed: the trapezoid integral of D_jk^2 is a Gram sum, over pairs of
+    these products, of the product over the axes of their 1-D weighted inner
+    products.  The kernels are built once per width and distinct spacing.
     """
     grid = v.grid
     hmax = float(np.max(grid.h))
@@ -479,30 +469,29 @@ def mollifier_commutator(a: Sequence[tuple], v: CornerField,
         if eps < 4.0 * hmax:
             raise ResolutionError(f"eps = {eps:g} below resolution floor 4h = {4 * hmax:g}")
     dim = grid.dim
-    axes = grid.axes()
+    slopes = np.asarray(a[1], dtype=float)
     weights = [_axis_weights(n, h) for n, h in zip(grid.shape, grid.h)]
-    g = [a[b][0](axes[b]) for b in range(dim)]
-    dg = [a[b][1](axes[b]) for b in range(dim)]
-    live = [b for b in range(dim) if np.any(g[b]) or np.any(dg[b])]
     spacings = grid.h.tolist()
     out = []
     for eps in eps_list:
         # per distinct spacing, the value and derivative kernels with the
-        # spacing folded in
-        by_spacing = {h: [k * h for k in _mollifier_kernels(h, eps)] for h in set(spacings)}
+        # spacing folded in, and their taps' offsets u
+        by_spacing = {}
+        for h in set(spacings):
+            k0, k1 = (k * h for k in _mollifier_kernels(h, eps))
+            by_spacing[h] = (k0, k1, h * (np.arange(k0.size) - k0.size // 2))
         kern = [by_spacing[h] for h in spacings]
         total = 0.0
         for j in range(dim):
+            # the moment kernel s_b (u_b k_j + [b = j] k) of each nonzero slope
+            moments = {b: slopes[b] * (kern[b][2] * kern[b][int(b == j)] + (kern[b][0] if b == j else 0.0))
+                       for b in np.flatnonzero(slopes)}
             for k in range(dim):
                 pieces = []
                 for term in v.tables:
                     vk = [term[c][int(c == k)] for c in range(dim)]
                     conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
-                    for b in live:
-                        on_b = g[b] * conv[b] - _smooth(g[b] * vk[b], kern[b][int(b == j)])
-                        if b == j:
-                            on_b = on_b + _smooth(dg[j] * vk[j], kern[j][0])
-                        pieces.append(conv[:b] + [on_b] + conv[b + 1:])
+                    pieces.extend(conv[:b] + [_smooth(vk[b], m)] + conv[b + 1:] for b, m in moments.items())
                 if not pieces:
                     continue
                 gram = np.ones((len(pieces), len(pieces)))

@@ -174,8 +174,10 @@ def hp2_matrix(Q: MetricField, psi: ScalarField, x0) -> np.ndarray:
 
 
 def quadratic_form_values(M, xis: np.ndarray) -> np.ndarray:
-    """Batch evaluation xi^T M xi over rows of ``xis``."""
-    return np.einsum("ki,ij,kj->k", xis, np.asarray(M, dtype=float), xis)
+    """Batch evaluation xi^T M xi over rows of ``xis``, each product rounded
+    before the row sums (np.vecdot's fused multiply-adds would give the null
+    directions' residuals, which CSVs list, ten times as many distinct values)."""
+    return np.sum((xis @ np.asarray(M, dtype=float)) * xis, axis=1)
 
 
 def pullback_metric_field(Q: MetricField, chart: Chart, name: str = "") -> MetricField:

@@ -236,7 +236,7 @@ class TestCornerRunsInOneProcess:
         first = ["corner", "--grid", "128", "--seed", "0"]
         outs = [str(tmp_path / name) for name in "abc"]
         codes = [main(first + ["--out", outs[0]]),
-                 main(["corner", "--dim", "3", "--grid", "32", "--seed", "5", "--out", outs[1]]),
+                 main(["corner", "--dim", "3", "--grid", "48", "--seed", "5", "--out", outs[1]]),
                  main(first + ["--out", outs[2]])]
         assert codes[0] == codes[2] and set(codes) <= {0, 1}
         for name in ("report.json", "corner_residuals.csv"):
@@ -634,11 +634,11 @@ class TestMalformedInput:
 
 
 class TestCornerGridBound:
-    """A grid too coarse for every rung of the smoothing ladder, or a lab too
+    """A grid whose smoothing ladder has fewer than two widths, or a lab too
     large to build, is a usage error."""
 
-    # the largest even cell count whose ladder is empty, from the ladder rule
-    COARSEST = max(c for c in range(2, 256, 2) if not _smoothing_ladder(make_grid(unit_box(2), c)))
+    # the largest even cell count whose ladder has fewer than two widths, from the ladder rule
+    COARSEST = max(c for c in range(2, 256, 2) if len(_smoothing_ladder(make_grid(unit_box(2), c))) < 2)
 
     @pytest.mark.parametrize("argv", [["--grid", "2"], ["--grid", str(COARSEST)],
                                       ["--grid", "8", "--dim", "3"]])
@@ -648,6 +648,22 @@ class TestCornerGridBound:
         err = capsys.readouterr().err
         assert "too coarse for the mollifier check" in err and err.count("\n") == 1
         assert not os.path.exists(os.path.join(out, "report.json"))
+
+    @pytest.mark.parametrize("command, argv", [("corner", ["--grid", "44"]),
+                                               ("corner", ["--dim", "3", "--grid", "44"]),
+                                               ("all", ["--model", "ik2", "--grid", "44"])])
+    def test_one_width_is_usage_error(self, tmp_path, capsys, monkeypatch, command, argv):
+        # with one width there is no pair to compare and the decay bound is 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the ladder rule")
+        for name in ("check_assumptions", "bump_corpus", "corner_corpus"):
+            monkeypatch.setattr(uccert.cli, name, refuse)
+        out = str(tmp_path / "o")
+        assert main([command] + argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--grid 44 is too coarse for the mollifier check" in err and "resolves 1 of the two" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [["--grid", "33"], ["--grid", "3"], ["--grid", "65", "--dim", "3"]])
     def test_odd_grid_is_usage_error(self, tmp_path, capsys, argv):
@@ -693,7 +709,7 @@ class TestCornerGridBound:
             main(["corner"] + argv + ["--out", str(tmp_path / "o")])
 
     def test_next_grid_runs(self, tmp_path):
-        assert _smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))
+        assert len(_smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))) >= 2
         argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2", "--n-pts", "50"]
         assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
         assert read_report(str(tmp_path / "o"))["cells"] == self.COARSEST + 2

@@ -11,6 +11,7 @@ from scipy.signal import fftconvolve
 import uccert.corner
 import uccert.grids
 
+from uccert.cli import _corner_mollifier, _plan_corner, build_parser
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
                            _lab_weights, _mollifier_kernels, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
@@ -681,11 +682,34 @@ class TestMollifier:
         g = make_grid(unit_box(2), 256)
         a = affine_multiplier(0.7, [0.0, 0.0])
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        norms = mollifier_commutator(a, v, [0.2, 0.1, 0.05])
-        assert max(norms) <= 1e-12
+        eps = [0.2, 0.1, 0.05]
+        assert mollifier_commutator(a, v, eps) == [0.0] * len(eps)
+
+    def test_offset_cancels(self):
+        # a(x) - a(x - u) = s . u whatever the offset, so the norms keep their bits
+        g = make_grid(unit_box(2), 256)
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+        eps = [0.32, 0.16, 0.08, 0.04]
+        norms = [mollifier_commutator(affine_multiplier(offset, [0.4, -0.25]), v, eps)
+                 for offset in (0.0, 0.5, 100.0)]
+        assert norms[0] == norms[1] == norms[2]
+
+    def test_lab_convolution_count(self, monkeypatch):
+        # the 2-D lab's multiplier has one nonzero slope: per (j, k) and term
+        # of v, one convolution per axis and one with its moment kernel
+        grid, eps_list = _plan_corner(build_parser().parse_args(["corner"]))
+        smooth = uccert.corner._smooth
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return smooth(*args)
+        monkeypatch.setattr(uccert.corner, "_smooth", counted)
+        report = _corner_mollifier(grid, eps_list, seed=0)
+        assert report["passed"] and 0 < len(calls) <= 120
 
     def test_zero_multiplier_gives_exact_zero(self):
-        # every term of a is zero on the grid and skipped: no product is left
+        # no slope is nonzero, so no product is left
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         assert mollifier_commutator(affine_multiplier(0.0, [0.0, 0.0]), v, [0.25, 0.125]) == [0.0, 0.0]
@@ -732,17 +756,18 @@ def _outer(vectors):
 
 
 def _commutator_by_fftconvolve(a, v, eps_list):
-    """The oracle for the separable commutator: a, grad(a) and grad(v) sampled
-    on the whole grid from the factor functions, the product kernel formed
+    """The oracle for the separable commutator: a = (offset, slopes),
+    grad(a) and grad(v) sampled on the whole grid, the product kernel formed
     from the 1-D kernels, and three independent fftconvolve calls per (j, k)."""
     grid = v.grid
     dim, axes = grid.dim, grid.axes()
+    offset, slopes = a
 
     def along(b, f):
         return _outer([f(x) if c == b else np.ones_like(x) for c, x in enumerate(axes)])
 
-    a_values = sum(along(b, a[b][0]) for b in range(dim))
-    a_grads = [along(j, a[j][1]) for j in range(dim)]
+    a_values = offset + sum(along(b, lambda x, s=s: s * x) for b, s in enumerate(slopes))
+    a_grads = [along(j, lambda x, s=s: np.full_like(x, s)) for j, s in enumerate(slopes)]
     v_grads = [sum(_outer([t[c][int(c == k)](x) for c, x in enumerate(axes)]) for t in v.terms)
                for k in range(dim)]
     cell = float(np.prod(grid.h))

@@ -150,7 +150,7 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
         assert _read(os.path.join(out, "rays.csv")) == csv_module_bytes(header, rows)
 
 
-@pytest.mark.parametrize("dim, cells", [(2, 64), (3, 24)])
+@pytest.mark.parametrize("dim, cells", [(2, 64), (3, 48)])
 def test_corner_csv_is_the_csv_rendering_of_the_identity_rows(tmp_path, dim, cells):
     out = str(tmp_path / "k")
     argv = ["corner", "--dim", str(dim), "--grid", str(cells), "--tests", "3", "--n-pts", "50"]

@@ -1,4 +1,4 @@
-"""Weaken one certify or check gate at a time and run the tests that name it.
+"""Weaken one certify, check or corner gate at a time and run the tests that name it.
 
 Each mutant replaces one expression of ``src/uccert``, found by its syntax
 tree (stdlib ``ast``), in a temporary copy of the package; the checkout's
@@ -56,6 +56,9 @@ MUTANTS = (
     Mutant("nondegenerate_gradients", "hypotheses.py", "both[k] > tol_pos", "both[k] >= 0",
            ("tests/test_hypotheses.py::TestCheckGateThresholds::test_vanishing_gradient",
             "tests/test_hypotheses.py::TestAssumptions")),
+    Mutant("smoothing_ladder", "cli.py", "len(eps_list) < 2", "len(eps_list) < 1",
+           ("tests/test_cli.py::TestCornerGridBound::test_one_width_is_usage_error",
+            "tests/test_cli.py::TestCornerGridBound::test_coarse_grid_is_usage_error")),
 )
 
 
