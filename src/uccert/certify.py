@@ -31,7 +31,7 @@ certifier
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation, SignatureError)
 from .fields import Jet, MetricField, ScalarField, as_point
-from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, build_psi
+from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, split_terms
 from .symbols import (ZERO_BAND, _hp2_closed_forms, _hp_closed_form, _signature_of, hp2_matrix,
                       lorentz_normal_form, quadratic_form_values)
 
@@ -425,16 +425,16 @@ def _pinned_metric(Q: MetricField, q, dq, x0: np.ndarray) -> MetricField:
     return MetricField(Q.dim, jet, name=Q.name)
 
 
-def _pinned_scalar(f: ScalarField, jet: Jet, x0: np.ndarray) -> ScalarField:
-    """f, with its name, pinned to its second-order jet read at x0: it answers
-    at x0 alone, with read-only arrays and the value as read (-0.0 kept)."""
+def _pinned_scalar(name: str, jet: Jet, x0: np.ndarray) -> ScalarField:
+    """A field named ``name`` pinned to a second-order jet at x0: it answers
+    at x0 alone, with read-only arrays and the value as given (-0.0 kept)."""
     v, g, h = jet.value, _frozen(jet.grad), _frozen(jet.hess)
 
     def pinned(x, order):
         _require_x0(x, x0)
         return v if order == 0 else Jet(v, g, h if order == 2 else None)
 
-    return ScalarField(pinned, name=f.name)
+    return ScalarField(pinned, name=name)
 
 
 def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
@@ -478,7 +478,7 @@ def certify_fields(Q: MetricField, psi0: ScalarField, psi1: ScalarField, x0,
     with np.errstate(over="ignore", invalid="ignore"):
         bent = bent_surface(psi0, psi1, lam_used)
         bent_jet = bent.jet(x0, 2)
-        bent = _pinned_scalar(bent, bent_jet, x0)
+        bent = _pinned_scalar(bent.name, bent_jet, x0)
         m_surface = hp2_matrix(Q, psi1, x0)
         m_bent = hp2_matrix(Q, bent, x0)
         margins = quadratic_form_values(m_surface, xis) - 2.0 * lam_used * (xis @ drift) ** 2
@@ -533,10 +533,11 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     The base point must lie on both surfaces to spec.tol_zero, and every jet
     the certificate uses must be finite there; otherwise the certificate is
     degenerate and its notes name the gate.  The gate reads Q and phi± once
-    each, and the surface values come from those jets.  psi0 and psi1 are
-    built from Q and phi± pinned to those jets, each read once at x0, and
-    ``certify_fields`` gets Q, psi0 and psi1 pinned to their jets, so the
-    surface expressions and the metric are evaluated once each.
+    each, and the surface values come from those jets.  The jets of psi0 and
+    psi1 are composed from phi±'s by ``split_terms``, as ``build_psi``'s
+    fields compose them, and ``certify_fields`` gets Q, psi0 and psi1 pinned
+    to their jets, so the surface expressions and the metric are evaluated
+    once each.
     """
     x0 = as_point(x0)
     jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
@@ -546,8 +547,7 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
-    pinned = replace(spec, Q=_pinned_metric(spec.Q, *jets["Q"], x0),
-                     phi_plus=_pinned_scalar(spec.phi_plus, jets["phi_plus"], x0),
-                     phi_minus=_pinned_scalar(spec.phi_minus, jets["phi_minus"], x0))
-    psi0, psi1 = (_pinned_scalar(f, f.jet(x0, 2), x0) for f in build_psi(pinned))
-    return certify_fields(pinned.Q, psi0, psi1, x0, lam=lam, n=n, tol_pos=tol_pos, seed=seed)
+    psi0, psi1 = (_pinned_scalar(name, sum(c * jet for c, jet in terms), x0)
+                  for name, terms in zip(("psi0", "psi1"), split_terms(jets["phi_plus"], jets["phi_minus"])))
+    return certify_fields(_pinned_metric(spec.Q, *jets["Q"], x0), psi0, psi1, x0,
+                          lam=lam, n=n, tol_pos=tol_pos, seed=seed)

@@ -21,11 +21,11 @@ products whatever the corpus size.  The smoothing commutator that justifies
 applying weighted estimates to low-regularity functions is separable too:
 for an affine multiplier a with slopes s, a(x) (K * f)(x) - (K * (a f))(x) is
 ((s . u) K * f)(x) at every node, u the kernel tap's offset, so a product
-kernel and a CornerField leave one 1-D convolution per axis and nonzero
-slope, and 1-D sums: 120 convolutions in the 2-D lab, 216 in the 3-D lab at
-128 cells.  The pointwise differential-inequality transfer from U to V reads
-the field's partials in axis-0 slabs of the grid, and at the sampled nodes
-only.  So no stage of the lab forms an array of the grid's shape: at 128
+kernel and a CornerField leave at most one 1-D convolution per axis and
+nonzero slope, and 1-D sums: 80 convolutions in the 2-D lab, 162 in the 3-D
+lab at 128 cells.  The pointwise differential-inequality transfer from U to
+V reads the field's partials in axis-0 slabs of the grid, and at the sampled
+nodes only.  So no stage of the lab forms an array of the grid's shape: at 128
 cells per axis, `corner --dim 3` runs in about 0.04 s after start-up (0.22 s
 as a whole process) and the process peaks at 39 MB resident on a 2-core
 x86-64 machine with one BLAS thread.
@@ -458,10 +458,12 @@ def mollifier_commutator(a: tuple, v: CornerField, eps_list: Sequence[float]) ->
     F_c on axis c, the part of D_jk from slope s_b is a product of one 1-D
     convolution per axis: F_c with dK_j's factor k_j on every axis c != b,
     and on axis b with the moment kernel s_b (u_b k_j + [b = j] k), where the
-    term s_j (K * v_k) joins the b = j part.  No array of the grid's shape is
-    formed: the trapezoid integral of D_jk^2 is a Gram sum, over pairs of
-    these products, of the product over the axes of their 1-D weighted inner
-    products.  The kernels are built once per width and distinct spacing.
+    term s_j (K * v_k) joins the b = j part.  The plain convolution on axis c
+    is made only when a nonzero slope lies on another axis, so a constant
+    multiplier makes none.  No array of the grid's shape is formed: the
+    trapezoid integral of D_jk^2 is a Gram sum, over pairs of these products,
+    of the product over the axes of their 1-D weighted inner products.  The
+    kernels are built once per width and distinct spacing.
     """
     grid = v.grid
     hmax = float(np.max(grid.h))
@@ -490,7 +492,9 @@ def mollifier_commutator(a: tuple, v: CornerField, eps_list: Sequence[float]) ->
                 pieces = []
                 for term in v.tables:
                     vk = [term[c][int(c == k)] for c in range(dim)]
-                    conv = [_smooth(vk[c], kern[c][int(c == j)]) for c in range(dim)]
+                    # the piece of slope b reads conv[c] on every axis c != b
+                    conv = [_smooth(vk[c], kern[c][int(c == j)]) if any(b != c for b in moments) else None
+                            for c in range(dim)]
                     pieces.extend(conv[:b] + [_smooth(vk[b], m)] + conv[b + 1:] for b, m in moments.items())
                 if not pieces:
                     continue

@@ -12,6 +12,7 @@ derivative in this module is a finite difference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -83,14 +84,26 @@ class MetricField:
         return self.jet(as_point(x), 1)[1][j]
 
 
+CONSTANT_JET_SHAPES = 8     # batch shapes whose jet views a constant metric keeps
+
+
 def constant_metric(matrix, name: str = "") -> MetricField:
-    """A constant matrix; its jets are read-only broadcast views."""
+    """A constant matrix; its jets are read-only broadcast views.
+
+    The views of a batch shape are built on its first read and kept for the
+    ``CONSTANT_JET_SHAPES`` shapes read last, so a march that reads one batch
+    shape at every stage builds them once.
+    """
     m = np.asarray(matrix, dtype=float)
     zero = np.zeros(m.shape[:1] + m.shape)
 
+    @functools.lru_cache(maxsize=CONSTANT_JET_SHAPES)
+    def views(lead):
+        return np.broadcast_to(m, lead + m.shape), np.broadcast_to(zero, lead + zero.shape)
+
     def jet(x, order):
-        q = np.broadcast_to(m, x.shape[:-1] + m.shape)
-        return q if order == 0 else (q, np.broadcast_to(zero, x.shape[:-1] + zero.shape))
+        pair = views(x.shape[:-1])
+        return pair[0] if order == 0 else pair
 
     return MetricField(m.shape[0], jet, name=name)
 

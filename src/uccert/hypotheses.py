@@ -158,6 +158,39 @@ def _n_seeds(spec: GeometrySpec) -> int:
     return max(4 * spec.n_surface_samples, 64)
 
 
+# pinv's cutoff: an eigenvalue of a Gram at or below this share of the larger one counts as zero
+GRAM_RCOND = 1e-12
+
+
+def _pinv_gram2(gram: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse of each symmetric 2 x 2 matrix of a stack, in
+    closed form, with numpy's pinv rule at rcond = GRAM_RCOND.
+
+    The symmetric Schur decomposition (Golub & Van Loan, Matrix
+    Computations, sec. 8.5) rotates [[a, b], [b, c]] by (cs, sn) = (1, t) /
+    sqrt(1 + t^2), t the smaller root of t^2 + 2 tau t - 1 = 0 with
+    tau = (c - a) / (2 b) (t = 0 when b = 0), to diag(a - t b, c + t b); its
+    eigenvectors are (cs, -sn) and (sn, cs).  The pseudo-inverse inverts
+    each eigenvalue larger in size than GRAM_RCOND times the larger one and
+    drops the rest, as pinv does with singular values: so a rank-one Gram
+    gets its one nonzero eigenvalue inverted and a zero Gram gives zero.
+    """
+    a, b, c = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):    # b = 0 rows take t = 0
+        tau = (c - a) / (2.0 * b)
+        t = np.where(b == 0.0, 0.0, np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)))
+    cs = 1.0 / np.sqrt(1.0 + t * t)
+    sn = t * cs
+    ev = np.stack([a - t * b, c + t * b])
+    size = np.abs(ev)
+    inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=size > GRAM_RCOND * np.max(size, axis=0))
+    out = np.empty_like(gram)
+    out[..., 0, 0] = inv[0] * (cs * cs) + inv[1] * (sn * sn)
+    out[..., 0, 1] = out[..., 1, 0] = (inv[1] - inv[0]) * (cs * sn)
+    out[..., 1, 1] = inv[0] * (sn * sn) + inv[1] * (cs * cs)
+    return out
+
+
 def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
     """Joint Newton projection of every seed (row) onto the common zero set of
     the level-set functions; returns the points and a mask of those that
@@ -167,7 +200,8 @@ def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
     for transversal pairs at any crossing angle (strictly alternating
     projections slow to a crawl when the normals are far from orthogonal);
     the pseudo-inverse keeps it usable on degenerate pairs with parallel
-    gradients, where it reduces to a single-surface projection.  A row stops
+    gradients, where it reduces to a single-surface projection; for a pair
+    it is each row's 2 x 2 Gram in closed form (``_pinv_gram2``).  A row stops
     moving once it converges; a row whose single gradient vanishes does not
     move and fails, and so does a row whose residual or gradient is not
     finite, which leaves the iteration.
@@ -191,7 +225,7 @@ def _project(spec: GeometrySpec, fields: list, seeds: np.ndarray, slack: float):
         if len(fields) == 1:    # the 1x1 pseudo-inverse as a division, f / |g|^2
             mu = np.divide(f[..., None], gram, out=np.zeros_like(gram), where=gram >= 1e-30)
         else:
-            mu = np.linalg.pinv(gram, rcond=1e-12) @ f[..., None]
+            mu = _pinv_gram2(gram) @ f[..., None]
         x[live] -= (np.swapaxes(jac, 1, 2) @ mu)[..., 0]
     ok = np.all((x >= spec.box[:, 0] - slack) & (x <= spec.box[:, 1] + slack), axis=1)
     ok[live] = False
@@ -372,16 +406,21 @@ def check_assumptions(spec: GeometrySpec,
                             samples=samples)
 
 
+def split_terms(plus, minus) -> tuple:
+    """The (coefficient, part) terms of psi0 = (phi_minus - phi_plus)/2 and
+    psi1 = (phi_plus + phi_minus)/2, with the parts phi_plus and phi_minus
+    given as fields, or as their jets at one point."""
+    return [(0.5, minus), (-0.5, plus)], [(0.5, plus), (0.5, minus)]
+
+
 def build_psi(spec: GeometrySpec):
     """Half-sum and half-difference fields of the surface pair.
 
-    Returns (psi0, psi1) with psi1 = (phi_plus + phi_minus)/2 and
-    psi0 = (phi_minus - phi_plus)/2, assembled by linearity so gradients and
-    Hessians are exact whenever the inputs are.
+    Returns (psi0, psi1) of ``split_terms``, assembled by linearity so
+    gradients and Hessians are exact whenever the inputs are.
     """
-    psi1 = linear_combination([(0.5, spec.phi_plus), (0.5, spec.phi_minus)], name="psi1")
-    psi0 = linear_combination([(0.5, spec.phi_minus), (-0.5, spec.phi_plus)], name="psi0")
-    return psi0, psi1
+    terms0, terms1 = split_terms(spec.phi_plus, spec.phi_minus)
+    return linear_combination(terms0, name="psi0"), linear_combination(terms1, name="psi1")
 
 
 def bent_surface(psi0: ScalarField, psi1: ScalarField, lam: float) -> ScalarField:

@@ -51,33 +51,37 @@ class RayTrajectory:
 
 def _flow(Q: MetricField, y: np.ndarray) -> np.ndarray:
     """The Hamiltonian vector field of p at each row of the (m, 2n) states
-    y = (x, xi)."""
+    y = (x, xi), written into one new array."""
     n = y.shape[1] // 2
     x, xi = y[:, :n], y[:, n:]
     q, dq = Q.jet(x, 1)
-    return np.concatenate([2.0 * _matvec(q, xi),
-                           -np.vecdot((xi[:, None, None, :] @ dq)[:, :, 0, :], xi[:, None, :])], axis=1)
+    out = np.empty_like(y)
+    np.multiply(2.0, _matvec(q, xi), out=out[:, :n])
+    np.negative(np.vecdot((xi[:, None, None, :] @ dq)[:, :, 0, :], xi[:, None, :]), out=out[:, n:])
+    return out
 
 
-def _rk4_step(Q: MetricField, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _rk4_step(Q: MetricField, y: np.ndarray, h: np.ndarray, half: np.ndarray,
+              sixth: np.ndarray) -> np.ndarray:
     """One RK4 step of every row of the states y, row i with its own signed
-    step h[i, 0]."""
+    step h[i, 0]; half and sixth are 0.5 h and h / 6."""
     k1 = _flow(Q, y)
-    k2 = _flow(Q, y + 0.5 * h * k1)
-    k3 = _flow(Q, y + 0.5 * h * k2)
+    k2 = _flow(Q, y + half * k1)
+    k3 = _flow(Q, y + half * k2)
     k4 = _flow(Q, y + h * k3)
-    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _march(Q: MetricField, y: np.ndarray, h: np.ndarray, n_steps: int) -> np.ndarray:
     """March every row of the (m, 2n) states y = (x, xi) ``n_steps`` times,
     row i by its own signed step h[i, 0].  Returns the stacked states, shape
     (n_steps + 1, m, 2n)."""
-    ys = [y]
-    for _ in range(n_steps):
-        y = _rk4_step(Q, y, h)
-        ys.append(y)
-    return np.stack(ys)
+    ys = np.empty((n_steps + 1,) + y.shape)
+    ys[0] = y
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(n_steps):
+        ys[i + 1] = _rk4_step(Q, ys[i], h, half, sixth)
+    return ys
 
 
 def _ray_parameters(ds: float, n_steps: int) -> np.ndarray:

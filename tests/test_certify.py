@@ -19,7 +19,7 @@ from uccert.errors import (ContractViolation, DegenerateConstraintSet, InternalI
                            NondegeneracyViolation)
 from uccert.expressions import expression_field
 from uccert.fields import Jet, MetricField, ScalarField, pullback_scalar
-from uccert.hypotheses import DEFAULT_TOL_POS, GeometrySpec
+from uccert.hypotheses import DEFAULT_TOL_POS, GeometrySpec, sample_surface
 from uccert.models import bumpy_wave_metric, flattening_chart, get_model, ik_model
 from uccert.symbols import hp2_bracket, pullback_metric_field, quadratic_form_values
 
@@ -630,7 +630,7 @@ class TestPinnedJets:
         assert _bits(qm(x0)) == _bits(q(x0))
         assert all(_bits(u) == _bits(v) for u, v in zip(qm.jet(x0, 1), q.jet(x0, 1)))
         for f in (psi0, psi1):
-            pinned = _pinned_scalar(f, f.jet(x0, 2), x0)
+            pinned = _pinned_scalar(f.name, f.jet(x0, 2), x0)
             assert pinned.name == f.name
             assert _bits(pinned(x0)) == _bits(f(x0))
             for order in (1, 2):
@@ -643,7 +643,7 @@ class TestPinnedJets:
         f = expression_field("x1 * (0 - x2)", 3)
         x0 = np.array([0.0, 1.0, 0.0])
         want = f.jet(x0, 2)
-        pinned = _pinned_scalar(f, want, x0)
+        pinned = _pinned_scalar(f.name, want, x0)
         got = pinned.jet(x0, 2)
         assert _bits(got.value) == _bits(pinned(x0)) == _bits(want.value) == _bits(-0.0)
         assert _bits(got.grad) == _bits(want.grad)
@@ -654,7 +654,7 @@ class TestPinnedJets:
         f = expression_field("x1 * x2 + 3 * x3^2 - 2 * x1 + 0.5", 3)
         q = bumpy_wave_metric(2, 0.05)
         x0 = np.array([0.2, -0.4, 0.7])
-        pinned, qm = _pinned_scalar(f, f.jet(x0, 2), x0), _pinned_metric(q, *q.jet(x0, 1), x0)
+        pinned, qm = _pinned_scalar(f.name, f.jet(x0, 2), x0), _pinned_metric(q, *q.jet(x0, 1), x0)
         for x in (x0 + np.array([0.0, 0.0, 1e-12]), np.stack([x0, x0]), x0[None, :]):
             for order in (0, 1, 2):
                 with pytest.raises(ContractViolation, match="reads its fields at x0"):
@@ -671,6 +671,41 @@ class TestPinnedJets:
                 part[0] = 1.0
         # an equal copy of x0 is x0
         assert _bits(pinned.jet(x0.copy(), 1).grad) == _bits(f.grad(x0))
+
+
+def _bumpy_map():
+    """The benchmark's certificate map: every 8th sampled intersection point
+    of the double cone under the bumpy metric."""
+    box = np.array([[-0.4, 0.4], [0.6, 1.4], [-0.4, 0.4]])
+    geo = GeometrySpec(bumpy_wave_metric(2, 0.05), expression_field("norm(x2, x3) - 1 - x1", 3),
+                       expression_field("norm(x2, x3) - 1 + x1", 3), box=box)
+    return geo, sample_surface(geo, "intersection")[::8]
+
+
+class TestComposedSplitJets:
+    """certify composes the jets of psi0 and psi1 from the phi± jets its gate
+    read; certify_fields on build_psi's fields is the oracle, bit for bit."""
+
+    def assert_same(self, spec, x0, lam):
+        got = certify(spec, x0, lam=lam)
+        want = certify_fields(spec.Q, *build_psi(spec), x0, lam=lam)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        for name in ("x0", "margins", "margins_direct", "samples", "res_p", "res_hp"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("lam", [None, 2.0])
+    @pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "ctrl-a", "ctrl-b"])
+    def test_models(self, name, lam):
+        m = get_model(name)
+        self.assert_same(m.geometry, m.x0, lam)
+
+    def test_bumpy_map_points(self):
+        geo, points = _bumpy_map()
+        assert len(points) == 46
+        for x0 in points:
+            assert self.assert_same(geo, x0, 2.0).status == "certified"
 
 
 def _bisect_max(mr, ar, ev):

@@ -695,8 +695,9 @@ class TestMollifier:
         assert norms[0] == norms[1] == norms[2]
 
     def test_lab_convolution_count(self, monkeypatch):
-        # the 2-D lab's multiplier has one nonzero slope: per (j, k) and term
-        # of v, one convolution per axis and one with its moment kernel
+        # the 2-D lab's multiplier has one nonzero slope, b: per (j, k) and
+        # term of v, one convolution with its moment kernel on axis b and one
+        # on the other axis (the piece of slope b reads no plain one on b)
         grid, eps_list = _plan_corner(build_parser().parse_args(["corner"]))
         smooth = uccert.corner._smooth
         calls = []
@@ -706,7 +707,16 @@ class TestMollifier:
             return smooth(*args)
         monkeypatch.setattr(uccert.corner, "_smooth", counted)
         report = _corner_mollifier(grid, eps_list, seed=0)
-        assert report["passed"] and 0 < len(calls) <= 120
+        assert report["passed"] and 0 < len(calls) <= 80
+
+    def test_zero_multiplier_makes_no_convolution(self, monkeypatch):
+        g = make_grid(unit_box(2), 64)
+        v = kink_profile_corpus(g, count=1, seed=5)[0]
+
+        def refused(*args):
+            raise AssertionError("a constant multiplier convolved")
+        monkeypatch.setattr(uccert.corner, "_smooth", refused)
+        assert mollifier_commutator(affine_multiplier(0.7, [0.0, 0.0]), v, [0.25, 0.125]) == [0.0, 0.0]
 
     def test_zero_multiplier_gives_exact_zero(self):
         # no slope is nonzero, so no product is left

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_equal
 from uccert import (PhasePoint, constant_metric, expression_field,
                     linear_combination, pullback_scalar, squared_field)
 from uccert.errors import ChartError, ContractViolation
-from uccert.fields import Chart, Jet, MetricField, ScalarField, power
+from uccert.fields import CONSTANT_JET_SHAPES, Chart, Jet, MetricField, ScalarField, power
 from uccert.models import bumpy_wave_metric, flattening_chart, ik_model
 from uccert.symbols import pullback_metric, pullback_metric_field
 
@@ -155,6 +155,38 @@ class TestMetricJet:
         q, centre = METRICS["constant"]
         value, partials = q.jet(np.stack([centre, centre]), 1)
         assert not value.flags.writeable and not np.any(partials)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (4,)])
+    def test_constant_jets_stay_read_only_on_every_read(self, lead):
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+        x = np.zeros(lead + (3,))
+        for _ in range(2):                      # the built views, then the kept ones
+            value, partials = q.jet(x, 1)
+            for part in (q.jet(x, 0), value, partials):
+                with pytest.raises(ValueError, match="read-only"):
+                    part[...] = 1.0
+        assert np.array_equal(q.jet(x, 0), np.broadcast_to(np.diag([-1.0, 1.0, 1.0]), lead + (3, 3)))
+
+    def test_constant_jet_views_are_kept_per_batch_shape_and_bounded(self, monkeypatch):
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+        broadcast, calls = np.broadcast_to, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return broadcast(*args, **kwargs)
+
+        def views_built(k):
+            calls.clear()
+            q.jet(np.zeros((k, 3)), 1)
+            return len(calls)
+        monkeypatch.setattr(np, "broadcast_to", counted)
+        assert views_built(1) == 2 and views_built(1) == 0
+        for k in range(2, CONSTANT_JET_SHAPES + 2):     # one shape more than are kept
+            assert views_built(k) == 2
+        assert views_built(CONSTANT_JET_SHAPES + 1) == 0 and views_built(1) == 2
+        # the kept views do not skip the shape checks
+        with pytest.raises(ContractViolation):
+            q.jet(np.zeros((1, 2)), 1)
 
     def test_contract(self):
         q, _ = METRICS["bumpy"]

@@ -10,7 +10,7 @@ from uccert.errors import ContractViolation, InsufficientSamples
 from uccert.fields import constant_metric
 from uccert.expressions import expression_field
 from uccert.grids import Grid
-from uccert.hypotheses import _dedupe, _lowest, _project, _scan_resolution
+from uccert.hypotheses import _dedupe, _lowest, _pinv_gram2, _project, _scan_resolution
 from uccert.models import cone_surface_field, get_model, negative_controls
 
 
@@ -277,7 +277,7 @@ def _loop_project(fields, x, tol, max_iter=20):
         if np.max(np.abs(f)) <= tol:
             return x
         jac = np.stack([phi.grad(x) for phi in fields])
-        x -= jac.T @ (np.linalg.pinv(jac @ jac.T, rcond=1e-12) @ f)
+        x -= jac.T @ (_pinv_gram2(jac @ jac.T) @ f)     # pinv's 2 x 2 case, tested below
     f = np.array([phi(x) for phi in fields])
     return x if np.max(np.abs(f)) <= tol else None
 
@@ -333,6 +333,49 @@ def test_project_drops_rows_that_are_not_finite():
     assert not ok[~finite].any() and ok_alone.any()
     assert np.array_equal(ok[finite], ok_alone)
     assert np.array_equal(x[finite], x_alone)
+
+
+class TestGramPseudoInverse:
+    """The Newton step's closed-form 2 x 2 pseudo-inverse against np.linalg.pinv."""
+
+    def _assert_pinv(self, gram, rtol=1e-12):
+        want = np.linalg.pinv(gram, rcond=1e-12)
+        scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(_pinv_gram2(gram) - want) <= rtol * scale)
+
+    @pytest.mark.parametrize("kind", ["gram", "symmetric"])
+    def test_random_matrices(self, kind):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5000, 2, 3)) * rng.lognormal(sigma=3.0, size=(5000, 1, 1))
+        gram = a @ np.swapaxes(a, 1, 2) if kind == "gram" else a[..., :2] + np.swapaxes(a[..., :2], 1, 2)
+        # pinv itself errs by about cond * eps, so the comparison keeps cond < 1e3
+        keep = np.linalg.cond(gram) < 1e3
+        assert keep.sum() > 3000
+        self._assert_pinv(gram[keep])
+
+    @pytest.mark.parametrize("k", [1.0, -1.0, -2.5, 1e-3, 40.0])
+    def test_parallel_gradients_give_the_rank_one_inverse(self, k):
+        g = np.array([0.3, -1.2, 2.0])
+        jac = np.stack([g, k * g])
+        self._assert_pinv(jac @ jac.T)
+
+    def test_zero_gram_is_zero(self):
+        assert _pinv_gram2(np.zeros((3, 2, 2))).tolist() == np.zeros((3, 2, 2)).tolist()
+
+    @pytest.mark.parametrize("small, inverted", [
+        (1e-12, False), (np.nextafter(1e-12, 0.0), False), (np.nextafter(1e-12, 1.0), True)])
+    def test_cutoff_is_pinvs(self, small, inverted):
+        # an eigenvalue at or below 1e-12 times the larger one counts as zero
+        gram = np.diag([1.0, small])
+        got, want = _pinv_gram2(gram), np.linalg.pinv(gram, rcond=1e-12)
+        assert got.tolist() == want.tolist() == [[1.0, 0.0], [0.0, 1.0 / small if inverted else 0.0]]
+
+    @pytest.mark.parametrize("small", [0.5e-12, 2e-12])
+    def test_cutoff_on_a_rotated_gram(self, small):
+        c, s = np.cos(0.7), np.sin(0.7)
+        rot = np.array([[c, -s], [s, c]])
+        gram = 3.0 * rot @ np.diag([1.0, small]) @ rot.T
+        self._assert_pinv(gram, rtol=1e-3)      # cond 1e12 when the small one is kept
 
 
 def _unit(v):

@@ -182,6 +182,21 @@ def _wave_matrix(n, rng):
     return a.T @ np.diag(np.concatenate([[-1.0], np.ones(n - 1)])) @ a
 
 
+def test_constant_metric_march_builds_its_jet_views_once(monkeypatch):
+    # every RK4 stage reads the same batch shape, so its views are built once
+    # (two broadcasts), and the symbol along the rays reads one more shape
+    q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+    broadcast, calls = np.broadcast_to, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return broadcast(*args, **kwargs)
+    monkeypatch.setattr(np, "broadcast_to", counted)
+    xis = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / SQ2
+    trajs = integrate_rays(q, [0.0, 1.0, 0.0], xis, 1e-3, 52)
+    assert len(trajs[0].s) == 105 and len(calls) <= 4
+
+
 class TestBatchedRaysAgainstPointLoop:
     def assert_matches_loop(self, Q, x0, xis, ds, n_steps):
         trajs = integrate_rays(Q, x0, xis, ds, n_steps)
