@@ -1,14 +1,15 @@
 """Batch driver: wire configs to the computational modules, emit reports.
 
 Commands: check, certify, rays, corner, carleman, all, run (the last reads
-the command from the config file's [run] section).  Each command is a plan,
-which makes its usage checks before any work, and a run, which returns a
-report and CSV tables; one writer puts them into the output directory as
-``report.json`` (schema "ucp-report/1") and CSV files, atomically (temp file
-+ rename).  Exit status: 0 when the report says passed, 1 when it does not,
-2 on config/usage errors.  Identical config and seed produce byte-identical
-reports: no timestamps are recorded and all collections are emitted in
-sorted order.
+the command from the config file's [run] section).  One table declares each
+command's plan, which makes its usage checks before any work, its run, which
+returns a report and CSV tables, and the flags they read: the command takes
+those flags alone, as options or [run] keys.  One writer puts the tables
+into the output directory as ``report.json`` (schema "ucp-report/1") and CSV
+files, atomically (temp file + rename).  Exit status: 0 when the report says
+passed, 1 when it does not, 2 on config/usage errors.  Identical config and
+seed produce byte-identical reports: no timestamps are recorded and all
+collections are emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -637,7 +638,7 @@ def _run_all(args, plans: dict) -> tuple:
     out/<stage> before the next runs, so that no two stages' tables are held
     at once; the payload is the stages' exit codes."""
     codes = {name: _emit(os.path.join(args.out, name), *run(args, plans[name]))
-             for name, (_, run) in COMMANDS.items() if name in plans}
+             for name, (_, run, _) in COMMANDS.items() if name in plans}
     return {"command": "all", "seed": args.seed, "stage_exit_codes": codes,
             "passed": not any(codes.values())}, []
 
@@ -651,120 +652,119 @@ def _emit(out_dir: str, payload: dict, tables: list) -> int:
     return 0 if payload["passed"] else 1
 
 
-# command -> (plan, run); the parser, the [run] section and `all` read it, and
-# `all` runs the stages in this order
-COMMANDS = {"check": (_plan_check, _run_check), "certify": (_plan_certify, _run_certify),
-            "rays": (_plan_rays, _run_rays), "corner": (_plan_corner, _run_corner),
-            "carleman": (_plan_carleman, _run_carleman), "all": (_plan_all, _run_all)}
-
-
-# [run] keys: config key -> (attribute, type); a flag left unset on the CLI is None
-_RUN_KEYS = {
-    "lambda": ("lam", float),
-    "mu": ("mu", float),
-    "grid": ("grid", int),
-    "samples": ("samples", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-    "lambda_max": ("lambda_max", float),
-    "model": ("model", str),
+# flag -> (type, default, help).  The type sets the range: a float must be finite and positive,
+# an int at least 1, but --seed at least 0 and --dim 2 or 3.  A default of None is the command's
+FLAGS = {
+    "model": (str, None, "built-in model name: ik2, ik3, ..., ctrl-a, ctrl-b, ctrl-c"),
+    "config": (str, None, "config file with a [geometry] section (and, for run, a [run] section)"),
+    "out": (str, "uccert-out", "output directory"),
+    "seed": (int, 0, "random seed"),
+    "samples": (int, None, "surface samples for check, constraint samples for certify, rays (at most 1000) "
+                           "and all (default the geometry's n_surface_samples, 2000 for certify, 1000 for rays)"),
+    "lambda": (float, None, "bending parameter (default 2; certify's is 2 lambda0 + 1)"),
+    "mu": (float, 1.0, "weight exponent"),
+    "grid": (int, None, "cells per axis (default 512 for corner in 2-D, 128 in 3-D, 256 for carleman)"),
+    "tol-zero": (float, DEFAULT_TOL_ZERO, "surface membership residual"),
+    "tol-char": (float, DEFAULT_TOL_CHAR, "characteristic residual of the unit gradients"),
+    "tol-pos": (float, DEFAULT_TOL_POS, "strict-sign threshold"),
+    "ds": (float, DEFAULT_DS, "RK4 step of a ray"),
+    "s-fit": (float, DEFAULT_S_FIT, "contact fit window |s| <= s-fit"),
+    "max-rays": (int, 8, "rays integrated"),
+    "dim": (int, 2, "dimension of the corner lab, 2 or 3"),
+    "tests": (int, 20, "test bumps of the corner lab"),
+    "n-pts": (int, 10000, "inequality-transfer points"),
+    "corpus": (int, 50, "test functions of the carleman sweep"),
+    "lambda-max": (float, 64.0, "largest lambda of the sweep's ladder 1, 2, 4, ..."),
 }
+_GEOMETRY_FLAGS = ("model", "config", "out", "seed", "samples", "lambda", "tol-zero", "tol-pos")
 
-# built-in values of the flags a [run] section may set, applied after the
-# config merge, so that an explicit flag equal to its default still wins
-_FLAG_DEFAULTS = {"mu": 1.0, "seed": 0, "out": "uccert-out", "lambda_max": 64.0}
+# command -> (plan, run, the flags they read).  The table declares each command's flags: its
+# parser and its [run] keys offer those alone; `all` reads every flag and runs the stages in order
+COMMANDS = {"check": (_plan_check, _run_check, (*_GEOMETRY_FLAGS, "tol-char")),
+            "certify": (_plan_certify, _run_certify, _GEOMETRY_FLAGS),
+            "rays": (_plan_rays, _run_rays, (*_GEOMETRY_FLAGS, "ds", "s-fit", "max-rays")),
+            "corner": (_plan_corner, _run_corner, ("out", "seed", "grid", "dim", "tests", "n-pts")),
+            "carleman": (_plan_carleman, _run_carleman, ("out", "seed", "grid", "lambda", "mu", "corpus",
+                                                         "lambda-max")),
+            "all": (_plan_all, _run_all, tuple(FLAGS))}
 
 
-def _run_section_command(args) -> str:
-    """The command named in the config file's [run] section.
-
-    Its keys fill the flags left unset on the command line: CLI flags win
-    over config values, which win over built-in defaults.
-    """
-    if not args.config:
-        raise ContractViolation("run needs --config with a [run] section")
-    sections = parse_config_file(args.config)
-    run = sections.get("run")
-    if not run or "command" not in run:
-        raise ContractViolation("config file has no [run] section with a command")
-    command = run["command"].strip()
-    if command not in COMMANDS:
-        raise ContractViolation(f"unknown command {command!r} in [run] section")
-    _check_keys(run, "run", {"command", *_RUN_KEYS})
-    for key, (attr, cast) in _RUN_KEYS.items():
-        if key in run and getattr(args, attr) is None:
-            setattr(args, attr, _malformed_is_usage_error(cast)(run[key]))
-    return command
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # one line, where argparse prints a usage block
+        raise ContractViolation(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use; each
-    parse still fills a fresh namespace."""
-    p = argparse.ArgumentParser(
-        prog="uccert",
-        description="certification toolkit for wave-type symbols and surface pairs")
+    """The parser, built once per process: each command offers the flags it
+    reads and `run` every flag, each parsed as its text, or None when left off."""
+    p = _Parser(prog="uccert", description="certification toolkit for wave-type symbols and surface pairs")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in [*COMMANDS, "run"]:
-        sp = sub.add_parser(name)
-        sp.add_argument("--model", help="built-in model name (ik2, ik3, ctrl-a/b/c)")
-        sp.add_argument("--config", help="config file path")
-        sp.add_argument("--out", help="output directory (default uccert-out)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int, default=None,
-                        help="surface samples (check) or constraint samples (certify, rays); "
-                             "under all, constraint samples only")
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--mu", type=float, help="weight exponent (default 1)")
-        sp.add_argument("--grid", type=int, default=None, help="cells per axis")
-        sp.add_argument("--tol-zero", type=float, default=DEFAULT_TOL_ZERO)
-        sp.add_argument("--tol-char", type=float, default=DEFAULT_TOL_CHAR)
-        sp.add_argument("--tol-pos", type=float, default=DEFAULT_TOL_POS)
-        sp.add_argument("--ds", type=float, default=DEFAULT_DS)
-        sp.add_argument("--s-fit", type=float, default=DEFAULT_S_FIT)
-        sp.add_argument("--max-rays", type=int, default=8)
-        sp.add_argument("--dim", type=int, default=2, choices=(2, 3))
-        sp.add_argument("--tests", type=int, default=20)
-        sp.add_argument("--n-pts", type=int, default=10000)
-        sp.add_argument("--corpus", type=int, default=50)
-        sp.add_argument("--lambda-max", type=float, help="largest lambda (default 64)")
+    for command, reads in [*((name, entry[2]) for name, entry in COMMANDS.items()), ("run", FLAGS)]:
+        sp = sub.add_parser(command)
+        for name, (_, default, text) in FLAGS.items():
+            if name in reads:
+                sp.add_argument(f"--{name}", dest=name,
+                                help=text if default is None else f"{text} (default {default})")
     return p
 
 
-def _flag(attr: str) -> str:
-    return "--lambda" if attr == "lam" else f"--{attr.replace('_', '-')}"
+def _flag_value(name: str, text: str):
+    """A flag's text as the flag's type, within the range that its type gives."""
+    kind = FLAGS[name][0]
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ContractViolation(f"--{name}: invalid {kind.__name__} value {text!r}") from None
+    if kind is float and not (math.isfinite(value) and value > 0):
+        raise ContractViolation(f"--{name} must be {'positive' if math.isfinite(value) else 'finite'}, "
+                                f"got {value:g}")
+    if name == "dim" and value not in (2, 3):
+        raise ContractViolation(f"--dim must be 2 or 3, got {value}")
+    if kind is int and value < (name != "seed"):
+        raise ContractViolation(f"--{name} must be at least {int(name != 'seed')}, got {value}")
+    return value
 
 
-def _validate_args(args):
-    for name in ("lam", "mu", "lambda_max", "tol_zero", "tol_char", "tol_pos", "ds", "s_fit"):
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ContractViolation(f"{_flag(name)} must be finite, got {value}")
-    for name in ("tol_zero", "tol_char", "tol_pos", "ds", "s_fit", "mu", "lam", "lambda_max"):
-        if getattr(args, name) is not None and getattr(args, name) <= 0:
-            raise ContractViolation(f"{_flag(name)} must be positive")
-    if args.seed < 0:
-        raise ContractViolation(f"--seed must be non-negative, got {args.seed}")
-    for name in ("samples", "grid", "tests", "n_pts", "max_rays", "corpus"):
-        if getattr(args, name) is not None and getattr(args, name) < 1:
-            raise ContractViolation(f"{_flag(name)} must be at least 1")
+def resolve_args(argv: Optional[list] = None) -> argparse.Namespace:
+    """The command and the value of each flag it reads.  A flag on the command
+    line wins over its [run] key, the flag's name with _ for -, which wins over
+    its default.  A flag or [run] key that the command does not read is a
+    usage error naming both, and config is never a [run] key."""
+    parsed, extra = build_parser().parse_known_args(argv)
+    command, section = parsed.command, {}
+    if extra:
+        flag = extra[0].split("=", 1)[0]
+        if not (flag.startswith("--") and flag[2:] in FLAGS):
+            raise ContractViolation(f"unrecognized arguments: {' '.join(extra)}")
+        raise ContractViolation(f"{command} does not read {flag}")
+    given = {name: text for name, text in vars(parsed).items() if name in FLAGS and text is not None}
+    if command == "run":
+        section = dict(parse_config_file(given["config"]).get("run", {})) if "config" in given else {}
+        command = section.pop("command", "").strip()
+        if command not in COMMANDS:
+            raise ContractViolation(f"unknown command {command!r} in [run] section" if command else
+                                    "run needs --config with a [run] section that names a command")
+        keys = {name.replace("-", "_"): name for name in FLAGS if name != "config"}
+        _check_keys(section, "run", keys)
+        section = {keys[key]: text for key, text in section.items()}
+    reads, texts = COMMANDS[command][2], {**section, **given}
+    # run's own --config names the [run] section, whatever the command reads
+    unread = [name for name in texts if name not in reads and name != "config"]
+    if unread:
+        raise ContractViolation(f"{command} does not read --{unread[0]}")
+    return argparse.Namespace(command=command, **{
+        "lam" if name == "lambda" else name.replace("-", "_"):
+            _flag_value(name, texts[name]) if name in texts else FLAGS[name][1] for name in reads})
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
-        if args.command == "run":
-            args.command = _run_section_command(args)
-        for attr, value in _FLAG_DEFAULTS.items():
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
-        _validate_args(args)
-        plan, run = COMMANDS[args.command]
+        args = resolve_args(argv)
+        plan, run, _ = COMMANDS[args.command]
         return _emit(args.out, *run(args, plan(args)))
+    except SystemExit as e:     # argparse ends --help with exit status 0
+        return e.code or 0
     except (UccertError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"uccert: error: {e}", file=sys.stderr)
         return 2

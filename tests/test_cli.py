@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 import uccert.cli
 import uccert.hypotheses
 from uccert.carleman import CarlemanReport
-from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric
+from uccert.cli import _smoothing_ladder, build_parser, main, parse_config_file, parse_metric, resolve_args
 from uccert.errors import ContractViolation
 from uccert.grids import make_grid, unit_box
 
@@ -75,9 +76,13 @@ class TestExitCodes:
     def test_missing_geometry_is_usage_error(self, tmp_path):
         assert main(["certify", "--out", str(tmp_path / "x")]) == 2
 
-    def test_bad_flag_is_usage_error(self, capsys, tmp_path):
-        assert main(["check", "--frobnicate"]) == 2
-        capsys.readouterr()
+    def test_bad_flag_is_usage_error(self, capsys):
+        # one line each, where argparse would print its usage block
+        for argv in (["check", "--frobnicate"], ["check", "--model"], ["check", "stray"],
+                     ["certify", "--model", "ik2", "--samples", "many"], ["frobnicate"], []):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("uccert: error: ") and err.count("\n") == 1, argv
 
 
 class TestCertifyCommand:
@@ -289,20 +294,24 @@ class TestCommandTable:
     section and `all` read it, and one writer turns a run into files and an
     exit code."""
 
-    FLAGS = ["--lambda", "2", "--grid", "64", "--corpus", "8", "--seed", "3"]
+    # the flags of an `all` run that each stage reads when run alone
+    FLAGS = {"check": ["--lambda", "2"], "certify": ["--lambda", "2"], "rays": ["--lambda", "2"],
+             "corner": ["--grid", "64"], "carleman": ["--lambda", "2", "--grid", "64", "--corpus", "8"]}
 
     @pytest.mark.parametrize("source", ["model", "config"])
     def test_all_stages_equal_the_standalone_commands(self, tmp_path, source):
         conf = tmp_path / "bumpy.conf"
         conf.write_text(BUMPY)
-        argv = (["--model", "ik2"] if source == "model" else ["--config", str(conf)]) + self.FLAGS
+        geometry = ["--model", "ik2"] if source == "model" else ["--config", str(conf)]
         out = tmp_path / "all"
-        assert main(["all", *argv, "--out", str(out)]) in (0, 1)
+        argv = ["all", *geometry, "--lambda", "2", "--grid", "64", "--corpus", "8", "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) in (0, 1)
         codes = read_report(out)["stage_exit_codes"]
         assert list(codes) == sorted(STAGES)
         for stage in STAGES:
             alone = tmp_path / stage
-            assert main([stage, *argv, "--out", str(alone)]) == codes[stage]
+            argv = [stage, *(geometry if stage in ("check", "certify", "rays") else []), *self.FLAGS[stage]]
+            assert main(argv + ["--seed", "3", "--out", str(alone)]) == codes[stage]
             names = sorted(os.listdir(alone))
             assert sorted(os.listdir(out / stage)) == names and "report.json" in names
             for name in names:
@@ -320,8 +329,8 @@ class TestCommandTable:
                 calls.append(("run", name))
                 return run(args, planned)
             return counted_plan, counted_run
-        for name, (plan, run) in list(uccert.cli.COMMANDS.items()):
-            monkeypatch.setitem(uccert.cli.COMMANDS, name, counted(name, plan, run))
+        for name, (plan, run, flags) in list(uccert.cli.COMMANDS.items()):
+            monkeypatch.setitem(uccert.cli.COMMANDS, name, (*counted(name, plan, run), flags))
         assert main(["all", "--model", "ik2", "--grid", "64", "--corpus", "8",
                      "--out", str(tmp_path / "o")]) == 0
         # certify's plan first: its bound stops a run before the model is read
@@ -367,6 +376,85 @@ class TestCommandTable:
         assert main(["check", "--model", "ik2", "--samples", "200", "--out", str(alone)]) == 0
         assert (out / "check" / "report.json").read_bytes() == (alone / "report.json").read_bytes()
         assert read_report(out / "certify")["certificate"]["notes"]["n_seeds"] == 100000
+
+
+# each command's flags, written out here rather than read from the command table
+GEOMETRY_FLAGS = {"model", "config", "out", "seed", "samples", "lambda", "tol-zero", "tol-pos"}
+COMMAND_FLAGS = {"check": GEOMETRY_FLAGS | {"tol-char"}, "certify": GEOMETRY_FLAGS,
+                 "rays": GEOMETRY_FLAGS | {"ds", "s-fit", "max-rays"},
+                 "corner": {"out", "seed", "grid", "dim", "tests", "n-pts"},
+                 "carleman": {"out", "seed", "grid", "lambda", "mu", "corpus", "lambda-max"}}
+# a value that each flag accepts, so that a refusal is the flag's alone
+FLAG_VALUES = {"model": "ik2", "config": "geo.conf", "out": "o", "seed": "1", "samples": "10", "lambda": "2",
+               "mu": "1", "grid": "64", "tol-zero": "1e-10", "tol-char": "1e-8", "tol-pos": "1e-6",
+               "ds": "0.001", "s-fit": "0.05", "max-rays": "2", "dim": "2", "tests": "3", "n-pts": "100",
+               "corpus": "8", "lambda-max": "64"}
+
+
+class TestFlagSets:
+    """Each command takes the flags it reads, and any other flag or [run] key
+    exits 2 with one line that names the flag and the command."""
+
+    def test_nineteen_flags_each_read_by_a_command(self):
+        assert len(FLAG_VALUES) == 19 and set().union(*COMMAND_FLAGS.values()) == set(FLAG_VALUES)
+
+    @pytest.mark.parametrize("command", [*COMMAND_FLAGS, "all", "run"])
+    def test_help_lists_exactly_the_flags_the_command_reads(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"^  --([a-z-]+)", capsys.readouterr().out, re.M)
+        assert sorted(listed) == sorted(COMMAND_FLAGS.get(command, FLAG_VALUES))
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_each_flag_the_command_reads_is_taken(self, tmp_path, command):
+        # as an option or a [run] key, into a namespace of the command's flags alone
+        conf = tmp_path / "run.conf"
+        for flag in sorted(COMMAND_FLAGS[command]):
+            conf.write_text(f"[run]\ncommand = {command}\n{flag.replace('-', '_')} = {FLAG_VALUES[flag]}\n")
+            for argv in ([command, f"--{flag}", FLAG_VALUES[flag]], ["run", "--config", str(conf)]):
+                if flag != "config" or argv[0] != "run":
+                    assert len(vars(resolve_args(argv))) == 1 + len(COMMAND_FLAGS[command]), argv
+
+    @pytest.mark.parametrize("via", ["command", "run-flag", "run-key"])
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, via):
+        conf, out = tmp_path / "run.conf", tmp_path / "o"
+        unread = set(FLAG_VALUES) - COMMAND_FLAGS[command]
+        if via != "command":
+            # run's own --config names its [run] section, and config is never a [run] key
+            unread -= {"config"}
+        for flag in sorted(unread):
+            key = f"{flag.replace('-', '_')} = {FLAG_VALUES[flag]}\n" if via == "run-key" else ""
+            conf.write_text(f"[run]\ncommand = {command}\n{key}")
+            argv = [command] if via == "command" else ["run", "--config", str(conf)]
+            if via != "run-key":
+                argv += [f"--{flag}", FLAG_VALUES[flag]]
+            assert main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"uccert: error: {command} does not read --{flag}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("certify --model ik2 --grid 7 --corpus 3 --dim 3", "certify does not read --grid"),
+        ("carleman --model ik3 --grid 64", "carleman does not read --model"),
+        ("corner --model ik4 --lambda 9 --grid 64", "corner does not read --model"),
+        ("rays --model ik2 --mu 5 --tests 9", "rays does not read --mu")])
+    def test_invocations_that_once_dropped_flags_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"uccert: error: {message}\n"
+        assert not out.exists()
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as f:
+            rows = re.findall(r"^\| `--([a-z-]+)` \| (.+) \| (.+) \|$", f.read(), re.M)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {command: {a.option_strings[-1][2:]: a.help for a in parser._actions[1:]}
+                   for command, parser in sub.choices.items()}
+        assert [flag for flag, _, _ in rows] == list(options["run"]) == list(options["all"])
+        for flag, default, read_by in rows:
+            in_help = re.search(r"\(default (.*)\)$", options["run"][flag])
+            assert default == (in_help.group(1) if in_help else "—"), flag
+            assert read_by.split(", ") == [c for c in COMMAND_FLAGS if flag in options[c]], flag
 
 
 class TestRaysCommand:
@@ -545,14 +633,17 @@ class TestMalformedInput:
         assert capsys.readouterr().err == "uccert: error: unknown key 'lambda' in [geometry] section\n"
 
     def test_unknown_run_key_is_usage_error(self, tmp_path, capsys):
-        # dim and tests are flags of corner, not [run] keys: the run must not
-        # fall back to the 2-D lab with 20 tests
+        # dim, tests and grid are corner's keys, but corner reads no model: the
+        # run must not drop the key and run the lab.  config is never a key
         conf = tmp_path / "run.conf"
-        conf.write_text("[run]\ncommand = corner\ndim = 3\ntests = 2\ngrid = 48\n")
         out = str(tmp_path / "o")
-        assert main(["run", "--config", str(conf), "--out", out]) == 2
-        assert capsys.readouterr().err == "uccert: error: unknown key 'dim' in [run] section\n"
-        assert not os.path.exists(os.path.join(out, "report.json"))
+        for key, message in (("model", "corner does not read --model"),
+                             ("config", "unknown key 'config' in [run] section"),
+                             ("tol-zero", "unknown key 'tol-zero' in [run] section")):
+            conf.write_text(f"[run]\ncommand = corner\ndim = 3\ntests = 2\ngrid = 48\n{key} = x\n")
+            assert main(["run", "--config", str(conf), "--out", out]) == 2
+            assert capsys.readouterr().err == f"uccert: error: {message}\n"
+            assert not os.path.exists(out)
 
     def test_malformed_metric_entry_is_usage_error(self, tmp_path, capsys):
         conf = self._conf(tmp_path, metric="diag(-1, a, 1)")
@@ -566,9 +657,12 @@ class TestMalformedInput:
         conf.write_text("[run]\ncommand = certify\nmodel = ik2\nlambda = two\n")
         assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("argv", [["--samples", "0"], ["--samples", "-3"], ["--grid", "0"]])
-    def test_counts_below_one_rejected(self, tmp_path, argv):
-        assert main(["certify", "--model", "ik2", "--out", str(tmp_path / "o")] + argv) == 2
+    @pytest.mark.parametrize("argv", [["certify", "--model", "ik2", "--samples", "0"],
+                                      ["certify", "--model", "ik2", "--samples", "-3"],
+                                      ["corner", "--grid", "0"], ["carleman", "--grid", "0"]])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert f"{argv[-2]} must be at least 1" in capsys.readouterr().err
 
     def test_zero_samples_in_run_section_rejected(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -584,20 +678,26 @@ class TestMalformedInput:
         assert cert["status"] == "degenerate"
         assert cert["notes"]["gate"] == [gate]
 
-    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"),
-                                             ("--mu", "nan"), ("--lambda-max", "inf")])
-    def test_non_finite_float_rejected(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("argv, flag, value", [(["certify", "--model", "ik2"], "--lambda", "nan"),
+                                                   (["certify", "--model", "ik2"], "--lambda", "inf"),
+                                                   (["carleman"], "--mu", "nan"),
+                                                   (["carleman"], "--lambda-max", "inf")],
+                             ids=["--lambda-nan", "--lambda-inf", "--mu-nan", "--lambda-max-inf"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, argv, flag, value):
         out = str(tmp_path / "o")
-        assert main(["certify", "--model", "ik2", flag, value, "--out", out]) == 2
+        assert main(argv + [flag, value, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"{flag} must be finite" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(out, "report.json"))
 
-    @pytest.mark.parametrize("key, value", [("lambda", "nan"), ("lambda", "inf"),
-                                            ("mu", "nan"), ("lambda_max", "inf")])
-    def test_non_finite_float_in_run_section_rejected(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("command, key, value", [("certify", "lambda", "nan"), ("certify", "lambda", "inf"),
+                                                     ("carleman", "mu", "nan"),
+                                                     ("carleman", "lambda_max", "inf")],
+                             ids=["lambda-nan", "lambda-inf", "mu-nan", "lambda_max-inf"])
+    def test_non_finite_float_in_run_section_rejected(self, tmp_path, capsys, command, key, value):
         conf = tmp_path / "run.conf"
-        conf.write_text(f"[run]\ncommand = certify\nmodel = ik2\n{key} = {value}\n")
+        model = "model = ik2\n" if command == "certify" else ""
+        conf.write_text(f"[run]\ncommand = {command}\n{model}{key} = {value}\n")
         assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "must be finite" in err and "Traceback" not in err

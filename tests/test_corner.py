@@ -11,7 +11,7 @@ from scipy.signal import fftconvolve
 import uccert.corner
 import uccert.grids
 
-from uccert.cli import _corner_mollifier, _plan_corner, build_parser
+from uccert.cli import _corner_mollifier, _plan_corner, resolve_args
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
                            _lab_weights, _mollifier_kernels, affine_multiplier,
                            corner_corpus, detect_layer, extend_by_zero,
@@ -698,7 +698,7 @@ class TestMollifier:
         # the 2-D lab's multiplier has one nonzero slope, b: per (j, k) and
         # term of v, one convolution with its moment kernel on axis b and one
         # on the other axis (the piece of slope b reads no plain one on b)
-        grid, eps_list = _plan_corner(build_parser().parse_args(["corner"]))
+        grid, eps_list = _plan_corner(resolve_args(["corner"]))
         smooth = uccert.corner._smooth
         calls = []
 
