@@ -24,8 +24,7 @@ from .hypotheses import (GeometrySpec, HypothesisReport, bent_surface, build_psi
                          verify_split_signs, verify_sublevel_inclusion)
 from .certify import (Certificate, certify, certify_fields, compute_lambda0,
                       compute_m0, constraint_samples, unit_sphere_seeds)
-from .rays import (ContactReport, RayTrajectory, contact, contact_rays, integrate, integrate_rays,
-                   launch_and_classify)
+from .rays import ContactReport, RayTrajectory, contact, integrate, launch_and_classify
 from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
 from .carleman import CarlemanReport, build_weight, exponent_slopes, lambda_sweep

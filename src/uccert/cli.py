@@ -41,7 +41,7 @@ from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, DEFAULT_TOL_ZERO, Ge
                          bent_surface, build_psi, check_assumptions, scan_nodes,
                          verify_split_signs, verify_sublevel_inclusion)
 from .models import ModelSpec, bumpy_wave_metric, carleman_section, get_model
-from .rays import DEFAULT_DS, DEFAULT_S_FIT, FIT_POINTS, contact_rays, integrate_rays, ray_steps
+from .rays import DEFAULT_DS, DEFAULT_S_FIT, FIT_POINTS, contact, integrate, ray_steps
 
 SCHEMA = "ucp-report/1"
 
@@ -52,6 +52,11 @@ WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
 # RK4 steps per side of a ray, ceil(s_fit / ds) + 2, above which `rays` stops
 # before any work: each step is a row per ray in rays.csv
 MAX_RAY_STEPS = 20_000
+# rays.csv rows, --max-rays x (2 steps + 1), above which `rays` stops before
+# any work; every run at the default 8 rays fits (at most 320,008 rows).  On a
+# 2-core machine 16 rays of 32,767 points (524,272 rows) take 7 s and peak at
+# 170 MB of RSS on ik4, and 8 s and 220 MB on ik6
+MAX_RAY_ROWS = 2 ** 19
 
 # grid nodes above which `corner` stops before any work: the inequality
 # transfer visits every node of the open quadrant.  257^3 (`--dim 3 --grid
@@ -389,8 +394,9 @@ def _sample_table(cert) -> np.ndarray:
 
 
 def _plan_rays(args) -> tuple:
-    """The model and the RK4 steps per side of a ray, once the steps are
-    within their bound and the fit window holds the points a quartic needs."""
+    """The model and the RK4 steps per side of a ray, once the steps and the
+    rows of rays.csv are within their bounds and the fit window holds the
+    points a quartic needs."""
     ds, s_fit = args.ds, args.s_fit
     n_steps, n_fit = ray_steps(ds, s_fit, MAX_RAY_STEPS)
     if n_fit is None:
@@ -399,15 +405,17 @@ def _plan_rays(args) -> tuple:
     if n_fit < FIT_POINTS:
         raise ContractViolation(f"--s-fit {s_fit:g} at --ds {ds:g} leaves {n_fit} ray points in "
                                 f"the fit window, below the {FIT_POINTS} a quartic fit needs")
+    rows = args.max_rays * (2 * n_steps + 1)
+    if rows > MAX_RAY_ROWS:
+        raise ContractViolation(f"--max-rays {args.max_rays} at --ds {ds:g} and --s-fit {s_fit:g} takes "
+                                f"{rows} rows of rays.csv, above the bound of {MAX_RAY_ROWS}")
     return resolve_model(args), n_steps
 
 
 def _run_rays(args, plan: tuple) -> tuple:
     model, n_steps = plan
     lam = 2.0 if args.lam is None else args.lam
-    cert = certify(model.geometry, model.x0, lam=lam,
-                   n=min(1000 if args.samples is None else args.samples, 1000),
-                   tol_pos=args.tol_pos, seed=args.seed)
+    cert = certify(model.geometry, model.x0, lam=lam, n=args.max_rays, tol_pos=args.tol_pos, seed=args.seed)
     dim = model.geometry.dim
     header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
               + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
@@ -419,10 +427,10 @@ def _run_rays(args, plan: tuple) -> tuple:
     psi0, psi1 = build_psi(model.geometry)
     q, tol_zero = model.geometry.Q, model.geometry.tol_zero
     max_rays = min(len(cert.samples), args.max_rays)
-    trajs = integrate_rays(q, model.x0, cert.samples[:max_rays], args.ds, n_steps)
-    bent_reps, bent_vals = contact_rays(trajs, q, bent_surface(psi0, psi1, lam), s_fit=args.s_fit,
-                                        tol_zero=tol_zero)
-    surface_reps, _ = contact_rays(trajs, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
+    rays = integrate(q, model.x0, cert.samples[:max_rays], args.ds, n_steps)
+    bent_reps, bent_vals = contact(rays, q, bent_surface(psi0, psi1, lam), s_fit=args.s_fit,
+                                   tol_zero=tol_zero)
+    surface_reps, _ = contact(rays, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
     payload = {
         "command": "rays",
         "model": model.name,
@@ -432,13 +440,14 @@ def _run_rays(args, plan: tuple) -> tuple:
         "contacts": [{"ray": ray_id, "field": field, **rep.to_dict()}
                      for ray_id, reps in enumerate(zip(bent_reps, surface_reps))
                      for field, rep in zip(("bent", "surface"), reps)],
-        "conservation_defect": max([0.0] + [t.conservation_defect() for t in trajs]),
+        "conservation_defect": rays.conservation_defect(),
         "passed": all(bent.tangency and bent.side == "below" and surface.side == "above"
                       for bent, surface in zip(bent_reps, surface_reps)),
     }
-    table = np.concatenate([np.column_stack([t.s, t.xs, t.xis, t.p_vals, vals])
-                            for t, vals in zip(trajs, bent_vals)])
-    ray_ids = np.repeat(np.arange(len(trajs)), [len(t.s) for t in trajs])
+    # one row per ray and point: (s, x..., xi..., p, psi)
+    table = np.concatenate([np.broadcast_to(rays.s[:, None], bent_vals.shape + (1,)), rays.xs, rays.xis,
+                            rays.p_vals[..., None], bent_vals[..., None]], axis=2).reshape(-1, 2 * dim + 3)
+    ray_ids = np.repeat(np.arange(max_rays), len(rays.s))
     return payload, [("rays.csv", header, table, (ray_ids, ["bent"] * len(table)))]
 
 
@@ -659,8 +668,8 @@ FLAGS = {
     "config": (str, None, "config file with a [geometry] section (and, for run, a [run] section)"),
     "out": (str, "uccert-out", "output directory"),
     "seed": (int, 0, "random seed"),
-    "samples": (int, None, "surface samples for check, constraint samples for certify, rays (at most 1000) "
-                           "and all (default the geometry's n_surface_samples, 2000 for certify, 1000 for rays)"),
+    "samples": (int, None, "surface samples for check, constraint samples for certify and all "
+                           "(default the geometry's n_surface_samples, 2000 for certify)"),
     "lambda": (float, None, "bending parameter (default 2; certify's is 2 lambda0 + 1)"),
     "mu": (float, 1.0, "weight exponent"),
     "grid": (int, None, "cells per axis (default 512 for corner in 2-D, 128 in 3-D, 256 for carleman)"),
@@ -669,19 +678,19 @@ FLAGS = {
     "tol-pos": (float, DEFAULT_TOL_POS, "strict-sign threshold"),
     "ds": (float, DEFAULT_DS, "RK4 step of a ray"),
     "s-fit": (float, DEFAULT_S_FIT, "contact fit window |s| <= s-fit"),
-    "max-rays": (int, 8, "rays integrated"),
+    "max-rays": (int, 8, "rays integrated, and the constraint samples that seed them"),
     "dim": (int, 2, "dimension of the corner lab, 2 or 3"),
     "tests": (int, 20, "test bumps of the corner lab"),
     "n-pts": (int, 10000, "inequality-transfer points"),
     "corpus": (int, 50, "test functions of the carleman sweep"),
     "lambda-max": (float, 64.0, "largest lambda of the sweep's ladder 1, 2, 4, ..."),
 }
-_GEOMETRY_FLAGS = ("model", "config", "out", "seed", "samples", "lambda", "tol-zero", "tol-pos")
+_GEOMETRY_FLAGS = ("model", "config", "out", "seed", "lambda", "tol-zero", "tol-pos")
 
 # command -> (plan, run, the flags they read).  The table declares each command's flags: its
 # parser and its [run] keys offer those alone; `all` reads every flag and runs the stages in order
-COMMANDS = {"check": (_plan_check, _run_check, (*_GEOMETRY_FLAGS, "tol-char")),
-            "certify": (_plan_certify, _run_certify, _GEOMETRY_FLAGS),
+COMMANDS = {"check": (_plan_check, _run_check, (*_GEOMETRY_FLAGS, "samples", "tol-char")),
+            "certify": (_plan_certify, _run_certify, (*_GEOMETRY_FLAGS, "samples")),
             "rays": (_plan_rays, _run_rays, (*_GEOMETRY_FLAGS, "ds", "s-fit", "max-rays")),
             "corner": (_plan_corner, _run_corner, ("out", "seed", "grid", "dim", "tests", "n-pts")),
             "carleman": (_plan_carleman, _run_carleman, ("out", "seed", "grid", "lambda", "mu", "corpus",

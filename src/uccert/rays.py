@@ -2,21 +2,23 @@
 
 Rays solve  dx/ds = 2 Q(x) xi,  dxi_j/ds = -<d_j Q(x) xi, xi>  with a
 classical fourth-order one-step scheme; the symbol value is conserved along
-each ray up to the integrator error.  Contact analysis fits a quartic to
-psi along a ray and compares its curvature with half the second
+each ray up to the integrator error.  ``integrate`` marches every ray from
+one launch point as one batch, a ``RayTrajectory`` on one shared parameter
+grid.  ``contact`` fits a quartic to psi along every ray of a batch with one
+least-squares solve and compares each curvature with half the second
 Hamiltonian derivative at launch: tangent rays of a certified surface bend
 to the negative side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractViolation, FitError
-from .fields import MetricField, PhasePoint, ScalarField, as_point
+from .fields import MetricField, ScalarField, as_point
 from .hypotheses import DEFAULT_TOL_ZERO
 from .symbols import _hp2_closed_form, _matvec, _quadratic_forms
 
@@ -28,25 +30,26 @@ DEFAULT_S_FIT = 0.05              # the contact fit's window, |s| <= s_fit
 
 @dataclass
 class RayTrajectory:
-    s: np.ndarray                 # strictly increasing parameter values
-    xs: np.ndarray                # (k, n) positions
-    xis: np.ndarray               # (k, n) covectors
-    p_vals: np.ndarray            # symbol values along the ray
+    """A batch of rays from one launch point on one shared parameter grid."""
+    s: np.ndarray                 # (S,) strictly increasing, 0 at launch_index
+    xs: np.ndarray                # (R, S, n) positions
+    xis: np.ndarray               # (R, S, n) covectors
+    p_vals: np.ndarray            # (R, S) symbol values
     step: float
-    psi_vals: Optional[np.ndarray] = None
+    psi_vals: Optional[np.ndarray] = None     # (R, S) psi values, from annotate
 
     @property
     def launch_index(self) -> int:
-        return int(np.argmin(np.abs(self.s)))
+        return len(self.s) // 2
 
     def conservation_defect(self) -> float:
-        return float(np.max(np.abs(self.p_vals - self.p_vals[self.launch_index])))
+        """The largest drift of the symbol from its launch value over every ray; 0 for no ray."""
+        return float(np.max(np.abs(self.p_vals - self.p_vals[:, self.launch_index, None]), initial=0.0))
 
     def annotate(self, psi: "ScalarField") -> "RayTrajectory":
-        """New trajectory carrying psi values along the ray; self is untouched."""
-        vals = psi.jet(self.xs, 0)
-        return RayTrajectory(s=self.s, xs=self.xs, xis=self.xis,
-                             p_vals=self.p_vals, step=self.step, psi_vals=vals)
+        """New batch carrying psi values along every ray; self is untouched."""
+        vals = psi.jet(self.xs.reshape(-1, self.xs.shape[2]), 0).reshape(self.p_vals.shape)
+        return replace(self, psi_vals=vals)
 
 
 def _flow(Q: MetricField, y: np.ndarray) -> np.ndarray:
@@ -106,13 +109,12 @@ def ray_steps(ds: float = DEFAULT_DS, s_fit: float = DEFAULT_S_FIT, max_steps: f
     return n_steps, int(np.sum(_fit_window(_ray_parameters(ds, n_steps), s_fit)))
 
 
-def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int) -> list:
+def integrate(Q: MetricField, x0, xis, ds: float, n_steps: int) -> RayTrajectory:
     """Integrate one ray from ``x0`` for each covector row of ``xis``.
 
     All rays march as one batch, forward and backward, each RK4 stage one
-    metric jet over every row.  Each trajectory covers s in
-    [-n_steps*ds, n_steps*ds], which contact analysis needs, and is a view
-    of one (ray, step, n) array.  Returns one ``RayTrajectory`` per covector.
+    metric jet over every row.  Every ray covers s in
+    [-n_steps*ds, n_steps*ds], which contact analysis needs.
     """
     if ds <= 0:
         raise ContractViolation("ds must be positive")
@@ -129,13 +131,7 @@ def integrate_rays(Q: MetricField, x0, xis, ds: float, n_steps: int) -> list:
     # each backward row reversed, without its launch point, then the forward row
     xs, xis_, p = (np.concatenate([a[:0:-1, n_rays:], a[:, :n_rays]]).swapaxes(0, 1)
                    for a in (all_x, all_xi, p))
-    s = _ray_parameters(ds, n_steps)
-    return [RayTrajectory(s=s, xs=xs[i], xis=xis_[i], p_vals=p[i], step=ds) for i in range(n_rays)]
-
-
-def integrate(Q: MetricField, start: PhasePoint, ds: float, n_steps: int) -> RayTrajectory:
-    """Integrate a ray from ``start``: the one-ray case of ``integrate_rays``."""
-    return integrate_rays(Q, start.x, start.xi[None, :], ds, n_steps)[0]
+    return RayTrajectory(s=_ray_parameters(ds, n_steps), xs=xs, xis=xis_, p_vals=p, step=ds)
 
 
 @dataclass
@@ -158,9 +154,9 @@ class ContactReport:
         }
 
 
-def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = DEFAULT_S_FIT,
-                 tol_zero: float = DEFAULT_TOL_ZERO) -> tuple:
-    """Classify the contact of each ray with the level set {psi = 0}.
+def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField, s_fit: float = DEFAULT_S_FIT,
+            tol_zero: float = DEFAULT_TOL_ZERO) -> tuple:
+    """Classify the contact of each ray of a batch with the level set {psi = 0}.
 
     Least-squares quartic fit of psi along each ray over |s| <= s_fit, of
     which the constant, linear and quadratic coefficients are read (a
@@ -171,60 +167,42 @@ def contact_rays(trajs: list, Q: MetricField, psi: ScalarField, s_fit: float = D
     curvature is negative (positive).  The curvature is compared against
     the launch-point prediction, half of hp2(psi).
 
-    The rays share their launch point, at which Q and psi's second-order
-    jet are read once, and psi is evaluated once on every point of every
-    ray.  Returns one ``ContactReport`` per ray and the psi values along
-    each ray.
+    Q and psi's second-order jet are read once at the shared launch point,
+    psi once on every point of every ray, and every ray is fitted by one
+    least-squares solve over the shared window.  Returns one
+    ``ContactReport`` per ray and the (R, S) psi values.
     """
-    if not trajs:
-        return [], []
-    launch = [t.launch_index for t in trajs]
-    x0 = trajs[0].xs[launch[0]]
-    if any(not np.array_equal(t.xs[i0], x0) for t, i0 in zip(trajs, launch)):
-        raise ContractViolation("rays must share their launch point")
+    if not len(traj.xs):
+        return [], np.empty(traj.p_vals.shape)
+    i0 = traj.launch_index
+    x0, xi0 = traj.xs[0, i0], traj.xis[:, i0]
     q, dq = Q.jet(x0, 1)
     jet = psi.jet(x0, 2)            # the launch point's value, gradient, hp and hp2
     if abs(jet.value) > 10 * max(tol_zero, 1e-14):
         raise ContractViolation(
             f"ray must launch on the level set: |psi(x0)| = {abs(jet.value):.2e}")
-    values = np.split(psi.jet(np.concatenate([t.xs for t in trajs]), 0),
-                      np.cumsum([len(t.xs) for t in trajs])[:-1])
-    grad_norm = np.linalg.norm(jet.grad)
+    window = _fit_window(traj.s, s_fit)
+    n_fit = int(np.sum(window))
+    if n_fit < FIT_POINTS:
+        raise FitError(f"only {n_fit} samples inside the fit window")
+    vals = traj.annotate(psi).psi_vals
+    coef = np.polynomial.polynomial.polyfit(traj.s[window], vals[:, window].T, 4)
+    velocity = _matvec(2.0 * q, xi0)
+    speed = np.sqrt(np.vecdot(velocity, velocity))      # per ray as np.linalg.norm of one vector
+    tol_tan = DEFAULT_TOL_TAN_REL * np.maximum(np.linalg.norm(jet.grad) * speed, 1e-30)
+    predicted = 0.5 * _hp2_closed_form(q, dq, jet, xi0)
     reports = []
-    for traj, i0, vals in zip(trajs, launch, values):
-        xi0 = traj.xis[i0]
-        mask = _fit_window(traj.s, s_fit)
-        n_fit = int(np.sum(mask))
-        if n_fit < FIT_POINTS:
-            raise FitError(f"only {n_fit} samples inside the fit window")
-        coef = np.polynomial.polynomial.polyfit(traj.s[mask], vals[mask], 4)
-        intercept, c1, c2 = float(coef[0]), float(coef[1]), float(coef[2])
-
-        speed = float(np.linalg.norm(2.0 * q @ xi0))
-        tol_tan = DEFAULT_TOL_TAN_REL * max(grad_norm * speed, 1e-30)
-        tangent = abs(c1) <= tol_tan
-        predicted = 0.5 * float(_hp2_closed_form(q, dq, jet, xi0))
-        if not tangent:
-            side = "crossing"
-        elif c2 < 0:
-            side = "below"
-        else:
-            side = "above"
-        rel = abs(c2 - predicted) / abs(predicted) if predicted != 0 else abs(c2)
+    for intercept, c1, c2, pred, tol in zip(*coef[:3].tolist(), predicted.tolist(), tol_tan.tolist()):
+        tangent = abs(c1) <= tol
+        side = "crossing" if not tangent else "below" if c2 < 0 else "above"
+        rel = abs(c2 - pred) / abs(pred) if pred != 0 else abs(c2)
         reports.append(ContactReport(
-            tangency=tangent, side=side, fitted_c2=c2, predicted_c2=predicted,
-            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol_tan))
-    return reports, values
-
-
-def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField,
-            s_fit: float = DEFAULT_S_FIT, tol_zero: float = DEFAULT_TOL_ZERO) -> ContactReport:
-    """Classify the contact of one ray: the one-ray case of ``contact_rays``."""
-    return contact_rays([traj], Q, psi, s_fit, tol_zero)[0][0]
+            tangency=tangent, side=side, fitted_c2=c2, predicted_c2=pred,
+            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol))
+    return reports, vals
 
 
 def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactReport:
     """Integrate a two-sided ray and classify its contact, at the default
     step and fit window."""
-    traj = integrate(Q, PhasePoint(x0, xi), DEFAULT_DS, ray_steps()[0])
-    return contact(traj, Q, psi)
+    return contact(integrate(Q, x0, [xi], DEFAULT_DS, ray_steps()[0]), Q, psi)[0][0]

@@ -379,8 +379,8 @@ class TestCommandTable:
 
 
 # each command's flags, written out here rather than read from the command table
-GEOMETRY_FLAGS = {"model", "config", "out", "seed", "samples", "lambda", "tol-zero", "tol-pos"}
-COMMAND_FLAGS = {"check": GEOMETRY_FLAGS | {"tol-char"}, "certify": GEOMETRY_FLAGS,
+GEOMETRY_FLAGS = {"model", "config", "out", "seed", "lambda", "tol-zero", "tol-pos"}
+COMMAND_FLAGS = {"check": GEOMETRY_FLAGS | {"samples", "tol-char"}, "certify": GEOMETRY_FLAGS | {"samples"},
                  "rays": GEOMETRY_FLAGS | {"ds", "s-fit", "max-rays"},
                  "corner": {"out", "seed", "grid", "dim", "tests", "n-pts"},
                  "carleman": {"out", "seed", "grid", "lambda", "mu", "corpus", "lambda-max"}}
@@ -436,7 +436,8 @@ class TestFlagSets:
         ("certify --model ik2 --grid 7 --corpus 3 --dim 3", "certify does not read --grid"),
         ("carleman --model ik3 --grid 64", "carleman does not read --model"),
         ("corner --model ik4 --lambda 9 --grid 64", "corner does not read --model"),
-        ("rays --model ik2 --mu 5 --tests 9", "rays does not read --mu")])
+        ("rays --model ik2 --mu 5 --tests 9", "rays does not read --mu"),
+        ("rays --model ik4 --samples 5", "rays does not read --samples")])
     def test_invocations_that_once_dropped_flags_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         assert main(argv.split() + ["--out", str(out)]) == 2
@@ -488,6 +489,37 @@ class TestRaysCommand:
         assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "a")]) == 0
         monkeypatch.setattr(uccert.cli, "MAX_RAY_STEPS", 51)
         assert main(["rays", "--model", "ik2", "--out", str(tmp_path / "b")]) == 2
+
+    def test_row_bound_stops_before_any_work(self, tmp_path, capsys):
+        # 1000 rays of 2 x 19002 + 1 points would march a (19003, 2000, 6) state array
+        out = str(tmp_path / "r")
+        argv = ["--max-rays", "1000", "--ds", "1e-5", "--s-fit", "0.19"]
+        t0 = time.perf_counter()
+        assert main(["rays", "--model", "ik3", "--out", out] + argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err == ("uccert: error: --max-rays 1000 at --ds 1e-05 and --s-fit 0.19 takes 38005000 "
+                       "rows of rays.csv, above the bound of 524288\n")
+        assert not os.path.exists(out)
+
+    def test_row_bound_admits_its_own_count(self, tmp_path, monkeypatch):
+        # the defaults take 8 rays of 105 points
+        monkeypatch.setattr(uccert.cli, "MAX_RAY_ROWS", 840)
+        assert main(["rays", "--model", "ik3", "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(uccert.cli, "MAX_RAY_ROWS", 839)
+        assert main(["rays", "--model", "ik3", "--out", str(tmp_path / "b")]) == 2
+        assert not (tmp_path / "b").exists()
+
+    def test_max_rays_seeds_the_certificate(self, tmp_path):
+        # ik4's first 8 of 1000 seeds sit in one cap; 8 seeds spread over the sphere
+        out = str(tmp_path / "r")
+        assert main(["rays", "--model", "ik4", "--lambda", "2", "--out", out]) == 0
+        rep = read_report(out)
+        assert rep["passed"] and rep["n_rays"] == 8
+        with open(os.path.join(out, "rays.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        launch = np.array([[float(v) for v in row[8:13]] for row in rows if float(row[2]) == 0.0])
+        assert launch.shape == (8, 5) and np.ptp(launch[:, 4]) > 1.0
 
     @pytest.mark.parametrize("argv, points", [(["--s-fit", "0.001", "--ds", "0.001"], 3),
                                               (["--s-fit", "0.0019", "--ds", "0.001"], 3),
@@ -1073,6 +1105,7 @@ class TestAllChecksEveryBoundFirst:
         "MAX_SURFACE_SAMPLES": (["--config", "n_surface_samples = 65537\n"], "surface samples"),
         "MAX_SCAN_NODES": (["--model", "ik9"], "scan nodes"),
         "MAX_RAY_STEPS": (["--ds", "1e-9"], "RK4 steps"),
+        "MAX_RAY_ROWS": (["--max-rays", "1000", "--ds", "1e-5", "--s-fit", "0.19"], "rows of rays.csv"),
         "MAX_CORNER_NODES": (["--grid", "8192"], "nodes"),
         "MAX_PAIRING_ENTRIES": (["--tests", "1000000"], "pairing-table entries"),
         "MAX_RESIDUAL_ROWS": (["--tests", "20000", "--grid", "64"], "residual rows"),

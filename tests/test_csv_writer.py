@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uccert.cli
-from uccert import build_psi, certify, integrate_rays, linear_combination, squared_field
+from uccert import build_psi, certify, integrate, linear_combination, squared_field
 from uccert.cli import geometry_from_config, main, parse_config_file, write_csv
 from uccert.corner import corner_corpus, verify_extension_identities
 from uccert.grids import bump_corpus, make_grid, unit_box
@@ -134,17 +134,16 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
 
         out = str(tmp_path / "r")
         assert main(["rays", *argv, "--lambda", "2", "--out", out]) == 0
-        cert = certify(geo, x0, lam=2.0, n=1000, seed=0)
+        cert = certify(geo, x0, lam=2.0, n=8, seed=0)
         psi0, psi1 = build_psi(geo)
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
-        trajs = integrate_rays(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2)
+        rays = integrate(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2).annotate(bent)
         header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
                   + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
         rows = []
-        for ray, traj in enumerate(trajs):
-            t = traj.annotate(bent)
-            for s, x, xi, p, psi in zip(t.s.tolist(), t.xs.tolist(), t.xis.tolist(),
-                                        t.p_vals.tolist(), t.psi_vals.tolist()):
+        for ray in range(len(rays.xs)):
+            for s, x, xi, p, psi in zip(rays.s.tolist(), rays.xs[ray].tolist(), rays.xis[ray].tolist(),
+                                        rays.p_vals[ray].tolist(), rays.psi_vals[ray].tolist()):
                 rows.append([ray, "bent", s, *x, *xi, p, psi])
         assert len(rows) > 0
         assert _read(os.path.join(out, "rays.csv")) == csv_module_bytes(header, rows)

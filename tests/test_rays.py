@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from uccert import (PhasePoint, build_psi, certify, constant_metric, contact, contact_rays, hp2,
-                    integrate, integrate_rays, launch_and_classify, linear_combination,
-                    squared_field)
+from uccert import (Jet, PhasePoint, ScalarField, build_psi, certify, constant_metric, contact,
+                    hp2, integrate, launch_and_classify, linear_combination, squared_field)
 from uccert.cli import geometry_from_config
 from uccert.errors import ContractViolation, FitError
 from uccert.models import bumpy_wave_metric, get_model
@@ -19,31 +18,31 @@ class TestIntegrate:
     def test_flat_metric_straight_line(self, ik2):
         q = ik2.geometry.Q
         xi0 = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi0), ds=1e-2, n_steps=50)
+        traj = integrate(q, ik2.x0, [xi0], ds=1e-2, n_steps=50)
         # constant coefficients: x(s) = x0 + 2 s Q xi, xi constant
         v = 2.0 * q(ik2.x0) @ xi0
         for k in traj.launch_index + np.array([-50, -25, -10, 10, 25, 50]):
-            assert_allclose(traj.xs[k], ik2.x0 + traj.s[k] * v, atol=1e-13)
-            assert_allclose(traj.xis[k], xi0, atol=1e-14)
+            assert_allclose(traj.xs[0, k], ik2.x0 + traj.s[k] * v, atol=1e-13)
+            assert_allclose(traj.xis[0, k], xi0, atol=1e-14)
 
     def test_zero_covector_stationary(self, ik2):
         q = ik2.geometry.Q
-        traj = integrate(q, PhasePoint(ik2.x0, np.zeros(3)), ds=1e-2, n_steps=20)
-        assert_allclose(traj.xs, np.tile(ik2.x0, (41, 1)), atol=1e-15)
+        traj = integrate(q, ik2.x0, np.zeros((1, 3)), ds=1e-2, n_steps=20)
+        assert_allclose(traj.xs, np.tile(ik2.x0, (1, 41, 1)), atol=1e-15)
 
     def test_invalid_args(self, ik2):
         q = ik2.geometry.Q
-        pp = PhasePoint(ik2.x0, np.array([1.0, 0.0, 0.0]))
+        xis = [[1.0, 0.0, 0.0]]
         with pytest.raises(ContractViolation):
-            integrate(q, pp, ds=-1e-3, n_steps=10)
+            integrate(q, ik2.x0, xis, ds=-1e-3, n_steps=10)
         with pytest.raises(ContractViolation):
-            integrate(q, pp, ds=1e-3, n_steps=0)
+            integrate(q, ik2.x0, xis, ds=1e-3, n_steps=0)
 
     def test_conservation_on_variable_metric(self):
         q = bumpy_wave_metric(2, amp=0.08)
         x0 = np.array([0.0, 1.0, 0.0])
         xi0 = np.array([0.6, -0.3, 0.75])
-        traj = integrate(q, PhasePoint(x0, xi0), ds=1e-3, n_steps=1000)
+        traj = integrate(q, x0, [xi0], ds=1e-3, n_steps=1000)
         assert traj.conservation_defect() < 1e-10
 
     def test_fourth_order_drift_reduction(self):
@@ -54,7 +53,7 @@ class TestIntegrate:
         xi0 = 1.5 * np.array([0.8, 0.45, -0.4])
         drifts = []
         for ds in (5e-2, 2.5e-2):
-            traj = integrate(q, PhasePoint(x0, xi0), ds=ds, n_steps=int(round(1.0 / ds)))
+            traj = integrate(q, x0, [xi0], ds=ds, n_steps=int(round(1.0 / ds)))
             drifts.append(max(traj.conservation_defect(), 1e-17))
         assert drifts[0] / drifts[1] >= 8.0
 
@@ -65,19 +64,19 @@ class TestIntegrate:
         a = qv(ik2.x0)
         ev, vec = np.linalg.eigh(a)
         xi = vec[:, 0] / np.sqrt(-ev[0]) + vec[:, -1] / np.sqrt(ev[-1])
-        pp = PhasePoint(ik2.x0, xi)
         assert abs(float(xi @ a @ xi)) < 1e-10
-        traj = integrate(qv, pp, ds=1e-3, n_steps=1000)
+        traj = integrate(qv, ik2.x0, [xi], ds=1e-3, n_steps=1000)
         assert np.max(np.abs(traj.p_vals)) <= 1e-8
 
     def test_two_sided_window(self, ik2):
         q = ik2.geometry.Q
         xi0 = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi0), ds=1e-3, n_steps=10)
+        traj = integrate(q, ik2.x0, [xi0], ds=1e-3, n_steps=10)
         assert traj.s[0] == pytest.approx(-0.01)
         assert traj.s[-1] == pytest.approx(0.01)
         assert np.all(np.diff(traj.s) > 0)
-        assert_allclose(traj.xs[traj.launch_index], ik2.x0, atol=1e-15)
+        assert traj.s[traj.launch_index] == 0.0
+        assert_allclose(traj.xs[0, traj.launch_index], ik2.x0, atol=1e-15)
 
 
 class TestContact:
@@ -122,8 +121,8 @@ class TestContact:
         from uccert import hp
         q, psi0, _ = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=1e-3, n_steps=52)
-        rep = contact(traj, q, psi0, s_fit=0.05)
+        traj = integrate(q, ik2.x0, [xi], ds=1e-3, n_steps=52)
+        rep = contact(traj, q, psi0, s_fit=0.05)[0][0]
         assert rep.fitted_c1 == pytest.approx(hp(q, psi0, PhasePoint(ik2.x0, xi)), rel=1e-6)
 
     def test_launch_off_level_set_rejected(self, ik2, ik2_fields):
@@ -135,7 +134,7 @@ class TestContact:
     def test_too_few_samples_fit_error(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        traj = integrate(q, PhasePoint(ik2.x0, xi), ds=0.05, n_steps=1)
+        traj = integrate(q, ik2.x0, [xi], ds=0.05, n_steps=1)
         with pytest.raises(FitError):
             contact(traj, q, psi1, s_fit=0.05)
 
@@ -193,22 +192,21 @@ def test_constant_metric_march_builds_its_jet_views_once(monkeypatch):
         return broadcast(*args, **kwargs)
     monkeypatch.setattr(np, "broadcast_to", counted)
     xis = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]) / SQ2
-    trajs = integrate_rays(q, [0.0, 1.0, 0.0], xis, 1e-3, 52)
-    assert len(trajs[0].s) == 105 and len(calls) <= 4
+    rays = integrate(q, [0.0, 1.0, 0.0], xis, 1e-3, 52)
+    assert rays.xs.shape == (3, 105, 3) and len(calls) <= 4
 
 
 class TestBatchedRaysAgainstPointLoop:
     def assert_matches_loop(self, Q, x0, xis, ds, n_steps):
-        trajs = integrate_rays(Q, x0, xis, ds, n_steps)
-        assert len(trajs) == len(xis)
-        for traj, xi in zip(trajs, xis):
+        rays = integrate(Q, x0, xis, ds, n_steps)
+        assert rays.step == ds and rays.p_vals.shape == (len(xis), 2 * n_steps + 1)
+        for i, xi in enumerate(xis):
             s, xs, xis_, p_vals = _point_integrate(Q, PhasePoint(x0, xi), ds, n_steps)
-            for got, want in ((traj.s, s), (traj.xs, xs), (traj.xis, xis_)):
+            for got, want in ((rays.s, s), (rays.xs[i], xs), (rays.xis[i], xis_)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
             # p is u.(Q v) per row; the oracle's (xi @ Q) @ xi on one point is the same sum
-            assert traj.p_vals.tobytes() == p_vals.tobytes()
-            assert traj.step == ds
-        return trajs
+            assert rays.p_vals[i].tobytes() == p_vals.tobytes()
+        return rays
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["constant", "bumpy"])
@@ -221,24 +219,28 @@ class TestBatchedRaysAgainstPointLoop:
         xis = rng.normal(size=(5, n))
         self.assert_matches_loop(q, x0, xis, 1e-2, 60)
 
-    def test_integrate_is_the_one_ray_case(self):
+    def test_a_ray_alone_equals_its_row_in_a_batch(self):
         q = bumpy_wave_metric(2, amp=0.08)
         x0, xi = np.array([0.0, 1.0, 0.0]), np.array([0.6, -0.3, 0.75])
-        one = integrate(q, PhasePoint(x0, xi), 1e-2, 30)
-        batch = integrate_rays(q, x0, [[0.1, 0.2, 0.3], xi], 1e-2, 30)[1]
-        for attr in ("s", "xs", "xis", "p_vals"):
-            assert getattr(one, attr).tobytes() == getattr(batch, attr).tobytes()
+        one = integrate(q, x0, [xi], 1e-2, 30)
+        batch = integrate(q, x0, [[0.1, 0.2, 0.3], xi], 1e-2, 30)
+        assert one.s.tobytes() == batch.s.tobytes()
+        for attr in ("xs", "xis", "p_vals"):
+            assert getattr(one, attr)[0].tobytes() == getattr(batch, attr)[1].tobytes()
 
-    def test_contract(self, ik2):
-        q = ik2.geometry.Q
-        assert integrate_rays(q, ik2.x0, np.zeros((0, 3)), 1e-2, 5) == []
+    def test_contract(self, ik2, ik2_fields):
+        q, _, psi1 = ik2_fields
+        empty = integrate(q, ik2.x0, np.zeros((0, 3)), 1e-2, 5)
+        assert empty.xs.shape == (0, 11, 3) and empty.conservation_defect() == 0.0
+        reports, values = contact(empty, q, psi1, s_fit=0.05)
+        assert reports == [] and values.shape == (0, 11)
         for x0, xis in ((ik2.x0, np.ones(3)), (ik2.x0, np.ones((2, 2))), (np.ones(2), np.ones((2, 3)))):
             with pytest.raises(ContractViolation):
-                integrate_rays(q, x0, xis, 1e-2, 5)
+                integrate(q, x0, xis, 1e-2, 5)
 
 
 # ---------------------------------------------------------------------------
-# contact of a batch of rays against the one-ray contact
+# the one fit of a batch against one fit per ray
 # ---------------------------------------------------------------------------
 
 _BUMPY = {"dim": "3", "metric": "bumpy_wave(2, 0.05)", "phi_plus": "norm(x2, x3) - 1 - x1",
@@ -246,34 +248,79 @@ _BUMPY = {"dim": "3", "metric": "bumpy_wave(2, 0.05)", "phi_plus": "norm(x2, x3)
 
 
 def _rays_case(name):
-    """(Q, (bent, psi1), trajectories) of the rays command at its defaults on a model."""
+    """(Q, (bent, psi1), rays) of the rays command at its defaults on a model."""
     model = geometry_from_config(_BUMPY) if name == "bumpy" else get_model(name)
     geo, x0, q = model.geometry, model.x0, model.geometry.Q
-    xis = certify(geo, x0, lam=2.0, n=1000, seed=0).samples[:8]
+    xis = certify(geo, x0, lam=2.0, n=8, seed=0).samples[:8]
     psi0, psi1 = build_psi(geo)
     bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
-    trajs = integrate_rays(q, x0, xis, 1e-3, math.ceil(0.05 / 1e-3) + 2)
-    return q, (bent, psi1), trajs
+    rays = integrate(q, x0, xis, 1e-3, math.ceil(0.05 / 1e-3) + 2)
+    return q, (bent, psi1), rays
+
+
+def _one_ray_contact(rays, i, Q, psi, s_fit):
+    """Ray i's fit as a per-ray loop makes it, one polyfit per ray: (coef,
+    tangency, side, predicted_c2, tol_tan, psi values)."""
+    i0 = rays.launch_index
+    x0, xi0 = rays.xs[i, i0], rays.xis[i, i0]
+    vals = psi.jet(rays.xs[i], 0)
+    window = np.abs(rays.s) <= s_fit + 1e-15
+    coef = np.polynomial.polynomial.polyfit(rays.s[window], vals[window], 4)
+    tol_tan = 1e-6 * max(np.linalg.norm(psi.grad(x0)) * float(np.linalg.norm(2.0 * Q(x0) @ xi0)), 1e-30)
+    tangent = abs(coef[1]) <= tol_tan
+    side = "crossing" if not tangent else "below" if coef[2] < 0 else "above"
+    return coef, tangent, side, 0.5 * hp2(Q, psi, PhasePoint(x0, xi0)), tol_tan, vals
 
 
 @pytest.mark.parametrize("name", ["ik2", "ik3", "ik4", "bumpy"])
-def test_contact_rays_equals_the_one_ray_contact(name):
-    q, fields, trajs = _rays_case(name)
+def test_one_fit_per_batch_equals_one_fit_per_ray(name):
+    q, fields, rays = _rays_case(name)
     for psi in fields:
-        reports, values = contact_rays(trajs, q, psi, s_fit=0.05)
-        assert len(reports) == len(values) == len(trajs)
-        for traj, rep, vals in zip(trajs, reports, values):
-            one = contact(traj, q, psi, s_fit=0.05)
-            assert dataclasses.astuple(rep) == dataclasses.astuple(one)
-            want = traj.annotate(psi).psi_vals
-            assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
+        reports, values = contact(rays, q, psi, s_fit=0.05)
+        assert len(reports) == len(values) == len(rays.xs) > 0
+        for i, rep in enumerate(reports):
+            coef, tangent, side, predicted, tol_tan, vals = _one_ray_contact(rays, i, q, psi, 0.05)
+            assert (rep.tangency, rep.side) == (tangent, side)
+            assert (rep.predicted_c2, rep.tol_tan) == (predicted, tol_tan)
+            assert values[i].tobytes() == vals.tobytes()
+            assert_allclose([rep.intercept, rep.fitted_c1, rep.fitted_c2], coef[:3], rtol=1e-13, atol=1e-15)
 
 
-def test_contact_rays_needs_one_launch_point(ik2, ik2_fields):
-    q, _, psi1 = ik2_fields
-    xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-    here = integrate(q, PhasePoint(ik2.x0, xi), 1e-3, 52)
-    there = integrate(q, PhasePoint([0.0, 0.0, 1.0], xi), 1e-3, 52)
-    assert contact_rays([here, here], q, psi1)[0][0] == contact(here, q, psi1)
-    with pytest.raises(ContractViolation, match="launch point"):
-        contact_rays([here, there], q, psi1)
+def _linear_field(a, c=0.0):
+    """x -> a . x + c."""
+    a = np.asarray(a, dtype=float)
+
+    def jet(x, order):
+        value = x @ a + c
+        if order == 0:
+            return value
+        return Jet(value, np.broadcast_to(a, x.shape), np.zeros(x.shape + a.shape) if order == 2 else None)
+    return ScalarField(jet, name="linear")
+
+
+class TestContactGateThresholds:
+    """A value on each side of every threshold of the contact classification."""
+
+    @pytest.mark.parametrize("factor, launches", [(9.0, True), (11.0, False)])
+    def test_launch_on_the_level_set(self, factor, launches):
+        # |psi(x0)| is checked against 10 times tol_zero
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+        rays = integrate(q, np.zeros(3), [[1.0, 1.0, 0.0]], 1e-3, 52)
+        psi = _linear_field([0.0, 0.0, 1.0], factor * 1e-10)
+        if launches:
+            assert contact(rays, q, psi, tol_zero=1e-10)[0][0].tangency
+        else:
+            with pytest.raises(ContractViolation, match="launch on the level set"):
+                contact(rays, q, psi, tol_zero=1e-10)
+
+    @pytest.mark.parametrize("factor, tangent", [(0.9, True), (1.1, False)])
+    def test_tangency(self, factor, tangent):
+        # on a constant metric the ray is the line s -> 2 s Q xi and psi = a . x
+        # is linear along it, with slope 2 a . Q xi = |a| |2 Q xi| cos(angle),
+        # which the fit reads exactly; tol_tan is 1e-6 |a| |2 Q xi|
+        q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
+        rays = integrate(q, np.zeros(3), [[0.0, 1.0, 0.0]], 1e-3, 52)     # 2 Q xi = (0, 2, 0)
+        t = factor * 1e-6
+        rep = contact(rays, q, _linear_field([1.0, t / math.sqrt(1.0 - t * t), 0.0]))[0][0]
+        assert rep.fitted_c1 / rep.tol_tan == pytest.approx(factor, rel=1e-6)
+        assert rep.tangency is tangent and (rep.side == "crossing") is not tangent

@@ -1,4 +1,4 @@
-"""Weaken one certify, check or corner gate at a time and run the tests that name it.
+"""Weaken one certify, check, corner or rays gate at a time and run the tests that name it.
 
 Each mutant replaces one expression of ``src/uccert``, found by its syntax
 tree (stdlib ``ast``), in a temporary copy of the package; the checkout's
@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 _CERTIFY = "tests/test_certify.py"
+_RAYS = "tests/test_rays.py"
 MUTANTS = (
     Mutant("on_surfaces", "certify.py", "off > spec.tol_zero", "off > spec.tol_zero * 100",
            (f"{_CERTIFY}::TestGateThresholds::test_on_surfaces", f"{_CERTIFY}::TestSoundnessGates")),
@@ -59,6 +60,12 @@ MUTANTS = (
     Mutant("smoothing_ladder", "cli.py", "len(eps_list) < 2", "len(eps_list) < 1",
            ("tests/test_cli.py::TestCornerGridBound::test_one_width_is_usage_error",
             "tests/test_cli.py::TestCornerGridBound::test_coarse_grid_is_usage_error")),
+    Mutant("ray_launch", "rays.py", "abs(jet.value) > 10 * max(tol_zero, 1e-14)",
+           "abs(jet.value) > 100 * max(tol_zero, 1e-14)",
+           (f"{_RAYS}::TestContactGateThresholds::test_launch_on_the_level_set",
+            f"{_RAYS}::TestContact::test_launch_off_level_set_rejected")),
+    Mutant("ray_tangency", "rays.py", "abs(c1) <= tol", "abs(c1) <= tol * 2",
+           (f"{_RAYS}::TestContactGateThresholds::test_tangency",)),
 )
 
 
