@@ -28,7 +28,7 @@ from .rays import ContactReport, RayTrajectory, contact, integrate, launch_and_c
 from .models import (ModelSpec, bumpy_wave_metric, cone_surface_field,
                      flattening_chart, get_model, ik_model, negative_controls)
 from .carleman import CarlemanReport, build_weight, exponent_slopes, lambda_sweep
-from .corner import (CornerField, PairingTables, affine_multiplier, corner_corpus,
+from .corner import (CornerField, PairingTables, corner_corpus,
                      detect_layer, extend_by_zero, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer,
                      weak_pairing)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .carleman import build_weight, exponent_slopes, lambda_sweep
 from .certify import certify
-from .corner import (PairingTables, affine_multiplier, corner_corpus, detect_layer,
+from .corner import (PairingTables, corner_corpus, detect_layer,
                      identity_families, kink_profile_corpus, mollifier_commutator,
                      verify_extension_identities, verify_inequality_transfer)
 from .errors import ContractViolation, UccertError
@@ -67,9 +67,10 @@ MAX_CORNER_NODES = 2 ** 26
 # 270 times the default 2-D lab's
 MAX_PAIRING_ENTRIES = 2 ** 24
 # residual rows per corpus field (tests x pass-through identities) above which
-# `corner` stops before any work: each row is about 0.65 KB while the report is
-# built.  At the bound `--dim 3 --grid 24` (5461 tests, six fields) peaks near
-# 150 MB of RSS and `--grid 64` (10922 tests, five fields) near 160 MB
+# `corner` stops before any work: a row is about 80 bytes of corner_residuals.csv
+# and 56 of columns held until written.  At the bound `--grid 64 --tests 10922`
+# writes 13 MB, `--dim 3 --grid 64 --tests 5461` 15 MB; each peaks at 80-100 MB
+# of RSS in the pairing tables' build
 MAX_RESIDUAL_ROWS = 2 ** 15
 # points above which `corner` stops before any work: the inequality transfer
 # draws dim indices and about ten arrays of doubles per point, about 100 MiB
@@ -213,19 +214,23 @@ def parse_config_file(path: str) -> dict:
     sections: dict = {}
     current = None
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = re.fullmatch(r"\[([A-Za-z_][A-Za-z_0-9-]*)\]", line)
-            if m:
-                current = m.group(1)
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line or current is None:
-                raise ContractViolation(f"{path}:{lineno}: expected key = value inside a section")
-            key, val = line.split("=", 1)
-            sections[current][key.strip()] = val.strip()
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ContractViolation(f"{path}: not UTF-8 text ({e.reason})") from e
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = re.fullmatch(r"\[([A-Za-z_][A-Za-z_0-9-]*)\]", line)
+        if m:
+            current = m.group(1)
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line or current is None:
+            raise ContractViolation(f"{path}:{lineno}: expected key = value inside a section")
+        key, val = line.split("=", 1)
+        sections[current][key.strip()] = val.strip()
     return sections
 
 
@@ -453,21 +458,24 @@ def _run_rays(args, plan: tuple) -> tuple:
 
 def _corner_identities(corpus: list, tests: PairingTables, tols: dict) -> tuple:
     """Pass-through identities on every corpus field: (reports, CSV label
-    columns, CSV value rows, passed)."""
+    columns, CSV value rows, passed), a row per field, identity (in
+    identity_families order) and test function, in that nesting."""
     reports = []
-    labels = []
     values = []
-    ok = True
     for cf in corpus:
         rep = verify_extension_identities(cf, tests, tol_weak=tols)
-        ok = ok and rep["passed"]
         reports.append({"field": cf.name, "passed": rep["passed"],
                         "family_max_residual": rep["family_max_residual"]})
-        for row in rep["rows"]:
-            labels.append((cf.name, row["family"], "".join(map(str, row["alpha"])), row["testfn"]))
-            values.append((row["lhs"], row["rhs"], row["residual"]))
-    names, families, alphas, testfns = zip(*labels)
-    return reports, (names, families, alphas, np.array(testfns)), np.array(values), ok
+        lhs, rhs = rep["lhs"].ravel(), rep["rhs"].ravel()
+        values.append(np.column_stack([lhs, rhs, np.abs(lhs - rhs)]))
+    identities = np.array([(fam, "".join(map(str, alpha))) for fam, members in
+                           identity_families(tests.grid.dim).items() for alpha in members], dtype=object)
+    n_tests = len(tests.amplitudes)
+    names = np.repeat(np.array([cf.name for cf in corpus], dtype=object), len(identities) * n_tests)
+    families, alphas = np.tile(np.repeat(identities, n_tests, axis=0), (len(corpus), 1)).T
+    testfns = np.tile(np.arange(n_tests), len(identities) * len(corpus))
+    ok = all(rep["passed"] for rep in reports)
+    return reports, (names, families, alphas, testfns), np.concatenate(values), ok
 
 
 def _corner_layer(cf, tests: PairingTables, h2: float) -> dict:
@@ -493,8 +501,8 @@ def _smoothing_ladder(grid) -> list:
 def _corner_mollifier(grid, eps_list: list, seed: int) -> dict:
     # expected decay scales with rung count
     decay_bound = 0.5 ** ((len(eps_list) - 1) / 2.0)
-    afield = affine_multiplier(0.5, [0.4] + [0.0] * (grid.dim - 1))
-    moll_norms = [mollifier_commutator(afield, v, eps_list)
+    slopes = [0.4] + [0.0] * (grid.dim - 1)
+    moll_norms = [mollifier_commutator(slopes, v, eps_list)
                   for v in kink_profile_corpus(grid, count=2, seed=seed + 5)]
     moll_ok = all(all(n1 > n2 for n1, n2 in zip(ns, ns[1:]))
                   and ns[-1] <= decay_bound * ns[0]

@@ -18,7 +18,7 @@ from uccert import (build_psi, certify, certify_fields, hp, hp2, hp2_matrix,
                     unit_sphere_seeds)
 from uccert.carleman import build_weight, exponent_slopes, lambda_sweep
 from uccert.cli import main as cli_main
-from uccert.corner import (affine_multiplier, corner_corpus, detect_layer,
+from uccert.corner import (PairingTables, corner_corpus, detect_layer,
                            kink_profile_corpus, mollifier_commutator,
                            verify_extension_identities, verify_inequality_transfer)
 from uccert.fields import PhasePoint
@@ -195,11 +195,12 @@ def test_criterion_06_corner_weak_identities():
 
     corpus = corner_corpus(g512)
     assert len(corpus) >= 5
+    tables512, tables1024 = PairingTables(g512, tests2), PairingTables(g1024, tests2)
     worst_ratio = np.inf
     for cf, cf_fine in zip(corpus, corner_corpus(g1024)):
-        rep = verify_extension_identities(cf, tests2, tol_weak=tol512)
+        rep = verify_extension_identities(cf, tables512, tol_weak=tol512)
         assert rep["passed"], (cf.name, rep["family_max_residual"], tol512)
-        rep_f = verify_extension_identities(cf_fine, tests2, tol_weak=tol1024)
+        rep_f = verify_extension_identities(cf_fine, tables1024, tol_weak=tol1024)
         assert rep_f["passed"], (cf.name, rep_f["family_max_residual"])
         for fam, r in rep["family_max_residual"].items():
             rf = rep_f["family_max_residual"][fam]
@@ -211,23 +212,25 @@ def test_criterion_06_corner_weak_identities():
     tests3 = bump_corpus(unit_box(3), 8, seed=42)
     g64 = make_grid(unit_box(3), 64)
     tol64 = {k: v * float(np.max(g64.h)) ** 2 for k, v in WEAK_K.items()}
+    tables3 = PairingTables(g64, tests3)
     for cf in corner_corpus(g64):
-        rep3 = verify_extension_identities(cf, tests3, tol_weak=tol64)
+        rep3 = verify_extension_identities(cf, tables3, tol_weak=tol64)
         assert rep3["passed"], (cf.name, rep3["family_max_residual"])
         assert {"edge", "interior"} <= set(rep3["family_max_residual"])
 
     # layer probe on U = y1 y2: the mismatch against the analytic surface
     # integral stays below 1% of the layer magnitude, per test function
-    layer = detect_layer(corpus[0], tests2)
+    layer = detect_layer(corpus[0], tables512)
     floor = 0.01 * layer["max_layer_magnitude"]
     rel_worst = 0.0
-    for row in layer["rows"]:
-        if abs(row["surface_integral"]) >= floor:
-            rel = row["mismatch"] / abs(row["surface_integral"])
+    for delta, s_phi in zip(layer["delta"], layer["surface_integral"], strict=True):
+        mismatch = abs(delta - s_phi)
+        if abs(s_phi) >= floor:
+            rel = mismatch / abs(s_phi)
             rel_worst = max(rel_worst, rel)
             assert rel <= 0.01
         else:
-            assert row["mismatch"] <= floor
+            assert mismatch <= floor
     ok = worst_ratio >= 3.5 and rel_worst <= 0.01
     banner(6, "corner weak identities", ok,
            f"(shrink {worst_ratio:.2f}x, layer rel err {rel_worst:.2e})")
@@ -253,16 +256,14 @@ def test_criterion_08_mollifier_commutator():
     hmax = float(np.max(g.h))
     eps = [0.32, 0.16, 0.08, 0.04, 0.02]
     assert eps[-1] >= 4.0 * hmax
-    afield = affine_multiplier(0.5, [0.4, 0.0])
     final_ratios = []
     for v in kink_profile_corpus(g, count=3, seed=5):
-        norms = mollifier_commutator(afield, v, eps)
+        norms = mollifier_commutator([0.4, 0.0], v, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
         assert norms[-1] <= 0.25 * norms[0]
         final_ratios.append(norms[-1] / norms[0])
-    a_const = affine_multiplier(0.7, [0.0, 0.0])
     v0 = kink_profile_corpus(g, count=1, seed=5)[0]
-    const_norms = mollifier_commutator(a_const, v0, eps)
+    const_norms = mollifier_commutator([0.0, 0.0], v0, eps)
     assert max(const_norms) <= 1e-12
     banner(8, "mollifier commutator", True,
            f"(final/initial max {max(final_ratios):.3f}, const-a {max(const_norms):.1e})")

@@ -33,6 +33,20 @@ class TestConfigParsing:
         assert sections["geometry"]["dim"] == "2"
         assert sections["run"]["command"] == "check"
 
+    @pytest.mark.parametrize("command, text", [
+        ("check", b"[geometry]\n# a comment \xff\ndim = 3\n"),
+        ("run", b"[run]\ncommand = check\n# a comment \xff\nmodel = ik2\n")], ids=["check", "run"])
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys, command, text):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"uccert: error: {conf}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+        with pytest.raises(ContractViolation, match="not UTF-8 text"):
+            parse_config_file(str(conf))
+
     def test_key_outside_section_rejected(self, tmp_path):
         p = tmp_path / "c.conf"
         p.write_text("dim = 2\n")

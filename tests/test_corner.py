@@ -11,10 +11,10 @@ from scipy.signal import fftconvolve
 import uccert.corner
 import uccert.grids
 
-from uccert.cli import _corner_mollifier, _plan_corner, resolve_args
+from uccert.cli import _corner_layer, _corner_mollifier, _plan_corner, resolve_args
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
-                           _lab_weights, _mollifier_kernels, affine_multiplier,
-                           corner_corpus, detect_layer, extend_by_zero,
+                           _lab_weights, _mollifier_kernels, corner_corpus,
+                           detect_layer, extend_by_zero, identity_families,
                            kink_profile_corpus, mollifier_commutator,
                            quadrant_mask, verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
@@ -155,15 +155,16 @@ class TestExtensionIdentities:
         tests = bump_corpus(unit_box(2), 10, seed=42)
         for cells in (128, 256):
             g = make_grid(unit_box(2), cells)
+            tables = PairingTables(g, tests)
             for cf in corner_corpus(g):
-                rep = verify_extension_identities(cf, tests, tol_weak=_tols(g))
+                rep = verify_extension_identities(cf, tables, tol_weak=_tols(g))
                 assert rep["passed"], (cells, cf.name, rep["family_max_residual"])
 
     def test_residuals_shrink_second_order(self):
         tests = bump_corpus(unit_box(2), 10, seed=42)
         g1, g2 = make_grid(unit_box(2), 128), make_grid(unit_box(2), 256)
-        r1 = verify_extension_identities(corner_corpus(g1)[1], tests)["family_max_residual"]
-        r2 = verify_extension_identities(corner_corpus(g2)[1], tests)["family_max_residual"]
+        r1, r2 = (verify_extension_identities(corner_corpus(g)[1], PairingTables(g, tests))
+                  ["family_max_residual"] for g in (g1, g2))
         for fam in r1:
             assert r1[fam] / r2[fam] >= 3.5
 
@@ -171,7 +172,7 @@ class TestExtensionIdentities:
         g = make_grid(unit_box(2), 128)
         cf = CornerField(g, [[_axis_const(1.0), _axis_const(1.0)]], "one")
         with pytest.raises(HypothesisError):
-            verify_extension_identities(cf, bump_corpus(unit_box(2), 3, seed=1))
+            verify_extension_identities(cf, PairingTables(g, bump_corpus(unit_box(2), 3, seed=1)))
         # the first-derivative identity fails by an O(1) amount for U = 1,
         # probed with a bump whose support straddles the face {y1 = 0, y2 > 0}
         phi = ProductBump([0.0, 0.3], [0.35, 0.35])
@@ -185,7 +186,7 @@ class TestExtensionIdentities:
         tests = bump_corpus(unit_box(3), 5, seed=42)
         g = make_grid(unit_box(3), 32)
         cf = corner_corpus(g)[0]
-        rep = verify_extension_identities(cf, tests, tol_weak=_tols(g))
+        rep = verify_extension_identities(cf, PairingTables(g, tests), tol_weak=_tols(g))
         assert set(rep["family_max_residual"]) == {"first", "mixed_pair", "edge", "interior"}
         assert rep["passed"], rep["family_max_residual"]
 
@@ -195,21 +196,20 @@ class TestLayerProbe:
         g = make_grid(unit_box(2), 256)
         tests = bump_corpus(unit_box(2), 10, seed=42)
         cf = corner_corpus(g)[0]          # U = y1 * y2
-        rep = detect_layer(cf, tests)
+        rep = detect_layer(cf, PairingTables(g, tests))
         assert rep["max_layer_magnitude"] > 1e-3
         assert rep["max_mismatch"] <= 0.01 * rep["max_layer_magnitude"]
+        assert rep["delta"].shape == rep["surface_integral"].shape == (len(tests),)
         # the face integral is analytically int_0^1 y phi(0, y) dy
-        for row, phi in zip(rep["rows"], tests):
-            ax = np.linspace(0.0, 1.0, 2001)
-            density = ax * np.array([phi([0.0, y]) for y in ax])
-            exact = np.trapezoid(density, ax)
-            assert row["surface_integral"] == pytest.approx(exact, abs=1e-5)
+        ax = np.linspace(0.0, 1.0, 2001)
+        exact = np.array([np.trapezoid(ax * np.array([phi([0.0, y]) for y in ax]), ax) for phi in tests])
+        assert rep["surface_integral"] == pytest.approx(exact, abs=1e-5)
 
     def test_square_normal_factor_kills_layer(self):
         g = make_grid(unit_box(2), 256)
         tests = bump_corpus(unit_box(2), 6, seed=2)
         cf = CornerField(g, [[SQUARE, LINEAR]], "sq")
-        rep = detect_layer(cf, tests)
+        rep = detect_layer(cf, PairingTables(g, tests))
         assert rep["max_layer_magnitude"] <= 1e-10
         assert rep["max_mismatch"] <= _tols(g)["first"]
 
@@ -221,16 +221,17 @@ class TestLayerProbe:
         i0 = g.zero_index(0)
         du1 = cf.partial((1,) + (0,) * (dim - 1))
         face = Grid(g.box[1:], g.n_cells[1:])
-        for row, phi in zip(detect_layer(cf, tests)["rows"], tests):
+        got = detect_layer(cf, PairingTables(g, tests))["surface_integral"]
+        for s_phi, phi in zip(got, tests, strict=True):
             full_row = phi.values_on_grid(g)[i0]
-            assert row["surface_integral"] == pytest.approx(
+            assert s_phi == pytest.approx(
                 restricted_trapezoid(du1[i0] * full_row, face, half_axes=(0,)), rel=1e-12)
 
     def test_zero_field_trivial(self):
         g = make_grid(unit_box(2), 64)
         tests = bump_corpus(unit_box(2), 3, seed=2)
         cf = CornerField(g, [[_axis_const(0.0), _axis_const(0.0)]], "z")
-        rep = detect_layer(cf, tests)
+        rep = detect_layer(cf, PairingTables(g, tests))
         assert rep["max_layer_magnitude"] == 0.0
         assert rep["max_mismatch"] == 0.0
 
@@ -300,37 +301,38 @@ class TestSeparablePairing:
         monkeypatch.setattr(CornerField, "partial", below_grid_size)
         monkeypatch.setattr(ProductBump, "partial_on_grid", forbidden)
         monkeypatch.setattr(uccert.corner, "extend_by_zero", forbidden)
-        got = [(verify_extension_identities(cf, tests, tol_weak=_tols(g)), detect_layer(cf, tests))
+        tables = PairingTables(g, tests)
+        got = [(verify_extension_identities(cf, tables, tol_weak=_tols(g)), detect_layer(cf, tables))
                for cf in corpus]
         monkeypatch.undo()
         i0 = g.zero_index(0)
         face_grid = Grid(g.box[1:], g.n_cells[1:])
         e0, e00 = (1,) + (0,) * (dim - 1), (2,) + (0,) * (dim - 1)
+        alphas = [alpha for members in identity_families(dim).values() for alpha in members]
         for cf, (rep, layer) in zip(corpus, got):
             assert rep["passed"], (cf.name, rep["family_max_residual"])
+            assert rep["lhs"].shape == rep["rhs"].shape == (len(alphas), len(tests))
             v = extend_by_zero(cf)
-            for row in rep["rows"]:
-                phi, alpha = tests[row["testfn"]], tuple(row["alpha"])
-                rhs = restricted_trapezoid(cf.partial(alpha) * phi.values_on_grid(g), g, (0, 1))
-                assert row["lhs"] == pytest.approx(weak_pairing(v, g, alpha, phi), rel=1e-12, abs=1e-16)
-                assert row["rhs"] == pytest.approx(rhs, rel=1e-12, abs=1e-16)
-            for row, phi in zip(layer["rows"], tests):
+            for t, phi in enumerate(tests):
+                for a, alpha in enumerate(alphas):
+                    rhs = restricted_trapezoid(cf.partial(alpha) * phi.values_on_grid(g), g, (0, 1))
+                    assert rep["lhs"][a, t] == pytest.approx(weak_pairing(v, g, alpha, phi),
+                                                             rel=1e-12, abs=1e-16)
+                    assert rep["rhs"][a, t] == pytest.approx(rhs, rel=1e-12, abs=1e-16)
                 delta = weak_pairing(v, g, e00, phi) - restricted_trapezoid(
                     cf.partial(e00) * phi.values_on_grid(g), g, (0, 1))
                 s_phi = restricted_trapezoid((cf.partial(e0) * phi.values_on_grid(g))[i0],
                                              face_grid, (0,))
-                assert row["delta"] == pytest.approx(delta, rel=1e-12, abs=1e-16)
-                assert row["surface_integral"] == pytest.approx(s_phi, rel=1e-12, abs=1e-16)
+                assert layer["delta"][t] == pytest.approx(delta, rel=1e-12, abs=1e-16)
+                assert layer["surface_integral"][t] == pytest.approx(s_phi, rel=1e-12, abs=1e-16)
 
-    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
-    def test_support_touching_boundary_rejected(self, lab):
+    def test_support_touching_boundary_rejected(self):
         g = make_grid(unit_box(2), 64)
         tests = bump_corpus(unit_box(2), 3, seed=1) + [ProductBump([0.7, 0.0], [0.4, 0.4])]
         with pytest.raises(SupportError):
-            lab(corner_corpus(g)[0], tests)
+            PairingTables(g, tests)
 
-    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
-    def test_support_error_names_the_first_test_function_outside(self, lab):
+    def test_support_error_names_the_first_test_function_outside(self):
         g = make_grid(unit_box(2), 64)
         tests = (bump_corpus(unit_box(2), 3, seed=1)
                  + [ProductBump([0.7, 0.0], [0.4, 0.4]), ProductBump([0.0, -0.8], 0.3)])
@@ -338,7 +340,15 @@ class TestSeparablePairing:
         want = f"test function 3 has support {support}, which is not inside the working box " \
                f"{[[-1.0, 1.0], [-1.0, 1.0]]}"
         with pytest.raises(SupportError, match=re.escape(want)):
-            lab(corner_corpus(g)[0], tests)
+            PairingTables(g, tests)
+
+    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
+    @pytest.mark.parametrize("box, cells", [(unit_box(2), 32), (np.array([[-1.0, 1.0], [-2.0, 2.0]]), 64)],
+                             ids=["other-shape", "other-box"])
+    def test_tables_on_another_grid_rejected(self, lab, box, cells):
+        tables = PairingTables(make_grid(box, cells), bump_corpus(unit_box(2), 3, seed=1))
+        with pytest.raises(ContractViolation, match="another grid"):
+            lab(corner_corpus(make_grid(unit_box(2), 64))[0], tables)
 
     @pytest.mark.parametrize("dim, cells, straddling", [(2, 512, False), (3, 24, False),
                                                          (2, 64, True), (3, 24, True)])
@@ -396,12 +406,11 @@ class TestSeparablePairing:
                             assert np.all(err <= 1e-14 * np.abs(tables.amplitudes) * scale), \
                                 (cf.name, rule, alpha, beta)
 
-    @pytest.mark.parametrize("lab", [verify_extension_identities, detect_layer])
-    def test_empty_corpus_rejected(self, lab):
+    def test_empty_corpus_rejected(self):
         # with no test function every identity would pass and the layer read 0
         g = make_grid(unit_box(2), 64)
         with pytest.raises(ContractViolation, match="at least one test function"):
-            lab(corner_corpus(g)[0], [])
+            PairingTables(g, [])
 
     @pytest.mark.parametrize("dim, cells", [(2, 512), (3, 24)])
     def test_batched_pair_equals_windowed_dots(self, dim, cells):
@@ -660,10 +669,9 @@ class TestMollifier:
         # ~ O(eps) for twice-differentiable v; the grid must resolve the
         # smallest kernel comfortably or quadrature error pollutes the tail
         g = make_grid(unit_box(2), 512)
-        a = affine_multiplier(0.3, [0.5, 0.0])
         v = CornerField(g, [ProductBump([0.0, 0.0], [0.45, 0.45]).factors()])
         eps = [0.32, 0.16, 0.08, 0.04]
-        norms = mollifier_commutator(a, v, eps)
+        norms = mollifier_commutator([0.5, 0.0], v, eps)
         assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
         # O(eps): three halvings shrink the norm by about 8 (first-order
         # behavior only sets in once eps is small against the field scale)
@@ -672,27 +680,16 @@ class TestMollifier:
 
     def test_kink_corpus_decays(self):
         g = make_grid(unit_box(2), 256)
-        a = affine_multiplier(0.5, [0.4, 0.0])
         eps = [0.32, 0.16, 0.08, 0.04]
         for v in kink_profile_corpus(g, count=2, seed=5):
-            norms = mollifier_commutator(a, v, eps)
+            norms = mollifier_commutator([0.4, 0.0], v, eps)
             assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
 
     def test_constant_multiplier_exact_zero(self):
         g = make_grid(unit_box(2), 256)
-        a = affine_multiplier(0.7, [0.0, 0.0])
         v = kink_profile_corpus(g, count=1, seed=5)[0]
         eps = [0.2, 0.1, 0.05]
-        assert mollifier_commutator(a, v, eps) == [0.0] * len(eps)
-
-    def test_offset_cancels(self):
-        # a(x) - a(x - u) = s . u whatever the offset, so the norms keep their bits
-        g = make_grid(unit_box(2), 256)
-        v = kink_profile_corpus(g, count=1, seed=5)[0]
-        eps = [0.32, 0.16, 0.08, 0.04]
-        norms = [mollifier_commutator(affine_multiplier(offset, [0.4, -0.25]), v, eps)
-                 for offset in (0.0, 0.5, 100.0)]
-        assert norms[0] == norms[1] == norms[2]
+        assert mollifier_commutator([0.0, 0.0], v, eps) == [0.0] * len(eps)
 
     def test_lab_convolution_count(self, monkeypatch):
         # the 2-D lab's multiplier has one nonzero slope, b: per (j, k) and
@@ -716,20 +713,19 @@ class TestMollifier:
         def refused(*args):
             raise AssertionError("a constant multiplier convolved")
         monkeypatch.setattr(uccert.corner, "_smooth", refused)
-        assert mollifier_commutator(affine_multiplier(0.7, [0.0, 0.0]), v, [0.25, 0.125]) == [0.0, 0.0]
+        assert mollifier_commutator([0.0, 0.0], v, [0.25, 0.125]) == [0.0, 0.0]
 
     def test_zero_multiplier_gives_exact_zero(self):
         # no slope is nonzero, so no product is left
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        assert mollifier_commutator(affine_multiplier(0.0, [0.0, 0.0]), v, [0.25, 0.125]) == [0.0, 0.0]
+        assert mollifier_commutator([0.0, 0.0], v, [0.25, 0.125]) == [0.0, 0.0]
 
     def test_unresolved_eps_rejected(self):
         g = make_grid(unit_box(2), 64)
         v = kink_profile_corpus(g, count=1, seed=5)[0]
-        a = affine_multiplier(1.0, [0.0, 0.0])
         with pytest.raises(ResolutionError):
-            mollifier_commutator(a, v, [2.0 / 64])
+            mollifier_commutator([0.0, 0.0], v, [2.0 / 64])
 
 
 def _kernels_inline(h, eps):
@@ -765,13 +761,12 @@ def _outer(vectors):
     return out
 
 
-def _commutator_by_fftconvolve(a, v, eps_list):
-    """The oracle for the separable commutator: a = (offset, slopes),
+def _commutator_by_fftconvolve(offset, slopes, v, eps_list):
+    """The oracle for the separable commutator: a(y) = offset + slopes . y,
     grad(a) and grad(v) sampled on the whole grid, the product kernel formed
     from the 1-D kernels, and three independent fftconvolve calls per (j, k)."""
     grid = v.grid
     dim, axes = grid.dim, grid.axes()
-    offset, slopes = a
 
     def along(b, f):
         return _outer([f(x) if c == b else np.ones_like(x) for c, x in enumerate(axes)])
@@ -831,10 +826,12 @@ class TestSeparableCommutator:
              "non-square-off-centre-bump", "support-to-the-edge", "2d-zero-gradients",
              "3d-zero-gradients"])
     def test_matches_full_grid_product_kernel(self, box, cells, slopes, field, eps):
+        # the oracle's multiplier has an offset; the commutator is the same
+        # without it, since a(x) - a(x - u) = s . u whatever the offset
         g = make_grid(box, cells)
-        a, v = affine_multiplier(0.5, slopes), field(g)
-        got = mollifier_commutator(a, v, eps)
-        want = _commutator_by_fftconvolve(a, v, eps)
+        v = field(g)
+        got = mollifier_commutator(slopes, v, eps)
+        want = _commutator_by_fftconvolve(0.5, slopes, v, eps)
         if field is _zero_gradients:
             assert got == [0.0] * len(eps) and want == [0.0] * len(eps)
         else:
@@ -850,11 +847,10 @@ class TestSeparableCommutator:
         monkeypatch.setattr(uccert.corner, "fftconvolve", refuse)
         monkeypatch.setattr(scipy.signal, "fftconvolve", refuse)
         g = make_grid(unit_box(3), 96)
-        a = affine_multiplier(0.5, [0.4, -0.25, 0.2])
         v = _kink(g)
         tracemalloc.start()
         try:
-            norms = mollifier_commutator(a, v, [0.35, 0.175, 0.0875])
+            norms = mollifier_commutator([0.4, -0.25, 0.2], v, [0.35, 0.175, 0.0875])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -901,3 +897,75 @@ def test_fftconvolve_forwards_to_scipy():
     assert np.array_equal(got, fftconvolve(x, k, mode="same"))
     assert np.array_equal(uccert.corner.fftconvolve(x, k[:1], axes=1),
                           fftconvolve(x, k[:1], axes=1))
+
+
+class TestLabGateThresholds:
+    """Each gate of the corner lab on both sides of its threshold."""
+
+    def test_identity_tolerance(self):
+        g = make_grid(unit_box(2), 64)
+        tables = PairingTables(g, bump_corpus(unit_box(2), 5, seed=42))
+        cf = corner_corpus(g)[1]
+        fam_max = verify_extension_identities(cf, tables)["family_max_residual"]
+        assert all(r > 0.0 for r in fam_max.values())
+        assert verify_extension_identities(cf, tables, tol_weak=fam_max)["passed"]
+        for fam, r in fam_max.items():
+            below = dict(fam_max, **{fam: np.nextafter(r, 0.0)})
+            assert not verify_extension_identities(cf, tables, tol_weak=below)["passed"], fam
+
+    def test_nan_off_the_faces_fails_the_identities(self):
+        # U = y_1 y_2 with its axis-0 factor NaN at the node y_1 = -1/2, so U
+        # is NaN on that line of nodes, outside the closed quadrant: the faces
+        # stay 0, and the weak side of every identity reads the NaN
+        g = make_grid(unit_box(2), 64)
+        nan_linear = (lambda u: np.where(u == -0.5, np.nan, u), np.ones_like, np.zeros_like)
+        cf = CornerField(g, [[nan_linear, LINEAR]], "nan_off_the_faces")
+        assert np.count_nonzero(np.isnan(cf.tables[0][0][0])) == 1
+        assert cf.face_defects() == (0.0, 0.0)
+        tables = PairingTables(g, bump_corpus(unit_box(2), 5, seed=42))
+        rep = verify_extension_identities(cf, tables, tol_weak={f: np.inf for f in WEAK_K})
+        assert not rep["passed"]
+        assert all(np.isnan(r) for r in rep["family_max_residual"].values())
+
+    @pytest.mark.parametrize("magnitude", [1.0, 0.0], ids=["relative", "absolute"])
+    def test_layer_probe_bound(self, monkeypatch, magnitude):
+        # the bound is 1% of the layer's magnitude, or 10 h^2 where that is larger
+        h2 = 1e-4
+        bound = max(0.01 * magnitude, 10 * h2)
+        for mismatch, passed in ((bound, True), (np.nextafter(bound, np.inf), False), (np.nan, False)):
+            monkeypatch.setattr(uccert.cli, "detect_layer", lambda cf, tables: {
+                "max_mismatch": mismatch, "max_layer_magnitude": magnitude})
+            assert _corner_layer(None, None, h2)["passed"] is passed, mismatch
+
+    def test_mollifier_decay_bound(self, monkeypatch):
+        # three widths: the norms must fall strictly, the last to at most half the first
+        g = make_grid(unit_box(2), 64)
+        eps_list = [0.35, 0.175, 0.0875]
+        for norms, passed in (([1.0, 0.7, 0.5], True), ([1.0, 0.7, np.nextafter(0.5, 1.0)], False),
+                              ([1.0, 1.0, 0.5], False), ([1.0, 0.5, 0.5], False),
+                              ([1.0, np.nan, 0.5], False)):
+            monkeypatch.setattr(uccert.cli, "mollifier_commutator", lambda slopes, v, eps: norms)
+            assert _corner_mollifier(g, eps_list, seed=0)["passed"] is passed, norms
+
+    def test_transfer_constant_at_and_below_the_supremum(self):
+        # 4000 draws over the 15 x 15 nodes of the open quadrant off the box
+        # edges sample the node of the supremum
+        g = make_grid(unit_box(2), 32)
+        cf = corner_corpus(g)[1]
+        measured = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0)
+        assert measured["passed"]
+        at = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0, C=measured["C"])
+        assert at["passed"] and at["violations"] == 0
+        below = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0, C=measured["C"] * (1 - 1e-9))
+        assert not below["passed"] and below["violations"] > 0
+
+    @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_measured_constant_leaves_no_violation(self, dim, cells, seed):
+        # every sampled node inside the quadrant is a node of the supremum
+        g = make_grid(unit_box(dim), cells)
+        b = np.zeros((dim, dim))
+        b[0, 1] = b[1, 0] = 1.0
+        for cf in corner_corpus(g):
+            rep = verify_inequality_transfer(cf, b, n_pts=2000, seed=seed)
+            assert rep["violations"] == 0, cf.name

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import uccert.cli
 from uccert import build_psi, certify, integrate, linear_combination, squared_field
 from uccert.cli import geometry_from_config, main, parse_config_file, write_csv
-from uccert.corner import corner_corpus, verify_extension_identities
+from uccert.corner import PairingTables, corner_corpus, identity_families, verify_extension_identities
 from uccert.grids import bump_corpus, make_grid, unit_box
 from uccert.models import get_model
 
@@ -155,10 +155,14 @@ def test_corner_csv_is_the_csv_rendering_of_the_identity_rows(tmp_path, dim, cel
     argv = ["corner", "--dim", str(dim), "--grid", str(cells), "--tests", "3", "--n-pts", "50"]
     assert main(argv + ["--out", out]) in (0, 1)
     grid = make_grid(unit_box(dim), cells)
-    tests = bump_corpus(unit_box(dim), 3, seed=42)
+    tables = PairingTables(grid, bump_corpus(unit_box(dim), 3, seed=42))
     header = ["field", "family", "alpha", "testfn", "lhs", "rhs", "residual"]
-    rows = [[cf.name, row["family"], "".join(map(str, row["alpha"])), row["testfn"],
-             row["lhs"], row["rhs"], row["residual"]]
-            for cf in corner_corpus(grid) for row in verify_extension_identities(cf, tests)["rows"]]
+    identities = [(fam, alpha) for fam, members in identity_families(dim).items() for alpha in members]
+    rows = []
+    for cf in corner_corpus(grid):
+        rep = verify_extension_identities(cf, tables)
+        for (fam, alpha), lhs, rhs in zip(identities, rep["lhs"].tolist(), rep["rhs"].tolist(), strict=True):
+            rows.extend([cf.name, fam, "".join(map(str, alpha)), t, l, r, abs(l - r)]
+                        for t, (l, r) in enumerate(zip(lhs, rhs, strict=True)))
     assert len(rows) > 0
     assert _read(os.path.join(out, "corner_residuals.csv")) == csv_module_bytes(header, rows)

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 _CERTIFY = "tests/test_certify.py"
 _RAYS = "tests/test_rays.py"
+_CORNER_GATES = "tests/test_corner.py::TestLabGateThresholds"
 MUTANTS = (
     Mutant("on_surfaces", "certify.py", "off > spec.tol_zero", "off > spec.tol_zero * 100",
            (f"{_CERTIFY}::TestGateThresholds::test_on_surfaces", f"{_CERTIFY}::TestSoundnessGates")),
@@ -66,6 +67,20 @@ MUTANTS = (
             f"{_RAYS}::TestContact::test_launch_off_level_set_rejected")),
     Mutant("ray_tangency", "rays.py", "abs(c1) <= tol", "abs(c1) <= tol * 2",
            (f"{_RAYS}::TestContactGateThresholds::test_tangency",)),
+    Mutant("identity_tolerance", "corner.py", "fam_max[f] <= tol_weak[f]", "fam_max[f] <= tol_weak[f] * 2",
+           (f"{_CORNER_GATES}::test_identity_tolerance",)),
+    Mutant("identity_nan", "corner.py", "float(np.max(block))", "max(0.0, *block.ravel().tolist())",
+           (f"{_CORNER_GATES}::test_nan_off_the_faces_fails_the_identities",)),
+    Mutant("layer_probe", "cli.py",
+           'layer["max_mismatch"] <= max(0.01 * layer["max_layer_magnitude"], 10 * h2)',
+           'layer["max_mismatch"] <= 2 * max(0.01 * layer["max_layer_magnitude"], 10 * h2)',
+           (f"{_CORNER_GATES}::test_layer_probe_bound",)),
+    Mutant("mollifier_decay", "cli.py", "ns[-1] <= decay_bound * ns[0]", "ns[-1] <= 2 * decay_bound * ns[0]",
+           (f"{_CORNER_GATES}::test_mollifier_decay_bound",)),
+    Mutant("mollifier_monotone", "cli.py", "n1 > n2", "n1 >= n2",
+           (f"{_CORNER_GATES}::test_mollifier_decay_bound",)),
+    Mutant("transfer_slack", "corner.py", "1e-12 * (1.0 + np.abs(rhs_v))", "1e-6 * (1.0 + np.abs(rhs_v))",
+           (f"{_CORNER_GATES}::test_transfer_constant_at_and_below_the_supremum",)),
 )
 
 
