@@ -72,10 +72,6 @@ MAX_PAIRING_ENTRIES = 2 ** 24
 # writes 13 MB, `--dim 3 --grid 64 --tests 5461` 15 MB; each peaks at 80-100 MB
 # of RSS in the pairing tables' build
 MAX_RESIDUAL_ROWS = 2 ** 15
-# points above which `corner` stops before any work: the inequality transfer
-# draws dim indices and about ten arrays of doubles per point, about 100 MiB
-# at the bound
-MAX_TRANSFER_POINTS = 2 ** 20
 # corpus values (test functions x grid nodes) above which `carleman` stops
 # before any work: the corpus is held as one grid of doubles per test
 # function, 512 MiB at the bound.  The default 50 x 257^2 is about 5% of it
@@ -530,9 +526,6 @@ def _plan_corner(args) -> tuple:
     if rows > MAX_RESIDUAL_ROWS:
         raise ContractViolation(f"--tests {args.tests} in {dim}-D gives {rows} residual rows per "
                                 f"corpus field, above the bound of {MAX_RESIDUAL_ROWS}")
-    if args.n_pts > MAX_TRANSFER_POINTS:
-        raise ContractViolation(f"--n-pts {args.n_pts} is above the bound of {MAX_TRANSFER_POINTS} "
-                                f"inequality-transfer points")
     grid = make_grid(unit_box(dim), cells)
     eps_list = _smoothing_ladder(grid)
     # one width gives no pair to compare and a decay bound of 1
@@ -560,7 +553,7 @@ def _run_corner(args, plan: tuple) -> tuple:
     del pairing
     bmat = np.zeros((dim, dim))
     bmat[0, 1] = bmat[1, 0] = 1.0
-    transfer = verify_inequality_transfer(corpus[1], bmat, n_pts=args.n_pts, seed=args.seed)
+    transfer = verify_inequality_transfer(corpus[1], bmat)
     mollifier = _corner_mollifier(grid, eps_list, args.seed)
     ok = ok and layer["passed"] and transfer["passed"] and mollifier["passed"]
 
@@ -689,7 +682,6 @@ FLAGS = {
     "max-rays": (int, 8, "rays integrated, and the constraint samples that seed them"),
     "dim": (int, 2, "dimension of the corner lab, 2 or 3"),
     "tests": (int, 20, "test bumps of the corner lab"),
-    "n-pts": (int, 10000, "inequality-transfer points"),
     "corpus": (int, 50, "test functions of the carleman sweep"),
     "lambda-max": (float, 64.0, "largest lambda of the sweep's ladder 1, 2, 4, ..."),
 }
@@ -700,7 +692,7 @@ _GEOMETRY_FLAGS = ("model", "config", "out", "seed", "lambda", "tol-zero", "tol-
 COMMANDS = {"check": (_plan_check, _run_check, (*_GEOMETRY_FLAGS, "samples", "tol-char")),
             "certify": (_plan_certify, _run_certify, (*_GEOMETRY_FLAGS, "samples")),
             "rays": (_plan_rays, _run_rays, (*_GEOMETRY_FLAGS, "ds", "s-fit", "max-rays")),
-            "corner": (_plan_corner, _run_corner, ("out", "seed", "grid", "dim", "tests", "n-pts")),
+            "corner": (_plan_corner, _run_corner, ("out", "seed", "grid", "dim", "tests")),
             "carleman": (_plan_carleman, _run_carleman, ("out", "seed", "grid", "lambda", "mu", "corpus",
                                                          "lambda-max")),
             "all": (_plan_all, _run_all, tuple(FLAGS))}

@@ -396,21 +396,21 @@ class TestCommandTable:
 GEOMETRY_FLAGS = {"model", "config", "out", "seed", "lambda", "tol-zero", "tol-pos"}
 COMMAND_FLAGS = {"check": GEOMETRY_FLAGS | {"samples", "tol-char"}, "certify": GEOMETRY_FLAGS | {"samples"},
                  "rays": GEOMETRY_FLAGS | {"ds", "s-fit", "max-rays"},
-                 "corner": {"out", "seed", "grid", "dim", "tests", "n-pts"},
+                 "corner": {"out", "seed", "grid", "dim", "tests"},
                  "carleman": {"out", "seed", "grid", "lambda", "mu", "corpus", "lambda-max"}}
 # a value that each flag accepts, so that a refusal is the flag's alone
 FLAG_VALUES = {"model": "ik2", "config": "geo.conf", "out": "o", "seed": "1", "samples": "10", "lambda": "2",
                "mu": "1", "grid": "64", "tol-zero": "1e-10", "tol-char": "1e-8", "tol-pos": "1e-6",
-               "ds": "0.001", "s-fit": "0.05", "max-rays": "2", "dim": "2", "tests": "3", "n-pts": "100",
-               "corpus": "8", "lambda-max": "64"}
+               "ds": "0.001", "s-fit": "0.05", "max-rays": "2", "dim": "2", "tests": "3", "corpus": "8",
+               "lambda-max": "64"}
 
 
 class TestFlagSets:
     """Each command takes the flags it reads, and any other flag or [run] key
     exits 2 with one line that names the flag and the command."""
 
-    def test_nineteen_flags_each_read_by_a_command(self):
-        assert len(FLAG_VALUES) == 19 and set().union(*COMMAND_FLAGS.values()) == set(FLAG_VALUES)
+    def test_eighteen_flags_each_read_by_a_command(self):
+        assert len(FLAG_VALUES) == 18 and set().union(*COMMAND_FLAGS.values()) == set(FLAG_VALUES)
 
     @pytest.mark.parametrize("command", [*COMMAND_FLAGS, "all", "run"])
     def test_help_lists_exactly_the_flags_the_command_reads(self, capsys, command):
@@ -455,6 +455,18 @@ class TestFlagSets:
     def test_invocations_that_once_dropped_flags_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
         assert main(argv.split() + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"uccert: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via, message", [("flag", "unrecognized arguments: --n-pts 5"),
+                                              ("run-key", "unknown key 'n_pts' in [run] section")])
+    def test_removed_transfer_points_flag_exits_2(self, tmp_path, capsys, via, message):
+        # the inequality transfer reads every node of the open quadrant, so
+        # no flag sizes it
+        conf, out = tmp_path / "run.conf", tmp_path / "o"
+        conf.write_text("[run]\ncommand = corner\nn_pts = 5\n")
+        argv = ["corner", "--n-pts", "5"] if via == "flag" else ["run", "--config", str(conf)]
+        assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"uccert: error: {message}\n"
         assert not out.exists()
 
@@ -748,7 +760,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "must be finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [["corner", "--tests", "0"], ["corner", "--n-pts", "0"],
+    @pytest.mark.parametrize("argv", [["corner", "--tests", "0"], ["corner", "--grid", "0"],
                                       ["rays", "--model", "ik2", "--max-rays", "0"]])
     def test_vacuous_counts_rejected(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -826,8 +838,7 @@ class TestCornerGridBound:
         (["--tests", "1000000"], "pairing-table entries"),
         (["--tests", "400", "--grid", "8190"], "pairing-table entries"),
         (["--tests", "10923", "--grid", "64"], "residual rows"),
-        (["--tests", "5462", "--grid", "24", "--dim", "3"], "residual rows"),
-        (["--n-pts", "1048577"], "inequality-transfer points")])
+        (["--tests", "5462", "--grid", "24", "--dim", "3"], "residual rows")])
     def test_oversized_lab_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, what):
         # stopped before any work: the grid, the corpora and the tables refuse to be built
         def refuse(*args, **kwargs):
@@ -856,7 +867,7 @@ class TestCornerGridBound:
 
     def test_next_grid_runs(self, tmp_path):
         assert len(_smoothing_ladder(make_grid(unit_box(2), self.COARSEST + 2))) >= 2
-        argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2", "--n-pts", "50"]
+        argv = ["corner", "--grid", str(self.COARSEST + 2), "--tests", "2"]
         assert main(argv + ["--out", str(tmp_path / "o")]) in (0, 1)
         assert read_report(str(tmp_path / "o"))["cells"] == self.COARSEST + 2
 
@@ -1123,7 +1134,6 @@ class TestAllChecksEveryBoundFirst:
         "MAX_CORNER_NODES": (["--grid", "8192"], "nodes"),
         "MAX_PAIRING_ENTRIES": (["--tests", "1000000"], "pairing-table entries"),
         "MAX_RESIDUAL_ROWS": (["--tests", "20000", "--grid", "64"], "residual rows"),
-        "MAX_TRANSFER_POINTS": (["--n-pts", "1048577"], "inequality-transfer points"),
         "MAX_CARLEMAN_VALUES": (["--corpus", "100000"], "corpus values"),
     }
 

@@ -477,21 +477,22 @@ class TestSeparablePairing:
 
 
 class TestInequalityTransfer:
-    def test_sinsin_zero_violations(self):
+    def test_sinsin_measured_constant(self):
         g = make_grid(unit_box(2), 256)
         cf = corner_corpus(g)[1]          # product of sines
         b = [[0.0, 1.0], [1.0, 0.0]]
-        rep = verify_inequality_transfer(cf, b, n_pts=10000, seed=1)
-        assert rep["violations"] == 0
-        assert rep["C"] > 0
+        rep = verify_inequality_transfer(cf, b)
+        assert rep["passed"] and rep["C"] > 0
+        # the open quadrant's nodes off the box edges: 127 per axis
+        assert rep["nodes"] == 127 ** 2 and set(rep) == {"field", "C", "nodes", "passed"}
 
     def test_supplied_constant_also_transfers(self):
         g = make_grid(unit_box(2), 128)
         cf = corner_corpus(g)[1]
         b = [[0.0, 1.0], [1.0, 0.0]]
-        measured = verify_inequality_transfer(cf, b, n_pts=100, seed=1)["C"]
-        rep = verify_inequality_transfer(cf, b, n_pts=5000, seed=2, C=measured)
-        assert rep["violations"] == 0
+        measured = verify_inequality_transfer(cf, b)
+        rep = verify_inequality_transfer(cf, b, C=measured["C"])
+        assert rep["violations"] == 0 and rep["nodes"] == measured["nodes"] == 63 ** 2
 
     def test_zero_field_leaves_no_constant_to_measure(self):
         # every denominator is 0 on the open quadrant (a ValueError from an
@@ -499,16 +500,15 @@ class TestInequalityTransfer:
         g = make_grid(unit_box(2), 64)
         cf = CornerField(g, [[_axis_const(0.0), _axis_const(0.0)]], "z")
         with pytest.raises(HypothesisError, match="void"):
-            verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]], n_pts=10)
-        assert verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]], n_pts=10, C=1.0)["passed"]
+            verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]])
+        assert verify_inequality_transfer(cf, [[0.0, 1.0], [1.0, 0.0]], C=1.0)["passed"]
 
     def test_nonzero_corner_entry_rejected(self):
         g = make_grid(unit_box(2), 64)
         cf = corner_corpus(g)[1]
         b = [[1.0, 0.0], [0.0, 0.0]]
         with pytest.raises(HypothesisError):
-            verify_inequality_transfer(cf, b, n_pts=10)
-
+            verify_inequality_transfer(cf, b)
 
 
 def _unit(dim, *axes):
@@ -529,10 +529,11 @@ def _partial_on_full_grid(cf, alpha):
     return out
 
 
-def transfer_on_full_grid(cf, B, n_pts=10000, seed=0, C=None, tol_char=1e-12):
+def transfer_on_full_grid(cf, B, C=None, tol_char=1e-12):
     """The oracle for verify_inequality_transfer: the form, |grad U| + |U| and
-    the open-quadrant mask as arrays of the grid's shape, C taken over them at
-    once and the sampled nodes read from them."""
+    the open-quadrant mask off the box edges as arrays of the grid's shape,
+    each gate, C and the check against a supplied C taken over the mask at
+    once."""
     grid = cf.grid
     dim = grid.dim
     B = np.asarray(B, dtype=float)
@@ -553,43 +554,31 @@ def transfer_on_full_grid(cf, B, n_pts=10000, seed=0, C=None, tol_char=1e-12):
     interior = np.zeros(grid.shape, dtype=bool)
     interior[(slice(1, -1),) * dim] = True
     open_quadrant = quadrant_mask(grid, closed=False) & interior
-    lhs_u = np.abs(bu)
+    lhs = np.abs(bu)
+    for what, bad in (("NaN form or denominator", np.isnan(lhs) | np.isnan(denom)),
+                      ("zero denominator with nonzero second-order form", (denom <= 0) & (lhs > tol_char))):
+        if np.any(bad & open_quadrant):
+            w = np.argwhere(bad & open_quadrant)[0]
+            raise HypothesisError(f"inequality hypothesis fails on the open quadrant: {what} at node {tuple(w)}")
+    lhs, denom = lhs[open_quadrant], denom[open_quadrant]
+    nodes = int(np.count_nonzero(open_quadrant))
     if C is None:
-        bad = open_quadrant & (denom <= 0) & (lhs_u > tol_char)
-        if np.any(bad):
-            w = np.argwhere(bad)[0]
-            raise HypothesisError(
-                f"inequality hypothesis fails on the open quadrant: zero "
-                f"denominator with nonzero second-order form at node {tuple(w)}")
-        ok = open_quadrant & (denom > 0)
-        C = float(np.max(lhs_u[ok] / denom[ok]))
-
-    rng = np.random.default_rng(seed)
-    idx = []
-    for a in range(dim):
-        lo, hi = 1, grid.shape[a] - 1
-        col = rng.integers(lo, hi, size=n_pts)
-        if a in (0, 1):
-            z = grid.zero_index(a)
-            col = np.where(col == z, z + 1, col)
-        idx.append(col)
-    idx = tuple(idx)
-    hpart = quadrant_mask(grid, closed=True)[idx].astype(float)
-    lhs_v = hpart * lhs_u[idx]
-    rhs_v = C * hpart * denom[idx]
-    slack = 1e-12 * (1.0 + np.abs(rhs_v))
-    violations = int(np.sum(lhs_v > rhs_v + slack))
-    worst = float(np.max(lhs_v - rhs_v)) if n_pts else 0.0
-    return {"field": cf.name, "C": float(C), "n_points": int(n_pts),
-            "violations": violations, "worst_excess": worst, "passed": violations == 0}
+        ok = denom > 0
+        if not np.any(ok):
+            raise HypothesisError("inequality hypothesis is void")
+        return {"field": cf.name, "C": float(np.max(lhs[ok] / denom[ok])), "nodes": nodes, "passed": True}
+    rhs = C * denom
+    violations = int(np.count_nonzero(lhs > rhs + 1e-12 * (1.0 + np.abs(rhs))))
+    return {"field": cf.name, "C": float(C), "nodes": nodes, "violations": violations,
+            "worst_excess": float(np.max(lhs - rhs, initial=-np.inf)), "passed": violations == 0}
 
 
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestTransferOracle:
-    """verify_inequality_transfer, in slabs and at the sampled nodes, against
-    the full-grid oracle: the reports are equal, every number bit for bit.
+    """verify_inequality_transfer, in slabs, against the full-grid oracle:
+    the reports are equal, every number bit for bit.
     A slab of 37 nodes holds at most one axis-0 row of these grids, so the
     second case takes the supremum row by row."""
 
@@ -602,7 +591,7 @@ class TestTransferOracle:
     def test_report_equals_oracle(self, monkeypatch, box, cells, b, slab_nodes):
         monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
         for cf in corner_corpus(make_grid(box, cells)):
-            for kwargs in ({"n_pts": 10000, "seed": 3}, {"n_pts": 700, "seed": 4, "C": 0.9}):
+            for kwargs in ({}, {"C": 0.9}):
                 assert (verify_inequality_transfer(cf, b, **kwargs)
                         == transfer_on_full_grid(cf, b, **kwargs)), (cf.name, kwargs)
 
@@ -638,7 +627,7 @@ class TestLabFootprint:
             for cf in corpus:
                 verify_extension_identities(cf, tables, tol_weak=_tols(g))
             detect_layer(corpus[0], tables)
-            verify_inequality_transfer(corpus[1], b, n_pts=10000, seed=0)
+            verify_inequality_transfer(corpus[1], b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -948,24 +937,43 @@ class TestLabGateThresholds:
             assert _corner_mollifier(g, eps_list, seed=0)["passed"] is passed, norms
 
     def test_transfer_constant_at_and_below_the_supremum(self):
-        # 4000 draws over the 15 x 15 nodes of the open quadrant off the box
-        # edges sample the node of the supremum
+        # every one of the 15 x 15 nodes of the open quadrant off the box
+        # edges is checked, the node of the supremum among them
         g = make_grid(unit_box(2), 32)
         cf = corner_corpus(g)[1]
-        measured = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0)
-        assert measured["passed"]
-        at = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0, C=measured["C"])
-        assert at["passed"] and at["violations"] == 0
-        below = verify_inequality_transfer(cf, SWAP, n_pts=4000, seed=0, C=measured["C"] * (1 - 1e-9))
-        assert not below["passed"] and below["violations"] > 0
+        measured = verify_inequality_transfer(cf, SWAP)
+        assert measured["passed"] and measured["nodes"] == 15 ** 2
+        at = verify_inequality_transfer(cf, SWAP, C=measured["C"])
+        assert at["passed"] and at["violations"] == 0 and at["nodes"] == 15 ** 2
+        below = verify_inequality_transfer(cf, SWAP, C=measured["C"] * (1 - 1e-9))
+        assert not below["passed"] and below["violations"] > 0 and below["worst_excess"] > 0
+
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["measured", "supplied"])
+    def test_nan_in_the_open_quadrant_fails_the_transfer(self, monkeypatch, slab_nodes, supplied):
+        # sin(pi y_1) sin(pi y_2) with every entry of its axis-0 factor NaN at
+        # the node y_1 = 1/2, so the form and the denominator are NaN on that
+        # line of the open quadrant; the first of its nodes in C order is named
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
+        g = make_grid(unit_box(2), 64)
+        nan_sin = tuple(lambda u, f=f: np.where(u == 0.5, np.nan, f(u)) for f in SIN_PI)
+        cf = CornerField(g, [[nan_sin, SIN_PI]], "nan_on_a_line")
+        assert all(np.count_nonzero(np.isnan(entry)) == 1 for entry in cf.tables[0][0])
+        C = verify_inequality_transfer(corner_corpus(g)[1], SWAP)["C"] if supplied else None
+        for transfer in (verify_inequality_transfer, transfer_on_full_grid):
+            with pytest.raises(HypothesisError, match="NaN form or denominator at node") as err:
+                transfer(cf, SWAP, C=C)
+            assert re.findall(r"\d+", str(err.value).replace("np.int64", "").split("node")[1]) == ["48", "33"]
 
     @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 16)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_measured_constant_leaves_no_violation(self, dim, cells, seed):
-        # every sampled node inside the quadrant is a node of the supremum
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    def test_measured_constant_leaves_no_violation(self, monkeypatch, dim, cells, slab_nodes):
+        # the measured constant, supplied back, holds at every node it was taken over
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
         g = make_grid(unit_box(dim), cells)
         b = np.zeros((dim, dim))
         b[0, 1] = b[1, 0] = 1.0
         for cf in corner_corpus(g):
-            rep = verify_inequality_transfer(cf, b, n_pts=2000, seed=seed)
-            assert rep["violations"] == 0, cf.name
+            measured = verify_inequality_transfer(cf, b)
+            rep = verify_inequality_transfer(cf, b, C=measured["C"])
+            assert rep["violations"] == 0 and rep["nodes"] == measured["nodes"] > 0, cf.name

@@ -152,7 +152,7 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
 @pytest.mark.parametrize("dim, cells", [(2, 64), (3, 48)])
 def test_corner_csv_is_the_csv_rendering_of_the_identity_rows(tmp_path, dim, cells):
     out = str(tmp_path / "k")
-    argv = ["corner", "--dim", str(dim), "--grid", str(cells), "--tests", "3", "--n-pts", "50"]
+    argv = ["corner", "--dim", str(dim), "--grid", str(cells), "--tests", "3"]
     assert main(argv + ["--out", out]) in (0, 1)
     grid = make_grid(unit_box(dim), cells)
     tables = PairingTables(grid, bump_corpus(unit_box(dim), 3, seed=42))

@@ -79,8 +79,10 @@ MUTANTS = (
            (f"{_CORNER_GATES}::test_mollifier_decay_bound",)),
     Mutant("mollifier_monotone", "cli.py", "n1 > n2", "n1 >= n2",
            (f"{_CORNER_GATES}::test_mollifier_decay_bound",)),
-    Mutant("transfer_slack", "corner.py", "1e-12 * (1.0 + np.abs(rhs_v))", "1e-6 * (1.0 + np.abs(rhs_v))",
+    Mutant("transfer_slack", "corner.py", "1e-12 * (1.0 + np.abs(rhs))", "1e-6 * (1.0 + np.abs(rhs))",
            (f"{_CORNER_GATES}::test_transfer_constant_at_and_below_the_supremum",)),
+    Mutant("transfer_nan", "corner.py", "np.isnan(lhs) | np.isnan(denom)", "np.zeros(lhs.shape, dtype=bool)",
+           (f"{_CORNER_GATES}::test_nan_in_the_open_quadrant_fails_the_transfer",)),
 )
 
 
