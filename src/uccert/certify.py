@@ -39,7 +39,8 @@ import numpy as np
 from .errors import (ContractViolation, DegenerateConstraintSet,
                      InternalInconsistency, NondegeneracyViolation, SignatureError)
 from .fields import Jet, MetricField, ScalarField, as_point
-from .hypotheses import DEFAULT_TOL_POS, GeometrySpec, bent_surface, split_terms
+from .hypotheses import (DEFAULT_TOL_CHAR, DEFAULT_TOL_POS, GeometrySpec, apply_gates, bent_surface,
+                         gate_rows, split_terms)
 from .symbols import (ZERO_BAND, _hp2_closed_forms, _hp_closed_form, _signature_of, hp2_matrix,
                       lorentz_normal_form, quadratic_form_values)
 
@@ -338,6 +339,7 @@ class Certificate:
     res_hp: np.ndarray = dc_field(default_factory=lambda: np.empty(0))          # |xi . b1|
     route_disagreement: float = 0.0
     notes: dict = dc_field(default_factory=dict)
+    hypotheses_at_x0: Optional[dict] = None     # certify's GATES at x0, {name: {status, margin}}
 
     def to_dict(self) -> dict:
         return {
@@ -350,12 +352,12 @@ class Certificate:
             "status": self.status,
             "route_disagreement": float(self.route_disagreement),
             "notes": dict(self.notes),
+            "hypotheses_at_x0": self.hypotheses_at_x0,
         }
 
 
 def _degenerate(x0, gate: str, numbers: dict) -> Certificate:
-    nan = float("nan")
-    return Certificate(x0=x0, m0=nan, lambda0=nan, lambda_used=nan, worst_margin=nan,
+    return Certificate(x0=x0, m0=math.nan, lambda0=math.nan, lambda_used=math.nan, worst_margin=math.nan,
                        n_samples=0, status="degenerate", notes={"gate": [gate], gate: numbers})
 
 
@@ -533,11 +535,12 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     The base point must lie on both surfaces to spec.tol_zero, and every jet
     the certificate uses must be finite there; otherwise the certificate is
     degenerate and its notes name the gate.  The gate reads Q and phi± once
-    each, and the surface values come from those jets.  The jets of psi0 and
-    psi1 are composed from phi±'s by ``split_terms``, as ``build_psi``'s
-    fields compose them, and ``certify_fields`` gets Q, psi0 and psi1 pinned
-    to their jets, so the surface expressions and the metric are evaluated
-    once each.
+    each, and the surface values come from those jets; so do the margins of
+    ``hypotheses.GATES`` at x0, hypotheses_at_x0, which the status does not
+    follow yet.  The jets of psi0 and psi1 are composed from phi±'s by
+    ``split_terms``, as ``build_psi``'s fields compose them, and
+    ``certify_fields`` gets Q, psi0 and psi1 pinned to their jets, so the
+    surface expressions and the metric are evaluated once each.
     """
     x0 = as_point(x0)
     jets, singular = _read_jets(spec.Q, {"phi_plus": spec.phi_plus,
@@ -547,7 +550,11 @@ def certify(spec: GeometrySpec, x0, lam: Optional[float] = None, n: int = 2000,
     off = float(max(abs(jets["phi_plus"].value), abs(jets["phi_minus"].value)))
     if off > spec.tol_zero:
         return _degenerate(x0, "on_surfaces", {"max_abs_phi": off, "tol_zero": spec.tol_zero})
+    at_x0 = gate_rows(x0[None], jets["Q"][0][None], jets["phi_plus"].grad[None], jets["phi_minus"].grad[None])
+    gates = apply_gates(dict.fromkeys(("plus", "minus", "intersection"), at_x0), DEFAULT_TOL_CHAR, tol_pos)
     psi0, psi1 = (_pinned_scalar(name, sum(c * jet for c, jet in terms), x0)
                   for name, terms in zip(("psi0", "psi1"), split_terms(jets["phi_plus"], jets["phi_minus"])))
-    return certify_fields(_pinned_metric(spec.Q, *jets["Q"], x0), psi0, psi1, x0,
+    cert = certify_fields(_pinned_metric(spec.Q, *jets["Q"], x0), psi0, psi1, x0,
                           lam=lam, n=n, tol_pos=tol_pos, seed=seed)
+    cert.hypotheses_at_x0 = {name: {"status": c.status, "margin": c.margin} for name, c in gates.items()}
+    return cert

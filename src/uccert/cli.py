@@ -646,10 +646,13 @@ def _plan_all(args) -> dict:
 def _run_all(args, plans: dict) -> tuple:
     """Each stage, in the table's order, run on its plan and emitted into
     out/<stage> before the next runs, so that no two stages' tables are held
-    at once; the payload is the stages' exit codes."""
+    at once; the payload is the one lambda that every stage bends at,
+    --lambda or 2 (certify's own default does not apply), and the stages'
+    exit codes."""
+    args.lam = 2.0 if args.lam is None else args.lam
     codes = {name: _emit(os.path.join(args.out, name), *run(args, plans[name]))
              for name, (_, run, _) in COMMANDS.items() if name in plans}
-    return {"command": "all", "seed": args.seed, "stage_exit_codes": codes,
+    return {"command": "all", "seed": args.seed, "lambda": args.lam, "stage_exit_codes": codes,
             "passed": not any(codes.values())}, []
 
 
@@ -671,7 +674,7 @@ FLAGS = {
     "seed": (int, 0, "random seed"),
     "samples": (int, None, "surface samples for check, constraint samples for certify and all "
                            "(default the geometry's n_surface_samples, 2000 for certify)"),
-    "lambda": (float, None, "bending parameter (default 2; certify's is 2 lambda0 + 1)"),
+    "lambda": (float, None, "bending parameter (default 2; certify run alone: 2 lambda0 + 1)"),
     "mu": (float, 1.0, "weight exponent"),
     "grid": (int, None, "cells per axis (default 512 for corner in 2-D, 128 in 3-D, 256 for carleman)"),
     "tol-zero": (float, DEFAULT_TOL_ZERO, "surface membership residual"),

@@ -169,19 +169,6 @@ def _multi_index(dim: int, *axes: int) -> tuple:
     return tuple(alpha)
 
 
-def quadrant_mask(grid: Grid, closed: bool = True) -> np.ndarray:
-    """Indicator of the (closed by default) quadrant y_1 >= 0, y_2 >= 0,
-    a read-only broadcast of its (y_1, y_2) slice."""
-    half = np.greater_equal if closed else np.greater
-    mask = half(grid.axis(0), 0.0)[:, None] & half(grid.axis(1), 0.0)
-    return np.broadcast_to(mask.reshape(mask.shape + (1,) * (grid.dim - 2)), grid.shape)
-
-
-def extend_by_zero(cf: CornerField) -> np.ndarray:
-    """V = U on the closed quadrant, 0 elsewhere (nodes on the faces keep U)."""
-    return np.where(quadrant_mask(cf.grid, closed=True), cf.values, 0.0)
-
-
 def weak_pairing(v_values: np.ndarray, grid: Grid, alpha: Sequence[int],
                  testfn: ProductBump) -> float:
     """Distributional pairing <d^alpha V, phi> = (-1)^|alpha| integral V d^alpha phi."""

@@ -2,16 +2,13 @@
 
 Given a wave-type coefficient matrix Q and two level-set functions phi_plus,
 phi_minus, this module samples the surfaces and their intersection inside an
-axis-aligned box and verifies, on arrays of sample points:
-
-  * nondegenerate differentials on each surface,
-  * transversality of the two surfaces along the intersection,
-  * that each surface is characteristic for the symbol,
-  * positivity of <Q dphi_plus, dphi_minus> along the intersection,
-
-plus the derived sign/orthogonality identities for the half-sum and
-half-difference fields and the sublevel inclusion used to place a bent
-surface under the wedge region.
+axis-aligned box.  ``GATES`` writes each standing assumption once, as a gate
+on rows of points: the wave signature of Q, nondegenerate differentials on
+each surface, that each surface is characteristic for the symbol,
+transversality along the intersection and positivity of <Q dphi_plus,
+dphi_minus> there.  ``check_assumptions`` applies it at sample points and
+``certify`` at its base point.  The derived sign/orthogonality identities of
+the split fields and the sublevel inclusion of a bent surface are checked too.
 """
 
 from __future__ import annotations
@@ -68,9 +65,7 @@ class CheckResult:
     values: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {"status": self.status, "margin": self.margin, "witness": self.witness}
-        out.update(self.values)
-        return out
+        return {"status": self.status, "margin": self.margin, "witness": self.witness, **self.values}
 
 
 @dataclass
@@ -246,12 +241,6 @@ def _dedupe(arr: np.ndarray) -> np.ndarray:
     return arr[np.sort(order[first])]
 
 
-def _level_fields(spec: GeometrySpec, which: str) -> list:
-    """The level-set functions whose common zero set ``which`` names."""
-    return {"plus": [spec.phi_plus], "minus": [spec.phi_minus],
-            "intersection": [spec.phi_plus, spec.phi_minus]}[which]
-
-
 def sample_surface(spec: GeometrySpec, which: str, *, residuals: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample points of one surface, or of the intersection, inside the box.
 
@@ -268,7 +257,7 @@ def sample_surface(spec: GeometrySpec, which: str, *, residuals: Optional[np.nda
     """
     if which not in ("plus", "minus", "intersection"):
         raise ContractViolation(f"unknown surface selector {which!r}")
-    fields = _level_fields(spec, which)
+    fields = [spec.phi_plus, spec.phi_minus] if which == "intersection" else [getattr(spec, f"phi_{which}")]
     n_target = spec.n_surface_samples
     cap = 4 * n_target
     axes = _scan_axes(spec)
@@ -314,96 +303,100 @@ def sample_surface(spec: GeometrySpec, which: str, *, residuals: Optional[np.nda
     return arr
 
 
+def gate_rows(x: np.ndarray, q: np.ndarray, plus=None, minus=None) -> dict:
+    """A sample set as the gates read it: points "x" (rows), Q "q" and dphi± "plus", "minus" there (None
+    where no gate reads one), and with both gradients the smaller singular value "sv" of each pair."""
+    both = plus is not None and minus is not None
+    sv = np.linalg.svd(np.stack([plus, minus], axis=1), compute_uv=False)[:, -1] if both else None
+    return {"x": x, "q": q, "plus": plus, "minus": minus, "sv": sv}
+
+
+def _signature_gate(sets: dict, tol_char: float, tol_pos: float) -> tuple:
+    """Q's symmetry defect and wave signature on the first 5 rows of each set, up to the first wrong one."""
+    x, qs = (np.concatenate([rows[part][:5] for rows in sets.values()]) for part in ("x", "q"))
+    scale = np.maximum(1.0, np.abs(qs).max(axis=(1, 2)))
+    defect = np.abs(qs - qs.mT).max(axis=(1, 2)) / scale
+    sig = signature(qs)
+    bad = ((sig.n_minus != 1) | (sig.n_zero != 0)).nonzero()[0]
+    worst = float(defect[:bad[0] + 1 if bad.size else len(qs)].max())
+    return worst, not bad.size and worst <= 1e-12, x[bad[0]] if bad.size else None, {}
+
+
+def _gradient_gate(sets: dict, tol_char: float, tol_pos: float) -> tuple:
+    """The smallest |dphi| over the samples of each surface."""
+    plus, minus = sets["plus"], sets["minus"]
+    norms = np.concatenate([np.sqrt(np.vecdot(g, g)) for g in (plus["plus"], minus["minus"])])
+    k = int(norms.argmin())
+    return float(norms[k]), norms[k] > tol_pos, np.concatenate([plus["x"], minus["x"]])[k], {}
+
+
+def _characteristic_gate(which: str):
+    """The largest residual |<Q u, u>| on surface ``which``, u = dphi / |dphi|, and <Q dphi, dphi> there."""
+    def gate(sets: dict, tol_char: float, tol_pos: float) -> tuple:
+        x, q, g = sets[which]["x"], sets[which]["q"], sets[which][which]
+        gn = np.sqrt(np.vecdot(g, g))
+        gu = g / np.where(gn > 0, gn, 1.0)[:, None]
+        residuals = np.abs(_quadratic_forms(gu, q, gu))
+        k = int(residuals.argmax())
+        return (float(residuals[k]), residuals[k] <= tol_char, x[k],
+                {"raw_at_witness": float(_quadratic_forms(g, q, g)[k])})
+    return gate
+
+
+def _transversality_gate(sets: dict, tol_char: float, tol_pos: float) -> tuple:
+    """The smallest singular value of (dphi_plus, dphi_minus) over the intersection."""
+    x, sv = sets["intersection"]["x"], sets["intersection"]["sv"]
+    k = int(sv.argmin())
+    return float(sv[k]), sv[k] > tol_pos, x[k], {}
+
+
+def _sign_gate(sets: dict, tol_char: float, tol_pos: float) -> tuple:
+    """The smallest <Q dphi_plus, dphi_minus> over the intersection rows where
+    the gradients are transversal (where they are parallel it degenerates to zero)."""
+    rows = sets["intersection"]
+    trans = (rows["sv"] > tol_pos).nonzero()[0]
+    if len(trans) == 0:
+        return None, None, None, {"reason": "no transversal intersection samples"}
+    vals = _quadratic_forms(rows["plus"][trans], rows["q"][trans], rows["minus"][trans])
+    k = int(vals.argmin())
+    return (float(vals[k]), vals[k] > tol_pos, rows["x"][trans[k]],
+            {"min_value": float(vals.min()), "max_value": float(vals.max())})
+
+
+GATES = {"signature": _signature_gate, "nondegenerate_gradients": _gradient_gate,
+         "characteristic_plus": _characteristic_gate("plus"),
+         "characteristic_minus": _characteristic_gate("minus"),
+         "transversality": _transversality_gate, "sign_condition": _sign_gate}
+
+
+def apply_gates(sets: dict, tol_char: float, tol_pos: float) -> Dict[str, CheckResult]:
+    """Each gate of ``GATES`` on the ``gate_rows`` of "plus", "minus" and "intersection" as a
+    check; a gate returns (margin, passed or None with no row to read, worst row or None, values)."""
+    results = {name: gate(sets, tol_char, tol_pos) for name, gate in GATES.items()}
+    return {name: CheckResult("skipped" if passed is None else "pass" if passed else "fail", margin,
+                              None if worst is None else worst.tolist(), values)
+            for name, (margin, passed, worst, values) in results.items()}
+
+
 def check_assumptions(spec: GeometrySpec,
                       tol_char: float = DEFAULT_TOL_CHAR,
                       tol_pos: float = DEFAULT_TOL_POS) -> HypothesisReport:
-    """Evaluate the four standing assumptions at sampled surface points.
-
-    Characteristic residuals are computed with unit-normalized gradients so
-    the tolerance is scale-invariant; the transversality margin is the
-    smallest singular value of the stacked gradient pair; the sign condition
-    uses raw gradients and is evaluated only at transversal intersection
-    points (it degenerates to zero where the gradients are parallel).
-    """
+    """The table of standing assumptions, ``GATES``, at sample points of each
+    surface and of the intersection, where Q and each gradient read are read once."""
     selectors = ("plus", "minus", "intersection")
     # one scan for the three surfaces; each residual array is dropped once sampled
     residuals = _scan_residuals(spec, _scan_axes(spec), selectors)
-    s_plus, s_minus, s_both = (sample_surface(spec, which, residuals=residuals.pop(which))
-                               for which in selectors)
-    if len(s_plus) == 0 or len(s_minus) == 0 or len(s_both) == 0:
-        raise InsufficientSamples(
-            f"surface sampling failed (plus={len(s_plus)}, minus={len(s_minus)}, "
-            f"intersection={len(s_both)})")
-
-    checks: Dict[str, CheckResult] = {}
-
-    # metric symmetry + signature spot check on a sample subset, up to the
-    # first point with a wrong signature
-    sig_pts = np.concatenate([s_plus[:5], s_minus[:5], s_both[:5]])
-    qs = spec.Q.jet(sig_pts, 0)
-    scale = np.maximum(1.0, np.max(np.abs(qs), axis=(1, 2)))
-    defect = np.max(np.abs(qs - np.swapaxes(qs, 1, 2)), axis=(1, 2)) / scale
-    sig = signature(qs)
-    bad = np.flatnonzero((sig.n_minus != 1) | (sig.n_zero != 0))
-    upto = bad[0] + 1 if bad.size else len(sig_pts)
-    worst_sym = float(np.max(defect[:upto]))
-    checks["signature"] = CheckResult(
-        "pass" if (not bad.size and worst_sym <= 1e-12) else "fail",
-        margin=worst_sym, witness=[float(v) for v in sig_pts[bad[0]]] if bad.size else None)
-
-    surfaces = [(s_plus, spec.phi_plus.jet(s_plus, 1).grad),
-                (s_minus, spec.phi_minus.jet(s_minus, 1).grad)]
-    norms = [np.sqrt(np.vecdot(g, g)) for _, g in surfaces]
-
-    # nondegenerate differentials on both surfaces
-    both = np.concatenate(norms)
-    k = int(np.argmin(both))
-    checks["nondegenerate_gradients"] = CheckResult(
-        "pass" if both[k] > tol_pos else "fail",
-        margin=float(both[k]), witness=[float(v) for v in np.concatenate([s_plus, s_minus])[k]])
-
-    # characteristic residuals, one check per surface
-    for tag, (samples, g), gn in zip(("characteristic_plus", "characteristic_minus"),
-                                     surfaces, norms):
-        qs = spec.Q.jet(samples, 0)
-        gu = g / np.where(gn > 0, gn, 1.0)[:, None]
-        residuals = np.abs(_quadratic_forms(gu, qs, gu))
-        k = int(np.argmax(residuals))
-        checks[tag] = CheckResult(
-            "pass" if residuals[k] <= tol_char else "fail",
-            margin=float(residuals[k]),
-            witness=[float(v) for v in samples[k]],
-            values={"raw_at_witness": float(_quadratic_forms(g, qs, g)[k])})
-
-    # transversality along the intersection
-    pair = np.stack([phi.jet(s_both, 1).grad for phi in (spec.phi_plus, spec.phi_minus)], axis=1)
-    sv = np.linalg.svd(pair, compute_uv=False)[:, -1]
-    k = int(np.argmin(sv))
-    checks["transversality"] = CheckResult(
-        "pass" if sv.min() > tol_pos else "fail",
-        margin=float(sv.min()), witness=[float(v) for v in s_both[k]])
-
-    # sign condition, evaluated where the surfaces are transversal
-    trans_idx = np.flatnonzero(sv > tol_pos)
-    if len(trans_idx) == 0:
-        checks["sign_condition"] = CheckResult("skipped", values={
-            "reason": "no transversal intersection samples"})
-    else:
-        pair = pair[trans_idx]
-        qs = spec.Q.jet(s_both[trans_idx], 0)
-        vals = _quadratic_forms(pair[:, 0], qs, pair[:, 1])
-        k = int(np.argmin(vals))
-        checks["sign_condition"] = CheckResult(
-            "pass" if vals.min() > tol_pos else "fail",
-            margin=float(vals.min()),
-            witness=[float(v) for v in s_both[trans_idx[k]]],
-            values={"min_value": float(vals.min()), "max_value": float(vals.max())})
-
-    samples = {"plus": s_plus, "minus": s_minus, "intersection": s_both}
+    samples = {which: sample_surface(spec, which, residuals=residuals.pop(which)) for which in selectors}
     counts = {k: len(v) for k, v in samples.items()}
-    shortfall = {k: max(0, spec.n_surface_samples - v) for k, v in counts.items()}
-    return HypothesisReport(checks=checks, n_samples=counts, shortfall=shortfall,
-                            samples=samples)
+    if not all(counts.values()):
+        listed = ", ".join(f"{k}={v}" for k, v in counts.items())
+        raise InsufficientSamples(f"surface sampling failed ({listed})")
+    sets = {which: gate_rows(x, spec.Q.jet(x, 0),
+                             plus=spec.phi_plus.jet(x, 1).grad if which != "minus" else None,
+                             minus=spec.phi_minus.jet(x, 1).grad if which != "plus" else None)
+            for which, x in samples.items()}
+    return HypothesisReport(checks=apply_gates(sets, tol_char, tol_pos), n_samples=counts, samples=samples,
+                            shortfall={k: max(0, spec.n_surface_samples - v) for k, v in counts.items()})
 
 
 def split_terms(plus, minus) -> tuple:

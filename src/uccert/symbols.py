@@ -41,9 +41,9 @@ def signature(M) -> Signature:
 def _symmetric_part(M) -> np.ndarray:
     """(M + M^T) / 2 of a matrix, or of each of a stack, that is symmetric to rounding."""
     m = np.asarray(M, dtype=float)
-    mt = np.swapaxes(m, -1, -2)
-    scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-    if np.any(np.max(np.abs(m - mt), axis=(-2, -1)) > 1e-10 * scale):
+    mt = m.mT
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise ContractViolation("signature() requires a symmetric matrix")
     return 0.5 * (m + mt)
 
@@ -57,7 +57,7 @@ def _signature_of(ev: np.ndarray) -> Signature:
         n_plus, n_minus = sum(v > band for v in vals), sum(v < -band for v in vals)
     else:
         band = ZERO_BAND * np.maximum(1.0, top)[..., None]
-        n_plus, n_minus = np.sum(ev > band, axis=-1), np.sum(ev < -band, axis=-1)
+        n_plus, n_minus = (ev > band).sum(axis=-1), (ev < -band).sum(axis=-1)
     return Signature(n_plus, n_minus, ev.shape[-1] - n_plus - n_minus)
 
 

@@ -282,6 +282,29 @@ class TestAllPipeline:
         for stage in rep["stage_exit_codes"]:
             assert os.path.exists(os.path.join(out, stage, "report.json"))
 
+    def test_every_stage_bends_at_one_lambda(self, tmp_path, monkeypatch):
+        # without --lambda, certify run alone bends at 2 lambda0 + 1 = 3 on
+        # ik2; under all it bends at 2, as check, rays and carleman do
+        lams = []
+
+        def recorded(function):
+            def call(*args, lam, **kwargs):
+                lams.append((function.__name__, lam))
+                return function(*args, lam=lam, **kwargs)
+            return call
+        for name in ("certify", "verify_sublevel_inclusion", "carleman_section"):
+            monkeypatch.setattr(uccert.cli, name, recorded(getattr(uccert.cli, name)))
+        out = tmp_path / "all"
+        assert main(["all", "--model", "ik2", "--grid", "64", "--corpus", "8", "--out", str(out)]) == 0
+        assert read_report(out)["lambda"] == 2.0
+        assert read_report(out / "certify")["certificate"]["lambda_used"] == 2.0
+        assert read_report(out / "rays")["lambda"] == 2.0
+        # check's sublevel inclusion; certify, rays and carleman's certificates; carleman's section
+        assert lams == [("verify_sublevel_inclusion", 2.0)] + [("certify", 2.0)] * 3 + [("carleman_section", 2.0)]
+        alone = tmp_path / "certify"
+        assert main(["certify", "--model", "ik2", "--out", str(alone)]) == 0
+        assert read_report(alone)["certificate"]["lambda_used"] == pytest.approx(3.0)
+
     def test_geometry_missing_surface_is_usage_error(self, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text(

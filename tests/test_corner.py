@@ -14,9 +14,9 @@ import uccert.grids
 from uccert.cli import _corner_layer, _corner_mollifier, _plan_corner, resolve_args
 from uccert.corner import (LINEAR, ONE, SIN_PI, SQUARE, CornerField, PairingTables,
                            _lab_weights, _mollifier_kernels, corner_corpus,
-                           detect_layer, extend_by_zero, identity_families,
+                           detect_layer, identity_families,
                            kink_profile_corpus, mollifier_commutator,
-                           quadrant_mask, verify_extension_identities,
+                           verify_extension_identities,
                            verify_inequality_transfer, weak_pairing)
 from uccert.errors import ContractViolation, HypothesisError, ResolutionError, SupportError
 from uccert.grids import (Grid, ProductBump, bump_corpus, bump_profiles, d1, d2, make_grid,
@@ -24,6 +24,20 @@ from uccert.grids import (Grid, ProductBump, bump_corpus, bump_profiles, d1, d2,
 
 # residual bounds K*h^2, K fitted once on the analytic corpus (with headroom)
 WEAK_K = {"first": 0.4, "mixed_pair": 1.5, "edge": 0.3, "interior": 30.0}
+
+
+def quadrant_mask(grid, closed=True):
+    """Oracle: the indicator of the (closed by default) quadrant y_1 >= 0,
+    y_2 >= 0, a read-only broadcast of its (y_1, y_2) slice."""
+    half = np.greater_equal if closed else np.greater
+    mask = half(grid.axis(0), 0.0)[:, None] & half(grid.axis(1), 0.0)
+    return np.broadcast_to(mask.reshape(mask.shape + (1,) * (grid.dim - 2)), grid.shape)
+
+
+def extend_by_zero(cf):
+    """Oracle: V = U on the closed quadrant, 0 elsewhere (nodes on the faces
+    keep U), as a grid array, which the lab itself never forms."""
+    return np.where(quadrant_mask(cf.grid, closed=True), cf.values, 0.0)
 
 
 def _tols(grid):
@@ -300,7 +314,6 @@ class TestSeparablePairing:
             return out
         monkeypatch.setattr(CornerField, "partial", below_grid_size)
         monkeypatch.setattr(ProductBump, "partial_on_grid", forbidden)
-        monkeypatch.setattr(uccert.corner, "extend_by_zero", forbidden)
         tables = PairingTables(g, tests)
         got = [(verify_extension_identities(cf, tables, tol_weak=_tols(g)), detect_layer(cf, tables))
                for cf in corpus]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uccert import hypotheses
-from uccert import (GeometrySpec, build_psi, check_assumptions, ik_model,
+from uccert import (GeometrySpec, build_psi, certify, check_assumptions, ik_model,
                     linear_combination, sample_surface, verify_split_signs,
                     verify_sublevel_inclusion)
 from uccert.errors import ContractViolation, InsufficientSamples
@@ -113,30 +113,114 @@ class TestAssumptions:
 
 
 class TestCheckGateThresholds:
-    """The characteristic and gradient checks on both sides of their
-    thresholds: 10x past it fails the check, 0.1x of it passes."""
+    """Each gate of hypotheses.GATES on both sides of its threshold, through
+    check at its samples and through certify's hypotheses_at_x0: an input 10x
+    past the threshold fails the gate, one at 0.1x of it passes."""
+
+    TOL_CHAR, TOL_POS = hypotheses.DEFAULT_TOL_CHAR, hypotheses.DEFAULT_TOL_POS
+    WAVE = np.diag([-1.0, 1.0, 1.0])
+
+    @staticmethod
+    def _spec(ik2, q=None, plus=None, minus=None):
+        geo = ik2.geometry
+        return GeometrySpec(q or geo.Q, plus or geo.phi_plus, minus or geo.phi_minus, geo.box,
+                            n_surface_samples=100)
+
+    def _characteristic(self, ik2, scale):
+        # |y| - 1 + (1 + e) t has unit-normalized residual e (1 + e/2) / (1 + e + e^2/2)
+        return self._spec(ik2, minus=cone_surface_field(2, 1.0, 1.0 + scale * self.TOL_CHAR))
+
+    def _gradient(self, ik2, scale):
+        # a multiple c phi_plus of the cone, |grad| = c sqrt(2) on it
+        c = scale * self.TOL_POS / np.sqrt(2.0)
+        return self._spec(ik2, plus=linear_combination([(c, ik2.geometry.phi_plus)]))
+
+    def _transversal(self, ik2, scale):
+        # a multiple c phi_minus: on the crossing the gradients (-1, y) and
+        # c (1, y) are orthogonal, so the smaller singular value is c sqrt(2),
+        # and <Q dphi_plus, c dphi_minus> = 2c
+        c = scale * self.TOL_POS / np.sqrt(2.0)
+        return self._spec(ik2, minus=linear_combination([(c, ik2.geometry.phi_minus)]))
+
+    def _sign(self, ik2, scale):
+        # k Q: <k Q dphi_plus, dphi_minus> = 2k, and the singular values and
+        # unit residuals do not move (no scaled gradient can make the sign
+        # fail with transversal rows, since 2c > c sqrt(2))
+        return self._spec(ik2, q=constant_metric(scale * self.TOL_POS / 2.0 * self.WAVE))
+
+    def _symmetry(self, ik2, scale):
+        # Q + d (e_1 e_2^T + e_2 e_3^T): symmetry defect d, and Q's signature
+        return self._spec(ik2, q=constant_metric(self.WAVE + scale * 1e-12 * np.eye(3, k=1)))
+
+    @staticmethod
+    def _at_x0(spec, ik2, gate):
+        return certify(spec, ik2.x0, lam=2.0).hypotheses_at_x0[gate]
 
     @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
     def test_characteristic_residual(self, ik2, scale, status):
-        # |y| - 1 + (1 + e) t has unit-normalized residual e (1 + e/2) / (1 + e + e^2/2)
-        eps = scale * hypotheses.DEFAULT_TOL_CHAR
-        geo = ik2.geometry
-        spec = GeometrySpec(geo.Q, geo.phi_plus, cone_surface_field(2, 1.0, 1.0 + eps), geo.box,
-                            n_surface_samples=100)
-        check = check_assumptions(spec).checks["characteristic_minus"]
+        check = check_assumptions(self._characteristic(ik2, scale)).checks["characteristic_minus"]
         assert check.status == status
-        assert check.margin == pytest.approx(eps, rel=1e-3)
+        assert check.margin == pytest.approx(scale * self.TOL_CHAR, rel=1e-3)
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
+    def test_characteristic_residual_at_x0(self, ik2, scale, status):
+        gate = self._at_x0(self._characteristic(ik2, scale), ik2, "characteristic_minus")
+        assert gate == {"status": status, "margin": pytest.approx(scale * self.TOL_CHAR, rel=1e-3)}
 
     @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
     def test_vanishing_gradient(self, ik2, scale, status):
-        # a multiple c phi_plus of the cone, |grad| = c sqrt(2) on it
-        geo = ik2.geometry
-        c = scale * hypotheses.DEFAULT_TOL_POS / np.sqrt(2.0)
-        spec = GeometrySpec(geo.Q, linear_combination([(c, geo.phi_plus)]), geo.phi_minus, geo.box,
-                            n_surface_samples=100)
-        check = check_assumptions(spec).checks["nondegenerate_gradients"]
+        check = check_assumptions(self._gradient(ik2, scale)).checks["nondegenerate_gradients"]
         assert check.status == status
-        assert check.margin == pytest.approx(scale * hypotheses.DEFAULT_TOL_POS, rel=1e-9)
+        assert check.margin == pytest.approx(scale * self.TOL_POS, rel=1e-9)
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_vanishing_gradient_at_x0(self, ik2, scale, status):
+        gate = self._at_x0(self._gradient(ik2, scale), ik2, "nondegenerate_gradients")
+        assert gate == {"status": status, "margin": pytest.approx(scale * self.TOL_POS, rel=1e-9)}
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_transversality(self, ik2, scale, status):
+        checks = check_assumptions(self._transversal(ik2, scale)).checks
+        assert checks["transversality"].status == status
+        assert checks["transversality"].margin == pytest.approx(scale * self.TOL_POS, rel=1e-9)
+        # the sign condition reads the transversal rows alone: 2c where there are any
+        sign = checks["sign_condition"]
+        if status == "pass":
+            assert sign.status == "pass" and sign.margin == pytest.approx(np.sqrt(2.0) * scale * self.TOL_POS)
+        else:
+            assert sign.status == "skipped" and sign.margin is None
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_transversality_at_x0(self, ik2, scale, status):
+        spec = self._transversal(ik2, scale)
+        gate = self._at_x0(spec, ik2, "transversality")
+        assert gate == {"status": status, "margin": pytest.approx(scale * self.TOL_POS, rel=1e-9)}
+        sign = self._at_x0(spec, ik2, "sign_condition")
+        assert sign == ({"status": "pass", "margin": pytest.approx(np.sqrt(2.0) * scale * self.TOL_POS)}
+                        if status == "pass" else {"status": "skipped", "margin": None})
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_sign_condition(self, ik2, scale, status):
+        checks = check_assumptions(self._sign(ik2, scale)).checks
+        assert checks["sign_condition"].status == status
+        assert checks["sign_condition"].margin == pytest.approx(scale * self.TOL_POS, rel=1e-9)
+        assert checks["transversality"].status == "pass"
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "pass"), (0.1, "fail")])
+    def test_sign_condition_at_x0(self, ik2, scale, status):
+        gate = self._at_x0(self._sign(ik2, scale), ik2, "sign_condition")
+        assert gate == {"status": status, "margin": pytest.approx(scale * self.TOL_POS, rel=1e-9)}
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
+    def test_symmetry_defect(self, ik2, scale, status):
+        check = check_assumptions(self._symmetry(ik2, scale)).checks["signature"]
+        assert check.status == status
+        assert check.margin == pytest.approx(scale * 1e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
+    def test_symmetry_defect_at_x0(self, ik2, scale, status):
+        gate = self._at_x0(self._symmetry(ik2, scale), ik2, "signature")
+        assert gate == {"status": status, "margin": pytest.approx(scale * 1e-12, rel=1e-3)}
 
 
 class TestSplitFields:

@@ -19,7 +19,6 @@ SRC = ROOT / "src" / "uccert"
 # public names that only a test reads, each with the test that checks the
 # library against it
 ORACLES = {
-    "extend_by_zero": "tests/test_corner.py::TestSeparablePairing::test_lab_forms_no_grid_array",
     "hp2_bracket": "tests/test_certify.py::TestCertificateProperties::"
                    "test_closed_form_hp2_matrix_matches_loop_and_bracket",
     "null_cone_max": "tests/test_certify.py::TestPinnedJets::"

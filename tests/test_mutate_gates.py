@@ -3,9 +3,12 @@ itself runs tests on each mutant, so it stays out of the suite."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from uccert import hypotheses
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("mutate_gates", ROOT / "tools" / "mutate_gates.py")
@@ -43,3 +46,13 @@ def test_a_pattern_without_exactly_one_site_is_refused():
     mutant = MUTANTS["margin"]._replace(original="tol_pos")
     with pytest.raises(ValueError, match="matches .* sites"):
         mutate_gates.mutate(_source(mutant), mutant)
+
+
+def test_every_gate_of_the_hypothesis_table_has_a_mutant():
+    # a gate added to hypotheses.GATES needs a mutant whose site lies in its function
+    mutants = [m for m in MUTANTS.values() if m.module == "hypotheses.py"]
+    source = _source(mutants[0])
+    lines = {node.lineno for m in mutants for node in mutate_gates.sites(source, m.original)}
+    for name, gate in hypotheses.GATES.items():
+        body, start = inspect.getsourcelines(gate)
+        assert any(start <= line < start + len(body) for line in lines), name

@@ -1,4 +1,4 @@
-"""Weaken one certify, check, corner or rays gate at a time and run the tests that name it.
+"""Weaken one certify, hypothesis, corner, rays or CLI gate at a time and run the tests that name it.
 
 Each mutant replaces one expression of ``src/uccert``, found by its syntax
 tree (stdlib ``ast``), in a temporary copy of the package; the checkout's
@@ -9,7 +9,8 @@ the copy, and survives when they pass.
 
 It runs pytest once per mutant, so it stays out of the suite;
 ``tests/test_mutate_gates.py`` only checks that every pattern matches exactly
-one site in today's source.
+one site in today's source and that every gate of ``hypotheses.GATES`` has a
+mutant.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class Mutant(NamedTuple):
 _CERTIFY = "tests/test_certify.py"
 _RAYS = "tests/test_rays.py"
 _CORNER_GATES = "tests/test_corner.py::TestLabGateThresholds"
+# each gate of hypotheses.GATES, through check at its samples and through certify at x0
+_CHECK_GATES = "tests/test_hypotheses.py::TestCheckGateThresholds"
 MUTANTS = (
     Mutant("on_surfaces", "certify.py", "off > spec.tol_zero", "off > spec.tol_zero * 100",
            (f"{_CERTIFY}::TestGateThresholds::test_on_surfaces", f"{_CERTIFY}::TestSoundnessGates")),
@@ -53,11 +56,17 @@ MUTANTS = (
            (f"{_CERTIFY}::TestGateThresholds::test_route_disagreement_above_its_tolerance_raises",
             f"{_CERTIFY}::TestGateThresholds::test_consistent_routes_do_not_raise")),
     Mutant("characteristic", "hypotheses.py", "residuals[k] <= tol_char", "residuals[k] <= tol_char * 1000",
-           ("tests/test_hypotheses.py::TestCheckGateThresholds::test_characteristic_residual",
+           (f"{_CHECK_GATES}::test_characteristic_residual", f"{_CHECK_GATES}::test_characteristic_residual_at_x0",
             "tests/test_hypotheses.py::TestAssumptions")),
-    Mutant("nondegenerate_gradients", "hypotheses.py", "both[k] > tol_pos", "both[k] >= 0",
-           ("tests/test_hypotheses.py::TestCheckGateThresholds::test_vanishing_gradient",
+    Mutant("nondegenerate_gradients", "hypotheses.py", "norms[k] > tol_pos", "norms[k] >= 0",
+           (f"{_CHECK_GATES}::test_vanishing_gradient", f"{_CHECK_GATES}::test_vanishing_gradient_at_x0",
             "tests/test_hypotheses.py::TestAssumptions")),
+    Mutant("transversality", "hypotheses.py", "sv[k] > tol_pos", "sv[k] > 0",
+           (f"{_CHECK_GATES}::test_transversality", f"{_CHECK_GATES}::test_transversality_at_x0")),
+    Mutant("sign_condition", "hypotheses.py", "vals[k] > tol_pos", "vals[k] > 0",
+           (f"{_CHECK_GATES}::test_sign_condition", f"{_CHECK_GATES}::test_sign_condition_at_x0")),
+    Mutant("signature", "hypotheses.py", "worst <= 1e-12", "worst <= 1e-10",
+           (f"{_CHECK_GATES}::test_symmetry_defect", f"{_CHECK_GATES}::test_symmetry_defect_at_x0")),
     Mutant("smoothing_ladder", "cli.py", "len(eps_list) < 2", "len(eps_list) < 1",
            ("tests/test_cli.py::TestCornerGridBound::test_one_width_is_usage_error",
             "tests/test_cli.py::TestCornerGridBound::test_coarse_grid_is_usage_error")),
