@@ -360,10 +360,10 @@ def _run_check(args, model: ModelSpec) -> tuple:
     payload = {"command": "check", "model": model.name, "seed": args.seed, "hypotheses": rep.to_dict()}
     ok = rep.passed()
     if ok:
-        both = rep.samples["intersection"]
-        payload["split_signs"] = verify_split_signs(model.geometry, both, tol_pos=args.tol_pos)
+        both = rep.gate_rows["intersection"]
+        payload["split_signs"] = verify_split_signs(both, tol_pos=args.tol_pos)
         payload["sublevel_inclusion"] = verify_sublevel_inclusion(
-            model.geometry, both, lam=2.0 if args.lam is None else args.lam, radius=0.1,
+            model.geometry, both["x"], lam=2.0 if args.lam is None else args.lam, radius=0.1,
             n_samples=200, seed=args.seed)
         ok = (payload["split_signs"]["status"] == "pass"
               and payload["sublevel_inclusion"]["included"])
@@ -429,21 +429,21 @@ def _run_rays(args, plan: tuple) -> tuple:
     q, tol_zero = model.geometry.Q, model.geometry.tol_zero
     max_rays = min(len(cert.samples), args.max_rays)
     rays = integrate(q, model.x0, cert.samples[:max_rays], args.ds, n_steps)
-    bent_reps, bent_vals = contact(rays, q, bent_surface(psi0, psi1, lam), s_fit=args.s_fit,
-                                   tol_zero=tol_zero)
-    surface_reps, _ = contact(rays, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
+    bent, bent_vals = contact(rays, q, bent_surface(psi0, psi1, lam), s_fit=args.s_fit, tol_zero=tol_zero)
+    surface, _ = contact(rays, q, psi1, s_fit=args.s_fit, tol_zero=tol_zero)
+    # one contact row per ray and field, the bent surface's first
+    columns = {field: {key: col.tolist() for key, col in arrays.items()}
+               for field, arrays in (("bent", bent), ("surface", surface))}
     payload = {
         "command": "rays",
         "model": model.name,
         "seed": args.seed,
         "lambda": lam,
         "n_rays": max_rays,
-        "contacts": [{"ray": ray_id, "field": field, **rep.to_dict()}
-                     for ray_id, reps in enumerate(zip(bent_reps, surface_reps))
-                     for field, rep in zip(("bent", "surface"), reps)],
+        "contacts": [{"ray": ray_id, "field": field, **{key: col[ray_id] for key, col in cols.items()}}
+                     for ray_id in range(max_rays) for field, cols in columns.items()],
         "conservation_defect": rays.conservation_defect(),
-        "passed": all(bent.tangency and bent.side == "below" and surface.side == "above"
-                      for bent, surface in zip(bent_reps, surface_reps)),
+        "passed": bool(np.all(bent["tangency"] & (bent["side"] == "below") & (surface["side"] == "above"))),
     }
     # one row per ray and point: (s, x..., xi..., p, psi)
     table = np.concatenate([np.broadcast_to(rays.s[:, None], bent_vals.shape + (1,)), rays.xs, rays.xis,

@@ -73,7 +73,7 @@ class HypothesisReport:
     checks: Dict[str, CheckResult]
     n_samples: Dict[str, int]
     shortfall: Dict[str, int]
-    samples: Dict[str, np.ndarray] = dc_field(default_factory=dict)   # not reported
+    gate_rows: Dict[str, dict] = dc_field(default_factory=dict)   # the rows the gates read, not reported
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks.values())
@@ -395,14 +395,15 @@ def check_assumptions(spec: GeometrySpec,
                              plus=spec.phi_plus.jet(x, 1).grad if which != "minus" else None,
                              minus=spec.phi_minus.jet(x, 1).grad if which != "plus" else None)
             for which, x in samples.items()}
-    return HypothesisReport(checks=apply_gates(sets, tol_char, tol_pos), n_samples=counts, samples=samples,
+    return HypothesisReport(checks=apply_gates(sets, tol_char, tol_pos), n_samples=counts, gate_rows=sets,
                             shortfall={k: max(0, spec.n_surface_samples - v) for k, v in counts.items()})
 
 
 def split_terms(plus, minus) -> tuple:
     """The (coefficient, part) terms of psi0 = (phi_minus - phi_plus)/2 and
     psi1 = (phi_plus + phi_minus)/2, with the parts phi_plus and phi_minus
-    given as fields, or as their jets at one point."""
+    given as fields, as their jets at one point, or as arrays of their values
+    or gradients."""
     return [(0.5, minus), (-0.5, plus)], [(0.5, plus), (0.5, minus)]
 
 
@@ -421,20 +422,19 @@ def bent_surface(psi0: ScalarField, psi1: ScalarField, lam: float) -> ScalarFiel
     return linear_combination([(1.0, psi1), (-float(lam), squared_field(psi0))], name="bent_surface")
 
 
-def verify_split_signs(spec: GeometrySpec, samples: np.ndarray,
-                       tol_pos: float = DEFAULT_TOL_POS) -> dict:
-    """Derived sign facts for the split fields at intersection samples.
+def verify_split_signs(rows: dict, tol_pos: float = DEFAULT_TOL_POS) -> dict:
+    """Derived sign facts for the split fields on the intersection's ``gate_rows``.
 
-    At each intersection point (a row of ``samples``):  <Q dpsi1, dpsi1> > 0,
+    At each intersection point (a row of ``rows["x"]``):  <Q dpsi1, dpsi1> > 0,
     <Q dpsi0, dpsi0> < 0, the two add to zero, and <Q dpsi1, dpsi0> = 0.
     Violations indicate inconsistent inputs, since these facts follow
-    algebraically from the standing assumptions.
+    algebraically from the standing assumptions.  The split gradients are
+    formed from the rows' dphi± as ``build_psi``'s jets form them.
     """
+    samples, qs = rows["x"], rows["q"]
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples for split-sign check")
-    psi0, psi1 = build_psi(spec)
-    qs = spec.Q.jet(samples, 0)
-    d1, d0 = psi1.jet(samples, 1).grad, psi0.jet(samples, 1).grad
+    d0, d1 = (ca * a + cb * b for (ca, a), (cb, b) in split_terms(rows["plus"], rows["minus"]))
     e1, e0, cross = (_quadratic_forms(d1, qs, d1), _quadratic_forms(d0, qs, d0),
                      _quadratic_forms(d1, qs, d0))
     bad = ~((e1 > tol_pos) & (e0 < -tol_pos)
@@ -466,15 +466,15 @@ def verify_sublevel_inclusion(spec: GeometrySpec, samples: np.ndarray, lam: floa
         raise ContractViolation(f"n_samples must be at least 1, got {n_samples}")
     if len(samples) == 0:
         raise InsufficientSamples("no intersection samples")
-    psi0, psi1 = build_psi(spec)
     # a try's centre, direction and radius each come from their own stream,
     # so the tries do not depend on how they are split into blocks
     centres, directions, radii = (np.random.default_rng(s)
                                   for s in np.random.SeedSequence(seed).spawn(3))
 
     # the first n_samples wedge points among the first 50 n_samples tries,
-    # drawn and tested a block at a time (about a quarter of them fall in the wedge)
-    pts, tries = np.empty((0, spec.dim)), 0
+    # drawn and tested a block at a time (about a quarter of them fall in the
+    # wedge), with their phi± values
+    pts, vp, vm, tries = np.empty((0, spec.dim)), np.empty(0), np.empty(0), 0
     while len(pts) < n_samples and tries < 50 * n_samples:
         m = min(4 * (n_samples - len(pts)), 50 * n_samples - tries)
         c = samples[centres.integers(0, len(samples), size=m)]
@@ -482,12 +482,15 @@ def verify_sublevel_inclusion(spec: GeometrySpec, samples: np.ndarray, lam: floa
         u *= (radius * np.float_power(radii.random(m), 1.0 / spec.dim) / np.sqrt(np.vecdot(u, u)))[:, None]
         block = c + u
         tries += m
-        wedge = (spec.phi_plus.jet(block, 0) > 0) & (spec.phi_minus.jet(block, 0) > 0)
-        pts = np.concatenate([pts, block[wedge]])[:n_samples]
+        plus, minus = spec.phi_plus.jet(block, 0), spec.phi_minus.jet(block, 0)
+        wedge = (plus > 0) & (minus > 0)
+        pts, vp, vm = (np.concatenate([kept, new[wedge]])[:n_samples]
+                       for kept, new in ((pts, block), (vp, plus), (vm, minus)))
     if not len(pts):
         raise InsufficientSamples("no wedge points found within the given radius")
-    p0 = psi0.jet(pts, 0)
-    margins = psi1.jet(pts, 0) - lam * (p0 * p0)
+    # psi0 and psi1 at the wedge points, summed as linear_combination sums them
+    p0, p1 = (sum(c * v for c, v in terms) for terms in split_terms(vp, vm))
+    margins = p1 - lam * (p0 * p0)
     beyond_band = int(np.sum(np.abs(p0) >= 1.0 / lam))
     k = int(np.argmin(margins))
     return {

@@ -7,13 +7,13 @@ one launch point as one batch, a ``RayTrajectory`` on one shared parameter
 grid.  ``contact`` fits a quartic to psi along every ray of a batch with one
 least-squares solve and compares each curvature with half the second
 Hamiltonian derivative at launch: tangent rays of a certified surface bend
-to the negative side.
+to the negative side.  It returns one (R,) array per quantity of the
+contact, a ray to an entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class RayTrajectory:
     xs: np.ndarray                # (R, S, n) positions
     xis: np.ndarray               # (R, S, n) covectors
     p_vals: np.ndarray            # (R, S) symbol values
-    step: float
-    psi_vals: Optional[np.ndarray] = None     # (R, S) psi values, from annotate
 
     @property
     def launch_index(self) -> int:
@@ -46,10 +44,9 @@ class RayTrajectory:
         """The largest drift of the symbol from its launch value over every ray; 0 for no ray."""
         return float(np.max(np.abs(self.p_vals - self.p_vals[:, self.launch_index, None]), initial=0.0))
 
-    def annotate(self, psi: "ScalarField") -> "RayTrajectory":
-        """New batch carrying psi values along every ray; self is untouched."""
-        vals = psi.jet(self.xs.reshape(-1, self.xs.shape[2]), 0).reshape(self.p_vals.shape)
-        return replace(self, psi_vals=vals)
+    def annotate(self, psi: "ScalarField") -> np.ndarray:
+        """The (R, S) values of psi at every point of every ray."""
+        return psi.jet(self.xs.reshape(-1, self.xs.shape[2]), 0).reshape(self.p_vals.shape)
 
 
 def _flow(Q: MetricField, y: np.ndarray) -> np.ndarray:
@@ -131,27 +128,19 @@ def integrate(Q: MetricField, x0, xis, ds: float, n_steps: int) -> RayTrajectory
     # each backward row reversed, without its launch point, then the forward row
     xs, xis_, p = (np.concatenate([a[:0:-1, n_rays:], a[:, :n_rays]]).swapaxes(0, 1)
                    for a in (all_x, all_xi, p))
-    return RayTrajectory(s=_ray_parameters(ds, n_steps), xs=xs, xis=xis_, p_vals=p, step=ds)
+    return RayTrajectory(s=_ray_parameters(ds, n_steps), xs=xs, xis=xis_, p_vals=p)
 
 
-@dataclass
-class ContactReport:
-    tangency: bool
-    side: str                     # "below" | "above" | "crossing"
-    fitted_c2: float
-    predicted_c2: float
-    fitted_c1: float
-    intercept: float
-    rel_error_c2: float
-    tol_tan: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tangency": bool(self.tangency), "side": self.side,
-            "fitted_c2": float(self.fitted_c2), "predicted_c2": float(self.predicted_c2),
-            "fitted_c1": float(self.fitted_c1), "intercept": float(self.intercept),
-            "rel_error_c2": float(self.rel_error_c2), "tol_tan": float(self.tol_tan),
-        }
+def _classify(coef: np.ndarray, predicted: np.ndarray, tol_tan: np.ndarray) -> dict:
+    """The contact quantities of each ray from its fitted (intercept, c1, c2)
+    columns, its predicted curvature and its tangency threshold."""
+    intercept, c1, c2 = coef
+    tangency = np.abs(c1) <= tol_tan
+    with np.errstate(all="ignore"):     # as float arithmetic; predicted = 0 rows take |c2|
+        rel = np.where(predicted != 0, np.abs(c2 - predicted) / np.abs(predicted), np.abs(c2))
+    return {"tangency": tangency, "side": np.where(tangency, np.where(c2 < 0, "below", "above"), "crossing"),
+            "fitted_c2": c2, "predicted_c2": predicted, "fitted_c1": c1, "intercept": intercept,
+            "rel_error_c2": rel, "tol_tan": tol_tan}
 
 
 def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField, s_fit: float = DEFAULT_S_FIT,
@@ -164,16 +153,18 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField, s_fit: float 
     (3/5) s_fit^2 times the cubic coefficient into the linear one).
     Tangency holds when the linear coefficient is below a scale-invariant
     threshold; a tangent ray lies below (above) the surface when the fitted
-    curvature is negative (positive).  The curvature is compared against
-    the launch-point prediction, half of hp2(psi).
+    curvature is negative (positive), and any other ray is "crossing".  The
+    curvature is compared against the launch-point prediction, half of
+    hp2(psi).
 
     Q and psi's second-order jet are read once at the shared launch point,
     psi once on every point of every ray, and every ray is fitted by one
-    least-squares solve over the shared window.  Returns one
-    ``ContactReport`` per ray and the (R, S) psi values.
+    least-squares solve over the shared window.  Returns a dict of (R,)
+    arrays, "tangency", "side", "fitted_c2", "predicted_c2", "fitted_c1",
+    "intercept", "rel_error_c2" and "tol_tan", and the (R, S) psi values.
     """
     if not len(traj.xs):
-        return [], np.empty(traj.p_vals.shape)
+        return _classify(np.empty((3, 0)), np.empty(0), np.empty(0)), np.empty(traj.p_vals.shape)
     i0 = traj.launch_index
     x0, xi0 = traj.xs[0, i0], traj.xis[:, i0]
     q, dq = Q.jet(x0, 1)
@@ -185,24 +176,9 @@ def contact(traj: RayTrajectory, Q: MetricField, psi: ScalarField, s_fit: float 
     n_fit = int(np.sum(window))
     if n_fit < FIT_POINTS:
         raise FitError(f"only {n_fit} samples inside the fit window")
-    vals = traj.annotate(psi).psi_vals
+    vals = traj.annotate(psi)
     coef = np.polynomial.polynomial.polyfit(traj.s[window], vals[:, window].T, 4)
     velocity = _matvec(2.0 * q, xi0)
     speed = np.sqrt(np.vecdot(velocity, velocity))      # per ray as np.linalg.norm of one vector
     tol_tan = DEFAULT_TOL_TAN_REL * np.maximum(np.linalg.norm(jet.grad) * speed, 1e-30)
-    predicted = 0.5 * _hp2_closed_form(q, dq, jet, xi0)
-    reports = []
-    for intercept, c1, c2, pred, tol in zip(*coef[:3].tolist(), predicted.tolist(), tol_tan.tolist()):
-        tangent = abs(c1) <= tol
-        side = "crossing" if not tangent else "below" if c2 < 0 else "above"
-        rel = abs(c2 - pred) / abs(pred) if pred != 0 else abs(c2)
-        reports.append(ContactReport(
-            tangency=tangent, side=side, fitted_c2=c2, predicted_c2=pred,
-            fitted_c1=c1, intercept=intercept, rel_error_c2=rel, tol_tan=tol))
-    return reports, vals
-
-
-def launch_and_classify(Q: MetricField, psi: ScalarField, x0, xi) -> ContactReport:
-    """Integrate a two-sided ray and classify its contact, at the default
-    step and fit window."""
-    return contact(integrate(Q, x0, [xi], DEFAULT_DS, ray_steps()[0]), Q, psi)[0][0]
+    return _classify(coef[:3], 0.5 * _hp2_closed_form(q, dq, jet, xi0), tol_tan), vals

@@ -160,7 +160,7 @@ def test_criterion_04_negative_controls(tmp_path):
 def test_criterion_05_ray_contact(ik2_cert):
     """all certified constraint rays: tangent, below, curvature within 5% of
     -3; the uncorrected surface control is above within 5% of +1; < 10 s."""
-    from uccert.rays import launch_and_classify
+    from uccert.rays import DEFAULT_DS, contact, integrate, ray_steps
     model, cert, _ = ik2_cert
     psi0, psi1 = build_psi(model.geometry)
     bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
@@ -168,14 +168,14 @@ def test_criterion_05_ray_contact(ik2_cert):
     t0 = time.monotonic()
     worst_bent = worst_surf = 0.0
     for xi in cert.samples:
-        rep = launch_and_classify(q, bent, model.x0, xi)
-        assert rep.tangency and rep.side == "below"
-        assert abs(rep.fitted_c2 - (-3.0)) <= 0.05 * 3.0
-        worst_bent = max(worst_bent, abs(rep.fitted_c2 + 3.0) / 3.0)
-        rep1 = launch_and_classify(q, psi1, model.x0, xi)
-        assert rep1.tangency and rep1.side == "above"
-        assert abs(rep1.fitted_c2 - 1.0) <= 0.05
-        worst_surf = max(worst_surf, abs(rep1.fitted_c2 - 1.0))
+        ray = integrate(q, model.x0, [xi], DEFAULT_DS, ray_steps()[0])
+        rep, rep1 = ({key: col[0] for key, col in contact(ray, q, psi)[0].items()} for psi in (bent, psi1))
+        assert rep["tangency"] and rep["side"] == "below"
+        assert abs(rep["fitted_c2"] - (-3.0)) <= 0.05 * 3.0
+        worst_bent = max(worst_bent, abs(rep["fitted_c2"] + 3.0) / 3.0)
+        assert rep1["tangency"] and rep1["side"] == "above"
+        assert abs(rep1["fitted_c2"] - 1.0) <= 0.05
+        worst_surf = max(worst_surf, abs(rep1["fitted_c2"] - 1.0))
     elapsed = time.monotonic() - t0
     ok = elapsed < 10.0
     banner(5, "ray contact", ok,

@@ -137,13 +137,14 @@ def test_certify_and_rays_csvs_are_the_csv_rendering_of_their_arrays(tmp_path):
         cert = certify(geo, x0, lam=2.0, n=8, seed=0)
         psi0, psi1 = build_psi(geo)
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))], name="bent")
-        rays = integrate(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2).annotate(bent)
+        rays = integrate(geo.Q, x0, cert.samples[:8], 1e-3, math.ceil(0.05 / 1e-3) + 2)
+        psi_vals = rays.annotate(bent)
         header = (["ray", "field", "s"] + [f"x{i + 1}" for i in range(dim)]
                   + [f"xi{i + 1}" for i in range(dim)] + ["p", "psi"])
         rows = []
         for ray in range(len(rays.xs)):
             for s, x, xi, p, psi in zip(rays.s.tolist(), rays.xs[ray].tolist(), rays.xis[ray].tolist(),
-                                        rays.p_vals[ray].tolist(), rays.psi_vals[ray].tolist()):
+                                        rays.p_vals[ray].tolist(), psi_vals[ray].tolist()):
                 rows.append([ray, "bent", s, *x, *xi, p, psi])
         assert len(rows) > 0
         assert _read(os.path.join(out, "rays.csv")) == csv_module_bytes(header, rows)

@@ -246,8 +246,13 @@ class TestSplitFields:
         np.testing.assert_allclose(psi1.grad(x), 0.5 * (gp + gm), atol=1e-14)
         np.testing.assert_allclose(psi0.grad(x), 0.5 * (gm - gp), atol=1e-14)
 
+    @staticmethod
+    def _split_signs(spec):
+        """The split-sign facts on the intersection rows that check read."""
+        return verify_split_signs(check_assumptions(spec).gate_rows["intersection"])
+
     def test_split_sign_values(self, ik2):
-        rep = verify_split_signs(ik2.geometry, sample_surface(ik2.geometry, "intersection"))
+        rep = self._split_signs(ik2.geometry)
         assert rep["status"] == "pass"
         assert rep["surface_form_min"] == pytest.approx(1.0, abs=1e-8)
         assert rep["difference_form_max"] == pytest.approx(-1.0, abs=1e-8)
@@ -261,8 +266,25 @@ class TestSplitFields:
                               linear_combination([(3.0, geo.phi_plus)]),
                               linear_combination([(3.0, geo.phi_minus)]),
                               geo.box, n_surface_samples=100)
-        rep = verify_split_signs(scaled, sample_surface(scaled, "intersection"))
+        rep = self._split_signs(scaled)
         assert rep["status"] == "pass"
+
+    @pytest.mark.parametrize("scale, status", [(10.0, "fail"), (0.1, "pass")])
+    def test_sum_identity_tolerance(self, ik2, scale, status):
+        # c (|y| - 1) -+ c (1 + e) t: both surfaces have the unit residual of
+        # TestCheckGateThresholds._characteristic, about e = tol_char / 2,
+        # so check passes; the split gradients are (0, c y/|y|) and
+        # (c (1 + e), 0), whose cross form is 0 and whose forms add to
+        # c^2 (1 - (1 + e)^2), about -2 e c^2 = -scale * tol_id at c^2 = scale.
+        # (Were only phi_minus off, the cross form would read half the sum.)
+        e, c = 0.5 * hypotheses.DEFAULT_TOL_CHAR, np.sqrt(scale)
+        spec = GeometrySpec(ik2.geometry.Q, cone_surface_field(2, c, -c * (1.0 + e)),
+                            cone_surface_field(2, c, c * (1.0 + e)), ik2.geometry.box, n_surface_samples=100)
+        check = check_assumptions(spec)
+        assert check.passed()
+        rep = verify_split_signs(check.gate_rows["intersection"])
+        assert rep["status"] == status and rep["cross_identity_max"] == 0.0
+        assert rep["sum_identity_max"] == pytest.approx(scale * hypotheses.DEFAULT_TOL_ID, rel=1e-6)
 
 
 class TestSublevelInclusion:
@@ -539,7 +561,7 @@ class TestBatchedAgainstPointLoops:
     def test_checks_equal_point_loops(self, name):
         spec = ORACLE[name]
         rep = check_assumptions(spec)
-        s_plus, s_minus, s_both = (rep.samples[k] for k in ("plus", "minus", "intersection"))
+        s_plus, s_minus, s_both = (rep.gate_rows[k]["x"] for k in ("plus", "minus", "intersection"))
         checks = rep.checks
         norms = [np.linalg.norm(spec.phi_plus.grad(p)) for p in s_plus] \
             + [np.linalg.norm(spec.phi_minus.grad(p)) for p in s_minus]
@@ -562,7 +584,7 @@ class TestBatchedAgainstPointLoops:
         else:
             assert checks["sign_condition"].status == "skipped"
         psi0, psi1 = build_psi(spec)
-        split = verify_split_signs(spec, s_both)
+        split = verify_split_signs(rep.gate_rows["intersection"])
         e1 = [float(psi1.grad(p) @ spec.Q(p) @ psi1.grad(p)) for p in s_both]
         cross = [abs(float(psi1.grad(p) @ spec.Q(p) @ psi0.grad(p))) for p in s_both]
         assert split["surface_form_min"] == min(e1)
@@ -585,7 +607,7 @@ class TestBatchedAgainstPointLoops:
                             n_surface_samples=30)
         rep = check_assumptions(spec)
         sig = rep.checks["signature"]
-        pts = np.concatenate([rep.samples[k][:5] for k in ("plus", "minus", "intersection")])
+        pts = np.concatenate([rep.gate_rows[k]["x"][:5] for k in ("plus", "minus", "intersection")])
         first = next(p for p in pts if p[0] + 1e-3 < 0)
         assert sig.status == "fail" and sig.witness == [float(v) for v in first]
         assert sig.margin == 0.0

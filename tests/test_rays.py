@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,12 +6,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from uccert import (Jet, PhasePoint, ScalarField, build_psi, certify, constant_metric, contact,
-                    hp2, integrate, launch_and_classify, linear_combination, squared_field)
-from uccert.cli import geometry_from_config
+                    hp2, integrate, linear_combination, squared_field)
+from uccert.cli import geometry_from_config, main
 from uccert.errors import ContractViolation, FitError
 from uccert.models import bumpy_wave_metric, get_model
+from uccert.rays import DEFAULT_DS, ray_steps
 
 SQ2 = np.sqrt(2.0)
+CONTACT_KEYS = ("tangency", "side", "fitted_c2", "predicted_c2", "fitted_c1", "intercept", "rel_error_c2",
+                "tol_tan")
+
+
+def one_ray_contact(Q, psi, x0, xi) -> dict:
+    """The contact of the one ray from x0 along xi, at the default step and
+    fit window, as a dict of one value per quantity."""
+    arrays, _ = contact(integrate(Q, x0, [xi], DEFAULT_DS, ray_steps()[0]), Q, psi)
+    return {key: col[0] for key, col in arrays.items()}
 
 
 class TestIntegrate:
@@ -84,26 +94,26 @@ class TestContact:
         q, psi0, psi1 = ik2_fields
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        rep = launch_and_classify(q, bent, ik2.x0, xi)
-        assert rep.tangency
-        assert rep.side == "below"
-        assert rep.predicted_c2 == pytest.approx(-3.0, rel=1e-9)
-        assert rep.fitted_c2 == pytest.approx(-3.0, rel=0.05)
+        rep = one_ray_contact(q, bent, ik2.x0, xi)
+        assert rep["tangency"]
+        assert rep["side"] == "below"
+        assert rep["predicted_c2"] == pytest.approx(-3.0, rel=1e-9)
+        assert rep["fitted_c2"] == pytest.approx(-3.0, rel=0.05)
 
     def test_uncorrected_surface_above(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        rep = launch_and_classify(q, psi1, ik2.x0, xi)
-        assert rep.tangency
-        assert rep.side == "above"
-        assert rep.fitted_c2 == pytest.approx(1.0, rel=0.05)
+        rep = one_ray_contact(q, psi1, ik2.x0, xi)
+        assert rep["tangency"]
+        assert rep["side"] == "above"
+        assert rep["fitted_c2"] == pytest.approx(1.0, rel=0.05)
 
     def test_transversal_ray_crossing(self, ik2, ik2_fields):
         q, psi0, _ = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
-        rep = launch_and_classify(q, psi0, ik2.x0, xi)
-        assert not rep.tangency
-        assert rep.side == "crossing"
+        rep = one_ray_contact(q, psi0, ik2.x0, xi)
+        assert not rep["tangency"]
+        assert rep["side"] == "crossing"
 
     def test_fit_matches_predicted_second_derivative(self, ik2, ik2_fields):
         # fitted curvature tracks hp2/2 for every constraint direction
@@ -111,10 +121,10 @@ class TestContact:
         from uccert import constraint_samples
         bent = linear_combination([(1.0, psi1), (-2.0, squared_field(psi0))])
         for xi in constraint_samples(q, psi1, ik2.x0, 400):
-            rep = launch_and_classify(q, bent, ik2.x0, xi)
+            rep = one_ray_contact(q, bent, ik2.x0, xi)
             pred = 0.5 * hp2(q, bent, PhasePoint(ik2.x0, xi))
-            assert rep.fitted_c2 == pytest.approx(pred, rel=0.05)
-            assert rep.side == "below"
+            assert rep["fitted_c2"] == pytest.approx(pred, rel=0.05)
+            assert rep["side"] == "below"
 
     def test_linear_slope_matches_hp(self, ik2, ik2_fields):
         # first derivative of psi along the ray equals hp at launch
@@ -122,14 +132,14 @@ class TestContact:
         q, psi0, _ = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
         traj = integrate(q, ik2.x0, [xi], ds=1e-3, n_steps=52)
-        rep = contact(traj, q, psi0, s_fit=0.05)[0][0]
-        assert rep.fitted_c1 == pytest.approx(hp(q, psi0, PhasePoint(ik2.x0, xi)), rel=1e-6)
+        rep = contact(traj, q, psi0, s_fit=0.05)[0]
+        assert rep["fitted_c1"][0] == pytest.approx(hp(q, psi0, PhasePoint(ik2.x0, xi)), rel=1e-6)
 
     def test_launch_off_level_set_rejected(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
         xi = np.array([1 / SQ2, 0.0, 1 / SQ2])
         with pytest.raises(ContractViolation):
-            launch_and_classify(q, psi1, [0.0, 1.3, 0.0], xi)
+            one_ray_contact(q, psi1, [0.0, 1.3, 0.0], xi)
 
     def test_too_few_samples_fit_error(self, ik2, ik2_fields):
         q, _, psi1 = ik2_fields
@@ -199,7 +209,7 @@ def test_constant_metric_march_builds_its_jet_views_once(monkeypatch):
 class TestBatchedRaysAgainstPointLoop:
     def assert_matches_loop(self, Q, x0, xis, ds, n_steps):
         rays = integrate(Q, x0, xis, ds, n_steps)
-        assert rays.step == ds and rays.p_vals.shape == (len(xis), 2 * n_steps + 1)
+        assert rays.p_vals.shape == (len(xis), 2 * n_steps + 1)
         for i, xi in enumerate(xis):
             s, xs, xis_, p_vals = _point_integrate(Q, PhasePoint(x0, xi), ds, n_steps)
             for got, want in ((rays.s, s), (rays.xs[i], xs), (rays.xis[i], xis_)):
@@ -232,8 +242,10 @@ class TestBatchedRaysAgainstPointLoop:
         q, _, psi1 = ik2_fields
         empty = integrate(q, ik2.x0, np.zeros((0, 3)), 1e-2, 5)
         assert empty.xs.shape == (0, 11, 3) and empty.conservation_defect() == 0.0
-        reports, values = contact(empty, q, psi1, s_fit=0.05)
-        assert reports == [] and values.shape == (0, 11)
+        arrays, values = contact(empty, q, psi1, s_fit=0.05)
+        assert tuple(arrays) == CONTACT_KEYS and values.shape == (0, 11)
+        assert all(col.shape == (0,) for col in arrays.values())
+        assert arrays["tangency"].dtype == bool and arrays["side"].dtype.kind == "U"
         for x0, xis in ((ik2.x0, np.ones(3)), (ik2.x0, np.ones((2, 2))), (np.ones(2), np.ones((2, 3)))):
             with pytest.raises(ContractViolation):
                 integrate(q, x0, xis, 1e-2, 5)
@@ -276,14 +288,33 @@ def _one_ray_contact(rays, i, Q, psi, s_fit):
 def test_one_fit_per_batch_equals_one_fit_per_ray(name):
     q, fields, rays = _rays_case(name)
     for psi in fields:
-        reports, values = contact(rays, q, psi, s_fit=0.05)
-        assert len(reports) == len(values) == len(rays.xs) > 0
-        for i, rep in enumerate(reports):
+        arrays, values = contact(rays, q, psi, s_fit=0.05)
+        assert tuple(arrays) == CONTACT_KEYS
+        assert all(col.shape == (len(rays.xs),) for col in arrays.values())
+        assert len(values) == len(rays.xs) > 0
+        for i in range(len(rays.xs)):
+            rep = {key: col[i] for key, col in arrays.items()}
             coef, tangent, side, predicted, tol_tan, vals = _one_ray_contact(rays, i, q, psi, 0.05)
-            assert (rep.tangency, rep.side) == (tangent, side)
-            assert (rep.predicted_c2, rep.tol_tan) == (predicted, tol_tan)
+            assert (rep["tangency"], rep["side"]) == (tangent, side)
+            assert (rep["predicted_c2"], rep["tol_tan"]) == (predicted, tol_tan)
             assert values[i].tobytes() == vals.tobytes()
-            assert_allclose([rep.intercept, rep.fitted_c1, rep.fitted_c2], coef[:3], rtol=1e-13, atol=1e-15)
+            assert_allclose([rep["intercept"], rep["fitted_c1"], rep["fitted_c2"]], coef[:3],
+                            rtol=1e-13, atol=1e-15)
+
+
+def test_rays_report_contacts_are_the_rows_of_the_contact_arrays(tmp_path):
+    # ray-major, the bent surface's row before the surface's, each row the
+    # arrays' entries at that ray
+    q, (bent, psi1), rays = _rays_case("ik3")
+    assert main(["rays", "--model", "ik3", "--lambda", "2", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json") as f:
+        contacts = json.load(f)["contacts"]
+    arrays = {field: contact(rays, q, psi, s_fit=0.05)[0] for field, psi in (("bent", bent), ("surface", psi1))}
+    assert [(c["ray"], c["field"]) for c in contacts] == [
+        (ray, field) for ray in range(len(rays.xs)) for field in ("bent", "surface")]
+    for c in contacts:
+        assert c == {"ray": c["ray"], "field": c["field"],
+                     **{key: col[c["ray"]].item() for key, col in arrays[c["field"]].items()}}
 
 
 def _linear_field(a, c=0.0):
@@ -308,7 +339,7 @@ class TestContactGateThresholds:
         rays = integrate(q, np.zeros(3), [[1.0, 1.0, 0.0]], 1e-3, 52)
         psi = _linear_field([0.0, 0.0, 1.0], factor * 1e-10)
         if launches:
-            assert contact(rays, q, psi, tol_zero=1e-10)[0][0].tangency
+            assert contact(rays, q, psi, tol_zero=1e-10)[0]["tangency"][0]
         else:
             with pytest.raises(ContractViolation, match="launch on the level set"):
                 contact(rays, q, psi, tol_zero=1e-10)
@@ -321,6 +352,6 @@ class TestContactGateThresholds:
         q = constant_metric(np.diag([-1.0, 1.0, 1.0]))
         rays = integrate(q, np.zeros(3), [[0.0, 1.0, 0.0]], 1e-3, 52)     # 2 Q xi = (0, 2, 0)
         t = factor * 1e-6
-        rep = contact(rays, q, _linear_field([1.0, t / math.sqrt(1.0 - t * t), 0.0]))[0][0]
-        assert rep.fitted_c1 / rep.tol_tan == pytest.approx(factor, rel=1e-6)
-        assert rep.tangency is tangent and (rep.side == "crossing") is not tangent
+        rep = contact(rays, q, _linear_field([1.0, t / math.sqrt(1.0 - t * t), 0.0]))[0]
+        assert rep["fitted_c1"][0] / rep["tol_tan"][0] == pytest.approx(factor, rel=1e-6)
+        assert rep["tangency"].tolist() == [tangent] and (rep["side"][0] == "crossing") != tangent

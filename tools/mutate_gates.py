@@ -67,6 +67,9 @@ MUTANTS = (
            (f"{_CHECK_GATES}::test_sign_condition", f"{_CHECK_GATES}::test_sign_condition_at_x0")),
     Mutant("signature", "hypotheses.py", "worst <= 1e-12", "worst <= 1e-10",
            (f"{_CHECK_GATES}::test_symmetry_defect", f"{_CHECK_GATES}::test_symmetry_defect_at_x0")),
+    Mutant("split_sum_identity", "hypotheses.py", "np.abs(e1 + e0) <= DEFAULT_TOL_ID",
+           "np.abs(e1 + e0) <= DEFAULT_TOL_ID * 100",
+           ("tests/test_hypotheses.py::TestSplitFields::test_sum_identity_tolerance",)),
     Mutant("smoothing_ladder", "cli.py", "len(eps_list) < 2", "len(eps_list) < 1",
            ("tests/test_cli.py::TestCornerGridBound::test_one_width_is_usage_error",
             "tests/test_cli.py::TestCornerGridBound::test_coarse_grid_is_usage_error")),
@@ -74,7 +77,7 @@ MUTANTS = (
            "abs(jet.value) > 100 * max(tol_zero, 1e-14)",
            (f"{_RAYS}::TestContactGateThresholds::test_launch_on_the_level_set",
             f"{_RAYS}::TestContact::test_launch_off_level_set_rejected")),
-    Mutant("ray_tangency", "rays.py", "abs(c1) <= tol", "abs(c1) <= tol * 2",
+    Mutant("ray_tangency", "rays.py", "np.abs(c1) <= tol_tan", "np.abs(c1) <= tol_tan * 2",
            (f"{_RAYS}::TestContactGateThresholds::test_tangency",)),
     Mutant("identity_tolerance", "corner.py", "fam_max[f] <= tol_weak[f]", "fam_max[f] <= tol_weak[f] * 2",
            (f"{_CORNER_GATES}::test_identity_tolerance",)),
