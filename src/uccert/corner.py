@@ -22,13 +22,14 @@ applying weighted estimates to low-regularity functions is separable too:
 for an affine multiplier a with slopes s, a(x) (K * f)(x) - (K * (a f))(x) is
 ((s . u) K * f)(x) at every node, u the kernel tap's offset, so a product
 kernel and a CornerField leave at most one 1-D convolution per axis and
-nonzero slope, and 1-D sums: 80 convolutions in the 2-D lab, 162 in the 3-D
-lab at 128 cells.  The pointwise differential-inequality transfer from U to
-V reads the field's partials once, in axis-0 slabs of the grid.  So no
-stage of the lab forms an array of the grid's shape: at 128 cells per axis,
-`corner --dim 3` runs in about 0.03 s after start-up (0.22-0.24 s as a
-whole process) and the process peaks at 39 MB resident on a 2-core x86-64
-machine with one BLAS thread.
+nonzero slope, and 1-D sums, each distinct convolution made once per width:
+80 convolutions in the 2-D lab, 72 in the 3-D lab at 128 cells.  The
+pointwise differential-inequality transfer from U to V reads the field's
+partials once, in axis-0 slabs of about SLAB_NODES nodes (64 KiB an
+array).  So no stage of the lab forms an array of the grid's shape: at 128
+cells per axis, `corner --dim 3` runs in about 0.03 s after start-up
+(0.22-0.24 s as a whole process) and the process peaks at 39 MB resident
+on a 2-core x86-64 machine with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -123,13 +124,24 @@ class CornerField:
         return tables.amplitudes * out
 
 
+# table entries per block of test bumps in the build of PairingTables: each
+# block's coordinates and bump_profiles temporaries hold about this many
+# doubles (512 KiB), so the build peaks near the tables it keeps, not at
+# twice them.  It matters only for corpora near the --tests row bound: the
+# default corpus (20 bumps on 513 nodes), the one `corner` runs unless told
+# otherwise, is one block
+PROFILE_BLOCK = 2 ** 16
+
+
 class PairingTables:
     """A test corpus's 1-D tables on one grid, for CornerField.pair.
 
     profiles[a] has shape (3, T, n_a): [order, t] is the order-th derivative
     of test bump t's factor on axis a, zero off the bump's support.  Each
-    axis and order is one bump_profiles evaluation over the whole corpus, and
-    every support is checked to lie inside the box first, in one comparison.
+    axis and order is one bump_profiles evaluation per block of about
+    PROFILE_BLOCK entries, written into the table (elementwise, so a row has
+    the same bits in any block), and every support is checked to lie inside
+    the box first, in one comparison.
     weights[rule][a] is axis a's weight vector of the rule (_lab_weights).
     A corpus of no test function is refused, since every identity would pass
     on it.  Build one per grid and corpus; it holds nothing that outlives
@@ -147,11 +159,13 @@ class PairingTables:
         self.weights = _lab_weights(grid)
         self.profiles = []
         for a, x in enumerate(grid.axes()):
-            r = radii[:, a:a + 1]
-            u = (x - centers[:, a:a + 1]) / r
-            table = np.empty((3,) + u.shape)
-            for order in range(3):
-                table[order] = bump_profiles(u, r, order)
+            table = np.empty((3, len(tests), x.size))
+            rows = max(1, PROFILE_BLOCK // x.size)
+            for t0 in range(0, len(tests), rows):
+                r = radii[t0:t0 + rows, a:a + 1]
+                u = (x - centers[t0:t0 + rows, a:a + 1]) / r
+                for order in range(3):
+                    table[order, t0:t0 + rows] = bump_profiles(u, r, order)
             self.profiles.append(table)
 
 
@@ -268,9 +282,12 @@ def detect_layer(cf: CornerField, tables: PairingTables) -> dict:
     }
 
 
-# nodes per axis-0 slab of the transfer: the slab's few arrays stay near
-# 256 kB each, whatever the grid
-SLAB_NODES = 2 ** 15
+# nodes per axis-0 slab of the transfer: the largest count whose float64
+# array fits in 64 KiB, half of glibc's default 128 KiB mmap threshold
+# (mallopt(3)), so a slab's arrays come from the heap and are reused, where
+# larger ones are mapped afresh and page-faulted in for every slab.  A slab
+# holds at least one axis-0 row, so a row of more nodes is read whole.
+SLAB_NODES = 64 * 1024 // 8
 # a (1,1) or (2,2) entry of B, or a second-order form at a node of zero
 # denominator, counts as nonzero above this
 TOL_CHAR = 1e-12
@@ -278,20 +295,24 @@ TOL_CHAR = 1e-12
 
 def _transfer_sides(cf: CornerField, B: np.ndarray, block: tuple) -> tuple:
     """|sum_{j,k} B_jk d_j d_k U| and |grad U| + |U| on the block of nodes
-    (one slice per axis), B read from its upper triangle."""
+    (one slice per axis), B read from its upper triangle.  Each partial is
+    scaled, squared and summed in place, so the block makes no array beyond
+    the partials and the two sides."""
     dim = cf.grid.dim
     u = cf.partial((0,) * dim, block)
     form = np.zeros(u.shape)
     for j in range(B.shape[0]):
         for k in range(j, B.shape[0]):
             if B[j, k] != 0.0:
-                mult = 1.0 if j == k else 2.0
-                form += mult * float(B[j, k]) * cf.partial(_multi_index(dim, j, k), block)
+                term = cf.partial(_multi_index(dim, j, k), block)
+                term *= (1.0 if j == k else 2.0) * float(B[j, k])
+                form += term
     grad_sq = np.zeros(u.shape)
     for a in range(dim):
-        grad_sq += cf.partial(_multi_index(dim, a), block) ** 2
+        d = cf.partial(_multi_index(dim, a), block)
+        grad_sq += np.square(d, out=d)
     denom = np.sqrt(grad_sq, out=grad_sq)
-    denom += np.abs(u)
+    denom += np.abs(u, out=u)
     return np.abs(form, out=form), denom
 
 
@@ -412,8 +433,11 @@ def mollifier_commutator(slopes: Sequence[float], v: CornerField,
     is made only when a nonzero slope lies on another axis, so a constant
     multiplier makes none.  No array of the grid's shape is formed: the
     trapezoid integral of D_jk^2 is a Gram sum, over pairs of these products,
-    of the product over the axes of their 1-D weighted inner products.  The
-    kernels are built once per width and distinct spacing.
+    of the product over the axes of their 1-D weighted inner products.  Per
+    width, the kernels are built once per distinct spacing and the moment
+    kernels once per nonzero slope, and each distinct (factor, kernel)
+    convolution is made once and read by every (j, k) that needs it: 72
+    convolutions in the 3-D lab, where the (j, k) loop asks for 162.
     """
     grid = v.grid
     hmax = float(np.max(grid.h))
@@ -422,6 +446,7 @@ def mollifier_commutator(slopes: Sequence[float], v: CornerField,
             raise ResolutionError(f"eps = {eps:g} below resolution floor 4h = {4 * hmax:g}")
     dim = grid.dim
     slopes = np.asarray(slopes, dtype=float)
+    nonzero = np.flatnonzero(slopes).tolist()
     weights = [_axis_weights(n, h) for n, h in zip(grid.shape, grid.h)]
     spacings = grid.h.tolist()
     out = []
@@ -432,20 +457,34 @@ def mollifier_commutator(slopes: Sequence[float], v: CornerField,
         for h in set(spacings):
             k0, k1 = (k * h for k in _mollifier_kernels(h, eps))
             by_spacing[h] = (k0, k1, h * (np.arange(k0.size) - k0.size // 2))
-        kern = [by_spacing[h] for h in spacings]
+        # kernels[c][kind]: on axis c, kind 0 and 1 are dK_j's factor for
+        # j != c and j == c, kind 2 and 3 the moment kernel of slope c,
+        # s_c (u_c k_j + [c = j] k), for j != c and j == c (the + 0.0 makes
+        # the zero taps of u_c k, -0.0 left of the centre, +0.0 in both)
+        kernels = []
+        for c, h in enumerate(spacings):
+            k0, k1, u = by_spacing[h]
+            moments = ((slopes[c] * (u * k0 + 0.0), slopes[c] * (u * k1 + k0))
+                       if c in nonzero else ())
+            kernels.append((k0, k1) + moments)
+        convolved = {}
+
+        def conv(t, c, order, kind):
+            """Term t's factor of the given order on axis c, convolved with
+            kernels[c][kind]: made once per width, read by every piece."""
+            key = (t, c, order, kind)
+            if key not in convolved:
+                convolved[key] = _smooth(v.tables[t][c][order], kernels[c][kind])
+            return convolved[key]
+
         total = 0.0
         for j in range(dim):
-            # the moment kernel s_b (u_b k_j + [b = j] k) of each nonzero slope
-            moments = {b: slopes[b] * (kern[b][2] * kern[b][int(b == j)] + (kern[b][0] if b == j else 0.0))
-                       for b in np.flatnonzero(slopes)}
             for k in range(dim):
-                pieces = []
-                for term in v.tables:
-                    vk = [term[c][int(c == k)] for c in range(dim)]
-                    # the piece of slope b reads conv[c] on every axis c != b
-                    conv = [_smooth(vk[c], kern[c][int(c == j)]) if any(b != c for b in moments) else None
-                            for c in range(dim)]
-                    pieces.extend(conv[:b] + [_smooth(vk[b], m)] + conv[b + 1:] for b, m in moments.items())
+                # the piece of term t and slope b: the moment kernel on axis
+                # b, dK_j's factor on every other axis
+                pieces = [[conv(t, c, int(c == k), int(c == j) + (2 if c == b else 0))
+                           for c in range(dim)]
+                          for t in range(len(v.tables)) for b in nonzero]
                 if not pieces:
                     continue
                 gram = np.ones((len(pieces), len(pieces)))

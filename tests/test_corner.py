@@ -625,7 +625,72 @@ class TestTransferOracle:
         assert nodes[0] == nodes[1] == ["48", "40"]
 
 
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    def test_zero_denominator_under_a_zero_form_is_left_out(self, monkeypatch, slab_nodes):
+        # U = (y_1 - 1/2)^2 (y_2 - 1/4)^2: U, grad U and d_1 d_2 U all vanish
+        # at that node, so it fails nothing and the constant is measured over
+        # the other nodes of its slab
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
+        g = make_grid(unit_box(2), 64)
+        square = [(lambda u, c=c: (u - c) ** 2, lambda u, c=c: 2.0 * (u - c),
+                   lambda u: np.full_like(u, 2.0)) for c in (0.5, 0.25)]
+        cf = CornerField(g, [square], "double_zero")
+        for kwargs in ({}, {"C": 0.9}):
+            got = verify_inequality_transfer(cf, SWAP, **kwargs)
+            assert got == transfer_on_full_grid(cf, SWAP, **kwargs), kwargs
+            assert np.isfinite(got["C"])
+
+
 class TestLabFootprint:
+    @pytest.mark.parametrize("argv", [["corner"], ["corner", "--dim", "3"]],
+                             ids=["2-D 512", "3-D 128"])
+    def test_transfer_slabs_fit_in_64_kib(self, monkeypatch, argv):
+        # the lab's transfer as corner runs it: every array a slab returns
+        # fits in 64 KiB, half of glibc's default mmap threshold, and the
+        # slabs cover the nodes the report counts
+        assert uccert.corner.SLAB_NODES * 8 <= 64 * 1024 < (uccert.corner.SLAB_NODES + 1) * 8
+        grid, _ = _plan_corner(resolve_args(argv))
+        sides = uccert.corner._transfer_sides
+        sizes = []
+
+        def captured(*args):
+            out = sides(*args)
+            sizes.extend(a.nbytes for a in out)
+            return out
+        monkeypatch.setattr(uccert.corner, "_transfer_sides", captured)
+        b = np.zeros((grid.dim, grid.dim))
+        b[0, 1] = b[1, 0] = 1.0
+        report = verify_inequality_transfer(corner_corpus(grid)[1], b)
+        assert len(sizes) > 2 and max(sizes) <= 64 * 1024
+        assert sum(sizes) == 2 * 8 * report["nodes"]
+
+    @pytest.mark.parametrize("dim, cells", [(2, 64), (3, 24)])
+    def test_pairing_tables_in_blocks_equal_one_block(self, monkeypatch, dim, cells):
+        g = make_grid(unit_box(dim), cells)
+        tests = bump_corpus(unit_box(dim), 50, seed=11)
+        whole = PairingTables(g, tests)
+        # blocks of 3 bumps, the last one of 2
+        monkeypatch.setattr(uccert.corner, "PROFILE_BLOCK", 3 * (cells + 1) + 1)
+        blocked = PairingTables(g, tests)
+        for one, many in zip(whole.profiles, blocked.profiles):
+            assert one.shape == many.shape and one.tobytes() == many.tobytes()
+
+    def test_pairing_tables_build_peaks_near_what_they_hold(self, monkeypatch):
+        # the build's temporaries are a few blocks of PROFILE_BLOCK entries
+        # (8 KiB here), not (tests, nodes) arrays beside the tables (1.9 MB)
+        monkeypatch.setattr(uccert.corner, "PROFILE_BLOCK", 2 ** 10)
+        g = make_grid(unit_box(2), 64)
+        tests = bump_corpus(unit_box(2), 600, seed=4)
+        tracemalloc.start()
+        try:
+            tables = PairingTables(g, tests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(p.nbytes for p in tables.profiles)
+        assert kept == 2 * 3 * 600 * 65 * 8
+        assert peak - kept < 256 * 1024
+
     def test_peak_memory_below_half_a_grid_array(self):
         # the corner run's stages before the mollifier on 97^3 nodes, where one
         # grid array of doubles is 7.3 MB
@@ -693,20 +758,27 @@ class TestMollifier:
         eps = [0.2, 0.1, 0.05]
         assert mollifier_commutator([0.0, 0.0], v, eps) == [0.0] * len(eps)
 
-    def test_lab_convolution_count(self, monkeypatch):
-        # the 2-D lab's multiplier has one nonzero slope, b: per (j, k) and
-        # term of v, one convolution with its moment kernel on axis b and one
-        # on the other axis (the piece of slope b reads no plain one on b)
-        grid, eps_list = _plan_corner(resolve_args(["corner"]))
+    @pytest.mark.parametrize("argv, distinct", [(["corner"], 80), (["corner", "--dim", "3"], 72)],
+                             ids=["2-D 512", "3-D 128"])
+    def test_lab_convolution_count(self, monkeypatch, argv, distinct):
+        # the lab's multiplier has one nonzero slope, b: per (j, k) and term
+        # of v, one convolution with its moment kernel on axis b and one on
+        # every other axis.  In 2-D every (factor, kernel) pair is distinct;
+        # in 3-D the plain convolution on an axis c depends on (j, k) only
+        # through c = j and c = k, and the moment kernel only through b = j,
+        # so 72 distinct pairs serve the 162 products.  Each call's arrays
+        # are held, so no identity is reused within the count.
+        grid, eps_list = _plan_corner(resolve_args(argv))
         smooth = uccert.corner._smooth
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return smooth(*args)
+        def counted(f, kernel):
+            calls.append((f, kernel))
+            return smooth(f, kernel)
         monkeypatch.setattr(uccert.corner, "_smooth", counted)
         report = _corner_mollifier(grid, eps_list, seed=0)
-        assert report["passed"] and 0 < len(calls) <= 80
+        pairs = {(id(f), id(kernel)) for f, kernel in calls}
+        assert report["passed"] and len(calls) == len(pairs) == distinct
 
     def test_zero_multiplier_makes_no_convolution(self, monkeypatch):
         g = make_grid(unit_box(2), 64)
@@ -977,6 +1049,26 @@ class TestLabGateThresholds:
             with pytest.raises(HypothesisError, match="NaN form or denominator at node") as err:
                 transfer(cf, SWAP, C=C)
             assert re.findall(r"\d+", str(err.value).replace("np.int64", "").split("node")[1]) == ["48", "33"]
+
+    @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["measured", "supplied"])
+    def test_nan_in_the_form_alone_fails_the_transfer(self, monkeypatch, slab_nodes, supplied):
+        # B_22 reads d_2^2 U, whose axis-2 factor is NaN at y_3 = 1/2 while
+        # U and its gradient stay finite: only the form is NaN there, and
+        # every denominator of the slab is positive
+        monkeypatch.setattr(uccert.corner, "SLAB_NODES", slab_nodes)
+        g = make_grid(unit_box(3), 16)
+        nan_second = SIN_PI[:2] + (lambda u: np.where(u == 0.5, np.nan, SIN_PI[2](u)),)
+        cf = CornerField(g, [[SIN_PI, SIN_PI, nan_second]], "nan_form")
+        b = np.zeros((3, 3))
+        b[0, 1] = b[1, 0] = 1.0
+        b[2, 2] = 0.5
+        C = 10.0 if supplied else None
+        for transfer in (verify_inequality_transfer, transfer_on_full_grid):
+            with pytest.raises(HypothesisError, match="NaN form or denominator at node") as err:
+                transfer(cf, b, C=C)
+            named = str(err.value).replace("np.int64", "").split("node")[1]
+            assert re.findall(r"\d+", named) == ["9", "9", "12"]
 
     @pytest.mark.parametrize("dim, cells", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("slab_nodes", [uccert.corner.SLAB_NODES, 37])

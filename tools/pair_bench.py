@@ -16,7 +16,8 @@ the machine falls on both.  A failed op ends the run with exit 1.
 It prints, for the whole pass and for each part, the median time of each
 tree, the median of the per-pair ratios head / base with a distribution-free
 95% interval for it (order statistics), and the number of pairs in which
-head was faster.
+head was faster; then each tree's median count of minor page faults per
+pass (``getrusage``'s ``ru_minflt`` for this process, read around the pass).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import importlib
 import importlib.util
 import math
 import random
+import resource
 import shutil
 import sys
 import tempfile
@@ -101,15 +103,25 @@ def load_workloads(clock):
     return module
 
 
+def minor_faults() -> int:
+    """This process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run_pass(workload) -> dict:
-    """Seconds per part of one pass, and "pass" their sum; raises on a failed op."""
+    """Seconds per part of one pass, "pass" their sum, and "minflt" the
+    minor page faults the pass made; raises on a failed op."""
     gc.collect()
     parts = {}
-    for op in workload.run_pass():
+    faults = minor_faults()
+    ops = workload.run_pass()
+    faults = minor_faults() - faults
+    for op in ops:
         if op.failures:
             raise RuntimeError(f"op {op.label} failed: {'; '.join(op.failures)}")
         parts[op.part] = parts.get(op.part, 0.0) + op.seconds
     parts["pass"] = sum(parts.values())
+    parts["minflt"] = faults
     return parts
 
 
@@ -124,6 +136,12 @@ def table(parts: list, times: dict) -> list:
         rows.append(f"{part:10s} {1e3 * median(base):9.2f} {1e3 * median(head):9.2f}  {mid:6.3f}  "
                     f"[{lo:6.3f}, {hi:6.3f}]  {wins}/{len(base)}")
     return rows
+
+
+def fault_row(times: dict) -> str:
+    """Each tree's median minor page faults per pass."""
+    return "minor page faults per pass, median: " + ", ".join(
+        f"{side} {median(t['minflt'] for t in runs):g}" for side, runs in times.items())
 
 
 def main(argv=None) -> int:
@@ -179,6 +197,7 @@ def main(argv=None) -> int:
     by_part = {side: {part: [t[part] for t in runs] for part in parts} for side, runs in times.items()}
     print(f"{args.workload}: {args.pairs} pairs, {args.clock} clock, head {HEAD}, base {args.base}")
     print("\n".join(table(parts, by_part)))
+    print(fault_row(times))
     return 0
 
 
